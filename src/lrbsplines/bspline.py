@@ -142,13 +142,6 @@ def _trusted_bspline(xknots, yknots, weight: Fraction) -> TensorBSpline:
 # -- univariate evaluation --------------------------------------------------
 
 
-@lru_cache(maxsize=300_000)
-def _float_knots(knots: tuple[DyadicCoord, ...]) -> np.ndarray:
-    arr = np.array([float(k) for k in knots])
-    arr.flags.writeable = False
-    return arr
-
-
 def univariate_values(knots, t, close_at: float | None = None) -> np.ndarray:
     """Cox--de Boor values of the B-spline on ``knots`` at points ``t``.
 
@@ -157,8 +150,12 @@ def univariate_values(knots, t, close_at: float | None = None) -> np.ndarray:
     instead, so a space evaluated over a closed domain sums correctly on
     the top edges.
     """
-    v = _float_knots(tuple(knots)) if not isinstance(knots, np.ndarray) else knots
+    v = np.asarray(knots, dtype=float)
     t = np.asarray(t, dtype=float)
+    if close_at is not None:
+        # numpy compares a float subclass such as a coordinate through its
+        # generic (several times slower) path; a plain float takes the fast one
+        close_at = float(close_at)
     p = v.size - 2
     layers = [
         ((v[i] <= t) & (t < v[i + 1])).astype(float) for i in range(p + 1)
@@ -182,7 +179,7 @@ def univariate_values(knots, t, close_at: float | None = None) -> np.ndarray:
 
 def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarray:
     """First derivative of the B-spline on ``knots`` at points ``t``."""
-    v = _float_knots(tuple(knots)) if not isinstance(knots, np.ndarray) else knots
+    v = np.asarray(knots, dtype=float)
     t = np.asarray(t, dtype=float)
     p = v.size - 2
     out = np.zeros_like(t)
@@ -198,8 +195,8 @@ def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarra
 def evaluate(b: TensorBSpline, point) -> float:
     """Weighted value at one point, closed at the function's own last knots."""
     x, y = float(point[0]), float(point[1])
-    vx = univariate_values(b.xknots, np.array([x]), close_at=float(b.xknots[-1]))
-    vy = univariate_values(b.yknots, np.array([y]), close_at=float(b.yknots[-1]))
+    vx = univariate_values(b.xknots, np.array([x]), close_at=b.xknots[-1])
+    vy = univariate_values(b.yknots, np.array([y]), close_at=b.yknots[-1])
     return float(b.weight) * float(vx[0]) * float(vy[0])
 
 
@@ -207,7 +204,7 @@ def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
     """Weighted gradient at one point, same closure as :func:`evaluate`."""
     x, y = float(point[0]), float(point[1])
     xs, ys = np.array([x]), np.array([y])
-    cx, cy = float(b.xknots[-1]), float(b.yknots[-1])
+    cx, cy = b.xknots[-1], b.yknots[-1]
     w = float(b.weight)
     vx = float(univariate_values(b.xknots, xs, close_at=cx)[0])
     vy = float(univariate_values(b.yknots, ys, close_at=cy)[0])

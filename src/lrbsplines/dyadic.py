@@ -2,126 +2,127 @@
 
 Every knot and meshline coordinate in this package is a dyadic rational
 ``n / 2**e``.  Refinement only ever bisects knot spans, so the dyadics are
-closed under all operations we need, and equality, ordering and midpoints
-are decided in integer arithmetic -- there is no floating-point tolerance
-anywhere in the mesh layer.
+closed under all operations we need.  A dyadic with ``|n| < 2**53`` and
+``0 <= e <= 48`` is exactly an IEEE double, so a coordinate *is* a float:
+:class:`DyadicCoord` subclasses ``float``, and equality, ordering and
+hashing are float's own -- exact, with no tolerance anywhere in the mesh
+layer -- and numerical code reads knots and bounds directly.
 
-Values are normalized so that the numerator is odd or the exponent is
-zero, which makes structural equality coincide with numerical equality.
+Sums, differences and midpoints of two coordinates are computed in
+integer arithmetic and stay coordinates.  A result, or a constructed
+value, outside that range raises ``ValueError`` instead of rounding.
+Arithmetic with anything else is plain float arithmetic.
+
+Coordinates equal the plain numbers of the same value, with the same
+hash: ``dyadic(3, 1) == 1.5``.  ``numerator``/``exponent`` are in lowest
+terms (the numerator is odd or the exponent is zero), and zero is
+always ``+0.0``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["DyadicCoord", "dyadic", "midpoint"]
 
-#: Largest denominator exponent accepted when converting a float.  Floats
-#: are always exactly representable as dyadics, but a denominator beyond
-#: this is almost certainly rounding noise (e.g. ``0.3``) rather than an
-#: intended coordinate, and is rejected instead of silently adopted.
-_MAX_FLOAT_EXPONENT = 48
+#: Largest denominator exponent of a coordinate.  Every finite float is
+#: dyadic, but a denominator beyond this is almost certainly rounding
+#: noise (e.g. ``0.3``) rather than an intended coordinate.
+_MAX_EXPONENT = 48
+#: Numerators fit in the 53 bits of a double's significand.
+_NUMERATOR_BITS = 53
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicCoord:
-    """A dyadic rational ``numerator / 2**exponent`` in lowest terms."""
+class DyadicCoord(float):
+    """A dyadic rational ``numerator / 2**exponent``, held as the float of
+    exactly that value."""
 
-    numerator: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        num, exp = self.numerator, self.exponent
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+    def __new__(cls, numerator: int, exponent: int = 0) -> "DyadicCoord":
+        if numerator == 0:
+            exponent = 0
+        elif exponent < 0:
+            if numerator.bit_length() - exponent <= _NUMERATOR_BITS:
+                numerator <<= -exponent
+                exponent = 0
+        else:
+            shift = min((numerator & -numerator).bit_length() - 1, exponent)
+            numerator >>= shift
+            exponent -= shift
+        if not 0 <= exponent <= _MAX_EXPONENT or numerator.bit_length() > _NUMERATOR_BITS:
+            raise ValueError(
+                f"{numerator}/2^{exponent} is not an exact coordinate: the "
+                f"numerator must satisfy |n| < 2**{_NUMERATOR_BITS} and the "
+                f"exponent 0 <= e <= {_MAX_EXPONENT}"
+            )
+        return float.__new__(cls, numerator / (1 << exponent))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self.pair())
 
     # -- conversions ---------------------------------------------------
 
     @classmethod
     def from_float(cls, value: float) -> "DyadicCoord":
-        """Convert an exactly dyadic float; reject rounding noise.
-
-        Any finite float is a dyadic rational, but conversions like
-        ``0.3`` produce denominators around 2**52 that no mesh ever
-        means.  Denominators above 2**48 raise ``ValueError``.
-        """
-        if value != value or value in (math.inf, -math.inf):
+        """Convert a float exactly; reject non-finite values and rounding
+        noise such as ``0.3`` (denominator 2**54) by the range check."""
+        if not math.isfinite(value):
             raise ValueError(f"coordinate must be finite, got {value!r}")
         num, den = float(value).as_integer_ratio()
-        exp = den.bit_length() - 1
-        if exp > _MAX_FLOAT_EXPONENT:
-            raise ValueError(
-                f"{value!r} is not dyadic at a usable resolution "
-                f"(denominator 2**{exp}); pass an exact (numerator, exponent) pair"
-            )
-        return cls(num, exp)
+        return cls(num, den.bit_length() - 1)
+
+    @property
+    def numerator(self) -> int:
+        return self.as_integer_ratio()[0]
+
+    @property
+    def exponent(self) -> int:
+        return self.as_integer_ratio()[1].bit_length() - 1
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def __float__(self) -> float:
-        return math.ldexp(self.numerator, -self.exponent)
+        return Fraction(*self.as_integer_ratio())
 
     def pair(self) -> list[int]:
         """JSON form ``[numerator, exponent]``."""
-        return [self.numerator, self.exponent]
-
-    # -- ordering (exact, integer arithmetic) --------------------------
-
-    def _scaled(self, other: "DyadicCoord") -> tuple[int, int]:
-        e = max(self.exponent, other.exponent)
-        return (
-            self.numerator << (e - self.exponent),
-            other.numerator << (e - other.exponent),
-        )
-
-    def __lt__(self, other: "DyadicCoord") -> bool:
-        a, b = self._scaled(other)
-        return a < b
-
-    def __le__(self, other: "DyadicCoord") -> bool:
-        a, b = self._scaled(other)
-        return a <= b
-
-    def __gt__(self, other: "DyadicCoord") -> bool:
-        a, b = self._scaled(other)
-        return a > b
-
-    def __ge__(self, other: "DyadicCoord") -> bool:
-        a, b = self._scaled(other)
-        return a >= b
+        num, den = self.as_integer_ratio()
+        return [num, den.bit_length() - 1]
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other: "DyadicCoord") -> "DyadicCoord":
-        e = max(self.exponent, other.exponent)
-        a, b = self._scaled(other)
+    def __add__(self, other):
+        if not isinstance(other, DyadicCoord):
+            return float.__add__(self, other)
+        a, b, e = _common(self, other)
         return DyadicCoord(a + b, e)
 
-    def __sub__(self, other: "DyadicCoord") -> "DyadicCoord":
-        e = max(self.exponent, other.exponent)
-        a, b = self._scaled(other)
+    def __sub__(self, other):
+        if not isinstance(other, DyadicCoord):
+            return float.__sub__(self, other)
+        a, b, e = _common(self, other)
         return DyadicCoord(a - b, e)
 
     def __neg__(self) -> "DyadicCoord":
-        return DyadicCoord(-self.numerator, self.exponent)
+        # 0.0 - x rather than -x, so that the negated zero is +0.0
+        return float.__new__(DyadicCoord, 0.0 - self)
 
     def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/2^{self.exponent}"
+        num, exp = self.pair()
+        return str(num) if exp == 0 else f"{num}/2^{exp}"
 
     def __repr__(self) -> str:
-        return f"dyadic({self.numerator}, {self.exponent})"
+        return "dyadic({}, {})".format(*self.pair())
+
+
+def _common(a, b) -> tuple[int, int, int]:
+    """Numerators of ``a`` and ``b`` over their common denominator
+    ``2**e``, and ``e``."""
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    d = max(da, db)
+    return na * (d // da), nb * (d // db), d.bit_length() - 1
 
 
 def dyadic(value, exponent: int | None = None) -> DyadicCoord:
@@ -153,8 +154,5 @@ def dyadic(value, exponent: int | None = None) -> DyadicCoord:
 
 def midpoint(a: DyadicCoord, b: DyadicCoord) -> DyadicCoord:
     """Exact midpoint ``(a + b) / 2``."""
-    e = max(a.exponent, b.exponent)
-    return DyadicCoord(
-        (a.numerator << (e - a.exponent)) + (b.numerator << (e - b.exponent)),
-        e + 1,
-    )
+    na, nb, e = _common(a, b)
+    return DyadicCoord(na + nb, e + 1)

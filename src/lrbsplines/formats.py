@@ -53,7 +53,10 @@ def _decode_coord(obj, path: str) -> DyadicCoord:
         raise FormatError(f"{path}: expected [numerator, exponent], got {obj!r}")
     if obj[1] < 0:
         raise FormatError(f"{path}: exponent must be >= 0, got {obj[1]}")
-    return DyadicCoord(obj[0], obj[1])
+    try:
+        return DyadicCoord(obj[0], obj[1])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def to_json(obj) -> dict:

@@ -115,7 +115,8 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     rows_acc, cols_acc, vals_acc = [], [], []
 
     for row, element in zip(table, space.mesh.elements()):
-        x0, x1, y0, y1 = element.rect.float_bounds()
+        r = element.rect
+        x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
         hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
         xs = x0 + hx * (gauss_x + 1.0)
         ys = y0 + hy * (gauss_y + 1.0)
@@ -194,7 +195,7 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     dirichlet: dict = {}
     for direction, value, is_lower in _edge_descriptors(space):
         degree = p1 if direction == 1 else p2
-        cross_top = float(dom.y_max if direction == 1 else dom.x_max)
+        cross_top = dom.y_max if direction == 1 else dom.x_max
         edge = []
         for key in space.sorted_keys():
             vec = key[0] if direction == 1 else key[1]
@@ -205,19 +206,14 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
             raise SpaceError(f"no functions pinned to the edge at {value}")
         edge.sort(key=lambda k: k[1] if direction == 1 else k[0])
         cross_vectors = [k[1] if direction == 1 else k[0] for k in edge]
-        nodes = np.array(
-            [
-                sum(float(v) for v in vec[1 : degree + 1]) / degree
-                for vec in cross_vectors
-            ]
-        )
+        nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in cross_vectors])
         matrix = np.empty((len(edge), len(edge)))
         for j, vec in enumerate(cross_vectors):
             matrix[:, j] = univariate_values(vec, nodes, close_at=cross_top)
         if direction == 1:
-            rhs = np.asarray(u_dirichlet(float(value) * np.ones_like(nodes), nodes), dtype=float)
+            rhs = np.asarray(u_dirichlet(value * np.ones_like(nodes), nodes), dtype=float)
         else:
-            rhs = np.asarray(u_dirichlet(nodes, float(value) * np.ones_like(nodes)), dtype=float)
+            rhs = np.asarray(u_dirichlet(nodes, value * np.ones_like(nodes)), dtype=float)
         coeffs = np.linalg.solve(matrix, rhs)
         for key, c in zip(edge, coeffs):
             dirichlet[key] = float(c)
@@ -272,12 +268,12 @@ def error_norms(space: LRSpace, coefficients: dict, u_exact, grid=(500, 500)) ->
     """Max and cell-averaged L2 errors of ``sum c_k B_k`` on a uniform grid."""
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
     dom = space.mesh.domain
-    xs = np.linspace(float(dom.x_min), float(dom.x_max), nx)
-    ys = np.linspace(float(dom.y_min), float(dom.y_max), ny)
+    xs = np.linspace(dom.x_min, dom.x_max, nx)
+    ys = np.linspace(dom.y_min, dom.y_max, ny)
     u_h = evaluate_space(space, coefficients, xs, ys)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     err = u_h - np.asarray(u_exact(grid_x, grid_y), dtype=float)
-    area = float(dom.x_max - dom.x_min) * float(dom.y_max - dom.y_min)
+    area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
     return ErrorReport(
         n_functions=space.n_functions,
         linf=float(np.max(np.abs(err))),
@@ -333,7 +329,8 @@ def mark_by_layer(space: LRSpace, center=LAYER_CENTER, radius=LAYER_RADIUS) -> l
     cx, cy = center
     out = []
     for key in space.sorted_keys():
-        x0, x1, y0, y1 = space.functions[key].support.float_bounds()
+        xv, yv = key
+        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
         dx = max(x0 - cx, 0.0, cx - x1)
         dy = max(y0 - cy, 0.0, cy - y1)
         d_min = math.hypot(dx, dy)

@@ -102,12 +102,7 @@ def _univariate_collocation(windows, degree: int, close_at: float):
     interior knots; these interlace the knots, so the matrix is
     nonsingular.
     """
-    nodes = np.array(
-        [
-            sum(float(v) for v in vec[1 : degree + 1]) / degree
-            for vec in windows
-        ]
-    )
+    nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
     matrix = np.empty((len(windows), len(windows)))
     for j, vec in enumerate(windows):
         matrix[:, j] = univariate_values(vec, nodes, close_at=close_at)
@@ -128,8 +123,8 @@ def tensor_qi_coefficient(lts: LocalTensorSpace, f) -> float:
     x_windows = [tuple(gx[i : i + p1 + 2]) for i in range(len(gx) - p1 - 1)]
     y_windows = [tuple(gy[j : j + p2 + 2]) for j in range(len(gy) - p2 - 1)]
     dom = lts.mesh.domain
-    xs, mx = _univariate_collocation(x_windows, p1, float(dom.x_max))
-    ys, my = _univariate_collocation(y_windows, p2, float(dom.y_max))
+    xs, mx = _univariate_collocation(x_windows, p1, dom.x_max)
+    ys, my = _univariate_collocation(y_windows, p2, dom.y_max)
 
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     values = np.asarray(f(grid_x, grid_y), dtype=float)
@@ -161,8 +156,8 @@ def lr_qi(space: LRSpace, f) -> dict:
 def qi_max_error(space: LRSpace, coefficients: dict, f, grid: int = 150) -> float:
     """Max pointwise error of the quasi-interpolant on a uniform grid."""
     dom = space.mesh.domain
-    xs = np.linspace(float(dom.x_min), float(dom.x_max), grid)
-    ys = np.linspace(float(dom.y_min), float(dom.y_max), grid)
+    xs = np.linspace(dom.x_min, dom.x_max, grid)
+    ys = np.linspace(dom.y_min, dom.y_max, grid)
     u = evaluate_space(space, coefficients, xs, ys)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     return float(np.max(np.abs(u - np.asarray(f(grid_x, grid_y), dtype=float))))

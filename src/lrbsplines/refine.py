@@ -24,6 +24,7 @@ from .space import (
     LRSpace,
     SpaceError,
     _insert_pieces,
+    _support_bounds,
     structured_refine,
 )
 
@@ -104,13 +105,6 @@ def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool
     return True
 
 
-def _support_bounds(functions: dict, keys) -> np.ndarray:
-    out = np.empty((len(keys), 4))
-    for i, key in enumerate(keys):
-        out[i] = functions[key].support.float_bounds()
-    return out
-
-
 def _pairs_with(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline):
     """Exact nested pairs between ``b`` and the listed functions.
 
@@ -118,7 +112,7 @@ def _pairs_with(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline):
     box containment prefilter (exact, since dyadics are exact floats)
     keeps the exact knotwise test to a handful of candidates.
     """
-    x0, x1, y0, y1 = b.support.float_bounds()
+    x0, x1, y0, y1 = b.xknots[0], b.xknots[-1], b.yknots[0], b.yknots[-1]
     contains_b = (
         (bounds[:, 0] <= x0)
         & (bounds[:, 1] >= x1)
@@ -151,7 +145,7 @@ def nested_map(space: LRSpace) -> dict:
     pairwise non-nested supports maps to ``{}``.
     """
     keys = space.sorted_keys()
-    bounds = _support_bounds(space.functions, keys)
+    bounds = _support_bounds(keys)
     out: dict[Key, tuple] = {}
     for key in keys:
         b = space.functions[key]
@@ -166,7 +160,7 @@ def nested_map(space: LRSpace) -> dict:
 
 def _inners_scan(space: LRSpace, b: TensorBSpline) -> list:
     keys = space.sorted_keys()
-    bounds = _support_bounds(space.functions, keys)
+    bounds = _support_bounds(keys)
     _, inners = _pairs_with(space.functions, keys, bounds, b)
     return inners
 
@@ -243,12 +237,7 @@ def central_span(b: TensorBSpline) -> tuple[float, float, float, float]:
     p1, p2 = b.degrees
     cx = (p1 + 1) // 2
     cy = (p2 + 1) // 2
-    return (
-        float(b.xknots[cx]),
-        float(b.xknots[cx + 1]),
-        float(b.yknots[cy]),
-        float(b.yknots[cy + 1]),
-    )
+    return (b.xknots[cx], b.xknots[cx + 1], b.yknots[cy], b.yknots[cy + 1])
 
 
 def diagonal_marker(b: TensorBSpline) -> bool:
@@ -304,7 +293,7 @@ class _NestedTracker:
         self.by_outer: dict[Key, set] = {}
         self.by_inner: dict[Key, set] = {}
         keys = space.sorted_keys()
-        bounds = _support_bounds(space.functions, keys)
+        bounds = _support_bounds(keys)
         for key in keys:
             b = space.functions[key]
             _, inners = _pairs_with(space.functions, keys, bounds, b)
@@ -337,7 +326,7 @@ class _NestedTracker:
         if not added:
             return
         keys = space.sorted_keys()
-        bounds = _support_bounds(space.functions, keys)
+        bounds = _support_bounds(keys)
         for key in sorted(added):
             b = space.functions[key]
             outers, inners = _pairs_with(space.functions, keys, bounds, b)

@@ -268,11 +268,10 @@ def element_support_count(space: LRSpace, element: Element) -> int:
     return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
 
 
-def _bounds_arrays(functions: dict, keys) -> np.ndarray:
-    out = np.empty((len(keys), 4))
-    for i, key in enumerate(keys):
-        out[i] = functions[key].support.float_bounds()
-    return out
+def _support_bounds(keys) -> np.ndarray:
+    """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
+    with the given keys, one row per key, read from the knot vectors."""
+    return np.array([(xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys], dtype=float)
 
 
 def element_support_table(space: LRSpace):
@@ -280,9 +279,11 @@ def element_support_table(space: LRSpace):
     functions supported on it.  Vectorized with chunking so it stays
     usable on large tensor spaces."""
     keys = space.sorted_keys()
-    fb = _bounds_arrays(space.functions, keys)
+    fb = _support_bounds(keys)
     elems = space.mesh.elements()
-    eb = np.array([e.rect.float_bounds() for e in elems])
+    eb = np.array(
+        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in elems)], dtype=float
+    )
     table = []
     chunk = max(1, int(4e6 // max(len(keys), 1)))
     for start in range(0, len(elems), chunk):
@@ -321,21 +322,20 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     out = np.zeros((xs.size, ys.size))
     dom = space.mesh.domain
-    top_x, top_y = float(dom.x_max), float(dom.y_max)
     for key in space.sorted_keys():
         c = coefficients[key]
         if c == 0.0:
             continue
-        b = space.functions[key]
-        x0, x1, y0, y1 = b.support.float_bounds()
+        xv, yv = key
+        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
         i0 = int(np.searchsorted(xs, x0, side="left"))
         i1 = int(np.searchsorted(xs, x1, side="right"))
         j0 = int(np.searchsorted(ys, y0, side="left"))
         j1 = int(np.searchsorted(ys, y1, side="right"))
         if i0 >= i1 or j0 >= j1:
             continue
-        vx = univariate_values(b.xknots, xs[i0:i1], close_at=top_x if x1 == top_x else None)
-        vy = univariate_values(b.yknots, ys[j0:j1], close_at=top_y if y1 == top_y else None)
+        vx = univariate_values(xv, xs[i0:i1], close_at=x1 if x1 == dom.x_max else None)
+        vy = univariate_values(yv, ys[j0:j1], close_at=y1 if y1 == dom.y_max else None)
         out[i0:i1, j0:j1] += c * np.outer(vx, vy)
     return out
 
@@ -344,8 +344,8 @@ def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bo
     """``max |1 - sum_k c_k B_k|`` on a uniform grid, with ``c_k`` the
     stored weights or all ones."""
     dom = space.mesh.domain
-    xs = np.linspace(float(dom.x_min), float(dom.x_max), samples)
-    ys = np.linspace(float(dom.y_min), float(dom.y_max), samples)
+    xs = np.linspace(dom.x_min, dom.x_max, samples)
+    ys = np.linspace(dom.y_min, dom.y_max, samples)
     if use_weights:
         coeffs = {k: float(b.weight) for k, b in space.functions.items()}
     else:
@@ -366,7 +366,8 @@ def collocation_points(space: LRSpace, seed: int = 0) -> np.ndarray:
         per_element = math.ceil(need / len(elems))
     pts = []
     for e in elems:
-        x0, x1, y0, y1 = e.rect.float_bounds()
+        r = e.rect
+        x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         wx, wy = x1 - x0, y1 - y0
         pts.append((cx, cy))
@@ -390,10 +391,9 @@ def collocation_rank(space: LRSpace, points=None, seed: int = 0) -> int:
             f"{space.n_functions} functions"
         )
     a = np.empty((points.shape[0], space.n_functions))
-    for j, key in enumerate(space.sorted_keys()):
-        b = space.functions[key]
-        vx = univariate_values(b.xknots, points[:, 0], close_at=float(b.xknots[-1]))
-        vy = univariate_values(b.yknots, points[:, 1], close_at=float(b.yknots[-1]))
+    for j, (xv, yv) in enumerate(space.sorted_keys()):
+        vx = univariate_values(xv, points[:, 0], close_at=xv[-1])
+        vy = univariate_values(yv, points[:, 1], close_at=yv[-1])
         a[:, j] = vx * vy
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

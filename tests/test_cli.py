@@ -3,12 +3,36 @@ codes, determinism under --seed, and the verification report."""
 
 import csv
 import filecmp
+import hashlib
 import json
 
 import pytest
 
-from lrbsplines import FormatError, from_json, is_locally_linearly_independent, save
+from lrbsplines import (
+    FormatError,
+    from_json,
+    is_locally_linearly_independent,
+    load,
+    save,
+    to_json,
+    write_element_csv,
+)
 from lrbsplines.cli import main, run_mesh_demo, verify
+
+# sha256 of every file that a 4-iteration mesh-demo writes, plus the
+# per-element table of its space.  Any change to mesh topology, function
+# identity, weights, the trace or the float output formatting shows here.
+GOLDEN_MESH_DEMO_4 = {
+    "counts.csv": "076cdb1f41caba2f842659c9ed003f262b72a2608fe5394d56cdb496233cf2fb",
+    "elements.csv": "301e99286aa48d9be99d2f29d74a897c02a5b731346e7e147401b290320994d8",
+    "mesh_0.svg": "44085c01612f67771d78f770a921c94ae87756da30d01d3210561d68d52f3901",
+    "mesh_1.svg": "6aad5b0776820bf7023a8d3eceb879e58f91695365c1e0eca919d20f24a62c14",
+    "mesh_2.svg": "4b4cbcd19ceea1c1dc221e45540e465a538d4ade98931f2aba035d7f70ed9506",
+    "mesh_3.svg": "3df64a06688d4c249d5093c6d3235bfab505d0663928147541fd14e1ead8b13f",
+    "mesh_4.svg": "b37283c08f80efa5f918dd935179f94616e6d44a41e0d1cb3b2546c3f0296d6f",
+    "space.json": "0b0537a1954fe3d22682b6730f24dba1334a80b079a68fe1cda654a9ab6f2d15",
+    "trace.jsonl": "6e3205bc73d54eaafb12059db9b014c8b8a17b184f025c912e5c1d89e29fbf8e",
+}
 
 
 def _read_csv(path):
@@ -48,6 +72,14 @@ def test_mesh_demo_is_deterministic(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
     assert mismatch == [] and errors == []
     assert match == names
+
+
+def test_mesh_demo_artifacts_match_golden_hashes(tmp_path):
+    out = tmp_path / "demo"
+    run_mesh_demo(out, iterations=4)
+    write_element_csv(load(out / "space.json"), out / "elements.csv")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_MESH_DEMO_4
 
 
 def test_mesh_demo_structured_strategy(tmp_path):
@@ -192,6 +224,18 @@ def test_verify_malformed_file(tmp_path, capsys):
     code = main(["verify", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, running_example):
+    doc = to_json(running_example["pipeline_1"])
+    doc["domain"][1] = [1, 10**12]
+    bad = tmp_path / "huge_exponent.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["verify", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: domain[1]:")
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file(tmp_path, capsys):

@@ -116,6 +116,9 @@ def test_duplicate_functions_are_rejected():
         (lambda d: d.__setitem__("domain", [[0, 0], [1, 0]]), "domain"),
         (lambda d: d["domain"].__setitem__(0, [1]), "domain[0]"),
         (lambda d: d["domain"].__setitem__(1, [1, -2]), "exponent"),
+        (lambda d: d["domain"].__setitem__(1, [1, 2000]), "domain[1]"),
+        (lambda d: d["lines"][0].__setitem__("fixed", [2**60, 0]), "lines[0].fixed"),
+        (lambda d: d["functions"][0]["x"].__setitem__(1, [1, 10**6]), "functions[0].x[1]"),
         (lambda d: d.__setitem__("bidegree", [2]), "bidegree"),
         (lambda d: d.__setitem__("bidegree", [2, True]), "bidegree"),
         (lambda d: d["lines"][0].__setitem__("dir", 3), "dir"),
