@@ -70,6 +70,8 @@ def run_mesh_demo(
     """
     if strategy not in ("structured", "n2s2"):
         raise SpaceError(f"unknown strategy {strategy!r}")
+    if iterations < 0:
+        raise SpaceError(f"iterations must be >= 0, got {iterations}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -150,7 +152,7 @@ def verify(path, *, seed: int = 0) -> dict:
     report["support_count_min"] = min(sizes)
     report["support_count_max"] = max(sizes)
     report["support_count_expected"] = (p1 + 1) * (p2 + 1)
-    report["locally_independent"] = is_locally_linearly_independent(space)
+    report["locally_independent"] = min(sizes) == max(sizes) == (p1 + 1) * (p2 + 1)
 
     knotwise = nested_map(space)
     n_knotwise = sum(len(v) for v in knotwise.values())
@@ -276,6 +278,8 @@ def _cmd_mesh_demo(args) -> int:
 def _cmd_qi_peaks(args) -> int:
     if args.levels < 1:
         raise SpaceError(f"levels must be >= 1, got {args.levels}")
+    if args.grid < 2:
+        raise SpaceError(f"grid must be >= 2, got {args.grid}")
     bidegree = tuple(args.degree)
     adaptive = three_peaks_spaces(
         args.levels, bidegree=bidegree, parity=args.parity, expansion=args.expansion
@@ -309,6 +313,8 @@ def _cmd_qi_peaks(args) -> int:
 def _cmd_poisson(args) -> int:
     if args.levels < 2:
         raise SpaceError(f"levels must be >= 2, got {args.levels}")
+    if args.grid < 2:
+        raise SpaceError(f"grid must be >= 2, got {args.grid}")
     strategies = ("tensor", "n2s2") if args.strategy == "both" else (args.strategy,)
     rows = adaptive_solve(
         args.levels,

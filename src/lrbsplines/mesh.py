@@ -15,6 +15,8 @@ span in x).
 All coordinates are exact dyadics; multiplicities are capped by
 ``bidegree[k-1] + 1`` in direction ``k``, and on *open* meshes the four
 boundary edges carry exactly that full multiplicity.
+A mesh stores only its lines; the elements are tiled from them on the
+first :meth:`Mesh.elements` call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .dyadic import DyadicCoord, dyadic
 
@@ -112,9 +114,10 @@ class Meshline:
 class Split:
     """An insertion request: one contiguous segment at one position.
 
-    The segment must either be entirely new -- decomposing into pieces
-    that each traverse an existing element in full -- or coincide exactly
-    with one existing run, in which case the run's multiplicity is raised.
+    The segment must either be entirely new -- with both ends on
+    perpendicular lines that cross its position, so that it cuts every
+    element it meets from edge to edge -- or coincide exactly with one
+    existing run, in which case the run's multiplicity is raised.
     """
 
     direction: int
@@ -143,12 +146,10 @@ _Runs = tuple[tuple[DyadicCoord, DyadicCoord, int], ...]
 class Mesh:
     """Immutable LR mesh: domain, bidegree, canonical lines, elements.
 
-    The tiling is computed when it is first needed.  A mesh whose lines
-    all span the full cross-extent of the domain (a tensor mesh) is tiled
-    by the grid of its line positions; those elements are built on the
-    first :meth:`elements` call, so a tensor mesh read only for its lines
-    never builds them.  Every other mesh is tiled, and its box-partition
-    property checked, when it is constructed.
+    The tiling is derived from the lines on the first :meth:`elements`
+    call, so a mesh read only for its lines never builds it.
+    :func:`_build_mesh` reads it at once for non-tensor meshes, which
+    checks their box-partition property when they are constructed.
     """
 
     __slots__ = ("domain", "bidegree", "_runs", "_positions", "_elements")
@@ -158,8 +159,8 @@ class Mesh:
         self.bidegree = bidegree
         self._runs = runs  # {1: {pos: _Runs}, 2: {pos: _Runs}}
         self._positions = positions  # {1: sorted tuple, 2: sorted tuple}
-        # tuple[Element] sorted by lower-left corner, or None for a tensor
-        # mesh whose grid has not been read yet
+        # tuple[Element] sorted by lower-left corner, or None until the
+        # tiling is first read
         self._elements = elems
 
     # -- queries ---------------------------------------------------------
@@ -200,11 +201,15 @@ class Mesh:
     def elements(self) -> tuple[Element, ...]:
         """The tiling, sorted by ``Rect.corner_key``.
 
-        On a tensor mesh the first call builds the grid cells of the line
-        positions, in that order, and later calls return the same tuple.
+        The first call tiles the domain -- a tensor mesh by the grid of
+        its line positions, any other by :func:`_extract_elements` -- and
+        later calls return the same tuple.
         """
         if self._elements is None:
-            self._elements = _grid_elements(self._positions[1], self._positions[2])
+            if is_tensorized(self, 1) and is_tensorized(self, 2):
+                self._elements = _grid_elements(self._positions[1], self._positions[2])
+            else:
+                self._elements = _extract_elements(self.domain, self._runs[1], self._runs[2])
         return self._elements
 
     def cross_interval(self, direction: int) -> tuple[DyadicCoord, DyadicCoord]:
@@ -403,13 +408,12 @@ def _build_mesh(
     """Assemble and validate a mesh from raw (dir, fixed, lo, hi, mult) items.
 
     Every mesh gets the canonical-run, multiplicity-cap and boundary
-    checks.  The tiling is extracted and checked here only when some line
+    checks.  The tiling is read, and so checked, here only when some line
     stops short of the domain edges.  When every line spans the full
     cross-extent, each line cuts the domain from edge to edge, so the
     complement of the lines is exactly the grid of consecutive positions
     (the boundary check has put the domain edges among them): the
-    box-partition check cannot fail and is skipped, and the grid cells
-    are left for :meth:`Mesh.elements` to build on demand.
+    box-partition check cannot fail, and the grid is left unbuilt.
     """
     p1, p2 = bidegree
     if p1 < 1 or p2 < 1:
@@ -461,7 +465,7 @@ def _build_mesh(
     positions = {d: tuple(sorted(runs[d])) for d in (1, 2)}
     mesh = Mesh(domain, bidegree, runs, positions, None)
     if not (is_tensorized(mesh, 1) and is_tensorized(mesh, 2)):
-        mesh._elements = _extract_elements(domain, runs[1], runs[2])
+        mesh.elements()
     return mesh
 
 
@@ -536,12 +540,14 @@ def mesh_from_knots(xknots, yknots) -> Mesh:
 def insert_split(mesh: Mesh, split: Split) -> Mesh:
     """Insert one split, returning a new mesh.
 
-    A split whose span is entirely uncovered must decompose into pieces
-    that each traverse an element in full; it is inserted at its own
-    multiplicity and the traversed elements are bisected.  A split whose
-    span coincides exactly with an existing run raises that run's
-    multiplicity.  Partial overlaps, dangling endpoints, multiplicity
-    overflow, and constant-splits violations are all rejected.
+    Only lines are read and written.  A split whose span is entirely
+    uncovered must have each end on a perpendicular run with the split
+    position strictly inside it; it is inserted at its own multiplicity
+    and the new mesh is tiled when first read.  A split whose span
+    coincides exactly with an existing run raises that run's
+    multiplicity and keeps the parent's tiling.  Partial overlaps,
+    dangling endpoints, multiplicity overflow, and constant-splits
+    violations are all rejected.
     """
     d = split.direction
     if d not in (1, 2):
@@ -574,15 +580,24 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
             new_runs = tuple(
                 (r[0], r[1], new_mult) if r is old else r for r in runs
             )
-            return _with_runs(mesh, d, pos, new_runs, mesh.elements())
+            return _with_runs(mesh, d, pos, new_runs, mesh._elements)
         raise MeshError(
             f"split span [{lo}, {hi}] partially overlaps existing meshlines "
             f"at direction-{d} position {pos}; spans must be entirely new or "
             f"coincide with one existing run"
         )
 
-    # Entirely new: walk the span, consuming full element traversals.
-    traversed = _traversal_walk(mesh, d, pos, lo, hi)
+    # Entirely new.  No line ends inside an element, so with both ends on
+    # runs crossing pos, every element straddling pos between them is cut
+    # edge to edge.
+    other = 2 if d == 1 else 1
+    for end in (lo, hi):
+        run = mesh.covering_run(other, end, pos, pos)
+        if run is None or not run[0] < pos < run[1]:
+            raise MeshError(
+                f"split at direction-{d} position {pos} is not anchored: its "
+                f"end {end} does not lie on a meshline crossing the position"
+            )
 
     # Constant splits: merging with abutting neighbours requires equal mult.
     pieces = list(runs)
@@ -604,54 +619,7 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
     keep.append((merged_lo, merged_hi, mult))
     keep.sort(key=lambda r: r[0])
 
-    new_elems = _bisect_elements(mesh.elements(), traversed, d, pos)
-    return _with_runs(mesh, d, pos, tuple(keep), new_elems)
-
-
-def _traversal_walk(mesh: Mesh, d: int, pos, lo, hi) -> list[Element]:
-    """Decompose a new span into full element traversals or raise."""
-    straddling = []
-    for e in mesh.elements():
-        e_lo, e_hi = e.rect.interval(d)
-        if e_lo < pos < e_hi:
-            straddling.append(e)
-    straddling.sort(key=lambda e: e.rect.interval(2 if d == 1 else 1)[0])
-    starts = [e.rect.interval(2 if d == 1 else 1)[0] for e in straddling]
-
-    traversed = []
-    current = lo
-    while current < hi:
-        i = bisect.bisect_left(starts, current)
-        e = straddling[i] if i < len(straddling) and starts[i] == current else None
-        if e is None:
-            raise MeshError(
-                f"split at direction-{d} position {pos} is not anchored: the "
-                f"piece starting at {current} does not begin on an element corner"
-            )
-        _, e_hi = e.rect.interval(2 if d == 1 else 1)
-        if e_hi > hi:
-            raise MeshError(
-                f"split at direction-{d} position {pos} ends at {hi}, inside "
-                f"an element reaching {e_hi}; spans must traverse elements fully"
-            )
-        traversed.append(e)
-        current = e_hi
-    return traversed
-
-
-def _bisect_elements(elems, traversed, d: int, pos) -> tuple[Element, ...]:
-    dead = set(map(id, traversed))
-    out = [e for e in elems if id(e) not in dead]
-    for e in traversed:
-        r = e.rect
-        if d == 1:
-            out.append(Element(Rect(r.x_min, pos, r.y_min, r.y_max)))
-            out.append(Element(Rect(pos, r.x_max, r.y_min, r.y_max)))
-        else:
-            out.append(Element(Rect(r.x_min, r.x_max, r.y_min, pos)))
-            out.append(Element(Rect(r.x_min, r.x_max, pos, r.y_max)))
-    out.sort(key=lambda e: e.rect.corner_key())
-    return tuple(out)
+    return _with_runs(mesh, d, pos, tuple(keep), None)
 
 
 def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:

@@ -309,35 +309,32 @@ def layer_rhs(x, y):
     return -(d2u + du / r)
 
 
+def _straddles_circle(x0, x1, y0, y1, center, radius) -> bool:
+    """The box [x0, x1] x [y0, y1] has points both within ``radius`` of
+    ``center`` and at least ``radius`` from it."""
+    cx, cy = center
+    dx = max(x0 - cx, 0.0, cx - x1)
+    dy = max(y0 - cy, 0.0, cy - y1)
+    d_min = math.hypot(dx, dy)
+    d_max = max(math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1))
+    return d_min <= radius <= d_max
+
+
 def layer_marker(b) -> bool:
     """Marker: the central knot span straddles the layer circle."""
     x0, x1, y0, y1 = central_span(b)
     if not (x0 < x1 and y0 < y1):
         return False
-    cx, cy = LAYER_CENTER
-    dx = max(x0 - cx, 0.0, cx - x1)
-    dy = max(y0 - cy, 0.0, cy - y1)
-    d_min = math.hypot(dx, dy)
-    d_max = max(
-        math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1)
-    )
-    return d_min <= LAYER_RADIUS <= d_max
+    return _straddles_circle(x0, x1, y0, y1, LAYER_CENTER, LAYER_RADIUS)
 
 
 def mark_by_layer(space: LRSpace, center=LAYER_CENTER, radius=LAYER_RADIUS) -> list:
     """Keys of functions whose support straddles the circle."""
-    cx, cy = center
-    out = []
-    for key in space.sorted_keys():
-        xv, yv = key
-        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
-        dx = max(x0 - cx, 0.0, cx - x1)
-        dy = max(y0 - cy, 0.0, cy - y1)
-        d_min = math.hypot(dx, dy)
-        d_max = max(math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1))
-        if d_min <= radius <= d_max:
-            out.append(key)
-    return out
+    return [
+        (xv, yv)
+        for xv, yv in space.sorted_keys()
+        if _straddles_circle(xv[0], xv[-1], yv[0], yv[-1], center, radius)
+    ]
 
 
 def adaptive_solve(

@@ -21,7 +21,7 @@ import numpy as np
 from .bspline import TensorBSpline, univariate_values
 from .dyadic import DyadicCoord
 from .mesh import Mesh, _build_mesh, make_initial_mesh
-from .refine import central_span
+from .refine import point_marker
 from .space import LRSpace, SpaceError, evaluate_space, initial_space
 
 __all__ = [
@@ -178,10 +178,8 @@ def three_peaks(x, y):
     return (2.0 / 3.0) * out
 
 
-def three_peaks_marker(b: TensorBSpline) -> bool:
-    """Marker: the half-open central knot span contains one of the peaks."""
-    x0, x1, y0, y1 = central_span(b)
-    return any(x0 <= px < x1 and y0 <= py < y1 for px, py in _PEAKS)
+#: Marker: the half-open central knot span contains one of the peaks.
+three_peaks_marker = point_marker(_PEAKS)
 
 
 def tensor_space_for_level(level: int, bidegree=(2, 2), bounds=(-1, 1, -1, 1)) -> LRSpace:

@@ -144,15 +144,8 @@ def nested_map(space: LRSpace) -> dict:
     Functions without nested functions do not appear, so a space with
     pairwise non-nested supports maps to ``{}``.
     """
-    keys = space.sorted_keys()
-    bounds = _support_bounds(keys)
-    out: dict[Key, tuple] = {}
-    for key in keys:
-        b = space.functions[key]
-        _, inners = _pairs_with(space.functions, keys, bounds, b)
-        if inners:
-            out[key] = tuple(sorted(inners))
-    return out
+    by_outer = _NestedTracker(space).by_outer
+    return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
 
 
 # -- expansions -------------------------------------------------------------

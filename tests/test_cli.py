@@ -161,6 +161,26 @@ def test_poisson_rejects_too_few_levels(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qi-peaks", "--grid", "0"],
+        ["qi-peaks", "--grid", "1"],
+        ["poisson", "--grid", "0"],
+        ["poisson", "--grid", "1"],
+        ["mesh-demo", "--iterations", "-1"],
+    ],
+)
+def test_degenerate_sizes_fail_fast(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code = main(argv + ["--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 # -- verify --------------------------------------------------------------------
 
 

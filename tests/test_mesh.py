@@ -15,7 +15,7 @@ from conftest import (
     random_pipeline_space,
 )
 from lrbsplines.bspline import TensorBSpline
-from lrbsplines.dyadic import dyadic
+from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import (
     Mesh,
     MeshError,
@@ -27,7 +27,7 @@ from lrbsplines.mesh import (
     mesh_from_knots,
 )
 from lrbsplines.quasi import local_tensor_space
-from lrbsplines.space import initial_space
+from lrbsplines.space import initial_space, structured_refine
 
 
 def rect_keys(mesh):
@@ -193,6 +193,77 @@ def test_insert_into_tensor_mesh_never_read():
         assert_elements_match_oracle(refined)
         keys = [e.rect.corner_key() for e in refined.elements()]
         assert keys == sorted(keys)
+
+
+def _with_midpoints(values):
+    return sorted(set(values) | {midpoint(a, b) for a, b in zip(values, values[1:])})
+
+
+def _oracle_accepts(tiles, runs, d, pos, lo, hi):
+    """The pre-insertion tiles straddling ``pos`` that meet (lo, hi) chain
+    from lo to hi, and the span abuts no run of another multiplicity."""
+    pos_ax, cross_ax = (0, 2) if d == 1 else (2, 0)
+    chain = sorted(
+        (t[cross_ax], t[cross_ax + 1])
+        for t in tiles
+        if t[pos_ax] < pos < t[pos_ax + 1] and t[cross_ax] < hi and lo < t[cross_ax + 1]
+    )
+    if not chain or chain[0][0] != lo or chain[-1][1] != hi:
+        return False
+    if any(a[1] != b[0] for a, b in zip(chain, chain[1:])):
+        return False
+    return all(r[2] == 1 for r in runs if r[1] == lo or r[0] == hi)
+
+
+def test_insert_accepts_exactly_the_spans_that_chain_across_elements(mixed_mesh):
+    """Insertion decides anchoring from the lines alone; the decision must
+    be the one the tiling gives, on every uncovered candidate span."""
+    meshes = [random_pipeline_space(seed, iterations=2).mesh for seed in range(6)]
+    n_accepted = n_rejected = 0
+    for mesh in meshes + [mixed_mesh]:
+        tiles = flood_fill_elements(mesh)
+        for d in (1, 2):
+            crosses = _with_midpoints(mesh.positions(2 if d == 1 else 1))
+            for pos in _with_midpoints(mesh.positions(d)):
+                runs = mesh.runs_at(d, pos)
+                for i, lo in enumerate(crosses):
+                    for hi in crosses[i + 1 :]:
+                        if any(r[0] < hi and lo < r[1] for r in runs):
+                            continue
+                        split = Split(d, pos, lo, hi, 1)
+                        if not _oracle_accepts(tiles, runs, d, pos, lo, hi):
+                            with pytest.raises(MeshError):
+                                insert_split(mesh, split)
+                            n_rejected += 1
+                            continue
+                        refined = insert_split(mesh, split)
+                        assert refined._elements is None
+                        assert_elements_match_oracle(refined)
+                        n_accepted += 1
+    assert n_accepted > 1000 and n_rejected > 4000
+
+
+def test_refined_meshes_are_tiled_when_first_read():
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
+    candidates = [
+        structured_refine(space, space.sorted_keys()[:1]).mesh,
+        random_pipeline_space(1, iterations=2).mesh,
+    ]
+    for mesh in candidates:
+        assert not (is_tensorized(mesh, 1) and is_tensorized(mesh, 2))
+        assert mesh._elements is None, "refined mesh tiled before it was read"
+        # a multiplicity raise before the first read leaves both untiled
+        pos = next(p for p in mesh.positions(1) if mesh.runs_at(1, p)[0][2] == 1)
+        lo, hi, _ = mesh.runs_at(1, pos)[0]
+        raise_split = Split(1, pos, lo, hi, 1)
+        assert insert_split(mesh, raise_split)._elements is None
+        elems = mesh.elements()
+        assert_elements_match_oracle(mesh)
+        keys = [e.rect.corner_key() for e in elems]
+        assert keys == sorted(keys)
+        assert mesh.elements() is elems
+        # a multiplicity raise after it keeps the parent's tiling
+        assert insert_split(mesh, raise_split).elements() is elems
 
 
 def test_insert_bisects_only_traversed_elements():
