@@ -192,6 +192,44 @@ def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarra
     return p * out
 
 
+def _stacked_values(v: np.ndarray, t: np.ndarray, derivatives: bool = False):
+    """Cox--de Boor over stacked windows: ``v`` is ``(..., p+2)`` knots,
+    ``t`` is ``(..., q)`` points, broadcast against each other's leading
+    axes; returns the ``(..., q)`` values, and with ``derivatives`` the
+    pair (values, first derivatives).
+
+    Every row is computed with the scalar operations of
+    :func:`univariate_values` / :func:`univariate_derivatives`, in the
+    same order, so each row equals theirs bit for bit; a term they skip
+    for a zero denominator is masked out here.  There is no closure
+    coordinate.  The degree-(p-1) values on ``v[:-1]`` and ``v[1:]``
+    that the derivative needs are the recursion's own second-to-last
+    stage.
+    """
+    p = v.shape[-1] - 2
+    k = [v[..., i, None] for i in range(p + 2)]
+    layers = [((k[i] <= t) & (t < k[i + 1])).astype(float) for i in range(p + 1)]
+    lower = layers[:2]
+    for d in range(1, p + 1):
+        for i in range(p + 1 - d):
+            den1 = k[i + d] - k[i]
+            den2 = k[i + d + 1] - k[i + 1]
+            on1, on2 = den1 > 0.0, den2 > 0.0
+            acc = np.where(on1, (t - k[i]) / np.where(on1, den1, 1.0) * layers[i], 0.0)
+            right = (k[i + d + 1] - t) / np.where(on2, den2, 1.0) * layers[i + 1]
+            layers[i] = np.where(on2, acc + right, acc)
+        if d == p - 1:
+            lower = layers[:2]
+    if not derivatives:
+        return layers[0]
+    den1 = k[p] - k[0]
+    den2 = k[p + 1] - k[1]
+    on1, on2 = den1 > 0.0, den2 > 0.0
+    out = np.where(on1, lower[0] / np.where(on1, den1, 1.0), 0.0)
+    out = np.where(on2, out - lower[1] / np.where(on2, den2, 1.0), out)
+    return layers[0], p * out
+
+
 def evaluate(b: TensorBSpline, point) -> float:
     """Weighted value at one point, closed at the function's own last knots."""
     x, y = float(point[0]), float(point[1])

@@ -8,6 +8,15 @@ which also makes all weights one, so the unweighted basis is used
 throughout.  Boundary coefficients come from univariate Greville-point
 interpolation of the trace, edge by edge; element integrals use
 (p+1)-point Gauss--Legendre per direction.
+
+Because every element carries the same number of functions, the element
+support table is a rectangular index array and assembly is an array
+program: per chunk of elements, one stacked Cox--de Boor pass per
+direction evaluates all (element, function) pairs at once, and batched
+matrix products form the local stiffness matrices and loads.  Chunks are
+capped in size so memory stays bounded on large spaces.  The arithmetic
+is that of a per-element, per-function loop, in the same order, so the
+results equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
-from .bspline import univariate_derivatives, univariate_values
+from .bspline import _stacked_values, univariate_values
 from .mesh import make_initial_mesh
 from .refine import central_span, n2s_pipeline
 from .space import (
@@ -67,19 +76,61 @@ class GalerkinSystem:
     dirichlet: dict | None = None
 
 
-def _composite_rule(lo: float, hi: float, nodes, weights, resolution):
-    """Gauss points and weights on [lo, hi], subdivided so each sub-cell
-    is no wider than ``resolution`` (one cell when resolution is None)."""
+#: Elements are assembled in chunks small enough that no per-chunk
+#: temporary of shape (elements, functions, points) holds more than this
+#: many entries (2 MiB of floats), which keeps the peak memory of
+#: assembly below that of the sparse solve that follows it.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _cell_counts(lo, hi, resolution):
+    """Sub-cells per interval for :func:`_composite_rule`: enough that
+    none is wider than ``resolution`` (one when resolution is None)."""
     if resolution is None:
-        cells = 1
-    else:
-        cells = max(1, math.ceil((hi - lo) / resolution - 1e-12))
-    edges = np.linspace(lo, hi, cells + 1)
+        return np.ones(np.shape(lo), dtype=int)
+    return np.maximum(1, np.ceil((hi - lo) / resolution - 1e-12)).astype(int)
+
+
+def _composite_rule(lo, hi, nodes, weights, resolution):
+    """Gauss points and weights on [lo, hi], subdivided so each sub-cell
+    is no wider than ``resolution`` (one cell when resolution is None).
+
+    ``lo`` and ``hi`` may be equal-shaped arrays of intervals that need
+    the same number of sub-cells; their shape then leads the result's.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    cells = np.unique(_cell_counts(lo, hi, resolution))
+    if cells.size != 1:
+        raise ValueError(f"intervals need different sub-cell counts {cells.tolist()}")
+    edges = np.linspace(lo, hi, int(cells[0]) + 1, axis=-1)
     half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    pts = (np.outer(half, nodes) + mids[:, None]).ravel()
-    wts = np.outer(half, weights).ravel()
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    pts = (half[..., :, None] * nodes + mids[..., :, None]).reshape(lo.shape + (-1,))
+    wts = (half[..., :, None] * weights).reshape(lo.shape + (-1,))
     return pts, wts
+
+
+def _outer(a, b):
+    """Row-wise outer products of ``(..., m)`` and ``(..., n)`` stacks,
+    flattened to ``(..., m * n)`` as ``np.outer(...).ravel()`` is."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
+
+
+def _chunks(indices, per_element):
+    """Consecutive pieces of ``indices`` of at most ``_CHUNK_ENTRIES``
+    entries, at ``per_element`` entries per element."""
+    size = max(1, _CHUNK_ENTRIES // per_element)
+    return [indices[i : i + size] for i in range(0, len(indices), size)]
+
+
+def _element_load(vals, weights, f, xs, ys):
+    """Per element, ``vals @ (weights * f)`` on the tensor grid of the
+    element's points ``xs`` x ``ys``."""
+    grid_x = np.repeat(xs[:, :, None], ys.shape[1], axis=2)
+    grid_y = np.repeat(ys[:, None, :], xs.shape[1], axis=1)
+    fq = np.broadcast_to(np.asarray(f(grid_x, grid_y), dtype=float), grid_x.shape)
+    return (vals @ (weights * fq.reshape(weights.shape))[..., None])[..., 0]
 
 
 def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> GalerkinSystem:
@@ -94,74 +145,72 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
 
     Rejects spaces with overloaded elements (more supported functions
     than (p1+1)(p2+1)): assembly is defined for locally linearly
-    independent spaces only.
+    independent spaces only.  Then every element carries the same number
+    of functions, and assembly runs as array operations over chunks of
+    elements: one stacked Cox--de Boor pass per chunk and direction
+    gives all values and derivatives at the elements' points, batched
+    products give the local matrices and loads, and the loads are
+    scattered once, in element order.  ``f`` is called once per chunk
+    with ``(elements, nx, ny)`` coordinate arrays.
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
     keys, table = element_support_table(space)
-    for row, element in zip(table, space.mesh.elements()):
+    elements = space.mesh.elements()
+    for row, element in zip(table, elements):
         if len(row) != expected:
             raise SpaceError(
                 f"element {element.rect} carries {len(row)} functions, "
                 f"expected {expected}; assembly requires local linear "
                 f"independence"
             )
-    functions = [space.functions[k] for k in keys]
+    T = np.array(table)
+    n_elements, n_loc = T.shape
+    xknots = np.array([xv for xv, _ in keys], dtype=float)
+    yknots = np.array([yv for _, yv in keys], dtype=float)
+    x0, x1, y0, y1 = np.array(
+        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in elements)], dtype=float
+    ).T
 
     gauss_x, weights_x = leggauss(p1 + 1)
     gauss_y, weights_y = leggauss(p2 + 1)
+    local = np.empty((n_elements, n_loc, n_loc))
+    contrib = np.empty((n_elements, n_loc))
+    for c in _chunks(np.arange(n_elements), n_loc * expected):
+        hx, hy = 0.5 * (x1[c] - x0[c]), 0.5 * (y1[c] - y0[c])
+        xs = x0[c, None] + hx[:, None] * (gauss_x + 1.0)
+        ys = y0[c, None] + hy[:, None] * (gauss_y + 1.0)
+        wq = _outer(weights_x * hx[:, None], weights_y * hy[:, None])
+        vx, dx = _stacked_values(xknots[T[c]], xs[:, None, :], derivatives=True)
+        vy, dy = _stacked_values(yknots[T[c]], ys[:, None, :], derivatives=True)
+        grad_x = _outer(dx, vy)
+        grad_y = _outer(vx, dy)
+        local[c] = (grad_x * wq[:, None, :]) @ grad_x.swapaxes(1, 2) + (
+            grad_y * wq[:, None, :]
+        ) @ grad_y.swapaxes(1, 2)
+        if load_resolution is None:
+            contrib[c] = _element_load(_outer(vx, vy), wq, f, xs, ys)
+
+    if load_resolution is not None:
+        cells = np.stack(
+            [_cell_counts(x0, x1, load_resolution), _cell_counts(y0, y1, load_resolution)], axis=1
+        )
+        for cx, cy in np.unique(cells, axis=0):
+            group = np.flatnonzero((cells[:, 0] == cx) & (cells[:, 1] == cy))
+            for c in _chunks(group, n_loc * cx * cy * expected):
+                lx, lwx = _composite_rule(x0[c], x1[c], gauss_x, weights_x, load_resolution)
+                ly, lwy = _composite_rule(y0[c], y1[c], gauss_y, weights_y, load_resolution)
+                lvals = _outer(
+                    _stacked_values(xknots[T[c]], lx[:, None, :]),
+                    _stacked_values(yknots[T[c]], ly[:, None, :]),
+                )
+                contrib[c] = _element_load(lvals, _outer(lwx, lwy), f, lx, ly)
+
     n = len(keys)
     load = np.zeros(n)
-    rows_acc, cols_acc, vals_acc = [], [], []
-
-    for row, element in zip(table, space.mesh.elements()):
-        r = element.rect
-        x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
-        hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-        xs = x0 + hx * (gauss_x + 1.0)
-        ys = y0 + hy * (gauss_y + 1.0)
-        wq = np.outer(weights_x * hx, weights_y * hy).ravel()
-
-        n_loc = len(row)
-        vals = np.empty((n_loc, xs.size * ys.size))
-        grad_x = np.empty_like(vals)
-        grad_y = np.empty_like(vals)
-        for a, idx in enumerate(row):
-            b = functions[idx]
-            vx = univariate_values(b.xknots, xs)
-            vy = univariate_values(b.yknots, ys)
-            dx = univariate_derivatives(b.xknots, xs)
-            dy = univariate_derivatives(b.yknots, ys)
-            vals[a] = np.outer(vx, vy).ravel()
-            grad_x[a] = np.outer(dx, vy).ravel()
-            grad_y[a] = np.outer(vx, dy).ravel()
-
-        local = (grad_x * wq) @ grad_x.T + (grad_y * wq) @ grad_y.T
-
-        if load_resolution is None:
-            grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-            fq = np.asarray(f(grid_x, grid_y), dtype=float).ravel()
-            load[row] += vals @ (wq * fq)
-        else:
-            lx, lwx = _composite_rule(x0, x1, gauss_x, weights_x, load_resolution)
-            ly, lwy = _composite_rule(y0, y1, gauss_y, weights_y, load_resolution)
-            lw = np.outer(lwx, lwy).ravel()
-            grid_x, grid_y = np.meshgrid(lx, ly, indexing="ij")
-            fq = np.asarray(f(grid_x, grid_y), dtype=float).ravel()
-            lvals = np.empty((n_loc, lx.size * ly.size))
-            for a, idx in enumerate(row):
-                b = functions[idx]
-                lvals[a] = np.outer(
-                    univariate_values(b.xknots, lx), univariate_values(b.yknots, ly)
-                ).ravel()
-            load[row] += lvals @ (lw * fq)
-
-        rows_acc.append(np.repeat(row, n_loc))
-        cols_acc.append(np.tile(row, n_loc))
-        vals_acc.append(local.ravel())
-
+    np.add.at(load, T, contrib)
     stiffness = sp.coo_matrix(
-        (np.concatenate(vals_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        (local.ravel(), (np.repeat(T, n_loc, axis=1).ravel(), np.tile(T, n_loc).ravel())),
         shape=(n, n),
     ).tocsr()
     stiffness = (stiffness + stiffness.T) * 0.5

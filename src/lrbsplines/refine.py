@@ -342,11 +342,12 @@ class _NestedTracker:
         """
 
         def rank(key: Key):
+            # The area times 2^96, exactly: the widths are dyadic with
+            # exponents at most 48, so their denominators divide 2^96.
             xv, yv = key
-            area = (xv[-1].fraction - xv[0].fraction) * (
-                yv[-1].fraction - yv[0].fraction
-            )
-            return (-area, key)
+            nx, dx = (xv[-1] - xv[0]).as_integer_ratio()
+            ny, dy = (yv[-1] - yv[0]).as_integer_ratio()
+            return (-(nx * ny << 96) // (dx * dy), key)
 
         return min(self.by_outer, key=rank)
 

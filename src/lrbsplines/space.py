@@ -317,25 +317,39 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     ``xs`` and ``ys`` are sorted 1-D arrays; the result has shape
     ``(len(xs), len(ys))`` with entry [i, j] at point (xs[i], ys[j]).
     Evaluation is half-open with closure on the domain's top edges.
+    Functions share knot windows, so each distinct window's grid range
+    and values are computed once per call.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros((xs.size, ys.size))
     dom = space.mesh.domain
+    x_windows: dict = {}
+    y_windows: dict = {}
+
+    def window(cache, vec, pts, top):
+        """``(i0, i1, values)``: the points in the window's support and
+        the values there, ``values`` None when there are none."""
+        hit = cache.get(vec)
+        if hit is None:
+            lo, hi = float(vec[0]), float(vec[-1])
+            i0 = int(np.searchsorted(pts, lo, side="left"))
+            i1 = int(np.searchsorted(pts, hi, side="right"))
+            values = None
+            if i0 < i1:
+                values = univariate_values(vec, pts[i0:i1], close_at=hi if hi == top else None)
+            hit = cache[vec] = (i0, i1, values)
+        return hit
+
     for key in space.sorted_keys():
         c = coefficients[key]
         if c == 0.0:
             continue
         xv, yv = key
-        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
-        i0 = int(np.searchsorted(xs, x0, side="left"))
-        i1 = int(np.searchsorted(xs, x1, side="right"))
-        j0 = int(np.searchsorted(ys, y0, side="left"))
-        j1 = int(np.searchsorted(ys, y1, side="right"))
-        if i0 >= i1 or j0 >= j1:
+        i0, i1, vx = window(x_windows, xv, xs, dom.x_max)
+        j0, j1, vy = window(y_windows, yv, ys, dom.y_max)
+        if vx is None or vy is None:
             continue
-        vx = univariate_values(xv, xs[i0:i1], close_at=x1 if x1 == dom.x_max else None)
-        vy = univariate_values(yv, ys[j0:j1], close_at=y1 if y1 == dom.y_max else None)
         out[i0:i1, j0:j1] += c * np.outer(vx, vy)
     return out
 

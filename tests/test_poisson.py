@@ -8,11 +8,15 @@ checks the closed-form right-hand side of the layer problem without
 reusing its polar-coordinate derivation.
 """
 
+import csv
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 
 from lrbsplines import (
     SpaceError,
@@ -25,12 +29,17 @@ from lrbsplines import (
     layer_marker,
     layer_rhs,
     layer_solution,
+    main,
     make_initial_mesh,
     mark_by_layer,
+    n2s_pipeline,
     solve,
     TensorBSpline,
 )
+from lrbsplines import poisson
+from lrbsplines.bspline import univariate_derivatives, univariate_values
 from lrbsplines.poisson import _composite_rule
+from lrbsplines.space import element_support_table
 
 
 # -- oracle: the biquadratic patch test --------------------------------------
@@ -136,6 +145,144 @@ def test_load_resolution_changes_rough_loads():
     plain = assemble(space, layer_rhs)
     refined = assemble(space, layer_rhs, load_resolution=1.0 / 64.0)
     assert not np.allclose(plain.load, refined.load, atol=1e-6)
+
+
+# -- oracle: per-element assembly ---------------------------------------------
+
+
+def _reference_assemble(space, f, load_resolution=None):
+    """Stiffness, load and keys element by element, with one
+    ``univariate_values`` / ``univariate_derivatives`` call per function
+    and direction: the loop that batched assembly replaced, kept as its
+    oracle."""
+    p1, p2 = space.mesh.bidegree
+    keys, table = element_support_table(space)
+    functions = [space.functions[k] for k in keys]
+    gauss_x, weights_x = leggauss(p1 + 1)
+    gauss_y, weights_y = leggauss(p2 + 1)
+    n = len(keys)
+    load = np.zeros(n)
+    rows_acc, cols_acc, vals_acc = [], [], []
+    for row, element in zip(table, space.mesh.elements()):
+        r = element.rect
+        x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
+        hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+        xs = x0 + hx * (gauss_x + 1.0)
+        ys = y0 + hy * (gauss_y + 1.0)
+        wq = np.outer(weights_x * hx, weights_y * hy).ravel()
+        n_loc = len(row)
+        vals = np.empty((n_loc, xs.size * ys.size))
+        grad_x = np.empty_like(vals)
+        grad_y = np.empty_like(vals)
+        for a, idx in enumerate(row):
+            b = functions[idx]
+            vx = univariate_values(b.xknots, xs)
+            vy = univariate_values(b.yknots, ys)
+            dx = univariate_derivatives(b.xknots, xs)
+            dy = univariate_derivatives(b.yknots, ys)
+            vals[a] = np.outer(vx, vy).ravel()
+            grad_x[a] = np.outer(dx, vy).ravel()
+            grad_y[a] = np.outer(vx, dy).ravel()
+        local = (grad_x * wq) @ grad_x.T + (grad_y * wq) @ grad_y.T
+        if load_resolution is None:
+            grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+            fq = np.asarray(f(grid_x, grid_y), dtype=float).ravel()
+            load[row] += vals @ (wq * fq)
+        else:
+            lx, lwx = _composite_rule(x0, x1, gauss_x, weights_x, load_resolution)
+            ly, lwy = _composite_rule(y0, y1, gauss_y, weights_y, load_resolution)
+            lw = np.outer(lwx, lwy).ravel()
+            grid_x, grid_y = np.meshgrid(lx, ly, indexing="ij")
+            fq = np.asarray(f(grid_x, grid_y), dtype=float).ravel()
+            lvals = np.empty((n_loc, lx.size * ly.size))
+            for a, idx in enumerate(row):
+                b = functions[idx]
+                lvals[a] = np.outer(
+                    univariate_values(b.xknots, lx), univariate_values(b.yknots, ly)
+                ).ravel()
+            load[row] += lvals @ (lw * fq)
+        rows_acc.append(np.repeat(row, n_loc))
+        cols_acc.append(np.tile(row, n_loc))
+        vals_acc.append(local.ravel())
+    stiffness = sp.coo_matrix(
+        (np.concatenate(vals_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        shape=(n, n),
+    ).tocsr()
+    return tuple(keys), (stiffness + stiffness.T) * 0.5, load
+
+
+@lru_cache(maxsize=None)
+def _oracle_space(kind, bidegree, level):
+    """A tensor space of 2^level cells, or the adaptive layer space that
+    ``adaptive_solve`` solves on at ``level``."""
+    if kind == "tensor":
+        return initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 2**level))
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 4))
+    for lv in range(3, level + 1):
+        space, _ = n2s_pipeline(space, layer_marker, 1, start_index=lv - 2)
+    return space
+
+
+_ORACLE_SPACES = [
+    ("tensor", bidegree, level)
+    for bidegree in ((1, 1), (2, 2), (3, 2))
+    for level in (1, 2, 3, 4)
+] + [("n2s2", (2, 2), level) for level in (2, 3, 4, 5)]
+
+
+def _assert_same_system(system, reference):
+    keys, stiffness, load = reference
+    assert system.keys == keys
+    assert np.array_equal(system.stiffness.toarray(), stiffness.toarray())
+    assert np.array_equal(system.load, load)
+
+
+@pytest.mark.parametrize("resolution", [None, 2.0**-6, 1.0 / 3.0], ids=["none", "2^-6", "1/3"])
+@pytest.mark.parametrize("case", _ORACLE_SPACES, ids=lambda c: f"{c[0]}-{c[1][0]}{c[1][1]}-L{c[2]}")
+def test_batched_assembly_matches_per_element_oracle(case, resolution):
+    space = _oracle_space(*case)
+    system = assemble(space, layer_rhs, load_resolution=resolution)
+    _assert_same_system(system, _reference_assemble(space, layer_rhs, resolution))
+
+
+@pytest.mark.parametrize("resolution", [None, 1.0 / 3.0])
+def test_assembly_across_chunks_matches_oracle(monkeypatch, resolution):
+    # A cap of a few elements per chunk splits the stiffness pass and
+    # every sub-cell group of the load into several chunks.
+    space = _oracle_space("n2s2", (2, 2), 4)
+    monkeypatch.setattr(poisson, "_CHUNK_ENTRIES", 1000)
+    assert len(poisson._chunks(np.arange(len(space.mesh.elements())), 81)) > 10
+    system = assemble(space, layer_rhs, load_resolution=resolution)
+    _assert_same_system(system, _reference_assemble(space, layer_rhs, resolution))
+
+
+def test_load_accepts_scalar_data():
+    space = _oracle_space("tensor", (2, 2), 2)
+    constant = assemble(space, lambda x, y: -4.0)
+    assert np.array_equal(constant.load, assemble(space, _patch_f).load)
+
+
+# ``poisson --levels 4 --grid 80`` as written before assembly was batched.
+_POISSON_L4_G80 = [
+    ("tensor", "2", "36", 1.7263523806783572, 0.41839540608249565),
+    ("tensor", "3", "100", 1.8475733905626428, 0.3645415773082179),
+    ("tensor", "4", "324", 1.7617175168411507, 0.3302536367674812),
+    ("n2s2", "2", "36", 1.7263523806783572, 0.41839540608249565),
+    ("n2s2", "3", "93", 1.847698406578863, 0.36456178483528157),
+    ("n2s2", "4", "222", 1.7618677767203916, 0.33025365884510205),
+]
+
+
+def test_poisson_table_is_pinned(tmp_path):
+    out = tmp_path / "poisson.csv"
+    assert main(["poisson", "--levels", "4", "--grid", "80", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_POISSON_L4_G80)
+    for row, (strategy, level, n, linf, l2) in zip(rows, _POISSON_L4_G80):
+        assert (row["strategy"], row["level"], row["n_functions"]) == (strategy, level, n)
+        assert math.isclose(float(row["linf"]), linf, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(float(row["l2"]), l2, rel_tol=1e-12, abs_tol=0.0)
 
 
 # -- boundary data ------------------------------------------------------------

@@ -18,6 +18,7 @@ from lrbsplines.refine import (
     one_directional_expansion,
     point_marker,
     tensor_expansion,
+    _NestedTracker,
 )
 from lrbsplines.space import (
     LRSpace,
@@ -212,3 +213,26 @@ def test_pipeline_spaces_are_locally_independent_randomized():
         space = random_pipeline_space(seed, iterations=2)
         assert is_locally_linearly_independent(space)
         assert all(b.weight == Fraction(1) for b in space.functions.values())
+
+
+def test_select_outer_takes_the_largest_exact_area():
+    # The integer rank must order outers as their exact Fraction areas
+    # do, ties broken by the smallest key, down to exponent 48.
+    rng = random.Random(11)
+    exponents = (0, 1, 3, 7, 30, 47, 48)
+
+    def interval():
+        lo = dyadic(rng.randrange(2**4), rng.choice(exponents))
+        return (lo, lo + dyadic(rng.randrange(1, 2**4), rng.choice(exponents)))
+
+    def fraction_rank(key):
+        xv, yv = key
+        area = (xv[-1].fraction - xv[0].fraction) * (yv[-1].fraction - yv[0].fraction)
+        return (-area, key)
+
+    pool = [interval() for _ in range(12)]
+    for _ in range(300):
+        keys = {(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 20))}
+        tracker = object.__new__(_NestedTracker)
+        tracker.by_outer = {key: set() for key in keys}
+        assert tracker.select_outer() == min(keys, key=fraction_rank)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_splits, key_of, random_pipeline_space
-from lrbsplines.bspline import TensorBSpline
+from lrbsplines.bspline import TensorBSpline, univariate_values
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import Split, make_initial_mesh
 from lrbsplines.space import (
@@ -197,3 +197,30 @@ def test_evaluate_space_reproduces_polynomials_on_tensor_space():
     vals = evaluate_space(space, coeffs, xs, ys)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     assert np.max(np.abs(vals - g(gx, gy))) <= 1e-12
+
+
+def test_evaluate_space_matches_the_per_function_sum():
+    # Each distinct knot window is evaluated once per call; the result
+    # must equal the plain per-function sum bit for bit, including grid
+    # points outside the domain and a zero coefficient.
+    space = random_pipeline_space(3, 2)
+    keys = space.sorted_keys()
+    rng = np.random.default_rng(0)
+    coeffs = dict(zip(keys, rng.normal(size=len(keys))))
+    coeffs[keys[0]] = 0.0
+    xs = np.linspace(-0.1, 1.0, 57)
+    ys = np.linspace(0.0, 1.1, 43)
+    got = evaluate_space(space, coeffs, xs, ys)
+    reference = np.zeros_like(got)
+    for xv, yv in keys:
+        c = coeffs[(xv, yv)]
+        if c == 0.0:
+            continue
+        i = (xs >= xv[0]) & (xs <= xv[-1])
+        j = (ys >= yv[0]) & (ys <= yv[-1])
+        if not (i.any() and j.any()):
+            continue
+        vx = univariate_values(xv, xs[i], close_at=xv[-1] if xv[-1] == 1 else None)
+        vy = univariate_values(yv, ys[j], close_at=yv[-1] if yv[-1] == 1 else None)
+        reference[np.ix_(i, j)] += c * np.outer(vx, vy)
+    assert np.array_equal(got, reference)
