@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import DyadicCoord, dyadic
-from .mesh import Mesh, Rect
+from .mesh import Mesh, Rect, _knot_multiplicities
 
 __all__ = [
     "KnotVectorError",
@@ -139,6 +139,12 @@ def _trusted_bspline(xknots, yknots, weight: Fraction) -> TensorBSpline:
     return b
 
 
+def _knot_windows(vec, degree: int) -> list[tuple]:
+    """The consecutive length-(degree+2) windows of a global knot vector:
+    the local knot vectors of its univariate B-spline basis."""
+    return [tuple(vec[i : i + degree + 2]) for i in range(len(vec) - degree - 1)]
+
+
 # -- univariate evaluation --------------------------------------------------
 
 
@@ -190,6 +196,23 @@ def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarra
     if den2 > 0.0:
         out = out - univariate_values(v[1:], t, close_at) / den2
     return p * out
+
+
+def _greville_collocation(windows, close_at: float):
+    """Greville nodes and collocation matrix of a univariate basis.
+
+    ``windows`` lists the basis's local knot vectors, consecutive windows
+    of one global vector; the degree is the window length minus two.
+    Each window's Greville point is the mean of its interior knots;
+    these interlace the knots, so the matrix is nonsingular.  Column j
+    holds window j's values at the nodes, closed at ``close_at``.
+    """
+    degree = len(windows[0]) - 2
+    nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
+    matrix = np.empty((len(windows), len(windows)))
+    for j, vec in enumerate(windows):
+        matrix[:, j] = univariate_values(vec, nodes, close_at=close_at)
+    return nodes, matrix
 
 
 def _stacked_values(v: np.ndarray, t: np.ndarray, derivatives: bool = False):
@@ -301,16 +324,6 @@ def insert_knot(b: TensorBSpline, direction: int, z):
 
 
 # -- support against a mesh -------------------------------------------------
-
-
-def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
-    out: list[tuple[DyadicCoord, int]] = []
-    for v in vec:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return out
 
 
 def has_support_on(b: TensorBSpline, mesh: Mesh) -> bool:

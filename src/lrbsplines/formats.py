@@ -2,14 +2,16 @@
 
 Dyadic coordinates serialize as ``[numerator, exponent]`` pairs, so
 files round-trip exactly.  A mesh document holds ``domain``,
-``bidegree`` and ``lines``; a space document adds ``functions`` with
-the weight as a JSON real.  Decoding errors name the offending field.
+``bidegree`` and ``lines``; a space document adds a nonempty
+``functions`` list with each weight as a finite JSON real.  Decoding
+errors name the offending field.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,6 +152,8 @@ def from_json(doc: dict):
     raw = doc["functions"]
     if not isinstance(raw, list):
         raise FormatError("functions: expected a list")
+    if not raw:
+        raise FormatError("functions: expected at least one function")
     functions = {}
     for i, entry in enumerate(raw):
         where = f"functions[{i}]"
@@ -167,6 +171,12 @@ def from_json(doc: dict):
         weight = entry.get("w", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise FormatError(f"{where}.w: expected a number")
+        try:
+            finite = math.isfinite(weight)
+        except OverflowError:  # an integer beyond the double range
+            finite = False
+        if not finite:
+            raise FormatError(f"{where}.w: expected a finite double")
         try:
             b = TensorBSpline(xv, yv, Fraction(weight))
         except ValueError as exc:

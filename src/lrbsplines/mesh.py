@@ -505,6 +505,17 @@ def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
     return _build_mesh(domain, (p1, p2), items)
 
 
+def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
+    """Run-length encoding of a sorted knot vector: (value, multiplicity)."""
+    out: list[tuple[DyadicCoord, int]] = []
+    for v in vec:
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + 1)
+        else:
+            out.append((v, 1))
+    return out
+
+
 def mesh_from_knots(xknots, yknots) -> Mesh:
     """Tensor knot mesh of one function: its knot lines at knot multiplicity.
 
@@ -516,20 +527,10 @@ def mesh_from_knots(xknots, yknots) -> Mesh:
     ys = [dyadic(v) for v in yknots]
     p1, p2 = len(xs) - 2, len(ys) - 2
     domain = Rect(xs[0], xs[-1], ys[0], ys[-1])
-
-    def dedup(vals):
-        out: list[tuple[DyadicCoord, int]] = []
-        for v in vals:
-            if out and out[-1][0] == v:
-                out[-1] = (v, out[-1][1] + 1)
-            else:
-                out.append((v, 1))
-        return out
-
     items = []
-    for x, mult in dedup(xs):
+    for x, mult in _knot_multiplicities(xs):
         items.append((1, x, domain.y_min, domain.y_max, mult))
-    for y, mult in dedup(ys):
+    for y, mult in _knot_multiplicities(ys):
         items.append((2, y, domain.x_min, domain.x_max, mult))
     return _build_mesh(domain, (p1, p2), items, require_open=False)
 

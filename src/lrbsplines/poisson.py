@@ -29,10 +29,11 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
-from .bspline import _stacked_values, univariate_values
+from .bspline import _greville_collocation, _stacked_values
 from .mesh import make_initial_mesh
 from .refine import central_span, n2s_pipeline
 from .space import (
+    _CHUNK_ENTRIES,
     LRSpace,
     SpaceError,
     element_support_table,
@@ -74,13 +75,6 @@ class GalerkinSystem:
     stiffness: sp.csr_matrix
     load: np.ndarray
     dirichlet: dict | None = None
-
-
-#: Elements are assembled in chunks small enough that no per-chunk
-#: temporary of shape (elements, functions, points) holds more than this
-#: many entries (2 MiB of floats), which keeps the peak memory of
-#: assembly below that of the sparse solve that follows it.
-_CHUNK_ENTRIES = 1 << 18
 
 
 def _cell_counts(lo, hi, resolution):
@@ -241,24 +235,22 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     """
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
-    dirichlet: dict = {}
-    for direction, value, is_lower in _edge_descriptors(space):
-        degree = p1 if direction == 1 else p2
-        cross_top = dom.y_max if direction == 1 else dom.x_max
-        edge = []
-        for key in space.sorted_keys():
+    edges = _edge_descriptors(space)
+    pinned: list[list] = [[] for _ in edges]
+    for key in space.sorted_keys():
+        for edge, (direction, value, is_lower) in zip(pinned, edges):
+            degree = p1 if direction == 1 else p2
             vec = key[0] if direction == 1 else key[1]
-            pinned = vec[degree] == value if is_lower else vec[1] == value
-            if pinned:
+            if (vec[degree] if is_lower else vec[1]) == value:
                 edge.append(key)
+    dirichlet: dict = {}
+    for edge, (direction, value, _) in zip(pinned, edges):
         if not edge:
             raise SpaceError(f"no functions pinned to the edge at {value}")
         edge.sort(key=lambda k: k[1] if direction == 1 else k[0])
         cross_vectors = [k[1] if direction == 1 else k[0] for k in edge]
-        nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in cross_vectors])
-        matrix = np.empty((len(edge), len(edge)))
-        for j, vec in enumerate(cross_vectors):
-            matrix[:, j] = univariate_values(vec, nodes, close_at=cross_top)
+        cross_top = dom.y_max if direction == 1 else dom.x_max
+        nodes, matrix = _greville_collocation(cross_vectors, cross_top)
         if direction == 1:
             rhs = np.asarray(u_dirichlet(value * np.ones_like(nodes), nodes), dtype=float)
         else:

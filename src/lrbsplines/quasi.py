@@ -4,6 +4,10 @@ Each coefficient is computed locally: a function's knot vectors span a
 small tensor space once the boundary knots are raised to full
 multiplicity, and interpolating the target at the Greville points of
 that local space determines the coefficient of the original function.
+The two raised knot vectors describe that space completely -- their
+consecutive windows are its univariate bases -- so the coefficient is
+computed from them alone, with no mesh or basis objects;
+:func:`local_tensor_space` builds the full space for reference.
 The collocation matrix is a tensor product of two univariate ones, each
 nonsingular because Greville points interlace their knot vector, so the
 local problem is always solvable.  Every local problem reproduces
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import TensorBSpline, univariate_values
+from .bspline import TensorBSpline, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
-from .mesh import Mesh, _build_mesh, make_initial_mesh
+from .mesh import Mesh, make_initial_mesh, mesh_from_knots
 from .refine import point_marker
 from .space import LRSpace, SpaceError, evaluate_space, initial_space
 
@@ -64,67 +68,33 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
     p1, p2 = b.degrees
     gx = _raised_vector(b.xknots, p1)
     gy = _raised_vector(b.yknots, p2)
-    domain = b.support
-
-    def dedup(vec):
-        out = []
-        for v in vec:
-            if not out or out[-1][0] != v:
-                out.append([v, 1])
-            else:
-                out[-1][1] += 1
-        return out
-
-    items = []
-    for x, mult in dedup(gx):
-        items.append((1, x, domain.y_min, domain.y_max, mult))
-    for y, mult in dedup(gy):
-        items.append((2, y, domain.x_min, domain.x_max, mult))
-    mesh = _build_mesh(domain, (p1, p2), items)
-
-    basis = []
-    for i in range(len(gx) - p1 - 1):
-        xv = tuple(gx[i : i + p1 + 2])
-        for j in range(len(gy) - p2 - 1):
-            yv = tuple(gy[j : j + p2 + 2])
-            basis.append(TensorBSpline(xv, yv))
-    lts = LocalTensorSpace(b.key, mesh, tuple(basis))
+    mesh = mesh_from_knots(gx, gy)
+    basis = tuple(
+        TensorBSpline(xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2)
+    )
     if all(f.key != b.key for f in basis):
         raise SpaceError(f"local tensor space does not contain {b.key}")
-    return lts
+    return LocalTensorSpace(b.key, mesh, basis)
 
 
-def _univariate_collocation(windows, degree: int, close_at: float):
-    """Greville nodes and collocation matrix of one direction's local basis.
+def tensor_qi_coefficient(b: TensorBSpline, f) -> float:
+    """Coefficient of ``b`` for interpolating ``f`` in its local space.
 
-    ``windows`` lists the consecutive length-(degree+2) knot windows of
-    the raised vector.  Each window's Greville point is the mean of its
-    interior knots; these interlace the knots, so the matrix is
-    nonsingular.
+    The local tensor space of ``b`` (see :func:`local_tensor_space`) is
+    read from its raised knot vectors alone: their consecutive windows
+    are the local basis in each direction.  Interpolates ``f`` at the
+    tensor grid of the windows' Greville points and reads off the
+    coefficient of ``b``, whose knot vectors are among the windows.  The
+    collocation matrix factors into two univariate ones, solved back to
+    back.
     """
-    nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
-    matrix = np.empty((len(windows), len(windows)))
-    for j, vec in enumerate(windows):
-        matrix[:, j] = univariate_values(vec, nodes, close_at=close_at)
-    return nodes, matrix
-
-
-def tensor_qi_coefficient(lts: LocalTensorSpace, f) -> float:
-    """Coefficient of the origin function for interpolating ``f``.
-
-    Interpolates ``f`` at the tensor grid of Greville points of the
-    local space and reads off the origin's coefficient.  The collocation
-    matrix factors into two univariate ones, solved back to back.
-    """
-    p1, p2 = lts.mesh.bidegree
-    origin_x, origin_y = lts.origin
-    gx = _raised_vector(list(origin_x), p1)
-    gy = _raised_vector(list(origin_y), p2)
-    x_windows = [tuple(gx[i : i + p1 + 2]) for i in range(len(gx) - p1 - 1)]
-    y_windows = [tuple(gy[j : j + p2 + 2]) for j in range(len(gy) - p2 - 1)]
-    dom = lts.mesh.domain
-    xs, mx = _univariate_collocation(x_windows, p1, dom.x_max)
-    ys, my = _univariate_collocation(y_windows, p2, dom.y_max)
+    p1, p2 = b.degrees
+    gx = _raised_vector(b.xknots, p1)
+    gy = _raised_vector(b.yknots, p2)
+    x_windows = _knot_windows(gx, p1)
+    y_windows = _knot_windows(gy, p2)
+    xs, mx = _greville_collocation(x_windows, gx[-1])
+    ys, my = _greville_collocation(y_windows, gy[-1])
 
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     values = np.asarray(f(grid_x, grid_y), dtype=float)
@@ -138,7 +108,7 @@ def tensor_qi_coefficient(lts: LocalTensorSpace, f) -> float:
         coeffs = np.linalg.solve(my, coeffs.T).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - Greville
         raise SpaceError(f"singular local collocation matrix: {exc}") from exc
-    return float(coeffs[x_windows.index(origin_x), y_windows.index(origin_y)])
+    return float(coeffs[x_windows.index(b.xknots), y_windows.index(b.yknots)])
 
 
 def lr_qi(space: LRSpace, f) -> dict:
@@ -147,10 +117,7 @@ def lr_qi(space: LRSpace, f) -> dict:
     The result pairs with the *unweighted* basis: evaluate with
     ``evaluate_space(space, coefficients, ...)``.
     """
-    return {
-        key: tensor_qi_coefficient(local_tensor_space(b), f)
-        for key, b in sorted(space.functions.items())
-    }
+    return {key: tensor_qi_coefficient(b, f) for key, b in sorted(space.functions.items())}
 
 
 def qi_max_error(space: LRSpace, coefficients: dict, f, grid: int = 150) -> float:

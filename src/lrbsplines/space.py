@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import (
+    _knot_windows,
     _trusted_bspline,
     find_refining_split,
     has_minimal_support,
@@ -128,8 +129,8 @@ def initial_space(mesh: Mesh) -> LRSpace:
 
     gx = global_vector(1, p1)
     gy = global_vector(2, p2)
-    x_windows = [local_knot_vector(tuple(gx[i : i + p1 + 2])) for i in range(len(gx) - p1 - 1)]
-    y_windows = [local_knot_vector(tuple(gy[j : j + p2 + 2])) for j in range(len(gy) - p2 - 1)]
+    x_windows = [local_knot_vector(w) for w in _knot_windows(gx, p1)]
+    y_windows = [local_knot_vector(w) for w in _knot_windows(gy, p2)]
     one = Fraction(1)
     functions = {(xv, yv): _trusted_bspline(xv, yv, one) for xv in x_windows for yv in y_windows}
     return LRSpace(mesh, functions)
@@ -268,6 +269,13 @@ def element_support_count(space: LRSpace, element: Element) -> int:
     return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
 
 
+#: Element-batched array code works in chunks of elements small enough
+#: that no per-chunk temporary of shape (elements, functions[, points])
+#: holds more than this many entries (2 MiB of floats), which keeps its
+#: peak memory below that of the sparse solve that follows assembly.
+_CHUNK_ENTRIES = 1 << 18
+
+
 def _support_bounds(keys) -> np.ndarray:
     """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
     with the given keys, one row per key, read from the knot vectors."""
@@ -285,7 +293,7 @@ def element_support_table(space: LRSpace):
         [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in elems)], dtype=float
     )
     table = []
-    chunk = max(1, int(4e6 // max(len(keys), 1)))
+    chunk = max(1, _CHUNK_ENTRIES // max(len(keys), 1))
     for start in range(0, len(elems), chunk):
         sub = eb[start : start + chunk]
         mask = (

@@ -258,6 +258,29 @@ def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, running_exampl
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "weight, field",
+    [(None, "functions:"), ("1e400", "functions[0].w:"), (str(10**400), "functions[0].w:")],
+    ids=["no-functions", "weight-1e400", "weight-10**400"],
+)
+def test_verify_rejects_unusable_functions(tmp_path, capsys, running_example, weight, field):
+    # An empty function list and weights beyond the double range used to
+    # escape as tracebacks.
+    doc = to_json(running_example["pipeline_1"])
+    if weight is None:
+        doc["functions"] = []
+    text = json.dumps(doc)
+    if weight is not None:
+        assert '"w": 1.0' in text
+        text = text.replace('"w": 1.0', f'"w": {weight}', 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["verify", str(bad)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field}")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code = main(["verify", str(tmp_path / "nope.json")])
     assert code == 2

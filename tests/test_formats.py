@@ -128,6 +128,9 @@ def test_duplicate_functions_are_rejected():
         (lambda d: d["functions"][0].__setitem__("w", "1"), "w"),
         (lambda d: d["functions"][0].__setitem__("x", 7), "x"),
         (lambda d: d["functions"][0]["x"].pop(), "functions[0]"),
+        (lambda d: d.__setitem__("functions", []), "functions:"),
+        (lambda d: d["functions"][0].__setitem__("w", 1e400), "functions[0].w"),
+        (lambda d: d["functions"][0].__setitem__("w", 10**400), "functions[0].w"),
     ],
 )
 def test_malformed_documents_name_the_field(mutate, fragment):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lrbsplines import (
+    Mesh,
     dyadic,
     evaluate,
     evaluate_space,
@@ -130,7 +131,7 @@ def test_local_tensor_space_handles_interior_multiplicity():
     # found among the products.  The implementation instead keeps every
     # interior knot as given.
     assert any(f.key == b.key for f in lts.basis)
-    coeff = tensor_qi_coefficient(lts, lambda x, y: np.ones_like(np.asarray(x)))
+    coeff = tensor_qi_coefficient(b, lambda x, y: np.ones_like(np.asarray(x)))
     assert abs(coeff - 1.0) <= 1e-12
 
 
@@ -140,11 +141,64 @@ def test_quadratic_coefficient_is_blossom_value():
     space = initial_space(make_initial_mesh((-1, 1, -1, 1), (2, 2), 8))
     key = space.sorted_keys()[len(space.sorted_keys()) // 2]
     lts = local_tensor_space(space.functions[key])
-    value = tensor_qi_coefficient(lts, lambda x, y: np.asarray(x) ** 2)
+    value = tensor_qi_coefficient(space.functions[key], lambda x, y: np.asarray(x) ** 2)
     ξ = key[0]
     # Exact coefficient of x^2 in a degree-2 basis: the blossom value
     # of the two interior knots, v1 * v2.
     assert abs(value - float(ξ[1]) * float(ξ[2])) <= 1e-12
+
+
+def _smooth(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.sin(3.0 * x + 1.0) * np.exp(y) + np.cos(x * y)
+
+
+def _dense_coefficient(b, f):
+    """Coefficient of ``b`` from one dense solve over its full local
+    tensor space: one column per basis function, evaluated pointwise at
+    the tensor grid of the basis's Greville points."""
+    basis = local_tensor_space(b).basis
+
+    def greville(windows):
+        return sorted({sum(float(v) for v in w[1:-1]) / (len(w) - 2) for w in windows})
+
+    xs = greville(g.xknots for g in basis)
+    ys = greville(g.yknots for g in basis)
+    points = [(x, y) for x in xs for y in ys]
+    matrix = np.array([[evaluate(g, point) for g in basis] for point in points])
+    data = np.array([float(f(x, y)) for x, y in points])
+    coeffs = np.linalg.solve(matrix, data)
+    return coeffs[[g.key for g in basis].index(b.key)]
+
+
+def test_coefficient_matches_the_dense_local_solve(running_example):
+    functions = list(running_example["pipeline_2"].functions.values())
+    functions.append(
+        TensorBSpline(
+            tuple(dyadic(v) for v in (0, 0.5, 0.5, 1)),
+            tuple(dyadic(v) for v in (0, 0.25, 0.75, 1)),
+        )
+    )
+    for b in functions:
+        assert abs(tensor_qi_coefficient(b, _smooth) - _dense_coefficient(b, _smooth)) <= 1e-12
+
+
+def test_lr_qi_builds_no_mesh(monkeypatch, running_example):
+    space = running_example["pipeline_2"]
+    built = []
+    build = Mesh.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(Mesh, "__init__", counting)
+    assert len(lr_qi(space, _smooth)) == space.n_functions
+    assert built == []
+    # The wrapper does see meshes: the reference local space builds one.
+    local_tensor_space(space.functions[space.sorted_keys()[0]])
+    assert len(built) == 1
 
 
 # -- polynomial reproduction on locally refined spaces -----------------------

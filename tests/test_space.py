@@ -8,6 +8,7 @@ import pytest
 from conftest import apply_splits, key_of, random_pipeline_space
 from lrbsplines.bspline import TensorBSpline, univariate_values
 from lrbsplines.dyadic import dyadic
+from lrbsplines import space as space_module
 from lrbsplines.mesh import Split, make_initial_mesh
 from lrbsplines.space import (
     LRSpace,
@@ -15,6 +16,7 @@ from lrbsplines.space import (
     apply_split,
     collocation_rank,
     element_support_count,
+    element_support_table,
     evaluate_space,
     initial_space,
     is_locally_linearly_independent,
@@ -150,6 +152,21 @@ def test_pipeline_spaces_have_nine_functions_per_element(running_example):
             assert element_support_count(space, element) == 9
         assert is_locally_linearly_independent(space)
         assert all(b.weight == Fraction(1) for b in space.functions.values())
+
+
+def test_support_table_does_not_depend_on_the_chunk_size(monkeypatch, running_example):
+    spaces = [
+        running_example["pipeline_2"],
+        initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 16)),
+        random_pipeline_space(5, 2),
+    ]
+    default = [element_support_table(space) for space in spaces]
+    # 50 to 324 functions: chunks of 3 to 20 elements
+    monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
+    for space, (keys, table) in zip(spaces, default):
+        small_keys, small_table = element_support_table(space)
+        assert small_keys == keys
+        assert [row.tolist() for row in small_table] == [row.tolist() for row in table]
 
 
 def test_pipeline_stage_function_counts(running_example):
