@@ -235,21 +235,20 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     """
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
-    edges = _edge_descriptors(space)
-    pinned: list[list] = [[] for _ in edges]
-    for key in space.sorted_keys():
-        for edge, (direction, value, is_lower) in zip(pinned, edges):
-            degree = p1 if direction == 1 else p2
-            vec = key[0] if direction == 1 else key[1]
-            if (vec[degree] if is_lower else vec[1]) == value:
-                edge.append(key)
     dirichlet: dict = {}
-    for edge, (direction, value, _) in zip(pinned, edges):
+    for direction, value, is_lower in _edge_descriptors(space):
+        degree = p1 if direction == 1 else p2
+        cross_top = dom.y_max if direction == 1 else dom.x_max
+        edge = []
+        for key in space.sorted_keys():
+            vec = key[0] if direction == 1 else key[1]
+            pinned = vec[degree] == value if is_lower else vec[1] == value
+            if pinned:
+                edge.append(key)
         if not edge:
             raise SpaceError(f"no functions pinned to the edge at {value}")
         edge.sort(key=lambda k: k[1] if direction == 1 else k[0])
         cross_vectors = [k[1] if direction == 1 else k[0] for k in edge]
-        cross_top = dom.y_max if direction == 1 else dom.x_max
         nodes, matrix = _greville_collocation(cross_vectors, cross_top)
         if direction == 1:
             rhs = np.asarray(u_dirichlet(value * np.ones_like(nodes), nodes), dtype=float)

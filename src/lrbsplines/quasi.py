@@ -24,7 +24,7 @@ import numpy as np
 
 from .bspline import TensorBSpline, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
-from .mesh import Mesh, make_initial_mesh, mesh_from_knots
+from .mesh import Mesh, _build_mesh, _knot_multiplicities, make_initial_mesh
 from .refine import point_marker
 from .space import LRSpace, SpaceError, evaluate_space, initial_space
 
@@ -68,7 +68,10 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
     p1, p2 = b.degrees
     gx = _raised_vector(b.xknots, p1)
     gy = _raised_vector(b.yknots, p2)
-    mesh = mesh_from_knots(gx, gy)
+    domain = b.support
+    items = [(1, x, domain.y_min, domain.y_max, m) for x, m in _knot_multiplicities(gx)]
+    items += [(2, y, domain.x_min, domain.x_max, m) for y, m in _knot_multiplicities(gy)]
+    mesh = _build_mesh(domain, (p1, p2), items)
     basis = tuple(
         TensorBSpline(xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2)
     )

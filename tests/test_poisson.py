@@ -76,6 +76,43 @@ def test_patch_test_on_locally_refined_space(running_example):
     assert report.linf <= 1e-9
 
 
+def _mixed_u(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x**3 * y**2 + x * y**2 + 2 * x + y + 1
+
+
+def _mixed_f(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return -(6 * x * y**2 + 2 * x**3 + 2 * x)
+
+
+def _linear_quadratic_u(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x * y**2 + 2 * x + y + 1
+
+
+def _linear_quadratic_f(x, y):
+    return -2.0 * np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "bidegree, u, f",
+    [((3, 2), _mixed_u, _mixed_f), ((1, 2), _linear_quadratic_u, _linear_quadratic_f)],
+)
+def test_patch_test_with_unequal_degrees(bidegree, u, f):
+    # The boundary interpolation of each edge runs in the cross direction,
+    # so its Greville points must use the cross degree; with the pinned
+    # direction's degree they coincide and the edge matrix is singular.
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, (4, 8)))
+    system = impose_dirichlet(assemble(space, f), space, u)
+    coefficients = solve(system)
+    report = error_norms(space, coefficients, u, grid=(60, 60))
+    assert report.linf <= 1e-9
+
+
 # -- oracle: finite-difference check of the layer right-hand side ------------
 
 

@@ -106,6 +106,7 @@ def test_local_tensor_space_structure():
     )
     lts = local_tensor_space(b)
     assert lts.origin == b.key
+    assert lts.mesh.bidegree == b.degrees
     # Boundary knots raised to multiplicity 3 over distinct values
     # {0,1,2,3} x {0,2,4,8}: five functions per direction.
     assert len(lts.basis) == 25
