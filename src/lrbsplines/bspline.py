@@ -312,10 +312,14 @@ def insert_knot(b: TensorBSpline, direction: int, z):
     else:
         alpha2 = (v[p + 1].fraction - z.fraction) / (v[p + 1].fraction - v[1].fraction)
 
+    # Both children are valid without re-checking: each drops one end
+    # knot of ``augmented``, whose multiplicities were checked above, and
+    # z lies strictly inside the span, so each keeps a nonempty span; both
+    # alphas are positive for the same reason.
     def child(vec, alpha):
         if direction == 1:
-            return TensorBSpline(vec, b.yknots, b.weight * alpha)
-        return TensorBSpline(b.xknots, vec, b.weight * alpha)
+            return _trusted_bspline(vec, b.yknots, b.weight * alpha)
+        return _trusted_bspline(b.xknots, vec, b.weight * alpha)
 
     return (
         (alpha1, child(augmented[:-1], alpha1)),

@@ -126,7 +126,8 @@ def verify(path, *, seed: int = 0) -> dict:
     pairs under both the knot-oriented and the mesh-oriented
     definition, partition-of-unity defects and the collocation rank;
     ``report["passed"]`` is False when the functions are linearly
-    dependent.  A bare mesh only gets its element/tensorization
+    dependent or their stored weights miss the partition of unity by
+    more than 1e-10.  A bare mesh only gets its element/tensorization
     summary.
     """
     obj = formats.load(path)
@@ -180,7 +181,7 @@ def verify(path, *, seed: int = 0) -> dict:
     rank = collocation_rank(space, seed=seed)
     report["collocation_rank"] = rank
     report["rank_deficiency"] = space.n_functions - rank
-    report["passed"] = rank == space.n_functions
+    report["passed"] = rank == space.n_functions and report["pou_defect_weighted"] <= 1e-10
     return report
 
 

@@ -14,6 +14,12 @@ local problem is always solvable.  Every local problem reproduces
 polynomials up to the bidegree, hence so does the assembled operator;
 combined with the unweighted basis this makes the scheme exact on
 polynomials on spaces with unit weights.
+
+:func:`lr_qi` solves all the local problems of a space as stacked
+arrays; :func:`tensor_qi_coefficient` solves one and serves as its
+oracle.  The target ``f`` must be pointwise and vectorised: called with
+two arrays of one shape, any shape, it returns an array of that shape
+holding ``f`` at each pair of entries.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .bspline import TensorBSpline, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
 from .mesh import Mesh, _build_mesh, _knot_multiplicities, make_initial_mesh
 from .refine import point_marker
-from .space import LRSpace, SpaceError, evaluate_space, initial_space
+from .space import _CHUNK_ENTRIES, LRSpace, SpaceError, evaluate_space, initial_space
 
 __all__ = [
     "LocalTensorSpace",
@@ -80,6 +86,40 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
     return LocalTensorSpace(b.key, mesh, basis)
 
 
+def _local_collocation(vec):
+    """Greville nodes, collocation matrix and origin index of the local
+    univariate basis of one local knot vector.
+
+    The basis is the windows of ``vec`` with its boundary knots raised
+    to full multiplicity; the origin index is the position of ``vec``
+    itself among them.
+    """
+    degree = len(vec) - 2
+    raised = _raised_vector(vec, degree)
+    windows = _knot_windows(raised, degree)
+    nodes, matrix = _greville_collocation(windows, raised[-1])
+    return nodes, matrix, windows.index(vec)
+
+
+def _solve_local(f, xs, mx, ys, my):
+    """Coefficients interpolating ``f`` on the tensor grids of the nodes
+    ``xs`` x ``ys``, whose univariate collocation matrices are ``mx`` and
+    ``my``; all are stacked over any leading axes.  The two univariate
+    solves run back to back, x first."""
+    grid_x = np.repeat(xs[..., :, None], ys.shape[-1], axis=-1)
+    grid_y = np.repeat(ys[..., None, :], xs.shape[-1], axis=-2)
+    values = np.asarray(f(grid_x, grid_y), dtype=float)
+    if values.shape != grid_x.shape:
+        raise SpaceError(
+            f"interpolation data has shape {values.shape}, expected {grid_x.shape}"
+        )
+    try:
+        coeffs = np.linalg.solve(mx, values)
+        return np.linalg.solve(my, coeffs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - Greville
+        raise SpaceError(f"singular local collocation matrix: {exc}") from exc
+
+
 def tensor_qi_coefficient(b: TensorBSpline, f) -> float:
     """Coefficient of ``b`` for interpolating ``f`` in its local space.
 
@@ -89,38 +129,48 @@ def tensor_qi_coefficient(b: TensorBSpline, f) -> float:
     tensor grid of the windows' Greville points and reads off the
     coefficient of ``b``, whose knot vectors are among the windows.  The
     collocation matrix factors into two univariate ones, solved back to
-    back.
+    back.  This is the one-function form of :func:`lr_qi`.
     """
-    p1, p2 = b.degrees
-    gx = _raised_vector(b.xknots, p1)
-    gy = _raised_vector(b.yknots, p2)
-    x_windows = _knot_windows(gx, p1)
-    y_windows = _knot_windows(gy, p2)
-    xs, mx = _greville_collocation(x_windows, gx[-1])
-    ys, my = _greville_collocation(y_windows, gy[-1])
-
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    values = np.asarray(f(grid_x, grid_y), dtype=float)
-    if values.shape != (len(xs), len(ys)):
-        raise SpaceError(
-            f"interpolation data has shape {values.shape}, "
-            f"expected {(len(xs), len(ys))}"
-        )
-    try:
-        coeffs = np.linalg.solve(mx, values)
-        coeffs = np.linalg.solve(my, coeffs.T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - Greville
-        raise SpaceError(f"singular local collocation matrix: {exc}") from exc
-    return float(coeffs[x_windows.index(b.xknots), y_windows.index(b.yknots)])
+    xs, mx, ix = _local_collocation(b.xknots)
+    ys, my, iy = _local_collocation(b.yknots)
+    return float(_solve_local(f, xs, mx, ys, my)[ix, iy])
 
 
 def lr_qi(space: LRSpace, f) -> dict:
     """Quasi-interpolation coefficients for every function of the space.
 
-    The result pairs with the *unweighted* basis: evaluate with
-    ``evaluate_space(space, coefficients, ...)``.
+    ``f`` must be pointwise and vectorised: called with two arrays of one
+    shape (any shape), it returns an array of that shape holding ``f`` at
+    each pair of entries.  The result pairs with the *unweighted* basis:
+    evaluate with ``evaluate_space(space, coefficients, ...)``.
+
+    Each coefficient equals :func:`tensor_qi_coefficient` bit for bit.
+    The local collocation of each distinct knot vector is computed once.
+    Functions of one local size ``(nx, ny)`` are stacked in chunks that
+    hold about ``_CHUNK_ENTRIES`` entries; per chunk, ``f`` is sampled
+    once and the local problems are solved by two batched calls.
     """
-    return {key: tensor_qi_coefficient(b, f) for key, b in sorted(space.functions.items())}
+    keys = space.sorted_keys()
+    memo: dict = {}
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        for vec in key:
+            if vec not in memo:
+                memo[vec] = _local_collocation(vec)
+        cx, cy = memo[key[0]], memo[key[1]]
+        groups.setdefault((len(cx[0]), len(cy[0])), []).append((pos, cx, cy))
+    out = np.empty(len(keys))
+    for (nx, ny), members in groups.items():
+        # Per function a chunk stacks two collocation matrices and, counting
+        # the temporaries of ``f`` itself, about eight (nx, ny) arrays.
+        size = max(1, _CHUNK_ENTRIES // (nx * nx + ny * ny + 8 * nx * ny))
+        for start in range(0, len(members), size):
+            pos, cx, cy = zip(*members[start : start + size])
+            xs, mx, ix = (np.array(a) for a in zip(*cx))
+            ys, my, iy = (np.array(a) for a in zip(*cy))
+            coeffs = _solve_local(f, xs, mx, ys, my)
+            out[list(pos)] = coeffs[np.arange(len(pos)), ix, iy]
+    return {key: float(c) for key, c in zip(keys, out)}
 
 
 def qi_max_error(space: LRSpace, coefficients: dict, f, grid: int = 150) -> float:

@@ -1,15 +1,21 @@
 """Properties of the stacked Cox--de Boor kernel that batched assembly
 uses: every row equals the single-window reference bit for bit, signed
-zeros included."""
+zeros included.  Also: knot insertion's unvalidated children equal
+validated ones."""
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrbsplines.bspline import (
+    TensorBSpline,
     _stacked_values,
+    insert_knot,
     univariate_derivatives,
     univariate_values,
 )
+from lrbsplines.dyadic import DyadicCoord, dyadic
 
 props = settings(deadline=None, max_examples=200)
 
@@ -81,3 +87,39 @@ def test_shared_points_broadcast_over_functions(case):
     for v, val, der in zip(knots, values[0], derivatives[0]):
         assert same_bits(val, univariate_values(v, pts[0]))
         assert same_bits(der, univariate_derivatives(v, pts[0]))
+
+
+@st.composite
+def insertions(draw):
+    """``(b, direction, z)``: a weighted function on eighths and an
+    insertion point on sixteenths strictly inside its span in
+    ``direction`` that keeps every multiplicity at most degree + 1."""
+    p1, p2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    xv = tuple(dyadic(v) for v in draw(windows(p1)))
+    yv = tuple(dyadic(v) for v in draw(windows(p2)))
+    weight = Fraction(draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+    b = TensorBSpline(xv, yv, weight)
+    direction = draw(st.sampled_from((1, 2)))
+    v = b.knots(direction)
+    lo, hi = int(v[0] * 16) + 1, int(v[-1] * 16) - 1
+    z = dyadic(draw(st.integers(lo, hi).filter(lambda n: v.count(n / 16) <= len(v) - 2)) / 16)
+    return b, direction, z
+
+
+@props
+@given(insertions())
+def test_inserted_children_equal_validated_ones(case):
+    b, direction, z = case
+    augmented = tuple(sorted(b.knots(direction) + (z,)))
+    children = insert_knot(b, direction, z)
+    for (alpha, child), vec in zip(children, (augmented[:-1], augmented[1:])):
+        if direction == 1:
+            expected = TensorBSpline(vec, b.yknots, b.weight * alpha)
+        else:
+            expected = TensorBSpline(b.xknots, vec, b.weight * alpha)
+        assert type(child) is TensorBSpline and child == expected
+        for field in ("xknots", "yknots"):
+            got, want = getattr(child, field), getattr(expected, field)
+            assert type(got) is tuple and got == want
+            assert all(type(c) is DyadicCoord for c in got)
+        assert type(child.weight) is Fraction and child.weight == expected.weight

@@ -206,6 +206,20 @@ def test_verify_flags_dependent_space(tmp_path, capsys, rank_deficient_space):
     assert "rank_deficiency: 1" in stdout
 
 
+def test_verify_fails_on_wrong_weights(tmp_path, capsys, running_example):
+    # Weights that are not the space's break the partition of unity
+    # while leaving the functions linearly independent.
+    doc = to_json(running_example["pipeline_1"])
+    doc["functions"][0]["w"] = 1e308
+    bad = tmp_path / "wrong_weight.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["verify", str(bad)])
+    stdout = capsys.readouterr().out
+    assert code == 2
+    assert "passed: False" in stdout
+    assert "rank_deficiency: 0" in stdout
+
+
 def test_verify_report_fields(tmp_path, running_example):
     target = tmp_path / "space.json"
     save(running_example["pipeline_2"], target)

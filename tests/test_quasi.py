@@ -13,9 +13,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lrbsplines.quasi as quasi
 from lrbsplines import (
     Mesh,
+    SpaceError,
     dyadic,
     evaluate,
     evaluate_space,
@@ -202,6 +206,80 @@ def test_lr_qi_builds_no_mesh(monkeypatch, running_example):
     assert len(built) == 1
 
 
+# -- the batched space-wide solve --------------------------------------------
+
+
+def _bits(coefficients):
+    """Keys and stored doubles in order; ``hex`` tells -0.0 from 0.0."""
+    return [(key, float(c).hex()) for key, c in coefficients.items()]
+
+
+def _one_by_one(space, f):
+    return {key: tensor_qi_coefficient(space.functions[key], f) for key in space.sorted_keys()}
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
+    seed=st.integers(0, 10**6),
+    iterations=st.integers(0, 2),
+    n_cells=st.sampled_from([2, 4]),
+)
+def test_lr_qi_equals_the_per_function_oracle(bidegree, seed, iterations, n_cells):
+    # iterations == 0 leaves the tensor space.
+    space = random_pipeline_space(seed, iterations=iterations, n_cells=n_cells, bidegree=bidegree)
+    for f in (_smooth, three_peaks):
+        assert _bits(lr_qi(space, f)) == _bits(_one_by_one(space, f))
+
+
+def _counting(f):
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.shape(x))
+        return f(x, y)
+
+    return counted, calls
+
+
+def test_lr_qi_samples_once_per_local_size(running_example):
+    space = running_example["pipeline_2"]
+    sizes = set()
+    for b in space.functions.values():
+        basis = local_tensor_space(b).basis
+        sizes.add((len({g.xknots for g in basis}), len({g.yknots for g in basis})))
+    counted, calls = _counting(_smooth)
+    lr_qi(space, counted)
+    # One call per local size: the space is small enough for one chunk each.
+    assert len(calls) == len(sizes) < space.n_functions
+    assert {shape[1:] for shape in calls} == sizes
+    assert sum(shape[0] for shape in calls) == space.n_functions
+
+
+def test_lr_qi_chunks_do_not_change_the_result(monkeypatch):
+    space = tensor_space_for_level(2)
+    expected = _bits(lr_qi(space, three_peaks))
+    monkeypatch.setattr(quasi, "_CHUNK_ENTRIES", 1000)
+    counted, calls = _counting(three_peaks)
+    assert _bits(lr_qi(space, counted)) == expected
+    assert len(calls) > 10
+    assert sum(shape[0] for shape in calls) == space.n_functions
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x, y: 1.0, lambda x, y: np.zeros(3), lambda x, y: np.asarray(x)[..., :1]],
+    ids=["scalar", "flat", "truncated"],
+)
+def test_wrongly_shaped_data_is_a_space_error(f):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
+    with pytest.raises(SpaceError, match="interpolation data has shape"):
+        lr_qi(space, f)
+    b = space.functions[space.sorted_keys()[0]]
+    with pytest.raises(SpaceError, match="interpolation data has shape"):
+        tensor_qi_coefficient(b, f)
+
+
 # -- polynomial reproduction on locally refined spaces -----------------------
 
 
@@ -248,11 +326,13 @@ def test_quasi_interpolant_is_a_projection_idempotent():
     coeffs = lr_qi(space, three_peaks)
 
     def interpolant(grid_x, grid_y):
+        # Pointwise, as lr_qi requires: tabulate the interpolant on the
+        # distinct coordinates, then read each pair back from the table.
         grid_x = np.asarray(grid_x, dtype=float)
-        xs = grid_x[:, 0] if grid_x.ndim == 2 else np.atleast_1d(grid_x)
         grid_y = np.asarray(grid_y, dtype=float)
-        ys = grid_y[0, :] if grid_y.ndim == 2 else np.atleast_1d(grid_y)
-        return evaluate_space(space, coeffs, xs, ys)
+        xs, ys = np.unique(grid_x), np.unique(grid_y)
+        table = evaluate_space(space, coeffs, xs, ys)
+        return table[np.searchsorted(xs, grid_x), np.searchsorted(ys, grid_y)]
 
     again = lr_qi(space, interpolant)
     assert max(abs(again[k] - coeffs[k]) for k in coeffs) <= 1e-10
