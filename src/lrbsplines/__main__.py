@@ -1,0 +1,8 @@
+"""``python -m lrbsplines``: the command line of :mod:`lrbsplines.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,10 +22,11 @@ import sys
 from pathlib import Path
 
 from .mesh import MeshError, is_tensorized, make_initial_mesh
-from .bspline import KnotVectorError, has_minimal_support
+from .bspline import KnotVectorError
 from .space import (
     LRSpace,
     SpaceError,
+    _elementwise_full_rank,
     collocation_rank,
     element_support_table,
     initial_space,
@@ -119,16 +120,37 @@ def run_mesh_demo(
     }
 
 
+#: Largest function count for which ``verify`` falls back to the dense
+#: collocation rank.  That rank costs O(n^3) time and O(n^2) memory
+#: (1894 functions: about 7 s and 390 MiB on a 2-core machine); the cap
+#: keeps the 1430 functions of a 7-iteration structured ``mesh-demo``,
+#: which is not locally independent, within reach.
+DENSE_RANK_MAX_FUNCTIONS = 2000
+
+
 def verify(path, *, seed: int = 0) -> dict:
     """Check a mesh or space document and assemble a diagnostic report.
 
     For a space the report covers per-element support counts, nested
     pairs under both the knot-oriented and the mesh-oriented
-    definition, partition-of-unity defects and the collocation rank;
+    definition, partition-of-unity defects and the collocation rank.
+    The rank is established in up to three tiers:
+
+    1. the exact support count: every element carries (p1+1)(p2+1)
+       functions (``locally_independent``);
+    2. per element, the supported functions' values at the element's
+       tensor Gauss points have full rank.  When both hold, the space is
+       locally, hence globally, linearly independent, and
+       ``collocation_rank`` is the function count;
+    3. otherwise the dense :func:`collocation_rank` at ``seed``'s points,
+       for spaces of at most ``DENSE_RANK_MAX_FUNCTIONS`` functions.
+       Above that cap ``collocation_rank`` and ``rank_deficiency`` are
+       None and ``rank_not_computed`` says why.
+
     ``report["passed"]`` is False when the functions are linearly
-    dependent or their stored weights miss the partition of unity by
-    more than 1e-10.  A bare mesh only gets its element/tensorization
-    summary.
+    dependent, when their rank was not computed, or when their stored
+    weights miss the partition of unity by more than 1e-10.  A bare mesh
+    only gets its element/tensorization summary.
     """
     obj = formats.load(path)
     p1, p2 = obj.bidegree if not isinstance(obj, LRSpace) else obj.mesh.bidegree
@@ -146,10 +168,13 @@ def verify(path, *, seed: int = 0) -> dict:
         return report
 
     space = obj
+    # Raises SpaceError for a function without minimal support, so the
+    # meshwise nestedness test below applies to every pair.
     space.validate()
-    _, table = element_support_table(space)
+    keys, table = element_support_table(space)
     sizes = [len(row) for row in table]
-    report["n_functions"] = space.n_functions
+    n = space.n_functions
+    report["n_functions"] = n
     report["support_count_min"] = min(sizes)
     report["support_count_max"] = max(sizes)
     report["support_count_expected"] = (p1 + 1) * (p2 + 1)
@@ -157,31 +182,32 @@ def verify(path, *, seed: int = 0) -> dict:
 
     knotwise = nested_map(space)
     n_knotwise = sum(len(v) for v in knotwise.values())
+    n_meshwise = sum(
+        is_nested_meshwise(space.functions[inner_key], space.functions[outer_key], space.mesh)
+        for outer_key, inners in knotwise.items()
+        for inner_key in inners
+    )
     report["nested_pairs_knotwise"] = n_knotwise
-    minimal = all(has_minimal_support(b, space.mesh) for b in space.functions.values())
-    if minimal:
-        n_meshwise = 0
-        agree = True
-        for outer_key, inners in knotwise.items():
-            for inner_key in inners:
-                if is_nested_meshwise(
-                    space.functions[inner_key], space.functions[outer_key], space.mesh
-                ):
-                    n_meshwise += 1
-                else:
-                    agree = False
-        report["nested_pairs_meshwise"] = n_meshwise
-        report["nested_definitions_agree"] = agree and n_meshwise == n_knotwise
-    else:
-        report["nested_pairs_meshwise"] = None
-        report["nested_definitions_agree"] = None
+    report["nested_pairs_meshwise"] = n_meshwise
+    report["nested_definitions_agree"] = n_meshwise == n_knotwise
 
     report["pou_defect_weighted"] = partition_of_unity_defect(space, use_weights=True)
     report["pou_defect_unweighted"] = partition_of_unity_defect(space, use_weights=False)
-    rank = collocation_rank(space, seed=seed)
+    if report["locally_independent"] and _elementwise_full_rank(space, keys, table):
+        rank = n
+    elif n <= DENSE_RANK_MAX_FUNCTIONS:
+        rank = collocation_rank(space, seed=seed)
+    else:
+        rank = None
     report["collocation_rank"] = rank
-    report["rank_deficiency"] = space.n_functions - rank
-    report["passed"] = rank == space.n_functions and report["pou_defect_weighted"] <= 1e-10
+    report["rank_deficiency"] = None if rank is None else n - rank
+    if rank is None:
+        report["rank_not_computed"] = (
+            f"the space is not certified independent element by element, and its "
+            f"{n} functions exceed the dense collocation cap of "
+            f"{DENSE_RANK_MAX_FUNCTIONS}"
+        )
+    report["passed"] = rank == n and report["pou_defect_weighted"] <= 1e-10
     return report
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
 from .bspline import _greville_collocation, _stacked_values
@@ -34,6 +33,8 @@ from .mesh import make_initial_mesh
 from .refine import central_span, n2s_pipeline
 from .space import (
     _CHUNK_ENTRIES,
+    _element_arrays,
+    _outer,
     LRSpace,
     SpaceError,
     element_support_table,
@@ -105,12 +106,6 @@ def _composite_rule(lo, hi, nodes, weights, resolution):
     return pts, wts
 
 
-def _outer(a, b):
-    """Row-wise outer products of ``(..., m)`` and ``(..., n)`` stacks,
-    flattened to ``(..., m * n)`` as ``np.outer(...).ravel()`` is."""
-    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
-
-
 def _chunks(indices, per_element):
     """Consecutive pieces of ``indices`` of at most ``_CHUNK_ENTRIES``
     entries, at ``per_element`` entries per element."""
@@ -158,23 +153,18 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
                 f"expected {expected}; assembly requires local linear "
                 f"independence"
             )
-    T = np.array(table)
+    arrays = _element_arrays(space, keys, table)
+    T, xknots, yknots = arrays.T, arrays.xknots, arrays.yknots
     n_elements, n_loc = T.shape
-    xknots = np.array([xv for xv, _ in keys], dtype=float)
-    yknots = np.array([yv for _, yv in keys], dtype=float)
-    x0, x1, y0, y1 = np.array(
-        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in elements)], dtype=float
-    ).T
+    x0, x1, y0, y1 = arrays.bounds
+    gauss_x, weights_x = arrays.rule_x
+    gauss_y, weights_y = arrays.rule_y
 
-    gauss_x, weights_x = leggauss(p1 + 1)
-    gauss_y, weights_y = leggauss(p2 + 1)
     local = np.empty((n_elements, n_loc, n_loc))
     contrib = np.empty((n_elements, n_loc))
     for c in _chunks(np.arange(n_elements), n_loc * expected):
-        hx, hy = 0.5 * (x1[c] - x0[c]), 0.5 * (y1[c] - y0[c])
-        xs = x0[c, None] + hx[:, None] * (gauss_x + 1.0)
-        ys = y0[c, None] + hy[:, None] * (gauss_y + 1.0)
-        wq = _outer(weights_x * hx[:, None], weights_y * hy[:, None])
+        xs, ys = arrays.xs[c], arrays.ys[c]
+        wq = _outer(arrays.wx[c], arrays.wy[c])
         vx, dx = _stacked_values(xknots[T[c]], xs[:, None, :], derivatives=True)
         vy, dy = _stacked_values(yknots[T[c]], ys[:, None, :], derivatives=True)
         grad_x = _outer(dx, vy)

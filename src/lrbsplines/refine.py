@@ -105,37 +105,49 @@ def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool
     return True
 
 
-def _pairs_with(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline):
-    """Exact nested pairs between ``b`` and the listed functions.
+def _float_support(b: TensorBSpline):
+    """``b``'s support bounds ``(x0, x1, y0, y1)`` as plain floats, which
+    is exact.  numpy compares a coordinate, a float subclass, against an
+    array through its generic, several times slower path."""
+    return float(b.xknots[0]), float(b.xknots[-1]), float(b.yknots[0]), float(b.yknots[-1])
 
-    Returns (outers_of_b, inners_of_b) as key lists.  A cheap bounding-
-    box containment prefilter (exact, since dyadics are exact floats)
-    keeps the exact knotwise test to a handful of candidates.
+
+def _inners_of(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline) -> list:
+    """Keys of the listed functions nested in ``b``.
+
+    A cheap bounding-box containment prefilter on the keys' support
+    ``bounds`` (exact, since dyadics are exact floats) keeps the exact
+    knotwise test to a handful of candidates.
     """
-    x0, x1, y0, y1 = b.xknots[0], b.xknots[-1], b.yknots[0], b.yknots[-1]
-    contains_b = (
-        (bounds[:, 0] <= x0)
-        & (bounds[:, 1] >= x1)
-        & (bounds[:, 2] <= y0)
-        & (bounds[:, 3] >= y1)
-    )
+    x0, x1, y0, y1 = _float_support(b)
     inside_b = (
         (bounds[:, 0] >= x0)
         & (bounds[:, 1] <= x1)
         & (bounds[:, 2] >= y0)
         & (bounds[:, 3] <= y1)
     )
-    outers = [
-        keys[i]
-        for i in np.flatnonzero(contains_b)
-        if is_nested_knotwise(b, functions[keys[i]])
-    ]
-    inners = [
+    return [
         keys[i]
         for i in np.flatnonzero(inside_b)
         if is_nested_knotwise(functions[keys[i]], b)
     ]
-    return outers, inners
+
+
+def _outers_of(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline) -> list:
+    """Keys of the listed functions that ``b`` is nested in, prefiltered
+    like :func:`_inners_of`."""
+    x0, x1, y0, y1 = _float_support(b)
+    contains_b = (
+        (bounds[:, 0] <= x0)
+        & (bounds[:, 1] >= x1)
+        & (bounds[:, 2] <= y0)
+        & (bounds[:, 3] >= y1)
+    )
+    return [
+        keys[i]
+        for i in np.flatnonzero(contains_b)
+        if is_nested_knotwise(b, functions[keys[i]])
+    ]
 
 
 def nested_map(space: LRSpace) -> dict:
@@ -154,8 +166,7 @@ def nested_map(space: LRSpace) -> dict:
 def _inners_scan(space: LRSpace, b: TensorBSpline) -> list:
     keys = space.sorted_keys()
     bounds = _support_bounds(keys)
-    _, inners = _pairs_with(space.functions, keys, bounds, b)
-    return inners
+    return _inners_of(space.functions, keys, bounds, b)
 
 
 def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
@@ -288,9 +299,7 @@ class _NestedTracker:
         keys = space.sorted_keys()
         bounds = _support_bounds(keys)
         for key in keys:
-            b = space.functions[key]
-            _, inners = _pairs_with(space.functions, keys, bounds, b)
-            for ik in inners:
+            for ik in _inners_of(space.functions, keys, bounds, space.functions[key]):
                 self._add(ik, key)
 
     def _add(self, inner_key, outer_key) -> None:
@@ -322,10 +331,9 @@ class _NestedTracker:
         bounds = _support_bounds(keys)
         for key in sorted(added):
             b = space.functions[key]
-            outers, inners = _pairs_with(space.functions, keys, bounds, b)
-            for ok in outers:
+            for ok in _outers_of(space.functions, keys, bounds, b):
                 self._add(key, ok)
-            for ik in inners:
+            for ik in _inners_of(space.functions, keys, bounds, b):
                 self._add(ik, key)
 
     def has_pairs(self) -> bool:

@@ -14,11 +14,14 @@ import heapq
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .bspline import (
     _knot_windows,
+    _stacked_values,
     _trusted_bspline,
     find_refining_split,
     has_minimal_support,
@@ -305,6 +308,92 @@ def element_support_table(space: LRSpace):
         for row in mask:
             table.append(np.flatnonzero(row))
     return keys, table
+
+
+class _ElementArrays(NamedTuple):
+    """A space whose elements all carry (p1+1)(p2+1) functions, as arrays.
+
+    ``T`` is the support table as an ``(elements, (p1+1)(p2+1))`` index
+    array into the keys; ``xknots`` and ``yknots`` are the keys' knot
+    vectors, ``(functions, p1+2)`` and ``(functions, p2+2)``; ``bounds``
+    holds the element bounds ``x0, x1, y0, y1``.  Per direction, ``rule_x``
+    and ``rule_y`` are the (p+1)-point Gauss--Legendre nodes and weights
+    on [-1, 1], and ``xs``, ``wx`` and ``ys``, ``wy`` that rule's points
+    and weights on every element, ``(elements, p+1)``.
+    """
+
+    T: np.ndarray
+    xknots: np.ndarray
+    yknots: np.ndarray
+    bounds: np.ndarray
+    rule_x: tuple
+    rule_y: tuple
+    xs: np.ndarray
+    wx: np.ndarray
+    ys: np.ndarray
+    wy: np.ndarray
+
+
+def _element_arrays(space: LRSpace, keys, table) -> _ElementArrays:
+    """The element arrays of ``element_support_table``'s ``(keys, table)``;
+    every row of ``table`` must have the same length."""
+    p1, p2 = space.mesh.bidegree
+    x0, x1, y0, y1 = bounds = np.array(
+        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in space.mesh.elements())],
+        dtype=float,
+    ).T
+    rule_x, rule_y = leggauss(p1 + 1), leggauss(p2 + 1)
+    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    return _ElementArrays(
+        T=np.array(table),
+        xknots=np.array([xv for xv, _ in keys], dtype=float),
+        yknots=np.array([yv for _, yv in keys], dtype=float),
+        bounds=bounds,
+        rule_x=rule_x,
+        rule_y=rule_y,
+        xs=x0[:, None] + hx[:, None] * (rule_x[0] + 1.0),
+        wx=rule_x[1] * hx[:, None],
+        ys=y0[:, None] + hy[:, None] * (rule_y[0] + 1.0),
+        wy=rule_y[1] * hy[:, None],
+    )
+
+
+def _outer(a, b):
+    """Row-wise outer products of ``(..., m)`` and ``(..., n)`` stacks,
+    flattened to ``(..., m * n)`` as ``np.outer(...).ravel()`` is."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
+
+
+def _elementwise_full_rank(space: LRSpace, keys, table) -> bool:
+    """Certificate of linear independence, one element at a time.
+
+    ``(keys, table)`` is what :func:`element_support_table` returns.
+    True when every element carries exactly (p1+1)(p2+1) functions and,
+    on every element, the matrix of those (unweighted) functions' values
+    at the element's tensor Gauss--Legendre points has full numerical
+    rank: singular values below ``1e-9 * sigma_max`` of that element
+    count as zero, the rule of :func:`collocation_rank`.  The points are
+    unisolvent for the element's tensor polynomials, so a full rank on
+    every element is local linear independence, which implies that the
+    functions are linearly independent on the whole domain.  The points
+    are interior to their element, so no closure coordinate is needed.
+    Works in chunks of elements; O(elements) time.
+    """
+    p1, p2 = space.mesh.bidegree
+    n_loc = (p1 + 1) * (p2 + 1)
+    if any(len(row) != n_loc for row in table):
+        return False
+    arrays = _element_arrays(space, keys, table)
+    size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
+    for start in range(0, len(table), size):
+        c = slice(start, start + size)
+        T = arrays.T[c]
+        vx = _stacked_values(arrays.xknots[T], arrays.xs[c, None, :])
+        vy = _stacked_values(arrays.yknots[T], arrays.ys[c, None, :])
+        s = np.linalg.svd(_outer(vx, vy), compute_uv=False)
+        if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
+            return False
+    return True
 
 
 def is_locally_linearly_independent(space: LRSpace) -> bool:

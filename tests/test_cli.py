@@ -5,6 +5,10 @@ import csv
 import filecmp
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from lrbsplines import (
     to_json,
     write_element_csv,
 )
+from lrbsplines import cli
 from lrbsplines.cli import main, run_mesh_demo, verify
 
 # sha256 of every file that a 4-iteration mesh-demo writes, plus the
@@ -32,6 +37,70 @@ GOLDEN_MESH_DEMO_4 = {
     "mesh_4.svg": "b37283c08f80efa5f918dd935179f94616e6d44a41e0d1cb3b2546c3f0296d6f",
     "space.json": "0b0537a1954fe3d22682b6730f24dba1334a80b079a68fe1cda654a9ab6f2d15",
     "trace.jsonl": "6e3205bc73d54eaafb12059db9b014c8b8a17b184f025c912e5c1d89e29fbf8e",
+}
+
+
+# Every field but ``path`` of the verify report, in report order, recorded
+# before verify certified independence element by element (when it ran
+# the dense collocation rank on every space).
+GOLDEN_VERIFY = {
+    "pipeline_1": {
+        "kind": "space", "bidegree": [2, 2], "n_elements": 45, "n_lines": 16,
+        "tensorized": [False, False], "passed": True, "n_functions": 69,
+        "support_count_min": 9, "support_count_max": 9, "support_count_expected": 9,
+        "locally_independent": True, "nested_pairs_knotwise": 0, "nested_pairs_meshwise": 0,
+        "nested_definitions_agree": True, "pou_defect_weighted": 4.440892098500626e-16,
+        "pou_defect_unweighted": 4.440892098500626e-16, "collocation_rank": 69,
+        "rank_deficiency": 0,
+    },
+    "pipeline_2": {
+        "kind": "space", "bidegree": [2, 2], "n_elements": 86, "n_lines": 22,
+        "tensorized": [False, False], "passed": True, "n_functions": 114,
+        "support_count_min": 9, "support_count_max": 9, "support_count_expected": 9,
+        "locally_independent": True, "nested_pairs_knotwise": 0, "nested_pairs_meshwise": 0,
+        "nested_definitions_agree": True, "pou_defect_weighted": 4.440892098500626e-16,
+        "pou_defect_unweighted": 4.440892098500626e-16, "collocation_rank": 114,
+        "rank_deficiency": 0,
+    },
+    "rank_deficient": {
+        "kind": "space", "bidegree": [2, 2], "n_elements": 39, "n_lines": 16,
+        "tensorized": [False, False], "passed": False, "n_functions": 60,
+        "support_count_min": 9, "support_count_max": 12, "support_count_expected": 9,
+        "locally_independent": False, "nested_pairs_knotwise": 10,
+        "nested_pairs_meshwise": 10, "nested_definitions_agree": True,
+        "pou_defect_weighted": 3.3306690738754696e-16,
+        "pou_defect_unweighted": 0.7325889649412578, "collocation_rank": 59,
+        "rank_deficiency": 1,
+    },
+    "two_stage_dependent": {
+        "kind": "space", "bidegree": [4, 4], "n_elements": 366, "n_lines": 54,
+        "tensorized": [False, False], "passed": False, "n_functions": 400,
+        "support_count_min": 25, "support_count_max": 47, "support_count_expected": 25,
+        "locally_independent": False, "nested_pairs_knotwise": 620,
+        "nested_pairs_meshwise": 620, "nested_definitions_agree": True,
+        "pou_defect_weighted": 6.661338147750939e-16,
+        "pou_defect_unweighted": 1.3013091193485713, "collocation_rank": 398,
+        "rank_deficiency": 2,
+    },
+    "mesh_demo_4_n2s2": {
+        "kind": "space", "bidegree": [2, 2], "n_elements": 176, "n_lines": 34,
+        "tensorized": [False, False], "passed": True, "n_functions": 208,
+        "support_count_min": 9, "support_count_max": 9, "support_count_expected": 9,
+        "locally_independent": True, "nested_pairs_knotwise": 0, "nested_pairs_meshwise": 0,
+        "nested_definitions_agree": True, "pou_defect_weighted": 3.3306690738754696e-16,
+        "pou_defect_unweighted": 3.3306690738754696e-16, "collocation_rank": 208,
+        "rank_deficiency": 0,
+    },
+    "mesh_demo_4_structured": {
+        "kind": "space", "bidegree": [2, 2], "n_elements": 160, "n_lines": 34,
+        "tensorized": [False, False], "passed": True, "n_functions": 180,
+        "support_count_min": 9, "support_count_max": 10, "support_count_expected": 9,
+        "locally_independent": False, "nested_pairs_knotwise": 14,
+        "nested_pairs_meshwise": 14, "nested_definitions_agree": True,
+        "pou_defect_weighted": 3.3306690738754696e-16,
+        "pou_defect_unweighted": 0.25002263771941746, "collocation_rank": 180,
+        "rank_deficiency": 0,
+    },
 }
 
 
@@ -231,6 +300,72 @@ def test_verify_report_fields(tmp_path, running_example):
     assert report["collocation_rank"] == report["n_functions"]
 
 
+def _saved_space(name, tmp_path, request):
+    """The space document of a ``GOLDEN_VERIFY`` entry, written under tmp_path."""
+    if name.startswith("mesh_demo_4_"):
+        out = tmp_path / name
+        run_mesh_demo(out, iterations=4, strategy=name.removeprefix("mesh_demo_4_"))
+        return out / "space.json"
+    if name.startswith("pipeline_"):
+        space = request.getfixturevalue("running_example")[name]
+    else:
+        space = request.getfixturevalue(f"{name}_space")
+    target = tmp_path / f"{name}.json"
+    save(space, target)
+    return target
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_report_matches_golden(tmp_path, request, name):
+    target = _saved_space(name, tmp_path, request)
+    report = verify(target)
+    assert report.pop("path") == str(target)
+    assert list(report.items()) == list(GOLDEN_VERIFY[name].items())
+
+
+@pytest.mark.parametrize("name", ["pipeline_2", "mesh_demo_4_n2s2"])
+def test_verify_certifies_independent_space_without_dense_rank(
+    tmp_path, request, monkeypatch, name
+):
+    target = _saved_space(name, tmp_path, request)
+
+    def dense_rank(*args, **kwargs):
+        raise AssertionError("verify took the dense collocation rank")
+
+    monkeypatch.setattr(cli, "collocation_rank", dense_rank)
+    report = verify(target)
+    del report["path"]
+    assert report == GOLDEN_VERIFY[name]
+
+
+def test_verify_caps_the_dense_rank(
+    tmp_path, capsys, monkeypatch, rank_deficient_space, running_example
+):
+    dependent = tmp_path / "dependent.json"
+    independent = tmp_path / "independent.json"
+    save(rank_deficient_space, dependent)
+    save(running_example["pipeline_2"], independent)
+    monkeypatch.setattr(cli, "DENSE_RANK_MAX_FUNCTIONS", 59)
+
+    code = main(["verify", str(dependent)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "passed: False" in lines
+    assert lines[-3:-1] == ["collocation_rank: None", "rank_deficiency: None"]
+    assert lines[-1].startswith("rank_not_computed: ")
+    assert "60 functions" in lines[-1]
+
+    # At the cap, the dense rank still runs.
+    monkeypatch.setattr(cli, "DENSE_RANK_MAX_FUNCTIONS", 60)
+    report = verify(dependent)
+    assert report["collocation_rank"] == 59 and "rank_not_computed" not in report
+
+    # The certificate needs no dense rank, so the cap does not apply.
+    report = verify(independent)
+    assert report["passed"] is True and report["collocation_rank"] == 114
+    assert "rank_not_computed" not in report
+
+
 def test_verify_seed_gives_identical_output(tmp_path, capsys, running_example):
     target = tmp_path / "space.json"
     save(running_example["pipeline_1"], target)
@@ -315,3 +450,22 @@ def test_missing_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
+
+
+def test_python_m_runs_the_command_line(tmp_path, capsys, running_example):
+    target = tmp_path / "space.json"
+    save(running_example["pipeline_1"], target)
+    assert main(["verify", str(target)]) == 0
+    expected = capsys.readouterr().out
+    # The checkout's sources, not an installed copy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lrbsplines", "verify", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expected

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import apply_splits, key_of, random_pipeline_space
 from lrbsplines.bspline import TensorBSpline, univariate_values
 from lrbsplines.dyadic import dyadic
 from lrbsplines import space as space_module
 from lrbsplines.mesh import Split, make_initial_mesh
+from lrbsplines.refine import n2s_pipeline
 from lrbsplines.space import (
     LRSpace,
     SpaceError,
+    _elementwise_full_rank,
     apply_split,
     collocation_rank,
     element_support_count,
@@ -198,6 +202,64 @@ def test_rank_deficient_fixture_has_defect_one(rank_deficient_space):
     assert space.n_functions == 60
     assert len(space.mesh.elements()) == 39
     assert collocation_rank(space) == space.n_functions - 1
+
+
+def _certified(space, table=None):
+    keys, default = element_support_table(space)
+    return _elementwise_full_rank(space, keys, default if table is None else table)
+
+
+def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_space):
+    for name in ("base", "pipeline_1", "pipeline_2"):
+        assert _certified(running_example[name])
+    # Overloaded elements fail the support count before any rank is taken.
+    assert not _certified(running_example["structured_2"])
+    assert not _certified(rank_deficient_space)
+
+
+def test_elementwise_certificate_sees_a_singular_element(monkeypatch, running_example):
+    space = running_example["pipeline_2"]
+    _, table = element_support_table(space)
+    # The last element's matrix gets two equal columns.
+    table = [row.copy() for row in table]
+    table[-1][1] = table[-1][0]
+    assert not _certified(space, table)
+    # 86 elements of 81 entries each: chunks of 12 elements
+    monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
+    assert not _certified(space, table)
+    assert _certified(space)
+
+
+@st.composite
+def refined_spaces(draw):
+    """Small random spaces from structured refinement alone (often not
+    locally independent) or from the n2s2 pipeline."""
+    bidegree = draw(st.sampled_from([(1, 1), (2, 2), (3, 2)]))
+    n_cells = draw(st.sampled_from([1, 2, 4]))
+    strategy = draw(st.sampled_from(["structured", "n2s2"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, n_cells))
+    for i in range(1, draw(st.integers(1, 3)) + 1):
+        keys = space.sorted_keys()
+        marked = set(rng.sample(keys, rng.randint(1, max(1, len(keys) // 4))))
+        if strategy == "structured":
+            space = structured_refine(space, marked)
+        else:
+            space, _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+    return strategy, space
+
+
+@settings(max_examples=60, deadline=None)
+@given(refined_spaces())
+def test_elementwise_certificate_implies_full_collocation_rank(drawn):
+    strategy, space = drawn
+    certified = _certified(space)
+    if certified:
+        assert collocation_rank(space) == space.n_functions
+    # Locally independent spaces, which the pipeline guarantees, pass.
+    assert certified == is_locally_linearly_independent(space)
+    if strategy == "n2s2":
+        assert certified
 
 
 def test_evaluate_space_reproduces_polynomials_on_tensor_space():
