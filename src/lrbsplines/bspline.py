@@ -277,6 +277,26 @@ def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
 # -- knot insertion ---------------------------------------------------------
 
 
+_ONE = Fraction(1)
+
+
+def _quotient(a, b, c, d) -> Fraction:
+    """``(a - b) / (c - d)`` of four coordinates, exactly.
+
+    The differences are taken on the coordinates' integer numerators
+    over their common power-of-two denominator, so no intermediate value
+    has to be a coordinate, and one ``Fraction`` is built.
+    """
+    (na, da), (nb, db), (nc, dc), (nd, dd) = (
+        a.as_integer_ratio(),
+        b.as_integer_ratio(),
+        c.as_integer_ratio(),
+        d.as_integer_ratio(),
+    )
+    m = max(da, db, dc, dd)
+    return Fraction(na * (m // da) - nb * (m // db), nc * (m // dc) - nd * (m // dd))
+
+
 def insert_knot(b: TensorBSpline, direction: int, z):
     """Split ``b`` at ``z`` in ``direction`` into two weighted children.
 
@@ -303,14 +323,8 @@ def insert_knot(b: TensorBSpline, direction: int, z):
             f"inserting {z} exceeds multiplicity {p + 1} in {tuple(map(str, v))}"
         )
 
-    if z >= v[p]:
-        alpha1 = Fraction(1)
-    else:
-        alpha1 = (z.fraction - v[0].fraction) / (v[p].fraction - v[0].fraction)
-    if z <= v[1]:
-        alpha2 = Fraction(1)
-    else:
-        alpha2 = (v[p + 1].fraction - z.fraction) / (v[p + 1].fraction - v[1].fraction)
+    alpha1 = _ONE if z >= v[p] else _quotient(z, v[0], v[p], v[0])
+    alpha2 = _ONE if z <= v[1] else _quotient(v[p + 1], z, v[p + 1], v[1])
 
     # Both children are valid without re-checking: each drops one end
     # knot of ``augmented``, whose multiplicities were checked above, and

@@ -27,11 +27,11 @@ from .space import (
     LRSpace,
     SpaceError,
     _elementwise_full_rank,
+    _unity_defects,
     collocation_rank,
     element_support_table,
     initial_space,
     is_locally_linearly_independent,
-    partition_of_unity_defect,
     structured_refine,
 )
 from .refine import (
@@ -191,8 +191,9 @@ def verify(path, *, seed: int = 0) -> dict:
     report["nested_pairs_meshwise"] = n_meshwise
     report["nested_definitions_agree"] = n_meshwise == n_knotwise
 
-    report["pou_defect_weighted"] = partition_of_unity_defect(space, use_weights=True)
-    report["pou_defect_unweighted"] = partition_of_unity_defect(space, use_weights=False)
+    report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
+        space, 64, (True, False)
+    )
     if report["locally_independent"] and _elementwise_full_rank(space, keys, table):
         rank = n
     elif n <= DENSE_RANK_MAX_FUNCTIONS:

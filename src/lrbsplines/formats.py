@@ -46,19 +46,30 @@ def _encode_coord(c: DyadicCoord) -> list[int]:
     return c.pair()
 
 
-def _decode_coord(obj, path: str) -> DyadicCoord:
+def _decode_coord(obj, path: str, memo: dict) -> DyadicCoord:
+    """Decode a ``[numerator, exponent]`` pair.  ``memo`` maps the pairs
+    decoded so far to their coordinates; only successful decodes enter
+    it, so a bad pair raises wherever it occurs."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise FormatError(f"{path}: expected [numerator, exponent], got {obj!r}")
+    pair = numerator, exponent = obj[0], obj[1]
     if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
+        not isinstance(numerator, int)
+        or isinstance(numerator, bool)
+        or not isinstance(exponent, int)
+        or isinstance(exponent, bool)
     ):
         raise FormatError(f"{path}: expected [numerator, exponent], got {obj!r}")
-    if obj[1] < 0:
-        raise FormatError(f"{path}: exponent must be >= 0, got {obj[1]}")
+    coord = memo.get(pair)
+    if coord is not None:
+        return coord
+    if exponent < 0:
+        raise FormatError(f"{path}: exponent must be >= 0, got {exponent}")
     try:
-        return DyadicCoord(obj[0], obj[1])
+        coord = memo[pair] = DyadicCoord(numerator, exponent)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    return coord
 
 
 def to_json(obj) -> dict:
@@ -97,11 +108,11 @@ def to_json(obj) -> dict:
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
-def _decode_mesh(doc: dict) -> Mesh:
+def _decode_mesh(doc: dict, memo: dict) -> Mesh:
     domain_raw = doc.get("domain")
     if not isinstance(domain_raw, list) or len(domain_raw) != 4:
         raise FormatError("domain: expected four dyadic coordinates")
-    corners = [_decode_coord(v, f"domain[{i}]") for i, v in enumerate(domain_raw)]
+    corners = [_decode_coord(v, f"domain[{i}]", memo) for i, v in enumerate(domain_raw)]
     try:
         domain = Rect(*corners)
     except MeshError as exc:
@@ -126,12 +137,12 @@ def _decode_mesh(doc: dict) -> Mesh:
         direction = entry.get("dir")
         if direction not in (1, 2):
             raise FormatError(f"{where}.dir: expected 1 or 2, got {direction!r}")
-        fixed = _decode_coord(entry.get("fixed"), f"{where}.fixed")
+        fixed = _decode_coord(entry.get("fixed"), f"{where}.fixed", memo)
         span = entry.get("span")
         if not isinstance(span, list) or len(span) != 2:
             raise FormatError(f"{where}.span: expected [lo, hi]")
-        lo = _decode_coord(span[0], f"{where}.span[0]")
-        hi = _decode_coord(span[1], f"{where}.span[1]")
+        lo = _decode_coord(span[0], f"{where}.span[0]", memo)
+        hi = _decode_coord(span[1], f"{where}.span[1]", memo)
         mult = entry.get("mult")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise FormatError(f"{where}.mult: expected a positive integer")
@@ -146,7 +157,8 @@ def from_json(doc: dict):
     """Decode a mesh or (when ``functions`` is present) a space."""
     if not isinstance(doc, dict):
         raise FormatError(f"expected an object at the top level, got {type(doc).__name__}")
-    mesh = _decode_mesh(doc)
+    memo: dict = {}
+    mesh = _decode_mesh(doc, memo)
     if "functions" not in doc:
         return mesh
     raw = doc["functions"]
@@ -163,10 +175,10 @@ def from_json(doc: dict):
             if not isinstance(entry.get(field), list):
                 raise FormatError(f"{where}.{field}: expected a knot vector")
         xv = tuple(
-            _decode_coord(v, f"{where}.x[{j}]") for j, v in enumerate(entry["x"])
+            _decode_coord(v, f"{where}.x[{j}]", memo) for j, v in enumerate(entry["x"])
         )
         yv = tuple(
-            _decode_coord(v, f"{where}.y[{j}]") for j, v in enumerate(entry["y"])
+            _decode_coord(v, f"{where}.y[{j}]", memo) for j, v in enumerate(entry["y"])
         )
         weight = entry.get("w", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):

@@ -13,10 +13,9 @@ weights.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .bspline import TensorBSpline, has_minimal_support
 from .space import (
@@ -24,7 +23,7 @@ from .space import (
     LRSpace,
     SpaceError,
     _insert_pieces,
-    _support_bounds,
+    _support_index,
     structured_refine,
 )
 
@@ -105,51 +104,6 @@ def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool
     return True
 
 
-def _float_support(b: TensorBSpline):
-    """``b``'s support bounds ``(x0, x1, y0, y1)`` as plain floats, which
-    is exact.  numpy compares a coordinate, a float subclass, against an
-    array through its generic, several times slower path."""
-    return float(b.xknots[0]), float(b.xknots[-1]), float(b.yknots[0]), float(b.yknots[-1])
-
-
-def _inners_of(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline) -> list:
-    """Keys of the listed functions nested in ``b``.
-
-    A cheap bounding-box containment prefilter on the keys' support
-    ``bounds`` (exact, since dyadics are exact floats) keeps the exact
-    knotwise test to a handful of candidates.
-    """
-    x0, x1, y0, y1 = _float_support(b)
-    inside_b = (
-        (bounds[:, 0] >= x0)
-        & (bounds[:, 1] <= x1)
-        & (bounds[:, 2] >= y0)
-        & (bounds[:, 3] <= y1)
-    )
-    return [
-        keys[i]
-        for i in np.flatnonzero(inside_b)
-        if is_nested_knotwise(functions[keys[i]], b)
-    ]
-
-
-def _outers_of(functions: dict, keys, bounds: np.ndarray, b: TensorBSpline) -> list:
-    """Keys of the listed functions that ``b`` is nested in, prefiltered
-    like :func:`_inners_of`."""
-    x0, x1, y0, y1 = _float_support(b)
-    contains_b = (
-        (bounds[:, 0] <= x0)
-        & (bounds[:, 1] >= x1)
-        & (bounds[:, 2] <= y0)
-        & (bounds[:, 3] >= y1)
-    )
-    return [
-        keys[i]
-        for i in np.flatnonzero(contains_b)
-        if is_nested_knotwise(b, functions[keys[i]])
-    ]
-
-
 def nested_map(space: LRSpace) -> dict:
     """Map each function with nested functions to their sorted keys.
 
@@ -164,9 +118,13 @@ def nested_map(space: LRSpace) -> dict:
 
 
 def _inners_scan(space: LRSpace, b: TensorBSpline) -> list:
-    keys = space.sorted_keys()
-    bounds = _support_bounds(keys)
-    return _inners_of(space.functions, keys, bounds, b)
+    """Keys of the space's functions nested in ``b``, one of them: the
+    support index keeps the exact knotwise test to the functions inside
+    ``b``'s support."""
+    index = _support_index(space)
+    (_, rows), _ = index.containment(index.bounds[[index.rows[b.key]]])
+    keys = [index.keys[r] for r in rows]
+    return [k for k in keys if is_nested_knotwise(space.functions[k], b)]
 
 
 def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
@@ -195,7 +153,7 @@ def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSp
     if not inner_keys:
         raise SpaceError("expansion requires a function with nested functions")
     inners = [space.functions[k] for k in inner_keys]
-    return _insert_pieces(space, _one_directional_pieces(b, inners, direction))
+    return _insert_pieces(space, _one_directional_pieces(b, inners, direction))[0]
 
 
 def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
@@ -209,7 +167,11 @@ def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
     b = space.functions.get(outer_key)
     if b is None:
         raise SpaceError(f"function {outer_key} is not in the space")
-    mesh = space.mesh
+    return _insert_pieces(space, _tensor_pieces(space.mesh, b))[0]
+
+
+def _tensor_pieces(mesh, b: TensorBSpline) -> list:
+    """The meshline pieces of :func:`tensor_expansion` across ``b``."""
     pieces = []
     for direction in (1, 2):
         vec = b.knots(direction)
@@ -224,7 +186,7 @@ def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
             )
             if touches:
                 pieces.append((direction, pos, c_lo, c_hi))
-    return _insert_pieces(space, pieces)
+    return pieces
 
 
 def central_span(b: TensorBSpline) -> tuple[float, float, float, float]:
@@ -285,25 +247,44 @@ class RefinementTrace:
         return len(self.records)
 
 
+def _rank(key: Key):
+    """Selection order of outers: the largest support area first, ties
+    broken by the lexicographically smallest knot vectors."""
+    # The area times 2^96, exactly: the widths are dyadic with
+    # exponents at most 48, so their denominators divide 2^96.
+    xv, yv = key
+    nx, dx = (xv[-1] - xv[0]).as_integer_ratio()
+    ny, dy = (yv[-1] - yv[0]).as_integer_ratio()
+    return (-(nx * ny << 96) // (dx * dy), key)
+
+
 class _NestedTracker:
     """Incrementally maintained nested-pair relation of a space.
 
     Whether two functions are nested depends only on their knot vectors,
     so pairs between surviving functions never change; updates only have
-    to handle removed and added functions.
+    to handle removed and added functions.  Candidates come from the
+    space's support index, and the exact knotwise test decides each.
     """
 
     def __init__(self, space: LRSpace):
         self.by_outer: dict[Key, set] = {}
         self.by_inner: dict[Key, set] = {}
-        keys = space.sorted_keys()
-        bounds = _support_bounds(keys)
-        for key in keys:
-            for ik in _inners_of(space.functions, keys, bounds, space.functions[key]):
-                self._add(ik, key)
+        # (rank, outer) entries; one per outer in by_outer, plus stale ones
+        self._heap: list = []
+        index = _support_index(space)
+        keys, functions = index.keys, space.functions
+        for i, o in zip(*index.nested_pairs()):
+            inner_key, outer_key = keys[i], keys[o]
+            if is_nested_knotwise(functions[inner_key], functions[outer_key]):
+                self._add(inner_key, outer_key)
 
     def _add(self, inner_key, outer_key) -> None:
-        self.by_outer.setdefault(outer_key, set()).add(inner_key)
+        inners = self.by_outer.get(outer_key)
+        if inners is None:
+            inners = self.by_outer[outer_key] = set()
+            heapq.heappush(self._heap, _rank(outer_key))
+        inners.add(inner_key)
         self.by_inner.setdefault(inner_key, set()).add(outer_key)
 
     def _drop(self, key) -> None:
@@ -320,44 +301,42 @@ class _NestedTracker:
                 if not peers:
                     del self.by_inner[inner]
 
-    def update(self, old_functions: dict, space: LRSpace) -> None:
-        removed = old_functions.keys() - space.functions.keys()
-        added = space.functions.keys() - old_functions.keys()
+    def update(self, removed, added, space: LRSpace) -> None:
+        """Follow a refinement to ``space`` that removed and added the
+        given keys."""
         for key in removed:
             self._drop(key)
         if not added:
             return
-        keys = space.sorted_keys()
-        bounds = _support_bounds(keys)
-        for key in sorted(added):
-            b = space.functions[key]
-            for ok in _outers_of(space.functions, keys, bounds, b):
-                self._add(key, ok)
-            for ik in _inners_of(space.functions, keys, bounds, b):
-                self._add(ik, key)
+        index = _support_index(space)
+        keys, functions = index.keys, space.functions
+        added = list(added)
+        own = [index.rows[key] for key in added]
+        inside, around = index.containment(index.bounds[own])
+        pairs = [(added[a], keys[r]) for a, r in zip(*around) if r != own[a]]
+        pairs += [(keys[r], added[a]) for a, r in zip(*inside) if r != own[a]]
+        for inner_key, outer_key in pairs:
+            if is_nested_knotwise(functions[inner_key], functions[outer_key]):
+                self._add(inner_key, outer_key)
 
     def has_pairs(self) -> bool:
         return bool(self.by_outer)
 
     def select_outer(self) -> Key:
         """The outer with the largest support area, ties broken by the
-        lexicographically smallest knot vectors.
+        lexicographically smallest knot vectors: ``min(by_outer,
+        key=_rank)``, read off a heap whose stale entries are dropped
+        here.
 
         Expanding wide outers first resolves whole regions of nested
         pairs at once and keeps the final spaces close to the minimal
         hierarchically graded ones; the tie-break makes the pipeline
         fully deterministic.
         """
-
-        def rank(key: Key):
-            # The area times 2^96, exactly: the widths are dyadic with
-            # exponents at most 48, so their denominators divide 2^96.
-            xv, yv = key
-            nx, dx = (xv[-1] - xv[0]).as_integer_ratio()
-            ny, dy = (yv[-1] - yv[0]).as_integer_ratio()
-            return (-(nx * ny << 96) // (dx * dy), key)
-
-        return min(self.by_outer, key=rank)
+        heap = self._heap
+        while heap[0][1] not in self.by_outer:
+            heapq.heappop(heap)
+        return heap[0][1]
 
     def inners_of(self, outer_key) -> list:
         return sorted(self.by_outer[outer_key])
@@ -423,11 +402,10 @@ def n2s_pipeline(
             outer = space.functions[outer_key]
             if expansion == "one-directional":
                 inners = [space.functions[k] for k in tracker.inners_of(outer_key)]
-                new_space = _insert_pieces(
-                    space, _one_directional_pieces(outer, inners, direction)
-                )
+                pieces = _one_directional_pieces(outer, inners, direction)
             else:
-                new_space = tensor_expansion(space, outer_key)
+                pieces = _tensor_pieces(space.mesh, outer)
+            new_space, removed, added = _insert_pieces(space, pieces)
             if new_space is space:
                 raise RuntimeError(
                     f"expansion at iteration {i} made no progress on a nested "
@@ -440,7 +418,7 @@ def n2s_pipeline(
                     f"expansion count exceeded the termination cap {cap} at "
                     f"iteration {i}"
                 )
-            tracker.update(space.functions, new_space)
+            tracker.update(removed, added, new_space)
             space = new_space
             trace.append(
                 iter=i,

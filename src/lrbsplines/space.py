@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,14 +63,17 @@ def function_key(xknots, yknots) -> Key:
 class LRSpace:
     """A mesh plus its minimal-support B-splines, keyed by knot vectors.
 
-    Treat instances as immutable; operations return new spaces.
+    Treat instances as immutable; operations return new spaces.  A
+    space's support index is built on first use, or derived from the
+    parent's when the space comes from refinement.
     """
 
-    __slots__ = ("mesh", "functions")
+    __slots__ = ("mesh", "functions", "_index")
 
     def __init__(self, mesh: Mesh, functions: dict):
         self.mesh = mesh
         self.functions = functions
+        self._index = None
 
     @property
     def n_functions(self) -> int:
@@ -139,16 +141,152 @@ def initial_space(mesh: Mesh) -> LRSpace:
     return LRSpace(mesh, functions)
 
 
+# -- the support index ------------------------------------------------------
+
+#: Element-batched array code works in chunks of elements small enough
+#: that no per-chunk temporary of shape (elements, functions[, points])
+#: holds more than this many entries (2 MiB of floats), which keeps its
+#: peak memory below that of the sparse solve that follows assembly.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _support_bounds(keys) -> np.ndarray:
+    """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
+    with the given keys, one row per key, read from the knot vectors."""
+    rows = [(xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+class _SupportIndex:
+    """The support rectangles of a space's functions, for crossing and
+    containment queries.
+
+    Row ``i`` holds the key ``keys[i]`` and its support bounds
+    ``bounds[i] = (x_min, x_max, y_min, y_max)``; ``rows`` maps every
+    live key to its row.  :meth:`derive` gives a refined space's index
+    from its parent's by the generation fixpoint's diff: a removed key's
+    row is blanked to NaN bounds, which fail every comparison, and an
+    added key gets a new row.  Dead rows are dropped once they outnumber
+    the live ones.  Bounds are the doubles of dyadic coordinates, hence
+    exact, and so is every comparison.  Treat instances as immutable.
+    """
+
+    __slots__ = ("keys", "bounds", "rows")
+
+    def __init__(self, keys: list, bounds: np.ndarray, rows: dict | None = None):
+        self.keys = keys
+        self.bounds = bounds
+        self.rows = {key: i for i, key in enumerate(keys)} if rows is None else rows
+
+    def derive(self, removed, added) -> _SupportIndex:
+        """The index of this key set without ``removed`` and with ``added``."""
+        added = list(added)
+        keys = self.keys + added
+        bounds = np.concatenate((self.bounds, _support_bounds(added)))
+        rows = self.rows.copy()
+        rows.update(zip(added, range(len(self.keys), len(keys))))
+        dead = [rows.pop(key) for key in removed]
+        bounds[dead] = np.nan
+        for i in dead:
+            keys[i] = None
+        if 2 * len(rows) < len(keys):
+            live = np.flatnonzero(~np.isnan(bounds[:, 0]))
+            return _SupportIndex([keys[i] for i in live], bounds[live])
+        return _SupportIndex(keys, bounds, rows)
+
+    def crossing(self, segments) -> list:
+        """Keys of the functions whose support one of the ``(direction,
+        pos, lo, hi)`` segments crosses: ``pos`` lies strictly inside the
+        support in ``direction``, and ``[lo, hi]`` meets the open cross
+        extent."""
+        segments = np.array(segments, dtype=float).reshape(-1, 4)
+        b = self.bounds.T
+        hit = np.zeros(len(self.keys), dtype=bool)
+        step = max(1, _CHUNK_ENTRIES // max(len(self.keys), 1))
+        for direction, (a0, a1, c0, c1) in ((1, b), (2, b[[2, 3, 0, 1]])):
+            seg = segments[segments[:, 0] == direction]
+            for start in range(0, len(seg), step):
+                pos, lo, hi = seg[start : start + step, 1:, None].transpose(1, 0, 2)
+                mask = (a0 < pos) & (pos < a1) & (c0 < hi) & (lo < c1)
+                hit |= mask.any(axis=0)
+        return [self.keys[i] for i in np.flatnonzero(hit)]
+
+    def containment(self, boxes):
+        """Rows nested with the rectangles ``boxes``, ``(m, 4)`` bounds.
+
+        Returns ``(inside, around)``, each a pair of index arrays ``(i,
+        rows)``: in ``inside`` row ``rows[j]``'s support lies in box
+        ``i[j]``, in ``around`` it contains that box.
+        """
+        b = self.bounds.T
+        step = max(1, _CHUNK_ENTRIES // max(len(self.keys), 1))
+        inside, around = [], []
+        for start in range(0, len(boxes), step):
+            x0, x1, y0, y1 = boxes[start : start + step, :, None].transpose(1, 0, 2)
+            for out, mask in (
+                (inside, (b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1)),
+                (around, (b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1)),
+            ):
+                i, r = np.nonzero(mask)
+                out.append((i + start, r))
+        return tuple(
+            (np.concatenate([i for i, _ in pairs]), np.concatenate([r for _, r in pairs]))
+            for pairs in (inside, around)
+        )
+
+    def nested_pairs(self):
+        """All pairs ``(inner, outer)`` of distinct live rows whose
+        supports nest, as two index arrays.
+
+        Sorting the rows by ``x_min`` confines each row's candidates to
+        the run whose ``x_min`` lies in ``[x_min, x_max)``, so the work is
+        proportional to those runs, not to all pairs.
+        """
+        live = np.flatnonzero(~np.isnan(self.bounds[:, 0]))
+        b = self.bounds[live]
+        order = np.argsort(b[:, 0], kind="stable")
+        x_sorted = b[order, 0]
+        first = np.searchsorted(x_sorted, b[:, 0], side="left")
+        counts = np.searchsorted(x_sorted, b[:, 1], side="left") - first
+        ends = np.cumsum(counts)
+        inner, outer = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        start = done = 0
+        while start < len(b):
+            # outers start:stop, whose runs hold about _CHUNK_ENTRIES candidates
+            stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_ENTRIES, side="right")))
+            c = counts[start:stop]
+            o = np.repeat(np.arange(start, stop), c)
+            step = np.arange(len(o)) - np.repeat(np.cumsum(c) - c, c)
+            i = order[np.repeat(first[start:stop], c) + step]
+            keep = (i != o) & (b[i, 1] <= b[o, 1]) & (b[i, 2] >= b[o, 2]) & (b[i, 3] <= b[o, 3])
+            inner.append(live[i[keep]])
+            outer.append(live[o[keep]])
+            start, done = stop, ends[stop - 1]
+        return np.concatenate(inner), np.concatenate(outer)
+
+
+def _support_index(space: LRSpace) -> _SupportIndex:
+    """The space's support index, built on first use."""
+    if space._index is None:
+        keys = list(space.functions)
+        space._index = _SupportIndex(keys, _support_bounds(keys))
+    return space._index
+
+
 # -- the generation fixpoint ------------------------------------------------
 
 
-def _fixpoint(mesh: Mesh, functions: dict, dirty) -> bool:
+def _fixpoint(mesh: Mesh, functions: dict, dirty) -> tuple[set, set]:
     """Replace functions lacking minimal support by their knot-insertion
-    children until stable.  Mutates ``functions``; returns whether
-    anything changed.  Coinciding children merge by adding weights, so
-    the result is independent of processing order."""
-    heap = sorted(set(dirty))
-    changed = False
+    children until stable, starting from the distinct keys ``dirty``.
+    Mutates ``functions``; returns the keys it removed and the keys it
+    added, disjoint: a key split here that comes back as a child lacks
+    minimal support on the same mesh, so it is split again.  Coinciding
+    children merge by adding weights, so the result is independent of
+    processing order."""
+    heap = sorted(dirty)
+    removed: set = set()
+    added: set = set()
     while heap:
         key = heapq.heappop(heap)
         b = functions.get(key)
@@ -160,27 +298,36 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty) -> bool:
         direction, pos, _deficit = hit
         (_, child1), (_, child2) = insert_knot(b, direction, pos)
         del functions[key]
-        changed = True
+        if key in added:
+            added.remove(key)
+        else:
+            removed.add(key)
         for child in (child1, child2):
             k = child.key
             old = functions.get(k)
             if old is None:
                 functions[k] = child
                 heapq.heappush(heap, k)
+                added.add(k)
             else:
-                functions[k] = replace(old, weight=old.weight + child.weight)
-    return changed
+                functions[k] = _trusted_bspline(old.xknots, old.yknots, old.weight + child.weight)
+    return removed, added
 
 
-def _overlapping_keys(functions: dict, direction: int, pos, lo, hi) -> list:
-    """Functions whose support the segment (direction, pos, [lo, hi]) crosses."""
-    out = []
-    for key, b in functions.items():
-        vec = b.knots(direction)
-        cross = b.knots(2 if direction == 1 else 1)
-        if vec[0] < pos < vec[-1] and cross[0] < hi and lo < cross[-1]:
-            out.append(key)
-    return out
+def _regenerate(space: LRSpace, mesh: Mesh, segments):
+    """The space on ``mesh``, which is ``space.mesh`` plus the
+    ``(direction, pos, lo, hi)`` segments, with the fixpoint's diff.
+
+    Only the functions whose support a segment crosses can lose minimal
+    support, so the fixpoint starts from those; the new space's index is
+    derived from the old one's.  Returns ``(space, removed, added)``.
+    """
+    index = _support_index(space)
+    functions = dict(space.functions)
+    removed, added = _fixpoint(mesh, functions, index.crossing(segments))
+    refined = LRSpace(mesh, functions)
+    refined._index = index.derive(removed, added)
+    return refined, removed, added
 
 
 def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
@@ -201,10 +348,12 @@ def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
     return gaps
 
 
-def _insert_pieces(space: LRSpace, pieces) -> LRSpace:
+def _insert_pieces(space: LRSpace, pieces):
     """Insert meshline pieces (gap-decomposed against the evolving mesh)
     and run one generation fixpoint.  ``pieces`` are (direction, pos,
-    lo, hi) requests at multiplicity one."""
+    lo, hi) requests at multiplicity one.  Returns ``(space, removed,
+    added)`` as :func:`_regenerate` does; ``space`` itself, with empty
+    diffs, when every piece is already covered."""
     mesh = space.mesh
     inserted = []
     for direction, pos, lo, hi in sorted(set(pieces)):
@@ -212,27 +361,21 @@ def _insert_pieces(space: LRSpace, pieces) -> LRSpace:
             mesh = insert_split(mesh, Split(direction, pos, g_lo, g_hi, 1))
             inserted.append((direction, pos, g_lo, g_hi))
     if not inserted:
-        return space
-    functions = dict(space.functions)
-    dirty: set = set()
-    for direction, pos, g_lo, g_hi in inserted:
-        dirty.update(_overlapping_keys(space.functions, direction, pos, g_lo, g_hi))
-    _fixpoint(mesh, functions, dirty)
-    return LRSpace(mesh, functions)
+        return space, set(), set()
+    return _regenerate(space, mesh, inserted)
 
 
 def apply_split(space: LRSpace, split: Split) -> LRSpace:
     """Insert one split and regenerate.  The split must be insertable on
     the mesh and must refine at least one function."""
     mesh = insert_split(space.mesh, split)
-    functions = dict(space.functions)
-    dirty = _overlapping_keys(functions, split.direction, split.fixed, split.lo, split.hi)
-    if not _fixpoint(mesh, functions, dirty):
+    refined, removed, _ = _regenerate(space, mesh, [(split.direction, split.fixed, split.lo, split.hi)])
+    if not removed:
         raise SpaceError(
             f"split at direction-{split.direction} position {split.fixed} "
             f"refines no function in the space"
         )
-    return LRSpace(mesh, functions)
+    return refined
 
 
 def structured_refine(space: LRSpace, marked) -> LRSpace:
@@ -257,7 +400,7 @@ def structured_refine(space: LRSpace, marked) -> LRSpace:
             distinct = sorted(set(vec))
             for a, c in zip(distinct, distinct[1:]):
                 pieces.append((direction, midpoint(a, c), cross[0], cross[-1]))
-    refined = _insert_pieces(space, pieces)
+    refined, _, _ = _insert_pieces(space, pieces)
     if refined is space:
         raise SpaceError("marked functions are already refined (no new meshlines)")
     return refined
@@ -270,19 +413,6 @@ def element_support_count(space: LRSpace, element: Element) -> int:
     """Number of functions whose support contains the element."""
     rect = element.rect
     return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
-
-
-#: Element-batched array code works in chunks of elements small enough
-#: that no per-chunk temporary of shape (elements, functions[, points])
-#: holds more than this many entries (2 MiB of floats), which keeps its
-#: peak memory below that of the sparse solve that follows assembly.
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _support_bounds(keys) -> np.ndarray:
-    """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
-    with the given keys, one row per key, read from the knot vectors."""
-    return np.array([(xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys], dtype=float)
 
 
 def element_support_table(space: LRSpace):
@@ -417,9 +547,17 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     Functions share knot windows, so each distinct window's grid range
     and values are computed once per call.
     """
+    return _evaluate_sums(space, [coefficients], xs, ys)[0]
+
+
+def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
+    """:func:`evaluate_space` for each of the coefficient dictionaries,
+    from one pass over the functions: each function's grid values are
+    computed once and added to every sum, in the same order and with the
+    same operations as a separate call makes."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    out = np.zeros((xs.size, ys.size))
+    outs = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
     dom = space.mesh.domain
     x_windows: dict = {}
     y_windows: dict = {}
@@ -439,30 +577,41 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
         return hit
 
     for key in space.sorted_keys():
-        c = coefficients[key]
-        if c == 0.0:
+        cs = [coefficients[key] for coefficients in coefficient_sets]
+        if not any(cs):
             continue
         xv, yv = key
         i0, i1, vx = window(x_windows, xv, xs, dom.x_max)
         j0, j1, vy = window(y_windows, yv, ys, dom.y_max)
         if vx is None or vy is None:
             continue
-        out[i0:i1, j0:j1] += c * np.outer(vx, vy)
-    return out
+        values = np.outer(vx, vy)
+        for out, c in zip(outs, cs):
+            if c != 0.0:
+                out[i0:i1, j0:j1] += c * values
+    return outs
 
 
 def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bool = True) -> float:
     """``max |1 - sum_k c_k B_k|`` on a uniform grid, with ``c_k`` the
     stored weights or all ones."""
+    return _unity_defects(space, samples, (use_weights,))[0]
+
+
+def _unity_defects(space: LRSpace, samples: int, use_weights) -> list[float]:
+    """:func:`partition_of_unity_defect` for each flag of ``use_weights``,
+    from one evaluation pass."""
     dom = space.mesh.domain
     xs = np.linspace(dom.x_min, dom.x_max, samples)
     ys = np.linspace(dom.y_min, dom.y_max, samples)
-    if use_weights:
-        coeffs = {k: float(b.weight) for k, b in space.functions.items()}
-    else:
-        coeffs = {k: 1.0 for k in space.functions}
-    total = evaluate_space(space, coeffs, xs, ys)
-    return float(np.max(np.abs(total - 1.0)))
+    coefficient_sets = [
+        {k: float(b.weight) for k, b in space.functions.items()}
+        if weighted
+        else dict.fromkeys(space.functions, 1.0)
+        for weighted in use_weights
+    ]
+    totals = _evaluate_sums(space, coefficient_sets, xs, ys)
+    return [float(np.max(np.abs(total - 1.0))) for total in totals]
 
 
 def collocation_points(space: LRSpace, seed: int = 0) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Properties of the stacked Cox--de Boor kernel that batched assembly
 uses: every row equals the single-window reference bit for bit, signed
 zeros included.  Also: knot insertion's unvalidated children equal
-validated ones."""
+validated ones, and its coefficients are exact over the whole coordinate
+range."""
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrbsplines.bspline import (
@@ -123,3 +125,41 @@ def test_inserted_children_equal_validated_ones(case):
             assert type(got) is tuple and got == want
             assert all(type(c) is DyadicCoord for c in got)
         assert type(child.weight) is Fraction and child.weight == expected.weight
+
+
+#: Coordinates whose numerators lie near 2**52, at any exponent: their
+#: pairwise differences need up to 100 bits over a common denominator,
+#: far outside the coordinate range.
+wide_coords = st.builds(
+    DyadicCoord, st.integers(2**52 - 2**16, 2**52 + 2**16), st.integers(0, 48)
+)
+
+
+@st.composite
+def wide_insertions(draw):
+    """``(b, direction, z)`` with knots and insertion point drawn from
+    ``wide_coords``: z is one of p + 3 sorted draws, the knots the rest."""
+    p = draw(st.integers(1, 3))
+    values = sorted(draw(st.lists(wide_coords, min_size=p + 3, max_size=p + 3)))
+    z = values.pop(draw(st.integers(1, p + 1)))
+    vec = tuple(values)
+    assume(vec[0] < z < vec[-1] and max(Counter(vec + (z,)).values()) <= p + 1)
+    direction = draw(st.sampled_from((1, 2)))
+    other = (dyadic(0), dyadic(1), dyadic(2))
+    b = TensorBSpline(*((vec, other) if direction == 1 else (other, vec)), Fraction(3, 7))
+    return b, direction, z
+
+
+@props
+@given(wide_insertions())
+def test_insertion_alphas_equal_the_fraction_formula(case):
+    b, direction, z = case
+    v = [c.fraction for c in b.knots(direction)]
+    p = len(v) - 2
+    f = z.fraction
+    want1 = Fraction(1) if f >= v[p] else (f - v[0]) / (v[p] - v[0])
+    want2 = Fraction(1) if f <= v[1] else (v[p + 1] - f) / (v[p + 1] - v[1])
+    (alpha1, child1), (alpha2, child2) = insert_knot(b, direction, z)
+    assert type(alpha1) is Fraction and alpha1 == want1
+    assert type(alpha2) is Fraction and alpha2 == want2
+    assert child1.weight == b.weight * want1 and child2.weight == b.weight * want2

@@ -31,6 +31,7 @@ from lrbsplines import (
 )
 
 from conftest import random_pipeline_space
+from lrbsplines import formats as formats_module
 
 
 # -- JSON round trips ---------------------------------------------------------
@@ -139,6 +140,42 @@ def test_malformed_documents_name_the_field(mutate, fragment):
     with pytest.raises(FormatError) as excinfo:
         from_json(doc)
     assert fragment in str(excinfo.value)
+
+
+def _pairs(doc) -> list:
+    """Every ``[numerator, exponent]`` pair of a document, in decoding order."""
+    pairs = list(doc["domain"])
+    for line in doc["lines"]:
+        pairs += [line["fixed"], *line["span"]]
+    for entry in doc.get("functions", ()):
+        pairs += entry["x"] + entry["y"]
+    return [tuple(pair) for pair in pairs]
+
+
+def test_decoding_builds_one_coordinate_per_distinct_pair(monkeypatch, running_example):
+    doc = to_json(running_example["pipeline_2"])
+    built = []
+    real = formats_module.DyadicCoord
+
+    def counting(numerator, exponent):
+        built.append((numerator, exponent))
+        return real(numerator, exponent)
+
+    monkeypatch.setattr(formats_module, "DyadicCoord", counting)
+    again = from_json(doc)
+    assert sorted(built) == sorted(set(_pairs(doc)))
+    assert to_json(again) == doc
+
+
+def test_a_decoded_pair_does_not_excuse_an_equal_ill_typed_one():
+    # [float(n), e] hashes and compares like the valid [n, e], so the
+    # memo of decoded pairs must not be consulted before the type check.
+    for bad in (lambda n, e: [float(n), e], lambda n, e: [n, e * 1.0]):
+        doc = _valid_space_doc()
+        n, e = doc["functions"][0]["x"][1]
+        doc["functions"][1]["x"][1] = bad(n, e)
+        with pytest.raises(FormatError, match=r"functions\[1\]\.x\[1\]"):
+            from_json(doc)
 
 
 def test_top_level_must_be_an_object():

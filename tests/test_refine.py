@@ -231,8 +231,10 @@ def test_select_outer_takes_the_largest_exact_area():
         return (-area, key)
 
     pool = [interval() for _ in range(12)]
+    tensor = initial_space(make_initial_mesh((0, 1, 0, 1), (1, 1), 1))
     for _ in range(300):
         keys = {(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 20))}
-        tracker = object.__new__(_NestedTracker)
-        tracker.by_outer = {key: set() for key in keys}
+        tracker = _NestedTracker(tensor)
+        for key in keys:
+            tracker._add("inner", key)
         assert tracker.select_outer() == min(keys, key=fraction_rank)

@@ -192,6 +192,25 @@ def test_unweighted_partition_only_after_expansion(running_example):
     assert partition_of_unity_defect(independent, use_weights=False) <= 1e-12
 
 
+def test_unity_defects_come_from_one_evaluation_pass(monkeypatch, running_example):
+    space = running_example["structured_2"]  # weights are not all one
+    separate = [partition_of_unity_defect(space, use_weights=w) for w in (True, False)]
+    calls = []
+    real = space_module.univariate_values
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(space_module, "univariate_values", counting)
+    both = space_module._unity_defects(space, 64, (True, False))
+    one_pass = len(calls)
+    calls.clear()
+    partition_of_unity_defect(space, use_weights=True)
+    assert one_pass == len(calls)
+    assert both == separate
+
+
 def test_collocation_rank_full_on_independent_space(running_example):
     space = running_example["pipeline_1"]
     assert collocation_rank(space) == space.n_functions
