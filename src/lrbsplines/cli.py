@@ -27,9 +27,9 @@ from .space import (
     LRSpace,
     SpaceError,
     _elementwise_full_rank,
+    _incidence,
     _unity_defects,
     collocation_rank,
-    element_support_table,
     initial_space,
     is_locally_linearly_independent,
     structured_refine,
@@ -171,14 +171,16 @@ def verify(path, *, seed: int = 0) -> dict:
     # Raises SpaceError for a function without minimal support, so the
     # meshwise nestedness test below applies to every pair.
     space.validate()
-    keys, table = element_support_table(space)
-    sizes = [len(row) for row in table]
+    keys, counts, indices = _incidence(space)
+    n_loc = (p1 + 1) * (p2 + 1)
     n = space.n_functions
     report["n_functions"] = n
-    report["support_count_min"] = min(sizes)
-    report["support_count_max"] = max(sizes)
-    report["support_count_expected"] = (p1 + 1) * (p2 + 1)
-    report["locally_independent"] = min(sizes) == max(sizes) == (p1 + 1) * (p2 + 1)
+    report["support_count_min"] = int(counts.min())
+    report["support_count_max"] = int(counts.max())
+    report["support_count_expected"] = n_loc
+    report["locally_independent"] = (
+        report["support_count_min"] == report["support_count_max"] == n_loc
+    )
 
     knotwise = nested_map(space)
     n_knotwise = sum(len(v) for v in knotwise.values())
@@ -194,7 +196,9 @@ def verify(path, *, seed: int = 0) -> dict:
     report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
         space, 64, (True, False)
     )
-    if report["locally_independent"] and _elementwise_full_rank(space, keys, table):
+    if report["locally_independent"] and _elementwise_full_rank(
+        space, keys, indices.reshape(len(counts), n_loc)
+    ):
         rank = n
     elif n <= DENSE_RANK_MAX_FUNCTIONS:
         rank = collocation_rank(space, seed=seed)

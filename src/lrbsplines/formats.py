@@ -304,12 +304,12 @@ def write_poisson_csv(rows, path) -> None:
 
 def write_element_csv(space: LRSpace, path) -> None:
     """Per-element support counts, one row per element."""
-    from .space import element_support_table
+    from .space import _incidence
 
-    _, table = element_support_table(space)
+    _, counts, _ = _incidence(space)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_min", "x_max", "y_min", "y_max", "n_supported"])
-        for element, row in zip(space.mesh.elements(), table):
+        for element, count in zip(space.mesh.elements(), counts.tolist()):
             x0, x1, y0, y1 = element.rect.float_bounds()
-            writer.writerow([repr(x0), repr(x1), repr(y0), repr(y1), len(row)])
+            writer.writerow([repr(x0), repr(x1), repr(y0), repr(y1), count])

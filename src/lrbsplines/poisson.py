@@ -29,15 +29,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .bspline import _greville_collocation, _stacked_values
-from .mesh import make_initial_mesh
+from .mesh import Rect, make_initial_mesh
 from .refine import central_span, n2s_pipeline
 from .space import (
     _CHUNK_ENTRIES,
     _element_arrays,
+    _incidence,
     _outer,
     LRSpace,
     SpaceError,
-    element_support_table,
     evaluate_space,
     initial_space,
 )
@@ -132,29 +132,34 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     element into sub-cells no wider than that resolution so sharp data
     is integrated honestly rather than sampled at a handful of points.
 
-    Rejects spaces with overloaded elements (more supported functions
-    than (p1+1)(p2+1)): assembly is defined for locally linearly
-    independent spaces only.  Then every element carries the same number
-    of functions, and assembly runs as array operations over chunks of
-    elements: one stacked Cox--de Boor pass per chunk and direction
-    gives all values and derivatives at the elements' points, batched
-    products give the local matrices and loads, and the loads are
-    scattered once, in element order.  ``f`` is called once per chunk
-    with ``(elements, nx, ny)`` coordinate arrays.
+    Each element's functions are read from the element--function
+    incidence, a range query over the elements' sorted corners that
+    costs O(nnz log n) for nnz incidences.  Rejects spaces with
+    overloaded elements (more supported functions than (p1+1)(p2+1)):
+    assembly is defined for locally linearly independent spaces only.
+    Then every element carries the same number of functions, the
+    incidence is an ``(elements, (p1+1)(p2+1))`` index array, and
+    assembly runs as array operations over chunks of elements: one
+    stacked Cox--de Boor pass per chunk and direction gives all values
+    and derivatives at the elements' points, batched products give the
+    local matrices and loads, and the loads are scattered once, in
+    element order.  ``f`` is called once per chunk with ``(elements, nx,
+    ny)`` coordinate arrays.
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
-    keys, table = element_support_table(space)
-    elements = space.mesh.elements()
-    for row, element in zip(table, elements):
-        if len(row) != expected:
-            raise SpaceError(
-                f"element {element.rect} carries {len(row)} functions, "
-                f"expected {expected}; assembly requires local linear "
-                f"independence"
-            )
-    arrays = _element_arrays(space, keys, table)
-    T, xknots, yknots = arrays.T, arrays.xknots, arrays.yknots
+    keys, counts, indices = _incidence(space)
+    overloaded = np.flatnonzero(counts != expected)
+    if overloaded.size:
+        e = overloaded[0]
+        raise SpaceError(
+            f"element {space.mesh.elements()[e].rect} carries {counts[e]} functions, "
+            f"expected {expected}; assembly requires local linear "
+            f"independence"
+        )
+    T = indices.reshape(len(counts), expected)
+    arrays = _element_arrays(space, keys)
+    xknots, yknots = arrays.xknots, arrays.yknots
     n_elements, n_loc = T.shape
     x0, x1, y0, y1 = arrays.bounds
     gauss_x, weights_x = arrays.rule_x
@@ -296,13 +301,25 @@ class ErrorReport:
 
 def error_norms(space: LRSpace, coefficients: dict, u_exact, grid=(500, 500)) -> ErrorReport:
     """Max and cell-averaged L2 errors of ``sum c_k B_k`` on a uniform grid."""
+    return _grid_errors(space, coefficients, _sampled(space.mesh.domain, u_exact, grid))
+
+
+def _sampled(domain: Rect, u_exact, grid):
+    """``(xs, ys, values)``: the uniform grid of :func:`error_norms` on
+    ``domain`` and ``u_exact`` at its points, ``(len(xs), len(ys))``."""
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
-    dom = space.mesh.domain
-    xs = np.linspace(dom.x_min, dom.x_max, nx)
-    ys = np.linspace(dom.y_min, dom.y_max, ny)
-    u_h = evaluate_space(space, coefficients, xs, ys)
+    xs = np.linspace(domain.x_min, domain.x_max, nx)
+    ys = np.linspace(domain.y_min, domain.y_max, ny)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    err = u_h - np.asarray(u_exact(grid_x, grid_y), dtype=float)
+    return xs, ys, np.asarray(u_exact(grid_x, grid_y), dtype=float)
+
+
+def _grid_errors(space: LRSpace, coefficients: dict, sample) -> ErrorReport:
+    """:func:`error_norms` against ``sample``, which :func:`_sampled`
+    gives for the space's domain."""
+    xs, ys, exact = sample
+    err = evaluate_space(space, coefficients, xs, ys) - exact
+    dom = space.mesh.domain
     area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
     return ErrorReport(
         n_functions=space.n_functions,
@@ -386,18 +403,21 @@ def adaptive_solve(
     Rows carry strategy, level, n_functions, linf, l2.
     """
     resolution = 2.0 ** -levels
+    domain = Rect.from_bounds((0, 1, 0, 1))
+    # Every space shares the domain, so the exact solution is sampled once.
+    exact = _sampled(domain, layer_solution, grid)
 
     def run(space: LRSpace) -> ErrorReport:
         system = assemble(space, layer_rhs, load_resolution=resolution)
         system = impose_dirichlet(system, space, layer_solution)
         coefficients = solve(system)
-        return error_norms(space, coefficients, layer_solution, grid=grid)
+        return _grid_errors(space, coefficients, exact)
 
     rows = []
     if "tensor" in strategies:
         for level in range(2, levels + 1):
             space = initial_space(
-                make_initial_mesh((0, 1, 0, 1), bidegree, 2**level)
+                make_initial_mesh(domain, bidegree, 2**level)
             )
             report = run(space)
             rows.append(
@@ -410,7 +430,7 @@ def adaptive_solve(
                 }
             )
     if "n2s2" in strategies:
-        space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 4))
+        space = initial_space(make_initial_mesh(domain, bidegree, 4))
         for level in range(2, levels + 1):
             if level > 2:
                 space, _ = n2s_pipeline(

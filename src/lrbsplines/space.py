@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -153,8 +154,18 @@ _CHUNK_ENTRIES = 1 << 18
 def _support_bounds(keys) -> np.ndarray:
     """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
     with the given keys, one row per key, read from the knot vectors."""
-    rows = [(xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys]
-    return np.array(rows, dtype=float).reshape(-1, 4)
+    rows = chain.from_iterable((xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys)
+    return np.fromiter(rows, dtype=float).reshape(-1, 4)
+
+
+def _expand_ranges(lo, hi):
+    """``(which, at)``: every ``at`` in ``range(lo[i], hi[i])``, with the
+    ``i`` it came from, in order of ``i`` and then ``at``."""
+    sizes = hi - lo
+    which = np.repeat(np.arange(len(sizes)), sizes)
+    at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(len(which))
+    return which, at
 
 
 class _SupportIndex:
@@ -254,10 +265,9 @@ class _SupportIndex:
         while start < len(b):
             # outers start:stop, whose runs hold about _CHUNK_ENTRIES candidates
             stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_ENTRIES, side="right")))
-            c = counts[start:stop]
-            o = np.repeat(np.arange(start, stop), c)
-            step = np.arange(len(o)) - np.repeat(np.cumsum(c) - c, c)
-            i = order[np.repeat(first[start:stop], c) + step]
+            which, at = _expand_ranges(first[start:stop], first[start:stop] + counts[start:stop])
+            o = which + start
+            i = order[at]
             keep = (i != o) & (b[i, 1] <= b[o, 1]) & (b[i, 2] >= b[o, 2]) & (b[i, 3] <= b[o, 3])
             inner.append(live[i[keep]])
             outer.append(live[o[keep]])
@@ -410,49 +420,85 @@ def structured_refine(space: LRSpace, marked) -> LRSpace:
 
 
 def element_support_count(space: LRSpace, element: Element) -> int:
-    """Number of functions whose support contains the element."""
+    """Number of functions whose support contains the element, by an
+    exact-coordinate scan of every function: O(n) per element."""
     rect = element.rect
     return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
 
 
+def _element_bounds(mesh: Mesh) -> np.ndarray:
+    """The elements' bounds ``x0, x1, y0, y1`` as a ``(4, elements)``
+    array, in ``mesh.elements()`` order."""
+    rects = (e.rect for e in mesh.elements())
+    rows = chain.from_iterable((r.x_min, r.x_max, r.y_min, r.y_max) for r in rects)
+    return np.fromiter(rows, dtype=float).reshape(-1, 4).T
+
+
+def _incidence(space: LRSpace):
+    """The element--function incidence in compressed rows.
+
+    Returns ``(keys, counts, indices)``: ``keys`` is
+    ``space.sorted_keys()``, and element ``e`` of ``mesh.elements()``
+    carries the functions ``indices[s:s + counts[e]]``, ascending, with
+    ``s`` the sum of the earlier counts.  A function is supported on an
+    element when its support contains the element's closure.
+
+    Elements tile the domain, so each one is named by its lower-left
+    corner, keyed by the corner's position indices.  A function's
+    support ``[a, b] x [c, d]`` holds the corners in ``[a, b) x [c, d)``:
+    per mesh column in ``[a, b)``, two searches of the sorted corner keys
+    find those in ``[c, d)``, and the candidates whose far corner lies
+    outside the support are dropped, so the result is the dense
+    containment test of every element against every function whether or
+    not the functions have minimal support.  O(nnz log n) time and
+    memory, with nnz the incidences and the few candidates dropped.
+    """
+    keys = space.sorted_keys()
+    mesh = space.mesh
+    x0, x1, y0, y1 = _element_bounds(mesh)
+    xpos = np.array(mesh.positions(1), dtype=float)
+    ypos = np.array(mesh.positions(2), dtype=float)
+    corners = np.searchsorted(xpos, x0) * len(ypos) + np.searchsorted(ypos, y0)
+    order = np.argsort(corners, kind="stable")
+    corners = corners[order]
+    a, b, c, d = _support_bounds(keys).T
+    column_lo, column_hi = np.searchsorted(xpos, a), np.searchsorted(xpos, b)
+    f, column = _expand_ranges(column_lo, column_hi)
+    base = column * len(ypos)
+    lo = np.searchsorted(corners, base + np.searchsorted(ypos, c)[f])
+    hi = np.searchsorted(corners, base + np.searchsorted(ypos, d)[f])
+    probe, at = _expand_ranges(lo, hi)
+    f, e = f[probe], order[at]
+    del probe, at  # the largest temporaries: free them before the filter's
+    keep = (x1[e] <= b[f]) & (y1[e] <= d[f])
+    f, e = f[keep], e[keep]
+    by_element = np.argsort(e, kind="stable")
+    counts = np.bincount(e, minlength=len(x0))
+    return keys, counts, f[by_element]
+
+
 def element_support_table(space: LRSpace):
     """Per element, the indices (into ``space.sorted_keys()``) of the
-    functions supported on it.  Vectorized with chunking so it stays
-    usable on large tensor spaces."""
-    keys = space.sorted_keys()
-    fb = _support_bounds(keys)
-    elems = space.mesh.elements()
-    eb = np.array(
-        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in elems)], dtype=float
-    )
-    table = []
-    chunk = max(1, _CHUNK_ENTRIES // max(len(keys), 1))
-    for start in range(0, len(elems), chunk):
-        sub = eb[start : start + chunk]
-        mask = (
-            (fb[None, :, 0] <= sub[:, None, 0])
-            & (fb[None, :, 1] >= sub[:, None, 1])
-            & (fb[None, :, 2] <= sub[:, None, 2])
-            & (fb[None, :, 3] >= sub[:, None, 3])
-        )
-        for row in mask:
-            table.append(np.flatnonzero(row))
-    return keys, table
+    functions supported on it, ascending.
+
+    The rows are read from the element--function incidence, a range query
+    over the elements' sorted lower-left corners per function: O(nnz log
+    n) time and memory, with nnz the sum of the row lengths."""
+    keys, counts, indices = _incidence(space)
+    return keys, np.split(indices, np.cumsum(counts)[:-1])
 
 
 class _ElementArrays(NamedTuple):
-    """A space whose elements all carry (p1+1)(p2+1) functions, as arrays.
+    """What element-batched code reads of a space, as arrays.
 
-    ``T`` is the support table as an ``(elements, (p1+1)(p2+1))`` index
-    array into the keys; ``xknots`` and ``yknots`` are the keys' knot
-    vectors, ``(functions, p1+2)`` and ``(functions, p2+2)``; ``bounds``
-    holds the element bounds ``x0, x1, y0, y1``.  Per direction, ``rule_x``
-    and ``rule_y`` are the (p+1)-point Gauss--Legendre nodes and weights
-    on [-1, 1], and ``xs``, ``wx`` and ``ys``, ``wy`` that rule's points
-    and weights on every element, ``(elements, p+1)``.
+    ``xknots`` and ``yknots`` are the keys' knot vectors, ``(functions,
+    p1+2)`` and ``(functions, p2+2)``; ``bounds`` holds the element
+    bounds ``x0, x1, y0, y1``.  Per direction, ``rule_x`` and ``rule_y``
+    are the (p+1)-point Gauss--Legendre nodes and weights on [-1, 1],
+    and ``xs``, ``wx`` and ``ys``, ``wy`` that rule's points and weights
+    on every element, ``(elements, p+1)``.
     """
 
-    T: np.ndarray
     xknots: np.ndarray
     yknots: np.ndarray
     bounds: np.ndarray
@@ -464,18 +510,14 @@ class _ElementArrays(NamedTuple):
     wy: np.ndarray
 
 
-def _element_arrays(space: LRSpace, keys, table) -> _ElementArrays:
-    """The element arrays of ``element_support_table``'s ``(keys, table)``;
-    every row of ``table`` must have the same length."""
+def _element_arrays(space: LRSpace, keys) -> _ElementArrays:
+    """The element arrays of the space, with the functions in the order
+    of ``keys``."""
     p1, p2 = space.mesh.bidegree
-    x0, x1, y0, y1 = bounds = np.array(
-        [(r.x_min, r.x_max, r.y_min, r.y_max) for r in (e.rect for e in space.mesh.elements())],
-        dtype=float,
-    ).T
+    x0, x1, y0, y1 = bounds = _element_bounds(space.mesh)
     rule_x, rule_y = leggauss(p1 + 1), leggauss(p2 + 1)
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
     return _ElementArrays(
-        T=np.array(table),
         xknots=np.array([xv for xv, _ in keys], dtype=float),
         yknots=np.array([yv for _, yv in keys], dtype=float),
         bounds=bounds,
@@ -494,15 +536,16 @@ def _outer(a, b):
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
-def _elementwise_full_rank(space: LRSpace, keys, table) -> bool:
+def _elementwise_full_rank(space: LRSpace, keys, T) -> bool:
     """Certificate of linear independence, one element at a time.
 
-    ``(keys, table)`` is what :func:`element_support_table` returns.
-    True when every element carries exactly (p1+1)(p2+1) functions and,
-    on every element, the matrix of those (unweighted) functions' values
-    at the element's tensor Gauss--Legendre points has full numerical
-    rank: singular values below ``1e-9 * sigma_max`` of that element
-    count as zero, the rule of :func:`collocation_rank`.  The points are
+    ``keys`` is ``space.sorted_keys()``, and every element carries
+    (p1+1)(p2+1) functions: ``T`` is :func:`_incidence`'s ``indices``
+    reshaped to ``(elements, (p1+1)(p2+1))``.  True when, on every
+    element, the matrix of those (unweighted) functions' values at the
+    element's tensor Gauss--Legendre points has full numerical rank:
+    singular values below ``1e-9 * sigma_max`` of that element count as
+    zero, the rule of :func:`collocation_rank`.  The points are
     unisolvent for the element's tensor polynomials, so a full rank on
     every element is local linear independence, which implies that the
     functions are linearly independent on the whole domain.  The points
@@ -511,15 +554,12 @@ def _elementwise_full_rank(space: LRSpace, keys, table) -> bool:
     """
     p1, p2 = space.mesh.bidegree
     n_loc = (p1 + 1) * (p2 + 1)
-    if any(len(row) != n_loc for row in table):
-        return False
-    arrays = _element_arrays(space, keys, table)
+    arrays = _element_arrays(space, keys)
     size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
-    for start in range(0, len(table), size):
+    for start in range(0, len(T), size):
         c = slice(start, start + size)
-        T = arrays.T[c]
-        vx = _stacked_values(arrays.xknots[T], arrays.xs[c, None, :])
-        vy = _stacked_values(arrays.yknots[T], arrays.ys[c, None, :])
+        vx = _stacked_values(arrays.xknots[T[c]], arrays.xs[c, None, :])
+        vy = _stacked_values(arrays.yknots[T[c]], arrays.ys[c, None, :])
         s = np.linalg.svd(_outer(vx, vy), compute_uv=False)
         if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
             return False
@@ -530,12 +570,14 @@ def is_locally_linearly_independent(space: LRSpace) -> bool:
     """True when every element carries exactly (p1+1)(p2+1) functions.
 
     On open LR meshes this characterizes local linear independence of
-    the generated functions.
+    the generated functions.  The per-element support counts are read
+    from the element--function incidence (:func:`_incidence`), a range
+    query over the elements' sorted corners: O(nnz log n) time and
+    memory, with nnz the sum of the counts.
     """
     p1, p2 = space.mesh.bidegree
-    expected = (p1 + 1) * (p2 + 1)
-    _, table = element_support_table(space)
-    return all(len(row) == expected for row in table)
+    _, counts, _ = _incidence(space)
+    return bool(np.all(counts == (p1 + 1) * (p2 + 1)))
 
 
 def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Fuzzed space documents: ``verify`` on a document with one field
-replaced by an arbitrary JSON value either reports (exit 0 or 2) or
-rejects it with an ``error:`` line (exit 2), and never raises."""
+"""Fuzzed documents: ``verify`` on a space or mesh document with one or
+two fields replaced by arbitrary JSON values either reports (exit 0 or
+2) or rejects it with an ``error:`` line (exit 2), and never raises."""
 import json
 import tempfile
 from pathlib import Path
@@ -8,11 +8,17 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lrbsplines import initial_space, make_initial_mesh, to_json
+from lrbsplines import initial_space, make_initial_mesh, structured_refine, to_json
 from lrbsplines.cli import main
 
 # The 2x2 biquadratic space: 16 functions on 6 meshlines.
-VALID = to_json(initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2)))
+_TENSOR = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+VALID = to_json(_TENSOR)
+# The same space with a corner function refined: an LR mesh whose lines
+# end inside the domain, and functions of unequal supports.
+_REFINED = structured_refine(_TENSOR, _TENSOR.sorted_keys()[:1])
+REFINED = to_json(_REFINED)
+MESH = to_json(_REFINED.mesh)
 
 
 def _fields(value, path=()):
@@ -24,13 +30,24 @@ def _fields(value, path=()):
             yield from _fields(child, path + (key,))
 
 
-# Fields grouped by shape (list indices blanked), so that each kind of
-# field -- a weight, a knot's exponent, a line's span -- is drawn about
-# as often as any other, however many copies the document holds.
-SHAPES: dict[tuple, list[tuple]] = {}
-for _path in _fields(VALID):
-    SHAPES.setdefault(tuple("*" if type(k) is int else k for k in _path), []).append(_path)
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
+
+def _shapes(doc) -> dict[tuple, list[tuple]]:
+    """The paths below ``doc``'s root, grouped by shape (list indices
+    blanked), so that each kind of field -- a weight, a knot's exponent,
+    a line's span -- is drawn about as often as any other, however many
+    copies the document holds."""
+    shapes: dict[tuple, list[tuple]] = {}
+    for path in _fields(doc):
+        shapes.setdefault(tuple("*" if type(k) is int else k for k in path), []).append(path)
+    return shapes
+
+
+SHAPES = _shapes(VALID)
 fields = st.sampled_from(sorted(SHAPES)).flatmap(lambda shape: st.sampled_from(SHAPES[shape]))
 
 scalars = st.one_of(
@@ -51,18 +68,58 @@ json_values = st.recursive(
 )
 
 
+def _verify_exit(doc, edits) -> int:
+    """``verify``'s exit status on ``doc`` with each ``(path, value)``
+    of ``edits`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        _get(doc, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        document = Path(tmp) / "space.json"
+        document.write_text(json.dumps(doc))
+        return main(["verify", str(document)])
+
+
 @settings(deadline=None, max_examples=300)
 @given(path=fields, value=json_values)
 @example(path=("functions",), value=[])
 @example(path=("functions", 0, "w"), value=1e400)
 @example(path=("functions", 0, "w"), value=10**400)
 def test_verify_never_raises_on_a_replaced_field(path, value):
-    doc = json.loads(json.dumps(VALID))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        document = Path(tmp) / "space.json"
-        document.write_text(json.dumps(doc))
-        assert main(["verify", str(document)]) in (0, 2)
+    assert _verify_exit(VALID, [(path, value)]) in (0, 2)
+
+
+def _edits(doc, count):
+    """Strategy for ``count`` edits ``(path, value)`` of ``doc`` at paths
+    none of which lies below another.  A value is arbitrary JSON or the
+    value of a field of the same shape, which often keeps the document
+    loadable."""
+    shapes = _shapes(doc)
+
+    def edit(shape):
+        paths = shapes[shape]
+        same = [_get(doc, path) for path in paths]
+        return st.tuples(st.sampled_from(paths), json_values | st.sampled_from(same))
+
+    edits = st.sampled_from(sorted(shapes)).flatmap(edit)
+    return st.lists(edits, min_size=count, max_size=count).filter(
+        lambda drawn: not any(
+            a[: len(b)] == b
+            for i, (a, _) in enumerate(drawn)
+            for j, (b, _) in enumerate(drawn)
+            if i != j
+        )
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(edits=st.integers(1, 2).flatmap(lambda count: _edits(MESH, count)))
+def test_verify_never_raises_on_an_edited_mesh(edits):
+    assert _verify_exit(MESH, edits) in (0, 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(edits=_edits(REFINED, 2))
+@example(edits=[(("functions", 0, "w"), 0.5), (("functions", 1, "w"), 1.5)])
+def test_verify_never_raises_on_two_replaced_fields(edits):
+    assert _verify_exit(REFINED, edits) in (0, 2)

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import apply_splits, key_of, random_pipeline_space
 from lrbsplines.bspline import TensorBSpline, univariate_values
+from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
+from lrbsplines.formats import load
 from lrbsplines import space as space_module
 from lrbsplines.mesh import Split, make_initial_mesh
+from lrbsplines.quasi import tensor_space_for_level
 from lrbsplines.refine import n2s_pipeline
 from lrbsplines.space import (
     LRSpace,
@@ -158,19 +161,101 @@ def test_pipeline_spaces_have_nine_functions_per_element(running_example):
         assert all(b.weight == Fraction(1) for b in space.functions.values())
 
 
+def _dense_support_table(space):
+    """``element_support_table`` as every element against every function:
+    the chunked dense containment mask that the incidence replaced, kept
+    as its oracle."""
+    keys = space.sorted_keys()
+    fb = space_module._support_bounds(keys)
+    elems = space.mesh.elements()
+    eb = np.array([e.rect.float_bounds() for e in elems], dtype=float)
+    table = []
+    chunk = max(1, space_module._CHUNK_ENTRIES // max(len(keys), 1))
+    for start in range(0, len(elems), chunk):
+        sub = eb[start : start + chunk]
+        mask = (
+            (fb[None, :, 0] <= sub[:, None, 0])
+            & (fb[None, :, 1] >= sub[:, None, 1])
+            & (fb[None, :, 2] <= sub[:, None, 2])
+            & (fb[None, :, 3] >= sub[:, None, 3])
+        )
+        for row in mask:
+            table.append(np.flatnonzero(row))
+    return keys, table
+
+
+def _assert_table_is_the_dense_mask(space):
+    keys, table = element_support_table(space)
+    dense_keys, dense = _dense_support_table(space)
+    assert keys == dense_keys
+    assert [row.tolist() for row in table] == [row.tolist() for row in dense]
+    sizes = [len(row) for row in dense]
+    p1, p2 = space.mesh.bidegree
+    assert is_locally_linearly_independent(space) == (set(sizes) == {(p1 + 1) * (p2 + 1)})
+    # The exact-coordinate count scans every function per element: on the
+    # larger spaces, a stride of the elements keeps it to ~100k tests.
+    stride = max(1, len(sizes) * space.n_functions // 100_000)
+    elements = space.mesh.elements()[::stride]
+    assert [element_support_count(space, e) for e in elements] == sizes[::stride]
+    return sizes
+
+
+@pytest.mark.parametrize("bidegree", [(1, 1), (2, 2), (3, 2)])
+def test_support_table_is_the_dense_mask_on_tensor_spaces(bidegree):
+    for level in range(1, 5):
+        _assert_table_is_the_dense_mask(tensor_space_for_level(level, bidegree))
+    # a non-unit domain with unequal cell widths, refined to a non-tensor mesh
+    space = initial_space(make_initial_mesh((-1, 3, 0.5, 2), bidegree, (8, 4)))
+    space = structured_refine(space, space.sorted_keys()[::7])
+    _assert_table_is_the_dense_mask(space)
+
+
+def test_support_table_is_the_dense_mask_on_refined_spaces(running_example, tmp_path):
+    for seed, bidegree in ((0, (2, 2)), (1, (1, 1)), (2, (3, 2)), (3, (2, 2))):
+        _assert_table_is_the_dense_mask(random_pipeline_space(seed, 3, bidegree=bidegree))
+    assert max(_assert_table_is_the_dense_mask(running_example["structured_2"])) == 14
+    run_mesh_demo(tmp_path, iterations=6)
+    _assert_table_is_the_dense_mask(load(tmp_path / "space.json"))
+
+
+def test_support_table_is_the_dense_mask_for_straddling_supports():
+    # Supports whose edges cross elements: on the 4x4 mesh, knots at odd
+    # eighths put every support edge inside an element, so the corner
+    # probe meets elements that stick out of the support.
+    mesh = make_initial_mesh((0, 1, 0, 1), (2, 2), 4)
+    knots = [
+        (0.125, 0.375, 0.625, 0.875),
+        (0, 0.125, 0.5, 0.75),
+        (0.25, 0.5, 0.75, 1),
+        (0, 0, 0, 0.25),
+    ]
+    functions = {}
+    for xv in knots:
+        for yv in knots[::-1]:
+            b = TensorBSpline(xv, yv)
+            functions[b.key] = b
+    sizes = _assert_table_is_the_dense_mask(LRSpace(mesh, functions))
+    assert min(sizes) < max(sizes)
+
+
 def test_support_table_does_not_depend_on_the_chunk_size(monkeypatch, running_example):
     spaces = [
         running_example["pipeline_2"],
         initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 16)),
         random_pipeline_space(5, 2),
     ]
-    default = [element_support_table(space) for space in spaces]
+    for space in spaces:
+        _assert_table_is_the_dense_mask(space)
     # 50 to 324 functions: chunks of 3 to 20 elements
     monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
-    for space, (keys, table) in zip(spaces, default):
-        small_keys, small_table = element_support_table(space)
-        assert small_keys == keys
-        assert [row.tolist() for row in small_table] == [row.tolist() for row in table]
+    for space in spaces:
+        _assert_table_is_the_dense_mask(space)
+
+
+def test_local_independence_at_scale():
+    # 66,564 functions: the incidence is O(nnz log n); the dense mask
+    # needed one comparison per element and function.
+    assert is_locally_linearly_independent(tensor_space_for_level(7))
 
 
 def test_pipeline_stage_function_counts(running_example):
@@ -223,9 +308,15 @@ def test_rank_deficient_fixture_has_defect_one(rank_deficient_space):
     assert collocation_rank(space) == space.n_functions - 1
 
 
-def _certified(space, table=None):
-    keys, default = element_support_table(space)
-    return _elementwise_full_rank(space, keys, default if table is None else table)
+def _certified(space, T=None):
+    """``verify``'s first two tiers: the support count, then the
+    element-wise rank, on the incidence or on ``T`` in its place."""
+    p1, p2 = space.mesh.bidegree
+    n_loc = (p1 + 1) * (p2 + 1)
+    keys, counts, indices = space_module._incidence(space)
+    if not np.all(counts == n_loc):
+        return False
+    return _elementwise_full_rank(space, keys, indices.reshape(-1, n_loc) if T is None else T)
 
 
 def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_space):
@@ -238,14 +329,14 @@ def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_spa
 
 def test_elementwise_certificate_sees_a_singular_element(monkeypatch, running_example):
     space = running_example["pipeline_2"]
-    _, table = element_support_table(space)
+    _, _, indices = space_module._incidence(space)
     # The last element's matrix gets two equal columns.
-    table = [row.copy() for row in table]
-    table[-1][1] = table[-1][0]
-    assert not _certified(space, table)
+    T = indices.reshape(-1, 9).copy()
+    T[-1, 1] = T[-1, 0]
+    assert not _certified(space, T)
     # 86 elements of 81 entries each: chunks of 12 elements
     monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
-    assert not _certified(space, table)
+    assert not _certified(space, T)
     assert _certified(space)
 
 
