@@ -67,8 +67,6 @@ from .refine import (
     tensor_expansion,
 )
 from .quasi import (
-    LocalTensorSpace,
-    local_tensor_space,
     lr_qi,
     qi_max_error,
     tensor_qi_coefficient,
@@ -154,8 +152,6 @@ __all__ = [
     "diagonal_marker",
     "point_marker",
     "tensor_expansion",
-    "LocalTensorSpace",
-    "local_tensor_space",
     "lr_qi",
     "qi_max_error",
     "tensor_qi_coefficient",

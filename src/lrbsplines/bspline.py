@@ -2,9 +2,11 @@
 
 A bivariate function is described by two local knot vectors of lengths
 ``p1 + 2`` and ``p2 + 2`` plus a positive rational weight.  Univariate
-values use the Cox--de Boor recursion on half-open spans ``[k_i,
-k_{i+1})``; an optional closure coordinate makes the evaluation
-left-continuous there, which is how the top domain edge is handled.
+values come from one Cox--de Boor kernel, `_stacked_values`, over
+stacked windows and half-open spans ``[k_i, k_{i+1})``; an optional
+closure coordinate makes the evaluation left-continuous there, which is
+how the top domain edge is handled.  `univariate_values` and
+`univariate_derivatives` are its one-window calls.
 
 The support queries (`has_support_on`, `has_minimal_support`,
 `find_refining_split`) implement the containment tests between a
@@ -148,54 +150,76 @@ def _knot_windows(vec, degree: int) -> list[tuple]:
 # -- univariate evaluation --------------------------------------------------
 
 
-def univariate_values(knots, t, close_at: float | None = None) -> np.ndarray:
-    """Cox--de Boor values of the B-spline on ``knots`` at points ``t``.
+def _stacked_values(v: np.ndarray, t: np.ndarray, close_at=None, derivatives: bool = False):
+    """Cox--de Boor over stacked windows: ``v`` is ``(..., p+2)`` knots,
+    ``t`` is ``(..., q)`` points, broadcast against each other's leading
+    axes; returns the ``(..., q)`` values, and with ``derivatives`` the
+    pair (values, first derivatives).
 
-    Spans are half-open; where ``t`` equals ``close_at`` (a knot value,
-    typically the top of the domain) the left-limit value is returned
-    instead, so a space evaluated over a closed domain sums correctly on
-    the top edges.
+    Spans are half-open, ``[k_i, k_{i+1})``.  A point equal to
+    ``close_at`` (a knot value, typically the top of the domain) also
+    joins the span with ``k_i < close_at == k_{i+1}``, so it gets the
+    left-limit value and a space evaluated over a closed domain sums
+    correctly on the top edges.  Each degree of the recursion is one
+    array pass over all its spans, and a term whose denominator vanishes
+    is masked out.  The degree-(p-1) values on ``v[:-1]`` and ``v[1:]``
+    that the derivative needs are the recursion's own second-to-last
+    stage.
     """
-    v = np.asarray(knots, dtype=float)
-    t = np.asarray(t, dtype=float)
+    p = v.shape[-1] - 2
+    k = v[..., :, None]
+    t = t[..., None, :]
+    spans = (k[..., :-1, :] <= t) & (t < k[..., 1:, :])
     if close_at is not None:
         # numpy compares a float subclass such as a coordinate through its
         # generic (several times slower) path; a plain float takes the fast one
-        close_at = float(close_at)
-    p = v.size - 2
-    layers = [
-        ((v[i] <= t) & (t < v[i + 1])).astype(float) for i in range(p + 1)
-    ]
-    if close_at is not None and v[0] < close_at <= v[-1]:
-        i = int(np.searchsorted(v, close_at, side="left"))
-        if i >= 1 and v[i] == close_at:
-            layers[i - 1] = layers[i - 1] + (t == close_at)
+        c = float(close_at)
+        spans |= (t == c) & (k[..., :-1, :] < c) & (k[..., 1:, :] == c)
+    layers = lower = spans.astype(float)
     for d in range(1, p + 1):
-        for i in range(p + 1 - d):
-            acc = np.zeros_like(t)
-            den1 = v[i + d] - v[i]
-            if den1 > 0.0:
-                acc = (t - v[i]) / den1 * layers[i]
-            den2 = v[i + d + 1] - v[i + 1]
-            if den2 > 0.0:
-                acc = acc + (v[i + d + 1] - t) / den2 * layers[i + 1]
-            layers[i] = acc
-    return layers[0]
+        n = p + 1 - d
+        left, right = k[..., :n, :], k[..., d + 1 :, :]
+        den1 = k[..., d : d + n, :] - left
+        den2 = right - k[..., 1 : n + 1, :]
+        on1, on2 = den1 > 0.0, den2 > 0.0
+        # In place, so that a stage holds two arrays of its size besides
+        # the previous stage's.
+        acc = t - left
+        acc /= np.where(on1, den1, 1.0)
+        acc *= layers[..., :n, :]
+        np.copyto(acc, 0.0, where=~on1)
+        term = right - t
+        term /= np.where(on2, den2, 1.0)
+        term *= layers[..., 1:, :]
+        term += acc
+        np.copyto(term, acc, where=~on2)
+        layers = term
+        if d == p - 1:
+            lower = layers
+    values = layers[..., 0, :]
+    if not derivatives:
+        return values
+    den1 = k[..., p, :] - k[..., 0, :]
+    den2 = k[..., p + 1, :] - k[..., 1, :]
+    on1, on2 = den1 > 0.0, den2 > 0.0
+    out = np.where(on1, lower[..., 0, :] / np.where(on1, den1, 1.0), 0.0)
+    out = np.where(on2, out - lower[..., 1, :] / np.where(on2, den2, 1.0), out)
+    return values, p * out
+
+
+def univariate_values(knots, t, close_at: float | None = None) -> np.ndarray:
+    """Values of the B-spline on ``knots`` at points ``t`` of any shape,
+    closed at ``close_at``: one row of :func:`_stacked_values`."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(knots, dtype=float)
+    return _stacked_values(v, t.reshape(-1), close_at).reshape(t.shape)
 
 
 def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarray:
     """First derivative of the B-spline on ``knots`` at points ``t``."""
-    v = np.asarray(knots, dtype=float)
     t = np.asarray(t, dtype=float)
-    p = v.size - 2
-    out = np.zeros_like(t)
-    den1 = v[p] - v[0]
-    if den1 > 0.0:
-        out = univariate_values(v[:-1], t, close_at) / den1
-    den2 = v[p + 1] - v[1]
-    if den2 > 0.0:
-        out = out - univariate_values(v[1:], t, close_at) / den2
-    return p * out
+    v = np.asarray(knots, dtype=float)
+    return _stacked_values(v, t.reshape(-1), close_at, derivatives=True)[1].reshape(t.shape)
 
 
 def _greville_collocation(windows, close_at: float):
@@ -209,48 +233,8 @@ def _greville_collocation(windows, close_at: float):
     """
     degree = len(windows[0]) - 2
     nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
-    matrix = np.empty((len(windows), len(windows)))
-    for j, vec in enumerate(windows):
-        matrix[:, j] = univariate_values(vec, nodes, close_at=close_at)
-    return nodes, matrix
-
-
-def _stacked_values(v: np.ndarray, t: np.ndarray, derivatives: bool = False):
-    """Cox--de Boor over stacked windows: ``v`` is ``(..., p+2)`` knots,
-    ``t`` is ``(..., q)`` points, broadcast against each other's leading
-    axes; returns the ``(..., q)`` values, and with ``derivatives`` the
-    pair (values, first derivatives).
-
-    Every row is computed with the scalar operations of
-    :func:`univariate_values` / :func:`univariate_derivatives`, in the
-    same order, so each row equals theirs bit for bit; a term they skip
-    for a zero denominator is masked out here.  There is no closure
-    coordinate.  The degree-(p-1) values on ``v[:-1]`` and ``v[1:]``
-    that the derivative needs are the recursion's own second-to-last
-    stage.
-    """
-    p = v.shape[-1] - 2
-    k = [v[..., i, None] for i in range(p + 2)]
-    layers = [((k[i] <= t) & (t < k[i + 1])).astype(float) for i in range(p + 1)]
-    lower = layers[:2]
-    for d in range(1, p + 1):
-        for i in range(p + 1 - d):
-            den1 = k[i + d] - k[i]
-            den2 = k[i + d + 1] - k[i + 1]
-            on1, on2 = den1 > 0.0, den2 > 0.0
-            acc = np.where(on1, (t - k[i]) / np.where(on1, den1, 1.0) * layers[i], 0.0)
-            right = (k[i + d + 1] - t) / np.where(on2, den2, 1.0) * layers[i + 1]
-            layers[i] = np.where(on2, acc + right, acc)
-        if d == p - 1:
-            lower = layers[:2]
-    if not derivatives:
-        return layers[0]
-    den1 = k[p] - k[0]
-    den2 = k[p + 1] - k[1]
-    on1, on2 = den1 > 0.0, den2 > 0.0
-    out = np.where(on1, lower[0] / np.where(on1, den1, 1.0), 0.0)
-    out = np.where(on2, out - lower[1] / np.where(on2, den2, 1.0), out)
-    return layers[0], p * out
+    values = _stacked_values(np.array(windows, dtype=float), nodes, close_at)
+    return nodes, values.T
 
 
 def evaluate(b: TensorBSpline, point) -> float:

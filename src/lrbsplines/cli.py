@@ -171,7 +171,7 @@ def verify(path, *, seed: int = 0) -> dict:
     # Raises SpaceError for a function without minimal support, so the
     # meshwise nestedness test below applies to every pair.
     space.validate()
-    keys, counts, indices = _incidence(space)
+    keys, counts, indices, bounds = _incidence(space)
     n_loc = (p1 + 1) * (p2 + 1)
     n = space.n_functions
     report["n_functions"] = n
@@ -197,7 +197,7 @@ def verify(path, *, seed: int = 0) -> dict:
         space, 64, (True, False)
     )
     if report["locally_independent"] and _elementwise_full_rank(
-        space, keys, indices.reshape(len(counts), n_loc)
+        space, keys, indices.reshape(len(counts), n_loc), bounds
     ):
         rank = n
     elif n <= DENSE_RANK_MAX_FUNCTIONS:

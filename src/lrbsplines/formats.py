@@ -306,7 +306,7 @@ def write_element_csv(space: LRSpace, path) -> None:
     """Per-element support counts, one row per element."""
     from .space import _incidence
 
-    _, counts, _ = _incidence(space)
+    _, counts, _, _ = _incidence(space)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_min", "x_max", "y_min", "y_max", "n_supported"])

@@ -148,7 +148,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
-    keys, counts, indices = _incidence(space)
+    keys, counts, indices, bounds = _incidence(space)
     overloaded = np.flatnonzero(counts != expected)
     if overloaded.size:
         e = overloaded[0]
@@ -158,7 +158,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
             f"independence"
         )
     T = indices.reshape(len(counts), expected)
-    arrays = _element_arrays(space, keys)
+    arrays = _element_arrays(space, keys, bounds)
     xknots, yknots = arrays.xknots, arrays.yknots
     n_elements, n_loc = T.shape
     x0, x1, y0, y1 = arrays.bounds

@@ -6,8 +6,7 @@ multiplicity, and interpolating the target at the Greville points of
 that local space determines the coefficient of the original function.
 The two raised knot vectors describe that space completely -- their
 consecutive windows are its univariate bases -- so the coefficient is
-computed from them alone, with no mesh or basis objects;
-:func:`local_tensor_space` builds the full space for reference.
+computed from them alone, with no mesh or basis objects.
 The collocation matrix is a tensor product of two univariate ones, each
 nonsingular because Greville points interlace their knot vector, so the
 local problem is always solvable.  Every local problem reproduces
@@ -24,19 +23,15 @@ holding ``f`` at each pair of entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bspline import TensorBSpline, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
-from .mesh import Mesh, _build_mesh, _knot_multiplicities, make_initial_mesh
+from .mesh import make_initial_mesh
 from .refine import point_marker
 from .space import _CHUNK_ENTRIES, LRSpace, SpaceError, evaluate_space, initial_space
 
 __all__ = [
-    "LocalTensorSpace",
-    "local_tensor_space",
     "tensor_qi_coefficient",
     "lr_qi",
     "qi_max_error",
@@ -45,17 +40,6 @@ __all__ = [
     "three_peaks_spaces",
     "tensor_space_for_level",
 ]
-
-
-@dataclass(frozen=True)
-class LocalTensorSpace:
-    """The tensor space spanned by one function's knots, boundary raised
-    to full multiplicity.  ``origin`` keys the function it was built for,
-    which is always among ``basis``."""
-
-    origin: tuple
-    mesh: Mesh
-    basis: tuple[TensorBSpline, ...]
 
 
 def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
@@ -67,23 +51,6 @@ def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
             out.append(v)
     out.extend([vec[-1]] * (degree + 1))
     return out
-
-
-def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
-    """Tensor space on the support of ``b`` containing ``b`` itself."""
-    p1, p2 = b.degrees
-    gx = _raised_vector(b.xknots, p1)
-    gy = _raised_vector(b.yknots, p2)
-    domain = b.support
-    items = [(1, x, domain.y_min, domain.y_max, m) for x, m in _knot_multiplicities(gx)]
-    items += [(2, y, domain.x_min, domain.x_max, m) for y, m in _knot_multiplicities(gy)]
-    mesh = _build_mesh(domain, (p1, p2), items)
-    basis = tuple(
-        TensorBSpline(xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2)
-    )
-    if all(f.key != b.key for f in basis):
-        raise SpaceError(f"local tensor space does not contain {b.key}")
-    return LocalTensorSpace(b.key, mesh, basis)
 
 
 def _local_collocation(vec):
@@ -123,8 +90,9 @@ def _solve_local(f, xs, mx, ys, my):
 def tensor_qi_coefficient(b: TensorBSpline, f) -> float:
     """Coefficient of ``b`` for interpolating ``f`` in its local space.
 
-    The local tensor space of ``b`` (see :func:`local_tensor_space`) is
-    read from its raised knot vectors alone: their consecutive windows
+    The local tensor space of ``b``, the tensor space on its support with
+    the boundary knots raised to full multiplicity, is read from its
+    raised knot vectors alone: their consecutive windows
     are the local basis in each direction.  Interpolates ``f`` at the
     tensor grid of the windows' Greville points and reads off the
     coefficient of ``b``, whose knot vectors are among the windows.  The

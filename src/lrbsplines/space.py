@@ -437,10 +437,11 @@ def _element_bounds(mesh: Mesh) -> np.ndarray:
 def _incidence(space: LRSpace):
     """The element--function incidence in compressed rows.
 
-    Returns ``(keys, counts, indices)``: ``keys`` is
+    Returns ``(keys, counts, indices, bounds)``: ``keys`` is
     ``space.sorted_keys()``, and element ``e`` of ``mesh.elements()``
     carries the functions ``indices[s:s + counts[e]]``, ascending, with
-    ``s`` the sum of the earlier counts.  A function is supported on an
+    ``s`` the sum of the earlier counts; ``bounds`` is
+    :func:`_element_bounds` of the mesh.  A function is supported on an
     element when its support contains the element's closure.
 
     Elements tile the domain, so each one is named by its lower-left
@@ -455,7 +456,7 @@ def _incidence(space: LRSpace):
     """
     keys = space.sorted_keys()
     mesh = space.mesh
-    x0, x1, y0, y1 = _element_bounds(mesh)
+    x0, x1, y0, y1 = bounds = _element_bounds(mesh)
     xpos = np.array(mesh.positions(1), dtype=float)
     ypos = np.array(mesh.positions(2), dtype=float)
     corners = np.searchsorted(xpos, x0) * len(ypos) + np.searchsorted(ypos, y0)
@@ -474,7 +475,7 @@ def _incidence(space: LRSpace):
     f, e = f[keep], e[keep]
     by_element = np.argsort(e, kind="stable")
     counts = np.bincount(e, minlength=len(x0))
-    return keys, counts, f[by_element]
+    return keys, counts, f[by_element], bounds
 
 
 def element_support_table(space: LRSpace):
@@ -484,7 +485,7 @@ def element_support_table(space: LRSpace):
     The rows are read from the element--function incidence, a range query
     over the elements' sorted lower-left corners per function: O(nnz log
     n) time and memory, with nnz the sum of the row lengths."""
-    keys, counts, indices = _incidence(space)
+    keys, counts, indices, _ = _incidence(space)
     return keys, np.split(indices, np.cumsum(counts)[:-1])
 
 
@@ -510,11 +511,12 @@ class _ElementArrays(NamedTuple):
     wy: np.ndarray
 
 
-def _element_arrays(space: LRSpace, keys) -> _ElementArrays:
+def _element_arrays(space: LRSpace, keys, bounds) -> _ElementArrays:
     """The element arrays of the space, with the functions in the order
-    of ``keys``."""
+    of ``keys`` and the element bounds ``bounds`` that
+    :func:`_incidence` returns."""
     p1, p2 = space.mesh.bidegree
-    x0, x1, y0, y1 = bounds = _element_bounds(space.mesh)
+    x0, x1, y0, y1 = bounds
     rule_x, rule_y = leggauss(p1 + 1), leggauss(p2 + 1)
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
     return _ElementArrays(
@@ -536,12 +538,13 @@ def _outer(a, b):
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
-def _elementwise_full_rank(space: LRSpace, keys, T) -> bool:
+def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
     """Certificate of linear independence, one element at a time.
 
     ``keys`` is ``space.sorted_keys()``, and every element carries
     (p1+1)(p2+1) functions: ``T`` is :func:`_incidence`'s ``indices``
-    reshaped to ``(elements, (p1+1)(p2+1))``.  True when, on every
+    reshaped to ``(elements, (p1+1)(p2+1))``, and ``bounds`` its element
+    bounds.  True when, on every
     element, the matrix of those (unweighted) functions' values at the
     element's tensor Gauss--Legendre points has full numerical rank:
     singular values below ``1e-9 * sigma_max`` of that element count as
@@ -554,7 +557,7 @@ def _elementwise_full_rank(space: LRSpace, keys, T) -> bool:
     """
     p1, p2 = space.mesh.bidegree
     n_loc = (p1 + 1) * (p2 + 1)
-    arrays = _element_arrays(space, keys)
+    arrays = _element_arrays(space, keys, bounds)
     size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
     for start in range(0, len(T), size):
         c = slice(start, start + size)
@@ -576,7 +579,7 @@ def is_locally_linearly_independent(space: LRSpace) -> bool:
     memory, with nnz the sum of the counts.
     """
     p1, p2 = space.mesh.bidegree
-    _, counts, _ = _incidence(space)
+    _, counts, _, _ = _incidence(space)
     return bool(np.all(counts == (p1 + 1) * (p2 + 1)))
 
 
@@ -592,6 +595,33 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     return _evaluate_sums(space, [coefficients], xs, ys)[0]
 
 
+def _window_values(vectors, pts, top) -> dict:
+    """Per distinct knot window among ``vectors``: ``(i0, i1, values)``,
+    the points ``pts[i0:i1]`` in the window's support and its values
+    there.
+
+    The windows are evaluated in stacked calls of at most
+    ``_CHUNK_ENTRIES`` entries, each on as many points from its first
+    one in the support as the widest support holds, and closed at
+    ``top``, the domain's top edge: only windows that end there have a
+    knot there, so the closure touches no other window.
+    """
+    windows = list(dict.fromkeys(vectors))
+    v = np.array(windows, dtype=float)
+    i0 = np.searchsorted(pts, v[:, 0], side="left")
+    i1 = np.searchsorted(pts, v[:, -1], side="right")
+    width = int(np.max(i1 - i0))
+    at = np.minimum(i0[:, None] + np.arange(width), pts.size - 1)
+    size = max(1, _CHUNK_ENTRIES // max(width, 1))
+    out = {}
+    for start in range(0, len(windows), size):
+        c = slice(start, start + size)
+        values = _stacked_values(v[c], pts[at[c]], close_at=top)
+        for vec, a, b, row in zip(windows[c], i0[c].tolist(), i1[c].tolist(), values):
+            out[vec] = (a, b, row[: b - a])
+    return out
+
+
 def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     """:func:`evaluate_space` for each of the coefficient dictionaries,
     from one pass over the functions: each function's grid values are
@@ -601,31 +631,16 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     ys = np.asarray(ys, dtype=float)
     outs = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
     dom = space.mesh.domain
-    x_windows: dict = {}
-    y_windows: dict = {}
-
-    def window(cache, vec, pts, top):
-        """``(i0, i1, values)``: the points in the window's support and
-        the values there, ``values`` None when there are none."""
-        hit = cache.get(vec)
-        if hit is None:
-            lo, hi = float(vec[0]), float(vec[-1])
-            i0 = int(np.searchsorted(pts, lo, side="left"))
-            i1 = int(np.searchsorted(pts, hi, side="right"))
-            values = None
-            if i0 < i1:
-                values = univariate_values(vec, pts[i0:i1], close_at=hi if hi == top else None)
-            hit = cache[vec] = (i0, i1, values)
-        return hit
-
-    for key in space.sorted_keys():
+    keys = space.sorted_keys()
+    x_windows = _window_values([xv for xv, _ in keys], xs, dom.x_max)
+    y_windows = _window_values([yv for _, yv in keys], ys, dom.y_max)
+    for key in keys:
         cs = [coefficients[key] for coefficients in coefficient_sets]
         if not any(cs):
             continue
-        xv, yv = key
-        i0, i1, vx = window(x_windows, xv, xs, dom.x_max)
-        j0, j1, vy = window(y_windows, yv, ys, dom.y_max)
-        if vx is None or vy is None:
+        i0, i1, vx = x_windows[key[0]]
+        j0, j1, vy = y_windows[key[1]]
+        if i0 == i1 or j0 == j1:
             continue
         values = np.outer(vx, vy)
         for out, c in zip(outs, cs):

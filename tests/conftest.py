@@ -1,18 +1,27 @@
-"""Shared fixtures: hand-checked reference meshes and spaces.
+"""Shared fixtures: hand-checked reference meshes and spaces, and the
+reference evaluators the package's batched code is checked against.
 
 The geometric fixtures are small meshes whose element counts, function
 counts, minimal-support verdicts, nesting relations and collocation ranks
 were worked out by hand; the tests pin those numbers.  Coordinates are
 integers or dyadic fractions so every constructor is exact.
+
+The oracles are independent of the package's evaluation kernel: a scalar
+Cox--de Boor recursion, one window at a time, and the full local tensor
+space of one function with its mesh and basis.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from lrbsplines.bspline import TensorBSpline, _knot_windows
 from lrbsplines.dyadic import dyadic
-from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, make_initial_mesh
+from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
+from lrbsplines.quasi import _raised_vector
 from lrbsplines.space import (
     LRSpace,
     apply_split,
@@ -43,6 +52,82 @@ def build_mesh(bounds, bidegree, lines, *, require_open=True, boundary=True):
         items.append((2, dyadic(y0), dyadic(x0), dyadic(x1), p2 + 1))
         items.append((2, dyadic(y1), dyadic(x0), dyadic(x1), p2 + 1))
     return _build_mesh(domain, bidegree, items, require_open=require_open)
+
+
+def reference_values(knots, t, close_at=None):
+    """Cox--de Boor values of the B-spline on ``knots`` at points ``t``,
+    one window at a time.
+
+    Spans are half-open; where ``t`` equals ``close_at`` the span ending
+    there at its first occurrence in ``knots`` also holds the point, so
+    the left-limit value is returned.  Terms with a zero denominator are
+    skipped.
+    """
+    v = np.asarray(knots, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if close_at is not None:
+        close_at = float(close_at)
+    p = v.size - 2
+    layers = [((v[i] <= t) & (t < v[i + 1])).astype(float) for i in range(p + 1)]
+    if close_at is not None and v[0] < close_at <= v[-1]:
+        i = int(np.searchsorted(v, close_at, side="left"))
+        if i >= 1 and v[i] == close_at:
+            layers[i - 1] = layers[i - 1] + (t == close_at)
+    for d in range(1, p + 1):
+        for i in range(p + 1 - d):
+            acc = np.zeros_like(t)
+            den1 = v[i + d] - v[i]
+            if den1 > 0.0:
+                acc = (t - v[i]) / den1 * layers[i]
+            den2 = v[i + d + 1] - v[i + 1]
+            if den2 > 0.0:
+                acc = acc + (v[i + d + 1] - t) / den2 * layers[i + 1]
+            layers[i] = acc
+    return layers[0]
+
+
+def reference_derivatives(knots, t, close_at=None):
+    """First derivative of the B-spline on ``knots`` at points ``t``,
+    from the two degree-(p-1) :func:`reference_values`."""
+    v = np.asarray(knots, dtype=float)
+    t = np.asarray(t, dtype=float)
+    p = v.size - 2
+    out = np.zeros_like(t)
+    den1 = v[p] - v[0]
+    if den1 > 0.0:
+        out = reference_values(v[:-1], t, close_at) / den1
+    den2 = v[p + 1] - v[1]
+    if den2 > 0.0:
+        out = out - reference_values(v[1:], t, close_at) / den2
+    return p * out
+
+
+@dataclass(frozen=True)
+class LocalTensorSpace:
+    """The tensor space spanned by one function's knots, boundary raised
+    to full multiplicity.  ``origin`` keys the function it was built for,
+    which is always among ``basis``."""
+
+    origin: tuple
+    mesh: Mesh
+    basis: tuple[TensorBSpline, ...]
+
+
+def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
+    """Tensor space on the support of ``b`` containing ``b`` itself: the
+    reference space of the quasi-interpolant's local problems."""
+    p1, p2 = b.degrees
+    gx = _raised_vector(b.xknots, p1)
+    gy = _raised_vector(b.yknots, p2)
+    domain = b.support
+    items = [(1, x, domain.y_min, domain.y_max, m) for x, m in _knot_multiplicities(gx)]
+    items += [(2, y, domain.x_min, domain.x_max, m) for y, m in _knot_multiplicities(gy)]
+    mesh = _build_mesh(domain, (p1, p2), items)
+    basis = tuple(
+        TensorBSpline(xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2)
+    )
+    assert any(f.key == b.key for f in basis), f"local tensor space misses {b.key}"
+    return LocalTensorSpace(b.key, mesh, basis)
 
 
 def key_of(xvals, yvals):

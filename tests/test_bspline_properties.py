@@ -1,8 +1,9 @@
-"""Properties of the stacked Cox--de Boor kernel that batched assembly
-uses: every row equals the single-window reference bit for bit, signed
-zeros included.  Also: knot insertion's unvalidated children equal
-validated ones, and its coefficients are exact over the whole coordinate
-range."""
+"""Properties of the stacked Cox--de Boor kernel, the package's only
+B-spline evaluator: every row equals the scalar reference recursion of
+``conftest`` bit for bit, signed zeros included, with and without a
+closure coordinate, and so does every Greville collocation matrix.  Also:
+knot insertion's unvalidated children equal validated ones, and its
+coefficients are exact over the whole coordinate range."""
 from collections import Counter
 from fractions import Fraction
 
@@ -10,8 +11,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_derivatives, reference_values
 from lrbsplines.bspline import (
     TensorBSpline,
+    _greville_collocation,
+    _knot_windows,
     _stacked_values,
     insert_knot,
     univariate_derivatives,
@@ -57,25 +61,41 @@ def points(draw, knots, q):
 
 
 @st.composite
+def closures(draw, rows):
+    """A closure coordinate for the stacked ``rows``: None, the last knot
+    of one row, a repeated interior knot, or a value outside every
+    support."""
+    repeated = sorted({x for row in rows for x in row[1:-1] if row.count(x) > 1})
+    options = [st.none(), st.sampled_from([row[-1] for row in rows])]
+    if repeated:
+        options.append(st.sampled_from(repeated))
+    options.append(st.sampled_from([-0.5, 2.75]))
+    return draw(st.one_of(*options))
+
+
+@st.composite
 def stacks(draw):
-    """``(degree, knots (m, p+2), points (m, q))`` with per-row points."""
+    """``(degree, knots (m, p+2), points (m, q), close_at)`` with per-row
+    points and one closure coordinate for all rows."""
     p = draw(st.integers(1, 3))
     m = draw(st.integers(1, 6))
     q = draw(st.integers(1, 8))
     rows = [draw(windows(p)) for _ in range(m)]
     pts = [draw(points(row, q)) for row in rows]
-    return p, np.array(rows), np.array(pts)
+    return p, np.array(rows), np.array(pts), draw(closures(rows))
 
 
 @props
 @given(stacks())
 def test_stacked_rows_equal_the_reference(case):
-    _, knots, pts = case
-    values, derivatives = _stacked_values(knots, pts, derivatives=True)
-    assert same_bits(_stacked_values(knots, pts), values)
+    _, knots, pts, close_at = case
+    values, derivatives = _stacked_values(knots, pts, close_at, derivatives=True)
+    assert same_bits(_stacked_values(knots, pts, close_at), values)
     for v, t, val, der in zip(knots, pts, values, derivatives):
-        assert same_bits(val, univariate_values(v, t))
-        assert same_bits(der, univariate_derivatives(v, t))
+        assert same_bits(val, reference_values(v, t, close_at))
+        assert same_bits(der, reference_derivatives(v, t, close_at))
+        assert same_bits(univariate_values(v, t, close_at), val)
+        assert same_bits(univariate_derivatives(v, t, close_at), der)
 
 
 @props
@@ -83,12 +103,46 @@ def test_stacked_rows_equal_the_reference(case):
 def test_shared_points_broadcast_over_functions(case):
     # Assembly's layout: (elements, functions, p+2) windows against
     # (elements, 1, q) points shared by an element's functions.
-    _, knots, pts = case
-    values, derivatives = _stacked_values(knots[None], pts[:1, None, :], derivatives=True)
+    _, knots, pts, close_at = case
+    values, derivatives = _stacked_values(
+        knots[None], pts[:1, None, :], close_at, derivatives=True
+    )
     assert values.shape == (1, len(knots), pts.shape[1])
     for v, val, der in zip(knots, values[0], derivatives[0]):
-        assert same_bits(val, univariate_values(v, pts[0]))
-        assert same_bits(der, univariate_derivatives(v, pts[0]))
+        assert same_bits(val, reference_values(v, pts[0], close_at))
+        assert same_bits(der, reference_derivatives(v, pts[0], close_at))
+
+
+def test_one_window_calls_keep_the_shape_of_the_points():
+    knots = [0.0, 0.25, 0.5, 1.0]
+    for t in (0.3, [[0.1, 0.5], [1.0, 2.0]]):
+        want = reference_values(knots, t, 1.0)
+        got = univariate_values(knots, t, 1.0)
+        assert got.shape == np.shape(t) and same_bits(got, want)
+        got = univariate_derivatives(knots, t, 1.0)
+        assert got.shape == np.shape(t) and same_bits(got, reference_derivatives(knots, t, 1.0))
+
+
+@st.composite
+def global_vectors(draw):
+    """``(degree, knots)``: an open global knot vector on eighths in
+    [0, 2] with interior knots repeated up to the degree, as the
+    quasi-interpolant and the Dirichlet edges use."""
+    p = draw(st.integers(1, 4))
+    interior = sorted(draw(st.lists(st.integers(1, 15), max_size=8)))
+    interior = [x for x in interior if interior.count(x) <= p]
+    return p, [0.0] * (p + 1) + [x / 8 for x in interior] + [2.0] * (p + 1)
+
+
+@props
+@given(global_vectors())
+def test_greville_collocation_columns_equal_the_reference(case):
+    p, knots = case
+    windows = _knot_windows(knots, p)
+    nodes, matrix = _greville_collocation(windows, knots[-1])
+    assert matrix.shape == (len(windows), len(windows))
+    for j, vec in enumerate(windows):
+        assert same_bits(matrix[:, j], reference_values(vec, nodes, knots[-1]))
 
 
 @st.composite

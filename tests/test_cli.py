@@ -22,6 +22,7 @@ from lrbsplines import (
     write_element_csv,
 )
 from lrbsplines import cli
+from lrbsplines import space as space_module
 from lrbsplines.cli import main, run_mesh_demo, verify
 
 # sha256 of every file that a 4-iteration mesh-demo writes, plus the
@@ -109,6 +110,17 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# sha256 of the error tables below.  They print full ``repr`` floats, so
+# any change to evaluation, quasi-interpolation or assembly bits shows here.
+GOLDEN_QI_PEAKS_2 = "4ab32bf1bbfcfb57af6677646353d1738f498993d167debb93c7cb6a80b92c00"
+GOLDEN_POISSON_2 = "7682aa7d62840216cc6d4f517bfe2a8020b480a4f7b4226c41bad3cbeea8a146"
+GOLDEN_POISSON_3_TENSOR = "c2371ba50d486abeb9fe1be2f12f4d2c57497a49f0ca4f6612a3a4161e3e68d4"
+
+
 # -- mesh-demo -----------------------------------------------------------------
 
 
@@ -178,6 +190,7 @@ def test_qi_peaks_writes_level_table(tmp_path, capsys):
     assert [int(r["n_n2s2"]) for r in rows] == [36, 86]
     assert all(float(r["max_error_n2s2"]) > 0 for r in rows)
     assert "level 2" in capsys.readouterr().out
+    assert _sha256(target) == GOLDEN_QI_PEAKS_2
 
 
 def test_qi_peaks_rejects_zero_levels(tmp_path, capsys):
@@ -201,6 +214,7 @@ def test_poisson_writes_error_table(tmp_path, capsys):
         assert int(row["level"]) == 2
         assert float(row["linf"]) >= float(row["l2"]) > 0
     assert "wrote" in capsys.readouterr().out
+    assert _sha256(target) == GOLDEN_POISSON_2
 
 
 def test_poisson_single_strategy(tmp_path):
@@ -222,6 +236,7 @@ def test_poisson_single_strategy(tmp_path):
     rows = _read_csv(target)
     assert [r["strategy"] for r in rows] == ["tensor", "tensor"]
     assert [int(r["level"]) for r in rows] == [2, 3]
+    assert _sha256(target) == GOLDEN_POISSON_3_TENSOR
 
 
 def test_poisson_rejects_too_few_levels(tmp_path, capsys):
@@ -298,6 +313,22 @@ def test_verify_report_fields(tmp_path, running_example):
     assert report["pou_defect_weighted"] <= 1e-12
     assert report["pou_defect_unweighted"] <= 1e-12
     assert report["collocation_rank"] == report["n_functions"]
+
+
+def test_verify_reads_the_element_bounds_once(tmp_path, running_example, monkeypatch):
+    # The support counts and the element-wise rank share one pass.
+    target = tmp_path / "space.json"
+    save(running_example["pipeline_2"], target)
+    calls = []
+    real = space_module._element_bounds
+
+    def counting(mesh):
+        calls.append(1)
+        return real(mesh)
+
+    monkeypatch.setattr(space_module, "_element_bounds", counting)
+    assert verify(target)["collocation_rank"] == running_example["pipeline_2"].n_functions
+    assert len(calls) == 1
 
 
 def _saved_space(name, tmp_path, request):

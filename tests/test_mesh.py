@@ -12,6 +12,7 @@ from conftest import (
     build_mesh,
     flood_fill_elements,
     key_of,
+    local_tensor_space,
     random_pipeline_space,
 )
 from lrbsplines.bspline import TensorBSpline
@@ -26,7 +27,6 @@ from lrbsplines.mesh import (
     make_initial_mesh,
     mesh_from_knots,
 )
-from lrbsplines.quasi import local_tensor_space
 from lrbsplines.space import initial_space, structured_refine
 
 

@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
+from conftest import reference_derivatives, reference_values
 from lrbsplines import (
     SpaceError,
     adaptive_solve,
@@ -37,7 +38,7 @@ from lrbsplines import (
     TensorBSpline,
 )
 from lrbsplines import poisson
-from lrbsplines.bspline import univariate_derivatives, univariate_values
+from lrbsplines import space as space_module
 from lrbsplines.poisson import _composite_rule
 from lrbsplines.space import element_support_table
 
@@ -188,10 +189,9 @@ def test_load_resolution_changes_rough_loads():
 
 
 def _reference_assemble(space, f, load_resolution=None):
-    """Stiffness, load and keys element by element, with one
-    ``univariate_values`` / ``univariate_derivatives`` call per function
-    and direction: the loop that batched assembly replaced, kept as its
-    oracle."""
+    """Stiffness, load and keys element by element, with one scalar
+    reference recursion per function and direction: the loop that batched
+    assembly replaced, kept as its oracle."""
     p1, p2 = space.mesh.bidegree
     keys, table = element_support_table(space)
     functions = [space.functions[k] for k in keys]
@@ -213,10 +213,10 @@ def _reference_assemble(space, f, load_resolution=None):
         grad_y = np.empty_like(vals)
         for a, idx in enumerate(row):
             b = functions[idx]
-            vx = univariate_values(b.xknots, xs)
-            vy = univariate_values(b.yknots, ys)
-            dx = univariate_derivatives(b.xknots, xs)
-            dy = univariate_derivatives(b.yknots, ys)
+            vx = reference_values(b.xknots, xs)
+            vy = reference_values(b.yknots, ys)
+            dx = reference_derivatives(b.xknots, xs)
+            dy = reference_derivatives(b.yknots, ys)
             vals[a] = np.outer(vx, vy).ravel()
             grad_x[a] = np.outer(dx, vy).ravel()
             grad_y[a] = np.outer(vx, dy).ravel()
@@ -235,7 +235,7 @@ def _reference_assemble(space, f, load_resolution=None):
             for a, idx in enumerate(row):
                 b = functions[idx]
                 lvals[a] = np.outer(
-                    univariate_values(b.xknots, lx), univariate_values(b.yknots, ly)
+                    reference_values(b.xknots, lx), reference_values(b.yknots, ly)
                 ).ravel()
             load[row] += lvals @ (lw * fq)
         rows_acc.append(np.repeat(row, n_loc))
@@ -291,6 +291,23 @@ def test_assembly_across_chunks_matches_oracle(monkeypatch, resolution):
     assert len(poisson._chunks(np.arange(len(space.mesh.elements())), 81)) > 10
     system = assemble(space, layer_rhs, load_resolution=resolution)
     _assert_same_system(system, _reference_assemble(space, layer_rhs, resolution))
+
+
+def test_assembly_reads_the_element_bounds_once(monkeypatch):
+    # The incidence's bounds also place the quadrature points.
+    space = _oracle_space("n2s2", (2, 2), 4)
+    calls = []
+    real = space_module._element_bounds
+
+    def counting(mesh):
+        calls.append(1)
+        return real(mesh)
+
+    monkeypatch.setattr(space_module, "_element_bounds", counting)
+    for resolution in (None, 1.0 / 3.0):
+        calls.clear()
+        assemble(space, layer_rhs, load_resolution=resolution)
+        assert len(calls) == 1
 
 
 def test_load_accepts_scalar_data():

@@ -21,11 +21,9 @@ from lrbsplines import (
     Mesh,
     SpaceError,
     dyadic,
-    evaluate,
     evaluate_space,
     initial_space,
     lr_qi,
-    local_tensor_space,
     make_initial_mesh,
     qi_max_error,
     tensor_qi_coefficient,
@@ -37,7 +35,7 @@ from lrbsplines import (
     TensorBSpline,
 )
 
-from conftest import random_pipeline_space
+from conftest import local_tensor_space, random_pipeline_space, reference_values
 
 
 def _greville(vec):
@@ -87,11 +85,10 @@ def test_recovers_random_coefficients_on_tensor_space():
         grid_x = np.asarray(grid_x, dtype=float)
         grid_y = np.asarray(grid_y, dtype=float)
         out = np.zeros_like(grid_x)
-        for idx in np.ndindex(grid_x.shape):
-            point = (grid_x[idx], grid_y[idx])
-            out[idx] = sum(
-                target[b.key] * evaluate(b, point) for b in functions
-            )
+        for b in functions:
+            vx = reference_values(b.xknots, grid_x, b.xknots[-1])
+            vy = reference_values(b.yknots, grid_y, b.yknots[-1])
+            out += target[b.key] * (vx * vy)
         return out
 
     recovered = lr_qi(space, member)
@@ -161,8 +158,9 @@ def _smooth(x, y):
 
 def _dense_coefficient(b, f):
     """Coefficient of ``b`` from one dense solve over its full local
-    tensor space: one column per basis function, evaluated pointwise at
-    the tensor grid of the basis's Greville points."""
+    tensor space: one column per basis function, its values at the tensor
+    grid of the basis's Greville points from the scalar reference
+    recursion, closed at the function's own last knots."""
     basis = local_tensor_space(b).basis
 
     def greville(windows):
@@ -170,8 +168,15 @@ def _dense_coefficient(b, f):
 
     xs = greville(g.xknots for g in basis)
     ys = greville(g.yknots for g in basis)
-    points = [(x, y) for x in xs for y in ys]
-    matrix = np.array([[evaluate(g, point) for g in basis] for point in points])
+    points = np.array([(x, y) for x in xs for y in ys])
+    matrix = np.stack(
+        [
+            reference_values(g.xknots, points[:, 0], g.xknots[-1])
+            * reference_values(g.yknots, points[:, 1], g.yknots[-1])
+            for g in basis
+        ],
+        axis=1,
+    )
     data = np.array([float(f(x, y)) for x, y in points])
     coeffs = np.linalg.solve(matrix, data)
     return coeffs[[g.key for g in basis].index(b.key)]

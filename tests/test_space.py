@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_splits, key_of, random_pipeline_space
-from lrbsplines.bspline import TensorBSpline, univariate_values
+from conftest import apply_splits, key_of, random_pipeline_space, reference_values
+from lrbsplines.bspline import TensorBSpline
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
 from lrbsplines.formats import load
@@ -281,18 +281,18 @@ def test_unity_defects_come_from_one_evaluation_pass(monkeypatch, running_exampl
     space = running_example["structured_2"]  # weights are not all one
     separate = [partition_of_unity_defect(space, use_weights=w) for w in (True, False)]
     calls = []
-    real = space_module.univariate_values
+    real = space_module._stacked_values
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(space_module, "univariate_values", counting)
+    monkeypatch.setattr(space_module, "_stacked_values", counting)
     both = space_module._unity_defects(space, 64, (True, False))
     one_pass = len(calls)
     calls.clear()
     partition_of_unity_defect(space, use_weights=True)
-    assert one_pass == len(calls)
+    assert one_pass == len(calls) > 0
     assert both == separate
 
 
@@ -313,10 +313,11 @@ def _certified(space, T=None):
     element-wise rank, on the incidence or on ``T`` in its place."""
     p1, p2 = space.mesh.bidegree
     n_loc = (p1 + 1) * (p2 + 1)
-    keys, counts, indices = space_module._incidence(space)
+    keys, counts, indices, bounds = space_module._incidence(space)
     if not np.all(counts == n_loc):
         return False
-    return _elementwise_full_rank(space, keys, indices.reshape(-1, n_loc) if T is None else T)
+    T = indices.reshape(-1, n_loc) if T is None else T
+    return _elementwise_full_rank(space, keys, T, bounds)
 
 
 def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_space):
@@ -329,7 +330,7 @@ def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_spa
 
 def test_elementwise_certificate_sees_a_singular_element(monkeypatch, running_example):
     space = running_example["pipeline_2"]
-    _, _, indices = space_module._incidence(space)
+    _, _, indices, _ = space_module._incidence(space)
     # The last element's matrix gets two equal columns.
     T = indices.reshape(-1, 9).copy()
     T[-1, 1] = T[-1, 0]
@@ -388,10 +389,11 @@ def test_evaluate_space_reproduces_polynomials_on_tensor_space():
     assert np.max(np.abs(vals - g(gx, gy))) <= 1e-12
 
 
-def test_evaluate_space_matches_the_per_function_sum():
-    # Each distinct knot window is evaluated once per call; the result
-    # must equal the plain per-function sum bit for bit, including grid
-    # points outside the domain and a zero coefficient.
+def test_evaluate_space_matches_the_per_function_sum(monkeypatch):
+    # Each distinct knot window is evaluated once per call, in stacked
+    # chunks; the result must equal the plain per-function sum bit for
+    # bit, including grid points outside the domain and a zero
+    # coefficient, whether the windows share a chunk or not.
     space = random_pipeline_space(3, 2)
     keys = space.sorted_keys()
     rng = np.random.default_rng(0)
@@ -400,6 +402,8 @@ def test_evaluate_space_matches_the_per_function_sum():
     xs = np.linspace(-0.1, 1.0, 57)
     ys = np.linspace(0.0, 1.1, 43)
     got = evaluate_space(space, coeffs, xs, ys)
+    monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 100)
+    assert np.array_equal(evaluate_space(space, coeffs, xs, ys), got)
     reference = np.zeros_like(got)
     for xv, yv in keys:
         c = coeffs[(xv, yv)]
@@ -409,7 +413,7 @@ def test_evaluate_space_matches_the_per_function_sum():
         j = (ys >= yv[0]) & (ys <= yv[-1])
         if not (i.any() and j.any()):
             continue
-        vx = univariate_values(xv, xs[i], close_at=xv[-1] if xv[-1] == 1 else None)
-        vy = univariate_values(yv, ys[j], close_at=yv[-1] if yv[-1] == 1 else None)
+        vx = reference_values(xv, xs[i], close_at=xv[-1] if xv[-1] == 1 else None)
+        vy = reference_values(yv, ys[j], close_at=yv[-1] if yv[-1] == 1 else None)
         reference[np.ix_(i, j)] += c * np.outer(vx, vy)
     assert np.array_equal(got, reference)
