@@ -246,16 +246,14 @@ def evaluate(b: TensorBSpline, point) -> float:
 
 
 def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
-    """Weighted gradient at one point, same closure as :func:`evaluate`."""
+    """Weighted gradient at one point, same closure as :func:`evaluate`:
+    one kernel call per direction gives the values and derivatives."""
     x, y = float(point[0]), float(point[1])
-    xs, ys = np.array([x]), np.array([y])
-    cx, cy = b.xknots[-1], b.yknots[-1]
+    xv, yv = np.array(b.xknots, dtype=float), np.array(b.yknots, dtype=float)
+    vx, dx = _stacked_values(xv, np.array([x]), b.xknots[-1], derivatives=True)
+    vy, dy = _stacked_values(yv, np.array([y]), b.yknots[-1], derivatives=True)
     w = float(b.weight)
-    vx = float(univariate_values(b.xknots, xs, close_at=cx)[0])
-    vy = float(univariate_values(b.yknots, ys, close_at=cy)[0])
-    dx = float(univariate_derivatives(b.xknots, xs, close_at=cx)[0])
-    dy = float(univariate_derivatives(b.yknots, ys, close_at=cy)[0])
-    return (w * dx * vy, w * vx * dy)
+    return (w * float(dx[0]) * float(vy[0]), w * float(vx[0]) * float(dy[0]))
 
 
 # -- knot insertion ---------------------------------------------------------

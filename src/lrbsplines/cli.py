@@ -245,7 +245,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="one-directional",
         help="expand outer supports in one direction or both",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

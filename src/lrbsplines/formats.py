@@ -77,11 +77,7 @@ def to_json(obj) -> dict:
     if isinstance(obj, LRSpace):
         doc = to_json(obj.mesh)
         doc["functions"] = [
-            {
-                "x": [_encode_coord(v) for v in key[0]],
-                "y": [_encode_coord(v) for v in key[1]],
-                "w": float(obj.functions[key].weight),
-            }
+            {**_encode_key(key), "w": float(obj.functions[key].weight)}
             for key in obj.sorted_keys()
         ]
         return doc

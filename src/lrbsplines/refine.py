@@ -18,14 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bspline import TensorBSpline, has_minimal_support
-from .space import (
-    Key,
-    LRSpace,
-    SpaceError,
-    _insert_pieces,
-    _support_index,
-    structured_refine,
-)
+from .space import Key, LRSpace, SpaceError, _refine_marked, _Refinement
 
 __all__ = [
     "is_nested_knotwise",
@@ -110,21 +103,20 @@ def nested_map(space: LRSpace) -> dict:
     Functions without nested functions do not appear, so a space with
     pairwise non-nested supports maps to ``{}``.
     """
-    by_outer = _NestedTracker(space).by_outer
+    by_outer = _NestedTracker(_Refinement(space)).by_outer
     return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
 
 
 # -- expansions -------------------------------------------------------------
 
 
-def _inners_scan(space: LRSpace, b: TensorBSpline) -> list:
-    """Keys of the space's functions nested in ``b``, one of them: the
-    support index keeps the exact knotwise test to the functions inside
-    ``b``'s support."""
-    index = _support_index(space)
-    (_, rows), _ = index.containment(index.bounds[[index.rows[b.key]]])
-    keys = [index.keys[r] for r in rows]
-    return [k for k in keys if is_nested_knotwise(space.functions[k], b)]
+def _inners_scan(state: _Refinement, b: TensorBSpline) -> list:
+    """The state's functions nested in ``b``, one of them: the support
+    rows keep the exact knotwise test to the functions inside ``b``'s
+    support."""
+    (_, rows), _ = state.containment(state.bounds[[state.rows[b.key]]])
+    functions = [state.functions[state.keys[r]] for r in rows]
+    return [f for f in functions if is_nested_knotwise(f, b)]
 
 
 def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
@@ -149,11 +141,12 @@ def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSp
     b = space.functions.get(outer_key)
     if b is None:
         raise SpaceError(f"function {outer_key} is not in the space")
-    inner_keys = _inners_scan(space, b)
-    if not inner_keys:
+    state = _Refinement(space)
+    inners = _inners_scan(state, b)
+    if not inners:
         raise SpaceError("expansion requires a function with nested functions")
-    inners = [space.functions[k] for k in inner_keys]
-    return _insert_pieces(space, _one_directional_pieces(b, inners, direction))[0]
+    pieces = _one_directional_pieces(b, inners, direction)
+    return space if state.insert(pieces) is None else state.space()
 
 
 def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
@@ -167,7 +160,8 @@ def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
     b = space.functions.get(outer_key)
     if b is None:
         raise SpaceError(f"function {outer_key} is not in the space")
-    return _insert_pieces(space, _tensor_pieces(space.mesh, b))[0]
+    state = _Refinement(space)
+    return space if state.insert(_tensor_pieces(space.mesh, b)) is None else state.space()
 
 
 def _tensor_pieces(mesh, b: TensorBSpline) -> list:
@@ -259,22 +253,23 @@ def _rank(key: Key):
 
 
 class _NestedTracker:
-    """Incrementally maintained nested-pair relation of a space.
+    """Incrementally maintained nested-pair relation of a refinement
+    state's functions.
 
     Whether two functions are nested depends only on their knot vectors,
     so pairs between surviving functions never change; updates only have
     to handle removed and added functions.  Candidates come from the
-    space's support index, and the exact knotwise test decides each.
+    state's support rows, and the exact knotwise test decides each.
     """
 
-    def __init__(self, space: LRSpace):
+    def __init__(self, state: _Refinement):
+        self.state = state
         self.by_outer: dict[Key, set] = {}
         self.by_inner: dict[Key, set] = {}
         # (rank, outer) entries; one per outer in by_outer, plus stale ones
         self._heap: list = []
-        index = _support_index(space)
-        keys, functions = index.keys, space.functions
-        for i, o in zip(*index.nested_pairs()):
+        keys, functions = state.keys, state.functions
+        for i, o in zip(*state.nested_pairs()):
             inner_key, outer_key = keys[i], keys[o]
             if is_nested_knotwise(functions[inner_key], functions[outer_key]):
                 self._add(inner_key, outer_key)
@@ -301,18 +296,18 @@ class _NestedTracker:
                 if not peers:
                     del self.by_inner[inner]
 
-    def update(self, removed, added, space: LRSpace) -> None:
-        """Follow a refinement to ``space`` that removed and added the
+    def update(self, removed, added) -> None:
+        """Follow a refinement of the state that removed and added the
         given keys."""
         for key in removed:
             self._drop(key)
         if not added:
             return
-        index = _support_index(space)
-        keys, functions = index.keys, space.functions
+        state = self.state
+        keys, functions = state.keys, state.functions
         added = list(added)
-        own = [index.rows[key] for key in added]
-        inside, around = index.containment(index.bounds[own])
+        own = [state.rows[key] for key in added]
+        inside, around = state.containment(state.bounds[own])
         pairs = [(added[a], keys[r]) for a, r in zip(*around) if r != own[a]]
         pairs += [(keys[r], added[a]) for a, r in zip(*inside) if r != own[a]]
         for inner_key, outer_key in pairs:
@@ -361,7 +356,7 @@ def n2s_pipeline(
 
     Per iteration ``i``: mark functions with ``marker`` (selecting none
     is an error), structured-refine them, then expand outers of nested
-    pairs one at a time -- smallest support corner first -- in a single
+    pairs one at a time -- largest support first -- in a single
     direction (vertical on odd ``i`` under the default parity,
     horizontal on even; ``parity="odd-horizontal"`` flips this,
     ``expansion="full"`` substitutes two-directional tensor expansions)
@@ -372,7 +367,9 @@ def n2s_pipeline(
     ``start_index`` numbers the first iteration, so a run can be
     continued level by level with the same alternation as one long run.
 
-    Returns the refined space and a trace with one record per expansion.
+    All iterations refine one working state in place, so no space is
+    built between expansions.  Returns the refined space and a trace
+    with one record per expansion.
     """
     if iterations < 0:
         raise SpaceError(f"iterations must be >= 0, got {iterations}")
@@ -381,12 +378,14 @@ def n2s_pipeline(
     if expansion not in ("one-directional", "full"):
         raise SpaceError(f"unknown expansion mode {expansion!r}")
 
+    state = _Refinement(space)
+    functions = state.functions  # refined in place throughout
     trace = RefinementTrace()
     for i in range(start_index, start_index + iterations):
-        marked = [k for k in space.sorted_keys() if marker(space.functions[k])]
+        marked = [k for k in sorted(functions) if marker(functions[k])]
         if not marked:
             raise SpaceError(f"marker selected no functions at iteration {i}")
-        space = structured_refine(space, marked)
+        _refine_marked(state, marked)
 
         odd = i % 2 == 1
         if parity == "odd-vertical":
@@ -394,19 +393,19 @@ def n2s_pipeline(
         else:
             direction = 2 if odd else 1
 
-        tracker = _NestedTracker(space)
-        cap = _total_runs(space.mesh)
+        tracker = _NestedTracker(state)
+        cap = _total_runs(state.mesh)
         count = 0
         while tracker.has_pairs():
             outer_key = tracker.select_outer()
-            outer = space.functions[outer_key]
+            outer = functions[outer_key]
             if expansion == "one-directional":
-                inners = [space.functions[k] for k in tracker.inners_of(outer_key)]
+                inners = [functions[k] for k in tracker.inners_of(outer_key)]
                 pieces = _one_directional_pieces(outer, inners, direction)
             else:
-                pieces = _tensor_pieces(space.mesh, outer)
-            new_space, removed, added = _insert_pieces(space, pieces)
-            if new_space is space:
+                pieces = _tensor_pieces(state.mesh, outer)
+            diff = state.insert(pieces)
+            if diff is None:
                 raise RuntimeError(
                     f"expansion at iteration {i} made no progress on a nested "
                     f"pair; the mesh violates the interior-multiplicity-1 "
@@ -418,12 +417,11 @@ def n2s_pipeline(
                     f"expansion count exceeded the termination cap {cap} at "
                     f"iteration {i}"
                 )
-            tracker.update(removed, added, new_space)
-            space = new_space
+            tracker.update(*diff)
             trace.append(
                 iter=i,
                 outer=outer_key,
                 dir=direction,
-                n_functions_after=space.n_functions,
+                n_functions_after=len(functions),
             )
-    return space, trace
+    return state.space(), trace

@@ -6,6 +6,11 @@ Whenever meshlines are added, functions that lose minimal support are
 replaced by their knot-insertion children until the set is stable; the
 resulting set is independent of the order in which lines are added or
 functions are processed, and the weights accumulate exactly.
+
+A refinement call never modifies the space it is given.  It builds one
+private working state from it (:class:`_Refinement`: the mesh, a copy
+of the function dict and the support rows), inserts meshlines and runs
+generation fixpoints on that state in place, and returns one new space.
 """
 
 from __future__ import annotations
@@ -64,17 +69,14 @@ def function_key(xknots, yknots) -> Key:
 class LRSpace:
     """A mesh plus its minimal-support B-splines, keyed by knot vectors.
 
-    Treat instances as immutable; operations return new spaces.  A
-    space's support index is built on first use, or derived from the
-    parent's when the space comes from refinement.
+    Treat instances as immutable; operations return new spaces.
     """
 
-    __slots__ = ("mesh", "functions", "_index")
+    __slots__ = ("mesh", "functions")
 
     def __init__(self, mesh: Mesh, functions: dict):
         self.mesh = mesh
         self.functions = functions
-        self._index = None
 
     @property
     def n_functions(self) -> int:
@@ -142,7 +144,7 @@ def initial_space(mesh: Mesh) -> LRSpace:
     return LRSpace(mesh, functions)
 
 
-# -- the support index ------------------------------------------------------
+# -- the refinement state ---------------------------------------------------
 
 #: Element-batched array code works in chunks of elements small enough
 #: that no per-chunk temporary of shape (elements, functions[, points])
@@ -168,42 +170,80 @@ def _expand_ranges(lo, hi):
     return which, at
 
 
-class _SupportIndex:
-    """The support rectangles of a space's functions, for crossing and
-    containment queries.
+class _Refinement:
+    """The working state of one refinement call: the current mesh, a
+    private copy of the function dict, and the functions' support rows
+    for crossing and containment queries.
 
     Row ``i`` holds the key ``keys[i]`` and its support bounds
     ``bounds[i] = (x_min, x_max, y_min, y_max)``; ``rows`` maps every
-    live key to its row.  :meth:`derive` gives a refined space's index
-    from its parent's by the generation fixpoint's diff: a removed key's
-    row is blanked to NaN bounds, which fail every comparison, and an
-    added key gets a new row.  Dead rows are dropped once they outnumber
-    the live ones.  Bounds are the doubles of dyadic coordinates, hence
-    exact, and so is every comparison.  Treat instances as immutable.
+    live key to its row.  :meth:`insert` and :meth:`regenerate` refine
+    the functions in place and follow the generation fixpoint's diff in
+    the rows: a removed key's row is blanked to NaN bounds, which fail
+    every comparison, and an added key gets a new row.  Dead rows are
+    dropped once they outnumber the live ones.  Bounds are the doubles of
+    dyadic coordinates, hence exact, and so is every comparison.  The
+    space the state starts from is never modified.
     """
 
-    __slots__ = ("keys", "bounds", "rows")
+    __slots__ = ("mesh", "functions", "keys", "bounds", "rows")
 
-    def __init__(self, keys: list, bounds: np.ndarray, rows: dict | None = None):
-        self.keys = keys
-        self.bounds = bounds
-        self.rows = {key: i for i, key in enumerate(keys)} if rows is None else rows
+    def __init__(self, space: LRSpace):
+        self.mesh = space.mesh
+        self.functions = dict(space.functions)
+        self.keys = list(self.functions)
+        self.bounds = _support_bounds(self.keys)
+        self.rows = {key: i for i, key in enumerate(self.keys)}
 
-    def derive(self, removed, added) -> _SupportIndex:
-        """The index of this key set without ``removed`` and with ``added``."""
+    def space(self) -> LRSpace:
+        """The refined space.  It shares the state's function dict, so
+        this is the state's last use."""
+        return LRSpace(self.mesh, self.functions)
+
+    def insert(self, pieces):
+        """Insert meshline pieces (gap-decomposed against the evolving
+        mesh) and regenerate.  ``pieces`` are (direction, pos, lo, hi)
+        requests at multiplicity one.  Returns the fixpoint's diff as
+        :meth:`regenerate` does, or None, changing nothing, when every
+        piece is already covered."""
+        mesh = self.mesh
+        inserted = []
+        for direction, pos, lo, hi in sorted(set(pieces)):
+            for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
+                mesh = insert_split(mesh, Split(direction, pos, g_lo, g_hi, 1))
+                inserted.append((direction, pos, g_lo, g_hi))
+        return self.regenerate(mesh, inserted) if inserted else None
+
+    def regenerate(self, mesh: Mesh, segments):
+        """Move to ``mesh``, which is the current mesh plus the
+        ``(direction, pos, lo, hi)`` segments, and restore minimal support.
+
+        Only the functions whose support a segment crosses can lose
+        minimal support, so the fixpoint starts from those.  Returns its
+        diff, ``(removed, added)``.
+        """
+        dirty = self.crossing(segments)
+        self.mesh = mesh
+        removed, added = _fixpoint(mesh, self.functions, dirty)
+        self._follow(removed, added)
+        return removed, added
+
+    def _follow(self, removed, added) -> None:
+        """Drop the rows of ``removed`` and give ``added`` new ones."""
         added = list(added)
-        keys = self.keys + added
-        bounds = np.concatenate((self.bounds, _support_bounds(added)))
-        rows = self.rows.copy()
-        rows.update(zip(added, range(len(self.keys), len(keys))))
+        keys, rows = self.keys, self.rows
+        rows.update(zip(added, range(len(keys), len(keys) + len(added))))
+        keys.extend(added)
+        self.bounds = bounds = np.concatenate((self.bounds, _support_bounds(added)))
         dead = [rows.pop(key) for key in removed]
         bounds[dead] = np.nan
         for i in dead:
             keys[i] = None
         if 2 * len(rows) < len(keys):
             live = np.flatnonzero(~np.isnan(bounds[:, 0]))
-            return _SupportIndex([keys[i] for i in live], bounds[live])
-        return _SupportIndex(keys, bounds, rows)
+            self.keys = [keys[i] for i in live]
+            self.bounds = bounds[live]
+            self.rows = {key: i for i, key in enumerate(self.keys)}
 
     def crossing(self, segments) -> list:
         """Keys of the functions whose support one of the ``(direction,
@@ -275,14 +315,6 @@ class _SupportIndex:
         return np.concatenate(inner), np.concatenate(outer)
 
 
-def _support_index(space: LRSpace) -> _SupportIndex:
-    """The space's support index, built on first use."""
-    if space._index is None:
-        keys = list(space.functions)
-        space._index = _SupportIndex(keys, _support_bounds(keys))
-    return space._index
-
-
 # -- the generation fixpoint ------------------------------------------------
 
 
@@ -324,22 +356,6 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty) -> tuple[set, set]:
     return removed, added
 
 
-def _regenerate(space: LRSpace, mesh: Mesh, segments):
-    """The space on ``mesh``, which is ``space.mesh`` plus the
-    ``(direction, pos, lo, hi)`` segments, with the fixpoint's diff.
-
-    Only the functions whose support a segment crosses can lose minimal
-    support, so the fixpoint starts from those; the new space's index is
-    derived from the old one's.  Returns ``(space, removed, added)``.
-    """
-    index = _support_index(space)
-    functions = dict(space.functions)
-    removed, added = _fixpoint(mesh, functions, index.crossing(segments))
-    refined = LRSpace(mesh, functions)
-    refined._index = index.derive(removed, added)
-    return refined, removed, added
-
-
 def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
     """Subintervals of [lo, hi] not covered by runs at (direction, pos)."""
     gaps = []
@@ -358,34 +374,18 @@ def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
     return gaps
 
 
-def _insert_pieces(space: LRSpace, pieces):
-    """Insert meshline pieces (gap-decomposed against the evolving mesh)
-    and run one generation fixpoint.  ``pieces`` are (direction, pos,
-    lo, hi) requests at multiplicity one.  Returns ``(space, removed,
-    added)`` as :func:`_regenerate` does; ``space`` itself, with empty
-    diffs, when every piece is already covered."""
-    mesh = space.mesh
-    inserted = []
-    for direction, pos, lo, hi in sorted(set(pieces)):
-        for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
-            mesh = insert_split(mesh, Split(direction, pos, g_lo, g_hi, 1))
-            inserted.append((direction, pos, g_lo, g_hi))
-    if not inserted:
-        return space, set(), set()
-    return _regenerate(space, mesh, inserted)
-
-
 def apply_split(space: LRSpace, split: Split) -> LRSpace:
     """Insert one split and regenerate.  The split must be insertable on
     the mesh and must refine at least one function."""
     mesh = insert_split(space.mesh, split)
-    refined, removed, _ = _regenerate(space, mesh, [(split.direction, split.fixed, split.lo, split.hi)])
+    state = _Refinement(space)
+    removed, _ = state.regenerate(mesh, [(split.direction, split.fixed, split.lo, split.hi)])
     if not removed:
         raise SpaceError(
             f"split at direction-{split.direction} position {split.fixed} "
             f"refines no function in the space"
         )
-    return refined
+    return state.space()
 
 
 def structured_refine(space: LRSpace, marked) -> LRSpace:
@@ -399,9 +399,17 @@ def structured_refine(space: LRSpace, marked) -> LRSpace:
     marked_keys = list(marked)
     if not marked_keys:
         raise SpaceError("no functions marked for refinement")
+    state = _Refinement(space)
+    _refine_marked(state, marked_keys)
+    return state.space()
+
+
+def _refine_marked(state: _Refinement, marked) -> None:
+    """:func:`structured_refine` of the marked keys (or functions) on
+    ``state``."""
     pieces = []
-    for key in marked_keys:
-        b = space.functions.get(key if isinstance(key, tuple) else key.key)
+    for key in marked:
+        b = state.functions.get(key if isinstance(key, tuple) else key.key)
         if b is None:
             raise SpaceError(f"marked function {key} is not in the space")
         for direction in (1, 2):
@@ -410,10 +418,8 @@ def structured_refine(space: LRSpace, marked) -> LRSpace:
             distinct = sorted(set(vec))
             for a, c in zip(distinct, distinct[1:]):
                 pieces.append((direction, midpoint(a, c), cross[0], cross[-1]))
-    refined, _, _ = _insert_pieces(space, pieces)
-    if refined is space:
+    if state.insert(pieces) is None:
         raise SpaceError("marked functions are already refined (no new meshlines)")
-    return refined
 
 
 # -- diagnostics ------------------------------------------------------------

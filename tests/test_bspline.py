@@ -18,8 +18,10 @@ from lrbsplines.bspline import (
     has_support_on,
     insert_knot,
     local_knot_vector,
+    univariate_derivatives,
     univariate_values,
 )
+from lrbsplines import bspline as bspline_module
 from lrbsplines.dyadic import dyadic
 
 
@@ -100,6 +102,40 @@ def test_gradient_matches_finite_differences():
             fd_y = (evaluate(b, (x, y + h)) - evaluate(b, (x, y - h))) / (2 * h)
             assert math.isclose(gx, fd_x, rel_tol=5e-5, abs_tol=5e-6)
             assert math.isclose(gy, fd_y, rel_tol=5e-5, abs_tol=5e-6)
+
+
+def test_gradient_is_two_kernel_calls_of_the_one_window_products(monkeypatch):
+    # One kernel call per direction returns values and derivatives, with
+    # the bits of the separate one-window calls.
+    rng = random.Random(17)
+    calls = []
+    kernel = bspline_module._stacked_values
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("derivatives", False))
+        return kernel(*args, **kwargs)
+
+    for _ in range(200):
+        degrees = rng.randint(1, 4), rng.randint(1, 4)
+        xk, yk = (random_vector(rng, p) for p in degrees)
+        b = TensorBSpline(
+            tuple(dyadic(v) for v in xk), tuple(dyadic(v) for v in yk), Fraction(3, 7)
+        )
+        # interior points, a knot or a support's top corner
+        x = rng.choice([rng.uniform(xk[0], xk[-1]), rng.choice(xk)])
+        y = rng.choice([rng.uniform(yk[0], yk[-1]), rng.choice(yk)])
+        w = float(b.weight)
+        vx = float(univariate_values(b.xknots, [x], close_at=b.xknots[-1])[0])
+        vy = float(univariate_values(b.yknots, [y], close_at=b.yknots[-1])[0])
+        dx = float(univariate_derivatives(b.xknots, [x], close_at=b.xknots[-1])[0])
+        dy = float(univariate_derivatives(b.yknots, [y], close_at=b.yknots[-1])[0])
+        calls.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(bspline_module, "_stacked_values", counting)
+            got = evaluate_gradient(b, (x, y))
+        assert calls == [True, True]
+        want = (w * dx * vy, w * vx * dy)
+        assert [g.hex() for g in got] == [v.hex() for v in want]
 
 
 def test_value_at_own_top_knot_is_left_limit():

@@ -1,5 +1,5 @@
 """Tests for the command-line interface: artifact production, exit
-codes, determinism under --seed, and the verification report."""
+codes, determinism, and the verification report."""
 
 import csv
 import filecmp
@@ -147,12 +147,22 @@ def test_mesh_demo_is_deterministic(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
     for out in (first, second):
-        assert main(["mesh-demo", "--iterations", "2", "--out", str(out), "--seed", "5"]) == 0
+        assert main(["mesh-demo", "--iterations", "2", "--out", str(out)]) == 0
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
     assert mismatch == [] and errors == []
     assert match == names
+
+
+@pytest.mark.parametrize("command", ["mesh-demo", "qi-peaks", "poisson"])
+def test_only_verify_takes_a_seed(tmp_path, capsys, command):
+    # Nothing random runs in these commands, so they have no --seed.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mesh_demo_artifacts_match_golden_hashes(tmp_path):

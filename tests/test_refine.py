@@ -23,6 +23,7 @@ from lrbsplines.refine import (
 from lrbsplines.space import (
     LRSpace,
     SpaceError,
+    _Refinement,
     initial_space,
     is_locally_linearly_independent,
 )
@@ -134,6 +135,17 @@ def test_expansion_without_nested_functions_raises():
         one_directional_expansion(space, some, 1)
 
 
+def test_expansions_that_insert_nothing_return_their_input():
+    # Every knot line of the nested pair already spans the outer support.
+    mesh = make_initial_mesh((0, 6, 0, 6), (2, 2), 6)
+    outer, inner = bsp((0, 2, 4, 6), (0, 2, 4, 6)), bsp((1, 2, 3, 4), (1, 2, 3, 4))
+    space = LRSpace(mesh, {outer.key: outer, inner.key: inner})
+    assert nested_map(space) == {outer.key: (inner.key,)}
+    for direction in (1, 2):
+        assert one_directional_expansion(space, outer.key, direction) is space
+    assert tensor_expansion(space, outer.key) is space
+
+
 def test_tensor_expansion_covers_both_directions(expansion_fixture):
     space = expansion_fixture
     outer = key_of((0, 2, 4, 6), (0, 2, 4, 6))
@@ -234,7 +246,7 @@ def test_select_outer_takes_the_largest_exact_area():
     tensor = initial_space(make_initial_mesh((0, 1, 0, 1), (1, 1), 1))
     for _ in range(300):
         keys = {(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 20))}
-        tracker = _NestedTracker(tensor)
+        tracker = _NestedTracker(_Refinement(tensor))
         for key in keys:
             tracker._add("inner", key)
         assert tracker.select_outer() == min(keys, key=fraction_rank)
