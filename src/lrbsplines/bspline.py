@@ -13,7 +13,11 @@ The support queries (`has_support_on`, `has_minimal_support`,
 function's knot mesh and an LR mesh: every knot line must be covered by
 a mesh run of at least the knot multiplicity, and minimal support
 additionally forbids any mesh line that crosses the full support at a
-higher multiplicity than the function's own knots there.
+higher multiplicity than the function's own knots there.  One scan,
+`_deficits`, lists a direction's such lines; `find_refining_split` is
+its first hit.  One insertion, `_insert_knots`, inserts several knots
+of a direction in one Boehm step in integer arithmetic; `insert_knot`
+is its one-knot call.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -259,24 +264,73 @@ def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
 # -- knot insertion ---------------------------------------------------------
 
 
-_ONE = Fraction(1)
+def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
+    """Children of ``b`` after inserting ``knots`` (a value may repeat)
+    in ``direction``, by Boehm's algorithm: one knot at a time,
+    every window the knot lies strictly inside splits into its two
+    knot-insertion children, and children on the same window merge.
 
+    Returns ``(num, den, child)`` per window of the augmented vector, in
+    order: the child's coefficient is ``num / den``, and its weight is
+    ``b``'s times that coefficient.  The knots must lie strictly inside
+    the span and keep every multiplicity at most degree + 1; they are
+    not checked.
 
-def _quotient(a, b, c, d) -> Fraction:
-    """``(a - b) / (c - d)`` of four coordinates, exactly.
-
-    The differences are taken on the coordinates' integer numerators
-    over their common power-of-two denominator, so no intermediate value
-    has to be a coordinate, and one ``Fraction`` is built.
+    The arithmetic is on integers.  The window and the knots are scaled
+    to their common power-of-two denominator, each alpha is a pair of
+    scaled differences, and each coefficient is an unnormalized
+    (numerator, denominator) pair, so one ``Fraction`` is built per
+    child, for its weight.
     """
-    (na, da), (nb, db), (nc, dc), (nd, dd) = (
-        a.as_integer_ratio(),
-        b.as_integer_ratio(),
-        c.as_integer_ratio(),
-        d.as_integer_ratio(),
-    )
-    m = max(da, db, dc, dd)
-    return Fraction(na * (m // da) - nb * (m // db), nc * (m // dc) - nd * (m // dd))
+    v = b.knots(direction)
+    p = len(v) - 2
+    ratios = [c.as_integer_ratio() for c in v]
+    inserted = [z.as_integer_ratio() for z in knots]
+    m = max(den for _, den in chain(ratios, inserted))
+    t = [num * (m // den) for num, den in ratios]
+    nums, dens = [1], [1]
+    for num, den in inserted:
+        z = num * (m // den)
+        new_nums, new_dens = [], []
+        # window j's two parts go to the new windows j and j + 1; rn / rd
+        # is the part that window j - 1 passed on to window j
+        rn, rd = 0, 1
+        for j, cn in enumerate(nums):
+            cd = dens[j]
+            lo, hi = t[j], t[j + p + 1]
+            if hi <= z:  # the window lies left of z and keeps its index
+                ln, ld, next_n, next_d = cn, cd, 0, 1
+            elif lo >= z:  # right of z: one index on
+                ln, ld, next_n, next_d = 0, 1, cn, cd
+            else:  # split into the two knot-insertion children
+                a = t[j + p]
+                ln, ld = (cn, cd) if z >= a else (cn * (z - lo), cd * (a - lo))
+                a = t[j + 1]
+                next_n, next_d = (cn, cd) if z <= a else (cn * (hi - z), cd * (hi - a))
+            if rn:
+                new_nums.append(rn * ld + ln * rd)
+                new_dens.append(rd * ld)
+            else:
+                new_nums.append(ln)
+                new_dens.append(ld)
+            rn, rd = next_n, next_d
+        new_nums.append(rn)
+        new_dens.append(rd)
+        bisect.insort_right(t, z)
+        nums, dens = new_nums, new_dens
+    augmented = tuple(sorted(v + tuple(knots)))
+    w = b.weight
+    wn, wd = w.numerator, w.denominator
+    children = []
+    for j, (cn, cd) in enumerate(zip(nums, dens)):
+        vec = augmented[j : j + p + 2]
+        weight = Fraction(wn * cn, wd * cd)
+        if direction == 1:
+            child = _trusted_bspline(vec, b.yknots, weight)
+        else:
+            child = _trusted_bspline(b.xknots, vec, weight)
+        children.append((cn, cd, child))
+    return children
 
 
 def insert_knot(b: TensorBSpline, direction: int, z):
@@ -286,7 +340,8 @@ def insert_knot(b: TensorBSpline, direction: int, z):
     alpha2*b2'`` for the unweighted children; the returned children carry
     the parent weight multiplied into the coefficients, so the weighted
     sum of the children replaces the parent exactly.  The coefficients
-    are exact rationals.
+    are exact rationals.  This is the one-knot call of
+    :func:`_insert_knots`.
     """
     if direction not in (1, 2):
         raise KnotVectorError(f"direction must be 1 or 2, got {direction}")
@@ -298,29 +353,16 @@ def insert_knot(b: TensorBSpline, direction: int, z):
             f"insertion point {z} must lie strictly inside the span "
             f"[{v[0]}, {v[-1]}]"
         )
-    i = bisect.bisect_right(v, z)
-    augmented = v[:i] + (z,) + v[i:]
-    if augmented.count(z) > p + 1:
+    if v.count(z) > p:
         raise KnotVectorError(
             f"inserting {z} exceeds multiplicity {p + 1} in {tuple(map(str, v))}"
         )
-
-    alpha1 = _ONE if z >= v[p] else _quotient(z, v[0], v[p], v[0])
-    alpha2 = _ONE if z <= v[1] else _quotient(v[p + 1], z, v[p + 1], v[1])
-
     # Both children are valid without re-checking: each drops one end
-    # knot of ``augmented``, whose multiplicities were checked above, and
-    # z lies strictly inside the span, so each keeps a nonempty span; both
-    # alphas are positive for the same reason.
-    def child(vec, alpha):
-        if direction == 1:
-            return _trusted_bspline(vec, b.yknots, b.weight * alpha)
-        return _trusted_bspline(b.xknots, vec, b.weight * alpha)
-
-    return (
-        (alpha1, child(augmented[:-1], alpha1)),
-        (alpha2, child(augmented[1:], alpha2)),
-    )
+    # knot of the augmented vector, whose multiplicities were checked
+    # above, and z lies strictly inside the span, so each keeps a nonempty
+    # span; both alphas are positive for the same reason.
+    (n1, d1, child1), (n2, d2, child2) = _insert_knots(b, direction, (z,))
+    return ((Fraction(n1, d1), child1), (Fraction(n2, d2), child2))
 
 
 # -- support against a mesh -------------------------------------------------
@@ -340,30 +382,47 @@ def has_support_on(b: TensorBSpline, mesh: Mesh) -> bool:
     return True
 
 
+def _deficits(b: TensorBSpline, mesh: Mesh, direction: int, positions=None) -> list:
+    """The direction-``direction`` lines that cross the support of ``b``
+    above its knot multiplicity, as ``(position, deficit)`` pairs with the
+    positions ascending; ``deficit`` is the covering run's multiplicity
+    minus the function's knot multiplicity there.
+
+    The candidates are the mesh's direction-``direction`` positions
+    strictly inside the support, or those of the sorted ``positions``
+    when given.  A line counts only where one run covers the whole cross
+    extent of the support.  Assumes ``has_support_on(b, mesh)``.
+    """
+    vec = b.knots(direction)
+    cross = b.yknots if direction == 1 else b.xknots
+    c_lo, c_hi = cross[0], cross[-1]
+    if positions is None:
+        positions = mesh.positions(direction)
+    i0 = bisect.bisect_right(positions, vec[0])
+    i1 = bisect.bisect_left(positions, vec[-1], i0)
+    covering_run = mesh.covering_run
+    out = []
+    for pos in positions[i0:i1]:
+        run = covering_run(direction, pos, c_lo, c_hi)
+        if run is not None:
+            deficit = run[2] - vec.count(pos)
+            if deficit > 0:
+                out.append((pos, deficit))
+    return out
+
+
 def find_refining_split(b: TensorBSpline, mesh: Mesh):
     """First mesh line that crosses the support above the knot multiplicity.
 
     Scans direction 1 then 2, positions ascending, and returns
-    ``(direction, position, deficit)`` where ``deficit`` is the covering
-    run's multiplicity minus the function's knot multiplicity there;
-    ``None`` when the function has minimal support.  Assumes
-    ``has_support_on(b, mesh)``.
+    ``(direction, position, deficit)`` for the first hit of
+    :func:`_deficits`; ``None`` when the function has minimal support.
+    Assumes ``has_support_on(b, mesh)``.
     """
     for direction in (1, 2):
-        vec = b.knots(direction)
-        cross = b.knots(2 if direction == 1 else 1)
-        c_lo, c_hi = cross[0], cross[-1]
-        mults = dict(_knot_multiplicities(vec))
-        positions = mesh.positions(direction)
-        i0 = bisect.bisect_right(positions, vec[0])
-        i1 = bisect.bisect_left(positions, vec[-1])
-        for pos in positions[i0:i1]:
-            run = mesh.covering_run(direction, pos, c_lo, c_hi)
-            if run is None:
-                continue
-            deficit = run[2] - mults.get(pos, 0)
-            if deficit > 0:
-                return (direction, pos, deficit)
+        hits = _deficits(b, mesh, direction)
+        if hits:
+            return (direction, *hits[0])
     return None
 
 

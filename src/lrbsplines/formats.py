@@ -72,6 +72,20 @@ def _decode_coord(obj, path: str, memo: dict) -> DyadicCoord:
     return coord
 
 
+def _decode_knots(raw: list, path: str, memo: dict) -> tuple:
+    """Decode the knot vector ``raw`` at ``path``.  The knots of a space
+    share a few distinct values, so a pair of two ``int`` that ``memo``
+    holds is taken from it with no further check; any other entry gets
+    :func:`_decode_coord`'s checks and messages."""
+    out = []
+    for j, v in enumerate(raw):
+        coord = None
+        if type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+            coord = memo.get((v[0], v[1]))
+        out.append(_decode_coord(v, f"{path}[{j}]", memo) if coord is None else coord)
+    return tuple(out)
+
+
 def to_json(obj) -> dict:
     """Encode a mesh or a space as a JSON-ready dictionary."""
     if isinstance(obj, LRSpace):
@@ -170,12 +184,8 @@ def from_json(doc: dict):
         for field in ("x", "y"):
             if not isinstance(entry.get(field), list):
                 raise FormatError(f"{where}.{field}: expected a knot vector")
-        xv = tuple(
-            _decode_coord(v, f"{where}.x[{j}]", memo) for j, v in enumerate(entry["x"])
-        )
-        yv = tuple(
-            _decode_coord(v, f"{where}.y[{j}]", memo) for j, v in enumerate(entry["y"])
-        )
+        xv = _decode_knots(entry["x"], f"{where}.x", memo)
+        yv = _decode_knots(entry["y"], f"{where}.y", memo)
         weight = entry.get("w", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise FormatError(f"{where}.w: expected a number")
@@ -195,9 +205,75 @@ def from_json(doc: dict):
     return LRSpace(mesh, functions)
 
 
+def _document_text(obj) -> str:
+    """``json.dumps(to_json(obj), indent=1)``, from per-entry templates.
+
+    ``indent`` forces ``json``'s pure-Python encoder, so the same text is
+    written here directly: a list or object at nesting level L puts its
+    entries on lines indented L + 1 spaces and its closing bracket on a
+    line indented L.  Each coordinate's text is memoised per level and
+    each knot vector's per document; integers are written as ``json``
+    writes them, by ``int.__repr__``, and weights by ``float.__repr__``.
+    """
+    if isinstance(obj, LRSpace):
+        mesh = obj.mesh
+    elif isinstance(obj, Mesh):
+        mesh = obj
+    else:
+        raise TypeError(f"cannot encode {type(obj).__name__}")
+    pairs: dict = {}
+
+    def coord(c, level: int) -> str:
+        text = pairs.get((c, level))
+        if text is None:
+            num, exp = c.pair()
+            pad = " " * (level + 1)
+            text = pairs[(c, level)] = f"[\n{pad}{num},\n{pad}{exp}\n{' ' * level}]"
+        return text
+
+    def items(texts, level: int) -> str:
+        if not texts:
+            return "[]"
+        pad = " " * (level + 1)
+        return f"[\n{pad}" + f",\n{pad}".join(texts) + f"\n{' ' * level}]"
+
+    dom = mesh.domain
+    fields = [
+        '"domain": ' + items([coord(c, 2) for c in (dom.x_min, dom.x_max, dom.y_min, dom.y_max)], 1),
+        '"bidegree": ' + items([int.__repr__(p) for p in mesh.bidegree], 1),
+        '"lines": '
+        + items(
+            [
+                f'{{\n   "dir": {line.direction},\n   "fixed": {coord(line.fixed, 3)},\n'
+                f'   "span": {items([coord(line.lo, 4), coord(line.hi, 4)], 3)},\n'
+                f'   "mult": {int.__repr__(line.multiplicity)}\n  }}'
+                for line in mesh.lines()
+            ],
+            1,
+        ),
+    ]
+    if obj is not mesh:
+        vectors: dict = {}
+
+        def vector(vec) -> str:
+            text = vectors.get(vec)
+            if text is None:
+                text = vectors[vec] = items([coord(c, 4) for c in vec], 3)
+            return text
+
+        entries = [
+            f'{{\n   "x": {vector(xv)},\n   "y": {vector(yv)},\n'
+            f'   "w": {float.__repr__(float(obj.functions[(xv, yv)].weight))}\n  }}'
+            for xv, yv in obj.sorted_keys()
+        ]
+        fields.append('"functions": ' + items(entries, 1))
+    return "{\n " + ",\n ".join(fields) + "\n}"
+
+
 def save(obj, path) -> None:
-    """Write a mesh or space document; deterministic formatting."""
-    Path(path).write_text(json.dumps(to_json(obj), indent=1) + "\n")
+    """Write a mesh or space document; deterministic formatting, the
+    text of ``json.dumps(to_json(obj), indent=1)``."""
+    Path(path).write_text(_document_text(obj) + "\n")
 
 
 def load(path):

@@ -22,6 +22,7 @@ first :meth:`Mesh.elements` call.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -177,11 +178,14 @@ class Mesh:
 
         By the constant-splits invariant a contiguous covered segment
         lies in exactly one run, so a single containment test suffices.
+        The runs ``(lo, hi, mult)`` are sorted with finite ends, so the
+        runs before ``(lo, inf)`` are exactly those starting at or below
+        ``lo``: the search compares tuples and calls no key function.
         """
         runs = self._runs[direction].get(pos)
         if not runs:
             return None
-        i = bisect.bisect_right(runs, lo, key=lambda r: r[0]) - 1
+        i = bisect.bisect_right(runs, (lo, math.inf)) - 1
         if i < 0:
             return None
         r = runs[i]

@@ -5,7 +5,10 @@ it, keyed by their knot vectors and carrying exact rational weights.
 Whenever meshlines are added, functions that lose minimal support are
 replaced by their knot-insertion children until the set is stable; the
 resulting set is independent of the order in which lines are added or
-functions are processed, and the weights accumulate exactly.
+functions are processed, and the weights accumulate exactly.  Each
+split inserts all of one direction's missing knots in one step, and
+only the functions the new lines cross are checked, at the new lines'
+positions, because every function of a space has minimal support.
 
 A refinement call never modifies the space it is given.  It builds one
 private working state from it (:class:`_Refinement`: the mesh, a copy
@@ -25,12 +28,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import (
+    _deficits,
+    _insert_knots,
     _knot_windows,
     _stacked_values,
     _trusted_bspline,
-    find_refining_split,
     has_minimal_support,
-    insert_knot,
     local_knot_vector,
     univariate_values,
 )
@@ -69,7 +72,11 @@ def function_key(xknots, yknots) -> Key:
 class LRSpace:
     """A mesh plus its minimal-support B-splines, keyed by knot vectors.
 
-    Treat instances as immutable; operations return new spaces.
+    Every function has minimal support on the mesh (:meth:`validate`
+    checks it).  Refinement relies on this: after new lines are added,
+    a function they cross can lack minimal support only at their
+    positions, so the generation fixpoint probes only those.  Treat
+    instances as immutable; operations return new spaces.
     """
 
     __slots__ = ("mesh", "functions")
@@ -219,12 +226,13 @@ class _Refinement:
         ``(direction, pos, lo, hi)`` segments, and restore minimal support.
 
         Only the functions whose support a segment crosses can lose
-        minimal support, so the fixpoint starts from those.  Returns its
-        diff, ``(removed, added)``.
+        minimal support, and only at the segments' positions, so the
+        fixpoint starts from those functions and probes those positions
+        for them.  Returns its diff, ``(removed, added)``.
         """
         dirty = self.crossing(segments)
         self.mesh = mesh
-        removed, added = _fixpoint(mesh, self.functions, dirty)
+        removed, added = _fixpoint(mesh, self.functions, dirty, segments)
         self._follow(removed, added)
         return removed, added
 
@@ -318,38 +326,61 @@ class _Refinement:
 # -- the generation fixpoint ------------------------------------------------
 
 
-def _fixpoint(mesh: Mesh, functions: dict, dirty) -> tuple[set, set]:
+def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     """Replace functions lacking minimal support by their knot-insertion
     children until stable, starting from the distinct keys ``dirty``.
     Mutates ``functions``; returns the keys it removed and the keys it
     added, disjoint: a key split here that comes back as a child lacks
     minimal support on the same mesh, so it is split again.  Coinciding
     children merge by adding weights, so the result is independent of
-    processing order."""
+    processing order.
+
+    Keys are popped in ascending order.  A popped function's deficits
+    are found one direction at a time, direction 1 first, and all of a
+    direction's deficits are inserted in one multi-knot step.  The scan
+    relies on two facts:
+
+    - ``mesh`` is the mesh the functions had minimal support on plus the
+      ``(direction, pos, lo, hi)`` ``segments``, so a dirty key that has
+      not been split can lack minimal support only at the segments'
+      positions, and only those are probed for it;
+    - a direction-d insertion keeps the cross extent, so every
+      direction-d line inside a child's support already matches the
+      child's knots, and the child skips the direction-d scan.
+    """
+    probes = {d: sorted({pos for e, pos, _, _ in segments if e == d}) for d in (1, 2)}
     heap = sorted(dirty)
+    # per key in the heap: the direction whose scan it skips, or 0 to
+    # probe only the segments' positions in both directions
+    skip = dict.fromkeys(heap, 0)
     removed: set = set()
     added: set = set()
     while heap:
         key = heapq.heappop(heap)
+        skipped = skip.pop(key)
         b = functions.get(key)
         if b is None:
             continue
-        hit = find_refining_split(b, mesh)
-        if hit is None:
+        for direction in (1, 2):
+            if direction != skipped:
+                hits = _deficits(b, mesh, direction, probes[direction] if skipped == 0 else None)
+                if hits:
+                    break
+        else:
             continue
-        direction, pos, _deficit = hit
-        (_, child1), (_, child2) = insert_knot(b, direction, pos)
+        knots = [pos for pos, deficit in hits for _ in range(deficit)]
         del functions[key]
         if key in added:
             added.remove(key)
         else:
             removed.add(key)
-        for child in (child1, child2):
-            k = child.key
+        for _, _, child in _insert_knots(b, direction, knots):
+            k = (child.xknots, child.yknots)
             old = functions.get(k)
             if old is None:
                 functions[k] = child
                 heapq.heappush(heap, k)
+                skip[k] = direction
                 added.add(k)
             else:
                 functions[k] = _trusted_bspline(old.xknots, old.yknots, old.weight + child.weight)

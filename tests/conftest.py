@@ -8,22 +8,31 @@ integers or dyadic fractions so every constructor is exact.
 
 The oracles are independent of the package's evaluation kernel: a scalar
 Cox--de Boor recursion, one window at a time, and the full local tensor
-space of one function with its mesh and basis.
+space of one function with its mesh and basis.  The generation fixpoint
+has its own: one knot per split, found by a scan of every mesh position.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from lrbsplines.bspline import TensorBSpline, _knot_windows
-from lrbsplines.dyadic import dyadic
+from lrbsplines.bspline import (
+    TensorBSpline,
+    _knot_windows,
+    _trusted_bspline,
+    find_refining_split,
+    insert_knot,
+)
+from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
 from lrbsplines.quasi import _raised_vector
 from lrbsplines.space import (
     LRSpace,
+    _uncovered_gaps,
     apply_split,
     initial_space,
     structured_refine,
@@ -128,6 +137,63 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
     )
     assert any(f.key == b.key for f in basis), f"local tensor space misses {b.key}"
     return LocalTensorSpace(b.key, mesh, basis)
+
+
+def reference_fixpoint(mesh, functions, dirty):
+    """The generation fixpoint one knot at a time: pop the smallest key,
+    split it by :func:`insert_knot` at the first hit of
+    :func:`find_refining_split`, and push the new children, until no
+    function lacks minimal support.  Mutates ``functions`` and returns
+    ``(removed, added)`` as ``space._fixpoint`` does, for any ``dirty``
+    set that holds every function lacking minimal support."""
+    heap = sorted(dirty)
+    removed, added = set(), set()
+    while heap:
+        key = heapq.heappop(heap)
+        b = functions.get(key)
+        if b is None:
+            continue
+        hit = find_refining_split(b, mesh)
+        if hit is None:
+            continue
+        direction, pos, _deficit = hit
+        (_, child1), (_, child2) = insert_knot(b, direction, pos)
+        del functions[key]
+        if key in added:
+            added.remove(key)
+        else:
+            removed.add(key)
+        for child in (child1, child2):
+            k = child.key
+            old = functions.get(k)
+            if old is None:
+                functions[k] = child
+                heapq.heappush(heap, k)
+                added.add(k)
+            else:
+                functions[k] = _trusted_bspline(old.xknots, old.yknots, old.weight + child.weight)
+    return removed, added
+
+
+def random_split(rng, space):
+    """A multiplicity-1 split at a knot-span midpoint of a random
+    function, over the first uncovered gap across its support; None when
+    that line is already complete."""
+    b = space.functions[rng.choice(space.sorted_keys())]
+    direction = rng.choice((1, 2))
+    vec = sorted(set(b.knots(direction)))
+    cross = b.knots(2 if direction == 1 else 1)
+    i = rng.randrange(len(vec) - 1)
+    pos = midpoint(vec[i], vec[i + 1])
+    gaps = _uncovered_gaps(space.mesh, direction, pos, cross[0], cross[-1])
+    if not gaps:
+        return None
+    return Split.make(direction, pos, *gaps[0])
+
+
+def random_marked(rng, space) -> set:
+    keys = space.sorted_keys()
+    return set(rng.sample(keys, rng.randint(1, max(1, len(keys) // 4))))
 
 
 def key_of(xvals, yvals):

@@ -3,7 +3,9 @@ B-spline evaluator: every row equals the scalar reference recursion of
 ``conftest`` bit for bit, signed zeros included, with and without a
 closure coordinate, and so does every Greville collocation matrix.  Also:
 knot insertion's unvalidated children equal validated ones, and its
-coefficients are exact over the whole coordinate range."""
+coefficients are exact over the whole coordinate range, for one knot and
+for several inserted in one step, where the children also equal
+single-knot insertions folded knot by knot."""
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from conftest import reference_derivatives, reference_values
 from lrbsplines.bspline import (
     TensorBSpline,
     _greville_collocation,
+    _insert_knots,
     _knot_windows,
     _stacked_values,
     insert_knot,
@@ -217,3 +220,113 @@ def test_insertion_alphas_equal_the_fraction_formula(case):
     assert type(alpha1) is Fraction and alpha1 == want1
     assert type(alpha2) is Fraction and alpha2 == want2
     assert child1.weight == b.weight * want1 and child2.weight == b.weight * want2
+
+
+def folded_insertion(b, direction, knots) -> dict:
+    """``insert_knot`` folded knot by knot over ``b`` and its children:
+    each knot splits every function whose span holds it strictly inside,
+    and children on the same knot vectors merge by adding weights.
+    Returns the functions by key."""
+    functions = {b.key: b}
+    for z in knots:
+        refined = {}
+        for f in functions.values():
+            v = f.knots(direction)
+            pieces = [c for _, c in insert_knot(f, direction, z)] if v[0] < z < v[-1] else [f]
+            for c in pieces:
+                old = refined.get(c.key)
+                refined[c.key] = c if old is None else TensorBSpline(c.xknots, c.yknots, old.weight + c.weight)
+        functions = refined
+    return functions
+
+
+@st.composite
+def multi_insertions(draw):
+    """``(b, direction, knots)``: a function as in :func:`insertions` and
+    one to four sorted knots on sixteenths strictly inside its span in
+    ``direction``, repeats allowed, that keep every multiplicity at most
+    degree + 1."""
+    b, direction, _ = draw(insertions())
+    v = b.knots(direction)
+    lo, hi = int(v[0] * 16) + 1, int(v[-1] * 16) - 1
+    knots = sorted(dyadic(n / 16) for n in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4)))
+    assume(max(Counter(v + tuple(knots)).values()) <= len(v) - 1)
+    return b, direction, knots
+
+
+@props
+@given(multi_insertions())
+def test_multi_knot_children_equal_validated_ones(case):
+    b, direction, knots = case
+    augmented = tuple(sorted(b.knots(direction) + tuple(knots)))
+    p = len(augmented) - len(knots) - 2
+    children = _insert_knots(b, direction, knots)
+    assert len(children) == len(knots) + 1
+    for j, (num, den, child) in enumerate(children):
+        vec = augmented[j : j + p + 2]
+        coefficient = Fraction(num, den)
+        if direction == 1:
+            expected = TensorBSpline(vec, b.yknots, b.weight * coefficient)
+        else:
+            expected = TensorBSpline(b.xknots, vec, b.weight * coefficient)
+        assert type(child) is TensorBSpline and child == expected
+        for field in ("xknots", "yknots"):
+            got, want = getattr(child, field), getattr(expected, field)
+            assert type(got) is tuple and got == want
+            assert all(type(c) is DyadicCoord for c in got)
+        assert type(child.weight) is Fraction and child.weight == expected.weight
+    assert {child.key: child for _, _, child in children} == folded_insertion(b, direction, knots)
+
+
+@st.composite
+def wide_multi_insertions(draw):
+    """``(b, direction, knots)`` with knots and insertion points drawn
+    from ``wide_coords``: the knots are p + 2 of the sorted draws, and the
+    one to three others strictly inside them are inserted."""
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    values = sorted(draw(st.lists(wide_coords, min_size=p + 2 + k, max_size=p + 2 + k)))
+    picks = set(draw(st.lists(st.integers(1, p + k), min_size=k, max_size=k, unique=True)))
+    knots = [z for i, z in enumerate(values) if i in picks]
+    vec = tuple(z for i, z in enumerate(values) if i not in picks)
+    assume(all(vec[0] < z < vec[-1] for z in knots))
+    assume(max(Counter(values).values()) <= p + 1)
+    direction = draw(st.sampled_from((1, 2)))
+    other = (dyadic(0), dyadic(1), dyadic(2))
+    b = TensorBSpline(*((vec, other) if direction == 1 else (other, vec)), Fraction(3, 7))
+    return b, direction, knots
+
+
+def fraction_coefficients(v, knots, p) -> list:
+    """The refined coefficients of the B-spline on ``v`` after inserting
+    ``knots``, by the alpha formula folded in ``Fraction`` arithmetic on
+    one global vector: window j of it splits at z into windows j and
+    j + 1 of the next."""
+    t, coefficients = list(v), [Fraction(1)]
+    for z in knots:
+        refined = [Fraction(0)] * (len(coefficients) + 1)
+        for j, c in enumerate(coefficients):
+            lo, hi = t[j], t[j + p + 1]
+            if hi <= z:
+                refined[j] += c
+            elif lo >= z:
+                refined[j + 1] += c
+            else:
+                refined[j] += c * (1 if z >= t[j + p] else (z - lo) / (t[j + p] - lo))
+                refined[j + 1] += c * (1 if z <= t[j + 1] else (hi - z) / (hi - t[j + 1]))
+        t = sorted(t + [z])
+        coefficients = refined
+    return coefficients
+
+
+@props
+@given(wide_multi_insertions())
+def test_multi_knot_coefficients_equal_the_fraction_formula(case):
+    b, direction, knots = case
+    v = [c.fraction for c in b.knots(direction)]
+    want = fraction_coefficients(v, [z.fraction for z in knots], len(v) - 2)
+    children = _insert_knots(b, direction, knots)
+    assert [Fraction(num, den) for num, den, _ in children] == want
+    for (_, _, child), coefficient in zip(children, want):
+        assert type(child.weight) is Fraction and child.weight == b.weight * coefficient
+    assert {child.key: child for _, _, child in children} == folded_insertion(b, direction, knots)

@@ -1,15 +1,24 @@
 """Fuzzed documents: ``verify`` on a space or mesh document with one or
 two fields replaced by arbitrary JSON values either reports (exit 0 or
-2) or rejects it with an ``error:`` line (exit 2), and never raises."""
+2) or rejects it with an ``error:`` line (exit 2), and never raises.
+And the writer: ``save`` writes the text of ``json``'s indented encoder
+for every mesh and space document."""
 import json
 import tempfile
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrbsplines import initial_space, make_initial_mesh, structured_refine, to_json
+from lrbsplines.bspline import TensorBSpline
 from lrbsplines.cli import main
+from lrbsplines.dyadic import DyadicCoord, dyadic
+from lrbsplines.formats import _document_text, save
+from lrbsplines.refine import n2s_pipeline
+from lrbsplines.space import LRSpace
 
 # The 2x2 biquadratic space: 16 functions on 6 meshlines.
 _TENSOR = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
@@ -123,3 +132,60 @@ def test_verify_never_raises_on_an_edited_mesh(edits):
 @example(edits=[(("functions", 0, "w"), 0.5), (("functions", 1, "w"), 1.5)])
 def test_verify_never_raises_on_two_replaced_fields(edits):
     assert _verify_exit(REFINED, edits) in (0, 2)
+
+
+#: Coordinates over the whole range a document can hold, negative ones
+#: included.
+coords = st.builds(DyadicCoord, st.integers(-(2**52) + 1, 2**52 - 1), st.integers(0, 48))
+
+
+@st.composite
+def meshes(draw):
+    """An open tensor mesh on a drawn domain, refined by structured
+    refinement of a few functions (lines inside the domain, fractional
+    weights), or by a pipeline run."""
+    bidegree = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    corners = st.builds(DyadicCoord, st.integers(-(2**20), 2**20), st.integers(0, 20))
+    x0, y0 = draw(corners), draw(corners)
+    wx, wy = (dyadic(2 ** draw(st.integers(-8, 8))) for _ in range(2))
+    space = initial_space(make_initial_mesh((x0, x0 + wx, y0, y0 + wy), bidegree, 2))
+    keys = space.sorted_keys()
+    marked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        return structured_refine(space, marked)
+    return n2s_pipeline(space, lambda b: b.key in marked, 1)[0]
+
+
+@st.composite
+def knot_vectors(draw, degree):
+    values = sorted(draw(st.lists(coords, min_size=degree + 2, max_size=degree + 2)))
+    assume(values[0] < values[-1] and max(Counter(values).values()) <= degree + 1)
+    return tuple(values)
+
+
+@st.composite
+def spaces(draw):
+    """A refined space, or its mesh with arbitrary functions: drawn knot
+    vectors, some repeated, and positive weights, none at all included."""
+    space = draw(meshes())
+    if draw(st.booleans()):
+        return space
+    p1, p2 = space.mesh.bidegree
+    xs = draw(st.lists(knot_vectors(p1), min_size=1, max_size=3))
+    ys = draw(st.lists(knot_vectors(p2), min_size=1, max_size=3))
+    weights = st.fractions(min_value=Fraction(1, 10**12), max_value=10**12).filter(lambda w: w > 0)
+    functions = {}
+    for _ in range(draw(st.integers(0, 6))):
+        xv, yv = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
+        functions[(xv, yv)] = TensorBSpline(xv, yv, draw(weights))
+    return LRSpace(space.mesh, functions)
+
+
+@settings(deadline=None, max_examples=100)
+@given(space=spaces())
+def test_saved_text_equals_the_json_encoder(tmp_path_factory, space):
+    for obj in (space, space.mesh):
+        assert _document_text(obj) == json.dumps(to_json(obj), indent=1)
+    path = tmp_path_factory.mktemp("saved") / "space.json"
+    save(space, path)
+    assert path.read_text() == json.dumps(to_json(space), indent=1) + "\n"

@@ -3,9 +3,12 @@
 The element extractor is checked against an independent flood-fill
 reconstruction (see conftest) before anything else relies on it.
 """
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     apply_splits,
@@ -346,6 +349,40 @@ def test_covering_run_lookup(mixed_mesh):
     run = mixed_mesh.covering_run(1, dyadic(2), dyadic(4), dyadic(6))
     assert run is not None and run[2] == 1
     assert mixed_mesh.covering_run(1, dyadic(2), dyadic(0), dyadic(2)) is None
+
+
+def scanned_run(mesh, direction, pos, lo, hi):
+    """The run at ``pos`` containing ``[lo, hi]``, by a linear scan."""
+    for run in mesh.runs_at(direction, pos):
+        if run[0] <= lo and hi <= run[1]:
+            return run
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def lookup_meshes():
+    """Refined meshes with partial lines, and one with interior lines of
+    multiplicity above one."""
+    meshes = [random_pipeline_space(seed, iterations=2, bidegree=(2, 3)).mesh for seed in range(3)]
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (3, 2), 2))
+    meshes.append(structured_refine(space, space.sorted_keys()[:3]).mesh)
+    meshes.append(build_mesh((0, 8, 0, 8), (2, 2), [(1, 4, 0, 8, 2), (2, 4, 0, 4, 3), (1, 2, 0, 4)]))
+    return meshes
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_covering_run_equals_a_linear_scan(data):
+    meshes = lookup_meshes()
+    mesh = meshes[data.draw(st.integers(0, len(meshes) - 1))]
+    direction = data.draw(st.sampled_from((1, 2)))
+    positions = mesh.positions(direction)
+    cross = mesh.positions(2 if direction == 1 else 1)
+    between = [midpoint(a, b) for a, b in zip(cross, cross[1:])]
+    # positions that carry lines, and one that carries none
+    pos = data.draw(st.sampled_from(positions + (midpoint(positions[0], positions[1]),)))
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(cross + tuple(between)), min_size=2, max_size=2)))
+    assert mesh.covering_run(direction, pos, lo, hi) == scanned_run(mesh, direction, pos, lo, hi)
 
 
 def test_mesh_equality_ignores_insertion_history():

@@ -15,11 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_marked, random_split
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
-from lrbsplines.dyadic import midpoint
 from lrbsplines.formats import to_json
-from lrbsplines.mesh import Split, make_initial_mesh
+from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.quasi import tensor_space_for_level
 from lrbsplines.refine import (
     _NestedTracker,
@@ -34,7 +34,6 @@ from lrbsplines.space import (
     SpaceError,
     _Refinement,
     _support_bounds,
-    _uncovered_gaps,
     apply_split,
     initial_space,
     structured_refine,
@@ -157,27 +156,6 @@ def checked_refinement(built: list) -> ExitStack:
     return stack
 
 
-def random_split(rng, space):
-    """A multiplicity-1 split at a knot-span midpoint of a random
-    function, over the first uncovered gap across its support; None when
-    that line is already complete."""
-    b = space.functions[rng.choice(space.sorted_keys())]
-    direction = rng.choice((1, 2))
-    vec = sorted(set(b.knots(direction)))
-    cross = b.knots(2 if direction == 1 else 1)
-    i = rng.randrange(len(vec) - 1)
-    pos = midpoint(vec[i], vec[i + 1])
-    gaps = _uncovered_gaps(space.mesh, direction, pos, cross[0], cross[-1])
-    if not gaps:
-        return None
-    return Split.make(direction, pos, *gaps[0])
-
-
-def random_marked(rng, space) -> set:
-    keys = space.sorted_keys()
-    return set(rng.sample(keys, rng.randint(1, max(1, len(keys) // 4))))
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
@@ -281,8 +259,8 @@ def test_pipeline_builds_full_bounds_once(monkeypatch):
         built.append(set(keys))
         return _support_bounds(keys)
 
-    def counting_fixpoint(mesh, functions, dirty):
-        removed, new = fixpoint(mesh, functions, dirty)
+    def counting_fixpoint(mesh, functions, dirty, segments):
+        removed, new = fixpoint(mesh, functions, dirty, segments)
         added.append(set(new))
         return removed, new
 
@@ -306,8 +284,8 @@ def test_refinement_builds_bounds_in_proportion_to_added_functions(monkeypatch, 
         rows.append(len(out))
         return out
 
-    def counting_fixpoint(mesh, functions, dirty):
-        removed, new = fixpoint(mesh, functions, dirty)
+    def counting_fixpoint(mesh, functions, dirty, segments):
+        removed, new = fixpoint(mesh, functions, dirty, segments)
         added.append(len(new))
         return removed, new
 
