@@ -46,12 +46,19 @@ def _encode_coord(c: DyadicCoord) -> list[int]:
     return c.pair()
 
 
-def _decode_coord(obj, path: str, memo: dict) -> DyadicCoord:
+def _coord_error(where: str, index, msg: str) -> FormatError:
+    path = where if index is None else f"{where}[{index}]"
+    return FormatError(f"{path}: {msg}")
+
+
+def _decode_coord(obj, memo: dict, where: str, index=None) -> DyadicCoord:
     """Decode a ``[numerator, exponent]`` pair.  ``memo`` maps the pairs
     decoded so far to their coordinates; only successful decodes enter
-    it, so a bad pair raises wherever it occurs."""
+    it, so a bad pair raises wherever it occurs.  An error names the pair
+    ``where``, or ``where[index]`` when an index is given; the name is
+    built only when one is raised."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise FormatError(f"{path}: expected [numerator, exponent], got {obj!r}")
+        raise _coord_error(where, index, f"expected [numerator, exponent], got {obj!r}")
     pair = numerator, exponent = obj[0], obj[1]
     if (
         not isinstance(numerator, int)
@@ -59,31 +66,17 @@ def _decode_coord(obj, path: str, memo: dict) -> DyadicCoord:
         or not isinstance(exponent, int)
         or isinstance(exponent, bool)
     ):
-        raise FormatError(f"{path}: expected [numerator, exponent], got {obj!r}")
+        raise _coord_error(where, index, f"expected [numerator, exponent], got {obj!r}")
     coord = memo.get(pair)
     if coord is not None:
         return coord
     if exponent < 0:
-        raise FormatError(f"{path}: exponent must be >= 0, got {exponent}")
+        raise _coord_error(where, index, f"exponent must be >= 0, got {exponent}")
     try:
         coord = memo[pair] = DyadicCoord(numerator, exponent)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise _coord_error(where, index, str(exc)) from None
     return coord
-
-
-def _decode_knots(raw: list, path: str, memo: dict) -> tuple:
-    """Decode the knot vector ``raw`` at ``path``.  The knots of a space
-    share a few distinct values, so a pair of two ``int`` that ``memo``
-    holds is taken from it with no further check; any other entry gets
-    :func:`_decode_coord`'s checks and messages."""
-    out = []
-    for j, v in enumerate(raw):
-        coord = None
-        if type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-            coord = memo.get((v[0], v[1]))
-        out.append(_decode_coord(v, f"{path}[{j}]", memo) if coord is None else coord)
-    return tuple(out)
 
 
 def to_json(obj) -> dict:
@@ -122,7 +115,7 @@ def _decode_mesh(doc: dict, memo: dict) -> Mesh:
     domain_raw = doc.get("domain")
     if not isinstance(domain_raw, list) or len(domain_raw) != 4:
         raise FormatError("domain: expected four dyadic coordinates")
-    corners = [_decode_coord(v, f"domain[{i}]", memo) for i, v in enumerate(domain_raw)]
+    corners = [_decode_coord(v, memo, "domain", i) for i, v in enumerate(domain_raw)]
     try:
         domain = Rect(*corners)
     except MeshError as exc:
@@ -147,12 +140,12 @@ def _decode_mesh(doc: dict, memo: dict) -> Mesh:
         direction = entry.get("dir")
         if direction not in (1, 2):
             raise FormatError(f"{where}.dir: expected 1 or 2, got {direction!r}")
-        fixed = _decode_coord(entry.get("fixed"), f"{where}.fixed", memo)
+        fixed = _decode_coord(entry.get("fixed"), memo, f"{where}.fixed")
         span = entry.get("span")
         if not isinstance(span, list) or len(span) != 2:
             raise FormatError(f"{where}.span: expected [lo, hi]")
-        lo = _decode_coord(span[0], f"{where}.span[0]", memo)
-        hi = _decode_coord(span[1], f"{where}.span[1]", memo)
+        lo = _decode_coord(span[0], memo, f"{where}.span", 0)
+        hi = _decode_coord(span[1], memo, f"{where}.span", 1)
         mult = entry.get("mult")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise FormatError(f"{where}.mult: expected a positive integer")
@@ -184,8 +177,9 @@ def from_json(doc: dict):
         for field in ("x", "y"):
             if not isinstance(entry.get(field), list):
                 raise FormatError(f"{where}.{field}: expected a knot vector")
-        xv = _decode_knots(entry["x"], f"{where}.x", memo)
-        yv = _decode_knots(entry["y"], f"{where}.y", memo)
+        xpath, ypath = f"{where}.x", f"{where}.y"
+        xv = tuple(_decode_coord(v, memo, xpath, j) for j, v in enumerate(entry["x"]))
+        yv = tuple(_decode_coord(v, memo, ypath, j) for j, v in enumerate(entry["y"]))
         weight = entry.get("w", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise FormatError(f"{where}.w: expected a number")

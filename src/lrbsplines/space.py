@@ -575,40 +575,6 @@ def _outer(a, b):
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
-class _WindowSpanPairs:
-    """One direction of the functions' values at their elements' points,
-    each distinct pair of a knot window and an element span evaluated once.
-
-    ``windows`` holds the functions' knot windows in that direction, row
-    by function; element ``e`` spans ``[lo[e], hi[e]]`` there and carries
-    the points ``pts[e]``, which depend on its span only.  Functions in a
-    row or column share windows and elements in a row or column share
-    spans, so there are far fewer pairs than element--function entries.
-    Each value is computed by the same operations on the same inputs as
-    in ``_stacked_values(windows[T], pts[:, None, :])``, so it has the
-    same bits.
-    """
-
-    def __init__(self, windows, lo, hi, pts):
-        self.windows, window_id = np.unique(windows, axis=0, return_inverse=True)
-        spans = np.stack((lo, hi), axis=1)
-        _, first, span_id = np.unique(spans, axis=0, return_index=True, return_inverse=True)
-        self.n_spans = len(first)
-        self.window_id = window_id.reshape(-1) * self.n_spans
-        self.span_id = span_id.reshape(-1)
-        self.span_pts = pts[first]
-
-    def values(self, T, elements):
-        """``_stacked_values(windows[T], pts[elements, None, :])`` for the
-        element slice ``elements`` and its functions ``T``."""
-        pair = self.window_id[T] + self.span_id[elements, None]
-        distinct, inverse = np.unique(pair, return_inverse=True)
-        values = _stacked_values(
-            self.windows[distinct // self.n_spans], self.span_pts[distinct % self.n_spans]
-        )
-        return values[inverse.reshape(pair.shape)]
-
-
 def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
     """Certificate of linear independence, one element at a time.
 
@@ -629,13 +595,11 @@ def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
     p1, p2 = space.mesh.bidegree
     n_loc = (p1 + 1) * (p2 + 1)
     arrays = _element_arrays(space, keys, bounds)
-    x0, x1, y0, y1 = bounds
-    x_pairs = _WindowSpanPairs(arrays.xknots, x0, x1, arrays.xs)
-    y_pairs = _WindowSpanPairs(arrays.yknots, y0, y1, arrays.ys)
     size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
     for start in range(0, len(T), size):
         c = slice(start, start + size)
-        vx, vy = x_pairs.values(T[c], c), y_pairs.values(T[c], c)
+        vx = _stacked_values(arrays.xknots[T[c]], arrays.xs[c, None, :])
+        vy = _stacked_values(arrays.yknots[T[c]], arrays.ys[c, None, :])
         s = np.linalg.svd(_outer(vx, vy), compute_uv=False)
         if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
             return False

@@ -120,6 +120,9 @@ def test_duplicate_functions_are_rejected():
         (lambda d: d["domain"].__setitem__(1, [1, 2000]), "domain[1]"),
         (lambda d: d["lines"][0].__setitem__("fixed", [2**60, 0]), "lines[0].fixed"),
         (lambda d: d["functions"][0]["x"].__setitem__(1, [1, 10**6]), "functions[0].x[1]"),
+        (lambda d: d["lines"][0]["span"].__setitem__(1, [1, True]), "lines[0].span[1]"),
+        # equal to a decoded pair, but not integers
+        (lambda d: d["functions"][0]["y"].__setitem__(0, [0.0, 0]), "functions[0].y[0]"),
         (lambda d: d.__setitem__("bidegree", [2]), "bidegree"),
         (lambda d: d.__setitem__("bidegree", [2, True]), "bidegree"),
         (lambda d: d["lines"][0].__setitem__("dir", 3), "dir"),

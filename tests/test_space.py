@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_splits, key_of, random_pipeline_space, reference_values
-from lrbsplines.bspline import TensorBSpline, _stacked_values
+from lrbsplines.bspline import TensorBSpline
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
 from lrbsplines.formats import load
@@ -371,28 +371,6 @@ def test_elementwise_certificate_implies_full_collocation_rank(drawn):
     assert certified == is_locally_linearly_independent(space)
     if strategy == "n2s2":
         assert certified
-
-
-@settings(max_examples=40, deadline=None)
-@given(refined_spaces(), st.integers(1, 40))
-def test_window_span_pairs_equal_the_stacked_values(drawn, chunk):
-    # The certificate evaluates each distinct (window, element span) pair
-    # once; every entry must keep the bits of the direct stacked call.
-    _, space = drawn
-    keys, counts, indices, bounds = space_module._incidence(space)
-    starts = np.cumsum(counts) - counts
-    # each element's first and last supported function
-    T = np.stack((indices[starts], indices[starts + counts - 1]), axis=1)
-    arrays = space_module._element_arrays(space, keys, bounds)
-    x0, x1, y0, y1 = bounds
-    for windows, lo, hi, pts in ((arrays.xknots, x0, x1, arrays.xs), (arrays.yknots, y0, y1, arrays.ys)):
-        pairs = space_module._WindowSpanPairs(windows, lo, hi, pts)
-        for start in range(0, len(T), chunk):
-            c = slice(start, start + chunk)
-            want = _stacked_values(windows[T[c]], pts[c, None, :])
-            got = pairs.values(T[c], c)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_evaluate_space_reproduces_polynomials_on_tensor_space():
