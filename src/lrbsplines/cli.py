@@ -79,7 +79,7 @@ def run_mesh_demo(
     space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 1))
     trace = RefinementTrace()
     counts = [
-        {"iteration": 0, "n_functions": space.n_functions, "n_elements": len(space.mesh.elements())}
+        {"iteration": 0, "n_functions": space.n_functions, "n_elements": len(space.mesh.element_boxes())}
     ]
     formats.render_svg(space.mesh, out / "mesh_0.svg")
     for i in range(1, iterations + 1):
@@ -99,7 +99,7 @@ def run_mesh_demo(
             )
             trace.records.extend(step_trace.records)
         counts.append(
-            {"iteration": i, "n_functions": space.n_functions, "n_elements": len(space.mesh.elements())}
+            {"iteration": i, "n_functions": space.n_functions, "n_elements": len(space.mesh.element_boxes())}
         )
         formats.render_svg(space.mesh, out / f"mesh_{i}.svg")
 
@@ -159,7 +159,7 @@ def verify(path, *, seed: int = 0) -> dict:
         "path": str(path),
         "kind": "space" if isinstance(obj, LRSpace) else "mesh",
         "bidegree": [p1, p2],
-        "n_elements": len(mesh.elements()),
+        "n_elements": len(mesh.element_boxes()),
         "n_lines": len(mesh.lines()),
         "tensorized": [is_tensorized(mesh, 1), is_tensorized(mesh, 2)],
         "passed": True,

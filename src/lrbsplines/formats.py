@@ -372,10 +372,9 @@ def write_element_csv(space: LRSpace, path) -> None:
     """Per-element support counts, one row per element."""
     from .space import _incidence
 
-    _, counts, _, _ = _incidence(space)
+    _, counts, _, bounds = _incidence(space)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_min", "x_max", "y_min", "y_max", "n_supported"])
-        for element, count in zip(space.mesh.elements(), counts.tolist()):
-            x0, x1, y0, y1 = element.rect.float_bounds()
+        for (x0, x1, y0, y1), count in zip(bounds.T.tolist(), counts.tolist()):
             writer.writerow([repr(x0), repr(x1), repr(y0), repr(y1), count])

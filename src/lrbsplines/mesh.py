@@ -15,8 +15,12 @@ span in x).
 All coordinates are exact dyadics; multiplicities are capped by
 ``bidegree[k-1] + 1`` in direction ``k``, and on *open* meshes the four
 boundary edges carry exactly that full multiplicity.
-A mesh stores only its lines; the elements are tiled from them on the
-first :meth:`Mesh.elements` call.
+A mesh stores its lines.  The elements are tiled from them, on the
+first read, into one integer array of index boxes: row ``(i0, i1, j0,
+j1)`` is the element ``[xs[i0], xs[i1]] x [ys[j0], ys[j1]]``, with ``xs``
+and ``ys`` the line positions of directions 1 and 2.  Every mesh, tensor
+or not, is tiled the same way (:func:`_tile`); :class:`Element` objects
+are built from the boxes only when :meth:`Mesh.elements` is called.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .dyadic import DyadicCoord, dyadic
 
@@ -147,10 +153,11 @@ _Runs = tuple[tuple[DyadicCoord, DyadicCoord, int], ...]
 class Mesh:
     """Immutable LR mesh: domain, bidegree, canonical lines, elements.
 
-    The tiling is derived from the lines on the first :meth:`elements`
-    call, so a mesh read only for its lines never builds it.
-    :func:`_build_mesh` reads it at once for non-tensor meshes, which
-    checks their box-partition property when they are constructed.
+    The tiling is the index-box array of :meth:`element_boxes`, derived
+    from the lines on its first read and cached, so a mesh read only for
+    its lines never builds it.  :func:`_build_mesh` reads it at once for
+    non-tensor meshes, which checks their box-partition property when
+    they are constructed.
     """
 
     __slots__ = ("domain", "bidegree", "_runs", "_positions", "_elements")
@@ -160,8 +167,8 @@ class Mesh:
         self.bidegree = bidegree
         self._runs = runs  # {1: {pos: _Runs}, 2: {pos: _Runs}}
         self._positions = positions  # {1: sorted tuple, 2: sorted tuple}
-        # tuple[Element] sorted by lower-left corner, or None until the
-        # tiling is first read
+        # read-only (elements, 4) index-box array sorted by lower-left
+        # corner, or None until the tiling is first read
         self._elements = elems
 
     # -- queries ---------------------------------------------------------
@@ -202,19 +209,28 @@ class Mesh:
                     out.append(Meshline(d, pos, lo, hi, mult))
         return tuple(out)
 
-    def elements(self) -> tuple[Element, ...]:
-        """The tiling, sorted by ``Rect.corner_key``.
+    def element_boxes(self) -> np.ndarray:
+        """The tiling as a read-only ``(elements, 4)`` integer array.
 
-        The first call tiles the domain -- a tensor mesh by the grid of
-        its line positions, any other by :func:`_extract_elements` -- and
-        later calls return the same tuple.
+        Row ``(i0, i1, j0, j1)`` is the element ``[xs[i0], xs[i1]] x
+        [ys[j0], ys[j1]]``, with ``xs, ys = positions(1), positions(2)``;
+        the rows are sorted by lower-left corner ``(i0, j0)``.  The first
+        call tiles the domain by :func:`_tile`, and later calls return the
+        same array.
         """
         if self._elements is None:
-            if is_tensorized(self, 1) and is_tensorized(self, 2):
-                self._elements = _grid_elements(self._positions[1], self._positions[2])
-            else:
-                self._elements = _extract_elements(self.domain, self._runs[1], self._runs[2])
+            self._elements = _tile(self._positions, self._runs)
         return self._elements
+
+    def elements(self) -> tuple[Element, ...]:
+        """The tiling as :class:`Element` objects, sorted by
+        ``Rect.corner_key``: built from :meth:`element_boxes` on each
+        call."""
+        xs, ys = self._positions[1], self._positions[2]
+        return tuple(
+            Element(Rect(xs[i0], xs[i1], ys[j0], ys[j1]))
+            for i0, i1, j0, j1 in self.element_boxes().tolist()
+        )
 
     def cross_interval(self, direction: int) -> tuple[DyadicCoord, DyadicCoord]:
         """Domain extent orthogonal to lines of ``direction``."""
@@ -243,23 +259,11 @@ class Mesh:
         n_lines = sum(len(rs) for d in (1, 2) for rs in self._runs[d].values())
         return (
             f"<Mesh {self.domain} bidegree {self.bidegree}: "
-            f"{n_lines} lines, {len(self.elements())} elements>"
+            f"{n_lines} lines, {len(self.element_boxes())} elements>"
         )
 
 
 # -- construction ---------------------------------------------------------
-
-
-def _grid_elements(xs, ys) -> tuple[Element, ...]:
-    """The cells of the grid with lines at the sorted positions ``xs`` and
-    ``ys``, in ``Rect.corner_key`` order: column by column, each column
-    bottom to top."""
-    rows = tuple(zip(ys, ys[1:]))
-    return tuple(
-        Element(Rect(x0, x1, y0, y1))
-        for x0, x1 in zip(xs, xs[1:])
-        for y0, y1 in rows
-    )
 
 
 def _canonical_runs(segments) -> _Runs:
@@ -293,113 +297,83 @@ def _canonical_runs(segments) -> _Runs:
     return tuple((lo, hi, mult) for lo, hi, mult in out)
 
 
-def _extract_elements(domain: Rect, runs1, runs2) -> tuple[Element, ...]:
+def _cover(runs, fixed, cross, what) -> np.ndarray:
+    """Which edges of the arrangement grid the lines of one direction cover.
+
+    Entry ``[f, c]`` is true when a run at ``fixed[f]`` covers the span
+    ``[cross[c], cross[c + 1]]``; every run end must be one of ``cross``.
+    """
+    index = {v: c for c, v in enumerate(cross)}
+    at, lo, hi = [], [], []
+    for f, pos in enumerate(fixed):
+        for a, b, _ in runs[pos]:
+            try:
+                lo.append(index[a])
+                hi.append(index[b])
+            except KeyError as exc:
+                raise MeshError(
+                    f"{what} at {pos}: endpoint {exc.args[0]} is not a mesh vertex"
+                ) from None
+            at.append(f)
+    steps = np.zeros((len(fixed), len(cross)), dtype=np.intp)
+    np.add.at(steps, (at, lo), 1)
+    np.add.at(steps, (at, hi), -1)
+    return np.cumsum(steps, axis=1)[:, :-1] > 0
+
+
+def _next_covered(covered) -> np.ndarray:
+    """Entry ``[k, c]``: the first ``k' >= k`` with ``covered[k', c]``,
+    or the last row index when there is none."""
+    last = len(covered) - 1
+    at = np.where(covered, np.arange(last + 1)[:, None], last)
+    return np.minimum.accumulate(at[::-1], axis=0)[::-1]
+
+
+def _tile(positions, runs) -> np.ndarray:
     """Tile the domain by the lines, validating the box-partition property.
 
-    Builds the arrangement grid of all line positions, computes the
-    connected components of the complement of the lines row by row, and
-    checks every component is a rectangle with lines only on element
-    edges.
+    Returns the elements as an ``(elements, 4)`` array of position
+    indices ``(i0, i1, j0, j1)``, the element being ``[xs[i0], xs[i1]] x
+    [ys[j0], ys[j1]]`` with ``xs`` and ``ys`` the positions of directions
+    1 and 2, sorted by lower-left corner ``(i0, j0)``.
+
+    The cells of the arrangement grid whose left and bottom edges are
+    both covered are the corners; each corner's box runs to the next
+    covered edge to its right in its row and above it in its column.
+    The lines tile the domain when every cell lies in exactly one box,
+    as a 2-D prefix sum of the box corners shows, and an interior edge is
+    covered exactly where its two cells lie in different boxes.
     """
-    xs = sorted(set(runs1) | {domain.x_min, domain.x_max})
-    ys = sorted(set(runs2) | {domain.y_min, domain.y_max})
-    x_index = {v: i for i, v in enumerate(xs)}
-    y_index = {v: j for j, v in enumerate(ys)}
-    n_cols = len(xs) - 1
-    n_rows = len(ys) - 1
+    xs, ys = positions[1], positions[2]
+    nx, ny = len(xs) - 1, len(ys) - 1
+    vertical = _cover(runs[1], xs, ys, "vertical meshline")  # (nx + 1, ny)
+    horizontal = _cover(runs[2], ys, xs, "horizontal meshline").T  # (nx, ny + 1)
 
-    def cover(values, index, runs, what):
-        covered = {}
-        for pos, segs in runs.items():
-            mask = bytearray(len(values) - 1)
-            for lo, hi, _ in segs:
-                try:
-                    a, b = index[lo], index[hi]
-                except KeyError as exc:
-                    raise MeshError(
-                        f"{what} at {pos}: endpoint {exc.args[0]} is not a mesh vertex"
-                    ) from None
-                for c in range(a, b):
-                    mask[c] = 1
-            covered[pos] = mask
-        return covered
+    i0, j0 = np.nonzero(vertical[:-1] & horizontal[:, :-1])
+    i1 = _next_covered(vertical)[i0 + 1, j0]
+    j1 = _next_covered(horizontal.T)[j0 + 1, i0]
 
-    vcov = cover(ys, y_index, runs1, "vertical meshline")
-    hcov = cover(xs, x_index, runs2, "horizontal meshline")
-    empty_v = bytearray(n_rows)
-    empty_h = bytearray(n_cols)
+    def paint(weights):
+        # the sum of the weights of the boxes holding each cell
+        grid = np.zeros((nx + 1, ny + 1), dtype=np.intp)
+        for i, j, sign in ((i0, j0, 1), (i1, j0, -1), (i0, j1, -1), (i1, j1, 1)):
+            np.add.at(grid, (i, j), sign * weights)
+        return grid.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
 
-    # Strips per row: maximal cell runs between covered vertical edges.
-    def row_strips(j: int) -> list[tuple[int, int]]:
-        strips = []
-        start = 0
-        for i in range(1, n_cols):
-            if vcov.get(xs[i], empty_v)[j]:
-                strips.append((start, i))
-                start = i
-        strips.append((start, n_cols))
-        return strips
-
-    boxes: list[tuple[int, int, int, int]] = []  # (i0, i1, j0, j1)
-    # open strips: {(i0, i1): start_row}
-    open_strips: dict[tuple[int, int], int] = {}
-    for j in range(n_rows):
-        strips = row_strips(j)
-        if j == 0:
-            open_strips = {s: 0 for s in strips}
-            continue
-        edge = hcov.get(ys[j], empty_h)
-        still_open: dict[tuple[int, int], int] = {}
-        closed = set()
-        for s in strips:
-            i0, i1 = s
-            edge_cells = edge[i0:i1]
-            fully_covered = all(edge_cells)
-            if s in open_strips and not any(edge_cells):
-                # continues the strip below through an entirely open edge
-                still_open[s] = open_strips[s]
-                closed.add(s)
-                continue
-            if not fully_covered:
-                # connects downward through a gap: only legal when the
-                # strip below is identical and the edge is entirely open,
-                # which the branch above already handled
-                raise MeshError(
-                    f"meshlines do not tile the domain into rectangles "
-                    f"near y = {ys[j]}, x in [{xs[i0]}, {xs[i1]}]"
-                )
-            still_open[s] = j
-        for s, j0 in open_strips.items():
-            if s in closed:
-                continue
-            # strip ends here; its top edge must be fully covered
-            i0, i1 = s
-            if not all(edge[i0:i1]):
-                raise MeshError(
-                    f"meshlines do not tile the domain into rectangles "
-                    f"near y = {ys[j]}, x in [{xs[i0]}, {xs[i1]}]"
-                )
-            boxes.append((i0, i1, j0, j))
-        open_strips = still_open
-    for (i0, i1), j0 in open_strips.items():
-        boxes.append((i0, i1, j0, n_rows))
-
-    # the grid indices are order-isomorphic to the coordinates, so sorting
-    # and the area checksum can stay in plain integer arithmetic
-    boxes.sort(key=lambda b: (b[0], b[2], b[1], b[3]))
-    ex = max(v.exponent for v in xs)
-    ey = max(v.exponent for v in ys)
-    sx = [v.numerator << (ex - v.exponent) for v in xs]
-    sy = [v.numerator << (ey - v.exponent) for v in ys]
-    total = sum((sx[i1] - sx[i0]) * (sy[j1] - sy[j0]) for i0, i1, j0, j1 in boxes)
-    if total != (sx[-1] - sx[0]) * (sy[-1] - sy[0]):
+    bad = paint(1) != 1
+    if not bad.any():
+        box = paint(np.arange(len(i0)))
+        bad[1:] = vertical[1:-1] != (box[1:] != box[:-1])
+        bad[:, 1:] |= horizontal[:, 1:-1] != (box[:, 1:] != box[:, :-1])
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
         raise MeshError(
-            f"element areas sum to {Fraction(total, 1 << (ex + ey))}, "
-            f"expected {domain.area}"
+            f"meshlines do not tile the domain into rectangles near "
+            f"[{xs[i]}, {xs[i + 1]}] x [{ys[j]}, {ys[j + 1]}]"
         )
-    return tuple(
-        Element(Rect(xs[i0], xs[i1], ys[j0], ys[j1])) for i0, i1, j0, j1 in boxes
-    )
+    boxes = np.stack([i0, i1, j0, j1], axis=1)
+    boxes.flags.writeable = False
+    return boxes
 
 
 def _build_mesh(
@@ -412,12 +386,13 @@ def _build_mesh(
     """Assemble and validate a mesh from raw (dir, fixed, lo, hi, mult) items.
 
     Every mesh gets the canonical-run, multiplicity-cap and boundary
-    checks.  The tiling is read, and so checked, here only when some line
-    stops short of the domain edges.  When every line spans the full
-    cross-extent, each line cuts the domain from edge to edge, so the
-    complement of the lines is exactly the grid of consecutive positions
-    (the boundary check has put the domain edges among them): the
-    box-partition check cannot fail, and the grid is left unbuilt.
+    checks.  The tiling is read, and so checked by :func:`_tile`, here
+    only when some line stops short of the domain edges.  When every line
+    spans the full cross-extent, each line cuts the domain from edge to
+    edge, so the complement of the lines is exactly the grid of
+    consecutive positions (the boundary check has put the domain edges
+    among them): the box-partition check cannot fail, and the tiling waits
+    for its first read.
     """
     p1, p2 = bidegree
     if p1 < 1 or p2 < 1:
@@ -469,7 +444,7 @@ def _build_mesh(
     positions = {d: tuple(sorted(runs[d])) for d in (1, 2)}
     mesh = Mesh(domain, bidegree, runs, positions, None)
     if not (is_tensorized(mesh, 1) and is_tensorized(mesh, 2)):
-        mesh.elements()
+        mesh.element_boxes()
     return mesh
 
 
@@ -573,24 +548,24 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
     runs = mesh.runs_at(d, pos)
     overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
 
-    if overlapping:
-        if len(overlapping) == 1 and overlapping[0][0] == lo and overlapping[0][1] == hi:
-            old = overlapping[0]
-            new_mult = old[2] + mult
-            if new_mult > cap:
-                raise MeshError(
-                    f"raising multiplicity to {new_mult} exceeds the cap {cap} "
-                    f"at direction-{d} position {pos}"
-                )
-            new_runs = tuple(
-                (r[0], r[1], new_mult) if r is old else r for r in runs
-            )
-            return _with_runs(mesh, d, pos, new_runs, mesh._elements)
+    old = overlapping[0] if overlapping else None
+    if overlapping and (len(overlapping) > 1 or old[0] != lo or old[1] != hi):
         raise MeshError(
             f"split span [{lo}, {hi}] partially overlaps existing meshlines "
             f"at direction-{d} position {pos}; spans must be entirely new or "
             f"coincide with one existing run"
         )
+    new_mult = mult + (old[2] if old else 0)
+    if new_mult > cap:
+        raise MeshError(
+            f"multiplicity {new_mult} exceeds the cap {cap} "
+            f"at direction-{d} position {pos}"
+        )
+    if old:
+        new_runs = tuple(
+            (r[0], r[1], new_mult) if r is old else r for r in runs
+        )
+        return _with_runs(mesh, d, pos, new_runs, mesh._elements)
 
     # Entirely new.  No line ends inside an element, so with both ends on
     # runs crossing pos, every element straddling pos between them is cut

@@ -463,26 +463,21 @@ def element_support_count(space: LRSpace, element: Element) -> int:
     return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
 
 
-def _element_bounds(mesh: Mesh) -> np.ndarray:
-    """The elements' bounds ``x0, x1, y0, y1`` as a ``(4, elements)``
-    array, in ``mesh.elements()`` order."""
-    rects = (e.rect for e in mesh.elements())
-    rows = chain.from_iterable((r.x_min, r.x_max, r.y_min, r.y_max) for r in rects)
-    return np.fromiter(rows, dtype=float).reshape(-1, 4).T
-
-
 def _incidence(space: LRSpace):
     """The element--function incidence in compressed rows.
 
     Returns ``(keys, counts, indices, bounds)``: ``keys`` is
     ``space.sorted_keys()``, and element ``e`` of ``mesh.elements()``
     carries the functions ``indices[s:s + counts[e]]``, ascending, with
-    ``s`` the sum of the earlier counts; ``bounds`` is
-    :func:`_element_bounds` of the mesh.  A function is supported on an
-    element when its support contains the element's closure.
+    ``s`` the sum of the earlier counts; ``bounds`` holds the elements'
+    bounds ``x0, x1, y0, y1`` as a ``(4, elements)`` float array.  A
+    function is supported on an element when its support contains the
+    element's closure.
 
+    Both are read from the mesh's index boxes (``Mesh.element_boxes``).
     Elements tile the domain, so each one is named by its lower-left
-    corner, keyed by the corner's position indices.  A function's
+    corner, keyed by the corner's position indices ``i0 * len(ys) + j0``,
+    which the boxes' order already sorts.  A function's
     support ``[a, b] x [c, d]`` holds the corners in ``[a, b) x [c, d)``:
     per mesh column in ``[a, b)``, two searches of the sorted corner keys
     find those in ``[c, d)``, and the candidates whose far corner lies
@@ -493,12 +488,11 @@ def _incidence(space: LRSpace):
     """
     keys = space.sorted_keys()
     mesh = space.mesh
-    x0, x1, y0, y1 = bounds = _element_bounds(mesh)
+    i0, i1, j0, j1 = mesh.element_boxes().T
     xpos = np.array(mesh.positions(1), dtype=float)
     ypos = np.array(mesh.positions(2), dtype=float)
-    corners = np.searchsorted(xpos, x0) * len(ypos) + np.searchsorted(ypos, y0)
-    order = np.argsort(corners, kind="stable")
-    corners = corners[order]
+    x0, x1, y0, y1 = bounds = np.stack([xpos[i0], xpos[i1], ypos[j0], ypos[j1]])
+    corners = i0 * len(ypos) + j0
     a, b, c, d = _support_bounds(keys).T
     column_lo, column_hi = np.searchsorted(xpos, a), np.searchsorted(xpos, b)
     f, column = _expand_ranges(column_lo, column_hi)
@@ -506,8 +500,8 @@ def _incidence(space: LRSpace):
     lo = np.searchsorted(corners, base + np.searchsorted(ypos, c)[f])
     hi = np.searchsorted(corners, base + np.searchsorted(ypos, d)[f])
     probe, at = _expand_ranges(lo, hi)
-    f, e = f[probe], order[at]
-    del probe, at  # the largest temporaries: free them before the filter's
+    f, e = f[probe], at
+    del probe  # the largest temporary: free it before the filter's
     keep = (x1[e] <= b[f]) & (y1[e] <= d[f])
     f, e = f[keep], e[keep]
     by_element = np.argsort(e, kind="stable")

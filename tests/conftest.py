@@ -14,12 +14,16 @@ has its own: one knot per split, found by a scan of every mesh position.
 from __future__ import annotations
 
 import heapq
+import importlib
+import pkgutil
 import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import lrbsplines
+from lrbsplines import space as space_module
 from lrbsplines.bspline import (
     TensorBSpline,
     _knot_windows,
@@ -211,23 +215,44 @@ def apply_splits(space, quads):
     return space
 
 
-def flood_fill_elements(mesh: Mesh):
-    """Brute-force element extraction used as an oracle.
+def count_incidence_calls(monkeypatch) -> list:
+    """Count the calls of ``space._incidence``, through every module of
+    the package that binds it; the returned list grows by one per call."""
+    real = space_module._incidence
+    calls = []
 
-    Builds the fine grid of all line positions, merges neighbouring fine
-    cells whose shared edge is not covered by a meshline, checks each
-    connected component is a rectangle, and returns the set of rectangle
-    corner tuples.
+    def counting(space):
+        calls.append(1)
+        return real(space)
+
+    for info in pkgutil.iter_modules(lrbsplines.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lrbsplines.{info.name}")
+        if getattr(module, "_incidence", None) is real:
+            monkeypatch.setattr(module, "_incidence", counting)
+    return calls
+
+
+def flood_fill_tiles(xs, ys, lines):
+    """Brute-force tiling of a raw line set, used as an oracle.
+
+    ``lines`` are (direction, fixed, lo, hi) segments on the sorted grid
+    values ``xs`` and ``ys``, which hold every line position and end.
+    Merges neighbouring grid cells whose shared edge no segment covers
+    and returns the set of corner tuples (x0, x1, y0, y1) of the
+    connected components.  Returns None when the lines do not tile the
+    domain: a component is not a rectangle, or a segment covers an edge
+    between two cells of one component (a dangling line).
     """
-    xs = sorted(mesh.positions(1))
-    ys = sorted(mesh.positions(2))
     nx, ny = len(xs) - 1, len(ys) - 1
 
+    segments = {}
+    for direction, fixed, lo, hi in lines:
+        segments.setdefault((direction, fixed), []).append((lo, hi))
+
     def covered(direction, pos, lo, hi):
-        for r_lo, r_hi, _ in mesh.runs_at(direction, pos):
-            if r_lo <= lo and hi <= r_hi:
-                return True
-        return False
+        return any(a <= lo and hi <= b for a, b in segments.get((direction, pos), ()))
 
     parent = list(range(nx * ny))
 
@@ -237,17 +262,22 @@ def flood_fill_elements(mesh: Mesh):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    walls = []
     for i in range(nx):
         for j in range(ny):
-            if i + 1 < nx and not covered(1, xs[i + 1], ys[j], ys[j + 1]):
-                union(i * ny + j, (i + 1) * ny + j)
-            if j + 1 < ny and not covered(2, ys[j + 1], xs[i], xs[i + 1]):
-                union(i * ny + j, i * ny + j + 1)
+            here = i * ny + j
+            neighbours = []
+            if i + 1 < nx:
+                neighbours.append((here + ny, covered(1, xs[i + 1], ys[j], ys[j + 1])))
+            if j + 1 < ny:
+                neighbours.append((here + 1, covered(2, ys[j + 1], xs[i], xs[i + 1])))
+            for there, wall in neighbours:
+                if wall:
+                    walls.append((here, there))
+                else:
+                    parent[find(here)] = find(there)
+    if any(find(a) == find(b) for a, b in walls):
+        return None
 
     groups = {}
     for i in range(nx):
@@ -259,11 +289,18 @@ def flood_fill_elements(mesh: Mesh):
         i_hi = max(c[0] for c in cells)
         j_lo = min(c[1] for c in cells)
         j_hi = max(c[1] for c in cells)
-        assert len(cells) == (i_hi - i_lo + 1) * (j_hi - j_lo + 1), (
-            "flood fill produced a non-rectangular element"
-        )
+        if len(cells) != (i_hi - i_lo + 1) * (j_hi - j_lo + 1):
+            return None
         rects.add((xs[i_lo], xs[i_hi + 1], ys[j_lo], ys[j_hi + 1]))
     return rects
+
+
+def flood_fill_elements(mesh: Mesh):
+    """:func:`flood_fill_tiles` of the mesh's lines on the grid of its
+    line positions: the set of element corner tuples, or None when the
+    lines do not tile the domain."""
+    lines = [(line.direction, line.fixed, line.lo, line.hi) for line in mesh.lines()]
+    return flood_fill_tiles(mesh.positions(1), mesh.positions(2), lines)
 
 
 def random_subset_marker(rng, fraction=0.25):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_incidence_calls
 from lrbsplines import (
     FormatError,
     from_json,
@@ -22,7 +23,6 @@ from lrbsplines import (
     write_element_csv,
 )
 from lrbsplines import cli
-from lrbsplines import space as space_module
 from lrbsplines.cli import main, run_mesh_demo, verify
 
 # sha256 of every file that a 4-iteration mesh-demo writes, plus the
@@ -329,14 +329,7 @@ def test_verify_reads_the_element_bounds_once(tmp_path, running_example, monkeyp
     # The support counts and the element-wise rank share one pass.
     target = tmp_path / "space.json"
     save(running_example["pipeline_2"], target)
-    calls = []
-    real = space_module._element_bounds
-
-    def counting(mesh):
-        calls.append(1)
-        return real(mesh)
-
-    monkeypatch.setattr(space_module, "_element_bounds", counting)
+    calls = count_incidence_calls(monkeypatch)
     assert verify(target)["collocation_rank"] == running_example["pipeline_2"].n_functions
     assert len(calls) == 1
 

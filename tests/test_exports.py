@@ -1,7 +1,10 @@
 """Every exported name resolves, and none is exported twice: a deleted or
-renamed function must leave no stale entry in an ``__all__``."""
+renamed function must leave no stale entry in an ``__all__``.  Only the
+mesh module reads a mesh's internal fields."""
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,17 @@ def test_all_names_resolve_once(module):
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
 
+
+
+def test_only_the_mesh_module_reads_the_mesh_internals():
+    """The line runs, positions and tiling array are ``mesh.py``'s own
+    format; every other module reads them through ``Mesh`` methods."""
+    internals = re.compile(r"\._(runs|positions|elements)\b")
+    readers = {
+        f"{path.name}:{n}"
+        for path in sorted(Path(lrbsplines.__file__).parent.glob("*.py"))
+        if path.name != "mesh.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if internals.search(line)
+    }
+    assert readers == set()

@@ -1,7 +1,7 @@
-"""Mesh model: element extraction, line insertion, invariants.
+"""Mesh model: tiling, line insertion, invariants.
 
-The element extractor is checked against an independent flood-fill
-reconstruction (see conftest) before anything else relies on it.
+The tiler is checked against an independent flood-fill reconstruction
+(see conftest) before anything else relies on it.
 """
 import functools
 import random
@@ -14,6 +14,7 @@ from conftest import (
     apply_splits,
     build_mesh,
     flood_fill_elements,
+    flood_fill_tiles,
     key_of,
     local_tensor_space,
     random_pipeline_space,
@@ -30,17 +31,7 @@ from lrbsplines.mesh import (
     make_initial_mesh,
     mesh_from_knots,
 )
-from lrbsplines.space import initial_space, structured_refine
-
-
-def rect_keys(mesh):
-    return {e.rect.corner_key() for e in mesh.elements()}
-
-
-def oracle_keys(mesh):
-    return {
-        tuple(c for c in rect) for rect in flood_fill_elements(mesh)
-    }
+from lrbsplines.space import apply_split, initial_space, structured_refine
 
 
 def assert_elements_match_oracle(mesh):
@@ -57,10 +48,12 @@ def assert_grid_elements_match_oracle(mesh):
     order (that order feeds support tables and collocation points)."""
     assert mesh._elements is None, "tensor mesh tiled before it was read"
     elems = mesh.elements()
+    boxes = mesh._elements
     assert_elements_match_oracle(mesh)
     keys = [e.rect.corner_key() for e in elems]
     assert keys == sorted(keys)
-    assert mesh.elements() is elems
+    assert mesh.elements() == elems
+    assert mesh._elements is boxes
 
 
 # -- oracle agreement first --------------------------------------------------
@@ -89,6 +82,47 @@ def test_partial_line_meshes_are_tiled_and_checked_when_built(mixed_mesh):
     # two half lines cut out the lower-left quarter and leave an L shape
     with pytest.raises(MeshError, match="tile"):
         build_mesh((0, 2, 0, 2), (2, 2), [(1, 1, 0, 1), (2, 1, 0, 1)])
+
+
+def _true_runs(mask):
+    """The maximal runs ``(lo, hi)`` of true entries of ``mask``: entry
+    ``c`` stands for the unit span ``[c, c + 1]``."""
+    runs, start = [], None
+    for c, on in enumerate(list(mask) + [False]):
+        if on and start is None:
+            start = c
+        elif not on and start is not None:
+            runs.append((start, c))
+            start = None
+    return runs
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_tiling_accepts_exactly_the_line_sets_the_flood_fill_accepts(data):
+    """Random interior segments on a small integer grid, with the open
+    boundary: the mesh is refused exactly when the lines do not tile the
+    domain, a dangling segment included, and otherwise its elements are
+    the flood fill's components."""
+    nx, ny = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+    xs, ys = range(nx), range(ny)
+    lines = []
+    for direction, fixed, cross in ((1, xs, ys), (2, ys, xs)):
+        for pos in fixed[1:-1]:
+            n = len(cross) - 1
+            mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            lines += [(direction, pos, lo, hi) for lo, hi in _true_runs(mask)]
+    boundary = [(1, 0, 0, ny - 1), (1, nx - 1, 0, ny - 1), (2, 0, 0, nx - 1), (2, ny - 1, 0, nx - 1)]
+    expected = flood_fill_tiles(xs, ys, lines + boundary)
+    try:
+        mesh = build_mesh((0, nx - 1, 0, ny - 1), (2, 2), lines)
+        got = {e.rect.corner_key() for e in mesh.elements()}
+    except MeshError as exc:
+        assert expected is None, exc
+        assert "is not a mesh vertex" in str(exc) or "do not tile the domain into rectangles near" in str(exc)
+        return
+    assert expected is not None
+    assert got == {(x0, y0, x1, y1) for x0, x1, y0, y1 in expected}
 
 
 def test_elements_match_flood_fill_on_partial_line_mesh(mixed_mesh):
@@ -261,12 +295,13 @@ def test_refined_meshes_are_tiled_when_first_read():
         raise_split = Split(1, pos, lo, hi, 1)
         assert insert_split(mesh, raise_split)._elements is None
         elems = mesh.elements()
+        boxes = mesh._elements
         assert_elements_match_oracle(mesh)
         keys = [e.rect.corner_key() for e in elems]
         assert keys == sorted(keys)
-        assert mesh.elements() is elems
+        assert mesh._elements is boxes
         # a multiplicity raise after it keeps the parent's tiling
-        assert insert_split(mesh, raise_split).elements() is elems
+        assert insert_split(mesh, raise_split)._elements is boxes
 
 
 def test_insert_bisects_only_traversed_elements():
@@ -320,8 +355,23 @@ def test_insert_rejects_partial_multiplicity_raise():
 def test_insert_rejects_multiplicity_beyond_cap():
     mesh = make_initial_mesh((0, 4, 0, 4), (2, 2), 2)
     raised = insert_split(mesh, Split.make(1, 2, 0, 4, multiplicity=2))
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="exceeds the cap 3"):
         insert_split(raised, Split.make(1, 2, 0, 4, multiplicity=1))
+
+
+def test_insert_rejects_a_new_split_beyond_the_cap():
+    # an entirely new line is capped as a raised one is; at the cap it
+    # is accepted
+    mesh = make_initial_mesh((0, 4, 0, 4), (2, 2), 4)
+    too_many = Split.make(1, 0.5, 0, 4, multiplicity=7)
+    with pytest.raises(MeshError, match="multiplicity 7 exceeds the cap 3"):
+        insert_split(mesh, too_many)
+    with pytest.raises(MeshError, match="exceeds the cap"):
+        apply_split(initial_space(mesh), too_many)
+    with pytest.raises(MeshError, match="multiplicity 4 exceeds the cap 3"):
+        insert_split(mesh, Split.make(2, 0.5, 0, 4, multiplicity=4))
+    full = insert_split(mesh, Split.make(1, 0.5, 0, 4, multiplicity=3))
+    assert full.runs_at(1, dyadic(0.5)) == ((dyadic(0), dyadic(4), 3),)
 
 
 def test_constant_splits_runs_disjoint_and_non_abutting():

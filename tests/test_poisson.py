@@ -18,7 +18,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from conftest import reference_derivatives, reference_values
+from conftest import count_incidence_calls, reference_derivatives, reference_values
 from lrbsplines import (
     SpaceError,
     adaptive_solve,
@@ -38,7 +38,6 @@ from lrbsplines import (
     TensorBSpline,
 )
 from lrbsplines import poisson
-from lrbsplines import space as space_module
 from lrbsplines.poisson import _composite_rule
 from lrbsplines.space import element_support_table
 
@@ -296,14 +295,7 @@ def test_assembly_across_chunks_matches_oracle(monkeypatch, resolution):
 def test_assembly_reads_the_element_bounds_once(monkeypatch):
     # The incidence's bounds also place the quadrature points.
     space = _oracle_space("n2s2", (2, 2), 4)
-    calls = []
-    real = space_module._element_bounds
-
-    def counting(mesh):
-        calls.append(1)
-        return real(mesh)
-
-    monkeypatch.setattr(space_module, "_element_bounds", counting)
+    calls = count_incidence_calls(monkeypatch)
     for resolution in (None, 1.0 / 3.0):
         calls.clear()
         assemble(space, layer_rhs, load_resolution=resolution)
