@@ -48,7 +48,6 @@ from .space import (
     element_support_count,
     element_support_table,
     evaluate_space,
-    function_key,
     initial_space,
     is_locally_linearly_independent,
     partition_of_unity_defect,
@@ -137,7 +136,6 @@ __all__ = [
     "element_support_count",
     "element_support_table",
     "evaluate_space",
-    "function_key",
     "initial_space",
     "is_locally_linearly_independent",
     "partition_of_unity_defect",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -97,10 +96,6 @@ class Rect:
             float(self.y_min),
             float(self.y_max),
         )
-
-    @property
-    def area(self) -> Fraction:
-        return (self.x_max - self.x_min).fraction * (self.y_max - self.y_min).fraction
 
     def __str__(self) -> str:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
@@ -603,8 +598,9 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
 
 
 def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:
-    runs = {1: dict(mesh._runs[1]), 2: dict(mesh._runs[2])}
-    runs[d][pos] = new_runs
+    # Nothing mutates a mesh's run dicts, so the other direction's is shared.
+    runs = dict(mesh._runs)
+    runs[d] = {**mesh._runs[d], pos: new_runs}
     positions = dict(mesh._positions)
     if pos not in mesh._runs[d]:
         positions[d] = tuple(sorted(mesh._runs[d].keys() | {pos}))

@@ -231,11 +231,12 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
     dirichlet: dict = {}
+    keys = space.sorted_keys()
     for direction, value, is_lower in _edge_descriptors(space):
         degree = p1 if direction == 1 else p2
         cross_top = dom.y_max if direction == 1 else dom.x_max
         edge = []
-        for key in space.sorted_keys():
+        for key in keys:
             vec = key[0] if direction == 1 else key[1]
             pinned = vec[degree] == value if is_lower else vec[1] == value
             if pinned:

@@ -110,15 +110,6 @@ def nested_map(space: LRSpace) -> dict:
 # -- expansions -------------------------------------------------------------
 
 
-def _inners_scan(state: _Refinement, b: TensorBSpline) -> list:
-    """The state's functions nested in ``b``, one of them: the support
-    rows keep the exact knotwise test to the functions inside ``b``'s
-    support."""
-    (_, rows), _ = state.containment(state.bounds[[state.rows[b.key]]])
-    functions = [state.functions[state.keys[r]] for r in rows]
-    return [f for f in functions if is_nested_knotwise(f, b)]
-
-
 def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
     cross = b.knots(2 if direction == 1 else 1)
     values = set(b.knots(direction))
@@ -142,10 +133,10 @@ def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSp
     if b is None:
         raise SpaceError(f"function {outer_key} is not in the space")
     state = _Refinement(space)
-    inners = _inners_scan(state, b)
-    if not inners:
+    inner_keys = _NestedTracker(state).by_outer.get(outer_key)
+    if not inner_keys:
         raise SpaceError("expansion requires a function with nested functions")
-    pieces = _one_directional_pieces(b, inners, direction)
+    pieces = _one_directional_pieces(b, [space.functions[k] for k in inner_keys], direction)
     return space if state.insert(pieces) is None else state.space()
 
 
@@ -254,19 +245,24 @@ def _rank(key: Key):
 
 class _NestedTracker:
     """Incrementally maintained nested-pair relation of a refinement
-    state's functions.
+    state's functions: ``by_outer`` maps each outer key to its inner
+    keys.
 
     Whether two functions are nested depends only on their knot vectors,
-    so pairs between surviving functions never change; updates only have
-    to handle removed and added functions.  Candidates come from the
+    so pairs between surviving functions never change; an update only
+    adds the pairs of the added functions.  Candidates come from the
     state's support rows, and the exact knotwise test decides each.
+
+    Keys the state has removed are dropped lazily, when :meth:`select`
+    reads them.  That is sound because a removed key never comes back: it
+    lacked minimal support on the line that split it, and that line stays
+    in the mesh.  A fresh tracker holds live keys only.
     """
 
     def __init__(self, state: _Refinement):
         self.state = state
         self.by_outer: dict[Key, set] = {}
-        self.by_inner: dict[Key, set] = {}
-        # (rank, outer) entries; one per outer in by_outer, plus stale ones
+        # (rank, outer) entries, exactly one per outer in by_outer
         self._heap: list = []
         keys, functions = state.keys, state.functions
         for i, o in zip(*state.nested_pairs()):
@@ -280,27 +276,9 @@ class _NestedTracker:
             inners = self.by_outer[outer_key] = set()
             heapq.heappush(self._heap, _rank(outer_key))
         inners.add(inner_key)
-        self.by_inner.setdefault(inner_key, set()).add(outer_key)
 
-    def _drop(self, key) -> None:
-        for outer in self.by_inner.pop(key, ()):
-            peers = self.by_outer.get(outer)
-            if peers is not None:
-                peers.discard(key)
-                if not peers:
-                    del self.by_outer[outer]
-        for inner in self.by_outer.pop(key, ()):
-            peers = self.by_inner.get(inner)
-            if peers is not None:
-                peers.discard(key)
-                if not peers:
-                    del self.by_inner[inner]
-
-    def update(self, removed, added) -> None:
-        """Follow a refinement of the state that removed and added the
-        given keys."""
-        for key in removed:
-            self._drop(key)
+    def update(self, added) -> None:
+        """Add the pairs of the keys a refinement of the state added."""
         if not added:
             return
         state = self.state
@@ -314,33 +292,28 @@ class _NestedTracker:
             if is_nested_knotwise(functions[inner_key], functions[outer_key]):
                 self._add(inner_key, outer_key)
 
-    def has_pairs(self) -> bool:
-        return bool(self.by_outer)
+    def select(self):
+        """The live outer with the largest support area, ties broken by
+        the lexicographically smallest knot vectors, and its sorted live
+        inner keys; None when no live pair is left.
 
-    def select_outer(self) -> Key:
-        """The outer with the largest support area, ties broken by the
-        lexicographically smallest knot vectors: ``min(by_outer,
-        key=_rank)``, read off a heap whose stale entries are dropped
-        here.
-
+        The outer is ``min(live outers, key=_rank)``, read off the heap;
+        outers found dead, or with no live inner, leave the relation here.
         Expanding wide outers first resolves whole regions of nested
         pairs at once and keeps the final spaces close to the minimal
         hierarchically graded ones; the tie-break makes the pipeline
         fully deterministic.
         """
-        heap = self._heap
-        while heap[0][1] not in self.by_outer:
+        heap, by_outer, live = self._heap, self.by_outer, self.state.functions
+        while heap:
+            outer_key = heap[0][1]
+            if outer_key in live:
+                inners = by_outer[outer_key] = {k for k in by_outer[outer_key] if k in live}
+                if inners:
+                    return outer_key, sorted(inners)
             heapq.heappop(heap)
-        return heap[0][1]
-
-    def inners_of(self, outer_key) -> list:
-        return sorted(self.by_outer[outer_key])
-
-
-def _total_runs(mesh) -> int:
-    return sum(
-        len(mesh.runs_at(d, pos)) for d in (1, 2) for pos in mesh.positions(d)
-    )
+            del by_outer[outer_key]
+        return None
 
 
 def n2s_pipeline(
@@ -360,9 +333,14 @@ def n2s_pipeline(
     direction (vertical on odd ``i`` under the default parity,
     horizontal on even; ``parity="odd-horizontal"`` flips this,
     ``expansion="full"`` substitutes two-directional tensor expansions)
-    until no nested pair remains.  The sweep provably terminates; a
-    generous cap on the expansion count (the mesh's meshline-run total)
-    turns a violation into a diagnostic ``RuntimeError``.
+    until no nested pair remains.
+
+    The sweep terminates.  Each expansion inserts at least one uncovered
+    piece, or it raises ``RuntimeError``.  Every piece lies at an
+    existing mesh position and runs between existing positions, because
+    the knots of functions with minimal support are mesh positions; so
+    the sweep adds no position.  Each of the finitely many edges of the
+    position grid at the start of the sweep can be covered only once.
 
     ``start_index`` numbers the first iteration, so a run can be
     continued level by level with the same alternation as one long run.
@@ -394,13 +372,11 @@ def n2s_pipeline(
             direction = 2 if odd else 1
 
         tracker = _NestedTracker(state)
-        cap = _total_runs(state.mesh)
-        count = 0
-        while tracker.has_pairs():
-            outer_key = tracker.select_outer()
+        while (pair := tracker.select()) is not None:
+            outer_key, inner_keys = pair
             outer = functions[outer_key]
             if expansion == "one-directional":
-                inners = [functions[k] for k in tracker.inners_of(outer_key)]
+                inners = [functions[k] for k in inner_keys]
                 pieces = _one_directional_pieces(outer, inners, direction)
             else:
                 pieces = _tensor_pieces(state.mesh, outer)
@@ -411,13 +387,7 @@ def n2s_pipeline(
                     f"pair; the mesh violates the interior-multiplicity-1 "
                     f"assumption of the strategy"
                 )
-            count += 1
-            if count > cap:
-                raise RuntimeError(
-                    f"expansion count exceeded the termination cap {cap} at "
-                    f"iteration {i}"
-                )
-            tracker.update(*diff)
+            tracker.update(diff[1])
             trace.append(
                 iter=i,
                 outer=outer_key,

@@ -43,7 +43,6 @@ from .mesh import Element, Mesh, MeshError, Split, insert_split, is_tensorized
 __all__ = [
     "SpaceError",
     "LRSpace",
-    "function_key",
     "initial_space",
     "apply_split",
     "structured_refine",
@@ -62,11 +61,6 @@ Key = tuple[tuple[DyadicCoord, ...], tuple[DyadicCoord, ...]]
 
 class SpaceError(ValueError):
     """A space-level operation violates its contract."""
-
-
-def function_key(xknots, yknots) -> Key:
-    """Normalize two knot vectors into a function key."""
-    return (local_knot_vector(xknots), local_knot_vector(yknots))
 
 
 class LRSpace:

@@ -143,6 +143,14 @@ def test_mesh_demo_produces_artifacts(tmp_path, capsys):
     assert is_locally_linearly_independent(space)
 
 
+def test_mesh_demo_with_unequal_bidegree_runs_to_the_end(tmp_path, capsys):
+    # Iteration 6 of the (2, 1) sweep needs 136 expansions, more than the
+    # mesh's 130 runs at the start of the sweep: no run-count bound holds.
+    code = main(["mesh-demo", "--degree", "2", "1", "--iterations", "6", "--out", str(tmp_path)])
+    assert code == 0
+    assert "locally_independent: True" in capsys.readouterr().out
+
+
 def test_mesh_demo_is_deterministic(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"

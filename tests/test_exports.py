@@ -1,6 +1,7 @@
-"""Every exported name resolves, and none is exported twice: a deleted or
-renamed function must leave no stale entry in an ``__all__``.  Only the
-mesh module reads a mesh's internal fields."""
+"""Every exported name resolves, none is exported twice, and each is
+referenced: a deleted or renamed function must leave no stale entry in an
+``__all__``, and a function nothing reads must not stay exported.  Only
+the mesh module reads a mesh's internal fields."""
 import importlib
 import pkgutil
 import re
@@ -24,6 +25,24 @@ def test_all_names_resolve_once(module):
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
 
+
+def test_every_export_is_referenced():
+    """Each name the package exports is read somewhere in the package or
+    the tests, besides its own definition and export lines: an export
+    nothing reads is dead code."""
+    package = Path(lrbsplines.__file__).parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted(Path(__file__).parent.glob("*.py"))
+    lines = [line for path in sources for line in path.read_text().splitlines()]
+    unread = []
+    for name in lrbsplines.__all__:
+        if name == "__version__":
+            continue
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf'^\s*(def|class)\s+{name}\b|^{name}\s*[:=]|^\s*"{name}",?\s*$')
+        if not any(word.search(line) and not own.search(line) for line in lines):
+            unread.append(name)
+    assert unread == []
 
 
 def test_only_the_mesh_module_reads_the_mesh_internals():

@@ -18,12 +18,11 @@ from lrbsplines.refine import (
     one_directional_expansion,
     point_marker,
     tensor_expansion,
-    _NestedTracker,
+    _rank,
 )
 from lrbsplines.space import (
     LRSpace,
     SpaceError,
-    _Refinement,
     initial_space,
     is_locally_linearly_independent,
 )
@@ -243,10 +242,15 @@ def test_select_outer_takes_the_largest_exact_area():
         return (-area, key)
 
     pool = [interval() for _ in range(12)]
-    tensor = initial_space(make_initial_mesh((0, 1, 0, 1), (1, 1), 1))
     for _ in range(300):
         keys = {(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 20))}
-        tracker = _NestedTracker(_Refinement(tensor))
-        for key in keys:
-            tracker._add("inner", key)
-        assert tracker.select_outer() == min(keys, key=fraction_rank)
+        assert sorted(keys, key=_rank) == sorted(keys, key=fraction_rank)
+
+
+def test_pipeline_sweep_with_unequal_bidegree_completes():
+    # Iteration 7 of the (1, 2) sweep needs 304 expansions, more than the
+    # mesh's 258 runs at the start of the sweep.
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (1, 2), 1))
+    refined, trace = n2s_pipeline(space, diagonal_marker, 7)
+    assert nested_map(refined) == {}
+    assert is_locally_linearly_independent(refined)

@@ -99,23 +99,40 @@ def assert_compaction_keeps_the_survivors(state):
         assert np.array_equal(twin.bounds[twin.rows[key]], state.bounds[state.rows[key]])
 
 
+def live_relation(by_outer, live) -> dict:
+    """The pairs of ``by_outer`` between live keys, without empty sets."""
+    relation = {
+        outer: {inner for inner in inners if inner in live}
+        for outer, inners in by_outer.items()
+        if outer in live
+    }
+    return {outer: inners for outer, inners in relation.items() if inners}
+
+
 def checked_refinement(built: list) -> ExitStack:
     """Patch every support-row query and tracker step to check itself
     against its brute-force oracle, check the rows after every
-    regeneration, and count the states built in ``built``."""
+    regeneration, and count the states built in ``built``.
+
+    A regeneration must never add back a key its state removed earlier:
+    the tracker drops removed keys lazily and relies on that."""
     init = _Refinement.__init__
     regenerate = _Refinement.regenerate
     crossing = _Refinement.crossing
     nested_pairs = _Refinement.nested_pairs
     update = _NestedTracker.update
-    select_outer = _NestedTracker.select_outer
+    select = _NestedTracker.select
+    removed_by = {}  # id(state) -> (state, keys it removed)
 
     def counted_init(self, space):
         init(self, space)
         built.append(self)
 
     def checked_regenerate(self, mesh, segments):
-        diff = regenerate(self, mesh, segments)
+        removed, added = diff = regenerate(self, mesh, segments)
+        gone = removed_by.setdefault(id(self), (self, set()))[1]
+        assert gone.isdisjoint(added)
+        gone |= removed
         assert_rows_are_fresh(self)
         assert_compaction_keeps_the_survivors(self)
         return diff
@@ -134,13 +151,19 @@ def checked_refinement(built: list) -> ExitStack:
         assert set(zip(inner.tolist(), outer.tolist())) == dense_nested_rows(self)
         return inner, outer
 
-    def checked_update(self, removed, added):
-        update(self, removed, added)
-        assert self.by_outer == _NestedTracker(self.state).by_outer
+    def checked_update(self, added):
+        update(self, added)
+        fresh = _NestedTracker(self.state).by_outer
+        assert live_relation(self.by_outer, self.state.functions) == fresh
 
-    def checked_select_outer(self):
-        got = select_outer(self)
-        assert got == min(self.by_outer, key=_rank)
+    def checked_select(self):
+        fresh = _NestedTracker(self.state).by_outer
+        got = select(self)
+        if not fresh:
+            assert got is None
+        else:
+            outer = min(fresh, key=_rank)
+            assert got == (outer, sorted(fresh[outer]))
         return got
 
     stack = ExitStack()
@@ -150,7 +173,7 @@ def checked_refinement(built: list) -> ExitStack:
         (_Refinement, "crossing", checked_crossing),
         (_Refinement, "nested_pairs", checked_nested_pairs),
         (_NestedTracker, "update", checked_update),
-        (_NestedTracker, "select_outer", checked_select_outer),
+        (_NestedTracker, "select", checked_select),
     ):
         stack.enter_context(patch.object(cls, name, method))
     return stack
