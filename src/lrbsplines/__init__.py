@@ -16,13 +16,10 @@ evaluation works in floating point.
 
 from .dyadic import DyadicCoord, dyadic, midpoint
 from .mesh import (
-    Element,
     Mesh,
     MeshError,
-    Meshline,
     Rect,
     Split,
-    elements,
     insert_split,
     is_tensorized,
     make_initial_mesh,
@@ -108,13 +105,10 @@ __all__ = [
     "DyadicCoord",
     "dyadic",
     "midpoint",
-    "Element",
     "Mesh",
     "MeshError",
-    "Meshline",
     "Rect",
     "Split",
-    "elements",
     "insert_split",
     "is_tensorized",
     "make_initial_mesh",

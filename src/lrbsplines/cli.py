@@ -11,13 +11,15 @@ and collocation rank.
 
 Exit codes: 0 on success, 2 on a validation failure (bad input files,
 inadmissible meshes or spaces, a linearly dependent space), 3 on a
-numerical failure.
+numerical failure.  A path that cannot be read or written (missing, a
+directory where a file is wanted or the reverse) and a file that is not
+UTF-8 text are bad input too.  Every failure but a failed ``verify``
+report, which is printed, is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -105,10 +107,7 @@ def run_mesh_demo(
 
     formats.save(space, out / "space.json")
     formats.write_trace(trace, out / "trace.jsonl")
-    with open(out / "counts.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["iteration", "n_functions", "n_elements"])
-        writer.writeheader()
-        writer.writerows(counts)
+    formats._write_table(counts, out / "counts.csv", ["iteration", "n_functions", "n_elements"])
 
     return {
         "strategy": strategy,
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FormatError, MeshError, SpaceError, KnotVectorError, FileNotFoundError) as exc:
+    except (FormatError, MeshError, SpaceError, KnotVectorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

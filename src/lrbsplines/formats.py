@@ -271,10 +271,11 @@ def save(obj, path) -> None:
 
 
 def load(path):
-    """Read a mesh or space document."""
-    text = Path(path).read_text()
+    """Read a mesh or space document, UTF-8 encoded JSON."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return from_json(doc)
@@ -350,22 +351,22 @@ def write_trace(trace: RefinementTrace, path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def write_qi_csv(rows, path) -> None:
-    """Level table of the peaks benchmark."""
-    fields = ["level", "n_tensor", "n_n2s2", "max_error_tensor", "max_error_n2s2"]
+def _write_table(rows, path, fields) -> None:
+    """A CSV table: the header ``fields``, then one line per row dict."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_qi_csv(rows, path) -> None:
+    """Level table of the peaks benchmark."""
+    _write_table(rows, path, ["level", "n_tensor", "n_n2s2", "max_error_tensor", "max_error_n2s2"])
 
 
 def write_poisson_csv(rows, path) -> None:
     """Error-decay table of the layer benchmark."""
-    fields = ["strategy", "level", "n_functions", "linf", "l2"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(rows, path, ["strategy", "level", "n_functions", "linf", "l2"])
 
 
 def write_element_csv(space: LRSpace, path) -> None:

@@ -15,12 +15,18 @@ span in x).
 All coordinates are exact dyadics; multiplicities are capped by
 ``bidegree[k-1] + 1`` in direction ``k``, and on *open* meshes the four
 boundary edges carry exactly that full multiplicity.
+
+A segment, stored or inserted, is a :class:`Split`, and construction
+and insertion check it by the same rules (:func:`_check_segment`,
+:func:`_canonical_runs`).
+
 A mesh stores its lines.  The elements are tiled from them, on the
 first read, into one integer array of index boxes: row ``(i0, i1, j0,
 j1)`` is the element ``[xs[i0], xs[i1]] x [ys[j0], ys[j1]]``, with ``xs``
 and ``ys`` the line positions of directions 1 and 2.  Every mesh, tensor
-or not, is tiled the same way (:func:`_tile`); :class:`Element` objects
-are built from the boxes only when :meth:`Mesh.elements` is called.
+or not, is tiled the same way (:func:`_tile`); :meth:`Mesh.elements`
+builds the elements' closures, as :class:`Rect` objects, from the boxes
+only when it is called.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,14 +43,11 @@ from .dyadic import DyadicCoord, dyadic
 __all__ = [
     "MeshError",
     "Rect",
-    "Meshline",
     "Split",
-    "Element",
     "Mesh",
     "make_initial_mesh",
     "mesh_from_knots",
     "insert_split",
-    "elements",
     "is_tensorized",
 ]
 
@@ -101,25 +104,16 @@ class Rect:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Meshline:
-    """A canonical stored line segment: maximal run of one multiplicity."""
+class Split(NamedTuple):
+    """A meshline segment: ``multiplicity`` lines at position ``fixed``
+    of ``direction``, spanning ``[lo, hi]`` across it.
 
-    direction: int
-    fixed: DyadicCoord
-    lo: DyadicCoord
-    hi: DyadicCoord
-    multiplicity: int
-
-
-@dataclass(frozen=True, slots=True)
-class Split:
-    """An insertion request: one contiguous segment at one position.
-
-    The segment must either be entirely new -- with both ends on
-    perpendicular lines that cross its position, so that it cuts every
-    element it meets from edge to edge -- or coincide exactly with one
-    existing run, in which case the run's multiplicity is raised.
+    The one segment type: :meth:`Mesh.lines` returns the canonical runs
+    as splits, and insertion and refinement take them.  To be inserted, a
+    split must either be entirely new -- with both ends on perpendicular
+    lines that cross its position, so that it cuts every element it meets
+    from edge to edge -- or coincide exactly with one existing run, in
+    which case the run's multiplicity is raised.
     """
 
     direction: int
@@ -131,13 +125,6 @@ class Split:
     @classmethod
     def make(cls, direction, fixed, lo, hi, multiplicity=1) -> "Split":
         return cls(int(direction), dyadic(fixed), dyadic(lo), dyadic(hi), int(multiplicity))
-
-
-@dataclass(frozen=True, slots=True)
-class Element:
-    """An open rectangle of the tiling; no meshline meets its interior."""
-
-    rect: Rect
 
 
 # A run is a (lo, hi, mult) triple; runs at one position are kept sorted
@@ -195,14 +182,15 @@ class Mesh:
             return r
         return None
 
-    def lines(self) -> tuple[Meshline, ...]:
-        """All canonical meshlines, sorted by (direction, fixed, lo)."""
-        out = []
-        for d in (1, 2):
-            for pos in self._positions[d]:
-                for lo, hi, mult in self._runs[d][pos]:
-                    out.append(Meshline(d, pos, lo, hi, mult))
-        return tuple(out)
+    def lines(self) -> tuple[Split, ...]:
+        """The canonical runs as :class:`Split` segments, sorted by
+        (direction, fixed, lo)."""
+        return tuple(
+            Split(d, pos, lo, hi, mult)
+            for d in (1, 2)
+            for pos in self._positions[d]
+            for lo, hi, mult in self._runs[d][pos]
+        )
 
     def element_boxes(self) -> np.ndarray:
         """The tiling as a read-only ``(elements, 4)`` integer array.
@@ -217,13 +205,12 @@ class Mesh:
             self._elements = _tile(self._positions, self._runs)
         return self._elements
 
-    def elements(self) -> tuple[Element, ...]:
-        """The tiling as :class:`Element` objects, sorted by
-        ``Rect.corner_key``: built from :meth:`element_boxes` on each
-        call."""
+    def elements(self) -> tuple[Rect, ...]:
+        """The elements' closures, sorted by ``Rect.corner_key``: built
+        from :meth:`element_boxes` on each call."""
         xs, ys = self._positions[1], self._positions[2]
         return tuple(
-            Element(Rect(xs[i0], xs[i1], ys[j0], ys[j1]))
+            Rect(xs[i0], xs[i1], ys[j0], ys[j1])
             for i0, i1, j0, j1 in self.element_boxes().tolist()
         )
 
@@ -261,8 +248,33 @@ class Mesh:
 # -- construction ---------------------------------------------------------
 
 
-def _canonical_runs(segments) -> _Runs:
-    """Merge raw (lo, hi, mult) segments at one position into canonical runs.
+def _check_segment(domain: Rect, bidegree, direction, fixed, lo, hi, mult) -> None:
+    """The rules a segment must meet on its own: a direction of 1 or 2,
+    a multiplicity between 1 and the direction's cap ``bidegree[d-1] +
+    1``, a nonempty span, and a position and span inside the domain."""
+    if direction not in (1, 2):
+        raise MeshError(f"direction must be 1 or 2, got {direction}")
+    if mult < 1:
+        raise MeshError(f"multiplicity must be positive, got {mult}")
+    cap = bidegree[direction - 1] + 1
+    if mult > cap:
+        raise MeshError(
+            f"multiplicity {mult} exceeds the cap {cap} "
+            f"at direction-{direction} position {fixed}"
+        )
+    if not lo < hi:
+        raise MeshError(f"empty meshline span [{lo}, {hi}]")
+    f_lo, f_hi = domain.interval(direction)
+    c_lo, c_hi = domain.interval(2 if direction == 1 else 1)
+    if not (f_lo <= fixed <= f_hi):
+        raise MeshError(f"line position {fixed} outside domain {domain}")
+    if not (c_lo <= lo and hi <= c_hi):
+        raise MeshError(f"line span [{lo}, {hi}] outside domain {domain}")
+
+
+def _canonical_runs(direction, pos, segments) -> _Runs:
+    """Merge the (lo, hi, mult) segments at one position into canonical
+    runs, each segment having passed :func:`_check_segment`.
 
     Overlapping segments or abutting segments of different multiplicity
     violate the constant-splits invariant and raise.
@@ -270,21 +282,19 @@ def _canonical_runs(segments) -> _Runs:
     segs = sorted(segments, key=lambda s: (s[0], s[1]))
     out: list[list] = []
     for lo, hi, mult in segs:
-        if not lo < hi:
-            raise MeshError(f"empty meshline span [{lo}, {hi}]")
-        if mult < 1:
-            raise MeshError(f"multiplicity must be positive, got {mult}")
         if out:
             plo, phi, pmult = out[-1]
             if lo < phi:
                 raise MeshError(
-                    f"overlapping collinear meshlines near [{lo}, {min(hi, phi)}]"
+                    f"overlapping collinear meshlines near [{lo}, {min(hi, phi)}] "
+                    f"at direction-{direction} position {pos}"
                 )
             if lo == phi:
                 if mult != pmult:
                     raise MeshError(
                         f"abutting collinear meshlines of multiplicities "
-                        f"{pmult} and {mult} at {lo} (constant splits)"
+                        f"{pmult} and {mult} at {lo} on direction-{direction} "
+                        f"position {pos} (constant splits)"
                     )
                 out[-1][1] = hi
                 continue
@@ -374,49 +384,36 @@ def _tile(positions, runs) -> np.ndarray:
 def _build_mesh(
     domain: Rect,
     bidegree: tuple[int, int],
-    items: Iterable[tuple[int, DyadicCoord, DyadicCoord, DyadicCoord, int]],
+    items: Iterable[Split],
     *,
     require_open: bool = True,
 ) -> Mesh:
-    """Assemble and validate a mesh from raw (dir, fixed, lo, hi, mult) items.
+    """Assemble and validate a mesh from :class:`Split` segments (or
+    tuples of the same five fields); collinear segments that abut at one
+    multiplicity merge into one run.
 
-    Every mesh gets the canonical-run, multiplicity-cap and boundary
-    checks.  The tiling is read, and so checked by :func:`_tile`, here
-    only when some line stops short of the domain edges.  When every line
-    spans the full cross-extent, each line cuts the domain from edge to
-    edge, so the complement of the lines is exactly the grid of
-    consecutive positions (the boundary check has put the domain edges
-    among them): the box-partition check cannot fail, and the tiling waits
-    for its first read.
+    Every segment gets :func:`_check_segment`, every position's segments
+    :func:`_canonical_runs`, and the mesh the boundary checks.  The
+    tiling is read, and so checked by :func:`_tile`, here only when some
+    line stops short of the domain edges.  When every line spans the
+    full cross-extent, each line cuts the domain from edge to edge, so
+    the complement of the lines is exactly the grid of consecutive
+    positions (the boundary check has put the domain edges among them):
+    the box-partition check cannot fail, and the tiling waits for its
+    first read.
     """
     p1, p2 = bidegree
     if p1 < 1 or p2 < 1:
         raise MeshError(f"bidegree components must be >= 1, got {bidegree}")
     raw: dict[int, dict[DyadicCoord, list]] = {1: {}, 2: {}}
     for direction, fixed, lo, hi, mult in items:
-        if direction not in (1, 2):
-            raise MeshError(f"direction must be 1 or 2, got {direction}")
-        f_lo, f_hi = domain.interval(direction)
-        c_lo, c_hi = domain.interval(2 if direction == 1 else 1)
-        if not (f_lo <= fixed <= f_hi):
-            raise MeshError(f"line position {fixed} outside domain {domain}")
-        if not (c_lo <= lo and hi <= c_hi):
-            raise MeshError(f"line span [{lo}, {hi}] outside domain {domain}")
+        _check_segment(domain, bidegree, direction, fixed, lo, hi, mult)
         raw[direction].setdefault(fixed, []).append((lo, hi, mult))
 
     runs = {
-        d: {pos: _canonical_runs(segs) for pos, segs in raw[d].items()}
+        d: {pos: _canonical_runs(d, pos, segs) for pos, segs in raw[d].items()}
         for d in (1, 2)
     }
-
-    for d, cap in ((1, p1 + 1), (2, p2 + 1)):
-        for pos, rs in runs[d].items():
-            for lo, hi, mult in rs:
-                if mult > cap:
-                    raise MeshError(
-                        f"multiplicity {mult} exceeds {cap} for direction-{d} "
-                        f"line at {pos}"
-                    )
 
     # Boundary edges must be fully covered; on open meshes at exactly the
     # full multiplicity.
@@ -467,15 +464,11 @@ def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
             )
         return [lo + dyadic(step * i) for i in range(1, n)]
 
-    items = []
-    items.append((1, domain.x_min, domain.y_min, domain.y_max, p1 + 1))
-    items.append((1, domain.x_max, domain.y_min, domain.y_max, p1 + 1))
-    items.append((2, domain.y_min, domain.x_min, domain.x_max, p2 + 1))
-    items.append((2, domain.y_max, domain.x_min, domain.x_max, p2 + 1))
-    for x in grid(domain.x_min, domain.x_max, n1):
-        items.append((1, x, domain.y_min, domain.y_max, 1))
-    for y in grid(domain.y_min, domain.y_max, n2):
-        items.append((2, y, domain.x_min, domain.x_max, 1))
+    x0, x1, y0, y1 = domain.x_min, domain.x_max, domain.y_min, domain.y_max
+    items = [Split(1, x, y0, y1, p1 + 1) for x in (x0, x1)]
+    items += [Split(2, y, x0, x1, p2 + 1) for y in (y0, y1)]
+    items += [Split(1, x, y0, y1) for x in grid(x0, x1, n1)]
+    items += [Split(2, y, x0, x1) for y in grid(y0, y1, n2)]
     return _build_mesh(domain, (p1, p2), items)
 
 
@@ -501,11 +494,8 @@ def mesh_from_knots(xknots, yknots) -> Mesh:
     ys = [dyadic(v) for v in yknots]
     p1, p2 = len(xs) - 2, len(ys) - 2
     domain = Rect(xs[0], xs[-1], ys[0], ys[-1])
-    items = []
-    for x, mult in _knot_multiplicities(xs):
-        items.append((1, x, domain.y_min, domain.y_max, mult))
-    for y, mult in _knot_multiplicities(ys):
-        items.append((2, y, domain.x_min, domain.x_max, mult))
+    items = [Split(1, x, ys[0], ys[-1], mult) for x, mult in _knot_multiplicities(xs)]
+    items += [Split(2, y, xs[0], xs[-1], mult) for y, mult in _knot_multiplicities(ys)]
     return _build_mesh(domain, (p1, p2), items, require_open=False)
 
 
@@ -513,53 +503,38 @@ def mesh_from_knots(xknots, yknots) -> Mesh:
 
 
 def insert_split(mesh: Mesh, split: Split) -> Mesh:
-    """Insert one split, returning a new mesh.
+    """Insert one :class:`Split` segment, returning a new mesh.
 
-    Only lines are read and written.  A split whose span is entirely
-    uncovered must have each end on a perpendicular run with the split
-    position strictly inside it; it is inserted at its own multiplicity
-    and the new mesh is tiled when first read.  A split whose span
-    coincides exactly with an existing run raises that run's
-    multiplicity and keeps the parent's tiling.  Partial overlaps,
-    dangling endpoints, multiplicity overflow, and constant-splits
-    violations are all rejected.
+    Only lines are read and written.  The split must pass the rules of
+    construction, :func:`_check_segment` and :func:`_canonical_runs`, and
+    insertion's own: a split whose span is entirely uncovered must have
+    each end on a perpendicular run with the split position strictly
+    inside it; it is inserted at its own multiplicity and the new mesh is
+    tiled when first read.  A split whose span coincides exactly with an
+    existing run raises that run's multiplicity, up to the cap, and keeps
+    the parent's tiling.  A span that partially overlaps the runs is
+    rejected.
     """
-    d = split.direction
-    if d not in (1, 2):
-        raise MeshError(f"direction must be 1 or 2, got {d}")
-    pos, lo, hi, mult = split.fixed, split.lo, split.hi, split.multiplicity
-    if mult < 1:
-        raise MeshError(f"multiplicity must be positive, got {mult}")
-    if not lo < hi:
-        raise MeshError(f"empty split span [{lo}, {hi}]")
-    f_lo, f_hi = mesh.domain.interval(d)
-    c_lo, c_hi = mesh.cross_interval(d)
-    if not (f_lo <= pos <= f_hi):
-        raise MeshError(f"split position {pos} outside domain {mesh.domain}")
-    if not (c_lo <= lo and hi <= c_hi):
-        raise MeshError(f"split span [{lo}, {hi}] outside domain {mesh.domain}")
-
-    cap = mesh.bidegree[d - 1] + 1
+    d, pos, lo, hi, mult = split
+    _check_segment(mesh.domain, mesh.bidegree, d, pos, lo, hi, mult)
     runs = mesh.runs_at(d, pos)
     overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
-
-    old = overlapping[0] if overlapping else None
-    if overlapping and (len(overlapping) > 1 or old[0] != lo or old[1] != hi):
-        raise MeshError(
-            f"split span [{lo}, {hi}] partially overlaps existing meshlines "
-            f"at direction-{d} position {pos}; spans must be entirely new or "
-            f"coincide with one existing run"
-        )
-    new_mult = mult + (old[2] if old else 0)
-    if new_mult > cap:
-        raise MeshError(
-            f"multiplicity {new_mult} exceeds the cap {cap} "
-            f"at direction-{d} position {pos}"
-        )
-    if old:
-        new_runs = tuple(
-            (r[0], r[1], new_mult) if r is old else r for r in runs
-        )
+    if overlapping:
+        old = overlapping[0]
+        if len(overlapping) > 1 or old[0] != lo or old[1] != hi:
+            raise MeshError(
+                f"split span [{lo}, {hi}] partially overlaps existing meshlines "
+                f"at direction-{d} position {pos}; spans must be entirely new or "
+                f"coincide with one existing run"
+            )
+        cap = mesh.bidegree[d - 1] + 1
+        new_mult = mult + old[2]
+        if new_mult > cap:
+            raise MeshError(
+                f"multiplicity {new_mult} exceeds the cap {cap} "
+                f"at direction-{d} position {pos}"
+            )
+        new_runs = tuple((lo, hi, new_mult) if r is old else r for r in runs)
         return _with_runs(mesh, d, pos, new_runs, mesh._elements)
 
     # Entirely new.  No line ends inside an element, so with both ends on
@@ -573,28 +548,7 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
                 f"split at direction-{d} position {pos} is not anchored: its "
                 f"end {end} does not lie on a meshline crossing the position"
             )
-
-    # Constant splits: merging with abutting neighbours requires equal mult.
-    pieces = list(runs)
-    for r in pieces:
-        if (r[1] == lo or r[0] == hi) and r[2] != mult:
-            raise MeshError(
-                f"new split of multiplicity {mult} abuts a run of multiplicity "
-                f"{r[2]} at direction-{d} position {pos} (constant splits)"
-            )
-    merged_lo, merged_hi = lo, hi
-    keep = []
-    for r in pieces:
-        if r[1] == lo and r[2] == mult:
-            merged_lo = r[0]
-        elif r[0] == hi and r[2] == mult:
-            merged_hi = r[1]
-        else:
-            keep.append(r)
-    keep.append((merged_lo, merged_hi, mult))
-    keep.sort(key=lambda r: r[0])
-
-    return _with_runs(mesh, d, pos, tuple(keep), None)
+    return _with_runs(mesh, d, pos, _canonical_runs(d, pos, runs + ((lo, hi, mult),)), None)
 
 
 def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:
@@ -608,11 +562,6 @@ def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:
 
 
 # -- module-level queries ---------------------------------------------------
-
-
-def elements(mesh: Mesh) -> tuple[Element, ...]:
-    """The tiling of the domain, sorted by lower-left corner."""
-    return mesh.elements()
 
 
 def is_tensorized(mesh: Mesh, direction: int) -> bool:

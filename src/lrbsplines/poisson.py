@@ -153,7 +153,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     if overloaded.size:
         e = overloaded[0]
         raise SpaceError(
-            f"element {space.mesh.elements()[e].rect} carries {counts[e]} functions, "
+            f"element {space.mesh.elements()[e]} carries {counts[e]} functions, "
             f"expected {expected}; assembly requires local linear "
             f"independence"
         )

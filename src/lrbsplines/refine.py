@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bspline import TensorBSpline, has_minimal_support
+from .mesh import Split
 from .space import Key, LRSpace, SpaceError, _refine_marked, _Refinement
 
 __all__ = [
@@ -115,7 +116,7 @@ def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
     values = set(b.knots(direction))
     for f in inners:
         values.update(f.knots(direction))
-    return [(direction, v, cross[0], cross[-1]) for v in sorted(values)]
+    return [Split(direction, v, cross[0], cross[-1]) for v in sorted(values)]
 
 
 def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSpace:
@@ -170,7 +171,7 @@ def _tensor_pieces(mesh, b: TensorBSpline) -> list:
                 for r_lo, r_hi, _ in mesh.runs_at(direction, pos)
             )
             if touches:
-                pieces.append((direction, pos, c_lo, c_hi))
+                pieces.append(Split(direction, pos, c_lo, c_hi))
     return pieces
 
 

@@ -38,7 +38,7 @@ from .bspline import (
     univariate_values,
 )
 from .dyadic import DyadicCoord, dyadic, midpoint
-from .mesh import Element, Mesh, MeshError, Split, insert_split, is_tensorized
+from .mesh import Mesh, MeshError, Rect, Split, insert_split, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -203,21 +203,22 @@ class _Refinement:
 
     def insert(self, pieces):
         """Insert meshline pieces (gap-decomposed against the evolving
-        mesh) and regenerate.  ``pieces`` are (direction, pos, lo, hi)
-        requests at multiplicity one.  Returns the fixpoint's diff as
+        mesh) and regenerate.  ``pieces`` are :class:`Split` segments at
+        multiplicity one.  Returns the fixpoint's diff as
         :meth:`regenerate` does, or None, changing nothing, when every
         piece is already covered."""
         mesh = self.mesh
         inserted = []
-        for direction, pos, lo, hi in sorted(set(pieces)):
+        for direction, pos, lo, hi, _ in sorted(set(pieces)):
             for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
-                mesh = insert_split(mesh, Split(direction, pos, g_lo, g_hi, 1))
-                inserted.append((direction, pos, g_lo, g_hi))
+                split = Split(direction, pos, g_lo, g_hi)
+                mesh = insert_split(mesh, split)
+                inserted.append(split)
         return self.regenerate(mesh, inserted) if inserted else None
 
     def regenerate(self, mesh: Mesh, segments):
         """Move to ``mesh``, which is the current mesh plus the
-        ``(direction, pos, lo, hi)`` segments, and restore minimal support.
+        :class:`Split` ``segments``, and restore minimal support.
 
         Only the functions whose support a segment crosses can lose
         minimal support, and only at the segments' positions, so the
@@ -248,11 +249,10 @@ class _Refinement:
             self.rows = {key: i for i, key in enumerate(self.keys)}
 
     def crossing(self, segments) -> list:
-        """Keys of the functions whose support one of the ``(direction,
-        pos, lo, hi)`` segments crosses: ``pos`` lies strictly inside the
-        support in ``direction``, and ``[lo, hi]`` meets the open cross
-        extent."""
-        segments = np.array(segments, dtype=float).reshape(-1, 4)
+        """Keys of the functions whose support one of the :class:`Split`
+        segments crosses: its position lies strictly inside the support
+        in its direction, and ``[lo, hi]`` meets the open cross extent."""
+        segments = np.array(segments, dtype=float).reshape(-1, 5)[:, :4]
         b = self.bounds.T
         hit = np.zeros(len(self.keys), dtype=bool)
         step = max(1, _CHUNK_ENTRIES // max(len(self.keys), 1))
@@ -335,14 +335,14 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     relies on two facts:
 
     - ``mesh`` is the mesh the functions had minimal support on plus the
-      ``(direction, pos, lo, hi)`` ``segments``, so a dirty key that has
+      :class:`Split` ``segments``, so a dirty key that has
       not been split can lack minimal support only at the segments'
       positions, and only those are probed for it;
     - a direction-d insertion keeps the cross extent, so every
       direction-d line inside a child's support already matches the
       child's knots, and the child skips the direction-d scan.
     """
-    probes = {d: sorted({pos for e, pos, _, _ in segments if e == d}) for d in (1, 2)}
+    probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
     heap = sorted(dirty)
     # per key in the heap: the direction whose scan it skips, or 0 to
     # probe only the segments' positions in both directions
@@ -404,7 +404,7 @@ def apply_split(space: LRSpace, split: Split) -> LRSpace:
     the mesh and must refine at least one function."""
     mesh = insert_split(space.mesh, split)
     state = _Refinement(space)
-    removed, _ = state.regenerate(mesh, [(split.direction, split.fixed, split.lo, split.hi)])
+    removed, _ = state.regenerate(mesh, [split])
     if not removed:
         raise SpaceError(
             f"split at direction-{split.direction} position {split.fixed} "
@@ -442,7 +442,7 @@ def _refine_marked(state: _Refinement, marked) -> None:
             cross = b.knots(2 if direction == 1 else 1)
             distinct = sorted(set(vec))
             for a, c in zip(distinct, distinct[1:]):
-                pieces.append((direction, midpoint(a, c), cross[0], cross[-1]))
+                pieces.append(Split(direction, midpoint(a, c), cross[0], cross[-1]))
     if state.insert(pieces) is None:
         raise SpaceError("marked functions are already refined (no new meshlines)")
 
@@ -450,11 +450,11 @@ def _refine_marked(state: _Refinement, marked) -> None:
 # -- diagnostics ------------------------------------------------------------
 
 
-def element_support_count(space: LRSpace, element: Element) -> int:
-    """Number of functions whose support contains the element, by an
-    exact-coordinate scan of every function: O(n) per element."""
-    rect = element.rect
-    return sum(1 for b in space.functions.values() if b.support.contains_rect(rect))
+def element_support_count(space: LRSpace, element: Rect) -> int:
+    """Number of functions whose support contains the element (a closed
+    rectangle of ``mesh.elements()``), by an exact-coordinate scan of
+    every function: O(n) per element."""
+    return sum(1 for b in space.functions.values() if b.support.contains_rect(element))
 
 
 def _incidence(space: LRSpace):
@@ -707,8 +707,7 @@ def collocation_points(space: LRSpace, seed: int = 0) -> np.ndarray:
     if per_element * len(elems) < need:
         per_element = math.ceil(need / len(elems))
     pts = []
-    for e in elems:
-        r = e.rect
+    for r in elems:
         x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         wx, wy = x1 - x0, y1 - y0

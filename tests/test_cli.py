@@ -478,6 +478,25 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["verify-a-directory", "mesh-demo-out-is-a-file", "verify-non-utf8-file"])
+def test_path_and_encoding_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    target = tmp_path / "target"
+    if case == "verify-a-directory":
+        target.mkdir()
+        argv = ["verify", str(target)]
+    elif case == "mesh-demo-out-is-a-file":
+        target.write_text("taken\n")
+        argv = ["mesh-demo", "--iterations", "0", "--out", str(target)]
+    else:
+        target.write_bytes(b'{"domain": "\xff"}')
+        argv = ["verify", str(target)]
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(target) in lines[0]
+
+
 # -- argument handling -----------------------------------------------------------
 
 

@@ -110,6 +110,18 @@ def test_duplicate_functions_are_rejected():
         from_json(doc)
 
 
+def _line(direction, fixed, lo, hi, mult=1) -> dict:
+    return {"dir": direction, "fixed": fixed, "span": [lo, hi], "mult": mult}
+
+
+def _abutting_multiplicities(doc) -> None:
+    """Replace the line x = 1/2 by two runs of multiplicities 1 and 2
+    that meet at y = 1/2."""
+    assert doc["lines"][1] == _line(1, [1, 1], [0, 0], [1, 0])
+    doc["lines"][1] = _line(1, [1, 1], [0, 0], [1, 1])
+    doc["lines"].append(_line(1, [1, 1], [1, 1], [1, 0], 2))
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -135,6 +147,9 @@ def test_duplicate_functions_are_rejected():
         (lambda d: d.__setitem__("functions", []), "functions:"),
         (lambda d: d["functions"][0].__setitem__("w", 1e400), "functions[0].w"),
         (lambda d: d["functions"][0].__setitem__("w", 10**400), "functions[0].w"),
+        # collinear lines break constant splits: the error names the line
+        (lambda d: d["lines"].append(_line(1, [1, 1], [1, 2], [1, 0])), "direction-1 position 1/2^1"),
+        (_abutting_multiplicities, "direction-1 position 1/2^1"),
     ],
 )
 def test_malformed_documents_name_the_field(mutate, fragment):

@@ -26,6 +26,7 @@ from lrbsplines.mesh import (
     MeshError,
     Rect,
     Split,
+    _build_mesh,
     insert_split,
     is_tensorized,
     make_initial_mesh,
@@ -37,7 +38,7 @@ from lrbsplines.space import apply_split, initial_space, structured_refine
 def assert_elements_match_oracle(mesh):
     got = {
         (r.x_min, r.x_max, r.y_min, r.y_max)
-        for r in (e.rect for e in mesh.elements())
+        for r in mesh.elements()
     }
     assert got == flood_fill_elements(mesh)
 
@@ -50,7 +51,7 @@ def assert_grid_elements_match_oracle(mesh):
     elems = mesh.elements()
     boxes = mesh._elements
     assert_elements_match_oracle(mesh)
-    keys = [e.rect.corner_key() for e in elems]
+    keys = [e.corner_key() for e in elems]
     assert keys == sorted(keys)
     assert mesh.elements() == elems
     assert mesh._elements is boxes
@@ -116,7 +117,7 @@ def test_tiling_accepts_exactly_the_line_sets_the_flood_fill_accepts(data):
     expected = flood_fill_tiles(xs, ys, lines + boundary)
     try:
         mesh = build_mesh((0, nx - 1, 0, ny - 1), (2, 2), lines)
-        got = {e.rect.corner_key() for e in mesh.elements()}
+        got = {e.corner_key() for e in mesh.elements()}
     except MeshError as exc:
         assert expected is None, exc
         assert "is not a mesh vertex" in str(exc) or "do not tile the domain into rectangles near" in str(exc)
@@ -142,13 +143,13 @@ def test_elements_match_flood_fill_under_incremental_insertion():
     for _ in range(12):
         elements = mesh.elements()
         target = rng.choice(elements)
-        x0, x1, y0, y1 = target.rect.float_bounds()
+        x0, x1, y0, y1 = target.float_bounds()
         if rng.random() < 0.5:
             mid = dyadic((x0 + x1) / 2)
-            split = Split.make(1, mid, target.rect.y_min, target.rect.y_max)
+            split = Split.make(1, mid, target.y_min, target.y_max)
         else:
             mid = dyadic((y0 + y1) / 2)
-            split = Split.make(2, mid, target.rect.x_min, target.rect.x_max)
+            split = Split.make(2, mid, target.x_min, target.x_max)
         mesh = insert_split(mesh, split)
         assert_elements_match_oracle(mesh)
 
@@ -228,7 +229,7 @@ def test_insert_into_tensor_mesh_never_read():
         assert refined.elements() == expected.elements()
         assert len(refined.elements()) == n_elements
         assert_elements_match_oracle(refined)
-        keys = [e.rect.corner_key() for e in refined.elements()]
+        keys = [e.corner_key() for e in refined.elements()]
         assert keys == sorted(keys)
 
 
@@ -254,11 +255,18 @@ def _oracle_accepts(tiles, runs, d, pos, lo, hi):
 
 def test_insert_accepts_exactly_the_spans_that_chain_across_elements(mixed_mesh):
     """Insertion decides anchoring from the lines alone; the decision must
-    be the one the tiling gives, on every uncovered candidate span."""
+    be the one the tiling gives, on every uncovered candidate span.  It
+    must also be construction's: the mesh built from the lines plus the
+    split is the inserted one, and is refused when insertion refuses."""
     meshes = [random_pipeline_space(seed, iterations=2).mesh for seed in range(6)]
     n_accepted = n_rejected = 0
     for mesh in meshes + [mixed_mesh]:
         tiles = flood_fill_elements(mesh)
+        lines = mesh.lines()
+
+        def built(split):
+            return _build_mesh(mesh.domain, mesh.bidegree, lines + (split,), require_open=False)
+
         for d in (1, 2):
             crosses = _with_midpoints(mesh.positions(2 if d == 1 else 1))
             for pos in _with_midpoints(mesh.positions(d)):
@@ -271,11 +279,14 @@ def test_insert_accepts_exactly_the_spans_that_chain_across_elements(mixed_mesh)
                         if not _oracle_accepts(tiles, runs, d, pos, lo, hi):
                             with pytest.raises(MeshError):
                                 insert_split(mesh, split)
+                            with pytest.raises(MeshError):
+                                built(split)
                             n_rejected += 1
                             continue
                         refined = insert_split(mesh, split)
                         assert refined._elements is None
                         assert_elements_match_oracle(refined)
+                        assert refined == built(split)
                         n_accepted += 1
     assert n_accepted > 1000 and n_rejected > 4000
 
@@ -297,7 +308,7 @@ def test_refined_meshes_are_tiled_when_first_read():
         elems = mesh.elements()
         boxes = mesh._elements
         assert_elements_match_oracle(mesh)
-        keys = [e.rect.corner_key() for e in elems]
+        keys = [e.corner_key() for e in elems]
         assert keys == sorted(keys)
         assert mesh._elements is boxes
         # a multiplicity raise after it keeps the parent's tiling

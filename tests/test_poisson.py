@@ -199,8 +199,7 @@ def _reference_assemble(space, f, load_resolution=None):
     n = len(keys)
     load = np.zeros(n)
     rows_acc, cols_acc, vals_acc = [], [], []
-    for row, element in zip(table, space.mesh.elements()):
-        r = element.rect
+    for row, r in zip(table, space.mesh.elements()):
         x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
         hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
         xs = x0 + hx * (gauss_x + 1.0)

@@ -168,7 +168,7 @@ def _dense_support_table(space):
     keys = space.sorted_keys()
     fb = space_module._support_bounds(keys)
     elems = space.mesh.elements()
-    eb = np.array([e.rect.float_bounds() for e in elems], dtype=float)
+    eb = np.array([e.float_bounds() for e in elems], dtype=float)
     table = []
     chunk = max(1, space_module._CHUNK_ENTRIES // max(len(keys), 1))
     for start in range(0, len(elems), chunk):

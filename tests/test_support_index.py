@@ -141,7 +141,7 @@ def checked_refinement(built: list) -> ExitStack:
         got = crossing(self, segments)
         want = set()
         for segment in segments:
-            want |= overlapping_keys(self.rows, *segment)
+            want |= overlapping_keys(self.rows, *segment[:4])
         assert len(got) == len(want) and set(got) == want
         return got
 
