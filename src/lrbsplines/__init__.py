@@ -51,7 +51,6 @@ from .space import (
     structured_refine,
 )
 from .refine import (
-    RefinementTrace,
     is_nested_knotwise,
     is_nested_meshwise,
     n2s_pipeline,
@@ -134,7 +133,6 @@ __all__ = [
     "is_locally_linearly_independent",
     "partition_of_unity_defect",
     "structured_refine",
-    "RefinementTrace",
     "is_nested_knotwise",
     "is_nested_meshwise",
     "n2s_pipeline",

@@ -37,7 +37,6 @@ from .space import (
     structured_refine,
 )
 from .refine import (
-    RefinementTrace,
     diagonal_marker,
     is_nested_meshwise,
     n2s_pipeline,
@@ -66,10 +65,10 @@ def run_mesh_demo(
     element, carrying only the Bernstein basis) and, per iteration,
     refines every B-spline whose central knot span meets the main
     diagonal -- either by structured refinement alone or with the
-    nested-pair expansion sweep appended.  Writes ``mesh_<i>.svg`` for
-    each iteration, the final space as ``space.json``, the expansion
-    trace as ``trace.jsonl`` and per-iteration counts as ``counts.csv``.
-    Returns a summary.
+    nested-pair expansion sweep appended.  After the last iteration it
+    writes ``mesh_<i>.svg`` for each iteration, the final space as
+    ``space.json``, the expansion trace as ``trace.jsonl`` and
+    per-iteration counts as ``counts.csv``.  Returns a summary.
     """
     if strategy not in ("structured", "n2s2"):
         raise SpaceError(f"unknown strategy {strategy!r}")
@@ -78,28 +77,21 @@ def run_mesh_demo(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 1))
-    trace = RefinementTrace()
-    counts = [
-        {"iteration": 0, "n_functions": space.n_functions, "n_elements": len(space.mesh.element_boxes())}
-    ]
-    formats.render_svg(space.mesh, out / "mesh_0.svg")
-    for i in range(1, iterations + 1):
-        if strategy == "structured":
+    spaces, trace = [initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 1))], []
+    if strategy == "structured":
+        for i in range(1, iterations + 1):
+            space = spaces[-1]
             marked = [k for k in space.sorted_keys() if diagonal_marker(space.functions[k])]
             if not marked:
                 raise SpaceError(f"marker selected no functions at iteration {i}")
-            space = structured_refine(space, marked)
-        else:
-            space, step_trace = n2s_pipeline(
-                space,
-                diagonal_marker,
-                1,
-                parity=parity,
-                expansion=expansion,
-                start_index=i,
-            )
-            trace.records.extend(step_trace.records)
+            spaces.append(structured_refine(space, marked))
+    else:
+        refined, trace = n2s_pipeline(
+            spaces[0], diagonal_marker, iterations, parity=parity, expansion=expansion
+        )
+        spaces += refined
+    counts = []
+    for i, space in enumerate(spaces):
         counts.append(
             {"iteration": i, "n_functions": space.n_functions, "n_elements": len(space.mesh.element_boxes())}
         )
@@ -149,8 +141,11 @@ def verify(path, *, seed: int = 0) -> dict:
     ``report["passed"]`` is False when the functions are linearly
     dependent, when their rank was not computed, or when their stored
     weights miss the partition of unity by more than 1e-10.  A bare mesh
-    only gets its element/tensorization summary.
+    only gets its element/tensorization summary.  A negative ``seed`` is
+    rejected before the document is read.
     """
+    if seed < 0:
+        raise SpaceError(f"seed must be >= 0, got {seed}")
     obj = formats.load(path)
     p1, p2 = obj.bidegree if not isinstance(obj, LRSpace) else obj.mesh.bidegree
     mesh = obj.mesh if isinstance(obj, LRSpace) else obj

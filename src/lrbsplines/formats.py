@@ -18,8 +18,7 @@ from pathlib import Path
 from .dyadic import DyadicCoord, dyadic
 from .mesh import Mesh, MeshError, Rect, _build_mesh
 from .bspline import TensorBSpline
-from .space import LRSpace
-from .refine import RefinementTrace
+from .space import LRSpace, _incidence
 
 __all__ = [
     "FormatError",
@@ -138,7 +137,7 @@ def _decode_mesh(doc: dict, memo: dict) -> Mesh:
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
         direction = entry.get("dir")
-        if direction not in (1, 2):
+        if not isinstance(direction, int) or isinstance(direction, bool) or direction not in (1, 2):
             raise FormatError(f"{where}.dir: expected 1 or 2, got {direction!r}")
         fixed = _decode_coord(entry.get("fixed"), memo, f"{where}.fixed")
         span = entry.get("span")
@@ -310,21 +309,16 @@ def render_svg(mesh: Mesh, path=None, *, size: int = 560, margin: float = 20.0) 
         f'<rect width="{pix_w:.1f}" height="{pix_h:.1f}" fill="white"/>',
     ]
     for line in mesh.lines():
-        stroke = 1.2 * line.multiplicity
         if line.direction == 1:
-            x = x_pix(line.fixed)
-            parts.append(
-                f'<line x1="{x:.3f}" y1="{y_pix(line.hi):.3f}" '
-                f'x2="{x:.3f}" y2="{y_pix(line.lo):.3f}" '
-                f'stroke="#1a1a1a" stroke-width="{stroke:.2f}" stroke-linecap="square"/>'
-            )
+            x1 = x2 = x_pix(line.fixed)
+            y1, y2 = y_pix(line.hi), y_pix(line.lo)
         else:
-            y = y_pix(line.fixed)
-            parts.append(
-                f'<line x1="{x_pix(line.lo):.3f}" y1="{y:.3f}" '
-                f'x2="{x_pix(line.hi):.3f}" y2="{y:.3f}" '
-                f'stroke="#1a1a1a" stroke-width="{stroke:.2f}" stroke-linecap="square"/>'
-            )
+            x1, x2 = x_pix(line.lo), x_pix(line.hi)
+            y1 = y2 = y_pix(line.fixed)
+        parts.append(
+            f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+            f'stroke="#1a1a1a" stroke-width="{1.2 * line.multiplicity:.2f}" stroke-linecap="square"/>'
+        )
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     if path is not None:
@@ -342,10 +336,11 @@ def _encode_key(key) -> dict:
     }
 
 
-def write_trace(trace: RefinementTrace, path) -> None:
-    """One JSON object per line, one line per expansion."""
+def write_trace(records, path) -> None:
+    """The trace records of :func:`n2s_pipeline` as JSON lines, one line
+    per expansion."""
     with open(path, "w") as fh:
-        for record in trace.records:
+        for record in records:
             doc = dict(record)
             doc["outer"] = _encode_key(doc["outer"])
             fh.write(json.dumps(doc) + "\n")
@@ -371,8 +366,6 @@ def write_poisson_csv(rows, path) -> None:
 
 def write_element_csv(space: LRSpace, path) -> None:
     """Per-element support counts, one row per element."""
-    from .space import _incidence
-
     _, counts, _, bounds = _incidence(space)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

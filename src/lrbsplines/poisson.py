@@ -397,11 +397,12 @@ def adaptive_solve(
     """Solve the layer problem per level and strategy; returns CSV-ready rows.
 
     Tensor level L uses 2^L x 2^L uniform cells on [0, 1]^2; the adaptive
-    strategy starts from the level-2 (4x4) space and runs one pipeline
-    iteration per further level with the layer marker.  The load is
-    integrated at the finest level's resolution on every mesh so coarse
-    solves are honest Galerkin solutions rather than aliasing artifacts.
-    Rows carry strategy, level, n_functions, linf, l2.
+    strategy's level L is the level-2 (4x4) space after iteration L - 2
+    of one pipeline run with the layer marker.  The load is integrated at
+    the finest level's resolution on every mesh so coarse solves are
+    honest Galerkin solutions rather than aliasing artifacts.  Tensor
+    spaces are built one at a time, and every space is dropped after its
+    solve.  Rows carry strategy, level, n_functions, linf, l2.
     """
     resolution = 2.0 ** -levels
     domain = Rect.from_bounds((0, 1, 0, 1))
@@ -414,38 +415,27 @@ def adaptive_solve(
         coefficients = solve(system)
         return _grid_errors(space, coefficients, exact)
 
+    def tensor_spaces():
+        for level in range(2, levels + 1):
+            yield initial_space(make_initial_mesh(domain, bidegree, 2**level))
+
+    def n2s2_spaces():
+        spaces = [initial_space(make_initial_mesh(domain, bidegree, 4))]
+        spaces += n2s_pipeline(
+            spaces[0], layer_marker, max(levels - 2, 0), parity=parity, expansion=expansion
+        )[0]
+        while spaces:
+            yield spaces.pop(0)
+
     rows = []
-    if "tensor" in strategies:
-        for level in range(2, levels + 1):
-            space = initial_space(
-                make_initial_mesh(domain, bidegree, 2**level)
-            )
+    for strategy, spaces in (("tensor", tensor_spaces), ("n2s2", n2s2_spaces)):
+        if strategy not in strategies:
+            continue
+        for level, space in zip(range(2, levels + 1), spaces()):
             report = run(space)
             rows.append(
                 {
-                    "strategy": "tensor",
-                    "level": level,
-                    "n_functions": report.n_functions,
-                    "linf": report.linf,
-                    "l2": report.l2,
-                }
-            )
-    if "n2s2" in strategies:
-        space = initial_space(make_initial_mesh(domain, bidegree, 4))
-        for level in range(2, levels + 1):
-            if level > 2:
-                space, _ = n2s_pipeline(
-                    space,
-                    layer_marker,
-                    1,
-                    parity=parity,
-                    expansion=expansion,
-                    start_index=level - 2,
-                )
-            report = run(space)
-            rows.append(
-                {
-                    "strategy": "n2s2",
+                    "strategy": strategy,
                     "level": level,
                     "n_functions": report.n_functions,
                     "linf": report.linf,

@@ -28,7 +28,7 @@ import numpy as np
 from .bspline import TensorBSpline, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
-from .refine import point_marker
+from .refine import n2s_pipeline, point_marker
 from .space import _CHUNK_ENTRIES, LRSpace, SpaceError, evaluate_space, initial_space
 
 __all__ = [
@@ -186,23 +186,13 @@ def three_peaks_spaces(
 ) -> list[LRSpace]:
     """Adaptive spaces for levels 1..max_level of the peaks benchmark.
 
-    Level 1 is the open 4x4 tensor space on [-1, 1]^2; each further level
-    runs one pipeline iteration marking the functions whose support
-    contains a peak.  Iteration indices continue across levels, so the
-    expansion direction alternates exactly as in one long run.
+    Level 1 is the open 4x4 tensor space on [-1, 1]^2; level ``L`` is the
+    space after iteration ``L - 1`` of one pipeline run marking the
+    functions whose support contains a peak.  A ``max_level`` below 2
+    gives level 1 alone.
     """
-    from .refine import n2s_pipeline
-
     space = initial_space(make_initial_mesh((-1, 1, -1, 1), bidegree, (4, 4)))
-    spaces = [space]
-    for level in range(2, max_level + 1):
-        space, _ = n2s_pipeline(
-            space,
-            three_peaks_marker,
-            1,
-            parity=parity,
-            expansion=expansion,
-            start_index=level - 1,
-        )
-        spaces.append(space)
-    return spaces
+    refined, _ = n2s_pipeline(
+        space, three_peaks_marker, max(max_level - 1, 0), parity=parity, expansion=expansion
+    )
+    return [space] + refined

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .bspline import TensorBSpline, has_minimal_support
 from .mesh import Split
@@ -30,7 +29,6 @@ __all__ = [
     "central_span",
     "diagonal_marker",
     "point_marker",
-    "RefinementTrace",
     "n2s_pipeline",
 ]
 
@@ -83,9 +81,6 @@ def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool
     if not so.contains_rect(si):
         return False
 
-    def mult(vec, value) -> int:
-        return sum(1 for v in vec if v == value)
-
     sides = (
         (si.x_min == so.x_min, inner.xknots, outer.xknots, si.x_min),
         (si.x_max == so.x_max, inner.xknots, outer.xknots, si.x_max),
@@ -93,7 +88,7 @@ def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool
         (si.y_max == so.y_max, inner.yknots, outer.yknots, si.y_max),
     )
     for coincide, vi, vo, value in sides:
-        if coincide and mult(vi, value) > mult(vo, value):
+        if coincide and vi.count(value) > vo.count(value):
             return False
     return True
 
@@ -219,20 +214,6 @@ def point_marker(points) -> "callable":
 # -- the pipeline -----------------------------------------------------------
 
 
-@dataclass
-class RefinementTrace:
-    """One record per expansion: iteration, outer key, direction, and the
-    function count afterwards."""
-
-    records: list = field(default_factory=list)
-
-    def append(self, **fields) -> None:
-        self.records.append(dict(fields))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def _rank(key: Key):
     """Selection order of outers: the largest support area first, ties
     broken by the lexicographically smallest knot vectors."""
@@ -325,7 +306,7 @@ def n2s_pipeline(
     parity: str = "odd-vertical",
     expansion: str = "one-directional",
     start_index: int = 1,
-) -> tuple[LRSpace, RefinementTrace]:
+) -> tuple[list[LRSpace], list[dict]]:
     """Alternate structured refinement with expansion sweeps.
 
     Per iteration ``i``: mark functions with ``marker`` (selecting none
@@ -344,11 +325,13 @@ def n2s_pipeline(
     position grid at the start of the sweep can be covered only once.
 
     ``start_index`` numbers the first iteration, so a run can be
-    continued level by level with the same alternation as one long run.
+    continued with the same alternation as one long run.
 
     All iterations refine one working state in place, so no space is
-    built between expansions.  Returns the refined space and a trace
-    with one record per expansion.
+    built between expansions.  Returns ``(spaces, trace)``: ``spaces[j]``
+    is the space after iteration ``start_index + j``, and ``trace`` holds
+    one record per expansion, a dict of the iteration ``iter``, the
+    ``outer`` key, the direction ``dir`` and ``n_functions_after``.
     """
     if iterations < 0:
         raise SpaceError(f"iterations must be >= 0, got {iterations}")
@@ -359,8 +342,9 @@ def n2s_pipeline(
 
     state = _Refinement(space)
     functions = state.functions  # refined in place throughout
-    trace = RefinementTrace()
-    for i in range(start_index, start_index + iterations):
+    spaces, trace = [], []
+    last = start_index + iterations - 1
+    for i in range(start_index, last + 1):
         marked = [k for k in sorted(functions) if marker(functions[k])]
         if not marked:
             raise SpaceError(f"marker selected no functions at iteration {i}")
@@ -390,9 +374,7 @@ def n2s_pipeline(
                 )
             tracker.update(diff[1])
             trace.append(
-                iter=i,
-                outer=outer_key,
-                dir=direction,
-                n_functions_after=len(functions),
+                {"iter": i, "outer": outer_key, "dir": direction, "n_functions_after": len(functions)}
             )
-    return state.space(), trace
+        spaces.append(state.space() if i == last else LRSpace(state.mesh, dict(functions)))
+    return spaces, trace

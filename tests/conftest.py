@@ -329,7 +329,7 @@ def random_pipeline_space(seed, iterations=2, n_cells=2, bidegree=(2, 2)):
         keys = space.sorted_keys()
         n_mark = rng.randint(1, max(1, len(keys) // 6))
         marked = set(rng.sample(keys, n_mark))
-        space, _ = n2s_pipeline(
+        [space], _ = n2s_pipeline(
             space, lambda b: b.key in marked, 1, start_index=i
         )
     return space
@@ -466,10 +466,10 @@ def running_example():
     stage_b = structured_refine(base, [key1])
     stage_d = structured_refine(stage_b, [key2])
 
-    pipe_1, trace_1 = n2s_pipeline(
+    [pipe_1], trace_1 = n2s_pipeline(
         base, lambda b: b.key == key1, 1, start_index=1
     )
-    pipe_2, trace_2 = n2s_pipeline(
+    [pipe_2], trace_2 = n2s_pipeline(
         pipe_1, lambda b: b.key == key2, 1, start_index=2
     )
     return {

@@ -86,10 +86,7 @@ def diagonal_runs():
             k for k in space.sorted_keys() if diagonal_marker(space.functions[k])
         ]
         structured.append(structured_refine(space, marked))
-    pipeline = [structured[0]]
-    for i in range(1, 8):
-        space, _ = n2s_pipeline(pipeline[-1], diagonal_marker, 1, start_index=i)
-        pipeline.append(space)
+    pipeline = [structured[0]] + n2s_pipeline(structured[0], diagonal_marker, 7)[0]
     return {
         "structured": structured,
         "pipeline": pipeline,

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from lrbsplines import (
     write_element_csv,
 )
 from lrbsplines import cli
+from lrbsplines import poisson as poisson_module
 from lrbsplines.cli import main, run_mesh_demo, verify
 
 # sha256 of every file that a 4-iteration mesh-demo writes, plus the
@@ -257,6 +259,31 @@ def test_poisson_single_strategy(tmp_path):
     assert _sha256(target) == GOLDEN_POISSON_3_TENSOR
 
 
+def test_commands_build_spaces_through_the_benchmark_hooks(tmp_path, monkeypatch):
+    # perfbench/workloads.py counts as build time only the calls of these
+    # names, wrapped where the commands look them up.  A command that
+    # builds its spaces some other way moves build time into analysis.
+    hooks = [
+        (cli, "three_peaks_spaces"),
+        (cli, "tensor_space_for_level"),
+        (poisson_module, "make_initial_mesh"),
+        (poisson_module, "initial_space"),
+        (poisson_module, "n2s_pipeline"),
+    ]
+    calls = Counter()
+    for module, name in hooks:
+
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    table = tmp_path / "qi.csv"
+    assert main(["qi-peaks", "--levels", "2", "--grid", "10", "--out", str(table)]) == 0
+    poisson_module.adaptive_solve(3, grid=(20, 20))
+    assert set(calls) == {name for _, name in hooks}
+
+
 def test_poisson_rejects_too_few_levels(tmp_path, capsys):
     code = main(["poisson", "--levels", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -417,6 +444,18 @@ def test_verify_seed_gives_identical_output(tmp_path, capsys, running_example):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["mesh_demo_4_n2s2", "mesh_demo_4_structured"])
+def test_verify_rejects_a_negative_seed(tmp_path, capsys, request, name):
+    # Only the structured space, not locally independent, reaches the
+    # seeded dense rank; both reject the seed before reading the document.
+    target = _saved_space(name, tmp_path, request)
+    code = main(["verify", str(target), "--seed", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_handles_bare_mesh(tmp_path, capsys, mixed_mesh):

@@ -57,7 +57,7 @@ def test_fixpoint_equals_the_single_knot_reference(bidegree, steps):
                 if kind == "structured":
                     space = structured_refine(space, marked)
                 elif kind == "pipeline":
-                    space, _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+                    [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
                 else:
                     split = random_split(rng, space)
                     if split is None:

@@ -138,6 +138,9 @@ def _abutting_multiplicities(doc) -> None:
         (lambda d: d.__setitem__("bidegree", [2]), "bidegree"),
         (lambda d: d.__setitem__("bidegree", [2, True]), "bidegree"),
         (lambda d: d["lines"][0].__setitem__("dir", 3), "dir"),
+        # equal to a direction, but not an integer
+        (lambda d: d["lines"][0].__setitem__("dir", 1.0), "lines[0].dir: expected 1 or 2, got 1.0"),
+        (lambda d: d["lines"][0].__setitem__("dir", True), "lines[0].dir: expected 1 or 2, got True"),
         (lambda d: d["lines"][0].__setitem__("mult", 0), "mult"),
         (lambda d: d["lines"][0].__setitem__("span", [[0, 0]]), "span"),
         (lambda d: d["lines"][0].__setitem__("fixed", "half"), "fixed"),
@@ -259,12 +262,12 @@ def test_svg_of_wide_domain_keeps_aspect():
 
 def test_trace_roundtrips_as_jsonl(tmp_path, running_example):
     base = running_example["base"]
-    space, trace = n2s_pipeline(base, lambda b: True, 1)
+    [space], trace = n2s_pipeline(base, lambda b: True, 1)
     target = tmp_path / "trace.jsonl"
     write_trace(trace, target)
     lines = target.read_text().splitlines()
-    assert len(lines) == len(trace.records)
-    for line, record in zip(lines, trace.records):
+    assert len(lines) == len(trace)
+    for line, record in zip(lines, trace):
         doc = json.loads(line)
         assert doc["iter"] == record["iter"]
         assert doc["dir"] == record["dir"]

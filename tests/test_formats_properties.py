@@ -94,6 +94,7 @@ def _verify_exit(doc, edits) -> int:
 @example(path=("functions",), value=[])
 @example(path=("functions", 0, "w"), value=1e400)
 @example(path=("functions", 0, "w"), value=10**400)
+@example(path=("lines", 0, "dir"), value=1.0)
 def test_verify_never_raises_on_a_replaced_field(path, value):
     assert _verify_exit(VALID, [(path, value)]) in (0, 2)
 
@@ -153,7 +154,7 @@ def meshes(draw):
     marked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     if draw(st.booleans()):
         return structured_refine(space, marked)
-    return n2s_pipeline(space, lambda b: b.key in marked, 1)[0]
+    return n2s_pipeline(space, lambda b: b.key in marked, 1)[0][-1]
 
 
 @st.composite

@@ -254,7 +254,7 @@ def _oracle_space(kind, bidegree, level):
         return initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 2**level))
     space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 4))
     for lv in range(3, level + 1):
-        space, _ = n2s_pipeline(space, layer_marker, 1, start_index=lv - 2)
+        [space], _ = n2s_pipeline(space, layer_marker, 1, start_index=lv - 2)
     return space
 
 

@@ -188,10 +188,10 @@ def test_point_marker_uses_half_open_spans():
 def test_pipeline_trace_records_expansions(running_example):
     trace = running_example["trace_2"]
     assert len(trace) == 11
-    for record in trace.records:
+    for record in trace:
         assert set(record) >= {"iter", "outer", "dir", "n_functions_after"}
         assert record["iter"] == 2
-    assert running_example["trace_1"].records[0]["dir"] == 1  # odd => vertical
+    assert running_example["trace_1"][0]["dir"] == 1  # odd => vertical
 
 
 def test_pipeline_parity_controls_directions():
@@ -199,8 +199,8 @@ def test_pipeline_parity_controls_directions():
     key1 = key_of((0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1))
     _, trace_v = n2s_pipeline(base, lambda b: b.key == key1, 1, parity="odd-vertical")
     _, trace_h = n2s_pipeline(base, lambda b: b.key == key1, 1, parity="odd-horizontal")
-    assert {r["dir"] for r in trace_v.records} == {1}
-    assert {r["dir"] for r in trace_h.records} == {2}
+    assert {r["dir"] for r in trace_v} == {1}
+    assert {r["dir"] for r in trace_h} == {2}
 
 
 def test_pipeline_empty_marker_raises():
@@ -212,11 +212,33 @@ def test_pipeline_empty_marker_raises():
 def test_pipeline_full_expansion_also_clears_nesting():
     base = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     key1 = key_of((0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1))
-    space, _ = n2s_pipeline(
+    [space], _ = n2s_pipeline(
         base, lambda b: b.key == key1, 1, expansion="full"
     )
     assert nested_map(space) == {}
     assert is_locally_linearly_independent(space)
+
+
+@pytest.mark.parametrize(
+    "parity, expansion",
+    [
+        ("odd-vertical", "one-directional"),
+        ("odd-horizontal", "one-directional"),
+        ("odd-vertical", "full"),
+    ],
+)
+def test_pipeline_spaces_are_the_chained_one_step_runs(parity, expansion):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    options = {"parity": parity, "expansion": expansion}
+    spaces, trace = n2s_pipeline(space, diagonal_marker, 5, **options)
+    chained, chained_trace = [], []
+    for i in range(1, 6):
+        [space], step_trace = n2s_pipeline(space, diagonal_marker, 1, start_index=i, **options)
+        chained.append(space)
+        chained_trace += step_trace
+    assert spaces == chained
+    assert [list(s.functions) for s in spaces] == [list(s.functions) for s in chained]
+    assert trace == chained_trace
 
 
 def test_pipeline_spaces_are_locally_independent_randomized():
@@ -251,6 +273,6 @@ def test_pipeline_sweep_with_unequal_bidegree_completes():
     # Iteration 7 of the (1, 2) sweep needs 304 expansions, more than the
     # mesh's 258 runs at the start of the sweep.
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (1, 2), 1))
-    refined, trace = n2s_pipeline(space, diagonal_marker, 7)
+    refined = n2s_pipeline(space, diagonal_marker, 7)[0][-1]
     assert nested_map(refined) == {}
     assert is_locally_linearly_independent(refined)

@@ -356,7 +356,7 @@ def refined_spaces(draw):
         if strategy == "structured":
             space = structured_refine(space, marked)
         else:
-            space, _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+            [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
     return strategy, space
 
 

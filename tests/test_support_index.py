@@ -200,7 +200,7 @@ def test_index_follows_every_refinement(bidegree, steps):
                 if kind == "structured":
                     space = structured_refine(space, marked)
                 elif kind == "pipeline":
-                    space, _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+                    [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
                 else:
                     split = random_split(rng, space)
                     if split is None:
@@ -227,7 +227,7 @@ def refinement_calls(rng, space):
             space, rng.choice(nested or keys), rng.choice((1, 2))
         ),
         "tensor_expansion": lambda: tensor_expansion(space, rng.choice(keys)),
-        "n2s_pipeline": lambda: n2s_pipeline(space, lambda b: b.key in marked, 1)[0],
+        "n2s_pipeline": lambda: n2s_pipeline(space, lambda b: b.key in marked, 1)[0][-1],
     }
 
 
@@ -290,8 +290,8 @@ def test_pipeline_builds_full_bounds_once(monkeypatch):
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     monkeypatch.setattr(space_module, "_support_bounds", counting_bounds)
     monkeypatch.setattr(space_module, "_fixpoint", counting_fixpoint)
-    refined, trace = n2s_pipeline(space, diagonal_marker, 3)
-    assert len(trace) > 0 and refined.n_functions > space.n_functions
+    spaces, trace = n2s_pipeline(space, diagonal_marker, 3)
+    assert len(trace) > 0 and spaces[-1].n_functions > space.n_functions
     assert built[0] == set(space.functions)
     assert built[1:] == added
 
