@@ -188,7 +188,7 @@ def verify(path, *, seed: int = 0) -> dict:
     report["nested_definitions_agree"] = n_meshwise == n_knotwise
 
     report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
-        space, 64, (True, False)
+        space, 64, (True, False), (keys, counts, indices, bounds)
     )
     if report["locally_independent"] and _elementwise_full_rank(
         space, keys, indices.reshape(len(counts), n_loc), bounds

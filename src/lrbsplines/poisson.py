@@ -301,7 +301,9 @@ class ErrorReport:
 
 
 def error_norms(space: LRSpace, coefficients: dict, u_exact, grid=(500, 500)) -> ErrorReport:
-    """Max and cell-averaged L2 errors of ``sum c_k B_k`` on a uniform grid."""
+    """Max and cell-averaged L2 errors of ``sum c_k B_k`` on a uniform
+    grid of ``grid = (nx, ny)`` points, or ``grid`` x ``grid`` for an
+    int; each side has at least 1 point."""
     return _grid_errors(space, coefficients, _sampled(space.mesh.domain, u_exact, grid))
 
 
@@ -309,6 +311,8 @@ def _sampled(domain: Rect, u_exact, grid):
     """``(xs, ys, values)``: the uniform grid of :func:`error_norms` on
     ``domain`` and ``u_exact`` at its points, ``(len(xs), len(ys))``."""
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
+    if min(nx, ny) < 1:
+        raise SpaceError(f"grid must have at least 1 point per side, got {grid}")
     xs = np.linspace(domain.x_min, domain.x_max, nx)
     ys = np.linspace(domain.y_min, domain.y_max, ny)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")

@@ -142,7 +142,10 @@ def lr_qi(space: LRSpace, f) -> dict:
 
 
 def qi_max_error(space: LRSpace, coefficients: dict, f, grid: int = 150) -> float:
-    """Max pointwise error of the quasi-interpolant on a uniform grid."""
+    """Max pointwise error of the quasi-interpolant on a uniform ``grid``
+    x ``grid`` grid; ``grid`` is at least 1."""
+    if grid < 1:
+        raise SpaceError(f"grid must be at least 1, got {grid}")
     dom = space.mesh.domain
     xs = np.linspace(dom.x_min, dom.x_max, grid)
     ys = np.linspace(dom.y_min, dom.y_max, grid)

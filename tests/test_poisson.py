@@ -394,6 +394,14 @@ def test_error_norms_of_exact_member():
     assert report.l2 <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [0, (0, 5), (5, -1)])
+def test_error_norms_needs_a_grid_point_per_side(grid):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+    coefficients = dict.fromkeys(space.functions, 1.0)
+    with pytest.raises(SpaceError, match="grid"):
+        error_norms(space, coefficients, layer_solution, grid=grid)
+
+
 # -- the layer benchmark -------------------------------------------------------
 
 

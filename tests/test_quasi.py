@@ -323,6 +323,14 @@ def test_reproduces_biquadratics_on_randomized_spaces():
         assert qi_max_error(space, coeffs, g, grid=80) <= 1e-10
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_qi_max_error_needs_a_grid_point(grid):
+    space = tensor_space_for_level(1)
+    coefficients = lr_qi(space, three_peaks)
+    with pytest.raises(SpaceError, match="grid"):
+        qi_max_error(space, coefficients, three_peaks, grid=grid)
+
+
 def test_quasi_interpolant_is_a_projection_idempotent():
     # Applying the quasi-interpolant to its own output changes nothing:
     # the interpolant lies in the space, whose members the operator

@@ -1,4 +1,5 @@
 """LR spaces: generation, order independence, partition of unity, rank."""
+import functools
 import random
 from fractions import Fraction
 
@@ -417,3 +418,92 @@ def test_evaluate_space_matches_the_per_function_sum(monkeypatch):
         vy = reference_values(yv, ys[j], close_at=yv[-1] if yv[-1] == 1 else None)
         reference[np.ix_(i, j)] += c * np.outer(vx, vy)
     assert np.array_equal(got, reference)
+
+
+def _per_function_sums(space, coefficient_sets, xs, ys):
+    """Every function's grid values added to each sum in sorted-key
+    order, one window at a time: the sum element-ordered evaluation must
+    reproduce bit for bit."""
+    dom = space.mesh.domain
+    sums = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
+    for xv, yv in space.sorted_keys():
+        i = (xs >= xv[0]) & (xs <= xv[-1])
+        j = (ys >= yv[0]) & (ys <= yv[-1])
+        if not (i.any() and j.any()):
+            continue
+        vx = reference_values(xv, xs[i], close_at=dom.x_max)
+        vy = reference_values(yv, ys[j], close_at=dom.y_max)
+        for total, coefficients in zip(sums, coefficient_sets):
+            c = coefficients[(xv, yv)]
+            if c != 0.0:
+                total[np.ix_(i, j)] += c * np.outer(vx, vy)
+    return sums
+
+
+_oracle_spaces = functools.lru_cache(maxsize=None)(random_pipeline_space)
+
+
+@st.composite
+def grid_points(draw, positions):
+    """A sorted grid axis holding every mesh position, random points in
+    and around the domain, and one point beyond each end."""
+    lo, hi = float(positions[0]), float(positions[-1])
+    pad = 0.25 * (hi - lo)
+    extra = draw(st.lists(st.floats(lo - pad, hi + pad), min_size=1, max_size=60))
+    return np.sort(np.concatenate([np.array(positions, dtype=float), extra, [lo - pad, hi + pad]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_element_ordered_sums_equal_the_per_function_sums(running_example, data):
+    source = data.draw(st.sampled_from(["structured_2", (2, 2), (2, 1), (1, 3), (3, 2)]))
+    if source == "structured_2":
+        # ragged rows (elements carry 9 to 14 functions), weights not all one
+        space = running_example["structured_2"]
+    else:
+        seed = data.draw(st.integers(0, 5))
+        space = _oracle_spaces(seed, data.draw(st.integers(1, 3)), bidegree=source)
+    xs = data.draw(grid_points(space.mesh.positions(1)))
+    ys = data.draw(grid_points(space.mesh.positions(2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keys = space.sorted_keys()
+    coefficient_sets = []
+    for _ in range(2):
+        values = np.where(rng.random(len(keys)) < 0.2, 0.0, rng.normal(size=len(keys)))
+        coefficient_sets.append(dict(zip(keys, values.tolist())))
+    with pytest.MonkeyPatch.context() as patch:
+        # groups and windows then span several chunks
+        patch.setattr(space_module, "_CHUNK_ENTRIES", data.draw(st.sampled_from([100, 1000])))
+        got = space_module._evaluate_sums(space, coefficient_sets, xs, ys)
+    for total, reference in zip(got, _per_function_sums(space, coefficient_sets, xs, ys)):
+        assert np.array_equal(total.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[0.5, -0.5, 0.0], [[0.0, 0.5]], [0.0, np.nan, 1.0], [-np.inf, 0.0]],
+    ids=["unsorted", "2-D", "nan", "infinite"],
+)
+def test_evaluate_space_rejects_a_bad_xs(xs):
+    space = tensor_space_for_level(1)
+    ones = dict.fromkeys(space.functions, 1.0)
+    with pytest.raises(SpaceError, match="xs"):
+        evaluate_space(space, ones, xs, [0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [[0.5, -0.5, 0.0], [[0.0, 0.5]], [0.0, np.nan, 1.0], [-np.inf, 0.0]],
+    ids=["unsorted", "2-D", "nan", "infinite"],
+)
+def test_evaluate_space_rejects_a_bad_ys(ys):
+    space = tensor_space_for_level(1)
+    ones = dict.fromkeys(space.functions, 1.0)
+    with pytest.raises(SpaceError, match="ys"):
+        evaluate_space(space, ones, [0.0, 0.5], ys)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_partition_of_unity_defect_needs_a_sample(samples):
+    with pytest.raises(SpaceError, match="samples"):
+        partition_of_unity_defect(tensor_space_for_level(1), samples=samples)
