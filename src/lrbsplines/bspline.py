@@ -15,9 +15,15 @@ a mesh run of at least the knot multiplicity, and minimal support
 additionally forbids any mesh line that crosses the full support at a
 higher multiplicity than the function's own knots there.  One scan,
 `_deficits`, lists a direction's such lines; `find_refining_split` is
-its first hit.  One insertion, `_insert_knots`, inserts several knots
-of a direction in one Boehm step in integer arithmetic; `insert_knot`
-is its one-knot call.
+its first hit; it reads only the two knot vectors.
+
+Knot insertion has one kernel, `_boehm`: a local knot vector and the
+knots to insert give the children's windows and their coefficients as
+integer (numerator, denominator) pairs, by Boehm's algorithm in integer
+arithmetic.  It is memoized per exact (window, knots) pair, since the
+generation fixpoint meets few distinct ones.  `_insert_knots` builds
+the children of a function from it, and `insert_knot` is its one-knot
+call.
 """
 
 from __future__ import annotations
@@ -264,27 +270,32 @@ def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
 # -- knot insertion ---------------------------------------------------------
 
 
-def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
-    """Children of ``b`` after inserting ``knots`` (a value may repeat)
-    in ``direction``, by Boehm's algorithm: one knot at a time,
-    every window the knot lies strictly inside splits into its two
-    knot-insertion children, and children on the same window merge.
+@lru_cache(maxsize=1 << 13)
+def _boehm(window: tuple, knots: tuple) -> tuple:
+    """The B-spline on the local knot vector ``window`` after inserting
+    ``knots`` (sorted or not, a value may repeat), by Boehm's algorithm:
+    one knot at a time, every window the knot lies strictly inside
+    splits into its two knot-insertion children, and children on the
+    same window merge.
 
-    Returns ``(num, den, child)`` per window of the augmented vector, in
-    order: the child's coefficient is ``num / den``, and its weight is
-    ``b``'s times that coefficient.  The knots must lie strictly inside
-    the span and keep every multiplicity at most degree + 1; they are
-    not checked.
+    Returns ``(num, den, child_window)`` per window of the augmented
+    vector, in order: the child's coefficient is ``num / den``, not
+    reduced.  The knots must lie strictly inside the span and keep every
+    multiplicity at most degree + 1; they are not checked.
 
     The arithmetic is on integers.  The window and the knots are scaled
     to their common power-of-two denominator, each alpha is a pair of
     scaled differences, and each coefficient is an unnormalized
-    (numerator, denominator) pair, so one ``Fraction`` is built per
-    child, for its weight.
+    (numerator, denominator) pair.  The generation fixpoint meets the
+    same few (window, knots) pairs again and again, so the result is
+    memoized per exact pair; it holds only integers and tuples of the
+    inputs' coordinates.  An entry takes about 600 bytes.  The bound
+    keeps the cache to a few MiB and still misses no reuse of a
+    10-iteration ``mesh-demo``: its 12,949 distinct inputs over 45,789
+    calls miss as often as with no bound.
     """
-    v = b.knots(direction)
-    p = len(v) - 2
-    ratios = [c.as_integer_ratio() for c in v]
+    p = len(window) - 2
+    ratios = [c.as_integer_ratio() for c in window]
     inserted = [z.as_integer_ratio() for z in knots]
     m = max(den for _, den in chain(ratios, inserted))
     t = [num * (m // den) for num, den in ratios]
@@ -318,12 +329,22 @@ def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
         new_dens.append(rd)
         bisect.insort_right(t, z)
         nums, dens = new_nums, new_dens
-    augmented = tuple(sorted(v + tuple(knots)))
+    augmented = tuple(sorted(window + knots))
+    return tuple((cn, cd, augmented[j : j + p + 2]) for j, (cn, cd) in enumerate(zip(nums, dens)))
+
+
+def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
+    """Children of ``b`` after inserting ``knots`` in ``direction``:
+    :func:`_boehm` on ``b``'s knot vector there, with the children as
+    functions.
+
+    Returns ``(num, den, child)`` per child, in order: the child's
+    weight is ``b``'s times ``num / den``, one ``Fraction``.
+    """
     w = b.weight
     wn, wd = w.numerator, w.denominator
     children = []
-    for j, (cn, cd) in enumerate(zip(nums, dens)):
-        vec = augmented[j : j + p + 2]
+    for cn, cd, vec in _boehm(b.knots(direction), tuple(knots)):
         weight = Fraction(wn * cn, wd * cd)
         if direction == 1:
             child = _trusted_bspline(vec, b.yknots, weight)
@@ -382,19 +403,19 @@ def has_support_on(b: TensorBSpline, mesh: Mesh) -> bool:
     return True
 
 
-def _deficits(b: TensorBSpline, mesh: Mesh, direction: int, positions=None) -> list:
-    """The direction-``direction`` lines that cross the support of ``b``
-    above its knot multiplicity, as ``(position, deficit)`` pairs with the
-    positions ascending; ``deficit`` is the covering run's multiplicity
-    minus the function's knot multiplicity there.
+def _deficits(xknots, yknots, mesh: Mesh, direction: int, positions=None) -> list:
+    """The direction-``direction`` lines that cross the support of the
+    function on the knot vectors ``xknots``, ``yknots`` above its knot
+    multiplicity, as ``(position, deficit)`` pairs with the positions
+    ascending; ``deficit`` is the covering run's multiplicity minus the
+    function's knot multiplicity there.
 
     The candidates are the mesh's direction-``direction`` positions
     strictly inside the support, or those of the sorted ``positions``
     when given.  A line counts only where one run covers the whole cross
-    extent of the support.  Assumes ``has_support_on(b, mesh)``.
+    extent of the support.  Assumes ``has_support_on`` holds.
     """
-    vec = b.knots(direction)
-    cross = b.yknots if direction == 1 else b.xknots
+    vec, cross = (xknots, yknots) if direction == 1 else (yknots, xknots)
     c_lo, c_hi = cross[0], cross[-1]
     if positions is None:
         positions = mesh.positions(direction)
@@ -420,7 +441,7 @@ def find_refining_split(b: TensorBSpline, mesh: Mesh):
     Assumes ``has_support_on(b, mesh)``.
     """
     for direction in (1, 2):
-        hits = _deficits(b, mesh, direction)
+        hits = _deficits(b.xknots, b.yknots, mesh, direction)
         if hits:
             return (direction, *hits[0])
     return None

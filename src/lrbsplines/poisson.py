@@ -34,11 +34,11 @@ from .refine import central_span, n2s_pipeline
 from .space import (
     _CHUNK_ENTRIES,
     _element_arrays,
+    _evaluate_sums,
     _incidence,
     _outer,
     LRSpace,
     SpaceError,
-    evaluate_space,
     initial_space,
 )
 
@@ -122,7 +122,9 @@ def _element_load(vals, weights, f, xs, ys):
     return (vals @ (weights * fq.reshape(weights.shape))[..., None])[..., 0]
 
 
-def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> GalerkinSystem:
+def assemble(
+    space: LRSpace, f, *, load_resolution: float | None = None, _incidence_rows=None
+) -> GalerkinSystem:
     """Galerkin stiffness and load for ``-Δu = f`` on the space.
 
     The stiffness uses (p+1)^2 Gauss-Legendre points per element, which
@@ -131,6 +133,8 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     ``load_resolution`` is given, the load integral subdivides each
     element into sub-cells no wider than that resolution so sharp data
     is integrated honestly rather than sampled at a handful of points.
+    ``_incidence_rows`` is the space's :func:`_incidence` when the
+    caller already has it.
 
     Each element's functions are read from the element--function
     incidence, a range query over the elements' sorted corners that
@@ -148,7 +152,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
-    keys, counts, indices, bounds = _incidence(space)
+    keys, counts, indices, bounds = _incidence(space) if _incidence_rows is None else _incidence_rows
     overloaded = np.flatnonzero(counts != expected)
     if overloaded.size:
         e = overloaded[0]
@@ -319,11 +323,12 @@ def _sampled(domain: Rect, u_exact, grid):
     return xs, ys, np.asarray(u_exact(grid_x, grid_y), dtype=float)
 
 
-def _grid_errors(space: LRSpace, coefficients: dict, sample) -> ErrorReport:
+def _grid_errors(space: LRSpace, coefficients: dict, sample, incidence=None) -> ErrorReport:
     """:func:`error_norms` against ``sample``, which :func:`_sampled`
-    gives for the space's domain."""
+    gives for the space's domain; ``incidence`` is the space's
+    :func:`_incidence` when the caller already has it."""
     xs, ys, exact = sample
-    err = evaluate_space(space, coefficients, xs, ys) - exact
+    err = _evaluate_sums(space, [coefficients], xs, ys, incidence)[0] - exact
     dom = space.mesh.domain
     area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
     return ErrorReport(
@@ -414,10 +419,12 @@ def adaptive_solve(
     exact = _sampled(domain, layer_solution, grid)
 
     def run(space: LRSpace) -> ErrorReport:
-        system = assemble(space, layer_rhs, load_resolution=resolution)
+        # assembly and the error grid read one incidence
+        incidence = _incidence(space)
+        system = assemble(space, layer_rhs, load_resolution=resolution, _incidence_rows=incidence)
         system = impose_dirichlet(system, space, layer_solution)
         coefficients = solve(system)
-        return _grid_errors(space, coefficients, exact)
+        return _grid_errors(space, coefficients, exact, incidence)
 
     def tensor_spaces():
         for level in range(2, levels + 1):

@@ -14,7 +14,6 @@ weights.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 
 from .bspline import TensorBSpline, has_minimal_support
 from .mesh import Split
@@ -43,12 +42,19 @@ def _vector_nested(vi, vo) -> bool:
     often as the outer; outside the outer's open span (boundary included)
     the inner must not exceed the outer's multiplicities.  Together these
     confine the inner's support and regularity inside the outer's.
+
+    The first rule can fail only at a knot of the outer, the second only
+    at a knot of the inner, so each scans one vector's few knots and
+    counts them in both; a repeated knot is counted again, which costs
+    less than skipping it.
     """
-    ci, co = Counter(vi), Counter(vo)
-    for z in ci.keys() | co.keys():
-        if vi[0] < z < vi[-1] and ci[z] < co[z]:
+    lo, hi = vi[0], vi[-1]
+    for z in vo:
+        if lo < z < hi and vi.count(z) < vo.count(z):
             return False
-        if not (vo[0] < z < vo[-1]) and ci[z] > co[z]:
+    lo, hi = vo[0], vo[-1]
+    for z in vi:
+        if not (lo < z < hi) and vi.count(z) > vo.count(z):
             return False
     return True
 

@@ -29,8 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import (
+    _boehm,
     _deficits,
-    _insert_knots,
     _knot_windows,
     _stacked_values,
     _trusted_bspline,
@@ -342,43 +342,66 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     - a direction-d insertion keeps the cross extent, so every
       direction-d line inside a child's support already matches the
       child's knots, and the child skips the direction-d scan.
+
+    The loop works on keys and integer weights.  A step's children and
+    coefficients come from the memoized kernel ``_boehm``, and every key
+    added or merged into here keeps its weight as a (numerator,
+    denominator) pair, reduced at each merge.  Many children are split
+    again at once, so only on return is one function, with one
+    ``Fraction`` weight, built per such key that survives.
     """
     probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
     heap = sorted(dirty)
     # per key in the heap: the direction whose scan it skips, or 0 to
     # probe only the segments' positions in both directions
     skip = dict.fromkeys(heap, 0)
+    # per key added or merged into here: its weight; its entry in
+    # ``functions``, if any, is stale until the end
+    weights: dict = {}
     removed: set = set()
-    added: set = set()
     while heap:
         key = heapq.heappop(heap)
         skipped = skip.pop(key)
-        b = functions.get(key)
-        if b is None:
-            continue
+        xv, yv = key
         for direction in (1, 2):
             if direction != skipped:
-                hits = _deficits(b, mesh, direction, probes[direction] if skipped == 0 else None)
+                hits = _deficits(xv, yv, mesh, direction, probes[direction] if skipped == 0 else None)
                 if hits:
                     break
         else:
             continue
-        knots = [pos for pos, deficit in hits for _ in range(deficit)]
-        del functions[key]
-        if key in added:
-            added.remove(key)
-        else:
+        b = functions.pop(key, None)
+        w = weights.pop(key, None)
+        if b is not None:
             removed.add(key)
-        for _, _, child in _insert_knots(b, direction, knots):
-            k = (child.xknots, child.yknots)
-            old = functions.get(k)
+            if w is None:
+                w = b.weight.as_integer_ratio()
+        elif w is None:  # not a live key
+            continue
+        wn, wd = w
+        knots = ()
+        for pos, deficit in hits:
+            knots += (pos,) * deficit
+        for cn, cd, vec in _boehm(xv if direction == 1 else yv, knots):
+            k = (vec, yv) if direction == 1 else (xv, vec)
+            num, den = wn * cn, wd * cd
+            old = weights.get(k)
             if old is None:
-                functions[k] = child
-                heapq.heappush(heap, k)
-                skip[k] = direction
-                added.add(k)
-            else:
-                functions[k] = _trusted_bspline(old.xknots, old.yknots, old.weight + child.weight)
+                existing = functions.get(k)
+                if existing is None:
+                    weights[k] = (num, den)
+                    heapq.heappush(heap, k)
+                    skip[k] = direction
+                    continue
+                old = existing.weight.as_integer_ratio()
+            on, od = old
+            num, den = on * den + num * od, od * den
+            g = math.gcd(num, den)
+            weights[k] = (num // g, den // g)
+    # ``functions`` has only lost keys here, so the keys it lacks are new
+    added = {k for k in weights if k not in functions}
+    for (xv, yv), (num, den) in weights.items():
+        functions[xv, yv] = _trusted_bspline(xv, yv, Fraction(num, den))
     return removed, added
 
 

@@ -9,10 +9,12 @@ integers or dyadic fractions so every constructor is exact.
 The oracles are independent of the package's evaluation kernel: a scalar
 Cox--de Boor recursion, one window at a time, and the full local tensor
 space of one function with its mesh and basis.  The generation fixpoint
-has its own: one knot per split, found by a scan of every mesh position.
+has its own: one knot per split, found by a scan of every mesh position;
+so has its memoized Boehm kernel: the same integer loop, uncached.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import importlib
 import pkgutil
@@ -141,6 +143,53 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
     )
     assert any(f.key == b.key for f in basis), f"local tensor space misses {b.key}"
     return LocalTensorSpace(b.key, mesh, basis)
+
+
+def reference_boehm(window, knots) -> tuple:
+    """Boehm's algorithm in integer arithmetic, uncached: the reference
+    of the memoized kernel ``bspline._boehm``, with its contract.
+
+    Inserts ``knots`` into the local knot vector ``window`` one at a
+    time; every window a knot lies strictly inside splits into its two
+    knot-insertion children, and children on the same window merge.
+    Returns ``(num, den, child_window)`` per window of the augmented
+    vector, in order, with the unreduced coefficient ``num / den``.
+    """
+    p = len(window) - 2
+    ratios = [c.as_integer_ratio() for c in window]
+    inserted = [z.as_integer_ratio() for z in knots]
+    m = max(den for _, den in ratios + inserted)
+    t = [num * (m // den) for num, den in ratios]
+    nums, dens = [1], [1]
+    for num, den in inserted:
+        z = num * (m // den)
+        new_nums, new_dens = [], []
+        rn, rd = 0, 1
+        for j, cn in enumerate(nums):
+            cd = dens[j]
+            lo, hi = t[j], t[j + p + 1]
+            if hi <= z:
+                ln, ld, next_n, next_d = cn, cd, 0, 1
+            elif lo >= z:
+                ln, ld, next_n, next_d = 0, 1, cn, cd
+            else:
+                a = t[j + p]
+                ln, ld = (cn, cd) if z >= a else (cn * (z - lo), cd * (a - lo))
+                a = t[j + 1]
+                next_n, next_d = (cn, cd) if z <= a else (cn * (hi - z), cd * (hi - a))
+            if rn:
+                new_nums.append(rn * ld + ln * rd)
+                new_dens.append(rd * ld)
+            else:
+                new_nums.append(ln)
+                new_dens.append(ld)
+            rn, rd = next_n, next_d
+        new_nums.append(rn)
+        new_dens.append(rd)
+        bisect.insort_right(t, z)
+        nums, dens = new_nums, new_dens
+    augmented = tuple(sorted(tuple(window) + tuple(knots)))
+    return tuple((cn, cd, augmented[j : j + p + 2]) for j, (cn, cd) in enumerate(zip(nums, dens)))
 
 
 def reference_fixpoint(mesh, functions, dirty):

@@ -5,7 +5,8 @@ closure coordinate, and so does every Greville collocation matrix.  Also:
 knot insertion's unvalidated children equal validated ones, and its
 coefficients are exact over the whole coordinate range, for one knot and
 for several inserted in one step, where the children also equal
-single-knot insertions folded knot by knot."""
+single-knot insertions folded knot by knot.  The memoized Boehm kernel
+equals its uncached loop, on cache hits and on moved copies of an input."""
 from collections import Counter
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_derivatives, reference_values
+from conftest import reference_boehm, reference_derivatives, reference_values
 from lrbsplines.bspline import (
     TensorBSpline,
+    _boehm,
     _greville_collocation,
     _insert_knots,
     _knot_windows,
@@ -330,3 +332,47 @@ def test_multi_knot_coefficients_equal_the_fraction_formula(case):
     for (_, _, child), coefficient in zip(children, want):
         assert type(child.weight) is Fraction and child.weight == b.weight * coefficient
     assert {child.key: child for _, _, child in children} == folded_insertion(b, direction, knots)
+
+
+@st.composite
+def boehm_inputs(draw):
+    """``(window, knots)``: a local knot vector of degree 1-3 on eighths
+    and one to four sorted knots on sixteenths strictly inside it, one of
+    them drawn twice when the multiplicities allow."""
+    p = draw(st.integers(1, 3))
+    window = tuple(dyadic(v) for v in draw(windows(p)))
+    lo, hi = int(window[0] * 16) + 1, int(window[-1] * 16) - 1
+    assume(lo <= hi)
+    picks = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+    picks.append(draw(st.sampled_from(picks)))
+    knots = tuple(sorted(dyadic(n / 16) for n in picks))
+    if max(Counter(window + knots).values()) > p + 1:
+        knots = knots[1:]
+    assume(max(Counter(window + knots).values()) <= p + 1)
+    return window, knots
+
+
+@props
+@given(boehm_inputs(), st.integers(-64, 64), st.integers(-4, 4))
+def test_memoized_boehm_equals_the_uncached_loop(case, shift, exponent):
+    # A copy translated by shift / 8 and scaled by 2**exponent is another
+    # cache entry with the same coefficients and moved windows.
+    window, knots = case
+
+    def moved(values):
+        return tuple(dyadic((v + shift / 8) * 2.0**exponent) for v in values)
+
+    results = []
+    for w, k in ((window, knots), (moved(window), moved(knots))):
+        want = reference_boehm(w, k)
+        got = _boehm(w, k)
+        assert got == want
+        hits = _boehm.cache_info().hits
+        assert _boehm(w, k) is got and _boehm.cache_info().hits == hits + 1
+        for _, _, vec in got:
+            assert type(vec) is tuple and all(type(c) is DyadicCoord for c in vec)
+        results.append(got)
+    original, copy = results
+    assert len(original) == len(knots) + 1
+    assert [Fraction(n, d) for n, d, _ in original] == [Fraction(n, d) for n, d, _ in copy]
+    assert [moved(vec) for _, _, vec in original] == [vec for _, _, vec in copy]

@@ -73,22 +73,26 @@ def test_fixpoint_equals_the_single_knot_reference(bidegree, steps):
 def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     # A work count in place of a timing gate.  One knot per split and a
     # scan of every mesh position per child made 42,199 covering-run
-    # lookups and 5,095 insertions at 6 iterations.
+    # lookups and 5,095 insertions at 6 iterations.  The insertions are
+    # the fixpoint's multi-knot steps, each one call of the memoized
+    # Boehm kernel, which computes only its 629 distinct inputs.
     lookups, insertions = [], []
     covering_run = Mesh.covering_run
-    insert_knots = space_module._insert_knots
+    boehm = space_module._boehm
 
     def counting_covering_run(self, *args):
         lookups.append(1)
         return covering_run(self, *args)
 
-    def counting_insert_knots(*args):
+    def counting_boehm(*args):
         insertions.append(1)
-        return insert_knots(*args)
+        return boehm(*args)
 
     monkeypatch.setattr(Mesh, "covering_run", counting_covering_run)
-    monkeypatch.setattr(space_module, "_insert_knots", counting_insert_knots)
+    monkeypatch.setattr(space_module, "_boehm", counting_boehm)
+    boehm.cache_clear()
     summary = run_mesh_demo(tmp_path, iterations=6)
     assert summary["n_functions"] == 932
     assert len(lookups) <= 21_000
     assert len(insertions) <= 5_095
+    assert boehm.cache_info().misses <= 629

@@ -459,3 +459,10 @@ def test_adaptive_solve_single_strategy():
     rows = adaptive_solve(3, grid=(100, 100), strategies=("tensor",))
     assert [r["strategy"] for r in rows] == ["tensor", "tensor"]
     assert [r["level"] for r in rows] == [2, 3]
+
+
+def test_adaptive_solve_reads_one_incidence_per_space(monkeypatch):
+    # Assembly and the error grid share the incidence of their space.
+    calls = count_incidence_calls(monkeypatch)
+    rows = adaptive_solve(3, grid=(20, 20))
+    assert len(rows) == 4 and len(calls) == len(rows)

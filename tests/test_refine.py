@@ -1,8 +1,11 @@
 """Nestedness, expansions, markers, and the refinement pipeline."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import key_of, random_pipeline_space
 from lrbsplines.bspline import TensorBSpline
@@ -19,6 +22,7 @@ from lrbsplines.refine import (
     point_marker,
     tensor_expansion,
     _rank,
+    _vector_nested,
 )
 from lrbsplines.space import (
     LRSpace,
@@ -59,6 +63,42 @@ def test_nesting_is_irreflexive_and_needs_containment():
     wide = bsp((0, 2, 4, 6), (0, 2, 4, 6))
     shifted = bsp((1, 2, 3, 4), (0, 2, 4, 6))
     assert not is_nested_knotwise(wide, shifted)
+
+
+def counted_vector_nested(vi, vo) -> bool:
+    """``_vector_nested`` as a multiplicity table: both rules checked at
+    every value of either vector, with ``Counter``s."""
+    ci, co = Counter(vi), Counter(vo)
+    for z in ci.keys() | co.keys():
+        if vi[0] < z < vi[-1] and ci[z] < co[z]:
+            return False
+        if not (vo[0] < z < vo[-1]) and ci[z] > co[z]:
+            return False
+    return True
+
+
+@st.composite
+def knot_vector_pairs(draw):
+    """Two sorted knot vectors of one degree 1-3 on the halves of [0, 3.5],
+    each spanning a nonempty interval: a small lattice, so knots repeat
+    and one vector often nests in the other."""
+    p = draw(st.integers(1, 3))
+
+    def vector():
+        values = sorted(draw(st.lists(st.integers(0, 6), min_size=p + 2, max_size=p + 2)))
+        if values[0] == values[-1]:
+            values[-1] += 1
+        return tuple(dyadic(v / 2) for v in values)
+
+    return vector(), vector()
+
+
+@settings(deadline=None, max_examples=300)
+@given(knot_vector_pairs())
+def test_vector_nesting_equals_the_multiplicity_table(pair):
+    vi, vo = pair
+    assert _vector_nested(vi, vo) == counted_vector_nested(vi, vo)
+    assert _vector_nested(vo, vi) == counted_vector_nested(vo, vi)
 
 
 def test_meshwise_requires_minimal_support(mixed_mesh):
