@@ -15,15 +15,17 @@ a mesh run of at least the knot multiplicity, and minimal support
 additionally forbids any mesh line that crosses the full support at a
 higher multiplicity than the function's own knots there.  One scan,
 `_deficits`, lists a direction's such lines; `find_refining_split` is
-its first hit; it reads only the two knot vectors.
+its first hit; it reads only the two knot vectors.  `has_minimal_support`
+decides both rules in one scan per direction.
 
 Knot insertion has one kernel, `_boehm`: a local knot vector and the
-knots to insert give the children's windows and their coefficients as
-integer (numerator, denominator) pairs, by Boehm's algorithm in integer
-arithmetic.  It is memoized per exact (window, knots) pair, since the
-generation fixpoint meets few distinct ones.  `_insert_knots` builds
-the children of a function from it, and `insert_knot` is its one-knot
-call.
+knots to insert give the children's coefficients as integer (numerator,
+denominator) pairs, by Boehm's algorithm in integer arithmetic.  It is
+memoized per exact (window, knots) pair, since the generation fixpoint
+meets few distinct ones, and its entries hold integers only.
+`_children` puts the coefficients on the children's windows,
+`_insert_knots` builds the children of a function from those, and
+`insert_knot` is its one-knot call.
 """
 
 from __future__ import annotations
@@ -272,14 +274,15 @@ def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
 
 @lru_cache(maxsize=1 << 13)
 def _boehm(window: tuple, knots: tuple) -> tuple:
-    """The B-spline on the local knot vector ``window`` after inserting
-    ``knots`` (sorted or not, a value may repeat), by Boehm's algorithm:
-    one knot at a time, every window the knot lies strictly inside
-    splits into its two knot-insertion children, and children on the
-    same window merge.
+    """The coefficients of the B-spline on the local knot vector
+    ``window`` after inserting ``knots`` (sorted or not, a value may
+    repeat), by Boehm's algorithm: one knot at a time, every window the
+    knot lies strictly inside splits into its two knot-insertion
+    children, and children on the same window merge.
 
-    Returns ``(num, den, child_window)`` per window of the augmented
-    vector, in order: the child's coefficient is ``num / den``, not
+    Returns ``(num_0, den_0, num_1, den_1, ...)``, one flat tuple: child
+    ``j`` lies on window ``j`` of the augmented vector (see
+    :func:`_children`) with the coefficient ``num_j / den_j``, not
     reduced.  The knots must lie strictly inside the span and keep every
     multiplicity at most degree + 1; they are not checked.
 
@@ -288,11 +291,14 @@ def _boehm(window: tuple, knots: tuple) -> tuple:
     scaled differences, and each coefficient is an unnormalized
     (numerator, denominator) pair.  The generation fixpoint meets the
     same few (window, knots) pairs again and again, so the result is
-    memoized per exact pair; it holds only integers and tuples of the
-    inputs' coordinates.  An entry takes about 600 bytes.  The bound
-    keeps the cache to a few MiB and still misses no reuse of a
-    10-iteration ``mesh-demo``: its 12,949 distinct inputs over 45,789
-    calls miss as often as with no bound.
+    memoized per exact pair.  The result holds integers only: an entry
+    keeps no tuple of coordinates alive beyond its key, so the cache
+    adds few objects for the garbage collector to count and traverse,
+    and :func:`_children` cuts the children's windows on each call
+    instead.  An entry takes about 360 bytes.  The bound keeps the
+    cache to a few MiB and still misses no reuse of a 10-iteration
+    ``mesh-demo``: its 12,949 distinct inputs over 45,789 calls miss as
+    often as with no bound.
     """
     p = len(window) - 2
     ratios = [c.as_integer_ratio() for c in window]
@@ -329,14 +335,26 @@ def _boehm(window: tuple, knots: tuple) -> tuple:
         new_dens.append(rd)
         bisect.insort_right(t, z)
         nums, dens = new_nums, new_dens
+    return tuple(chain.from_iterable(zip(nums, dens)))
+
+
+def _children(window: tuple, knots: tuple) -> list:
+    """``(num, den, child_window)`` per child of inserting ``knots`` into
+    ``window``, in order: :func:`_boehm`'s coefficients on the
+    consecutive windows of the augmented vector ``sorted(window +
+    knots)``."""
+    coefficients = _boehm(window, knots)
     augmented = tuple(sorted(window + knots))
-    return tuple((cn, cd, augmented[j : j + p + 2]) for j, (cn, cd) in enumerate(zip(nums, dens)))
+    q = len(window)
+    return [
+        (coefficients[2 * j], coefficients[2 * j + 1], augmented[j : j + q])
+        for j in range(len(coefficients) // 2)
+    ]
 
 
 def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
     """Children of ``b`` after inserting ``knots`` in ``direction``:
-    :func:`_boehm` on ``b``'s knot vector there, with the children as
-    functions.
+    :func:`_children` of ``b``'s knot vector there, as functions.
 
     Returns ``(num, den, child)`` per child, in order: the child's
     weight is ``b``'s times ``num / den``, one ``Fraction``.
@@ -344,7 +362,7 @@ def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
     w = b.weight
     wn, wd = w.numerator, w.denominator
     children = []
-    for cn, cd, vec in _boehm(b.knots(direction), tuple(knots)):
+    for cn, cd, vec in _children(b.knots(direction), tuple(knots)):
         weight = Fraction(wn * cn, wd * cd)
         if direction == 1:
             child = _trusted_bspline(vec, b.yknots, weight)
@@ -449,5 +467,31 @@ def find_refining_split(b: TensorBSpline, mesh: Mesh):
 
 def has_minimal_support(b: TensorBSpline, mesh: Mesh) -> bool:
     """Support containment with equality: no mesh line crosses the
-    support at higher multiplicity than the function's knots."""
-    return has_support_on(b, mesh) and find_refining_split(b, mesh) is None
+    support at higher multiplicity than the function's knots.
+
+    The same verdict as ``has_support_on(b, mesh) and
+    find_refining_split(b, mesh) is None``, from one scan per direction
+    over the mesh positions in the support's closed span, with one
+    covering-run lookup each: a knot needs a run of at least its
+    multiplicity, an interior position one of at most it, and every knot
+    must lie on a mesh position.
+    """
+    covering_run = mesh.covering_run
+    for direction in (1, 2):
+        vec, cross = (b.xknots, b.yknots) if direction == 1 else (b.yknots, b.xknots)
+        lo, hi = vec[0], vec[-1]
+        c_lo, c_hi = cross[0], cross[-1]
+        positions = mesh.positions(direction)
+        i0 = bisect.bisect_left(positions, lo)
+        i1 = bisect.bisect_right(positions, hi, i0)
+        on_mesh = 0  # knots on the scanned positions, repeats counted
+        for pos in positions[i0:i1]:
+            mult = vec.count(pos)
+            run = covering_run(direction, pos, c_lo, c_hi)
+            have = 0 if run is None else run[2]
+            if have < mult or (have > mult and lo < pos < hi):
+                return False
+            on_mesh += mult
+        if on_mesh != len(vec):
+            return False
+    return True

@@ -56,6 +56,15 @@ def _decode_coord(obj, memo: dict, where: str, index=None) -> DyadicCoord:
     it, so a bad pair raises wherever it occurs.  An error names the pair
     ``where``, or ``where[index]`` when an index is given; the name is
     built only when one is raised."""
+    # The common case first: a JSON list of two plain ints seen before.
+    # ``type() is int`` keeps out bools and floats, which equal ints as
+    # dictionary keys; every other pair takes the full checks below.
+    if type(obj) is list and len(obj) == 2:
+        numerator, exponent = obj
+        if type(numerator) is int and type(exponent) is int:
+            coord = memo.get((numerator, exponent))
+            if coord is not None:
+                return coord
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise _coord_error(where, index, f"expected [numerator, exponent], got {obj!r}")
     pair = numerator, exponent = obj[0], obj[1]

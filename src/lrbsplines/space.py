@@ -343,12 +343,13 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
       direction-d line inside a child's support already matches the
       child's knots, and the child skips the direction-d scan.
 
-    The loop works on keys and integer weights.  A step's children and
-    coefficients come from the memoized kernel ``_boehm``, and every key
-    added or merged into here keeps its weight as a (numerator,
-    denominator) pair, reduced at each merge.  Many children are split
-    again at once, so only on return is one function, with one
-    ``Fraction`` weight, built per such key that survives.
+    The loop works on keys and integer weights.  A step's children are
+    those of ``_children``, whose coefficients the memoized kernel
+    ``_boehm`` keeps as integers, and every key added or merged into
+    here keeps its weight as a (numerator, denominator) pair, reduced at
+    each merge.  Many children are split again at once, so only on
+    return is one function, with one ``Fraction`` weight, built per such
+    key that survives.
     """
     probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
     heap = sorted(dirty)
@@ -382,7 +383,13 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
         knots = ()
         for pos, deficit in hits:
             knots += (pos,) * deficit
-        for cn, cd, vec in _boehm(xv if direction == 1 else yv, knots):
+        # ``_children``, inlined: this loop makes most of its calls
+        window = xv if direction == 1 else yv
+        coefficients = _boehm(window, knots)
+        augmented = tuple(sorted(window + knots))
+        q = len(window)
+        for j in range(len(coefficients) // 2):
+            cn, cd, vec = coefficients[2 * j], coefficients[2 * j + 1], augmented[j : j + q]
             k = (vec, yv) if direction == 1 else (xv, vec)
             num, den = wn * cn, wd * cd
             old = weights.get(k)
@@ -400,8 +407,8 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
             weights[k] = (num // g, den // g)
     # ``functions`` has only lost keys here, so the keys it lacks are new
     added = {k for k in weights if k not in functions}
-    for (xv, yv), (num, den) in weights.items():
-        functions[xv, yv] = _trusted_bspline(xv, yv, Fraction(num, den))
+    for key, (num, den) in weights.items():
+        functions[key] = _trusted_bspline(*key, Fraction(num, den))
     return removed, added
 
 

@@ -147,7 +147,7 @@ def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
 
 def reference_boehm(window, knots) -> tuple:
     """Boehm's algorithm in integer arithmetic, uncached: the reference
-    of the memoized kernel ``bspline._boehm``, with its contract.
+    of ``bspline._children`` and so of the memoized kernel ``_boehm``.
 
     Inserts ``knots`` into the local knot vector ``window`` one at a
     time; every window a knot lies strictly inside splits into its two

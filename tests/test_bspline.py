@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from conftest import key_of
+from conftest import key_of, random_pipeline_space
 from lrbsplines.bspline import (
     KnotVectorError,
     TensorBSpline,
@@ -22,7 +22,7 @@ from lrbsplines.bspline import (
     univariate_values,
 )
 from lrbsplines import bspline as bspline_module
-from lrbsplines.dyadic import dyadic
+from lrbsplines.dyadic import dyadic, midpoint
 
 
 def random_vector(rng, degree, span=8):
@@ -270,6 +270,47 @@ def test_minimal_support_verdicts_on_mixed_mesh(mixed_mesh):
     assert has_support_on(loose, mixed_mesh)
     assert not has_minimal_support(loose, mixed_mesh)
     assert find_refining_split(loose, mixed_mesh) == (2, dyadic(7), 1)
+
+
+def test_one_scan_minimal_support_equals_its_two_rules():
+    # has_minimal_support scans each direction once; it must agree with
+    # support containment plus the absence of a refining split.  The
+    # candidates: a refined space's functions, the same with one knot
+    # raised to its neighbour's value, those of the space it was refined
+    # from, and random knot vectors on the mesh's positions or also
+    # between them, so that every verdict occurs.
+    outcomes = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        bidegree = (rng.randint(1, 3), rng.randint(1, 3))
+        before = random_pipeline_space(seed, iterations=1, bidegree=bidegree)
+        after = random_pipeline_space(seed, iterations=2, bidegree=bidegree)
+        mesh = after.mesh
+        candidates = [*after.functions.values(), *before.functions.values()]
+        vectors = []
+        for b in after.functions.values():
+            xv = list(b.xknots)
+            xv[1] = xv[2]
+            vectors.append((xv, b.yknots))
+        for _ in range(40):
+            pair = []
+            for direction, p in zip((1, 2), bidegree):
+                values = mesh.positions(direction)
+                if rng.random() < 0.5:
+                    values += tuple(midpoint(a, b) for a, b in zip(values, values[1:]))
+                pair.append(sorted(rng.choices(values, k=p + 2)))
+            vectors.append(pair)
+        for xv, yv in vectors:
+            try:
+                candidates.append(TensorBSpline(xv, yv))
+            except KnotVectorError:
+                continue
+        for b in candidates:
+            supported = has_support_on(b, mesh)
+            split = find_refining_split(b, mesh) if supported else None
+            assert has_minimal_support(b, mesh) == (supported and split is None)
+            outcomes.add((supported, split is None))
+    assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_function_without_mesh_lines_has_no_support(mixed_mesh):

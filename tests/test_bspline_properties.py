@@ -6,7 +6,8 @@ knot insertion's unvalidated children equal validated ones, and its
 coefficients are exact over the whole coordinate range, for one knot and
 for several inserted in one step, where the children also equal
 single-knot insertions folded knot by knot.  The memoized Boehm kernel
-equals its uncached loop, on cache hits and on moved copies of an input."""
+holds integers only, and with the children's windows it equals its
+uncached loop, on cache hits and on moved copies of an input."""
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conftest import reference_boehm, reference_derivatives, reference_values
 from lrbsplines.bspline import (
     TensorBSpline,
     _boehm,
+    _children,
     _greville_collocation,
     _insert_knots,
     _knot_windows,
@@ -364,11 +366,14 @@ def test_memoized_boehm_equals_the_uncached_loop(case, shift, exponent):
 
     results = []
     for w, k in ((window, knots), (moved(window), moved(knots))):
-        want = reference_boehm(w, k)
-        got = _boehm(w, k)
+        want = list(reference_boehm(w, k))
+        got = _children(w, k)
         assert got == want
+        coefficients = _boehm(w, k)
+        assert all(type(c) is int for c in coefficients)
         hits = _boehm.cache_info().hits
-        assert _boehm(w, k) is got and _boehm.cache_info().hits == hits + 1
+        assert _boehm(w, k) is coefficients and _boehm.cache_info().hits == hits + 1
+        assert _children(w, k) == want
         for _, _, vec in got:
             assert type(vec) is tuple and all(type(c) is DyadicCoord for c in vec)
         results.append(got)

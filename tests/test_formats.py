@@ -189,14 +189,22 @@ def test_decoding_builds_one_coordinate_per_distinct_pair(monkeypatch, running_e
 
 
 def test_a_decoded_pair_does_not_excuse_an_equal_ill_typed_one():
-    # [float(n), e] hashes and compares like the valid [n, e], so the
-    # memo of decoded pairs must not be consulted before the type check.
-    for bad in (lambda n, e: [float(n), e], lambda n, e: [n, e * 1.0]):
-        doc = _valid_space_doc()
-        n, e = doc["functions"][0]["x"][1]
-        doc["functions"][1]["x"][1] = bad(n, e)
-        with pytest.raises(FormatError, match=r"functions\[1\]\.x\[1\]"):
-            from_json(doc)
+    # [float(n), e] and [n, True] hash and compare like the valid [n, e],
+    # so the memo of decoded pairs must not be consulted before the type
+    # check, in a knot vector as anywhere else.
+    bad_pairs = (
+        lambda n, e: [float(n), e],
+        lambda n, e: [n, e * 1.0],
+        lambda n, e: [bool(n), e],
+        lambda n, e: [n, bool(e)],
+    )
+    for index in (1, 3):  # the pairs [0, 0] and [1, 1]
+        for bad in bad_pairs:
+            doc = _valid_space_doc()
+            n, e = doc["functions"][0]["x"][index]
+            doc["functions"][1]["x"][index] = bad(n, e)
+            with pytest.raises(FormatError, match=rf"functions\[1\]\.x\[{index}\]"):
+                from_json(doc)
 
 
 def test_top_level_must_be_an_object():
