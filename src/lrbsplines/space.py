@@ -408,7 +408,11 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     # ``functions`` has only lost keys here, so the keys it lacks are new
     added = {k for k in weights if k not in functions}
     for key, (num, den) in weights.items():
-        functions[key] = _trusted_bspline(*key, Fraction(num, den))
+        # a function merged into keeps its knot tuples, which its key in
+        # ``functions`` shares; ``key`` holds copies cut from a child
+        old = functions.get(key)
+        xv, yv = key if old is None else (old.xknots, old.yknots)
+        functions[key] = _trusted_bspline(xv, yv, Fraction(num, den))
     return removed, added
 
 

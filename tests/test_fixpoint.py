@@ -7,7 +7,8 @@ replayed here by ``reference_fixpoint`` of ``conftest``, which inserts
 one knot per split and scans every mesh position: both must leave the
 same functions with the same exact weights and return the same diff.
 A work count bounds the mesh lookups and insertions of the diagonal
-demo, in place of a timing gate.
+demo, in place of a timing gate, and every function shares its key's
+knot tuples.
 """
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_marked, random_split, reference_fixpoint
+from conftest import random_marked, random_pipeline_space, random_split, reference_fixpoint
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.mesh import Mesh, make_initial_mesh
@@ -96,3 +97,14 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     assert len(lookups) <= 21_000
     assert len(insertions) <= 5_095
     assert boehm.cache_info().misses <= 629
+
+
+def test_functions_share_their_keys_knot_tuples():
+    # A function the fixpoint merges into is rebuilt from its own knot
+    # tuples, which its key in ``functions`` holds, not from equal copies
+    # cut for a child; a new function and its key share the child's.
+    for seed in range(10):
+        for iterations in (1, 2, 3):
+            space = random_pipeline_space(seed, iterations=iterations)
+            for key, b in space.functions.items():
+                assert b.xknots is key[0] and b.yknots is key[1]
