@@ -1,11 +1,17 @@
 """Tensor-product B-splines on local knot vectors.
 
 A bivariate function is described by two local knot vectors of lengths
-``p1 + 2`` and ``p2 + 2`` plus a positive rational weight.  Univariate
-values come from one Cox--de Boor kernel, `_stacked_values`, over
-stacked windows and half-open spans ``[k_i, k_{i+1})``; an optional
-closure coordinate makes the evaluation left-continuous there, which is
-how the top domain edge is handled.  `univariate_values` and
+``p1 + 2`` and ``p2 + 2`` plus a positive rational weight.
+`TensorBSpline` holds the three as one value, for the public
+per-function calls here and in :mod:`lrbsplines.quasi`.  A space keeps
+no such object, only each function's key ``(xknots, yknots)`` and its
+weight; a caller that holds a space builds one as
+``TensorBSpline(*key, weight)``.
+
+Univariate values come from one Cox--de Boor kernel, `_stacked_values`,
+over stacked windows and half-open spans ``[k_i, k_{i+1})``; an
+optional closure coordinate makes the evaluation left-continuous there,
+which is how the top domain edge is handled.  `univariate_values` and
 `univariate_derivatives` are its one-window calls.
 
 The support queries (`has_support_on`, `has_minimal_support`,
@@ -16,7 +22,8 @@ additionally forbids any mesh line that crosses the full support at a
 higher multiplicity than the function's own knots there.  One scan,
 `_deficits`, lists a direction's such lines; `find_refining_split` is
 its first hit; it reads only the two knot vectors.  `has_minimal_support`
-decides both rules in one scan per direction.
+decides both rules in one scan per direction, through its knot-vector
+form `_minimal_support`, which spaces call on their keys.
 
 Knot insertion has one kernel, `_boehm`: a local knot vector and the
 knots to insert give the children's coefficients as integer (numerator,
@@ -143,9 +150,9 @@ _set_weight = TensorBSpline.weight.__set__
 def _trusted_bspline(xknots, yknots, weight: Fraction) -> TensorBSpline:
     """``TensorBSpline(xknots, yknots, weight)`` without ``__post_init__``.
 
-    For bulk construction from knot vectors that ``local_knot_vector``
-    has already returned and a positive ``Fraction`` weight; the result
-    equals the validated one, field by field.
+    For the children of knot insertion, whose knot vectors are valid by
+    construction, with a positive ``Fraction`` weight; the result equals
+    the validated one, field by field.
     """
     b = object.__new__(TensorBSpline)
     _set_xknots(b, xknots)
@@ -476,9 +483,15 @@ def has_minimal_support(b: TensorBSpline, mesh: Mesh) -> bool:
     multiplicity, an interior position one of at most it, and every knot
     must lie on a mesh position.
     """
+    return _minimal_support(b.xknots, b.yknots, mesh)
+
+
+def _minimal_support(xknots, yknots, mesh: Mesh) -> bool:
+    """:func:`has_minimal_support` of the function on the knot vectors
+    ``xknots``, ``yknots``."""
     covering_run = mesh.covering_run
     for direction in (1, 2):
-        vec, cross = (b.xknots, b.yknots) if direction == 1 else (b.yknots, b.xknots)
+        vec, cross = (xknots, yknots) if direction == 1 else (yknots, xknots)
         lo, hi = vec[0], vec[-1]
         c_lo, c_hi = cross[0], cross[-1]
         positions = mesh.positions(direction)

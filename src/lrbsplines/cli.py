@@ -81,7 +81,7 @@ def run_mesh_demo(
     if strategy == "structured":
         for i in range(1, iterations + 1):
             space = spaces[-1]
-            marked = [k for k in space.sorted_keys() if diagonal_marker(space.functions[k])]
+            marked = [k for k in space.sorted_keys() if diagonal_marker(k)]
             if not marked:
                 raise SpaceError(f"marker selected no functions at iteration {i}")
             spaces.append(structured_refine(space, marked))
@@ -179,7 +179,7 @@ def verify(path, *, seed: int = 0) -> dict:
     knotwise = nested_map(space)
     n_knotwise = sum(len(v) for v in knotwise.values())
     n_meshwise = sum(
-        is_nested_meshwise(space.functions[inner_key], space.functions[outer_key], space.mesh)
+        is_nested_meshwise(inner_key, outer_key, space.mesh)
         for outer_key, inners in knotwise.items()
         for inner_key in inners
     )
@@ -188,7 +188,7 @@ def verify(path, *, seed: int = 0) -> dict:
     report["nested_definitions_agree"] = n_meshwise == n_knotwise
 
     report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
-        space, 64, (True, False), (keys, counts, indices, bounds)
+        space, 64, (True, False)
     )
     if report["locally_independent"] and _elementwise_full_rank(
         space, keys, indices.reshape(len(counts), n_loc), bounds

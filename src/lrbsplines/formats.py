@@ -18,7 +18,7 @@ from pathlib import Path
 from .dyadic import DyadicCoord, dyadic
 from .mesh import Mesh, MeshError, Rect, _build_mesh
 from .bspline import TensorBSpline
-from .space import LRSpace, _incidence
+from .space import ONE, LRSpace, _incidence
 
 __all__ = [
     "FormatError",
@@ -92,7 +92,7 @@ def to_json(obj) -> dict:
     if isinstance(obj, LRSpace):
         doc = to_json(obj.mesh)
         doc["functions"] = [
-            {**_encode_key(key), "w": float(obj.functions[key].weight)}
+            {**_encode_key(key), "w": float(obj.functions[key])}
             for key in obj.sorted_keys()
         ]
         return doc
@@ -203,7 +203,7 @@ def from_json(doc: dict):
             raise FormatError(f"{where}: {exc}") from None
         if b.key in functions:
             raise FormatError(f"{where}: duplicate knot vectors")
-        functions[b.key] = b
+        functions[b.key] = ONE if b.weight == 1 else b.weight
     return LRSpace(mesh, functions)
 
 
@@ -265,7 +265,7 @@ def _document_text(obj) -> str:
 
         entries = [
             f'{{\n   "x": {vector(xv)},\n   "y": {vector(yv)},\n'
-            f'   "w": {float.__repr__(float(obj.functions[(xv, yv)].weight))}\n  }}'
+            f'   "w": {float.__repr__(float(obj.functions[(xv, yv)]))}\n  }}'
             for xv, yv in obj.sorted_keys()
         ]
         fields.append('"functions": ' + items(entries, 1))

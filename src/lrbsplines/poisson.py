@@ -122,9 +122,7 @@ def _element_load(vals, weights, f, xs, ys):
     return (vals @ (weights * fq.reshape(weights.shape))[..., None])[..., 0]
 
 
-def assemble(
-    space: LRSpace, f, *, load_resolution: float | None = None, _incidence_rows=None
-) -> GalerkinSystem:
+def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> GalerkinSystem:
     """Galerkin stiffness and load for ``-Δu = f`` on the space.
 
     The stiffness uses (p+1)^2 Gauss-Legendre points per element, which
@@ -133,8 +131,6 @@ def assemble(
     ``load_resolution`` is given, the load integral subdivides each
     element into sub-cells no wider than that resolution so sharp data
     is integrated honestly rather than sampled at a handful of points.
-    ``_incidence_rows`` is the space's :func:`_incidence` when the
-    caller already has it.
 
     Each element's functions are read from the element--function
     incidence, a range query over the elements' sorted corners that
@@ -152,7 +148,7 @@ def assemble(
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
-    keys, counts, indices, bounds = _incidence(space) if _incidence_rows is None else _incidence_rows
+    keys, counts, indices, bounds = _incidence(space)
     overloaded = np.flatnonzero(counts != expected)
     if overloaded.size:
         e = overloaded[0]
@@ -207,7 +203,7 @@ def assemble(
         shape=(n, n),
     ).tocsr()
     stiffness = (stiffness + stiffness.T) * 0.5
-    return GalerkinSystem(tuple(keys), stiffness, load)
+    return GalerkinSystem(keys, stiffness, load)
 
 
 def _edge_descriptors(space: LRSpace):
@@ -323,12 +319,11 @@ def _sampled(domain: Rect, u_exact, grid):
     return xs, ys, np.asarray(u_exact(grid_x, grid_y), dtype=float)
 
 
-def _grid_errors(space: LRSpace, coefficients: dict, sample, incidence=None) -> ErrorReport:
+def _grid_errors(space: LRSpace, coefficients: dict, sample) -> ErrorReport:
     """:func:`error_norms` against ``sample``, which :func:`_sampled`
-    gives for the space's domain; ``incidence`` is the space's
-    :func:`_incidence` when the caller already has it."""
+    gives for the space's domain."""
     xs, ys, exact = sample
-    err = _evaluate_sums(space, [coefficients], xs, ys, incidence)[0] - exact
+    err = _evaluate_sums(space, [coefficients], xs, ys)[0] - exact
     dom = space.mesh.domain
     area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
     return ErrorReport(
@@ -377,9 +372,10 @@ def _straddles_circle(x0, x1, y0, y1, center, radius) -> bool:
     return d_min <= radius <= d_max
 
 
-def layer_marker(b) -> bool:
-    """Marker: the central knot span straddles the layer circle."""
-    x0, x1, y0, y1 = central_span(b)
+def layer_marker(key) -> bool:
+    """Marker: the central knot span of the function with the key ``key``
+    straddles the layer circle."""
+    x0, x1, y0, y1 = central_span(key)
     if not (x0 < x1 and y0 < y1):
         return False
     return _straddles_circle(x0, x1, y0, y1, LAYER_CENTER, LAYER_RADIUS)
@@ -419,12 +415,10 @@ def adaptive_solve(
     exact = _sampled(domain, layer_solution, grid)
 
     def run(space: LRSpace) -> ErrorReport:
-        # assembly and the error grid read one incidence
-        incidence = _incidence(space)
-        system = assemble(space, layer_rhs, load_resolution=resolution, _incidence_rows=incidence)
+        system = assemble(space, layer_rhs, load_resolution=resolution)
         system = impose_dirichlet(system, space, layer_solution)
         coefficients = solve(system)
-        return _grid_errors(space, coefficients, exact, incidence)
+        return _grid_errors(space, coefficients, exact)
 
     def tensor_spaces():
         for level in range(2, levels + 1):

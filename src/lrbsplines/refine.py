@@ -9,13 +9,17 @@ and the pipeline that alternates structured refinement with expansion
 sweeps so every produced space has pairwise non-nested supports -- and
 with it, local linear independence and partition of unity with unit
 weights.
+
+Nestedness, central spans and markers read only knot vectors, so they
+take function keys, the ``(xknots, yknots)`` pairs of
+``LRSpace.functions``, and no function object is built per call.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .bspline import TensorBSpline, has_minimal_support
+from .bspline import _minimal_support
 from .mesh import Split
 from .space import Key, LRSpace, SpaceError, _refine_marked, _Refinement
 
@@ -59,43 +63,38 @@ def _vector_nested(vi, vo) -> bool:
     return True
 
 
-def is_nested_knotwise(inner: TensorBSpline, outer: TensorBSpline) -> bool:
-    """Nestedness decided from the knot vectors alone."""
-    if inner.key == outer.key:
+def is_nested_knotwise(inner: Key, outer: Key) -> bool:
+    """Nestedness of the functions with the keys ``inner`` and ``outer``,
+    decided from the knot vectors alone."""
+    if inner == outer:
         return False
-    return _vector_nested(inner.xknots, outer.xknots) and _vector_nested(
-        inner.yknots, outer.yknots
-    )
+    return _vector_nested(inner[0], outer[0]) and _vector_nested(inner[1], outer[1])
 
 
-def is_nested_meshwise(inner: TensorBSpline, outer: TensorBSpline, mesh) -> bool:
-    """Nestedness decided from the supports on a common mesh.
+def is_nested_meshwise(inner: Key, outer: Key, mesh) -> bool:
+    """Nestedness of the functions with the keys ``inner`` and ``outer``,
+    decided from their supports on a common mesh.
 
     Requires support containment and, on every side where the two
     support rectangles coincide, at least the inner's knot multiplicity
     on the outer.  Both functions must have minimal support on ``mesh``;
     on such pairs this agrees with :func:`is_nested_knotwise`.
     """
-    for b in (inner, outer):
-        if not has_minimal_support(b, mesh):
+    for key in (inner, outer):
+        if not _minimal_support(*key, mesh):
             raise SpaceError(
                 "meshwise nestedness requires minimal support on the mesh"
             )
-    if inner.key == outer.key:
+    if inner == outer:
         return False
-    si, so = inner.support, outer.support
-    if not so.contains_rect(si):
-        return False
-
-    sides = (
-        (si.x_min == so.x_min, inner.xknots, outer.xknots, si.x_min),
-        (si.x_max == so.x_max, inner.xknots, outer.xknots, si.x_max),
-        (si.y_min == so.y_min, inner.yknots, outer.yknots, si.y_min),
-        (si.y_max == so.y_max, inner.yknots, outer.yknots, si.y_max),
-    )
-    for coincide, vi, vo, value in sides:
-        if coincide and vi.count(value) > vo.count(value):
+    for vi, vo in zip(inner, outer):
+        if not (vo[0] <= vi[0] and vi[-1] <= vo[-1]):
             return False
+    for vi, vo in zip(inner, outer):
+        for end in (0, -1):
+            value = vi[end]
+            if value == vo[end] and vi.count(value) > vo.count(value):
+                return False
     return True
 
 
@@ -112,11 +111,13 @@ def nested_map(space: LRSpace) -> dict:
 # -- expansions -------------------------------------------------------------
 
 
-def _one_directional_pieces(b: TensorBSpline, inners, direction: int):
-    cross = b.knots(2 if direction == 1 else 1)
-    values = set(b.knots(direction))
-    for f in inners:
-        values.update(f.knots(direction))
+def _one_directional_pieces(outer_key: Key, inner_keys, direction: int):
+    """The meshline pieces of :func:`one_directional_expansion` across
+    the function with the key ``outer_key``."""
+    cross = outer_key[2 - direction]
+    values = set(outer_key[direction - 1])
+    for key in inner_keys:
+        values.update(key[direction - 1])
     return [Split(direction, v, cross[0], cross[-1]) for v in sorted(values)]
 
 
@@ -131,14 +132,13 @@ def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSp
     unchanged when every such line already spans the support.  Raises
     when the function has no nested functions.
     """
-    b = space.functions.get(outer_key)
-    if b is None:
+    if outer_key not in space.functions:
         raise SpaceError(f"function {outer_key} is not in the space")
     state = _Refinement(space)
     inner_keys = _NestedTracker(state).by_outer.get(outer_key)
     if not inner_keys:
         raise SpaceError("expansion requires a function with nested functions")
-    pieces = _one_directional_pieces(b, [space.functions[k] for k in inner_keys], direction)
+    pieces = _one_directional_pieces(outer_key, inner_keys, direction)
     return space if state.insert(pieces) is None else state.space()
 
 
@@ -150,19 +150,18 @@ def tensor_expansion(space: LRSpace, outer_key) -> LRSpace:
     pair involving the region survives.  Returns the space unchanged
     when the restriction is already tensorized.
     """
-    b = space.functions.get(outer_key)
-    if b is None:
+    if outer_key not in space.functions:
         raise SpaceError(f"function {outer_key} is not in the space")
     state = _Refinement(space)
-    return space if state.insert(_tensor_pieces(space.mesh, b)) is None else state.space()
+    return space if state.insert(_tensor_pieces(space.mesh, outer_key)) is None else state.space()
 
 
-def _tensor_pieces(mesh, b: TensorBSpline) -> list:
-    """The meshline pieces of :func:`tensor_expansion` across ``b``."""
+def _tensor_pieces(mesh, key: Key) -> list:
+    """The meshline pieces of :func:`tensor_expansion` across the
+    function with the key ``key``."""
     pieces = []
-    for direction in (1, 2):
-        vec = b.knots(direction)
-        cross = b.knots(2 if direction == 1 else 1)
+    xv, yv = key
+    for direction, vec, cross in ((1, xv, yv), (2, yv, xv)):
         c_lo, c_hi = cross[0], cross[-1]
         for pos in mesh.positions(direction):
             if not (vec[0] < pos < vec[-1]):
@@ -176,8 +175,9 @@ def _tensor_pieces(mesh, b: TensorBSpline) -> list:
     return pieces
 
 
-def central_span(b: TensorBSpline) -> tuple[float, float, float, float]:
-    """Bounds ``(x_lo, x_hi, y_lo, y_hi)`` of the central knot span of ``b``.
+def central_span(key: Key) -> tuple[float, float, float, float]:
+    """Bounds ``(x_lo, x_hi, y_lo, y_hi)`` of the central knot span of the
+    function with the key ``key``.
 
     Each local knot vector of degree p spans p + 1 consecutive knot
     intervals; the function attains its maximum inside the middle one,
@@ -187,21 +187,21 @@ def central_span(b: TensorBSpline) -> tuple[float, float, float, float]:
     [y_lo, y_hi) is empty, so markers built on it never select functions
     centred on the boundary.
     """
-    p1, p2 = b.degrees
-    cx = (p1 + 1) // 2
-    cy = (p2 + 1) // 2
-    return (b.xknots[cx], b.xknots[cx + 1], b.yknots[cy], b.yknots[cy + 1])
+    xv, yv = key
+    cx = (len(xv) - 1) // 2
+    cy = (len(yv) - 1) // 2
+    return (xv[cx], xv[cx + 1], yv[cy], yv[cy + 1])
 
 
-def diagonal_marker(b: TensorBSpline) -> bool:
+def diagonal_marker(key: Key) -> bool:
     """Marker: the half-open central span meets the diagonal y = x."""
-    x0, x1, y0, y1 = central_span(b)
+    x0, x1, y0, y1 = central_span(key)
     return max(x0, y0) < min(x1, y1)
 
 
 def point_marker(points) -> "callable":
-    """Build a marker selecting functions whose half-open central span
-    contains one of the given points.
+    """Build a marker selecting the keys of functions whose half-open
+    central span contains one of the given points.
 
     The half-open convention [x_lo, x_hi) x [y_lo, y_hi) assigns a point
     sitting exactly on a knot line to the functions centred on its upper
@@ -210,8 +210,8 @@ def point_marker(points) -> "callable":
     """
     pts = tuple((float(px), float(py)) for px, py in points)
 
-    def marker(b: TensorBSpline) -> bool:
-        x0, x1, y0, y1 = central_span(b)
+    def marker(key: Key) -> bool:
+        x0, x1, y0, y1 = central_span(key)
         return any(x0 <= px < x1 and y0 <= py < y1 for px, py in pts)
 
     return marker
@@ -252,10 +252,10 @@ class _NestedTracker:
         self.by_outer: dict[Key, set] = {}
         # (rank, outer) entries, exactly one per outer in by_outer
         self._heap: list = []
-        keys, functions = state.keys, state.functions
+        keys = state.keys
         for i, o in zip(*state.nested_pairs()):
             inner_key, outer_key = keys[i], keys[o]
-            if is_nested_knotwise(functions[inner_key], functions[outer_key]):
+            if is_nested_knotwise(inner_key, outer_key):
                 self._add(inner_key, outer_key)
 
     def _add(self, inner_key, outer_key) -> None:
@@ -270,14 +270,14 @@ class _NestedTracker:
         if not added:
             return
         state = self.state
-        keys, functions = state.keys, state.functions
+        keys = state.keys
         added = list(added)
         own = [state.rows[key] for key in added]
         inside, around = state.containment(state.bounds[own])
         pairs = [(added[a], keys[r]) for a, r in zip(*around) if r != own[a]]
         pairs += [(keys[r], added[a]) for a, r in zip(*inside) if r != own[a]]
         for inner_key, outer_key in pairs:
-            if is_nested_knotwise(functions[inner_key], functions[outer_key]):
+            if is_nested_knotwise(inner_key, outer_key):
                 self._add(inner_key, outer_key)
 
     def select(self):
@@ -315,8 +315,8 @@ def n2s_pipeline(
 ) -> tuple[list[LRSpace], list[dict]]:
     """Alternate structured refinement with expansion sweeps.
 
-    Per iteration ``i``: mark functions with ``marker`` (selecting none
-    is an error), structured-refine them, then expand outers of nested
+    Per iteration ``i``: mark functions with ``marker``, called with each
+    key in ascending order (selecting none is an error), structured-refine them, then expand outers of nested
     pairs one at a time -- largest support first -- in a single
     direction (vertical on odd ``i`` under the default parity,
     horizontal on even; ``parity="odd-horizontal"`` flips this,
@@ -351,7 +351,7 @@ def n2s_pipeline(
     spaces, trace = [], []
     last = start_index + iterations - 1
     for i in range(start_index, last + 1):
-        marked = [k for k in sorted(functions) if marker(functions[k])]
+        marked = [k for k in sorted(functions) if marker(k)]
         if not marked:
             raise SpaceError(f"marker selected no functions at iteration {i}")
         _refine_marked(state, marked)
@@ -365,12 +365,10 @@ def n2s_pipeline(
         tracker = _NestedTracker(state)
         while (pair := tracker.select()) is not None:
             outer_key, inner_keys = pair
-            outer = functions[outer_key]
             if expansion == "one-directional":
-                inners = [functions[k] for k in inner_keys]
-                pieces = _one_directional_pieces(outer, inners, direction)
+                pieces = _one_directional_pieces(outer_key, inner_keys, direction)
             else:
-                pieces = _tensor_pieces(state.mesh, outer)
+                pieces = _tensor_pieces(state.mesh, outer_key)
             diff = state.insert(pieces)
             if diff is None:
                 raise RuntimeError(

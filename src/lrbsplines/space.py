@@ -1,11 +1,13 @@
 """LR B-spline spaces: generation by knot insertion and diagnostics.
 
 A space couples a mesh with the set of B-splines of minimal support on
-it, keyed by their knot vectors and carrying exact rational weights.
-Whenever meshlines are added, functions that lose minimal support are
-replaced by their knot-insertion children until the set is stable; the
-resulting set is independent of the order in which lines are added or
-functions are processed, and the weights accumulate exactly.  Each
+it.  A function is its key, the pair of its local knot vectors, and the
+space maps each key to the function's exact ``Fraction`` weight; no
+object is built per function.  Whenever meshlines are added, functions
+that lose minimal support are replaced by their knot-insertion children
+until the set is stable; the resulting set is independent of the order
+in which lines are added or functions are processed, and the weights
+accumulate exactly.  Each
 split inserts all of one direction's missing knots in one step, and
 only the functions the new lines cross are checked, at the new lines'
 positions, because every function of a space has minimal support.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,12 +31,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import (
+    KnotVectorError,
     _boehm,
     _deficits,
     _knot_windows,
+    _minimal_support,
     _stacked_values,
-    _trusted_bspline,
-    has_minimal_support,
     local_knot_vector,
     univariate_values,
 )
@@ -59,26 +61,36 @@ __all__ = [
 #: A function key: the pair of knot vectors.
 Key = tuple[tuple[DyadicCoord, ...], tuple[DyadicCoord, ...]]
 
+#: The unit weight, one object shared by every function that has it.
+ONE = Fraction(1)
+
 
 class SpaceError(ValueError):
     """A space-level operation violates its contract."""
 
 
 class LRSpace:
-    """A mesh plus its minimal-support B-splines, keyed by knot vectors.
+    """A mesh plus its minimal-support B-splines.
+
+    ``functions`` maps each function's key, its pair of local knot
+    vectors ``(xknots, yknots)``, to its positive ``Fraction`` weight.
+    ``TensorBSpline(*key, weight)`` is the same function as one object,
+    for the per-function calls of :mod:`lrbsplines.bspline`.
 
     Every function has minimal support on the mesh (:meth:`validate`
     checks it).  Refinement relies on this: after new lines are added,
     a function they cross can lack minimal support only at their
     positions, so the generation fixpoint probes only those.  Treat
-    instances as immutable; operations return new spaces.
+    instances as immutable; operations return new spaces.  The first
+    :func:`_incidence` of a space is kept on it.
     """
 
-    __slots__ = ("mesh", "functions")
+    __slots__ = ("mesh", "functions", "_cached_incidence")
 
     def __init__(self, mesh: Mesh, functions: dict):
         self.mesh = mesh
         self.functions = functions
+        self._cached_incidence = None
 
     @property
     def n_functions(self) -> int:
@@ -88,14 +100,17 @@ class LRSpace:
         return sorted(self.functions)
 
     def validate(self) -> None:
-        """Check the space invariants; raises SpaceError on violation."""
-        p1, p2 = self.mesh.bidegree
-        for key, b in self.functions.items():
-            if b.degrees != (p1, p2):
-                raise SpaceError(f"function {key} has degrees {b.degrees}, mesh {self.mesh.bidegree}")
-            if b.key != key:
-                raise SpaceError(f"function stored under foreign key {key}")
-            if not has_minimal_support(b, self.mesh):
+        """Check the space invariants; raises SpaceError on violation.
+
+        Every weight is a positive ``Fraction``, every key is two local
+        knot vectors of the mesh's bidegree, and every function has
+        minimal support on the mesh."""
+        mesh = self.mesh
+        for key, w in self.functions.items():
+            if type(w) is not Fraction or w <= 0:
+                raise SpaceError(f"function {key} has weight {w!r}, expected a positive Fraction")
+            _check_key(key, mesh.bidegree)
+            if not _minimal_support(*key, mesh):
                 raise SpaceError(f"function {key} lacks minimal support")
 
     def __eq__(self, other) -> bool:
@@ -107,6 +122,23 @@ class LRSpace:
         return f"<LRSpace {self.mesh.domain} bidegree {self.mesh.bidegree}: {self.n_functions} functions>"
 
 
+def _check_key(key, bidegree) -> None:
+    """Raise SpaceError unless ``key`` is a pair of tuples of coordinates
+    that are valid local knot vectors of degrees ``bidegree``."""
+    if type(key) is not tuple or len(key) != 2:
+        raise SpaceError(f"function key {key!r} is not a pair of knot vectors")
+    for vec, p in zip(key, bidegree):
+        if type(vec) is not tuple or any(type(c) is not DyadicCoord for c in vec):
+            raise SpaceError(f"function key {key!r} is not a pair of knot vectors")
+        try:
+            local_knot_vector(vec)
+        except KnotVectorError as exc:
+            raise SpaceError(f"function {key}: {exc}") from None
+        if len(vec) != p + 2:
+            degrees = tuple(len(v) - 2 for v in key)
+            raise SpaceError(f"function {key} has degrees {degrees}, mesh {bidegree}")
+
+
 # -- construction -----------------------------------------------------------
 
 
@@ -115,10 +147,9 @@ def initial_space(mesh: Mesh) -> LRSpace:
 
     The functions are the products of the consecutive windows of the two
     global knot vectors.  Each window is validated once, through
-    ``local_knot_vector``, and the functions are built from the validated
-    windows without running ``TensorBSpline.__post_init__`` again: they
-    equal what the validating constructor gives.  The mesh's elements
-    are not read.
+    ``local_knot_vector``, and each key, a pair of validated windows,
+    maps to the shared weight :data:`ONE`.  The mesh's elements are not
+    read.
     """
     if not (is_tensorized(mesh, 1) and is_tensorized(mesh, 2)):
         raise SpaceError("initial space requires a tensor mesh")
@@ -141,9 +172,7 @@ def initial_space(mesh: Mesh) -> LRSpace:
     gy = global_vector(2, p2)
     x_windows = [local_knot_vector(w) for w in _knot_windows(gx, p1)]
     y_windows = [local_knot_vector(w) for w in _knot_windows(gy, p2)]
-    one = Fraction(1)
-    functions = {(xv, yv): _trusted_bspline(xv, yv, one) for xv in x_windows for yv in y_windows}
-    return LRSpace(mesh, functions)
+    return LRSpace(mesh, dict.fromkeys(product(x_windows, y_windows), ONE))
 
 
 # -- the refinement state ---------------------------------------------------
@@ -324,11 +353,11 @@ class _Refinement:
 def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     """Replace functions lacking minimal support by their knot-insertion
     children until stable, starting from the distinct keys ``dirty``.
-    Mutates ``functions``; returns the keys it removed and the keys it
-    added, disjoint: a key split here that comes back as a child lacks
-    minimal support on the same mesh, so it is split again.  Coinciding
-    children merge by adding weights, so the result is independent of
-    processing order.
+    Mutates ``functions``, a dict from key to ``Fraction`` weight;
+    returns the keys it removed and the keys it added, disjoint: a key
+    split here that comes back as a child lacks minimal support on the
+    same mesh, so it is split again.  Coinciding children merge by adding
+    weights, so the result is independent of processing order.
 
     Keys are popped in ascending order.  A popped function's deficits
     are found one direction at a time, direction 1 first, and all of a
@@ -348,8 +377,8 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     ``_boehm`` keeps as integers, and every key added or merged into
     here keeps its weight as a (numerator, denominator) pair, reduced at
     each merge.  Many children are split again at once, so only on
-    return is one function, with one ``Fraction`` weight, built per such
-    key that survives.
+    return does each such key that survives get its ``Fraction`` weight:
+    the shared :data:`ONE` when the pair is one.
     """
     probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
     heap = sorted(dirty)
@@ -371,12 +400,12 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
                     break
         else:
             continue
-        b = functions.pop(key, None)
+        stored = functions.pop(key, None)
         w = weights.pop(key, None)
-        if b is not None:
+        if stored is not None:
             removed.add(key)
             if w is None:
-                w = b.weight.as_integer_ratio()
+                w = stored.as_integer_ratio()
         elif w is None:  # not a live key
             continue
         wn, wd = w
@@ -400,7 +429,7 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
                     heapq.heappush(heap, k)
                     skip[k] = direction
                     continue
-                old = existing.weight.as_integer_ratio()
+                old = existing.as_integer_ratio()
             on, od = old
             num, den = on * den + num * od, od * den
             g = math.gcd(num, den)
@@ -408,11 +437,8 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     # ``functions`` has only lost keys here, so the keys it lacks are new
     added = {k for k in weights if k not in functions}
     for key, (num, den) in weights.items():
-        # a function merged into keeps its knot tuples, which its key in
-        # ``functions`` shares; ``key`` holds copies cut from a child
-        old = functions.get(key)
-        xv, yv = key if old is None else (old.xknots, old.yknots)
-        functions[key] = _trusted_bspline(xv, yv, Fraction(num, den))
+        # a key merged into keeps the tuples it is stored under
+        functions[key] = ONE if num == den else Fraction(num, den)
     return removed, added
 
 
@@ -451,10 +477,11 @@ def apply_split(space: LRSpace, split: Split) -> LRSpace:
 def structured_refine(space: LRSpace, marked) -> LRSpace:
     """Halve every knot span of the marked functions across their supports.
 
-    For each marked function and each direction, meshlines are inserted
-    at the midpoints of consecutive distinct knots, spanning the full
-    support cross-extent, at multiplicity one.  Only the uncovered gaps
-    are added; one generation fixpoint then restores minimal support.
+    ``marked`` holds keys of the space's functions.  For each marked
+    function and each direction, meshlines are inserted at the midpoints
+    of consecutive distinct knots, spanning the full support
+    cross-extent, at multiplicity one.  Only the uncovered gaps are
+    added; one generation fixpoint then restores minimal support.
     """
     marked_keys = list(marked)
     if not marked_keys:
@@ -465,16 +492,13 @@ def structured_refine(space: LRSpace, marked) -> LRSpace:
 
 
 def _refine_marked(state: _Refinement, marked) -> None:
-    """:func:`structured_refine` of the marked keys (or functions) on
-    ``state``."""
+    """:func:`structured_refine` of the marked keys on ``state``."""
     pieces = []
     for key in marked:
-        b = state.functions.get(key if isinstance(key, tuple) else key.key)
-        if b is None:
+        if key not in state.functions:
             raise SpaceError(f"marked function {key} is not in the space")
-        for direction in (1, 2):
-            vec = b.knots(direction)
-            cross = b.knots(2 if direction == 1 else 1)
+        xv, yv = key
+        for direction, vec, cross in ((1, xv, yv), (2, yv, xv)):
             distinct = sorted(set(vec))
             for a, c in zip(distinct, distinct[1:]):
                 pieces.append(Split(direction, midpoint(a, c), cross[0], cross[-1]))
@@ -489,19 +513,22 @@ def element_support_count(space: LRSpace, element: Rect) -> int:
     """Number of functions whose support contains the element (a closed
     rectangle of ``mesh.elements()``), by an exact-coordinate scan of
     every function: O(n) per element."""
-    return sum(1 for b in space.functions.values() if b.support.contains_rect(element))
+    return sum(
+        1 for xv, yv in space.functions if Rect(xv[0], xv[-1], yv[0], yv[-1]).contains_rect(element)
+    )
 
 
 def _incidence(space: LRSpace):
-    """The element--function incidence in compressed rows.
+    """The element--function incidence in compressed rows, built once per
+    space by :func:`_build_incidence` and kept on it, read-only.
 
     Returns ``(keys, counts, indices, bounds)``: ``keys`` is
-    ``space.sorted_keys()``, and element ``e`` of ``mesh.elements()``
-    carries the functions ``indices[s:s + counts[e]]``, ascending, with
-    ``s`` the sum of the earlier counts; ``bounds`` holds the elements'
-    bounds ``x0, x1, y0, y1`` as a ``(4, elements)`` float array.  A
-    function is supported on an element when its support contains the
-    element's closure.
+    ``space.sorted_keys()`` as a tuple, and element ``e`` of
+    ``mesh.elements()`` carries the functions ``indices[s:s +
+    counts[e]]``, ascending, with ``s`` the sum of the earlier counts;
+    ``bounds`` holds the elements' bounds ``x0, x1, y0, y1`` as a ``(4,
+    elements)`` float array.  A function is supported on an element when
+    its support contains the element's closure.
 
     Both are read from the mesh's index boxes (``Mesh.element_boxes``).
     Elements tile the domain, so each one is named by its lower-left
@@ -515,7 +542,15 @@ def _incidence(space: LRSpace):
     not the functions have minimal support.  O(nnz log n) time and
     memory, with nnz the incidences and the few candidates dropped.
     """
-    keys = space.sorted_keys()
+    incidence = space._cached_incidence
+    if incidence is None:
+        incidence = space._cached_incidence = _build_incidence(space)
+    return incidence
+
+
+def _build_incidence(space: LRSpace):
+    """:func:`_incidence`, computed."""
+    keys = tuple(space.sorted_keys())
     mesh = space.mesh
     i0, i1, j0, j1 = mesh.element_boxes().T
     xpos = np.array(mesh.positions(1), dtype=float)
@@ -535,7 +570,10 @@ def _incidence(space: LRSpace):
     f, e = f[keep], e[keep]
     by_element = np.argsort(e, kind="stable")
     counts = np.bincount(e, minlength=len(x0))
-    return keys, counts, f[by_element], bounds
+    indices = f[by_element]
+    for array in (counts, indices, bounds):
+        array.flags.writeable = False
+    return keys, counts, indices, bounds
 
 
 def element_support_table(space: LRSpace):
@@ -546,7 +584,7 @@ def element_support_table(space: LRSpace):
     over the elements' sorted lower-left corners per function: O(nnz log
     n) time and memory, with nnz the sum of the row lengths."""
     keys, counts, indices, _ = _incidence(space)
-    return keys, np.split(indices, np.cumsum(counts)[:-1])
+    return list(keys), np.split(indices, np.cumsum(counts)[:-1])
 
 
 class _ElementArrays(NamedTuple):
@@ -719,10 +757,10 @@ def _element_points(pts, lo, hi, top):
     return first, last - first
 
 
-def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys, incidence=None) -> list:
+def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     """:func:`evaluate_space` for each of the coefficient dictionaries,
     summed element by element from the element--function incidence
-    (:func:`_incidence`, or ``incidence`` when the caller has it).
+    (:func:`_incidence`).
 
     Every grid point of the domain lies in one element, and only the
     functions of that element's incidence row can be nonzero there.  The
@@ -744,7 +782,7 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys, incidence=None) -> 
     xs = _grid_axis(xs, "xs")
     ys = _grid_axis(ys, "ys")
     outs = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
-    keys, counts, indices, bounds = _incidence(space) if incidence is None else incidence
+    keys, counts, indices, bounds = _incidence(space)
     dom = space.mesh.domain
     ix, nx = _element_points(xs, bounds[0], bounds[1], dom.x_max)
     iy, ny = _element_points(ys, bounds[2], bounds[3], dom.y_max)
@@ -796,22 +834,21 @@ def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bo
     return _unity_defects(space, samples, (use_weights,))[0]
 
 
-def _unity_defects(space: LRSpace, samples: int, use_weights, incidence=None) -> list[float]:
+def _unity_defects(space: LRSpace, samples: int, use_weights) -> list[float]:
     """:func:`partition_of_unity_defect` for each flag of ``use_weights``,
-    from one evaluation pass, on the space's incidence or on
-    ``incidence`` when the caller has it."""
+    from one evaluation pass."""
     if samples < 1:
         raise SpaceError(f"samples must be at least 1, got {samples}")
     dom = space.mesh.domain
     xs = np.linspace(dom.x_min, dom.x_max, samples)
     ys = np.linspace(dom.y_min, dom.y_max, samples)
     coefficient_sets = [
-        {k: float(b.weight) for k, b in space.functions.items()}
+        {k: float(w) for k, w in space.functions.items()}
         if weighted
         else dict.fromkeys(space.functions, 1.0)
         for weighted in use_weights
     ]
-    totals = _evaluate_sums(space, coefficient_sets, xs, ys, incidence)
+    totals = _evaluate_sums(space, coefficient_sets, xs, ys)
     return [float(np.max(np.abs(total - 1.0))) for total in totals]
 
 

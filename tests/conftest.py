@@ -16,20 +16,16 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import importlib
-import pkgutil
 import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-import lrbsplines
 from lrbsplines import space as space_module
 from lrbsplines.bspline import (
     TensorBSpline,
     _knot_windows,
-    _trusted_bspline,
     find_refining_split,
     insert_knot,
 )
@@ -196,16 +192,18 @@ def reference_fixpoint(mesh, functions, dirty):
     """The generation fixpoint one knot at a time: pop the smallest key,
     split it by :func:`insert_knot` at the first hit of
     :func:`find_refining_split`, and push the new children, until no
-    function lacks minimal support.  Mutates ``functions`` and returns
-    ``(removed, added)`` as ``space._fixpoint`` does, for any ``dirty``
-    set that holds every function lacking minimal support."""
+    function lacks minimal support.  Mutates ``functions``, a dict from
+    key to weight, and returns ``(removed, added)`` as ``space._fixpoint``
+    does, for any ``dirty`` set that holds every function lacking
+    minimal support."""
     heap = sorted(dirty)
     removed, added = set(), set()
     while heap:
         key = heapq.heappop(heap)
-        b = functions.get(key)
-        if b is None:
+        w = functions.get(key)
+        if w is None:
             continue
+        b = TensorBSpline(*key, w)
         hit = find_refining_split(b, mesh)
         if hit is None:
             continue
@@ -220,11 +218,11 @@ def reference_fixpoint(mesh, functions, dirty):
             k = child.key
             old = functions.get(k)
             if old is None:
-                functions[k] = child
+                functions[k] = child.weight
                 heapq.heappush(heap, k)
                 added.add(k)
             else:
-                functions[k] = _trusted_bspline(old.xknots, old.yknots, old.weight + child.weight)
+                functions[k] = old + child.weight
     return removed, added
 
 
@@ -232,10 +230,10 @@ def random_split(rng, space):
     """A multiplicity-1 split at a knot-span midpoint of a random
     function, over the first uncovered gap across its support; None when
     that line is already complete."""
-    b = space.functions[rng.choice(space.sorted_keys())]
+    key = rng.choice(space.sorted_keys())
     direction = rng.choice((1, 2))
-    vec = sorted(set(b.knots(direction)))
-    cross = b.knots(2 if direction == 1 else 1)
+    vec = sorted(set(key[direction - 1]))
+    cross = key[2 - direction]
     i = rng.randrange(len(vec) - 1)
     pos = midpoint(vec[i], vec[i + 1])
     gaps = _uncovered_gaps(space.mesh, direction, pos, cross[0], cross[-1])
@@ -265,21 +263,17 @@ def apply_splits(space, quads):
 
 
 def count_incidence_calls(monkeypatch) -> list:
-    """Count the calls of ``space._incidence``, through every module of
-    the package that binds it; the returned list grows by one per call."""
-    real = space_module._incidence
+    """Count the incidences built, by ``space._build_incidence``, which
+    only ``space._incidence`` calls; the returned list grows by one per
+    build."""
+    real = space_module._build_incidence
     calls = []
 
     def counting(space):
         calls.append(1)
         return real(space)
 
-    for info in pkgutil.iter_modules(lrbsplines.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"lrbsplines.{info.name}")
-        if getattr(module, "_incidence", None) is real:
-            monkeypatch.setattr(module, "_incidence", counting)
+    monkeypatch.setattr(space_module, "_build_incidence", counting)
     return calls
 
 
@@ -361,8 +355,7 @@ def random_subset_marker(rng, fraction=0.25):
     """
     chosen = {}
 
-    def marker(b):
-        key = b.key
+    def marker(key):
         if key not in chosen:
             chosen[key] = rng.random() < fraction
         return chosen[key]
@@ -379,7 +372,7 @@ def random_pipeline_space(seed, iterations=2, n_cells=2, bidegree=(2, 2)):
         n_mark = rng.randint(1, max(1, len(keys) // 6))
         marked = set(rng.sample(keys, n_mark))
         [space], _ = n2s_pipeline(
-            space, lambda b: b.key in marked, 1, start_index=i
+            space, lambda key: key in marked, 1, start_index=i
         )
     return space
 
@@ -516,10 +509,10 @@ def running_example():
     stage_d = structured_refine(stage_b, [key2])
 
     [pipe_1], trace_1 = n2s_pipeline(
-        base, lambda b: b.key == key1, 1, start_index=1
+        base, lambda key: key == key1, 1, start_index=1
     )
     [pipe_2], trace_2 = n2s_pipeline(
-        pipe_1, lambda b: b.key == key2, 1, start_index=2
+        pipe_1, lambda key: key == key2, 1, start_index=2
     )
     return {
         "base": base,

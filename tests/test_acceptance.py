@@ -83,7 +83,7 @@ def diagonal_runs():
     for _ in range(7):
         space = structured[-1]
         marked = [
-            k for k in space.sorted_keys() if diagonal_marker(space.functions[k])
+            k for k in space.sorted_keys() if diagonal_marker(k)
         ]
         structured.append(structured_refine(space, marked))
     pipeline = [structured[0]] + n2s_pipeline(structured[0], diagonal_marker, 7)[0]
@@ -300,7 +300,7 @@ def test_criterion_7_insertion_order_independence():
             space_a.mesh == space_b.mesh
             and space_a.functions.keys() == space_b.functions.keys()
             and all(
-                space_a.functions[key].weight == space_b.functions[key].weight
+                space_a.functions[key] == space_b.functions[key]
                 for key in space_a.functions
             )
         ):
@@ -319,7 +319,7 @@ def test_criterion_8_nestedness_definitions_agree():
     pairs = 0
     for seed in range(30):
         space = random_pipeline_space(seed)
-        functions = list(space.functions.values())
+        functions = list(space.functions)
         for a in functions:
             for b in functions:
                 if a is b:

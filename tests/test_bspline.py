@@ -286,12 +286,16 @@ def test_one_scan_minimal_support_equals_its_two_rules():
         before = random_pipeline_space(seed, iterations=1, bidegree=bidegree)
         after = random_pipeline_space(seed, iterations=2, bidegree=bidegree)
         mesh = after.mesh
-        candidates = [*after.functions.values(), *before.functions.values()]
+        candidates = [
+            TensorBSpline(*key, w)
+            for space in (after, before)
+            for key, w in space.functions.items()
+        ]
         vectors = []
-        for b in after.functions.values():
-            xv = list(b.xknots)
+        for xknots, yknots in after.functions:
+            xv = list(xknots)
             xv[1] = xv[2]
-            vectors.append((xv, b.yknots))
+            vectors.append((xv, yknots))
         for _ in range(40):
             pair = []
             for direction, p in zip((1, 2), bidegree):

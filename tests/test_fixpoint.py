@@ -7,8 +7,8 @@ replayed here by ``reference_fixpoint`` of ``conftest``, which inserts
 one knot per split and scans every mesh position: both must leave the
 same functions with the same exact weights and return the same diff.
 A work count bounds the mesh lookups and insertions of the diagonal
-demo, in place of a timing gate, and every function shares its key's
-knot tuples.
+demo, in place of a timing gate, and the unit weights of pipeline
+spaces are one shared object.
 """
 import random
 from fractions import Fraction
@@ -44,7 +44,7 @@ def test_fixpoint_equals_the_single_knot_reference(bidegree, steps):
         got = fixpoint(mesh, functions, dirty, segments)
         assert got == want
         assert functions == twin
-        assert all(type(b.weight) is Fraction for b in functions.values())
+        assert all(type(w) is Fraction for w in functions.values())
         calls.append(got)
         return got
 
@@ -58,7 +58,7 @@ def test_fixpoint_equals_the_single_knot_reference(bidegree, steps):
                 if kind == "structured":
                     space = structured_refine(space, marked)
                 elif kind == "pipeline":
-                    [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+                    [space], _ = n2s_pipeline(space, lambda key: key in marked, 1, start_index=i)
                 else:
                     split = random_split(rng, space)
                     if split is None:
@@ -99,12 +99,10 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     assert boehm.cache_info().misses <= 629
 
 
-def test_functions_share_their_keys_knot_tuples():
-    # A function the fixpoint merges into is rebuilt from its own knot
-    # tuples, which its key in ``functions`` holds, not from equal copies
-    # cut for a child; a new function and its key share the child's.
+def test_pipeline_spaces_hold_the_shared_unit_weight():
+    # N2S2 spaces have unit weights, and the fixpoint gives every key
+    # whose weight comes out as one the shared ``ONE``, not a copy.
     for seed in range(10):
         for iterations in (1, 2, 3):
             space = random_pipeline_space(seed, iterations=iterations)
-            for key, b in space.functions.items():
-                assert b.xknots is key[0] and b.yknots is key[1]
+            assert {id(w) for w in space.functions.values()} == {id(space_module.ONE)}

@@ -53,7 +53,7 @@ def test_space_roundtrip_is_exact(running_example):
     assert again.mesh == space.mesh
     assert again.sorted_keys() == space.sorted_keys()
     assert all(
-        again.functions[k].weight == space.functions[k].weight
+        again.functions[k] == space.functions[k]
         for k in space.functions
     )
     assert to_json(again) == doc
@@ -270,7 +270,7 @@ def test_svg_of_wide_domain_keeps_aspect():
 
 def test_trace_roundtrips_as_jsonl(tmp_path, running_example):
     base = running_example["base"]
-    [space], trace = n2s_pipeline(base, lambda b: True, 1)
+    [space], trace = n2s_pipeline(base, lambda key: True, 1)
     target = tmp_path / "trace.jsonl"
     write_trace(trace, target)
     lines = target.read_text().splitlines()

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrbsplines import initial_space, make_initial_mesh, structured_refine, to_json
-from lrbsplines.bspline import TensorBSpline
 from lrbsplines.cli import main
 from lrbsplines.dyadic import DyadicCoord, dyadic
 from lrbsplines.formats import _document_text, save
@@ -154,7 +153,7 @@ def meshes(draw):
     marked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     if draw(st.booleans()):
         return structured_refine(space, marked)
-    return n2s_pipeline(space, lambda b: b.key in marked, 1)[0][-1]
+    return n2s_pipeline(space, lambda key: key in marked, 1)[0][-1]
 
 
 @st.composite
@@ -178,7 +177,7 @@ def spaces(draw):
     functions = {}
     for _ in range(draw(st.integers(0, 6))):
         xv, yv = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
-        functions[(xv, yv)] = TensorBSpline(xv, yv, draw(weights))
+        functions[(xv, yv)] = draw(weights)
     return LRSpace(space.mesh, functions)
 
 

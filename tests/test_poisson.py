@@ -39,7 +39,7 @@ from lrbsplines import (
 )
 from lrbsplines import poisson
 from lrbsplines.poisson import _composite_rule
-from lrbsplines.space import element_support_table
+from lrbsplines.space import LRSpace, element_support_table
 
 
 # -- oracle: the biquadratic patch test --------------------------------------
@@ -193,7 +193,7 @@ def _reference_assemble(space, f, load_resolution=None):
     assembly replaced, kept as its oracle."""
     p1, p2 = space.mesh.bidegree
     keys, table = element_support_table(space)
-    functions = [space.functions[k] for k in keys]
+    functions = [TensorBSpline(*k, space.functions[k]) for k in keys]
     gauss_x, weights_x = leggauss(p1 + 1)
     gauss_y, weights_y = leggauss(p2 + 1)
     n = len(keys)
@@ -292,12 +292,13 @@ def test_assembly_across_chunks_matches_oracle(monkeypatch, resolution):
 
 
 def test_assembly_reads_the_element_bounds_once(monkeypatch):
-    # The incidence's bounds also place the quadrature points.
+    # The incidence's bounds also place the quadrature points.  Each
+    # assembly gets a fresh space, which holds no incidence yet.
     space = _oracle_space("n2s2", (2, 2), 4)
     calls = count_incidence_calls(monkeypatch)
     for resolution in (None, 1.0 / 3.0):
         calls.clear()
-        assemble(space, layer_rhs, load_resolution=resolution)
+        assemble(LRSpace(space.mesh, space.functions), layer_rhs, load_resolution=resolution)
         assert len(calls) == 1
 
 
@@ -414,17 +415,17 @@ def test_layer_marker_geometry():
     # The layer circle (center (1.25, -0.25), radius pi/3) crosses the
     # cell [0.25, 0.5) x [0.25, 0.5): its near corner is inside, its far
     # corner outside.
-    assert layer_marker(bsp(0.25, 0.25, 0.25))
+    assert layer_marker(bsp(0.25, 0.25, 0.25).key)
     # A cell deep inside the circle is not marked ...
-    assert not layer_marker(bsp(0.875, 0.0, 0.125))
+    assert not layer_marker(bsp(0.875, 0.0, 0.125).key)
     # ... nor one entirely outside it.
-    assert not layer_marker(bsp(0.0, 0.75, 0.25))
+    assert not layer_marker(bsp(0.0, 0.75, 0.25).key)
 
 
 def test_layer_marker_ignores_degenerate_spans():
     xv = tuple(dyadic(v) for v in (0, 0.5, 0.5, 1))
     yv = tuple(dyadic(v) for v in (0.25, 0.5, 0.75, 1))
-    assert not layer_marker(TensorBSpline(xv, yv))
+    assert not layer_marker(TensorBSpline(xv, yv).key)
 
 
 def test_mark_by_layer_selects_straddling_supports():
@@ -435,7 +436,7 @@ def test_mark_by_layer_selects_straddling_supports():
     cx, cy = 1.25, -0.25
     radius = math.pi / 3
     for key in marked:
-        x0, x1, y0, y1 = space.functions[key].support.float_bounds()
+        x0, x1, y0, y1 = TensorBSpline(*key, space.functions[key]).support.float_bounds()
         corners = [math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1)]
         assert min(corners) <= radius + 0.75  # straddling, not far away
 

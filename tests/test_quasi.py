@@ -79,7 +79,7 @@ def test_recovers_random_coefficients_on_tensor_space():
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     rng = random.Random(9317)
     target = {key: rng.uniform(-2.0, 2.0) for key in space.sorted_keys()}
-    functions = list(space.functions.values())
+    functions = [TensorBSpline(*key, w) for key, w in space.functions.items()]
 
     def member(grid_x, grid_y):
         grid_x = np.asarray(grid_x, dtype=float)
@@ -142,8 +142,9 @@ def test_quadratic_coefficient_is_blossom_value():
     # interior knots: any polynomial-reproducing functional must hit it.
     space = initial_space(make_initial_mesh((-1, 1, -1, 1), (2, 2), 8))
     key = space.sorted_keys()[len(space.sorted_keys()) // 2]
-    lts = local_tensor_space(space.functions[key])
-    value = tensor_qi_coefficient(space.functions[key], lambda x, y: np.asarray(x) ** 2)
+    b = TensorBSpline(*key, space.functions[key])
+    lts = local_tensor_space(b)
+    value = tensor_qi_coefficient(b, lambda x, y: np.asarray(x) ** 2)
     ξ = key[0]
     # Exact coefficient of x^2 in a degree-2 basis: the blossom value
     # of the two interior knots, v1 * v2.
@@ -183,7 +184,9 @@ def _dense_coefficient(b, f):
 
 
 def test_coefficient_matches_the_dense_local_solve(running_example):
-    functions = list(running_example["pipeline_2"].functions.values())
+    functions = [
+        TensorBSpline(*key, w) for key, w in running_example["pipeline_2"].functions.items()
+    ]
     functions.append(
         TensorBSpline(
             tuple(dyadic(v) for v in (0, 0.5, 0.5, 1)),
@@ -207,7 +210,7 @@ def test_lr_qi_builds_no_mesh(monkeypatch, running_example):
     assert len(lr_qi(space, _smooth)) == space.n_functions
     assert built == []
     # The wrapper does see meshes: the reference local space builds one.
-    local_tensor_space(space.functions[space.sorted_keys()[0]])
+    local_tensor_space(TensorBSpline(*space.sorted_keys()[0]))
     assert len(built) == 1
 
 
@@ -220,7 +223,10 @@ def _bits(coefficients):
 
 
 def _one_by_one(space, f):
-    return {key: tensor_qi_coefficient(space.functions[key], f) for key in space.sorted_keys()}
+    return {
+        key: tensor_qi_coefficient(TensorBSpline(*key, space.functions[key]), f)
+        for key in space.sorted_keys()
+    }
 
 
 @settings(deadline=None, max_examples=25)
@@ -250,8 +256,8 @@ def _counting(f):
 def test_lr_qi_samples_once_per_local_size(running_example):
     space = running_example["pipeline_2"]
     sizes = set()
-    for b in space.functions.values():
-        basis = local_tensor_space(b).basis
+    for key in space.functions:
+        basis = local_tensor_space(TensorBSpline(*key)).basis
         sizes.add((len({g.xknots for g in basis}), len({g.yknots for g in basis})))
     counted, calls = _counting(_smooth)
     lr_qi(space, counted)
@@ -280,7 +286,7 @@ def test_wrongly_shaped_data_is_a_space_error(f):
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     with pytest.raises(SpaceError, match="interpolation data has shape"):
         lr_qi(space, f)
-    b = space.functions[space.sorted_keys()[0]]
+    b = TensorBSpline(*space.sorted_keys()[0], space.functions[space.sorted_keys()[0]])
     with pytest.raises(SpaceError, match="interpolation data has shape"):
         tensor_qi_coefficient(b, f)
 
@@ -377,13 +383,13 @@ def test_three_peaks_marker_uses_central_span():
         return TensorBSpline(xv, yv)
 
     # Central span [0.25, 0.5)^2 contains the (0.3, 0.3) peak.
-    assert three_peaks_marker(bsp(0.25, 0.25, 0.25))
+    assert three_peaks_marker(bsp(0.25, 0.25, 0.25).key)
     # Central span [0.5, 0.75)^2 contains no peak.
-    assert not three_peaks_marker(bsp(0.5, 0.5, 0.25))
+    assert not three_peaks_marker(bsp(0.5, 0.5, 0.25).key)
     # Half-open: a span *starting* exactly at the (0, 0) peak claims it...
-    assert three_peaks_marker(bsp(0.0, 0.0, 0.25))
+    assert three_peaks_marker(bsp(0.0, 0.0, 0.25).key)
     # ...while the span ending there does not.
-    assert not three_peaks_marker(bsp(-0.25, -0.25, 0.25))
+    assert not three_peaks_marker(bsp(-0.25, -0.25, 0.25).key)
 
 
 def test_tensor_space_cardinalities_per_level():

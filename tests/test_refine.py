@@ -43,9 +43,9 @@ def test_knotwise_nesting_on_boundary_multiplicity_mesh(boundary_mult_mesh):
     b1 = bsp((0, 2, 4, 6), (0, 2, 4, 6))
     b2 = bsp((0, 2, 3, 4), (0, 2, 3, 4))
     b3 = bsp((0, 0, 2, 3), (0, 2, 3, 4))
-    assert is_nested_knotwise(b2, b1)
-    assert not is_nested_knotwise(b3, b2)
-    assert not is_nested_knotwise(b1, b2)
+    assert is_nested_knotwise(b2.key, b1.key)
+    assert not is_nested_knotwise(b3.key, b2.key)
+    assert not is_nested_knotwise(b1.key, b2.key)
 
 
 def test_meshwise_nesting_matches_knotwise_on_fixture(boundary_mult_mesh):
@@ -53,16 +53,16 @@ def test_meshwise_nesting_matches_knotwise_on_fixture(boundary_mult_mesh):
     b1 = bsp((0, 2, 4, 6), (0, 2, 4, 6))
     b2 = bsp((0, 2, 3, 4), (0, 2, 3, 4))
     b3 = bsp((0, 0, 2, 3), (0, 2, 3, 4))
-    assert is_nested_meshwise(b2, b1, mesh)
-    assert not is_nested_meshwise(b3, b2, mesh)
+    assert is_nested_meshwise(b2.key, b1.key, mesh)
+    assert not is_nested_meshwise(b3.key, b2.key, mesh)
 
 
 def test_nesting_is_irreflexive_and_needs_containment():
     b = bsp((0, 1, 2, 3), (0, 1, 2, 3))
-    assert not is_nested_knotwise(b, b)
+    assert not is_nested_knotwise(b.key, b.key)
     wide = bsp((0, 2, 4, 6), (0, 2, 4, 6))
     shifted = bsp((1, 2, 3, 4), (0, 2, 4, 6))
-    assert not is_nested_knotwise(wide, shifted)
+    assert not is_nested_knotwise(wide.key, shifted.key)
 
 
 def counted_vector_nested(vi, vo) -> bool:
@@ -105,20 +105,19 @@ def test_meshwise_requires_minimal_support(mixed_mesh):
     loose = bsp((0, 2, 5, 6), (2, 6, 8, 10))
     other = bsp((0, 4, 6, 8), (0, 2, 6, 8))
     with pytest.raises(SpaceError):
-        is_nested_meshwise(loose, other, mixed_mesh)
+        is_nested_meshwise(loose.key, other.key, mixed_mesh)
 
 
 def test_definitions_agree_across_randomized_spaces():
     for seed in range(10):
         space = random_pipeline_space(seed, iterations=2)
         keys = space.sorted_keys()
-        functions = space.functions
         for ka in keys:
             for kb in keys:
                 if ka == kb:
                     continue
-                knot = is_nested_knotwise(functions[ka], functions[kb])
-                mesh = is_nested_meshwise(functions[ka], functions[kb], space.mesh)
+                knot = is_nested_knotwise(ka, kb)
+                mesh = is_nested_meshwise(ka, kb, space.mesh)
                 assert knot == mesh
 
 
@@ -144,7 +143,7 @@ def test_vertical_expansion_inserts_exactly_the_gap_lines(expansion_fixture):
     outer = key_of((0, 2, 4, 6), (0, 2, 4, 6))
     inners = set(nested_map(space)[outer])
     supports = {
-        tuple(map(float, space.functions[k].support.float_bounds()))
+        tuple(map(float, TensorBSpline(*k).support.float_bounds()))
         for k in inners
     }
     assert supports == {
@@ -160,8 +159,8 @@ def test_vertical_expansion_inserts_exactly_the_gap_lines(expansion_fixture):
     for x in (1, 3):
         assert expanded.mesh.runs_at(1, dyadic(x)) == ((dyadic(0), dyadic(6), 1),)
     new_supports = {
-        tuple(map(float, b.support.float_bounds()))
-        for b in expanded.functions.values()
+        tuple(map(float, TensorBSpline(*key).support.float_bounds()))
+        for key in expanded.functions
     }
     for expected in ((0.0, 3.0, 0.0, 4.0), (1.0, 4.0, 0.0, 4.0), (2.0, 6.0, 0.0, 6.0)):
         assert expected in new_supports
@@ -199,27 +198,27 @@ def test_tensor_expansion_covers_both_directions(expansion_fixture):
 
 def test_central_span_is_the_middle_knot_interval():
     b = bsp((0, 1, 2, 3), (0, 2, 4, 8))
-    assert central_span(b) == (1.0, 2.0, 2.0, 4.0)
+    assert central_span(b.key) == (1.0, 2.0, 2.0, 4.0)
     flat = bsp((0, 0, 0, 1), (0, 1, 2, 3))
-    x0, x1, _, _ = central_span(flat)
+    x0, x1, _, _ = central_span(flat.key)
     assert x0 == x1  # degenerate: repeated boundary knots
 
 
 def test_diagonal_marker_requires_open_overlap():
-    assert diagonal_marker(bsp((0, 1, 2, 3), (0, 1, 2, 3)))
+    assert diagonal_marker(bsp((0, 1, 2, 3), (0, 1, 2, 3)).key)
     # central spans [1,2) x [3,4): no diagonal point
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (2, 3, 4, 5)))
+    assert not diagonal_marker(bsp((0, 1, 2, 3), (2, 3, 4, 5)).key)
     # touching at one corner only is not an open overlap
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (1, 2, 3, 4)))
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (-1, 0, 1, 2)))
+    assert not diagonal_marker(bsp((0, 1, 2, 3), (1, 2, 3, 4)).key)
+    assert not diagonal_marker(bsp((0, 1, 2, 3), (-1, 0, 1, 2)).key)
 
 
 def test_point_marker_uses_half_open_spans():
     marker = point_marker([(0.5, 0.5)])
     # central span [0.5, 1) x [0.5, 1): contains the point
-    assert marker(bsp((0.25, 0.5, 1, 1), (0.25, 0.5, 1, 1)))
+    assert marker(bsp((0.25, 0.5, 1, 1), (0.25, 0.5, 1, 1)).key)
     # central span [0, 0.5) x [0, 0.5): half-open, excludes it
-    assert not marker(bsp((0, 0, 0.5, 1), (0, 0, 0.5, 1)))
+    assert not marker(bsp((0, 0, 0.5, 1), (0, 0, 0.5, 1)).key)
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -237,8 +236,8 @@ def test_pipeline_trace_records_expansions(running_example):
 def test_pipeline_parity_controls_directions():
     base = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     key1 = key_of((0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1))
-    _, trace_v = n2s_pipeline(base, lambda b: b.key == key1, 1, parity="odd-vertical")
-    _, trace_h = n2s_pipeline(base, lambda b: b.key == key1, 1, parity="odd-horizontal")
+    _, trace_v = n2s_pipeline(base, lambda key: key == key1, 1, parity="odd-vertical")
+    _, trace_h = n2s_pipeline(base, lambda key: key == key1, 1, parity="odd-horizontal")
     assert {r["dir"] for r in trace_v} == {1}
     assert {r["dir"] for r in trace_h} == {2}
 
@@ -246,14 +245,14 @@ def test_pipeline_parity_controls_directions():
 def test_pipeline_empty_marker_raises():
     base = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
     with pytest.raises(SpaceError):
-        n2s_pipeline(base, lambda b: False, 1)
+        n2s_pipeline(base, lambda key: False, 1)
 
 
 def test_pipeline_full_expansion_also_clears_nesting():
     base = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     key1 = key_of((0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1))
     [space], _ = n2s_pipeline(
-        base, lambda b: b.key == key1, 1, expansion="full"
+        base, lambda key: key == key1, 1, expansion="full"
     )
     assert nested_map(space) == {}
     assert is_locally_linearly_independent(space)
@@ -285,7 +284,7 @@ def test_pipeline_spaces_are_locally_independent_randomized():
     for seed in range(6):
         space = random_pipeline_space(seed, iterations=2)
         assert is_locally_linearly_independent(space)
-        assert all(b.weight == Fraction(1) for b in space.functions.values())
+        assert all(w == Fraction(1) for w in space.functions.values())
 
 
 def test_select_outer_takes_the_largest_exact_area():

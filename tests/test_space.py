@@ -1,6 +1,8 @@
 """LR spaces: generation, order independence, partition of unity, rank."""
 import functools
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +38,7 @@ from lrbsplines.space import (
 def test_initial_space_is_the_tensor_basis():
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     assert space.n_functions == 36
-    assert all(b.weight == Fraction(1) for b in space.functions.values())
+    assert all(w == Fraction(1) for w in space.functions.values())
     single = initial_space(make_initial_mesh((0, 1, 0, 1), (3, 2), 1))
     assert single.n_functions == (3 + 1) * (2 + 1)
 
@@ -48,17 +50,74 @@ def test_initial_space_matches_the_validating_constructor():
         space.validate()
         p1, p2 = bidegree
         assert space.n_functions == (4 + p1) * (8 + p2)
-        for key, b in space.functions.items():
+        for key, w in space.functions.items():
             reference = TensorBSpline(*key)
-            assert b == reference
-            assert b.key == key and b.weight == reference.weight
-            assert type(b.weight) is Fraction
+            assert TensorBSpline(*key, w) == reference
+            assert reference.key == key and w == reference.weight
+            assert type(w) is Fraction
         assert mesh._elements is None, "initial_space read the elements"
 
 
 def test_initial_space_requires_tensor_mesh(running_example):
     with pytest.raises(SpaceError):
         initial_space(running_example["structured_1"].mesh)
+
+
+def test_initial_space_footprint():
+    # 130 x 130 = 16,900 functions, each a key tuple in one dict with the
+    # shared weight ONE: about one GC-tracked object and 92 bytes each,
+    # where a function object per key took two and 147.
+    mesh = make_initial_mesh((0, 1, 0, 1), (2, 2), 128)
+    gc.collect()
+    before = len(gc.get_objects())
+    space = initial_space(mesh)
+    gc.collect()
+    n = space.n_functions
+    assert n == 16_900
+    assert len(gc.get_objects()) - before <= 1.1 * n
+    assert {id(w) for w in space.functions.values()} == {id(space_module.ONE)}
+    del space
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = initial_space(mesh)
+        assert tracemalloc.get_traced_memory()[0] - base <= 110 * n
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _with_function(space, key, weight) -> LRSpace:
+    return LRSpace(space.mesh, {**space.functions, key: weight})
+
+
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(-1), 1.0], ids=["zero", "negative", "float"])
+def test_validate_rejects_a_weight_that_is_not_a_positive_fraction(weight):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+    key = space.sorted_keys()[3]
+    with pytest.raises(SpaceError, match="expected a positive Fraction") as info:
+        _with_function(space, key, weight).validate()
+    assert str(key) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (key_of((0, 0.5, 1), (0, 0.5, 1, 1)), "has degrees"),
+        (key_of((0, 0.5, 0.25, 1), (0, 0.5, 1, 1)), "not nondecreasing"),
+        (key_of((0, 0, 0, 0), (0, 0.5, 1, 1)), "nonempty interval"),
+        (((0.0, 0.25, 0.5, 1.0), key_of((), (0, 0.5, 1, 1))[1]), "not a pair of knot vectors"),
+        (key_of((0, 0.5, 1, 1), (0, 0.5, 1, 1)) + ((),), "not a pair of knot vectors"),
+    ],
+    ids=["degree", "decreasing", "empty-span", "floats", "triple"],
+)
+def test_validate_rejects_a_malformed_key(key, message):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+    with pytest.raises(SpaceError, match=message) as info:
+        _with_function(space, key, space_module.ONE).validate()
+    assert repr(key) in str(info.value)
 
 
 def test_apply_split_refines_crossed_functions():
@@ -150,7 +209,7 @@ def test_generation_is_insertion_order_independent():
         assert sa.mesh == sb.mesh
         assert sa.functions.keys() == sb.functions.keys()
         for key in sa.functions:
-            assert sa.functions[key].weight == sb.functions[key].weight
+            assert sa.functions[key] == sb.functions[key]
 
 
 def test_pipeline_spaces_have_nine_functions_per_element(running_example):
@@ -159,7 +218,7 @@ def test_pipeline_spaces_have_nine_functions_per_element(running_example):
         for element in space.mesh.elements():
             assert element_support_count(space, element) == 9
         assert is_locally_linearly_independent(space)
-        assert all(b.weight == Fraction(1) for b in space.functions.values())
+        assert all(w == Fraction(1) for w in space.functions.values())
 
 
 def _dense_support_table(space):
@@ -234,7 +293,7 @@ def test_support_table_is_the_dense_mask_for_straddling_supports():
     for xv in knots:
         for yv in knots[::-1]:
             b = TensorBSpline(xv, yv)
-            functions[b.key] = b
+            functions[b.key] = b.weight
     sizes = _assert_table_is_the_dense_mask(LRSpace(mesh, functions))
     assert min(sizes) < max(sizes)
 
@@ -357,7 +416,7 @@ def refined_spaces(draw):
         if strategy == "structured":
             space = structured_refine(space, marked)
         else:
-            [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+            [space], _ = n2s_pipeline(space, lambda key: key in marked, 1, start_index=i)
     return strategy, space
 
 

@@ -200,7 +200,7 @@ def test_index_follows_every_refinement(bidegree, steps):
                 if kind == "structured":
                     space = structured_refine(space, marked)
                 elif kind == "pipeline":
-                    [space], _ = n2s_pipeline(space, lambda b: b.key in marked, 1, start_index=i)
+                    [space], _ = n2s_pipeline(space, lambda key: key in marked, 1, start_index=i)
                 else:
                     split = random_split(rng, space)
                     if split is None:
@@ -227,7 +227,7 @@ def refinement_calls(rng, space):
             space, rng.choice(nested or keys), rng.choice((1, 2))
         ),
         "tensor_expansion": lambda: tensor_expansion(space, rng.choice(keys)),
-        "n2s_pipeline": lambda: n2s_pipeline(space, lambda b: b.key in marked, 1)[0][-1],
+        "n2s_pipeline": lambda: n2s_pipeline(space, lambda key: key in marked, 1)[0][-1],
     }
 
 
@@ -245,13 +245,13 @@ def test_no_refinement_call_modifies_its_input(bidegree, seed, call):
     # a structured refinement leaves nested pairs for the expansions
     space = structured_refine(space, random_marked(rng, space))
     mesh, functions = space.mesh, space.functions
-    snapshot = to_json(mesh), list(functions), {k: b.weight for k, b in functions.items()}
+    snapshot = to_json(mesh), list(functions), dict(functions)
     try:
         refined = refinement_calls(rng, space)[call]()
     except SpaceError:
         refined = None
     assert space.mesh is mesh and space.functions is functions
-    assert (to_json(mesh), list(functions), {k: b.weight for k, b in functions.items()}) == snapshot
+    assert (to_json(mesh), list(functions), dict(functions)) == snapshot
     if refined is not None and refined.mesh == mesh:
         # only an expansion that inserts nothing keeps the mesh
         assert refined is space
