@@ -142,25 +142,6 @@ class TensorBSpline:
         return self.xknots if direction == 1 else self.yknots
 
 
-_set_xknots = TensorBSpline.xknots.__set__
-_set_yknots = TensorBSpline.yknots.__set__
-_set_weight = TensorBSpline.weight.__set__
-
-
-def _trusted_bspline(xknots, yknots, weight: Fraction) -> TensorBSpline:
-    """``TensorBSpline(xknots, yknots, weight)`` without ``__post_init__``.
-
-    For the children of knot insertion, whose knot vectors are valid by
-    construction, with a positive ``Fraction`` weight; the result equals
-    the validated one, field by field.
-    """
-    b = object.__new__(TensorBSpline)
-    _set_xknots(b, xknots)
-    _set_yknots(b, yknots)
-    _set_weight(b, weight)
-    return b
-
-
 def _knot_windows(vec, degree: int) -> list[tuple]:
     """The consecutive length-(degree+2) windows of a global knot vector:
     the local knot vectors of its univariate B-spline basis."""
@@ -372,9 +353,9 @@ def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
     for cn, cd, vec in _children(b.knots(direction), tuple(knots)):
         weight = Fraction(wn * cn, wd * cd)
         if direction == 1:
-            child = _trusted_bspline(vec, b.yknots, weight)
+            child = TensorBSpline(vec, b.yknots, weight)
         else:
-            child = _trusted_bspline(b.xknots, vec, weight)
+            child = TensorBSpline(b.xknots, vec, weight)
         children.append((cn, cd, child))
     return children
 
@@ -403,10 +384,10 @@ def insert_knot(b: TensorBSpline, direction: int, z):
         raise KnotVectorError(
             f"inserting {z} exceeds multiplicity {p + 1} in {tuple(map(str, v))}"
         )
-    # Both children are valid without re-checking: each drops one end
-    # knot of the augmented vector, whose multiplicities were checked
-    # above, and z lies strictly inside the span, so each keeps a nonempty
-    # span; both alphas are positive for the same reason.
+    # The children's validation cannot fail: each drops one end knot of
+    # the augmented vector, whose multiplicities were checked above, and z
+    # lies strictly inside the span, so each keeps a nonempty span; both
+    # alphas are positive for the same reason.
     (n1, d1, child1), (n2, d2, child2) = _insert_knots(b, direction, (z,))
     return ((Fraction(n1, d1), child1), (Fraction(n2, d2), child2))
 

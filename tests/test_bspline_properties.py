@@ -2,7 +2,8 @@
 B-spline evaluator: every row equals the scalar reference recursion of
 ``conftest`` bit for bit, signed zeros included, with and without a
 closure coordinate, and so does every Greville collocation matrix.  Also:
-knot insertion's unvalidated children equal validated ones, and its
+knot insertion's children equal the functions on the augmented vector's
+windows with the parent's weight times the coefficient, and its
 coefficients are exact over the whole coordinate range, for one knot and
 for several inserted in one step, where the children also equal
 single-knot insertions folded knot by knot.  The memoized Boehm kernel
