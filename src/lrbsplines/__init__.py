@@ -27,7 +27,6 @@ from .mesh import (
 )
 from .bspline import (
     KnotVectorError,
-    TensorBSpline,
     evaluate,
     evaluate_gradient,
     find_refining_split,
@@ -113,7 +112,6 @@ __all__ = [
     "make_initial_mesh",
     "mesh_from_knots",
     "KnotVectorError",
-    "TensorBSpline",
     "evaluate",
     "evaluate_gradient",
     "find_refining_split",

@@ -1,12 +1,11 @@
 """Tensor-product B-splines on local knot vectors.
 
-A bivariate function is described by two local knot vectors of lengths
-``p1 + 2`` and ``p2 + 2`` plus a positive rational weight.
-`TensorBSpline` holds the three as one value, for the public
-per-function calls here and in :mod:`lrbsplines.quasi`.  A space keeps
-no such object, only each function's key ``(xknots, yknots)`` and its
-weight; a caller that holds a space builds one as
-``TensorBSpline(*key, weight)``.
+A bivariate function is its key ``(xknots, yknots)``: two local knot
+vectors of lengths ``p1 + 2`` and ``p2 + 2``.  Its positive rational
+weight lives beside the key, in a space's ``functions`` dict; the
+public per-function calls here and in :mod:`lrbsplines.quasi` take the
+key alone and work on the unweighted function.  Each checks its key
+once through `local_knot_vector`, a cache lookup for a valid vector.
 
 Univariate values come from one Cox--de Boor kernel, `_stacked_values`,
 over stacked windows and half-open spans ``[k_i, k_{i+1})``; an
@@ -21,25 +20,22 @@ a mesh run of at least the knot multiplicity, and minimal support
 additionally forbids any mesh line that crosses the full support at a
 higher multiplicity than the function's own knots there.  One scan,
 `_deficits`, lists a direction's such lines; `find_refining_split` is
-its first hit; it reads only the two knot vectors.  `has_minimal_support`
-decides both rules in one scan per direction, through its knot-vector
-form `_minimal_support`, which spaces call on their keys.
+its first hit.  `has_minimal_support` decides both rules in one scan per
+direction, through `_minimal_support`, which spaces call on their
+already validated keys.
 
 Knot insertion has one kernel, `_boehm`: a local knot vector and the
 knots to insert give the children's coefficients as integer (numerator,
 denominator) pairs, by Boehm's algorithm in integer arithmetic.  It is
 memoized per exact (window, knots) pair, since the generation fixpoint
 meets few distinct ones, and its entries hold integers only.
-`_children` puts the coefficients on the children's windows,
-`_insert_knots` builds the children of a function from those, and
-`insert_knot` is its one-knot call.
+`_children` puts the coefficients on the children's windows, and
+`insert_knot` is its checked one-knot call on a key.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -47,12 +43,11 @@ from itertools import chain
 import numpy as np
 
 from .dyadic import DyadicCoord, dyadic
-from .mesh import Mesh, Rect, _knot_multiplicities
+from .mesh import Mesh, _knot_multiplicities
 
 __all__ = [
     "KnotVectorError",
     "local_knot_vector",
-    "TensorBSpline",
     "univariate_values",
     "univariate_derivatives",
     "evaluate",
@@ -71,8 +66,9 @@ class KnotVectorError(ValueError):
 def local_knot_vector(values) -> tuple[DyadicCoord, ...]:
     """Coerce and validate a local knot vector of degree ``len - 2``.
 
-    Requires at least 3 entries (degree >= 1), nondecreasing values,
-    first < last, and no value repeated more than degree + 1 times.
+    Requires at least 3 entries (degree >= 1), nondecreasing values and
+    first < last.  The last rule also bounds every multiplicity by
+    degree + 1: a value repeated degree + 2 times fills the vector.
     """
     if type(values) is tuple and all(type(v) is DyadicCoord for v in values):
         return _validated(values)
@@ -89,57 +85,19 @@ def _validated(vec: tuple[DyadicCoord, ...]) -> tuple[DyadicCoord, ...]:
     """
     if len(vec) < 3:
         raise KnotVectorError(f"knot vector needs at least 3 entries, got {len(vec)}")
-    p = len(vec) - 2
     for a, b in zip(vec, vec[1:]):
         if b < a:
             raise KnotVectorError(f"knot vector is not nondecreasing: {a} > {b}")
     if not vec[0] < vec[-1]:
         raise KnotVectorError("knot vector must span a nonempty interval")
-    for value, mult in Counter(vec).items():
-        if mult > p + 1:
-            raise KnotVectorError(
-                f"knot {value} has multiplicity {mult} > degree + 1 = {p + 1}"
-            )
     return vec
 
 
-@dataclass(frozen=True, slots=True)
-class TensorBSpline:
-    """A bivariate B-spline on local knot vectors with a rational weight."""
-
-    xknots: tuple[DyadicCoord, ...]
-    yknots: tuple[DyadicCoord, ...]
-    weight: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self) -> None:
-        xv = local_knot_vector(self.xknots)
-        if xv is not self.xknots:
-            object.__setattr__(self, "xknots", xv)
-        yv = local_knot_vector(self.yknots)
-        if yv is not self.yknots:
-            object.__setattr__(self, "yknots", yv)
-        w = self.weight
-        if type(w) is not Fraction:
-            w = Fraction(w)
-            object.__setattr__(self, "weight", w)
-        if w <= 0:
-            raise KnotVectorError(f"weight must be positive, got {w}")
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return (len(self.xknots) - 2, len(self.yknots) - 2)
-
-    @property
-    def key(self) -> tuple[tuple[DyadicCoord, ...], tuple[DyadicCoord, ...]]:
-        """Identity of the function: its pair of knot vectors."""
-        return (self.xknots, self.yknots)
-
-    @property
-    def support(self) -> Rect:
-        return Rect(self.xknots[0], self.xknots[-1], self.yknots[0], self.yknots[-1])
-
-    def knots(self, direction: int) -> tuple[DyadicCoord, ...]:
-        return self.xknots if direction == 1 else self.yknots
+def _checked(key) -> tuple:
+    """``key`` as a pair of local knot vectors, each coerced and
+    validated by :func:`local_knot_vector`; raises ``KnotVectorError``."""
+    xv, yv = key
+    return (local_knot_vector(xv), local_knot_vector(yv))
 
 
 def _knot_windows(vec, degree: int) -> list[tuple]:
@@ -238,23 +196,23 @@ def _greville_collocation(windows, close_at: float):
     return nodes, values.T
 
 
-def evaluate(b: TensorBSpline, point) -> float:
-    """Weighted value at one point, closed at the function's own last knots."""
-    x, y = float(point[0]), float(point[1])
-    vx = univariate_values(b.xknots, np.array([x]), close_at=b.xknots[-1])
-    vy = univariate_values(b.yknots, np.array([y]), close_at=b.yknots[-1])
-    return float(b.weight) * float(vx[0]) * float(vy[0])
+def evaluate(key, point) -> float:
+    """Unweighted value at one point, closed at the function's own last
+    knots."""
+    xv, yv = _checked(key)
+    vx = univariate_values(xv, np.array([float(point[0])]), close_at=xv[-1])
+    vy = univariate_values(yv, np.array([float(point[1])]), close_at=yv[-1])
+    return float(vx[0]) * float(vy[0])
 
 
-def evaluate_gradient(b: TensorBSpline, point) -> tuple[float, float]:
-    """Weighted gradient at one point, same closure as :func:`evaluate`:
+def evaluate_gradient(key, point) -> tuple[float, float]:
+    """Unweighted gradient at one point, same closure as :func:`evaluate`:
     one kernel call per direction gives the values and derivatives."""
+    xv, yv = _checked(key)
     x, y = float(point[0]), float(point[1])
-    xv, yv = np.array(b.xknots, dtype=float), np.array(b.yknots, dtype=float)
-    vx, dx = _stacked_values(xv, np.array([x]), b.xknots[-1], derivatives=True)
-    vy, dy = _stacked_values(yv, np.array([y]), b.yknots[-1], derivatives=True)
-    w = float(b.weight)
-    return (w * float(dx[0]) * float(vy[0]), w * float(vx[0]) * float(dy[0]))
+    vx, dx = _stacked_values(np.array(xv, dtype=float), np.array([x]), xv[-1], derivatives=True)
+    vy, dy = _stacked_values(np.array(yv, dtype=float), np.array([y]), yv[-1], derivatives=True)
+    return (float(dx[0]) * float(vy[0]), float(vx[0]) * float(dy[0]))
 
 
 # -- knot insertion ---------------------------------------------------------
@@ -340,40 +298,20 @@ def _children(window: tuple, knots: tuple) -> list:
     ]
 
 
-def _insert_knots(b: TensorBSpline, direction: int, knots) -> list:
-    """Children of ``b`` after inserting ``knots`` in ``direction``:
-    :func:`_children` of ``b``'s knot vector there, as functions.
+def insert_knot(key, direction: int, z):
+    """Split the function ``key`` at ``z`` in ``direction``.
 
-    Returns ``(num, den, child)`` per child, in order: the child's
-    weight is ``b``'s times ``num / den``, one ``Fraction``.
+    Returns ``((alpha1, key1), (alpha2, key2))`` with ``B = alpha1*B1 +
+    alpha2*B2`` for the unweighted functions; the alphas are exact
+    positive ``Fraction``s.  A function of weight ``w`` therefore splits
+    into children of weights ``w*alpha1`` and ``w*alpha2``.  This is the
+    one-knot call of :func:`_children`.
     """
-    w = b.weight
-    wn, wd = w.numerator, w.denominator
-    children = []
-    for cn, cd, vec in _children(b.knots(direction), tuple(knots)):
-        weight = Fraction(wn * cn, wd * cd)
-        if direction == 1:
-            child = TensorBSpline(vec, b.yknots, weight)
-        else:
-            child = TensorBSpline(b.xknots, vec, weight)
-        children.append((cn, cd, child))
-    return children
-
-
-def insert_knot(b: TensorBSpline, direction: int, z):
-    """Split ``b`` at ``z`` in ``direction`` into two weighted children.
-
-    Returns ``((alpha1, b1), (alpha2, b2))`` where ``b = alpha1*b1' +
-    alpha2*b2'`` for the unweighted children; the returned children carry
-    the parent weight multiplied into the coefficients, so the weighted
-    sum of the children replaces the parent exactly.  The coefficients
-    are exact rationals.  This is the one-knot call of
-    :func:`_insert_knots`.
-    """
+    xv, yv = _checked(key)
     if direction not in (1, 2):
         raise KnotVectorError(f"direction must be 1 or 2, got {direction}")
     z = dyadic(z)
-    v = b.knots(direction)
+    v = xv if direction == 1 else yv
     p = len(v) - 2
     if not (v[0] < z < v[-1]):
         raise KnotVectorError(
@@ -384,23 +322,24 @@ def insert_knot(b: TensorBSpline, direction: int, z):
         raise KnotVectorError(
             f"inserting {z} exceeds multiplicity {p + 1} in {tuple(map(str, v))}"
         )
-    # The children's validation cannot fail: each drops one end knot of
-    # the augmented vector, whose multiplicities were checked above, and z
-    # lies strictly inside the span, so each keeps a nonempty span; both
-    # alphas are positive for the same reason.
-    (n1, d1, child1), (n2, d2, child2) = _insert_knots(b, direction, (z,))
-    return ((Fraction(n1, d1), child1), (Fraction(n2, d2), child2))
+    # Each child drops one end knot of the augmented vector, whose
+    # multiplicities were checked above, and z lies strictly inside the
+    # span, so each child is a valid local vector with a nonempty span;
+    # both alphas are positive for the same reason.
+    (n1, d1, v1), (n2, d2, v2) = _children(v, (z,))
+    if direction == 1:
+        return ((Fraction(n1, d1), (v1, yv)), (Fraction(n2, d2), (v2, yv)))
+    return ((Fraction(n1, d1), (xv, v1)), (Fraction(n2, d2), (xv, v2)))
 
 
 # -- support against a mesh -------------------------------------------------
 
 
-def has_support_on(b: TensorBSpline, mesh: Mesh) -> bool:
-    """True when every knot line of ``b`` is covered by mesh runs of
-    at least the knot multiplicity."""
-    for direction in (1, 2):
-        vec = b.knots(direction)
-        cross = b.knots(2 if direction == 1 else 1)
+def has_support_on(key, mesh: Mesh) -> bool:
+    """True when every knot line of the function ``key`` is covered by
+    mesh runs of at least the knot multiplicity."""
+    xv, yv = _checked(key)
+    for direction, vec, cross in ((1, xv, yv), (2, yv, xv)):
         c_lo, c_hi = cross[0], cross[-1]
         for value, mult in _knot_multiplicities(vec):
             run = mesh.covering_run(direction, value, c_lo, c_hi)
@@ -438,38 +377,39 @@ def _deficits(xknots, yknots, mesh: Mesh, direction: int, positions=None) -> lis
     return out
 
 
-def find_refining_split(b: TensorBSpline, mesh: Mesh):
+def find_refining_split(key, mesh: Mesh):
     """First mesh line that crosses the support above the knot multiplicity.
 
     Scans direction 1 then 2, positions ascending, and returns
     ``(direction, position, deficit)`` for the first hit of
     :func:`_deficits`; ``None`` when the function has minimal support.
-    Assumes ``has_support_on(b, mesh)``.
+    Assumes ``has_support_on(key, mesh)``.
     """
+    xv, yv = _checked(key)
     for direction in (1, 2):
-        hits = _deficits(b.xknots, b.yknots, mesh, direction)
+        hits = _deficits(xv, yv, mesh, direction)
         if hits:
             return (direction, *hits[0])
     return None
 
 
-def has_minimal_support(b: TensorBSpline, mesh: Mesh) -> bool:
+def has_minimal_support(key, mesh: Mesh) -> bool:
     """Support containment with equality: no mesh line crosses the
     support at higher multiplicity than the function's knots.
 
-    The same verdict as ``has_support_on(b, mesh) and
-    find_refining_split(b, mesh) is None``, from one scan per direction
+    The same verdict as ``has_support_on(key, mesh) and
+    find_refining_split(key, mesh) is None``, from one scan per direction
     over the mesh positions in the support's closed span, with one
     covering-run lookup each: a knot needs a run of at least its
     multiplicity, an interior position one of at most it, and every knot
     must lie on a mesh position.
     """
-    return _minimal_support(b.xknots, b.yknots, mesh)
+    return _minimal_support(*_checked(key), mesh)
 
 
 def _minimal_support(xknots, yknots, mesh: Mesh) -> bool:
     """:func:`has_minimal_support` of the function on the knot vectors
-    ``xknots``, ``yknots``."""
+    ``xknots``, ``yknots``, which it does not check."""
     covering_run = mesh.covering_run
     for direction in (1, 2):
         vec, cross = (xknots, yknots) if direction == 1 else (yknots, xknots)

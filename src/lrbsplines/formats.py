@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dyadic import DyadicCoord, dyadic
 from .mesh import Mesh, MeshError, Rect, _build_mesh
-from .bspline import TensorBSpline
+from .bspline import local_knot_vector
 from .space import ONE, LRSpace, _incidence
 
 __all__ = [
@@ -197,13 +197,16 @@ def from_json(doc: dict):
             finite = False
         if not finite:
             raise FormatError(f"{where}.w: expected a finite double")
+        weight = Fraction(weight)
         try:
-            b = TensorBSpline(xv, yv, Fraction(weight))
+            key = (local_knot_vector(xv), local_knot_vector(yv))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from None
-        if b.key in functions:
+        if weight <= 0:
+            raise FormatError(f"{where}: weight must be positive, got {weight}")
+        if key in functions:
             raise FormatError(f"{where}: duplicate knot vectors")
-        functions[b.key] = ONE if b.weight == 1 else b.weight
+        functions[key] = ONE if weight == 1 else weight
     return LRSpace(mesh, functions)
 
 

@@ -92,14 +92,6 @@ class Rect:
         """Sort key: lower-left corner first, then upper-right."""
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
-    def float_bounds(self) -> tuple[float, float, float, float]:
-        return (
-            float(self.x_min),
-            float(self.x_max),
-            float(self.y_min),
-            float(self.y_max),
-        )
-
     def __str__(self) -> str:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
 

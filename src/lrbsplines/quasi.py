@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bspline import TensorBSpline, _greville_collocation, _knot_windows
+from .bspline import _checked, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
 from .refine import n2s_pipeline, point_marker
@@ -87,20 +87,23 @@ def _solve_local(f, xs, mx, ys, my):
         raise SpaceError(f"singular local collocation matrix: {exc}") from exc
 
 
-def tensor_qi_coefficient(b: TensorBSpline, f) -> float:
-    """Coefficient of ``b`` for interpolating ``f`` in its local space.
+def tensor_qi_coefficient(key, f) -> float:
+    """Coefficient of the function ``key`` for interpolating ``f`` in its
+    local space.
 
-    The local tensor space of ``b``, the tensor space on its support with
-    the boundary knots raised to full multiplicity, is read from its
-    raised knot vectors alone: their consecutive windows
+    The local tensor space of the function, the tensor space on its
+    support with the boundary knots raised to full multiplicity, is read
+    from its raised knot vectors alone: their consecutive windows
     are the local basis in each direction.  Interpolates ``f`` at the
     tensor grid of the windows' Greville points and reads off the
-    coefficient of ``b``, whose knot vectors are among the windows.  The
-    collocation matrix factors into two univariate ones, solved back to
-    back.  This is the one-function form of :func:`lr_qi`.
+    coefficient of ``key``, whose knot vectors are among the windows.
+    The collocation matrix factors into two univariate ones, solved back
+    to back.  This is the one-function form of :func:`lr_qi`, and pairs
+    with the unweighted basis as it does.
     """
-    xs, mx, ix = _local_collocation(b.xknots)
-    ys, my, iy = _local_collocation(b.yknots)
+    xv, yv = _checked(key)
+    xs, mx, ix = _local_collocation(xv)
+    ys, my, iy = _local_collocation(yv)
     return float(_solve_local(f, xs, mx, ys, my)[ix, iy])
 
 

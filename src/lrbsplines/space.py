@@ -74,8 +74,8 @@ class LRSpace:
 
     ``functions`` maps each function's key, its pair of local knot
     vectors ``(xknots, yknots)``, to its positive ``Fraction`` weight.
-    ``TensorBSpline(*key, weight)`` is the same function as one object,
-    for the per-function calls of :mod:`lrbsplines.bspline`.
+    The per-function calls of :mod:`lrbsplines.bspline` take the key
+    and work on the unweighted function.
 
     Every function has minimal support on the mesh (:meth:`validate`
     checks it).  Refinement relies on this: after new lines are added,

@@ -23,12 +23,7 @@ import numpy as np
 import pytest
 
 from lrbsplines import space as space_module
-from lrbsplines.bspline import (
-    TensorBSpline,
-    _knot_windows,
-    find_refining_split,
-    insert_knot,
-)
+from lrbsplines.bspline import _knot_windows, find_refining_split, insert_knot
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
 from lrbsplines.quasi import _raised_vector
@@ -116,29 +111,28 @@ def reference_derivatives(knots, t, close_at=None):
 @dataclass(frozen=True)
 class LocalTensorSpace:
     """The tensor space spanned by one function's knots, boundary raised
-    to full multiplicity.  ``origin`` keys the function it was built for,
-    which is always among ``basis``."""
+    to full multiplicity.  ``basis`` holds its functions' keys, and
+    ``origin`` the key it was built for, which is always among them."""
 
     origin: tuple
     mesh: Mesh
-    basis: tuple[TensorBSpline, ...]
+    basis: tuple
 
 
-def local_tensor_space(b: TensorBSpline) -> LocalTensorSpace:
-    """Tensor space on the support of ``b`` containing ``b`` itself: the
-    reference space of the quasi-interpolant's local problems."""
-    p1, p2 = b.degrees
-    gx = _raised_vector(b.xknots, p1)
-    gy = _raised_vector(b.yknots, p2)
-    domain = b.support
+def local_tensor_space(key) -> LocalTensorSpace:
+    """Tensor space on the support of the function ``key`` containing it:
+    the reference space of the quasi-interpolant's local problems."""
+    xknots, yknots = key
+    p1, p2 = len(xknots) - 2, len(yknots) - 2
+    gx = _raised_vector(xknots, p1)
+    gy = _raised_vector(yknots, p2)
+    domain = Rect(xknots[0], xknots[-1], yknots[0], yknots[-1])
     items = [(1, x, domain.y_min, domain.y_max, m) for x, m in _knot_multiplicities(gx)]
     items += [(2, y, domain.x_min, domain.x_max, m) for y, m in _knot_multiplicities(gy)]
     mesh = _build_mesh(domain, (p1, p2), items)
-    basis = tuple(
-        TensorBSpline(xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2)
-    )
-    assert any(f.key == b.key for f in basis), f"local tensor space misses {b.key}"
-    return LocalTensorSpace(b.key, mesh, basis)
+    basis = tuple((xv, yv) for xv in _knot_windows(gx, p1) for yv in _knot_windows(gy, p2))
+    assert key in basis, f"local tensor space misses {key}"
+    return LocalTensorSpace(key, mesh, basis)
 
 
 def reference_boehm(window, knots) -> tuple:
@@ -203,26 +197,24 @@ def reference_fixpoint(mesh, functions, dirty):
         w = functions.get(key)
         if w is None:
             continue
-        b = TensorBSpline(*key, w)
-        hit = find_refining_split(b, mesh)
+        hit = find_refining_split(key, mesh)
         if hit is None:
             continue
         direction, pos, _deficit = hit
-        (_, child1), (_, child2) = insert_knot(b, direction, pos)
+        children = insert_knot(key, direction, pos)
         del functions[key]
         if key in added:
             added.remove(key)
         else:
             removed.add(key)
-        for child in (child1, child2):
-            k = child.key
+        for alpha, k in children:
             old = functions.get(k)
             if old is None:
-                functions[k] = child.weight
+                functions[k] = w * alpha
                 heapq.heappush(heap, k)
                 added.add(k)
             else:
-                functions[k] = old + child.weight
+                functions[k] = old + w * alpha
     return removed, added
 
 

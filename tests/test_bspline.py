@@ -1,4 +1,5 @@
-"""Tensor B-splines: evaluation against scipy, insertion, minimal support."""
+"""Tensor B-splines on keys: evaluation against scipy, insertion, minimal
+support, and the per-function calls' checks of the key they are given."""
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from scipy.interpolate import BSpline
 from conftest import key_of, random_pipeline_space
 from lrbsplines.bspline import (
     KnotVectorError,
-    TensorBSpline,
     evaluate,
     evaluate_gradient,
     find_refining_split,
@@ -23,6 +23,7 @@ from lrbsplines.bspline import (
 )
 from lrbsplines import bspline as bspline_module
 from lrbsplines.dyadic import dyadic, midpoint
+from lrbsplines.quasi import tensor_qi_coefficient
 
 
 def random_vector(rng, degree, span=8):
@@ -67,9 +68,7 @@ def test_bivariate_evaluation_matches_scipy_product():
     for _ in range(20):
         xk = random_vector(rng, 2)
         yk = random_vector(rng, 3)
-        b = TensorBSpline(
-            tuple(dyadic(v) for v in xk), tuple(dyadic(v) for v in yk), Fraction(1)
-        )
+        key = key_of(xk, yk)
         for _ in range(10):
             x = rng.uniform(xk[0], xk[-1])
             y = rng.uniform(yk[0], yk[-1])
@@ -78,7 +77,7 @@ def test_bivariate_evaluation_matches_scipy_product():
             ):
                 continue
             ref = scipy_values(xk, [x])[0] * scipy_values(yk, [y])[0]
-            assert math.isclose(evaluate(b, (x, y)), ref, rel_tol=1e-11, abs_tol=1e-12)
+            assert math.isclose(evaluate(key, (x, y)), ref, rel_tol=1e-11, abs_tol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -87,9 +86,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(15):
         xk = random_vector(rng, 2)
         yk = random_vector(rng, 2)
-        b = TensorBSpline(
-            tuple(dyadic(v) for v in xk), tuple(dyadic(v) for v in yk), Fraction(1)
-        )
+        key = key_of(xk, yk)
         for _ in range(6):
             x = rng.uniform(xk[0] + 0.01, xk[-1] - 0.01)
             y = rng.uniform(yk[0] + 0.01, yk[-1] - 0.01)
@@ -97,9 +94,9 @@ def test_gradient_matches_finite_differences():
                 abs(y - k) < 1e-3 for k in yk
             ):
                 continue
-            gx, gy = evaluate_gradient(b, (x, y))
-            fd_x = (evaluate(b, (x + h, y)) - evaluate(b, (x - h, y))) / (2 * h)
-            fd_y = (evaluate(b, (x, y + h)) - evaluate(b, (x, y - h))) / (2 * h)
+            gx, gy = evaluate_gradient(key, (x, y))
+            fd_x = (evaluate(key, (x + h, y)) - evaluate(key, (x - h, y))) / (2 * h)
+            fd_y = (evaluate(key, (x, y + h)) - evaluate(key, (x, y - h))) / (2 * h)
             assert math.isclose(gx, fd_x, rel_tol=5e-5, abs_tol=5e-6)
             assert math.isclose(gy, fd_y, rel_tol=5e-5, abs_tol=5e-6)
 
@@ -118,35 +115,27 @@ def test_gradient_is_two_kernel_calls_of_the_one_window_products(monkeypatch):
     for _ in range(200):
         degrees = rng.randint(1, 4), rng.randint(1, 4)
         xk, yk = (random_vector(rng, p) for p in degrees)
-        b = TensorBSpline(
-            tuple(dyadic(v) for v in xk), tuple(dyadic(v) for v in yk), Fraction(3, 7)
-        )
+        xv, yv = key = key_of(xk, yk)
         # interior points, a knot or a support's top corner
         x = rng.choice([rng.uniform(xk[0], xk[-1]), rng.choice(xk)])
         y = rng.choice([rng.uniform(yk[0], yk[-1]), rng.choice(yk)])
-        w = float(b.weight)
-        vx = float(univariate_values(b.xknots, [x], close_at=b.xknots[-1])[0])
-        vy = float(univariate_values(b.yknots, [y], close_at=b.yknots[-1])[0])
-        dx = float(univariate_derivatives(b.xknots, [x], close_at=b.xknots[-1])[0])
-        dy = float(univariate_derivatives(b.yknots, [y], close_at=b.yknots[-1])[0])
+        vx = float(univariate_values(xv, [x], close_at=xv[-1])[0])
+        vy = float(univariate_values(yv, [y], close_at=yv[-1])[0])
+        dx = float(univariate_derivatives(xv, [x], close_at=xv[-1])[0])
+        dy = float(univariate_derivatives(yv, [y], close_at=yv[-1])[0])
         calls.clear()
         with monkeypatch.context() as patched:
             patched.setattr(bspline_module, "_stacked_values", counting)
-            got = evaluate_gradient(b, (x, y))
+            got = evaluate_gradient(key, (x, y))
         assert calls == [True, True]
-        want = (w * dx * vy, w * vx * dy)
+        want = (dx * vy, vx * dy)
         assert [g.hex() for g in got] == [v.hex() for v in want]
 
 
 def test_value_at_own_top_knot_is_left_limit():
     # an interior function vanishes at its last knot; close_at makes the
     # standalone evaluation report the left limit instead of zero jump
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        Fraction(1),
-    )
-    v = evaluate(b, (3.0, 3.0))
+    v = evaluate(key_of((0, 1, 2, 3), (0, 1, 2, 3)), (3.0, 3.0))
     assert v == 0.0
 
 
@@ -164,15 +153,12 @@ def test_local_knot_vector_validation():
 
 
 def test_insertion_coefficients_worked_example():
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        Fraction(1),
-    )
-    (a1, b1), (a2, b2) = insert_knot(b, 1, dyadic(3, 1))
+    key = key_of((0, 1, 2, 3), (0, 1, 2, 3))
+    (a1, k1), (a2, k2) = insert_knot(key, 1, dyadic(3, 1))
     assert a1 == Fraction(3, 4) and a2 == Fraction(3, 4)
-    assert [float(v) for v in b1.xknots] == [0.0, 1.0, 1.5, 2.0]
-    assert [float(v) for v in b2.xknots] == [1.0, 1.5, 2.0, 3.0]
+    assert [float(v) for v in k1[0]] == [0.0, 1.0, 1.5, 2.0]
+    assert [float(v) for v in k2[0]] == [1.0, 1.5, 2.0, 3.0]
+    assert k1[1] == key[1] and k2[1] == key[1]
 
 
 def random_insertion_triple(rng, degrees=(1, 2, 3), span=8):
@@ -193,15 +179,11 @@ def random_insertion_triple(rng, degrees=(1, 2, 3), span=8):
 def insertion_defect(vec, z, samples):
     """max |N_v - a1*N_v1 - a2*N_v2| over the samples (univariate form;
     the second tensor direction contributes a common factor)."""
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in vec),
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        Fraction(1),
-    )
-    (a1, b1), (a2, b2) = insert_knot(b, 1, dyadic(z))
-    parent = univariate_values(b.xknots, samples)
-    child1 = univariate_values(b1.xknots, samples)
-    child2 = univariate_values(b2.xknots, samples)
+    key = key_of(vec, (0, 1, 2, 3))
+    (a1, k1), (a2, k2) = insert_knot(key, 1, dyadic(z))
+    parent = univariate_values(key[0], samples)
+    child1 = univariate_values(k1[0], samples)
+    child2 = univariate_values(k2[0], samples)
     return float(np.max(np.abs(parent - float(a1) * child1 - float(a2) * child2)))
 
 
@@ -218,9 +200,7 @@ def test_insertion_identity_holds_bivariately():
     for _ in range(20):
         xk = random_vector(rng, 2)
         yk = random_vector(rng, 2)
-        b = TensorBSpline(
-            tuple(dyadic(v) for v in xk), tuple(dyadic(v) for v in yk), Fraction(1)
-        )
+        key = key_of(xk, yk)
         vec, z = xk, None
         candidates = [
             k / 4 for k in range(int(4 * xk[0]) + 1, int(4 * xk[-1])) if k / 4 not in xk
@@ -228,7 +208,7 @@ def test_insertion_identity_holds_bivariately():
         if not candidates:
             continue
         z = rng.choice(candidates)
-        (a1, b1), (a2, b2) = insert_knot(b, 1, dyadic(z))
+        (a1, k1), (a2, k2) = insert_knot(key, 1, dyadic(z))
         for _ in range(25):
             x = rng.uniform(xk[0], xk[-1])
             y = rng.uniform(yk[0], yk[-1])
@@ -236,34 +216,30 @@ def test_insertion_identity_holds_bivariately():
                 abs(y - k) < 1e-9 for k in yk
             ):
                 continue
-            # children carry the parent weight times the coefficient, so
-            # their weighted values sum to the parent directly
-            lhs = evaluate(b, (x, y))
-            rhs = evaluate(b1, (x, y)) + evaluate(b2, (x, y))
+            # B = alpha1 * B1 + alpha2 * B2 for the unweighted functions
+            lhs = evaluate(key, (x, y))
+            rhs = float(a1) * evaluate(k1, (x, y)) + float(a2) * evaluate(k2, (x, y))
             assert abs(lhs - rhs) <= 1e-12
 
 
 def test_insertion_weights_are_exact_fractions():
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in (0, 1, 4, 8)),
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        Fraction(2, 3),
-    )
-    (a1, b1), (a2, b2) = insert_knot(b, 1, dyadic(2))
+    # a function of weight w splits into children of weights w * alpha
+    w = Fraction(2, 3)
+    (a1, _), (a2, _) = insert_knot(key_of((0, 1, 4, 8), (0, 1, 2, 3)), 1, dyadic(2))
     assert isinstance(a1, Fraction) and isinstance(a2, Fraction)
     assert a1 == Fraction(1, 2)  # (2-0)/(4-0)
     assert a2 == Fraction(6, 7)  # (8-2)/(8-1)
-    assert b1.weight == Fraction(2, 3) * a1
-    assert b2.weight == Fraction(2, 3) * a2
+    assert w * a1 == Fraction(1, 3)
+    assert w * a2 == Fraction(4, 7)
 
 
 # -- support on a mesh -------------------------------------------------------
 
 
 def test_minimal_support_verdicts_on_mixed_mesh(mixed_mesh):
-    minimal_a = TensorBSpline(*key_of((0, 4, 6, 8), (0, 2, 6, 8)), Fraction(1))
-    minimal_b = TensorBSpline(*key_of((0, 6, 8, 10), (0, 2, 8, 10)), Fraction(1))
-    loose = TensorBSpline(*key_of((0, 2, 5, 6), (2, 6, 8, 10)), Fraction(1))
+    minimal_a = key_of((0, 4, 6, 8), (0, 2, 6, 8))
+    minimal_b = key_of((0, 6, 8, 10), (0, 2, 8, 10))
+    loose = key_of((0, 2, 5, 6), (2, 6, 8, 10))
     assert has_support_on(minimal_a, mixed_mesh)
     assert has_minimal_support(minimal_a, mixed_mesh)
     assert has_minimal_support(minimal_b, mixed_mesh)
@@ -286,11 +262,7 @@ def test_one_scan_minimal_support_equals_its_two_rules():
         before = random_pipeline_space(seed, iterations=1, bidegree=bidegree)
         after = random_pipeline_space(seed, iterations=2, bidegree=bidegree)
         mesh = after.mesh
-        candidates = [
-            TensorBSpline(*key, w)
-            for space in (after, before)
-            for key, w in space.functions.items()
-        ]
+        candidates = [key for space in (after, before) for key in space.functions]
         vectors = []
         for xknots, yknots in after.functions:
             xv = list(xknots)
@@ -306,17 +278,80 @@ def test_one_scan_minimal_support_equals_its_two_rules():
             vectors.append(pair)
         for xv, yv in vectors:
             try:
-                candidates.append(TensorBSpline(xv, yv))
+                candidates.append((local_knot_vector(xv), local_knot_vector(yv)))
             except KnotVectorError:
                 continue
-        for b in candidates:
-            supported = has_support_on(b, mesh)
-            split = find_refining_split(b, mesh) if supported else None
-            assert has_minimal_support(b, mesh) == (supported and split is None)
+        for key in candidates:
+            supported = has_support_on(key, mesh)
+            split = find_refining_split(key, mesh) if supported else None
+            assert has_minimal_support(key, mesh) == (supported and split is None)
             outcomes.add((supported, split is None))
     assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_function_without_mesh_lines_has_no_support(mixed_mesh):
-    ghost = TensorBSpline(*key_of((0, 1, 3, 9), (0, 1, 3, 9)), Fraction(1))
-    assert not has_support_on(ghost, mixed_mesh)
+    assert not has_support_on(key_of((0, 1, 3, 9), (0, 1, 3, 9)), mixed_mesh)
+
+
+# -- the per-function calls take a key ----------------------------------------
+
+
+def centre(key) -> tuple[float, float]:
+    return tuple((float(v[0]) + float(v[-1])) / 2 for v in key)
+
+
+def split_is_exact(key) -> bool:
+    """Splitting at the support's x-centre gives B = alpha1*B1 + alpha2*B2
+    at the centre."""
+    xv = key[0]
+    (a1, k1), (a2, k2) = insert_knot(key, 1, midpoint(xv[0], xv[-1]))
+    p = centre(key)
+    both = float(a1) * evaluate(k1, p) + float(a2) * evaluate(k2, p)
+    return math.isclose(evaluate(key, p), both, rel_tol=1e-12)
+
+
+def gradient_is_the_product_rule(key) -> bool:
+    (xv, yv), (x, y) = key, centre(key)
+    got = evaluate_gradient(key, (x, y))
+    vx, vy = univariate_values(xv, [x], xv[-1])[0], univariate_values(yv, [y], yv[-1])[0]
+    dx, dy = univariate_derivatives(xv, [x], xv[-1])[0], univariate_derivatives(yv, [y], yv[-1])[0]
+    return got == (dx * vy, vx * dy)
+
+
+#: Each public per-function call, as a verdict on one function of a space
+#: that holds for every one of its keys.
+PER_FUNCTION_CALLS = {
+    "evaluate": lambda key, mesh: evaluate(key, centre(key)) > 0.0,
+    "evaluate_gradient": lambda key, mesh: gradient_is_the_product_rule(key),
+    "insert_knot": lambda key, mesh: split_is_exact(key),
+    "has_support_on": has_support_on,
+    "has_minimal_support": has_minimal_support,
+    "find_refining_split": lambda key, mesh: find_refining_split(key, mesh) is None,
+    # the local interpolant reproduces constants, so every coefficient is 1
+    "tensor_qi_coefficient": lambda key, mesh: math.isclose(
+        tensor_qi_coefficient(key, lambda x, y: np.ones_like(x)), 1.0, rel_tol=1e-12
+    ),
+}
+
+#: Vectors no local knot vector may be: decreasing, two entries, and a
+#: knot above multiplicity p + 1, which leaves the vector no span.
+BAD_VECTORS = {"decreasing": (0, 2, 1, 3), "two entries": (0, 1), "multiplicity": (1, 1, 1, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(PER_FUNCTION_CALLS))
+def test_per_function_calls_take_a_space_key_as_is(name, running_example):
+    # the calls read no weight, and this space holds weights other than 1
+    call = PER_FUNCTION_CALLS[name]
+    space = running_example["structured_2"]
+    assert any(w != 1 for w in space.functions.values())
+    for key in space.functions:
+        assert call(key, space.mesh), key
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("name", sorted(PER_FUNCTION_CALLS))
+def test_per_function_calls_reject_a_bad_key(name, bad, mixed_mesh):
+    good, vec = (0, 2, 4, 6), BAD_VECTORS[bad]
+    for key in (key_of(vec, good), key_of(good, vec)):
+        with pytest.raises(KnotVectorError):
+            PER_FUNCTION_CALLS[name](key, mixed_mesh)

@@ -2,11 +2,12 @@
 B-spline evaluator: every row equals the scalar reference recursion of
 ``conftest`` bit for bit, signed zeros included, with and without a
 closure coordinate, and so does every Greville collocation matrix.  Also:
-knot insertion's children equal the functions on the augmented vector's
-windows with the parent's weight times the coefficient, and its
-coefficients are exact over the whole coordinate range, for one knot and
-for several inserted in one step, where the children also equal
-single-knot insertions folded knot by knot.  The memoized Boehm kernel
+knot insertion's children are the keys on the augmented vector's windows,
+a parent equals its children weighted by their coefficients pointwise,
+and the coefficients are exact over the whole coordinate range, for one
+knot and for several inserted in one step, where the children with the
+parent's weight times their coefficients also equal single-knot
+insertions folded knot by knot.  The memoized Boehm kernel
 holds integers only, and with the children's windows it equals its
 uncached loop, on cache hits and on moved copies of an input."""
 from collections import Counter
@@ -18,14 +19,14 @@ from hypothesis import strategies as st
 
 from conftest import reference_boehm, reference_derivatives, reference_values
 from lrbsplines.bspline import (
-    TensorBSpline,
     _boehm,
     _children,
     _greville_collocation,
-    _insert_knots,
     _knot_windows,
     _stacked_values,
+    evaluate,
     insert_knot,
+    local_knot_vector,
     univariate_derivatives,
     univariate_values,
 )
@@ -155,38 +156,51 @@ def test_greville_collocation_columns_equal_the_reference(case):
 
 @st.composite
 def insertions(draw):
-    """``(b, direction, z)``: a weighted function on eighths and an
-    insertion point on sixteenths strictly inside its span in
-    ``direction`` that keeps every multiplicity at most degree + 1."""
+    """``(key, direction, z)``: a function on eighths and an insertion
+    point on sixteenths strictly inside its span in ``direction`` that
+    keeps every multiplicity at most degree + 1."""
     p1, p2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     xv = tuple(dyadic(v) for v in draw(windows(p1)))
     yv = tuple(dyadic(v) for v in draw(windows(p2)))
-    weight = Fraction(draw(st.integers(1, 64)), draw(st.integers(1, 64)))
-    b = TensorBSpline(xv, yv, weight)
     direction = draw(st.sampled_from((1, 2)))
-    v = b.knots(direction)
+    v = (xv, yv)[direction - 1]
     lo, hi = int(v[0] * 16) + 1, int(v[-1] * 16) - 1
     z = dyadic(draw(st.integers(lo, hi).filter(lambda n: v.count(n / 16) <= len(v) - 2)) / 16)
-    return b, direction, z
+    return (xv, yv), direction, z
+
+
+def with_vector(key, direction, vec):
+    """``key`` with its knot vector in ``direction`` replaced by ``vec``."""
+    return (vec, key[1]) if direction == 1 else (key[0], vec)
 
 
 @props
 @given(insertions())
 def test_inserted_children_equal_validated_ones(case):
-    b, direction, z = case
-    augmented = tuple(sorted(b.knots(direction) + (z,)))
-    children = insert_knot(b, direction, z)
+    key, direction, z = case
+    augmented = tuple(sorted(key[direction - 1] + (z,)))
+    children = insert_knot(key, direction, z)
     for (alpha, child), vec in zip(children, (augmented[:-1], augmented[1:])):
-        if direction == 1:
-            expected = TensorBSpline(vec, b.yknots, b.weight * alpha)
-        else:
-            expected = TensorBSpline(b.xknots, vec, b.weight * alpha)
-        assert type(child) is TensorBSpline and child == expected
-        for field in ("xknots", "yknots"):
-            got, want = getattr(child, field), getattr(expected, field)
+        expected = with_vector(key, direction, local_knot_vector(vec))
+        assert type(child) is tuple and child == expected
+        for got, want in zip(child, expected):
             assert type(got) is tuple and got == want
             assert all(type(c) is DyadicCoord for c in got)
-        assert type(child.weight) is Fraction and child.weight == expected.weight
+        assert type(alpha) is Fraction and alpha > 0
+
+
+@props
+@given(insertions(), st.floats(0, 1), st.floats(0, 1))
+def test_insertion_is_a_pointwise_identity_on_keys(case, s, t):
+    # B = alpha1 * B1 + alpha2 * B2 for the unweighted functions, at a
+    # point of the parent's support off every knot of the three
+    key, direction, z = case
+    (alpha1, key1), (alpha2, key2) = insert_knot(key, direction, z)
+    point = tuple(float(v[0]) + u * (float(v[-1]) - float(v[0])) for v, u in zip(key, (s, t)))
+    assume(all(c not in vec for c, vec in zip(point, key1)))
+    assume(all(c not in vec for c, vec in zip(point, key2)))
+    both = float(alpha1) * evaluate(key1, point) + float(alpha2) * evaluate(key2, point)
+    assert abs(evaluate(key, point) - both) <= 1e-12
 
 
 #: Coordinates whose numerators lie near 2**52, at any exponent: their
@@ -199,7 +213,7 @@ wide_coords = st.builds(
 
 @st.composite
 def wide_insertions(draw):
-    """``(b, direction, z)`` with knots and insertion point drawn from
+    """``(key, direction, z)`` with knots and insertion point drawn from
     ``wide_coords``: z is one of p + 3 sorted draws, the knots the rest."""
     p = draw(st.integers(1, 3))
     values = sorted(draw(st.lists(wide_coords, min_size=p + 3, max_size=p + 3)))
@@ -208,84 +222,78 @@ def wide_insertions(draw):
     assume(vec[0] < z < vec[-1] and max(Counter(vec + (z,)).values()) <= p + 1)
     direction = draw(st.sampled_from((1, 2)))
     other = (dyadic(0), dyadic(1), dyadic(2))
-    b = TensorBSpline(*((vec, other) if direction == 1 else (other, vec)), Fraction(3, 7))
-    return b, direction, z
+    return with_vector((other, other), direction, vec), direction, z
 
 
 @props
 @given(wide_insertions())
 def test_insertion_alphas_equal_the_fraction_formula(case):
-    b, direction, z = case
-    v = [c.fraction for c in b.knots(direction)]
+    key, direction, z = case
+    v = [c.fraction for c in key[direction - 1]]
     p = len(v) - 2
     f = z.fraction
     want1 = Fraction(1) if f >= v[p] else (f - v[0]) / (v[p] - v[0])
     want2 = Fraction(1) if f <= v[1] else (v[p + 1] - f) / (v[p + 1] - v[1])
-    (alpha1, child1), (alpha2, child2) = insert_knot(b, direction, z)
+    (alpha1, _), (alpha2, _) = insert_knot(key, direction, z)
     assert type(alpha1) is Fraction and alpha1 == want1
     assert type(alpha2) is Fraction and alpha2 == want2
-    assert child1.weight == b.weight * want1 and child2.weight == b.weight * want2
 
 
-def folded_insertion(b, direction, knots) -> dict:
-    """``insert_knot`` folded knot by knot over ``b`` and its children:
-    each knot splits every function whose span holds it strictly inside,
-    and children on the same knot vectors merge by adding weights.
-    Returns the functions by key."""
-    functions = {b.key: b}
+def folded_insertion(key, weight, direction, knots) -> dict:
+    """``insert_knot`` folded knot by knot over the function ``key`` of
+    weight ``weight`` and its children: each knot splits every function
+    whose span holds it strictly inside, a child's weight is its parent's
+    times its alpha, and children on the same key merge by adding
+    weights.  Returns the weights by key."""
+    functions = {key: weight}
     for z in knots:
         refined = {}
-        for f in functions.values():
-            v = f.knots(direction)
-            pieces = [c for _, c in insert_knot(f, direction, z)] if v[0] < z < v[-1] else [f]
-            for c in pieces:
-                old = refined.get(c.key)
-                refined[c.key] = c if old is None else TensorBSpline(c.xknots, c.yknots, old.weight + c.weight)
+        for f, w in functions.items():
+            v = f[direction - 1]
+            pieces = insert_knot(f, direction, z) if v[0] < z < v[-1] else [(1, f)]
+            for alpha, c in pieces:
+                refined[c] = refined.get(c, 0) + w * alpha
         functions = refined
     return functions
 
 
 @st.composite
 def multi_insertions(draw):
-    """``(b, direction, knots)``: a function as in :func:`insertions` and
-    one to four sorted knots on sixteenths strictly inside its span in
-    ``direction``, repeats allowed, that keep every multiplicity at most
-    degree + 1."""
-    b, direction, _ = draw(insertions())
-    v = b.knots(direction)
+    """``(key, direction, knots)``: a function as in :func:`insertions`
+    and one to four sorted knots on sixteenths strictly inside its span
+    in ``direction``, repeats allowed, that keep every multiplicity at
+    most degree + 1."""
+    key, direction, _ = draw(insertions())
+    v = key[direction - 1]
     lo, hi = int(v[0] * 16) + 1, int(v[-1] * 16) - 1
     knots = sorted(dyadic(n / 16) for n in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4)))
     assume(max(Counter(v + tuple(knots)).values()) <= len(v) - 1)
-    return b, direction, knots
+    return key, direction, knots
 
 
 @props
-@given(multi_insertions())
-def test_multi_knot_children_equal_validated_ones(case):
-    b, direction, knots = case
-    augmented = tuple(sorted(b.knots(direction) + tuple(knots)))
-    p = len(augmented) - len(knots) - 2
-    children = _insert_knots(b, direction, knots)
+@given(multi_insertions(), st.integers(1, 64), st.integers(1, 64))
+def test_multi_knot_children_equal_validated_ones(case, num, den):
+    key, direction, knots = case
+    weight = Fraction(num, den)
+    v = key[direction - 1]
+    augmented = tuple(sorted(v + tuple(knots)))
+    p = len(v) - 2
+    children = _children(v, tuple(knots))
     assert len(children) == len(knots) + 1
-    for j, (num, den, child) in enumerate(children):
-        vec = augmented[j : j + p + 2]
-        coefficient = Fraction(num, den)
-        if direction == 1:
-            expected = TensorBSpline(vec, b.yknots, b.weight * coefficient)
-        else:
-            expected = TensorBSpline(b.xknots, vec, b.weight * coefficient)
-        assert type(child) is TensorBSpline and child == expected
-        for field in ("xknots", "yknots"):
-            got, want = getattr(child, field), getattr(expected, field)
-            assert type(got) is tuple and got == want
-            assert all(type(c) is DyadicCoord for c in got)
-        assert type(child.weight) is Fraction and child.weight == expected.weight
-    assert {child.key: child for _, _, child in children} == folded_insertion(b, direction, knots)
+    weights = {}
+    for j, (cn, cd, vec) in enumerate(children):
+        assert type(vec) is tuple and vec == local_knot_vector(augmented[j : j + p + 2])
+        assert all(type(c) is DyadicCoord for c in vec)
+        child_weight = weight * Fraction(cn, cd)
+        assert type(child_weight) is Fraction and child_weight > 0
+        weights[with_vector(key, direction, vec)] = child_weight
+    assert weights == folded_insertion(key, weight, direction, knots)
 
 
 @st.composite
 def wide_multi_insertions(draw):
-    """``(b, direction, knots)`` with knots and insertion points drawn
+    """``(key, direction, knots)`` with knots and insertion points drawn
     from ``wide_coords``: the knots are p + 2 of the sorted draws, and the
     one to three others strictly inside them are inserted."""
     p = draw(st.integers(1, 3))
@@ -298,8 +306,7 @@ def wide_multi_insertions(draw):
     assume(max(Counter(values).values()) <= p + 1)
     direction = draw(st.sampled_from((1, 2)))
     other = (dyadic(0), dyadic(1), dyadic(2))
-    b = TensorBSpline(*((vec, other) if direction == 1 else (other, vec)), Fraction(3, 7))
-    return b, direction, knots
+    return with_vector((other, other), direction, vec), direction, knots
 
 
 def fraction_coefficients(v, knots, p) -> list:
@@ -327,14 +334,14 @@ def fraction_coefficients(v, knots, p) -> list:
 @props
 @given(wide_multi_insertions())
 def test_multi_knot_coefficients_equal_the_fraction_formula(case):
-    b, direction, knots = case
-    v = [c.fraction for c in b.knots(direction)]
+    key, direction, knots = case
+    weight = Fraction(3, 7)
+    v = [c.fraction for c in key[direction - 1]]
     want = fraction_coefficients(v, [z.fraction for z in knots], len(v) - 2)
-    children = _insert_knots(b, direction, knots)
+    children = _children(key[direction - 1], tuple(knots))
     assert [Fraction(num, den) for num, den, _ in children] == want
-    for (_, _, child), coefficient in zip(children, want):
-        assert type(child.weight) is Fraction and child.weight == b.weight * coefficient
-    assert {child.key: child for _, _, child in children} == folded_insertion(b, direction, knots)
+    weights = {with_vector(key, direction, vec): weight * c for (_, _, vec), c in zip(children, want)}
+    assert weights == folded_insertion(key, weight, direction, knots)
 
 
 @st.composite

@@ -150,6 +150,8 @@ def _abutting_multiplicities(doc) -> None:
         (lambda d: d.__setitem__("functions", []), "functions:"),
         (lambda d: d["functions"][0].__setitem__("w", 1e400), "functions[0].w"),
         (lambda d: d["functions"][0].__setitem__("w", 10**400), "functions[0].w"),
+        (lambda d: d["functions"][0].__setitem__("w", 0), "functions[0]: weight must be positive"),
+        (lambda d: d["functions"][0].__setitem__("w", -0.5), "functions[0]: weight must be positive"),
         # collinear lines break constant splits: the error names the line
         (lambda d: d["lines"].append(_line(1, [1, 1], [1, 2], [1, 0])), "direction-1 position 1/2^1"),
         (_abutting_multiplicities, "direction-1 position 1/2^1"),

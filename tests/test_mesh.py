@@ -19,7 +19,6 @@ from conftest import (
     local_tensor_space,
     random_pipeline_space,
 )
-from lrbsplines.bspline import TensorBSpline
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import (
     Mesh,
@@ -72,8 +71,7 @@ def test_elements_match_flood_fill_on_tensor_meshes():
     assert_grid_elements_match_oracle(knot_mesh)
     assert len(knot_mesh.elements()) == 3 * 2
     # the QI's local tensor space of a function with a double knot
-    b = TensorBSpline(*key_of((0, 0.5, 0.5, 1), (0.25, 0.5, 0.75, 1)))
-    local = local_tensor_space(b).mesh
+    local = local_tensor_space(key_of((0, 0.5, 0.5, 1), (0.25, 0.5, 0.75, 1))).mesh
     assert_grid_elements_match_oracle(local)
     assert len(local.elements()) == 2 * 3
 
@@ -143,7 +141,7 @@ def test_elements_match_flood_fill_under_incremental_insertion():
     for _ in range(12):
         elements = mesh.elements()
         target = rng.choice(elements)
-        x0, x1, y0, y1 = target.float_bounds()
+        x0, x1, y0, y1 = target.x_min, target.x_max, target.y_min, target.y_max
         if rng.random() < 0.5:
             mid = dyadic((x0 + x1) / 2)
             split = Split.make(1, mid, target.y_min, target.y_max)

@@ -35,7 +35,6 @@ from lrbsplines import (
     mark_by_layer,
     n2s_pipeline,
     solve,
-    TensorBSpline,
 )
 from lrbsplines import poisson
 from lrbsplines.poisson import _composite_rule
@@ -193,7 +192,6 @@ def _reference_assemble(space, f, load_resolution=None):
     assembly replaced, kept as its oracle."""
     p1, p2 = space.mesh.bidegree
     keys, table = element_support_table(space)
-    functions = [TensorBSpline(*k, space.functions[k]) for k in keys]
     gauss_x, weights_x = leggauss(p1 + 1)
     gauss_y, weights_y = leggauss(p2 + 1)
     n = len(keys)
@@ -210,11 +208,11 @@ def _reference_assemble(space, f, load_resolution=None):
         grad_x = np.empty_like(vals)
         grad_y = np.empty_like(vals)
         for a, idx in enumerate(row):
-            b = functions[idx]
-            vx = reference_values(b.xknots, xs)
-            vy = reference_values(b.yknots, ys)
-            dx = reference_derivatives(b.xknots, xs)
-            dy = reference_derivatives(b.yknots, ys)
+            xv, yv = keys[idx]
+            vx = reference_values(xv, xs)
+            vy = reference_values(yv, ys)
+            dx = reference_derivatives(xv, xs)
+            dy = reference_derivatives(yv, ys)
             vals[a] = np.outer(vx, vy).ravel()
             grad_x[a] = np.outer(dx, vy).ravel()
             grad_y[a] = np.outer(vx, dy).ravel()
@@ -231,10 +229,8 @@ def _reference_assemble(space, f, load_resolution=None):
             fq = np.asarray(f(grid_x, grid_y), dtype=float).ravel()
             lvals = np.empty((n_loc, lx.size * ly.size))
             for a, idx in enumerate(row):
-                b = functions[idx]
-                lvals[a] = np.outer(
-                    reference_values(b.xknots, lx), reference_values(b.yknots, ly)
-                ).ravel()
+                xv, yv = keys[idx]
+                lvals[a] = np.outer(reference_values(xv, lx), reference_values(yv, ly)).ravel()
             load[row] += lvals @ (lw * fq)
         rows_acc.append(np.repeat(row, n_loc))
         cols_acc.append(np.tile(row, n_loc))
@@ -410,22 +406,22 @@ def test_layer_marker_geometry():
     def bsp(x0, y0, h):
         xv = tuple(dyadic(x0 + k * h) for k in (-1, 0, 1, 2))
         yv = tuple(dyadic(y0 + k * h) for k in (-1, 0, 1, 2))
-        return TensorBSpline(xv, yv)
+        return (xv, yv)
 
     # The layer circle (center (1.25, -0.25), radius pi/3) crosses the
     # cell [0.25, 0.5) x [0.25, 0.5): its near corner is inside, its far
     # corner outside.
-    assert layer_marker(bsp(0.25, 0.25, 0.25).key)
+    assert layer_marker(bsp(0.25, 0.25, 0.25))
     # A cell deep inside the circle is not marked ...
-    assert not layer_marker(bsp(0.875, 0.0, 0.125).key)
+    assert not layer_marker(bsp(0.875, 0.0, 0.125))
     # ... nor one entirely outside it.
-    assert not layer_marker(bsp(0.0, 0.75, 0.25).key)
+    assert not layer_marker(bsp(0.0, 0.75, 0.25))
 
 
 def test_layer_marker_ignores_degenerate_spans():
     xv = tuple(dyadic(v) for v in (0, 0.5, 0.5, 1))
     yv = tuple(dyadic(v) for v in (0.25, 0.5, 0.75, 1))
-    assert not layer_marker(TensorBSpline(xv, yv).key)
+    assert not layer_marker((xv, yv))
 
 
 def test_mark_by_layer_selects_straddling_supports():
@@ -435,8 +431,8 @@ def test_mark_by_layer_selects_straddling_supports():
     assert set(marked) <= set(space.functions)
     cx, cy = 1.25, -0.25
     radius = math.pi / 3
-    for key in marked:
-        x0, x1, y0, y1 = TensorBSpline(*key, space.functions[key]).support.float_bounds()
+    for xv, yv in marked:
+        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
         corners = [math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1)]
         assert min(corners) <= radius + 0.75  # straddling, not far away
 

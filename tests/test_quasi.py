@@ -32,10 +32,9 @@ from lrbsplines import (
     three_peaks,
     three_peaks_marker,
     three_peaks_spaces,
-    TensorBSpline,
 )
 
-from conftest import local_tensor_space, random_pipeline_space, reference_values
+from conftest import key_of, local_tensor_space, random_pipeline_space, reference_values
 
 
 def _greville(vec):
@@ -79,16 +78,16 @@ def test_recovers_random_coefficients_on_tensor_space():
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     rng = random.Random(9317)
     target = {key: rng.uniform(-2.0, 2.0) for key in space.sorted_keys()}
-    functions = [TensorBSpline(*key, w) for key, w in space.functions.items()]
 
     def member(grid_x, grid_y):
         grid_x = np.asarray(grid_x, dtype=float)
         grid_y = np.asarray(grid_y, dtype=float)
         out = np.zeros_like(grid_x)
-        for b in functions:
-            vx = reference_values(b.xknots, grid_x, b.xknots[-1])
-            vy = reference_values(b.yknots, grid_y, b.yknots[-1])
-            out += target[b.key] * (vx * vy)
+        for key in space.functions:
+            xv, yv = key
+            vx = reference_values(xv, grid_x, xv[-1])
+            vy = reference_values(yv, grid_y, yv[-1])
+            out += target[key] * (vx * vy)
         return out
 
     recovered = lr_qi(space, member)
@@ -101,39 +100,33 @@ def test_recovers_random_coefficients_on_tensor_space():
 
 
 def test_local_tensor_space_structure():
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in (0, 1, 2, 3)),
-        tuple(dyadic(v) for v in (0, 2, 4, 8)),
-    )
-    lts = local_tensor_space(b)
-    assert lts.origin == b.key
-    assert lts.mesh.bidegree == b.degrees
+    key = key_of((0, 1, 2, 3), (0, 2, 4, 8))
+    lts = local_tensor_space(key)
+    assert lts.origin == key
+    assert lts.mesh.bidegree == (len(key[0]) - 2, len(key[1]) - 2) == (2, 2)
     # Boundary knots raised to multiplicity 3 over distinct values
     # {0,1,2,3} x {0,2,4,8}: five functions per direction.
     assert len(lts.basis) == 25
-    assert any(f.key == b.key for f in lts.basis)
-    dom = lts.mesh.domain.float_bounds()
-    assert dom == (0.0, 3.0, 0.0, 8.0)
+    assert key in lts.basis
+    dom = lts.mesh.domain
+    assert (dom.x_min, dom.x_max, dom.y_min, dom.y_max) == (0.0, 3.0, 0.0, 8.0)
     assert len(lts.mesh.elements()) == 9
-    for f in lts.basis:
-        x0, x1, y0, y1 = f.support.float_bounds()
+    for xv, yv in lts.basis:
+        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
         assert 0.0 <= x0 < x1 <= 3.0 and 0.0 <= y0 < y1 <= 8.0
 
 
 def test_local_tensor_space_handles_interior_multiplicity():
-    b = TensorBSpline(
-        tuple(dyadic(v) for v in (0, 0.5, 0.5, 1)),
-        tuple(dyadic(v) for v in (0, 0.25, 0.75, 1)),
-    )
-    lts = local_tensor_space(b)
+    key = key_of((0, 0.5, 0.5, 1), (0, 0.25, 0.75, 1))
+    lts = local_tensor_space(key)
     # x-direction: distinct {0, 1/2, 1} raised at the boundary gives a
     # 10-knot global vector... no: [0,0,0, 1/2, 1,1,1] keeps only the
     # *distinct* interior values, so the doubled interior knot of the
     # origin collapses to multiplicity one and the origin must still be
     # found among the products.  The implementation instead keeps every
     # interior knot as given.
-    assert any(f.key == b.key for f in lts.basis)
-    coeff = tensor_qi_coefficient(b, lambda x, y: np.ones_like(np.asarray(x)))
+    assert key in lts.basis
+    coeff = tensor_qi_coefficient(key, lambda x, y: np.ones_like(np.asarray(x)))
     assert abs(coeff - 1.0) <= 1e-12
 
 
@@ -142,9 +135,8 @@ def test_quadratic_coefficient_is_blossom_value():
     # interior knots: any polynomial-reproducing functional must hit it.
     space = initial_space(make_initial_mesh((-1, 1, -1, 1), (2, 2), 8))
     key = space.sorted_keys()[len(space.sorted_keys()) // 2]
-    b = TensorBSpline(*key, space.functions[key])
-    lts = local_tensor_space(b)
-    value = tensor_qi_coefficient(b, lambda x, y: np.asarray(x) ** 2)
+    lts = local_tensor_space(key)
+    value = tensor_qi_coefficient(key, lambda x, y: np.asarray(x) ** 2)
     ξ = key[0]
     # Exact coefficient of x^2 in a degree-2 basis: the blossom value
     # of the two interior knots, v1 * v2.
@@ -157,44 +149,36 @@ def _smooth(x, y):
     return np.sin(3.0 * x + 1.0) * np.exp(y) + np.cos(x * y)
 
 
-def _dense_coefficient(b, f):
-    """Coefficient of ``b`` from one dense solve over its full local
+def _dense_coefficient(key, f):
+    """Coefficient of the function ``key`` from one dense solve over its full local
     tensor space: one column per basis function, its values at the tensor
     grid of the basis's Greville points from the scalar reference
     recursion, closed at the function's own last knots."""
-    basis = local_tensor_space(b).basis
+    basis = local_tensor_space(key).basis
 
     def greville(windows):
         return sorted({sum(float(v) for v in w[1:-1]) / (len(w) - 2) for w in windows})
 
-    xs = greville(g.xknots for g in basis)
-    ys = greville(g.yknots for g in basis)
+    xs = greville(xv for xv, _ in basis)
+    ys = greville(yv for _, yv in basis)
     points = np.array([(x, y) for x in xs for y in ys])
     matrix = np.stack(
         [
-            reference_values(g.xknots, points[:, 0], g.xknots[-1])
-            * reference_values(g.yknots, points[:, 1], g.yknots[-1])
-            for g in basis
+            reference_values(xv, points[:, 0], xv[-1]) * reference_values(yv, points[:, 1], yv[-1])
+            for xv, yv in basis
         ],
         axis=1,
     )
     data = np.array([float(f(x, y)) for x, y in points])
     coeffs = np.linalg.solve(matrix, data)
-    return coeffs[[g.key for g in basis].index(b.key)]
+    return coeffs[basis.index(key)]
 
 
 def test_coefficient_matches_the_dense_local_solve(running_example):
-    functions = [
-        TensorBSpline(*key, w) for key, w in running_example["pipeline_2"].functions.items()
-    ]
-    functions.append(
-        TensorBSpline(
-            tuple(dyadic(v) for v in (0, 0.5, 0.5, 1)),
-            tuple(dyadic(v) for v in (0, 0.25, 0.75, 1)),
-        )
-    )
-    for b in functions:
-        assert abs(tensor_qi_coefficient(b, _smooth) - _dense_coefficient(b, _smooth)) <= 1e-12
+    keys = list(running_example["pipeline_2"].functions)
+    keys.append(key_of((0, 0.5, 0.5, 1), (0, 0.25, 0.75, 1)))
+    for key in keys:
+        assert abs(tensor_qi_coefficient(key, _smooth) - _dense_coefficient(key, _smooth)) <= 1e-12
 
 
 def test_lr_qi_builds_no_mesh(monkeypatch, running_example):
@@ -210,7 +194,7 @@ def test_lr_qi_builds_no_mesh(monkeypatch, running_example):
     assert len(lr_qi(space, _smooth)) == space.n_functions
     assert built == []
     # The wrapper does see meshes: the reference local space builds one.
-    local_tensor_space(TensorBSpline(*space.sorted_keys()[0]))
+    local_tensor_space(space.sorted_keys()[0])
     assert len(built) == 1
 
 
@@ -224,7 +208,7 @@ def _bits(coefficients):
 
 def _one_by_one(space, f):
     return {
-        key: tensor_qi_coefficient(TensorBSpline(*key, space.functions[key]), f)
+        key: tensor_qi_coefficient(key, f)
         for key in space.sorted_keys()
     }
 
@@ -257,8 +241,8 @@ def test_lr_qi_samples_once_per_local_size(running_example):
     space = running_example["pipeline_2"]
     sizes = set()
     for key in space.functions:
-        basis = local_tensor_space(TensorBSpline(*key)).basis
-        sizes.add((len({g.xknots for g in basis}), len({g.yknots for g in basis})))
+        basis = local_tensor_space(key).basis
+        sizes.add((len({xv for xv, _ in basis}), len({yv for _, yv in basis})))
     counted, calls = _counting(_smooth)
     lr_qi(space, counted)
     # One call per local size: the space is small enough for one chunk each.
@@ -286,9 +270,8 @@ def test_wrongly_shaped_data_is_a_space_error(f):
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     with pytest.raises(SpaceError, match="interpolation data has shape"):
         lr_qi(space, f)
-    b = TensorBSpline(*space.sorted_keys()[0], space.functions[space.sorted_keys()[0]])
     with pytest.raises(SpaceError, match="interpolation data has shape"):
-        tensor_qi_coefficient(b, f)
+        tensor_qi_coefficient(space.sorted_keys()[0], f)
 
 
 # -- polynomial reproduction on locally refined spaces -----------------------
@@ -380,23 +363,24 @@ def test_three_peaks_marker_uses_central_span():
     def bsp(xc, yc, h):
         xv = tuple(dyadic(xc + k * h) for k in (-1, 0, 1, 2))
         yv = tuple(dyadic(yc + k * h) for k in (-1, 0, 1, 2))
-        return TensorBSpline(xv, yv)
+        return (xv, yv)
 
     # Central span [0.25, 0.5)^2 contains the (0.3, 0.3) peak.
-    assert three_peaks_marker(bsp(0.25, 0.25, 0.25).key)
+    assert three_peaks_marker(bsp(0.25, 0.25, 0.25))
     # Central span [0.5, 0.75)^2 contains no peak.
-    assert not three_peaks_marker(bsp(0.5, 0.5, 0.25).key)
+    assert not three_peaks_marker(bsp(0.5, 0.5, 0.25))
     # Half-open: a span *starting* exactly at the (0, 0) peak claims it...
-    assert three_peaks_marker(bsp(0.0, 0.0, 0.25).key)
+    assert three_peaks_marker(bsp(0.0, 0.0, 0.25))
     # ...while the span ending there does not.
-    assert not three_peaks_marker(bsp(-0.25, -0.25, 0.25).key)
+    assert not three_peaks_marker(bsp(-0.25, -0.25, 0.25))
 
 
 def test_tensor_space_cardinalities_per_level():
     assert tensor_space_for_level(1).n_functions == 36
     assert tensor_space_for_level(2).n_functions == 100
     space = tensor_space_for_level(1)
-    assert space.mesh.domain.float_bounds() == (-1.0, 1.0, -1.0, 1.0)
+    dom = space.mesh.domain
+    assert (dom.x_min, dom.x_max, dom.y_min, dom.y_max) == (-1.0, 1.0, -1.0, 1.0)
 
 
 def test_three_peaks_spaces_counts_and_errors():

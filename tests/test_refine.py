@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import key_of, random_pipeline_space
-from lrbsplines.bspline import TensorBSpline
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.refine import (
@@ -32,37 +31,39 @@ from lrbsplines.space import (
 )
 
 
-def bsp(xvals, yvals):
-    return TensorBSpline(*key_of(xvals, yvals), Fraction(1))
+def support(key) -> tuple[float, float, float, float]:
+    """The bounds ``(x0, x1, y0, y1)`` of the function ``key``'s support."""
+    xv, yv = key
+    return (float(xv[0]), float(xv[-1]), float(yv[0]), float(yv[-1]))
 
 
 # -- nestedness (two definitions) --------------------------------------------
 
 
 def test_knotwise_nesting_on_boundary_multiplicity_mesh(boundary_mult_mesh):
-    b1 = bsp((0, 2, 4, 6), (0, 2, 4, 6))
-    b2 = bsp((0, 2, 3, 4), (0, 2, 3, 4))
-    b3 = bsp((0, 0, 2, 3), (0, 2, 3, 4))
-    assert is_nested_knotwise(b2.key, b1.key)
-    assert not is_nested_knotwise(b3.key, b2.key)
-    assert not is_nested_knotwise(b1.key, b2.key)
+    b1 = key_of((0, 2, 4, 6), (0, 2, 4, 6))
+    b2 = key_of((0, 2, 3, 4), (0, 2, 3, 4))
+    b3 = key_of((0, 0, 2, 3), (0, 2, 3, 4))
+    assert is_nested_knotwise(b2, b1)
+    assert not is_nested_knotwise(b3, b2)
+    assert not is_nested_knotwise(b1, b2)
 
 
 def test_meshwise_nesting_matches_knotwise_on_fixture(boundary_mult_mesh):
     mesh = boundary_mult_mesh
-    b1 = bsp((0, 2, 4, 6), (0, 2, 4, 6))
-    b2 = bsp((0, 2, 3, 4), (0, 2, 3, 4))
-    b3 = bsp((0, 0, 2, 3), (0, 2, 3, 4))
-    assert is_nested_meshwise(b2.key, b1.key, mesh)
-    assert not is_nested_meshwise(b3.key, b2.key, mesh)
+    b1 = key_of((0, 2, 4, 6), (0, 2, 4, 6))
+    b2 = key_of((0, 2, 3, 4), (0, 2, 3, 4))
+    b3 = key_of((0, 0, 2, 3), (0, 2, 3, 4))
+    assert is_nested_meshwise(b2, b1, mesh)
+    assert not is_nested_meshwise(b3, b2, mesh)
 
 
 def test_nesting_is_irreflexive_and_needs_containment():
-    b = bsp((0, 1, 2, 3), (0, 1, 2, 3))
-    assert not is_nested_knotwise(b.key, b.key)
-    wide = bsp((0, 2, 4, 6), (0, 2, 4, 6))
-    shifted = bsp((1, 2, 3, 4), (0, 2, 4, 6))
-    assert not is_nested_knotwise(wide.key, shifted.key)
+    b = key_of((0, 1, 2, 3), (0, 1, 2, 3))
+    assert not is_nested_knotwise(b, b)
+    wide = key_of((0, 2, 4, 6), (0, 2, 4, 6))
+    shifted = key_of((1, 2, 3, 4), (0, 2, 4, 6))
+    assert not is_nested_knotwise(wide, shifted)
 
 
 def counted_vector_nested(vi, vo) -> bool:
@@ -102,10 +103,10 @@ def test_vector_nesting_equals_the_multiplicity_table(pair):
 
 
 def test_meshwise_requires_minimal_support(mixed_mesh):
-    loose = bsp((0, 2, 5, 6), (2, 6, 8, 10))
-    other = bsp((0, 4, 6, 8), (0, 2, 6, 8))
+    loose = key_of((0, 2, 5, 6), (2, 6, 8, 10))
+    other = key_of((0, 4, 6, 8), (0, 2, 6, 8))
     with pytest.raises(SpaceError):
-        is_nested_meshwise(loose.key, other.key, mixed_mesh)
+        is_nested_meshwise(loose, other, mixed_mesh)
 
 
 def test_definitions_agree_across_randomized_spaces():
@@ -142,10 +143,7 @@ def test_vertical_expansion_inserts_exactly_the_gap_lines(expansion_fixture):
     assert len(space.mesh.elements()) == 21
     outer = key_of((0, 2, 4, 6), (0, 2, 4, 6))
     inners = set(nested_map(space)[outer])
-    supports = {
-        tuple(map(float, TensorBSpline(*k).support.float_bounds()))
-        for k in inners
-    }
+    supports = {support(k) for k in inners}
     assert supports == {
         (0.0, 3.0, 3.0, 6.0),
         (1.0, 4.0, 3.0, 6.0),
@@ -158,10 +156,7 @@ def test_vertical_expansion_inserts_exactly_the_gap_lines(expansion_fixture):
     # the horizontal lines are untouched; x=1 and x=3 now span the full height
     for x in (1, 3):
         assert expanded.mesh.runs_at(1, dyadic(x)) == ((dyadic(0), dyadic(6), 1),)
-    new_supports = {
-        tuple(map(float, TensorBSpline(*key).support.float_bounds()))
-        for key in expanded.functions
-    }
+    new_supports = {support(key) for key in expanded.functions}
     for expected in ((0.0, 3.0, 0.0, 4.0), (1.0, 4.0, 0.0, 4.0), (2.0, 6.0, 0.0, 6.0)):
         assert expected in new_supports
 
@@ -176,12 +171,12 @@ def test_expansion_without_nested_functions_raises():
 def test_expansions_that_insert_nothing_return_their_input():
     # Every knot line of the nested pair already spans the outer support.
     mesh = make_initial_mesh((0, 6, 0, 6), (2, 2), 6)
-    outer, inner = bsp((0, 2, 4, 6), (0, 2, 4, 6)), bsp((1, 2, 3, 4), (1, 2, 3, 4))
-    space = LRSpace(mesh, {outer.key: outer, inner.key: inner})
-    assert nested_map(space) == {outer.key: (inner.key,)}
+    outer, inner = key_of((0, 2, 4, 6), (0, 2, 4, 6)), key_of((1, 2, 3, 4), (1, 2, 3, 4))
+    space = LRSpace(mesh, {outer: Fraction(1), inner: Fraction(1)})
+    assert nested_map(space) == {outer: (inner,)}
     for direction in (1, 2):
-        assert one_directional_expansion(space, outer.key, direction) is space
-    assert tensor_expansion(space, outer.key) is space
+        assert one_directional_expansion(space, outer, direction) is space
+    assert tensor_expansion(space, outer) is space
 
 
 def test_tensor_expansion_covers_both_directions(expansion_fixture):
@@ -197,28 +192,28 @@ def test_tensor_expansion_covers_both_directions(expansion_fixture):
 
 
 def test_central_span_is_the_middle_knot_interval():
-    b = bsp((0, 1, 2, 3), (0, 2, 4, 8))
-    assert central_span(b.key) == (1.0, 2.0, 2.0, 4.0)
-    flat = bsp((0, 0, 0, 1), (0, 1, 2, 3))
-    x0, x1, _, _ = central_span(flat.key)
+    b = key_of((0, 1, 2, 3), (0, 2, 4, 8))
+    assert central_span(b) == (1.0, 2.0, 2.0, 4.0)
+    flat = key_of((0, 0, 0, 1), (0, 1, 2, 3))
+    x0, x1, _, _ = central_span(flat)
     assert x0 == x1  # degenerate: repeated boundary knots
 
 
 def test_diagonal_marker_requires_open_overlap():
-    assert diagonal_marker(bsp((0, 1, 2, 3), (0, 1, 2, 3)).key)
+    assert diagonal_marker(key_of((0, 1, 2, 3), (0, 1, 2, 3)))
     # central spans [1,2) x [3,4): no diagonal point
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (2, 3, 4, 5)).key)
+    assert not diagonal_marker(key_of((0, 1, 2, 3), (2, 3, 4, 5)))
     # touching at one corner only is not an open overlap
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (1, 2, 3, 4)).key)
-    assert not diagonal_marker(bsp((0, 1, 2, 3), (-1, 0, 1, 2)).key)
+    assert not diagonal_marker(key_of((0, 1, 2, 3), (1, 2, 3, 4)))
+    assert not diagonal_marker(key_of((0, 1, 2, 3), (-1, 0, 1, 2)))
 
 
 def test_point_marker_uses_half_open_spans():
     marker = point_marker([(0.5, 0.5)])
     # central span [0.5, 1) x [0.5, 1): contains the point
-    assert marker(bsp((0.25, 0.5, 1, 1), (0.25, 0.5, 1, 1)).key)
+    assert marker(key_of((0.25, 0.5, 1, 1), (0.25, 0.5, 1, 1)))
     # central span [0, 0.5) x [0, 0.5): half-open, excludes it
-    assert not marker(bsp((0, 0, 0.5, 1), (0, 0, 0.5, 1)).key)
+    assert not marker(key_of((0, 0, 0.5, 1), (0, 0, 0.5, 1)))
 
 
 # -- pipeline ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_splits, key_of, random_pipeline_space, reference_values
-from lrbsplines.bspline import TensorBSpline
+from lrbsplines.bspline import local_knot_vector
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
 from lrbsplines.formats import load
@@ -51,10 +51,9 @@ def test_initial_space_matches_the_validating_constructor():
         p1, p2 = bidegree
         assert space.n_functions == (4 + p1) * (8 + p2)
         for key, w in space.functions.items():
-            reference = TensorBSpline(*key)
-            assert TensorBSpline(*key, w) == reference
-            assert reference.key == key and w == reference.weight
-            assert type(w) is Fraction
+            reference = (local_knot_vector(key[0]), local_knot_vector(key[1]))
+            assert reference == key and w == Fraction(1)
+            assert w is space_module.ONE
         assert mesh._elements is None, "initial_space read the elements"
 
 
@@ -228,7 +227,7 @@ def _dense_support_table(space):
     keys = space.sorted_keys()
     fb = space_module._support_bounds(keys)
     elems = space.mesh.elements()
-    eb = np.array([e.float_bounds() for e in elems], dtype=float)
+    eb = np.array([(e.x_min, e.x_max, e.y_min, e.y_max) for e in elems], dtype=float)
     table = []
     chunk = max(1, space_module._CHUNK_ENTRIES // max(len(keys), 1))
     for start in range(0, len(elems), chunk):
@@ -292,8 +291,7 @@ def test_support_table_is_the_dense_mask_for_straddling_supports():
     functions = {}
     for xv in knots:
         for yv in knots[::-1]:
-            b = TensorBSpline(xv, yv)
-            functions[b.key] = b.weight
+            functions[key_of(xv, yv)] = Fraction(1)
     sizes = _assert_table_is_the_dense_mask(LRSpace(mesh, functions))
     assert min(sizes) < max(sizes)
 
