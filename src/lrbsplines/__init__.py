@@ -14,163 +14,25 @@ vectors and refinement weights never suffer rounding; only function
 evaluation works in floating point.
 """
 
-from .dyadic import DyadicCoord, dyadic, midpoint
-from .mesh import (
-    Mesh,
-    MeshError,
-    Rect,
-    Split,
-    insert_split,
-    is_tensorized,
-    make_initial_mesh,
-    mesh_from_knots,
-)
-from .bspline import (
-    KnotVectorError,
-    evaluate,
-    evaluate_gradient,
-    find_refining_split,
-    has_minimal_support,
-    has_support_on,
-    insert_knot,
-    local_knot_vector,
-)
-from .space import (
-    LRSpace,
-    SpaceError,
-    apply_split,
-    collocation_points,
-    collocation_rank,
-    element_support_count,
-    element_support_table,
-    evaluate_space,
-    initial_space,
-    is_locally_linearly_independent,
-    partition_of_unity_defect,
-    structured_refine,
-)
-from .refine import (
-    is_nested_knotwise,
-    is_nested_meshwise,
-    n2s_pipeline,
-    nested_map,
-    one_directional_expansion,
-    central_span,
-    diagonal_marker,
-    point_marker,
-    tensor_expansion,
-)
-from .quasi import (
-    lr_qi,
-    qi_max_error,
-    tensor_qi_coefficient,
-    tensor_space_for_level,
-    three_peaks,
-    three_peaks_marker,
-    three_peaks_spaces,
-)
-from .poisson import (
-    ErrorReport,
-    GalerkinSystem,
-    NumericsError,
-    adaptive_solve,
-    assemble,
-    error_norms,
-    impose_dirichlet,
-    layer_marker,
-    layer_rhs,
-    layer_solution,
-    mark_by_layer,
-    solve,
-)
-from .formats import (
-    FormatError,
-    from_json,
-    load,
-    render_svg,
-    save,
-    to_json,
-    write_element_csv,
-    write_poisson_csv,
-    write_qi_csv,
-    write_trace,
-)
-from .cli import main, run_mesh_demo, verify
+from . import dyadic, mesh, bspline, space, refine, quasi, poisson, formats, cli
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` is the one list of its public names.  They are
+# read before the star imports, because ``from .dyadic import *`` rebinds
+# ``dyadic`` from the module to the function of that name.
 __all__ = [
-    "DyadicCoord",
-    "dyadic",
-    "midpoint",
-    "Mesh",
-    "MeshError",
-    "Rect",
-    "Split",
-    "insert_split",
-    "is_tensorized",
-    "make_initial_mesh",
-    "mesh_from_knots",
-    "KnotVectorError",
-    "evaluate",
-    "evaluate_gradient",
-    "find_refining_split",
-    "has_minimal_support",
-    "has_support_on",
-    "insert_knot",
-    "local_knot_vector",
-    "LRSpace",
-    "SpaceError",
-    "apply_split",
-    "collocation_points",
-    "collocation_rank",
-    "element_support_count",
-    "element_support_table",
-    "evaluate_space",
-    "initial_space",
-    "is_locally_linearly_independent",
-    "partition_of_unity_defect",
-    "structured_refine",
-    "is_nested_knotwise",
-    "is_nested_meshwise",
-    "n2s_pipeline",
-    "nested_map",
-    "one_directional_expansion",
-    "central_span",
-    "diagonal_marker",
-    "point_marker",
-    "tensor_expansion",
-    "lr_qi",
-    "qi_max_error",
-    "tensor_qi_coefficient",
-    "tensor_space_for_level",
-    "three_peaks",
-    "three_peaks_marker",
-    "three_peaks_spaces",
-    "ErrorReport",
-    "GalerkinSystem",
-    "NumericsError",
-    "adaptive_solve",
-    "assemble",
-    "error_norms",
-    "impose_dirichlet",
-    "layer_marker",
-    "layer_rhs",
-    "layer_solution",
-    "mark_by_layer",
-    "solve",
-    "FormatError",
-    "from_json",
-    "load",
-    "render_svg",
-    "save",
-    "to_json",
-    "write_element_csv",
-    "write_poisson_csv",
-    "write_qi_csv",
-    "write_trace",
-    "main",
-    "run_mesh_demo",
-    "verify",
-    "__version__",
-]
+    name
+    for module in (dyadic, mesh, bspline, space, refine, quasi, poisson, formats, cli)
+    for name in module.__all__
+] + ["__version__"]
+
+from .dyadic import *
+from .mesh import *
+from .bspline import *
+from .space import *
+from .refine import *
+from .quasi import *
+from .poisson import *
+from .formats import *
+from .cli import *

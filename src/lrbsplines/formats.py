@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .dyadic import DyadicCoord, dyadic
+from .dyadic import DyadicCoord
 from .mesh import Mesh, MeshError, Rect, _build_mesh
 from .bspline import local_knot_vector
 from .space import ONE, LRSpace, _incidence

@@ -53,7 +53,6 @@ __all__ = [
     "layer_solution",
     "layer_rhs",
     "layer_marker",
-    "mark_by_layer",
     "adaptive_solve",
     "LAYER_CENTER",
     "LAYER_RADIUS",
@@ -361,33 +360,19 @@ def layer_rhs(x, y):
     return -(d2u + du / r)
 
 
-def _straddles_circle(x0, x1, y0, y1, center, radius) -> bool:
-    """The box [x0, x1] x [y0, y1] has points both within ``radius`` of
-    ``center`` and at least ``radius`` from it."""
-    cx, cy = center
+def layer_marker(key) -> bool:
+    """Marker: the central knot span of the function with the key ``key``
+    straddles the layer circle, having points both within the radius of
+    the centre and at least the radius from it."""
+    x0, x1, y0, y1 = central_span(key)
+    if not (x0 < x1 and y0 < y1):
+        return False
+    cx, cy = LAYER_CENTER
     dx = max(x0 - cx, 0.0, cx - x1)
     dy = max(y0 - cy, 0.0, cy - y1)
     d_min = math.hypot(dx, dy)
     d_max = max(math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1))
-    return d_min <= radius <= d_max
-
-
-def layer_marker(key) -> bool:
-    """Marker: the central knot span of the function with the key ``key``
-    straddles the layer circle."""
-    x0, x1, y0, y1 = central_span(key)
-    if not (x0 < x1 and y0 < y1):
-        return False
-    return _straddles_circle(x0, x1, y0, y1, LAYER_CENTER, LAYER_RADIUS)
-
-
-def mark_by_layer(space: LRSpace, center=LAYER_CENTER, radius=LAYER_RADIUS) -> list:
-    """Keys of functions whose support straddles the circle."""
-    return [
-        (xv, yv)
-        for xv, yv in space.sorted_keys()
-        if _straddles_circle(xv[0], xv[-1], yv[0], yv[-1], center, radius)
-    ]
+    return d_min <= LAYER_RADIUS <= d_max
 
 
 def adaptive_solve(

@@ -238,8 +238,9 @@ class _NestedTracker:
 
     Whether two functions are nested depends only on their knot vectors,
     so pairs between surviving functions never change; an update only
-    adds the pairs of the added functions.  Candidates come from the
-    state's support rows, and the exact knotwise test decides each.
+    adds the pairs of the added functions.  Candidates are the key pairs
+    whose supports nest, from the state's support queries, and the exact
+    knotwise test decides each.
 
     Keys the state has removed are dropped lazily, when :meth:`select`
     reads them.  That is sound because a removed key never comes back: it
@@ -252,33 +253,22 @@ class _NestedTracker:
         self.by_outer: dict[Key, set] = {}
         # (rank, outer) entries, exactly one per outer in by_outer
         self._heap: list = []
-        keys = state.keys
-        for i, o in zip(*state.nested_pairs()):
-            inner_key, outer_key = keys[i], keys[o]
-            if is_nested_knotwise(inner_key, outer_key):
-                self._add(inner_key, outer_key)
+        self._add(state.nested_pairs())
 
-    def _add(self, inner_key, outer_key) -> None:
-        inners = self.by_outer.get(outer_key)
-        if inners is None:
-            inners = self.by_outer[outer_key] = set()
-            heapq.heappush(self._heap, _rank(outer_key))
-        inners.add(inner_key)
+    def _add(self, pairs) -> None:
+        """Record the candidate pairs ``(inner, outer)`` that nest."""
+        for inner_key, outer_key in pairs:
+            if is_nested_knotwise(inner_key, outer_key):
+                inners = self.by_outer.get(outer_key)
+                if inners is None:
+                    inners = self.by_outer[outer_key] = set()
+                    heapq.heappush(self._heap, _rank(outer_key))
+                inners.add(inner_key)
 
     def update(self, added) -> None:
         """Add the pairs of the keys a refinement of the state added."""
-        if not added:
-            return
-        state = self.state
-        keys = state.keys
-        added = list(added)
-        own = [state.rows[key] for key in added]
-        inside, around = state.containment(state.bounds[own])
-        pairs = [(added[a], keys[r]) for a, r in zip(*around) if r != own[a]]
-        pairs += [(keys[r], added[a]) for a, r in zip(*inside) if r != own[a]]
-        for inner_key, outer_key in pairs:
-            if is_nested_knotwise(inner_key, outer_key):
-                self._add(inner_key, outer_key)
+        if added:
+            self._add(self.state.containment(added))
 
     def select(self):
         """The live outer with the largest support area, ties broken by

@@ -40,8 +40,8 @@ from .bspline import (
     local_knot_vector,
     univariate_values,
 )
-from .dyadic import DyadicCoord, dyadic, midpoint
-from .mesh import Mesh, MeshError, Rect, Split, insert_split, is_tensorized
+from .dyadic import DyadicCoord, midpoint
+from .mesh import Mesh, Rect, Split, insert_split, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -214,6 +214,7 @@ class _Refinement:
     every comparison, and an added key gets a new row.  Dead rows are
     dropped once they outnumber the live ones.  Bounds are the doubles of
     dyadic coordinates, hence exact, and so is every comparison.  The
+    rows are this class's own format: every query answers in keys.  The
     space the state starts from is never modified.
     """
 
@@ -294,32 +295,30 @@ class _Refinement:
                 hit |= mask.any(axis=0)
         return [self.keys[i] for i in np.flatnonzero(hit)]
 
-    def containment(self, boxes):
-        """Rows nested with the rectangles ``boxes``, ``(m, 4)`` bounds.
-
-        Returns ``(inside, around)``, each a pair of index arrays ``(i,
-        rows)``: in ``inside`` row ``rows[j]``'s support lies in box
-        ``i[j]``, in ``around`` it contains that box.
-        """
+    def containment(self, added) -> list:
+        """Pairs ``(inner, outer)`` of distinct live keys whose supports
+        nest, one of them in ``added``: first each added key inside the
+        keys around it, then the keys inside each added key."""
+        added = list(added)
+        own = [self.rows[key] for key in added]
+        boxes = self.bounds[own]
         b = self.bounds.T
-        step = max(1, _CHUNK_ENTRIES // max(len(self.keys), 1))
+        keys = self.keys
+        step = max(1, _CHUNK_ENTRIES // max(len(keys), 1))
         inside, around = [], []
         for start in range(0, len(boxes), step):
             x0, x1, y0, y1 = boxes[start : start + step, :, None].transpose(1, 0, 2)
-            for out, mask in (
-                (inside, (b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1)),
-                (around, (b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1)),
-            ):
-                i, r = np.nonzero(mask)
-                out.append((i + start, r))
-        return tuple(
-            (np.concatenate([i for i, _ in pairs]), np.concatenate([r for _, r in pairs]))
-            for pairs in (inside, around)
-        )
+            i, r = np.nonzero((b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1))
+            found = zip((i + start).tolist(), r.tolist())
+            inside += [(keys[j], added[a]) for a, j in found if j != own[a]]
+            i, r = np.nonzero((b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1))
+            found = zip((i + start).tolist(), r.tolist())
+            around += [(added[a], keys[j]) for a, j in found if j != own[a]]
+        return around + inside
 
-    def nested_pairs(self):
-        """All pairs ``(inner, outer)`` of distinct live rows whose
-        supports nest, as two index arrays.
+    def nested_pairs(self) -> list:
+        """All pairs ``(inner, outer)`` of distinct live keys whose
+        supports nest.
 
         Sorting the rows by ``x_min`` confines each row's candidates to
         the run whose ``x_min`` lies in ``[x_min, x_max)``, so the work is
@@ -344,7 +343,9 @@ class _Refinement:
             inner.append(live[i[keep]])
             outer.append(live[o[keep]])
             start, done = stop, ends[stop - 1]
-        return np.concatenate(inner), np.concatenate(outer)
+        keys = self.keys
+        inner, outer = np.concatenate(inner).tolist(), np.concatenate(outer).tolist()
+        return [(keys[i], keys[o]) for i, o in zip(inner, outer)]
 
 
 # -- the generation fixpoint ------------------------------------------------

@@ -28,7 +28,6 @@ from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
 from lrbsplines.quasi import _raised_vector
 from lrbsplines.space import (
-    LRSpace,
     _uncovered_gaps,
     apply_split,
     initial_space,

@@ -15,11 +15,12 @@ import pytest
 
 from conftest import count_incidence_calls
 from lrbsplines import (
-    FormatError,
+    adaptive_solve,
     from_json,
     is_locally_linearly_independent,
     load,
     save,
+    three_peaks_spaces,
     to_json,
     write_element_csv,
 )
@@ -192,6 +193,22 @@ def test_mesh_demo_structured_strategy(tmp_path):
     assert len(summary["counts"]) == 4
 
 
+def test_mesh_demo_parity_flips_every_direction(tmp_path):
+    dirs = {}
+    for parity in ("odd-vertical", "odd-horizontal"):
+        out = tmp_path / parity
+        assert main(["mesh-demo", "--iterations", "4", "--parity", parity, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        by_iteration = {}
+        for record in records:
+            by_iteration.setdefault(record["iter"], set()).add(record["dir"])
+        dirs[parity] = by_iteration
+    default, flipped = dirs["odd-vertical"], dirs["odd-horizontal"]
+    assert flipped and set(flipped) <= set(default)
+    for i, found in flipped.items():
+        assert len(default[i]) == 1 and found == {3 - d for d in default[i]}
+
+
 def test_mesh_demo_rejects_unknown_strategy(tmp_path):
     with pytest.raises(Exception):
         run_mesh_demo(tmp_path / "x", iterations=1, strategy="fancy")
@@ -211,6 +228,18 @@ def test_qi_peaks_writes_level_table(tmp_path, capsys):
     assert all(float(r["max_error_n2s2"]) > 0 for r in rows)
     assert "level 2" in capsys.readouterr().out
     assert _sha256(target) == GOLDEN_QI_PEAKS_2
+
+
+def test_qi_peaks_passes_parity_and_expansion_on(tmp_path):
+    # A full expansion has no direction, so the parity cannot show here;
+    # the mesh-demo test checks that it reaches the pipeline.
+    target = tmp_path / "peaks.csv"
+    argv = ["qi-peaks", "--levels", "3", "--parity", "odd-horizontal", "--expansion", "full"]
+    assert main(argv + ["--grid", "30", "--out", str(target)]) == 0
+    counts = [int(r["n_n2s2"]) for r in _read_csv(target)]
+    spaces = three_peaks_spaces(3, parity="odd-horizontal", expansion="full")
+    assert counts == [space.n_functions for space in spaces]
+    assert counts != [36, 86, 161]  # the default run's column
 
 
 def test_qi_peaks_rejects_zero_levels(tmp_path, capsys):
@@ -257,6 +286,16 @@ def test_poisson_single_strategy(tmp_path):
     assert [r["strategy"] for r in rows] == ["tensor", "tensor"]
     assert [int(r["level"]) for r in rows] == [2, 3]
     assert _sha256(target) == GOLDEN_POISSON_3_TENSOR
+
+
+def test_poisson_passes_expansion_on(tmp_path):
+    # Level 4: up to level 3 the full and one-directional sweeps agree.
+    target = tmp_path / "poisson.csv"
+    argv = ["poisson", "--levels", "4", "--strategy", "n2s2", "--expansion", "full"]
+    assert main(argv + ["--grid", "40", "--out", str(target)]) == 0
+    rows = adaptive_solve(4, grid=(40, 40), strategies=("n2s2",), expansion="full")
+    assert _read_csv(target) == [{k: str(v) for k, v in row.items()} for row in rows]
+    assert [row["n_functions"] for row in rows] == [36, 93, 259]  # one-directional: 222
 
 
 def test_commands_build_spaces_through_the_benchmark_hooks(tmp_path, monkeypatch):

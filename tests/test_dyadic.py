@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lrbsplines.dyadic import DyadicCoord, dyadic
+from lrbsplines.dyadic import dyadic
 
 
 def test_normalization_strips_common_factors_of_two():

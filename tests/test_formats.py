@@ -15,7 +15,6 @@ from lrbsplines import (
     FormatError,
     LRSpace,
     Mesh,
-    dyadic,
     from_json,
     initial_space,
     load,

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    apply_splits,
     build_mesh,
     flood_fill_elements,
     flood_fill_tiles,
@@ -21,9 +20,7 @@ from conftest import (
 )
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import (
-    Mesh,
     MeshError,
-    Rect,
     Split,
     _build_mesh,
     insert_split,

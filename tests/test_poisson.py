@@ -32,7 +32,6 @@ from lrbsplines import (
     layer_solution,
     main,
     make_initial_mesh,
-    mark_by_layer,
     n2s_pipeline,
     solve,
 )
@@ -422,19 +421,6 @@ def test_layer_marker_ignores_degenerate_spans():
     xv = tuple(dyadic(v) for v in (0, 0.5, 0.5, 1))
     yv = tuple(dyadic(v) for v in (0.25, 0.5, 0.75, 1))
     assert not layer_marker((xv, yv))
-
-
-def test_mark_by_layer_selects_straddling_supports():
-    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 8))
-    marked = mark_by_layer(space)
-    assert marked
-    assert set(marked) <= set(space.functions)
-    cx, cy = 1.25, -0.25
-    radius = math.pi / 3
-    for xv, yv in marked:
-        x0, x1, y0, y1 = xv[0], xv[-1], yv[0], yv[-1]
-        corners = [math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1)]
-        assert min(corners) <= radius + 0.75  # straddling, not far away
 
 
 def test_adaptive_solve_ladder():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_splits, key_of, random_pipeline_space, reference_values
+from conftest import key_of, random_pipeline_space, reference_values
 from lrbsplines.bspline import local_knot_vector
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic

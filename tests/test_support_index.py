@@ -51,8 +51,8 @@ def overlapping_keys(keys, direction, pos, lo, hi) -> set:
     return out
 
 
-def dense_nested_rows(state) -> set:
-    """Pairs (inner, outer) of distinct live rows with nested supports,
+def dense_nested_pairs(state) -> set:
+    """Pairs (inner, outer) of distinct live keys with nested supports,
     from the full rows x rows containment mask."""
     live = np.array(sorted(state.rows.values()), dtype=int)
     b = state.bounds[live]
@@ -63,8 +63,9 @@ def dense_nested_rows(state) -> set:
         & (b[:, None, 3] <= b[None, :, 3])
     )
     np.fill_diagonal(mask, False)
+    keys = [state.keys[i] for i in live]
     inner, outer = np.nonzero(mask)
-    return set(zip(live[inner].tolist(), live[outer].tolist()))
+    return {(keys[i], keys[o]) for i, o in zip(inner.tolist(), outer.tolist())}
 
 
 def assert_rows_are_fresh(state):
@@ -146,10 +147,10 @@ def checked_refinement(built: list) -> ExitStack:
         return got
 
     def checked_nested_pairs(self):
-        inner, outer = nested_pairs(self)
-        assert len(inner) == len(set(zip(inner.tolist(), outer.tolist())))
-        assert set(zip(inner.tolist(), outer.tolist())) == dense_nested_rows(self)
-        return inner, outer
+        pairs = nested_pairs(self)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == dense_nested_pairs(self)
+        return pairs
 
     def checked_update(self, added):
         update(self, added)
