@@ -37,10 +37,10 @@ from .space import (
     structured_refine,
 )
 from .refine import (
+    EXPANSIONS,
+    _nested_verdicts,
     diagonal_marker,
-    is_nested_meshwise,
     n2s_pipeline,
-    nested_map,
 )
 from .quasi import lr_qi, qi_max_error, three_peaks, three_peaks_spaces, tensor_space_for_level
 from .poisson import NumericsError, adaptive_solve
@@ -56,8 +56,7 @@ def run_mesh_demo(
     iterations: int = 7,
     bidegree=(2, 2),
     strategy: str = "n2s2",
-    parity: str = "odd-vertical",
-    expansion: str = "one-directional",
+    expansion: str = "odd-vertical",
 ) -> dict:
     """Refine along the diagonal of the unit square and dump artifacts.
 
@@ -86,9 +85,7 @@ def run_mesh_demo(
                 raise SpaceError(f"marker selected no functions at iteration {i}")
             spaces.append(structured_refine(space, marked))
     else:
-        refined, trace = n2s_pipeline(
-            spaces[0], diagonal_marker, iterations, parity=parity, expansion=expansion
-        )
+        refined, trace = n2s_pipeline(spaces[0], diagonal_marker, iterations, expansion=expansion)
         spaces += refined
     counts = []
     for i, space in enumerate(spaces):
@@ -163,7 +160,7 @@ def verify(path, *, seed: int = 0) -> dict:
 
     space = obj
     # Raises SpaceError for a function without minimal support, so the
-    # meshwise nestedness test below applies to every pair.
+    # unchecked meshwise nestedness test of _nested_verdicts applies.
     space.validate()
     keys, counts, indices, bounds = _incidence(space)
     n_loc = (p1 + 1) * (p2 + 1)
@@ -176,16 +173,10 @@ def verify(path, *, seed: int = 0) -> dict:
         report["support_count_min"] == report["support_count_max"] == n_loc
     )
 
-    knotwise = nested_map(space)
-    n_knotwise = sum(len(v) for v in knotwise.values())
-    n_meshwise = sum(
-        is_nested_meshwise(inner_key, outer_key, space.mesh)
-        for outer_key, inners in knotwise.items()
-        for inner_key in inners
-    )
-    report["nested_pairs_knotwise"] = n_knotwise
-    report["nested_pairs_meshwise"] = n_meshwise
-    report["nested_definitions_agree"] = n_meshwise == n_knotwise
+    knotwise, meshwise = _nested_verdicts(space)
+    report["nested_pairs_knotwise"] = sum(knotwise)
+    report["nested_pairs_meshwise"] = sum(meshwise)
+    report["nested_definitions_agree"] = knotwise == meshwise
 
     report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
         space, 64, (True, False)
@@ -210,11 +201,6 @@ def verify(path, *, seed: int = 0) -> dict:
     return report
 
 
-def _print_report(report: dict) -> None:
-    for key, value in report.items():
-        print(f"{key}: {value}")
-
-
 # -- argument parsing --------------------------------------------------------
 
 
@@ -228,16 +214,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="polynomial bidegree (default 2 2)",
     )
     parser.add_argument(
-        "--parity",
-        choices=["odd-vertical", "odd-horizontal"],
-        default="odd-vertical",
-        help="which direction odd-numbered iterations expand in",
-    )
-    parser.add_argument(
         "--expansion",
-        choices=["one-directional", "full"],
-        default="one-directional",
-        help="expand outer supports in one direction or both",
+        choices=EXPANSIONS,
+        default="odd-vertical",
+        help="N2S2 sweep: one direction, vertical or horizontal on odd iterations, "
+        "or tensor expansions in both (default odd-vertical)",
     )
 
 
@@ -289,7 +270,6 @@ def _cmd_mesh_demo(args) -> int:
         iterations=args.iterations,
         bidegree=tuple(args.degree),
         strategy=args.strategy,
-        parity=args.parity,
         expansion=args.expansion,
     )
     for row in summary["counts"]:
@@ -306,9 +286,7 @@ def _cmd_qi_peaks(args) -> int:
     if args.grid < 2:
         raise SpaceError(f"grid must be >= 2, got {args.grid}")
     bidegree = tuple(args.degree)
-    adaptive = three_peaks_spaces(
-        args.levels, bidegree=bidegree, parity=args.parity, expansion=args.expansion
-    )
+    adaptive = three_peaks_spaces(args.levels, bidegree=bidegree, expansion=args.expansion)
     rows = []
     for level in range(1, args.levels + 1):
         tensor = tensor_space_for_level(level, bidegree=bidegree)
@@ -346,7 +324,6 @@ def _cmd_poisson(args) -> int:
         bidegree=tuple(args.degree),
         grid=(args.grid, args.grid),
         strategies=strategies,
-        parity=args.parity,
         expansion=args.expansion,
     )
     for row in rows:
@@ -361,7 +338,8 @@ def _cmd_poisson(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify(args.path, seed=args.seed)
-    _print_report(report)
+    for key, value in report.items():
+        print(f"{key}: {value}")
     return 0 if report["passed"] else 2
 
 

@@ -295,13 +295,14 @@ def load(path):
 # -- SVG --------------------------------------------------------------------
 
 
-def render_svg(mesh: Mesh, path=None, *, size: int = 560, margin: float = 20.0) -> str:
+def render_svg(mesh: Mesh, path=None) -> str:
     """Render the meshlines as SVG, one stroke per canonical line.
 
     Stroke width is proportional to multiplicity.  Output is a pure
     function of the mesh, so re-rendering an unchanged mesh reproduces
     the file byte for byte.
     """
+    size, margin = 560, 20.0  # pixels: the longer side, margins included
     dom = mesh.domain
     width = float(dom.x_max) - float(dom.x_min)
     height = float(dom.y_max) - float(dom.y_min)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -66,6 +67,8 @@ class Rect:
     y_max: DyadicCoord
 
     def __post_init__(self) -> None:
+        fields = [(name, getattr(self, name), DyadicCoord) for name in self.__slots__]
+        _check_types("Rect", "Rect.from_bounds", fields)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise MeshError(f"degenerate rectangle {self}")
 
@@ -240,10 +243,26 @@ class Mesh:
 # -- construction ---------------------------------------------------------
 
 
+def _check_types(cls: str, coercer: str, fields) -> None:
+    """Reject the first ``(name, value, type)`` of ``fields`` whose value
+    is not of its type (a bool is no ``int``), naming the field of the
+    class ``cls`` and ``coercer``, which converts plain numbers."""
+    for name, value, kind in fields:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise MeshError(
+                f"{cls}.{name} must be {kind.__name__}, got {type(value).__name__} "
+                f"{value!r}; {coercer} converts plain numbers"
+            )
+
+
 def _check_segment(domain: Rect, bidegree, direction, fixed, lo, hi, mult) -> None:
-    """The rules a segment must meet on its own: a direction of 1 or 2,
-    a multiplicity between 1 and the direction's cap ``bidegree[d-1] +
-    1``, a nonempty span, and a position and span inside the domain."""
+    """The rules a segment must meet on its own: an ``int`` direction of
+    1 or 2, an ``int`` multiplicity between 1 and the direction's cap
+    ``bidegree[d-1] + 1``, :class:`DyadicCoord` position and ends, a
+    nonempty span, and a position and span inside the domain."""
+    types = (int, DyadicCoord, DyadicCoord, DyadicCoord, int)
+    values = (direction, fixed, lo, hi, mult)
+    _check_types("Split", "Split.make", zip(Split._fields, values, types))
     if direction not in (1, 2):
         raise MeshError(f"direction must be 1 or 2, got {direction}")
     if mult < 1:
@@ -466,13 +485,7 @@ def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
 
 def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
     """Run-length encoding of a sorted knot vector: (value, multiplicity)."""
-    out: list[tuple[DyadicCoord, int]] = []
-    for v in vec:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return out
+    return [(v, len(list(run))) for v, run in groupby(vec)]
 
 
 def mesh_from_knots(xknots, yknots) -> Mesh:

@@ -381,8 +381,7 @@ def adaptive_solve(
     *,
     grid=(500, 500),
     strategies=("tensor", "n2s2"),
-    parity: str = "odd-vertical",
-    expansion: str = "one-directional",
+    expansion: str = "odd-vertical",
 ) -> list[dict]:
     """Solve the layer problem per level and strategy; returns CSV-ready rows.
 
@@ -411,9 +410,7 @@ def adaptive_solve(
 
     def n2s2_spaces():
         spaces = [initial_space(make_initial_mesh(domain, bidegree, 4))]
-        spaces += n2s_pipeline(
-            spaces[0], layer_marker, max(levels - 2, 0), parity=parity, expansion=expansion
-        )[0]
+        spaces += n2s_pipeline(spaces[0], layer_marker, max(levels - 2, 0), expansion=expansion)[0]
         while spaces:
             yield spaces.pop(0)
 

@@ -176,19 +176,21 @@ def three_peaks(x, y):
 three_peaks_marker = point_marker(_PEAKS)
 
 
-def tensor_space_for_level(level: int, bidegree=(2, 2), bounds=(-1, 1, -1, 1)) -> LRSpace:
-    """Uniform tensor space whose smallest elements match the given level
-    (cell width ``2**-level`` on the default domain)."""
+_DOMAIN = (-1, 1, -1, 1)
+
+
+def tensor_space_for_level(level: int, bidegree=(2, 2)) -> LRSpace:
+    """Uniform tensor space on the peaks domain whose elements match the
+    given level (cell width ``2**-level``)."""
     n = 2 ** (level + 1)
-    return initial_space(make_initial_mesh(bounds, bidegree, (n, n)))
+    return initial_space(make_initial_mesh(_DOMAIN, bidegree, (n, n)))
 
 
 def three_peaks_spaces(
     max_level: int,
     bidegree=(2, 2),
     *,
-    parity: str = "odd-vertical",
-    expansion: str = "one-directional",
+    expansion: str = "odd-vertical",
 ) -> list[LRSpace]:
     """Adaptive spaces for levels 1..max_level of the peaks benchmark.
 
@@ -197,8 +199,6 @@ def three_peaks_spaces(
     functions whose support contains a peak.  A ``max_level`` below 2
     gives level 1 alone.
     """
-    space = initial_space(make_initial_mesh((-1, 1, -1, 1), bidegree, (4, 4)))
-    refined, _ = n2s_pipeline(
-        space, three_peaks_marker, max(max_level - 1, 0), parity=parity, expansion=expansion
-    )
+    space = initial_space(make_initial_mesh(_DOMAIN, bidegree, (4, 4)))
+    refined, _ = n2s_pipeline(space, three_peaks_marker, max(max_level - 1, 0), expansion=expansion)
     return [space] + refined

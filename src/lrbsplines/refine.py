@@ -33,7 +33,11 @@ __all__ = [
     "diagonal_marker",
     "point_marker",
     "n2s_pipeline",
+    "EXPANSIONS",
 ]
+
+#: The sweeps :func:`n2s_pipeline` can run, its ``expansion`` values.
+EXPANSIONS = ("odd-vertical", "odd-horizontal", "full")
 
 
 # -- nestedness -------------------------------------------------------------
@@ -85,6 +89,12 @@ def is_nested_meshwise(inner: Key, outer: Key, mesh) -> bool:
             raise SpaceError(
                 "meshwise nestedness requires minimal support on the mesh"
             )
+    return _nested_meshwise(inner, outer)
+
+
+def _nested_meshwise(inner: Key, outer: Key) -> bool:
+    """:func:`is_nested_meshwise` of two functions with minimal support
+    on a common mesh, which it does not check."""
     if inner == outer:
         return False
     for vi, vo in zip(inner, outer):
@@ -106,6 +116,16 @@ def nested_map(space: LRSpace) -> dict:
     """
     by_outer = _NestedTracker(_Refinement(space)).by_outer
     return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
+
+
+def _nested_verdicts(space: LRSpace) -> tuple[list, list]:
+    """The knotwise and the meshwise verdict on every pair of functions
+    whose supports nest, in one pair order, so either test can find a
+    pair the other misses.  The meshwise test is unchecked: every
+    function must have minimal support, as ``space.validate()`` ensures."""
+    pairs = _Refinement(space).nested_pairs()
+    knotwise = [is_nested_knotwise(inner, outer) for inner, outer in pairs]
+    return knotwise, [_nested_meshwise(inner, outer) for inner, outer in pairs]
 
 
 # -- expansions -------------------------------------------------------------
@@ -299,19 +319,18 @@ def n2s_pipeline(
     marker,
     iterations: int,
     *,
-    parity: str = "odd-vertical",
-    expansion: str = "one-directional",
+    expansion: str = "odd-vertical",
     start_index: int = 1,
 ) -> tuple[list[LRSpace], list[dict]]:
     """Alternate structured refinement with expansion sweeps.
 
     Per iteration ``i``: mark functions with ``marker``, called with each
-    key in ascending order (selecting none is an error), structured-refine them, then expand outers of nested
-    pairs one at a time -- largest support first -- in a single
-    direction (vertical on odd ``i`` under the default parity,
-    horizontal on even; ``parity="odd-horizontal"`` flips this,
-    ``expansion="full"`` substitutes two-directional tensor expansions)
-    until no nested pair remains.
+    key in ascending order (selecting none is an error), structured-refine
+    them, then expand outers of nested pairs one at a time -- largest
+    support first -- until no nested pair remains.  ``expansion`` picks
+    the sweep: ``"odd-vertical"`` (the default) expands in one direction,
+    vertical on odd ``i`` and horizontal on even; ``"odd-horizontal"``
+    swaps the two; ``"full"`` uses two-directional tensor expansions.
 
     The sweep terminates.  Each expansion inserts at least one uncovered
     piece, or it raises ``RuntimeError``.  Every piece lies at an
@@ -327,14 +346,14 @@ def n2s_pipeline(
     built between expansions.  Returns ``(spaces, trace)``: ``spaces[j]``
     is the space after iteration ``start_index + j``, and ``trace`` holds
     one record per expansion, a dict of the iteration ``iter``, the
-    ``outer`` key, the direction ``dir`` and ``n_functions_after``.
+    ``outer`` key, the direction ``dir`` and ``n_functions_after``.  A
+    tensor expansion reads no direction; under ``"full"``, ``dir`` is the
+    ``"odd-vertical"`` direction of the iteration.
     """
     if iterations < 0:
         raise SpaceError(f"iterations must be >= 0, got {iterations}")
-    if parity not in ("odd-vertical", "odd-horizontal"):
-        raise SpaceError(f"unknown parity {parity!r}")
-    if expansion not in ("one-directional", "full"):
-        raise SpaceError(f"unknown expansion mode {expansion!r}")
+    if expansion not in EXPANSIONS:
+        raise SpaceError(f"unknown expansion {expansion!r}")
 
     state = _Refinement(space)
     functions = state.functions  # refined in place throughout
@@ -346,19 +365,14 @@ def n2s_pipeline(
             raise SpaceError(f"marker selected no functions at iteration {i}")
         _refine_marked(state, marked)
 
-        odd = i % 2 == 1
-        if parity == "odd-vertical":
-            direction = 1 if odd else 2
-        else:
-            direction = 2 if odd else 1
-
+        direction = 1 if (i % 2 == 1) == (expansion != "odd-horizontal") else 2
         tracker = _NestedTracker(state)
         while (pair := tracker.select()) is not None:
             outer_key, inner_keys = pair
-            if expansion == "one-directional":
-                pieces = _one_directional_pieces(outer_key, inner_keys, direction)
-            else:
+            if expansion == "full":
                 pieces = _tensor_pieces(state.mesh, outer_key)
+            else:
+                pieces = _one_directional_pieces(outer_key, inner_keys, direction)
             diff = state.insert(pieces)
             if diff is None:
                 raise RuntimeError(

@@ -875,19 +875,13 @@ def collocation_points(space: LRSpace, seed: int = 0) -> np.ndarray:
     return np.array(pts)
 
 
-def collocation_rank(space: LRSpace, points=None, seed: int = 0) -> int:
+def collocation_rank(space: LRSpace, seed: int = 0) -> int:
     """Numerical rank of the collocation matrix of the (unweighted)
-    functions at the points; singular values below ``1e-9 * sigma_max``
-    count as zero.  Positive weights only rescale columns, so the rank
-    matches the weighted basis."""
-    if points is None:
-        points = collocation_points(space, seed=seed)
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] < space.n_functions:
-        raise SpaceError(
-            f"{points.shape[0]} collocation points cannot resolve "
-            f"{space.n_functions} functions"
-        )
+    functions at ``collocation_points(space, seed)``, at least one point
+    per function; singular values below ``1e-9 * sigma_max`` count as
+    zero.  Positive weights only rescale columns, so the rank matches the
+    weighted basis."""
+    points = collocation_points(space, seed=seed)
     a = np.empty((points.shape[0], space.n_functions))
     for j, (xv, yv) in enumerate(space.sorted_keys()):
         vx = univariate_values(xv, points[:, 0], close_at=xv[-1])

@@ -15,10 +15,16 @@ import pytest
 
 from conftest import count_incidence_calls
 from lrbsplines import (
+    EXPANSIONS,
+    SpaceError,
     adaptive_solve,
+    diagonal_marker,
     from_json,
+    initial_space,
     is_locally_linearly_independent,
     load,
+    make_initial_mesh,
+    n2s_pipeline,
     save,
     three_peaks_spaces,
     to_json,
@@ -26,6 +32,7 @@ from lrbsplines import (
 )
 from lrbsplines import cli
 from lrbsplines import poisson as poisson_module
+from lrbsplines import refine as refine_module
 from lrbsplines.cli import main, run_mesh_demo, verify
 
 # sha256 of every file that a 4-iteration mesh-demo writes, plus the
@@ -41,6 +48,22 @@ GOLDEN_MESH_DEMO_4 = {
     "mesh_4.svg": "b37283c08f80efa5f918dd935179f94616e6d44a41e0d1cb3b2546c3f0296d6f",
     "space.json": "0b0537a1954fe3d22682b6730f24dba1334a80b079a68fe1cda654a9ab6f2d15",
     "trace.jsonl": "6e3205bc73d54eaafb12059db9b014c8b8a17b184f025c912e5c1d89e29fbf8e",
+}
+
+# sha256 of every file that ``mesh-demo --iterations 6 --expansion full``
+# writes, recorded when the option was split into ``--parity`` and
+# ``--expansion``; its trace's ``dir`` column is the odd-vertical one.
+GOLDEN_MESH_DEMO_6_FULL = {
+    "counts.csv": "5fbac1a5f8f0879b9eaaeca1a7a84497be284eca0c387e21664274338ad54bab",
+    "mesh_0.svg": "44085c01612f67771d78f770a921c94ae87756da30d01d3210561d68d52f3901",
+    "mesh_1.svg": "6aad5b0776820bf7023a8d3eceb879e58f91695365c1e0eca919d20f24a62c14",
+    "mesh_2.svg": "4b4cbcd19ceea1c1dc221e45540e465a538d4ade98931f2aba035d7f70ed9506",
+    "mesh_3.svg": "3df64a06688d4c249d5093c6d3235bfab505d0663928147541fd14e1ead8b13f",
+    "mesh_4.svg": "860f7a6a3fee27ce8e0f86f8fe262bf8bea06123e452b919d1167a157312f14f",
+    "mesh_5.svg": "6ad42e1a23f5edbdf56966424969a87fb77a763252447ca5a5f7ef341f869a0e",
+    "mesh_6.svg": "89c6dff73b3bd2f8c7ef71371ffd3cd1d095c33f09e32748e07bba9ae006542c",
+    "space.json": "579b2b7547ae01b390f337787286404e603c3efd1c196ea519c8bd49abcff478",
+    "trace.jsonl": "c915ffbed4445b43404604f625b2c5f72e55faf3a5d5c244d58042d4f3a95d78",
 }
 
 
@@ -193,16 +216,71 @@ def test_mesh_demo_structured_strategy(tmp_path):
     assert len(summary["counts"]) == 4
 
 
+def test_mesh_demo_full_expansion_matches_golden(tmp_path):
+    out = tmp_path / "full"
+    assert main(["mesh-demo", "--iterations", "6", "--expansion", "full", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_MESH_DEMO_6_FULL
+
+
+def test_mesh_demo_expansions_write_different_spaces(tmp_path):
+    # At 3 iterations no expansion runs yet, so all three spaces agree.
+    documents, counts = {}, {}
+    for expansion in EXPANSIONS:
+        out = tmp_path / expansion
+        assert main(["mesh-demo", "--iterations", "5", "--expansion", expansion, "--out", str(out)]) == 0
+        documents[expansion] = (out / "space.json").read_bytes()
+        counts[expansion] = load(out / "space.json").n_functions
+    assert len(set(documents.values())) == 3
+    assert counts == {"odd-vertical": 450, "odd-horizontal": 450, "full": 678}
+
+
+@pytest.mark.parametrize(
+    "argv", [["--parity", "odd-vertical"], ["--expansion", "one-directional"]]
+)
+def test_removed_sweep_options_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-demo", "--iterations", "1", "--out", str(tmp_path / "x")] + argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "driver", ["n2s_pipeline", "run_mesh_demo", "three_peaks_spaces", "adaptive_solve"]
+)
+def test_drivers_take_exactly_the_three_expansions(tmp_path, driver):
+    calls = {
+        "n2s_pipeline": lambda **options: n2s_pipeline(
+            initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4)), diagonal_marker, 1, **options
+        ),
+        "run_mesh_demo": lambda **options: run_mesh_demo(tmp_path, iterations=1, **options),
+        "three_peaks_spaces": lambda **options: three_peaks_spaces(2, **options),
+        "adaptive_solve": lambda **options: adaptive_solve(
+            2, grid=(8, 8), strategies=("n2s2",), **options
+        ),
+    }
+    call = calls[driver]
+    for unknown in ("one-directional", "tensor"):
+        with pytest.raises(SpaceError, match="unknown expansion"):
+            call(expansion=unknown)
+    with pytest.raises(TypeError):
+        call(parity="odd-horizontal")
+    for expansion in EXPANSIONS:
+        call(expansion=expansion)
+
+
 def test_mesh_demo_parity_flips_every_direction(tmp_path):
     dirs = {}
-    for parity in ("odd-vertical", "odd-horizontal"):
-        out = tmp_path / parity
-        assert main(["mesh-demo", "--iterations", "4", "--parity", parity, "--out", str(out)]) == 0
+    for expansion in ("odd-vertical", "odd-horizontal"):
+        out = tmp_path / expansion
+        assert main(["mesh-demo", "--iterations", "4", "--expansion", expansion, "--out", str(out)]) == 0
         records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         by_iteration = {}
         for record in records:
             by_iteration.setdefault(record["iter"], set()).add(record["dir"])
-        dirs[parity] = by_iteration
+        dirs[expansion] = by_iteration
     default, flipped = dirs["odd-vertical"], dirs["odd-horizontal"]
     assert flipped and set(flipped) <= set(default)
     for i, found in flipped.items():
@@ -230,14 +308,15 @@ def test_qi_peaks_writes_level_table(tmp_path, capsys):
     assert _sha256(target) == GOLDEN_QI_PEAKS_2
 
 
-def test_qi_peaks_passes_parity_and_expansion_on(tmp_path):
-    # A full expansion has no direction, so the parity cannot show here;
-    # the mesh-demo test checks that it reaches the pipeline.
+def test_qi_peaks_passes_expansion_on(tmp_path):
+    # The peaks lie on the diagonal, so an odd-horizontal run gives the
+    # transposed spaces and the same counts; the mesh-demo tests check
+    # that the parity reaches the pipeline.
     target = tmp_path / "peaks.csv"
-    argv = ["qi-peaks", "--levels", "3", "--parity", "odd-horizontal", "--expansion", "full"]
+    argv = ["qi-peaks", "--levels", "3", "--expansion", "full"]
     assert main(argv + ["--grid", "30", "--out", str(target)]) == 0
     counts = [int(r["n_n2s2"]) for r in _read_csv(target)]
-    spaces = three_peaks_spaces(3, parity="odd-horizontal", expansion="full")
+    spaces = three_peaks_spaces(3, expansion="full")
     assert counts == [space.n_functions for space in spaces]
     assert counts != [36, 86, 161]  # the default run's column
 
@@ -444,6 +523,21 @@ def test_verify_certifies_independent_space_without_dense_rank(
     report = verify(target)
     del report["path"]
     assert report == GOLDEN_VERIFY[name]
+
+
+def test_verify_cross_checks_nestedness_on_both_sides(tmp_path, request, monkeypatch):
+    # A knotwise test that finds no pair must not hide the pairs that the
+    # meshwise test finds.
+    target = _saved_space("mesh_demo_4_structured", tmp_path, request)
+
+    def blind(inner, outer):
+        return False
+
+    monkeypatch.setattr(refine_module, "is_nested_knotwise", blind)
+    report = verify(target)
+    assert report["nested_pairs_knotwise"] == 0
+    assert report["nested_pairs_meshwise"] == 14
+    assert report["nested_definitions_agree"] is False
 
 
 def test_verify_caps_the_dense_rank(

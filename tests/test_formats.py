@@ -259,7 +259,7 @@ def test_svg_writes_the_returned_text(tmp_path):
 
 def test_svg_of_wide_domain_keeps_aspect():
     mesh = make_initial_mesh((0, 4, 0, 1), (2, 2), (4, 2))
-    text = render_svg(mesh, size=560, margin=20.0)
+    text = render_svg(mesh)
     header = text.split("\n", 1)[0]
     assert 'width="560.0"' in header
     # Height shrinks with the 4:1 aspect: 2*20 + 1*(520/4) = 170.

@@ -21,6 +21,7 @@ from conftest import (
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import (
     MeshError,
+    Rect,
     Split,
     _build_mesh,
     insert_split,
@@ -378,6 +379,51 @@ def test_insert_rejects_a_new_split_beyond_the_cap():
         insert_split(mesh, Split.make(2, 0.5, 0, 4, multiplicity=4))
     full = insert_split(mesh, Split.make(1, 0.5, 0, 4, multiplicity=3))
     assert full.runs_at(1, dyadic(0.5)) == ((dyadic(0), dyadic(4), 3),)
+
+
+# -- only coordinates enter a mesh ------------------------------------------
+
+
+def test_apply_split_rejects_a_raw_float_split():
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+    with pytest.raises(MeshError, match=r"Split\.fixed must be DyadicCoord.*Split\.make"):
+        apply_split(space, Split(1, 0.25, 0.0, 1.0))
+    # the coerced split is accepted
+    assert apply_split(space, Split.make(1, 0.25, 0.0, 1.0)).n_functions > space.n_functions
+
+
+def test_insert_rejects_a_non_dyadic_float_split():
+    mesh = make_initial_mesh((0, 1, 0, 1), (2, 2), 2)
+    with pytest.raises(MeshError, match=r"Split\.fixed must be DyadicCoord"):
+        insert_split(mesh, Split(1, 0.1, dyadic(0), dyadic(1)))
+    with pytest.raises(ValueError):
+        Split.make(1, 0.1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "split, field",
+    [
+        (Split(True, dyadic(0.25), dyadic(0), dyadic(1)), "direction"),
+        (Split(1.0, dyadic(0.25), dyadic(0), dyadic(1)), "direction"),
+        (Split(1, dyadic(0.25), dyadic(0), dyadic(1), 1.0), "multiplicity"),
+        (Split(1, dyadic(0.25), dyadic(0), dyadic(1), True), "multiplicity"),
+        (Split(1, dyadic(0.25), 0.0, dyadic(1)), "lo"),
+        (Split(1, dyadic(0.25), dyadic(0), 1), "hi"),
+    ],
+)
+def test_insert_names_the_field_that_is_not_a_coordinate_or_int(split, field):
+    mesh = make_initial_mesh((0, 1, 0, 1), (2, 2), 2)
+    with pytest.raises(MeshError, match=rf"Split\.{field} must be"):
+        insert_split(mesh, split)
+
+
+def test_make_initial_mesh_rejects_a_raw_float_rect():
+    with pytest.raises(MeshError, match=r"Rect\.x_min must be DyadicCoord.*Rect\.from_bounds"):
+        make_initial_mesh(Rect(0.0, 1.0, 0.0, 1.0), (2, 2), 2)
+    with pytest.raises(MeshError, match=r"Rect\.y_max"):
+        Rect(dyadic(0), dyadic(1), dyadic(0), 1)
+    mesh = make_initial_mesh(Rect.from_bounds((0.0, 1.0, 0.0, 1.0)), (2, 2), 2)
+    assert mesh == make_initial_mesh((0, 1, 0, 1), (2, 2), 2)
 
 
 def test_constant_splits_runs_disjoint_and_non_abutting():

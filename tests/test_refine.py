@@ -11,6 +11,7 @@ from conftest import key_of, random_pipeline_space
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.refine import (
+    EXPANSIONS,
     central_span,
     diagonal_marker,
     is_nested_knotwise,
@@ -231,8 +232,8 @@ def test_pipeline_trace_records_expansions(running_example):
 def test_pipeline_parity_controls_directions():
     base = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 4))
     key1 = key_of((0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1))
-    _, trace_v = n2s_pipeline(base, lambda key: key == key1, 1, parity="odd-vertical")
-    _, trace_h = n2s_pipeline(base, lambda key: key == key1, 1, parity="odd-horizontal")
+    _, trace_v = n2s_pipeline(base, lambda key: key == key1, 1, expansion="odd-vertical")
+    _, trace_h = n2s_pipeline(base, lambda key: key == key1, 1, expansion="odd-horizontal")
     assert {r["dir"] for r in trace_v} == {1}
     assert {r["dir"] for r in trace_h} == {2}
 
@@ -253,21 +254,15 @@ def test_pipeline_full_expansion_also_clears_nesting():
     assert is_locally_linearly_independent(space)
 
 
-@pytest.mark.parametrize(
-    "parity, expansion",
-    [
-        ("odd-vertical", "one-directional"),
-        ("odd-horizontal", "one-directional"),
-        ("odd-vertical", "full"),
-    ],
-)
-def test_pipeline_spaces_are_the_chained_one_step_runs(parity, expansion):
+@pytest.mark.parametrize("expansion", EXPANSIONS)
+def test_pipeline_spaces_are_the_chained_one_step_runs(expansion):
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
-    options = {"parity": parity, "expansion": expansion}
-    spaces, trace = n2s_pipeline(space, diagonal_marker, 5, **options)
+    spaces, trace = n2s_pipeline(space, diagonal_marker, 5, expansion=expansion)
     chained, chained_trace = [], []
     for i in range(1, 6):
-        [space], step_trace = n2s_pipeline(space, diagonal_marker, 1, start_index=i, **options)
+        [space], step_trace = n2s_pipeline(
+            space, diagonal_marker, 1, start_index=i, expansion=expansion
+        )
         chained.append(space)
         chained_trace += step_trace
     assert spaces == chained
