@@ -1,10 +1,10 @@
 """Command line front end: refinement demos, benchmarks, verification.
 
-Four subcommands.  ``mesh-demo`` refines a 4x4 mesh along the domain
-diagonal and writes the mesh (SVG per iteration), the expansion trace
-and a per-iteration count table.  ``qi-peaks`` tabulates the
-quasi-interpolation error of the three-peaks function on tensor and
-adaptively refined spaces.  ``poisson`` tabulates Galerkin error decay
+Four subcommands.  ``mesh-demo`` refines the one-element mesh of the
+unit square along its diagonal and writes the mesh (SVG per iteration),
+the expansion trace and a per-iteration count table.  ``qi-peaks``
+tabulates the quasi-interpolation error of the three-peaks function on
+tensor and adaptively refined spaces.  ``poisson`` tabulates Galerkin error decay
 for the circular-layer problem.  ``verify`` checks a mesh or space
 document and reports element counts, nestedness, partition of unity
 and collocation rank.
@@ -38,6 +38,7 @@ from .space import (
 )
 from .refine import (
     EXPANSIONS,
+    _check_expansion,
     _nested_verdicts,
     diagonal_marker,
     n2s_pipeline,
@@ -73,6 +74,7 @@ def run_mesh_demo(
         raise SpaceError(f"unknown strategy {strategy!r}")
     if iterations < 0:
         raise SpaceError(f"iterations must be >= 0, got {iterations}")
+    _check_expansion(expansion)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -229,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("mesh-demo", help="refine a 4x4 mesh along the diagonal")
+    demo = sub.add_parser("mesh-demo", help="refine the one-element unit square along its diagonal")
     demo.add_argument("--iterations", type=int, default=7, help="refinement iterations (default 7)")
     demo.add_argument(
         "--strategy",

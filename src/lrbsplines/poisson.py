@@ -11,32 +11,36 @@ interpolation of the trace, edge by edge; element integrals use
 
 Because every element carries the same number of functions, the element
 support table is a rectangular index array and assembly is an array
-program: per chunk of elements, one stacked Cox--de Boor pass per
-direction evaluates all (element, function) pairs at once, and batched
-matrix products form the local stiffness matrices and loads.  Chunks are
-capped in size so memory stays bounded on large spaces.  The arithmetic
-is that of a per-element, per-function loop, in the same order, so the
-results equal it bit for bit.
+program.  Per direction, the Cox--de Boor kernel runs once per distinct
+(knot window, element interval) pair; per chunk of elements the values
+are gathered from those pairs, and batched matrix products form the
+local stiffness matrices and loads.  Chunks are capped in size so memory
+stays bounded on large spaces.  The arithmetic is that of a
+per-element, per-function loop, in the same order, so the results equal
+it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .bspline import _greville_collocation, _stacked_values
+from .bspline import _greville_collocation
 from .mesh import Rect, make_initial_mesh
-from .refine import central_span, n2s_pipeline
+from .refine import _check_expansion, central_span, n2s_pipeline
 from .space import (
     _CHUNK_ENTRIES,
-    _element_arrays,
+    _element_pairs,
     _evaluate_sums,
+    _gauss_rule,
     _incidence,
     _outer,
+    _windows,
     LRSpace,
     SpaceError,
     initial_space,
@@ -138,10 +142,11 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     assembly is defined for locally linearly independent spaces only.
     Then every element carries the same number of functions, the
     incidence is an ``(elements, (p1+1)(p2+1))`` index array, and
-    assembly runs as array operations over chunks of elements: one
-    stacked Cox--de Boor pass per chunk and direction gives all values
-    and derivatives at the elements' points, batched products give the
-    local matrices and loads, and the loads are scattered once, in
+    assembly runs as array operations over chunks of elements.  Values
+    and derivatives are computed once per direction and distinct (knot
+    window, element interval) pair, points once per interval, and both
+    are gathered per chunk (``space._pair_values``); batched products give
+    the local matrices and loads, and the loads are scattered once, in
     element order.  ``f`` is called once per chunk with ``(elements, nx,
     ny)`` coordinate arrays.
     """
@@ -157,43 +162,41 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
             f"independence"
         )
     T = indices.reshape(len(counts), expected)
-    arrays = _element_arrays(space, keys, bounds)
-    xknots, yknots = arrays.xknots, arrays.yknots
     n_elements, n_loc = T.shape
-    x0, x1, y0, y1 = arrays.bounds
-    gauss_x, weights_x = arrays.rule_x
-    gauss_y, weights_y = arrays.rule_y
+    windows = [_windows(keys, d) for d in (1, 2)]
+    x_at, y_at = _element_pairs(space, windows, T, bounds, _gauss_rule, derivatives=True)
 
     local = np.empty((n_elements, n_loc, n_loc))
     contrib = np.empty((n_elements, n_loc))
     for c in _chunks(np.arange(n_elements), n_loc * expected):
-        xs, ys = arrays.xs[c], arrays.ys[c]
-        wq = _outer(arrays.wx[c], arrays.wy[c])
-        vx, dx = _stacked_values(xknots[T[c]], xs[:, None, :], derivatives=True)
-        vy, dy = _stacked_values(yknots[T[c]], ys[:, None, :], derivatives=True)
-        grad_x = _outer(dx, vy)
-        grad_y = _outer(vx, dy)
-        local[c] = (grad_x * wq[:, None, :]) @ grad_x.swapaxes(1, 2) + (
-            grad_y * wq[:, None, :]
-        ) @ grad_y.swapaxes(1, 2)
+        xs, wx, vx, dx = x_at(c)
+        ys, wy, vy, dy = y_at(c)
+        wq = _outer(wx, wy)
+        # one gradient component at a time, so fewer (elements, n_loc,
+        # n_loc) temporaries are alive at once
+        grad = _outer(dx, vy)
+        k = (grad * wq[:, None, :]) @ grad.swapaxes(1, 2)
+        grad = _outer(vx, dy)
+        k += (grad * wq[:, None, :]) @ grad.swapaxes(1, 2)
+        local[c] = k
         if load_resolution is None:
             contrib[c] = _element_load(_outer(vx, vy), wq, f, xs, ys)
 
     if load_resolution is not None:
+        x0, x1, y0, y1 = bounds
         cells = np.stack(
             [_cell_counts(x0, x1, load_resolution), _cell_counts(y0, y1, load_resolution)], axis=1
         )
+        rule = partial(_composite_rule, resolution=load_resolution)
         for cx, cy in np.unique(cells, axis=0):
             group = np.flatnonzero((cells[:, 0] == cx) & (cells[:, 1] == cy))
-            for c in _chunks(group, n_loc * cx * cy * expected):
-                lx, lwx = _composite_rule(x0[c], x1[c], gauss_x, weights_x, load_resolution)
-                ly, lwy = _composite_rule(y0[c], y1[c], gauss_y, weights_y, load_resolution)
-                lvals = _outer(
-                    _stacked_values(xknots[T[c]], lx[:, None, :]),
-                    _stacked_values(yknots[T[c]], ly[:, None, :]),
-                )
-                contrib[c] = _element_load(lvals, _outer(lwx, lwy), f, lx, ly)
+            x_at, y_at = _element_pairs(space, windows, T, bounds, rule, rows=group)
+            for c in _chunks(np.arange(len(group)), n_loc * cx * cy * expected):
+                lx, lwx, lvx = x_at(c)
+                ly, lwy, lvy = y_at(c)
+                contrib[group[c]] = _element_load(_outer(lvx, lvy), _outer(lwx, lwy), f, lx, ly)
 
+    del x_at, y_at  # their pair tables: free them before the sparse matrix is built
     n = len(keys)
     load = np.zeros(n)
     np.add.at(load, T, contrib)
@@ -273,8 +276,9 @@ def solve(system: GalerkinSystem) -> dict:
     interior = np.flatnonzero(~pinned)
     boundary = np.flatnonzero(pinned)
 
-    k_ii = system.stiffness[interior][:, interior]
-    k_ib = system.stiffness[interior][:, boundary]
+    rows = system.stiffness[interior]
+    k_ii = rows[:, interior]
+    k_ib = rows[:, boundary]
     rhs = system.load[interior] - k_ib @ coeffs[boundary]
     u = spsolve(k_ii.tocsc(), rhs)
 
@@ -393,6 +397,7 @@ def adaptive_solve(
     spaces are built one at a time, and every space is dropped after its
     solve.  Rows carry strategy, level, n_functions, linf, l2.
     """
+    _check_expansion(expansion)
     resolution = 2.0 ** -levels
     domain = Rect.from_bounds((0, 1, 0, 1))
     # Every space shares the domain, so the exact solution is sampled once.

@@ -40,6 +40,12 @@ __all__ = [
 EXPANSIONS = ("odd-vertical", "odd-horizontal", "full")
 
 
+def _check_expansion(expansion) -> None:
+    """Raise :class:`SpaceError` unless ``expansion`` is in :data:`EXPANSIONS`."""
+    if expansion not in EXPANSIONS:
+        raise SpaceError(f"unknown expansion {expansion!r}")
+
+
 # -- nestedness -------------------------------------------------------------
 
 
@@ -352,8 +358,7 @@ def n2s_pipeline(
     """
     if iterations < 0:
         raise SpaceError(f"iterations must be >= 0, got {iterations}")
-    if expansion not in EXPANSIONS:
-        raise SpaceError(f"unknown expansion {expansion!r}")
+    _check_expansion(expansion)
 
     state = _Refinement(space)
     functions = state.functions  # refined in place throughout

@@ -23,9 +23,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import chain, count, product
+from functools import cache, partial
+from itertools import chain, product
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -588,47 +588,76 @@ def element_support_table(space: LRSpace):
     return list(keys), np.split(indices, np.cumsum(counts)[:-1])
 
 
-class _ElementArrays(NamedTuple):
-    """What element-batched code reads of a space, as arrays.
+def _gauss_rule(lo, hi, nodes, weights):
+    """Points and weights of the Gauss--Legendre ``nodes`` and ``weights``
+    on [-1, 1], moved to the intervals ``[lo, hi]``, one row each."""
+    h = 0.5 * (hi - lo)
+    return lo[:, None] + h[:, None] * (nodes + 1.0), weights * h[:, None]
 
-    ``xknots`` and ``yknots`` are the keys' knot vectors, ``(functions,
-    p1+2)`` and ``(functions, p2+2)``; ``bounds`` holds the element
-    bounds ``x0, x1, y0, y1``.  Per direction, ``rule_x`` and ``rule_y``
-    are the (p+1)-point Gauss--Legendre nodes and weights on [-1, 1],
-    and ``xs``, ``wx`` and ``ys``, ``wy`` that rule's points and weights
-    on every element, ``(elements, p+1)``.
+
+def _windows(keys, direction: int):
+    """``(v, which)``: the distinct direction-``direction`` knot windows of
+    ``keys``, one float row each, and per key the row of its window; each
+    knot vector is hashed once."""
+    ids: dict = {}
+    vectors = map(itemgetter(direction - 1), keys)
+    which = np.fromiter((ids.setdefault(v, len(ids)) for v in vectors), np.intp, len(keys))
+    return np.array(list(ids), dtype=float), which
+
+
+def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
+    """One direction's B-spline values on the rectangular incidence ``T``,
+    computed once per distinct (knot window, element interval) pair.
+
+    ``windows`` is :func:`_windows`'s ``(v, which)``; ``index`` and
+    ``bounds`` hold the ``(lo, hi)`` bounds of ``T``'s elements in the
+    direction, as mesh position indices (exact interval names) and as
+    floats; ``rule(lo, hi)`` gives points and weights per interval.  The
+    rule runs once per distinct interval and :func:`_stacked_values` once
+    per distinct pair, in calls of at most ``_CHUNK_ENTRIES`` entries.
+    Returns ``gather(c)``: the elements ``c``'s points and weights, and
+    their ``(len(c), slots, q)`` values (and first derivatives), gathered
+    by pair.  The kernel is elementwise, so these are bit for bit those of
+    one stacked pass over every (element, slot).
     """
+    v, which = windows
+    lo, hi = index
+    _, first, interval = np.unique(lo * (hi.max() + 1) + hi, return_index=True, return_inverse=True)
+    pts, wts = rule(bounds[0][first], bounds[1][first])
+    pairs, inverse = np.unique(which[T] * len(first) + interval.reshape(-1, 1), return_inverse=True)
+    inverse = inverse.reshape(T.shape)
+    w, i = np.divmod(pairs, len(first))
+    tables = np.empty((1 + derivatives, len(pairs), pts.shape[1]))
+    step = max(1, _CHUNK_ENTRIES // (v.shape[1] * pts.shape[1]))
+    for s in range(0, len(pairs), step):
+        at = slice(s, s + step)
+        tables[:, at] = _stacked_values(v[w[at]], pts[i[at]], derivatives=derivatives)
 
-    xknots: np.ndarray
-    yknots: np.ndarray
-    bounds: np.ndarray
-    rule_x: tuple
-    rule_y: tuple
-    xs: np.ndarray
-    wx: np.ndarray
-    ys: np.ndarray
-    wy: np.ndarray
+    def gather(c):
+        e = interval[c]
+        return (pts[e], wts[e], *tables[:, inverse[c]])
+
+    return gather
 
 
-def _element_arrays(space: LRSpace, keys, bounds) -> _ElementArrays:
-    """The element arrays of the space, with the functions in the order
-    of ``keys`` and the element bounds ``bounds`` that
-    :func:`_incidence` returns."""
-    p1, p2 = space.mesh.bidegree
-    x0, x1, y0, y1 = bounds
-    rule_x, rule_y = leggauss(p1 + 1), leggauss(p2 + 1)
-    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    return _ElementArrays(
-        xknots=np.array([xv for xv, _ in keys], dtype=float),
-        yknots=np.array([yv for _, yv in keys], dtype=float),
-        bounds=bounds,
-        rule_x=rule_x,
-        rule_y=rule_y,
-        xs=x0[:, None] + hx[:, None] * (rule_x[0] + 1.0),
-        wx=rule_x[1] * hx[:, None],
-        ys=y0[:, None] + hy[:, None] * (rule_y[0] + 1.0),
-        wy=rule_y[1] * hy[:, None],
-    )
+#: ``leggauss(n)``, computed once per ``n``: its arrays are shared, never written.
+_gauss_legendre = cache(leggauss)
+
+
+def _element_pairs(space: LRSpace, windows, T, bounds, rule, rows=slice(None), derivatives=False):
+    """Per direction, :func:`_pair_values` on the elements ``rows`` of
+    ``T``, with :func:`_incidence`'s ``bounds`` and :func:`_windows` per
+    direction in ``windows``, at ``rule(lo, hi, nodes=..., weights=...)``
+    for the direction's (p+1)-point Gauss--Legendre nodes and weights."""
+    index = space.mesh.element_boxes()[rows].T
+    gatherers = []
+    for w, k, p in zip(windows, (0, 2), space.mesh.bidegree):
+        nodes, weights = _gauss_legendre(p + 1)
+        at = partial(rule, nodes=nodes, weights=weights)
+        gatherers.append(
+            _pair_values(w, T[rows], index[k : k + 2], bounds[k : k + 2, rows], at, derivatives)
+        )
+    return gatherers
 
 
 def _outer(a, b):
@@ -652,17 +681,17 @@ def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
     every element is local linear independence, which implies that the
     functions are linearly independent on the whole domain.  The points
     are interior to their element, so no closure coordinate is needed.
-    Works in chunks of elements; O(elements) time.
+    Each direction's values are computed once per distinct (knot window,
+    element interval) pair (:func:`_pair_values`) and gathered per chunk
+    of elements; O(nnz log nnz) time for the nnz incidences.
     """
-    p1, p2 = space.mesh.bidegree
-    n_loc = (p1 + 1) * (p2 + 1)
-    arrays = _element_arrays(space, keys, bounds)
+    n_loc = T.shape[1]
+    windows = [_windows(keys, d) for d in (1, 2)]
+    x_at, y_at = _element_pairs(space, windows, T, bounds, _gauss_rule)
     size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
     for start in range(0, len(T), size):
         c = slice(start, start + size)
-        vx = _stacked_values(arrays.xknots[T[c]], arrays.xs[c, None, :])
-        vy = _stacked_values(arrays.yknots[T[c]], arrays.ys[c, None, :])
-        s = np.linalg.svd(_outer(vx, vy), compute_uv=False)
+        s = np.linalg.svd(_outer(x_at(c)[2], y_at(c)[2]), compute_uv=False)
         if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
             return False
     return True
@@ -721,9 +750,7 @@ def _window_table(keys, direction: int, pts, top):
     window.  A value depends only on its window and point, not on the
     call it is computed in.
     """
-    vectors = list(map(itemgetter(direction - 1), keys))
-    window_index = dict(zip(dict.fromkeys(vectors), count()))
-    v = np.array(list(window_index), dtype=float)
+    v, which = _windows(keys, direction)
     i0 = np.searchsorted(pts, v[:, 0], side="left")
     sizes = np.searchsorted(pts, v[:, -1], side="right") - i0
     width = int(sizes.max())
@@ -735,7 +762,6 @@ def _window_table(keys, direction: int, pts, top):
         for s in range(0, len(v), step)
     ]
     base = np.cumsum(sizes) - sizes - i0
-    which = np.fromiter(map(window_index.__getitem__, vectors), dtype=np.intp, count=len(vectors))
     return np.concatenate(pieces), base[which]
 
 

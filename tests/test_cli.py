@@ -271,6 +271,24 @@ def test_drivers_take_exactly_the_three_expansions(tmp_path, driver):
         call(expansion=expansion)
 
 
+@pytest.mark.parametrize("path", ["structured mesh-demo", "tensor poisson"])
+def test_drivers_check_the_expansion_without_a_pipeline(tmp_path, monkeypatch, path):
+    # Neither path runs the pipeline, which would check the value itself.
+    calls = {
+        "structured mesh-demo": lambda expansion: run_mesh_demo(
+            tmp_path / "demo", iterations=1, strategy="structured", expansion=expansion
+        ),
+        "tensor poisson": lambda expansion: adaptive_solve(
+            2, grid=(8, 8), strategies=("tensor",), expansion=expansion
+        ),
+    }
+    with pytest.raises(SpaceError, match="^unknown expansion 'bogus'$"):
+        calls[path]("bogus")
+    assert not (tmp_path / "demo").exists()
+    monkeypatch.setattr(refine_module, "EXPANSIONS", EXPANSIONS + ("bogus",))
+    calls[path]("bogus")
+
+
 def test_mesh_demo_parity_flips_every_direction(tmp_path):
     dirs = {}
     for expansion in ("odd-vertical", "odd-horizontal"):

@@ -3,7 +3,8 @@ referenced: a deleted or renamed function must leave no stale entry in an
 ``__all__``, and a function nothing reads must not stay exported.  The
 package exports exactly its modules' ``__all__``s, and no module imports
 a name it never reads.  Only the mesh module reads a mesh's internal
-fields, and only the space module a refinement state's rows."""
+fields, and only the space module a refinement state's rows; assembly
+reaches the B-spline kernel only through the space module."""
 import ast
 import importlib
 import pkgutil
@@ -111,6 +112,15 @@ def test_no_module_imports_a_name_it_never_reads():
                 )
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def test_assembly_evaluates_b_splines_only_through_the_pair_tables():
+    """``poisson.py`` reaches the Cox--de Boor kernel only through the
+    space module's (knot window, element interval) pair tables, so every
+    element-batched evaluation goes through the one helper."""
+    kernel = re.compile(r"\b_stacked_values\b")
+    lines = (PACKAGE / "poisson.py").read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if kernel.search(line)] == []
 
 
 def test_only_the_space_module_reads_the_refinement_rows():
