@@ -21,8 +21,10 @@ additionally forbids any mesh line that crosses the full support at a
 higher multiplicity than the function's own knots there.  One scan,
 `_deficits`, lists a direction's such lines; `find_refining_split` is
 its first hit.  `has_minimal_support` decides both rules in one scan per
-direction, through `_minimal_support`, which spaces call on their
-already validated keys.
+direction, through `_minimal_support`.  `_lacking_minimal_support`
+gives the same verdicts for many functions at once, by array lookups in
+the mesh's run tables; it is how a space checks its functions, and the
+per-function scan is its oracle.
 
 Knot insertion has one kernel, `_boehm`: a local knot vector and the
 knots to insert give the children's coefficients as integer (numerator,
@@ -429,3 +431,87 @@ def _minimal_support(xknots, yknots, mesh: Mesh) -> bool:
         if on_mesh != len(vec):
             return False
     return True
+
+
+def _expand_ranges(lo, hi):
+    """``(which, at)``: every ``at`` in ``range(lo[i], hi[i])``, with the
+    ``i`` it came from, in order of ``i`` and then ``at``."""
+    sizes = hi - lo
+    which = np.repeat(np.arange(len(sizes)), sizes)
+    at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(len(which))
+    return which, at
+
+
+def _run_table(mesh: Mesh, direction: int):
+    """One direction's runs as sorted integer-keyed arrays.
+
+    Returns ``(keys, starts, ends, mults)``: ``starts`` holds the
+    distinct run starts, sorted, and run ``r``, in the order of
+    :meth:`Mesh.lines`, has the key ``f * len(starts) + s`` for its
+    position index ``f`` and the index ``s`` of its start in ``starts``,
+    the end ``ends[r]`` and the multiplicity ``mults[r]``.  The runs at
+    one position are disjoint and sorted, so the keys ascend.  On a
+    valid mesh every run start is a position of the cross direction;
+    ranking the starts themselves keeps the lookup exact on any runs.
+    """
+    at_position = [mesh.runs_at(direction, pos) for pos in mesh.positions(direction)]
+    counts = np.fromiter(map(len, at_position), np.intp, len(at_position))
+    table = np.fromiter(chain.from_iterable(chain.from_iterable(at_position)), float)
+    lo, hi, mult = table.reshape(-1, 3).T
+    starts, rank = np.unique(lo, return_inverse=True)
+    keys = np.repeat(np.arange(len(counts)), counts) * len(starts) + rank
+    return keys, starts, hi, mult.astype(np.intp)
+
+
+def _lacking_minimal_support(windows, mesh: Mesh) -> np.ndarray:
+    """Per function, whether it lacks minimal support on ``mesh``: the
+    verdicts of :func:`_minimal_support`, from one array pass per
+    direction.
+
+    ``windows`` holds, for directions 1 and 2, the pair ``(v, which)``:
+    knot vectors of that direction as float rows of one length, and per
+    function the row of its vector.  The scan's three rules become array
+    comparisons over (function, position) pairs, one pair for each mesh
+    position in the closed span of a function's support:
+
+    - a knot needs a covering run of at least its multiplicity;
+    - a position strictly inside the span needs one of at most the knot
+      multiplicity there, zero for a position that holds no knot;
+    - the knots counted on the span's positions must sum to the vector
+      length, that is, every knot lies on a position.
+
+    The knots at each position and the third rule depend only on the
+    vector, so they are computed once per row.  The run covering a
+    pair's cross extent is found by one ``searchsorted`` in the run
+    table (:func:`_run_table`).  Time and memory are linear in the pairs,
+    besides the searches and a sort of the runs.
+    """
+    lacking = np.zeros(len(windows[0][1]), dtype=bool)
+    for direction, (v, which), (cv, cross) in ((1, *windows), (2, *windows[::-1])):
+        positions = np.array(mesh.positions(direction), dtype=float)
+        keys, starts, ends, mults = _run_table(mesh, direction)
+        # per row: each position of its closed span, the knots there, and
+        # whether it lies strictly inside the span
+        i0 = np.searchsorted(positions, v[:, 0], side="left")
+        i1 = np.searchsorted(positions, v[:, -1], side="right")
+        row, at = _expand_ranges(i0, i1)
+        pos = positions[at]
+        knots = sum(v[row, k] == pos for k in range(v.shape[1]))
+        inside = (v[row, 0] < pos) & (pos < v[row, -1])
+        lacking |= (np.bincount(row, knots, minlength=len(v)) != v.shape[1])[which]
+        # per function: the same pairs, and the last run at each position
+        # that starts at or below the cross extent's start, if it also
+        # reaches the extent's end
+        base = np.cumsum(i1 - i0) - (i1 - i0)
+        f, pair = _expand_ranges(base[which], (base + i1 - i0)[which])
+        at, knots, inside, c = at[pair], knots[pair], inside[pair], cross[f]
+        s = np.searchsorted(starts, cv[:, 0], side="right") - 1
+        r = np.searchsorted(keys, at * len(starts) + s[c], side="right") - 1
+        found = r >= 0
+        r[~found] = 0
+        found &= ((keys // len(starts))[r] == at) & (ends[r] >= cv[:, -1][c])
+        have = np.where(found, mults[r], 0)
+        bad = (have < knots) | ((have > knots) & inside)
+        lacking[f[bad]] = True
+    return lacking

@@ -23,12 +23,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .mesh import MeshError, is_tensorized, make_initial_mesh
+from .mesh import MAX_TILING_CELLS, MeshError, is_tensorized, make_initial_mesh
 from .bspline import KnotVectorError
 from .space import (
     LRSpace,
     SpaceError,
     _elementwise_full_rank,
+    _first_fault,
     _incidence,
     _unity_defects,
     collocation_rank,
@@ -121,6 +122,15 @@ DENSE_RANK_MAX_FUNCTIONS = 2000
 def verify(path, *, seed: int = 0) -> dict:
     """Check a mesh or space document and assemble a diagnostic report.
 
+    Each function of a space is checked once.  :func:`formats.load`
+    decodes every entry, checking its coordinates, knot vectors and
+    weight, and then one array pass over all functions, the check of
+    :meth:`LRSpace.validate`, confirms their degrees and minimal support
+    on the mesh.  A function that fails it is named by its entry,
+    ``functions[i]: ...``.  Tiling the mesh is refused, with a
+    ``MeshError``, when its position grid holds more than
+    :data:`~lrbsplines.mesh.MAX_TILING_CELLS` cells.
+
     For a space the report covers per-element support counts, nested
     pairs under both the knot-oriented and the mesh-oriented
     definition, partition-of-unity defects and the collocation rank.
@@ -161,9 +171,12 @@ def verify(path, *, seed: int = 0) -> dict:
         return report
 
     space = obj
-    # Raises SpaceError for a function without minimal support, so the
-    # unchecked meshwise nestedness test of _nested_verdicts applies.
-    space.validate()
+    # The document's one check of the functions against the mesh; from
+    # here on every function has minimal support, so the unchecked
+    # meshwise nestedness test of _nested_verdicts applies.
+    fault = _first_fault(space)
+    if fault is not None:
+        raise FormatError(f"functions[{fault[0]}]: {fault[1]}")
     keys, counts, indices, bounds = _incidence(space)
     n_loc = (p1 + 1) * (p2 + 1)
     n = space.n_functions
@@ -260,7 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pois.add_argument("--out", default="poisson.csv", help="output CSV (default poisson.csv)")
     _add_common(pois)
 
-    ver = sub.add_parser("verify", help="check a mesh or space JSON document")
+    ver = sub.add_parser(
+        "verify",
+        help="check a mesh or space JSON document",
+        description="Check a mesh or space JSON document and print its report.  Each "
+        "function is decoded and checked once; a function that fails is named by its "
+        "entry, functions[i].  A mesh whose position grid holds more than "
+        f"{MAX_TILING_CELLS} cells, at about 28 bytes each to tile, is refused with exit 2.",
+    )
     ver.add_argument("path", help="mesh or space JSON file")
     ver.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     return parser

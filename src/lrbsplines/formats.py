@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dyadic import DyadicCoord
 from .mesh import Mesh, MeshError, Rect, _build_mesh
-from .bspline import local_knot_vector
+from .bspline import _validated, local_knot_vector
 from .space import ONE, LRSpace, _incidence
 
 __all__ = [
@@ -164,8 +164,74 @@ def _decode_mesh(doc: dict, memo: dict) -> Mesh:
         raise FormatError(str(exc)) from None
 
 
+def _known_vector(raw, memo: dict):
+    """The coordinates of ``raw`` when it is a list of ``[numerator,
+    exponent]`` pairs of plain ints that ``memo`` already holds, else
+    None: the lookups of :func:`_decode_coord`'s common case, for a
+    whole knot vector."""
+    if type(raw) is not list:
+        return None
+    out = []
+    for obj in raw:
+        if type(obj) is list and len(obj) == 2:
+            numerator, exponent = obj
+            if type(numerator) is int and type(exponent) is int:
+                coord = memo.get((numerator, exponent))
+                if coord is not None:
+                    out.append(coord)
+                    continue
+        return None
+    return tuple(out)
+
+
+def _decode_function(entry, memo: dict, fractions: dict):
+    """One ``functions`` entry, fully checked: ``(key, weight)``.
+
+    An error's message starts with the path below the entry, such as
+    ``.x[1]: `` or ``: ``, so that the caller builds the entry's own
+    path only when one is raised.  A weight that passes enters
+    ``fractions``, the JSON weights decoded so far.
+    """
+    if not isinstance(entry, dict):
+        raise FormatError(": expected an object")
+    for field in ("x", "y"):
+        if not isinstance(entry.get(field), list):
+            raise FormatError(f".{field}: expected a knot vector")
+    xv = tuple(_decode_coord(v, memo, ".x", j) for j, v in enumerate(entry["x"]))
+    yv = tuple(_decode_coord(v, memo, ".y", j) for j, v in enumerate(entry["y"]))
+    raw = entry.get("w", 1)
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise FormatError(".w: expected a number")
+    try:
+        finite = math.isfinite(raw)
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
+        raise FormatError(".w: expected a finite double")
+    weight = Fraction(raw)
+    try:
+        key = (local_knot_vector(xv), local_knot_vector(yv))
+    except ValueError as exc:
+        raise FormatError(f": {exc}") from None
+    if weight <= 0:
+        raise FormatError(f": weight must be positive, got {weight}")
+    weight = fractions[raw] = ONE if weight == 1 else weight
+    return key, weight
+
+
 def from_json(doc: dict):
-    """Decode a mesh or (when ``functions`` is present) a space."""
+    """Decode a mesh or (when ``functions`` is present) a space.
+
+    Each function entry is decoded and checked once: its coordinates,
+    its two knot vectors (:func:`local_knot_vector`), its weight, a
+    finite positive double, and that no earlier entry has its key.  An
+    entry whose coordinate pairs and weight all occurred in earlier
+    entries takes a path of lookups; any other takes the full checks of
+    :func:`_decode_function`.  An error names the field, and its path is
+    built only then.  Whether the functions suit the mesh, their degrees
+    and minimal support, is :meth:`LRSpace.validate`'s question, which
+    ``verify`` asks once.
+    """
     if not isinstance(doc, dict):
         raise FormatError(f"expected an object at the top level, got {type(doc).__name__}")
     memo: dict = {}
@@ -178,35 +244,29 @@ def from_json(doc: dict):
     if not raw:
         raise FormatError("functions: expected at least one function")
     functions = {}
+    fractions: dict = {}
     for i, entry in enumerate(raw):
-        where = f"functions[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: expected an object")
-        for field in ("x", "y"):
-            if not isinstance(entry.get(field), list):
-                raise FormatError(f"{where}.{field}: expected a knot vector")
-        xpath, ypath = f"{where}.x", f"{where}.y"
-        xv = tuple(_decode_coord(v, memo, xpath, j) for j, v in enumerate(entry["x"]))
-        yv = tuple(_decode_coord(v, memo, ypath, j) for j, v in enumerate(entry["y"]))
-        weight = entry.get("w", 1)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise FormatError(f"{where}.w: expected a number")
-        try:
-            finite = math.isfinite(weight)
-        except OverflowError:  # an integer beyond the double range
-            finite = False
-        if not finite:
-            raise FormatError(f"{where}.w: expected a finite double")
-        weight = Fraction(weight)
-        try:
-            key = (local_knot_vector(xv), local_knot_vector(yv))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-        if weight <= 0:
-            raise FormatError(f"{where}: weight must be positive, got {weight}")
+        weight = None
+        if type(entry) is dict:
+            xv = _known_vector(entry.get("x"), memo)
+            yv = _known_vector(entry.get("y"), memo)
+            w = entry.get("w", 1)
+            # ``type() is`` keeps out bools, which equal ints as keys
+            if xv is not None and yv is not None and (type(w) is float or type(w) is int):
+                weight = fractions.get(w)
+            if weight is not None:
+                try:
+                    key = (_validated(xv), _validated(yv))
+                except ValueError:
+                    weight = None
+        if weight is None:
+            try:
+                key, weight = _decode_function(entry, memo, fractions)
+            except FormatError as exc:
+                raise FormatError(f"functions[{i}]{exc}") from None
         if key in functions:
-            raise FormatError(f"{where}: duplicate knot vectors")
-        functions[key] = ONE if weight == 1 else weight
+            raise FormatError(f"functions[{i}]: duplicate knot vectors")
+        functions[key] = weight
     return LRSpace(mesh, functions)
 
 

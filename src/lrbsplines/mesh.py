@@ -337,12 +337,25 @@ def _cover(runs, fixed, cross, what) -> np.ndarray:
     return np.cumsum(steps, axis=1)[:, :-1] > 0
 
 
-def _next_covered(covered) -> np.ndarray:
-    """Entry ``[k, c]``: the first ``k' >= k`` with ``covered[k', c]``,
-    or the last row index when there is none."""
-    last = len(covered) - 1
-    at = np.where(covered, np.arange(last + 1)[:, None], last)
-    return np.minimum.accumulate(at[::-1], axis=0)[::-1]
+def _next_covered(covered, k, c) -> np.ndarray:
+    """Per query ``(k[q], c[q])``: the first ``k' >= k`` with
+    ``covered[k', c]``, or the last row index when there is none.  The
+    covered entries, sorted by column and then row, are searched once
+    per query, so no array of the grid's size is built besides their
+    list."""
+    n = len(covered)
+    columns, rows = np.nonzero(covered.T)
+    flat = columns * n + rows
+    at = np.minimum(np.searchsorted(flat, c * n + k), len(flat) - 1)
+    return np.where((flat[at] >= c * n + k) & (columns[at] == c), rows[at], n - 1)
+
+
+#: Largest position grid, ``len(positions(1)) * len(positions(2))``
+#: cells, that :func:`_tile` accepts.  Its dense masks and prefix sums
+#: take about 28 bytes per cell (27.8 MiB at 1,025 x 1,025 positions), so
+#: the cap of 2**25 cells bounds one tiling near 0.9 GiB.  The 2,049 x
+#: 2,049 grid of an 11-iteration ``mesh-demo`` holds 4.2 million cells.
+MAX_TILING_CELLS = 1 << 25
 
 
 def _tile(positions, runs) -> np.ndarray:
@@ -361,13 +374,18 @@ def _tile(positions, runs) -> np.ndarray:
     covered exactly where its two cells lie in different boxes.
     """
     xs, ys = positions[1], positions[2]
+    if len(xs) * len(ys) > MAX_TILING_CELLS:
+        raise MeshError(
+            f"cannot tile a grid of {len(xs)} x {len(ys)} positions: it exceeds "
+            f"the tiling cap of {MAX_TILING_CELLS} cells"
+        )
     nx, ny = len(xs) - 1, len(ys) - 1
     vertical = _cover(runs[1], xs, ys, "vertical meshline")  # (nx + 1, ny)
     horizontal = _cover(runs[2], ys, xs, "horizontal meshline").T  # (nx, ny + 1)
 
     i0, j0 = np.nonzero(vertical[:-1] & horizontal[:, :-1])
-    i1 = _next_covered(vertical)[i0 + 1, j0]
-    j1 = _next_covered(horizontal.T)[j0 + 1, i0]
+    i1 = _next_covered(vertical, i0 + 1, j0)
+    j1 = _next_covered(horizontal.T, j0 + 1, i0)
 
     def paint(weights):
         # the sum of the weights of the boxes holding each cell

@@ -34,8 +34,9 @@ from .bspline import (
     KnotVectorError,
     _boehm,
     _deficits,
+    _expand_ranges,
     _knot_windows,
-    _minimal_support,
+    _lacking_minimal_support,
     _stacked_values,
     local_knot_vector,
     univariate_values,
@@ -104,14 +105,14 @@ class LRSpace:
 
         Every weight is a positive ``Fraction``, every key is two local
         knot vectors of the mesh's bidegree, and every function has
-        minimal support on the mesh."""
-        mesh = self.mesh
-        for key, w in self.functions.items():
-            if type(w) is not Fraction or w <= 0:
-                raise SpaceError(f"function {key} has weight {w!r}, expected a positive Fraction")
-            _check_key(key, mesh.bidegree)
-            if not _minimal_support(*key, mesh):
-                raise SpaceError(f"function {key} lacks minimal support")
+        minimal support on the mesh.  Each function is checked once:
+        weights once per distinct weight object, knot vectors once per
+        distinct vector, and minimal support for all functions by one
+        array pass (:func:`_first_fault`).  The error names the first
+        failing function in the order of ``functions``."""
+        fault = _first_fault(self)
+        if fault is not None:
+            raise SpaceError(fault[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LRSpace):
@@ -122,21 +123,76 @@ class LRSpace:
         return f"<LRSpace {self.mesh.domain} bidegree {self.mesh.bidegree}: {self.n_functions} functions>"
 
 
-def _check_key(key, bidegree) -> None:
-    """Raise SpaceError unless ``key`` is a pair of tuples of coordinates
-    that are valid local knot vectors of degrees ``bidegree``."""
+def _vector_fault(vec, degree: int):
+    """Why ``vec`` is not a local knot vector of ``degree`` made of
+    coordinates: ``"type"``, a ``KnotVectorError`` or ``"degree"``, in
+    the order checked; None when it is one."""
+    if type(vec) is not tuple or any(type(c) is not DyadicCoord for c in vec):
+        return "type"
+    try:
+        local_knot_vector(vec)
+    except KnotVectorError as exc:
+        return exc
+    return "degree" if len(vec) != degree + 2 else None
+
+
+def _function_fault(key, weight, bidegree):
+    """The message of the first rule the function breaks, other than
+    minimal support, or None: its weight must be a positive
+    ``Fraction``, its key a pair of tuples of coordinates, and each
+    vector, x first, a valid local knot vector of its degree."""
+    if type(weight) is not Fraction or weight <= 0:
+        return f"function {key} has weight {weight!r}, expected a positive Fraction"
     if type(key) is not tuple or len(key) != 2:
-        raise SpaceError(f"function key {key!r} is not a pair of knot vectors")
+        return f"function key {key!r} is not a pair of knot vectors"
     for vec, p in zip(key, bidegree):
-        if type(vec) is not tuple or any(type(c) is not DyadicCoord for c in vec):
-            raise SpaceError(f"function key {key!r} is not a pair of knot vectors")
-        try:
-            local_knot_vector(vec)
-        except KnotVectorError as exc:
-            raise SpaceError(f"function {key}: {exc}") from None
-        if len(vec) != p + 2:
+        fault = _vector_fault(vec, p)
+        if fault == "type":
+            return f"function key {key!r} is not a pair of knot vectors"
+        if fault == "degree":
             degrees = tuple(len(v) - 2 for v in key)
-            raise SpaceError(f"function {key} has degrees {degrees}, mesh {bidegree}")
+            return f"function {key} has degrees {degrees}, mesh {bidegree}"
+        if fault is not None:
+            return f"function {key}: {fault}"
+    return None
+
+
+def _first_fault(space: LRSpace):
+    """``(i, message)`` for the first function, in the order of
+    ``space.functions``, that breaks an invariant of
+    :meth:`LRSpace.validate`, or None when none does.
+
+    The keys' shapes and the weights are checked by a few set
+    comprehensions, the weights once per distinct object, and the knot
+    vectors once per distinct vector of each direction, as arrays
+    (:func:`_checked_windows`); minimal support is decided for all
+    functions by :func:`_lacking_minimal_support`.  Only when one of the
+    first checks fails are the functions scanned one by one, to find the
+    first that breaks a rule (:func:`_function_fault`); minimal support
+    is then decided for the functions before it, which are well formed.
+    """
+    functions = space.functions
+    mesh = space.mesh
+    keys = list(functions)
+    stop = len(keys)
+    windows = None
+    if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}:
+        weights = dict(zip(map(id, functions.values()), functions.values())).values()
+        if all(type(w) is Fraction and w > 0 for w in weights):
+            windows = [_checked_windows(keys, d, p) for d, p in zip((1, 2), mesh.bidegree)]
+    if windows is None or None in windows:
+        stop = next(
+            i for i, (key, w) in enumerate(functions.items()) if _function_fault(key, w, mesh.bidegree)
+        )
+        windows = [_windows(keys[:stop], d) for d in (1, 2)]
+    if stop:
+        lacking = np.flatnonzero(_lacking_minimal_support(windows, mesh))
+        if lacking.size:
+            i = int(lacking[0])
+            return i, f"function {keys[i]} lacks minimal support"
+    if stop < len(keys):
+        return stop, _function_fault(keys[stop], functions[keys[stop]], mesh.bidegree)
+    return None
 
 
 # -- construction -----------------------------------------------------------
@@ -189,16 +245,6 @@ def _support_bounds(keys) -> np.ndarray:
     with the given keys, one row per key, read from the knot vectors."""
     rows = chain.from_iterable((xv[0], xv[-1], yv[0], yv[-1]) for xv, yv in keys)
     return np.fromiter(rows, dtype=float).reshape(-1, 4)
-
-
-def _expand_ranges(lo, hi):
-    """``(which, at)``: every ``at`` in ``range(lo[i], hi[i])``, with the
-    ``i`` it came from, in order of ``i`` and then ``at``."""
-    sizes = hi - lo
-    which = np.repeat(np.arange(len(sizes)), sizes)
-    at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-    at += np.arange(len(which))
-    return which, at
 
 
 class _Refinement:
@@ -595,14 +641,43 @@ def _gauss_rule(lo, hi, nodes, weights):
     return lo[:, None] + h[:, None] * (nodes + 1.0), weights * h[:, None]
 
 
-def _windows(keys, direction: int):
-    """``(v, which)``: the distinct direction-``direction`` knot windows of
-    ``keys``, one float row each, and per key the row of its window; each
-    knot vector is hashed once."""
+def _distinct(keys, direction: int):
+    """``(vectors, which)``: the distinct direction-``direction`` knot
+    vectors of ``keys``, in order of first use, and per key the index of
+    its vector; each vector is hashed once."""
     ids: dict = {}
     vectors = map(itemgetter(direction - 1), keys)
     which = np.fromiter((ids.setdefault(v, len(ids)) for v in vectors), np.intp, len(keys))
-    return np.array(list(ids), dtype=float), which
+    return list(ids), which
+
+
+def _rows(vectors, length: int) -> np.ndarray:
+    """Knot vectors of one length as the rows of a float array."""
+    return np.fromiter(chain.from_iterable(vectors), float).reshape(len(vectors), length)
+
+
+def _windows(keys, direction: int):
+    """``(v, which)``: :func:`_distinct`'s vectors as float rows."""
+    vectors, which = _distinct(keys, direction)
+    return _rows(vectors, len(vectors[0]) if vectors else 0), which
+
+
+def _checked_windows(keys, direction: int, degree: int):
+    """:func:`_windows`, or None unless each distinct vector is a local
+    knot vector of ``degree`` made of coordinates, as
+    :func:`_vector_fault` rules: the types and lengths are read by set
+    comprehensions and the order of the values by array comparisons."""
+    vectors, which = _distinct(keys, direction)
+    if not (
+        set(map(type, vectors)) <= {tuple}
+        and set(map(len, vectors)) <= {degree + 2}
+        and set(map(type, chain.from_iterable(vectors))) <= {DyadicCoord}
+    ):
+        return None
+    v = _rows(vectors, degree + 2)
+    if not (np.all(v[:, 1:] >= v[:, :-1]) and np.all(v[:, 0] < v[:, -1])):
+        return None
+    return v, which
 
 
 def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
