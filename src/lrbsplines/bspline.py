@@ -53,7 +53,6 @@ __all__ = [
     "univariate_values",
     "univariate_derivatives",
     "evaluate",
-    "evaluate_gradient",
     "insert_knot",
     "has_support_on",
     "has_minimal_support",
@@ -205,16 +204,6 @@ def evaluate(key, point) -> float:
     vx = univariate_values(xv, np.array([float(point[0])]), close_at=xv[-1])
     vy = univariate_values(yv, np.array([float(point[1])]), close_at=yv[-1])
     return float(vx[0]) * float(vy[0])
-
-
-def evaluate_gradient(key, point) -> tuple[float, float]:
-    """Unweighted gradient at one point, same closure as :func:`evaluate`:
-    one kernel call per direction gives the values and derivatives."""
-    xv, yv = _checked(key)
-    x, y = float(point[0]), float(point[1])
-    vx, dx = _stacked_values(np.array(xv, dtype=float), np.array([x]), xv[-1], derivatives=True)
-    vy, dy = _stacked_values(np.array(yv, dtype=float), np.array([y]), yv[-1], derivatives=True)
-    return (float(dx[0]) * float(vy[0]), float(vx[0]) * float(dy[0]))
 
 
 # -- knot insertion ---------------------------------------------------------

@@ -177,7 +177,7 @@ def verify(path, *, seed: int = 0) -> dict:
     fault = _first_fault(space)
     if fault is not None:
         raise FormatError(f"functions[{fault[0]}]: {fault[1]}")
-    keys, counts, indices, bounds = _incidence(space)
+    counts = _incidence(space)[1]
     n_loc = (p1 + 1) * (p2 + 1)
     n = space.n_functions
     report["n_functions"] = n
@@ -196,9 +196,7 @@ def verify(path, *, seed: int = 0) -> dict:
     report["pou_defect_weighted"], report["pou_defect_unweighted"] = _unity_defects(
         space, 64, (True, False)
     )
-    if report["locally_independent"] and _elementwise_full_rank(
-        space, keys, indices.reshape(len(counts), n_loc), bounds
-    ):
+    if report["locally_independent"] and _elementwise_full_rank(space):
         rank = n
     elif n <= DENSE_RANK_MAX_FUNCTIONS:
         rank = collocation_rank(space, seed=seed)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .dyadic import DyadicCoord
 from .mesh import Mesh, MeshError, Rect, _build_mesh
 from .bspline import _validated, local_knot_vector
-from .space import ONE, LRSpace, _incidence
+from .space import ONE, LRSpace
 
 __all__ = [
     "FormatError",
@@ -30,7 +30,6 @@ __all__ = [
     "write_trace",
     "write_qi_csv",
     "write_poisson_csv",
-    "write_element_csv",
 ]
 
 
@@ -435,13 +434,3 @@ def write_qi_csv(rows, path) -> None:
 def write_poisson_csv(rows, path) -> None:
     """Error-decay table of the layer benchmark."""
     _write_table(rows, path, ["strategy", "level", "n_functions", "linf", "l2"])
-
-
-def write_element_csv(space: LRSpace, path) -> None:
-    """Per-element support counts, one row per element."""
-    _, counts, _, bounds = _incidence(space)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_min", "x_max", "y_min", "y_max", "n_supported"])
-        for (x0, x1, y0, y1), count in zip(bounds.T.tolist(), counts.tolist()):
-            writer.writerow([repr(x0), repr(x1), repr(y0), repr(y1), count])

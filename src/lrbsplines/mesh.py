@@ -47,7 +47,6 @@ __all__ = [
     "Split",
     "Mesh",
     "make_initial_mesh",
-    "mesh_from_knots",
     "insert_split",
     "is_tensorized",
 ]
@@ -82,18 +81,6 @@ class Rect:
         if direction == 1:
             return (self.x_min, self.x_max)
         return (self.y_min, self.y_max)
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.x_min <= other.x_min
-            and other.x_max <= self.x_max
-            and self.y_min <= other.y_min
-            and other.y_max <= self.y_max
-        )
-
-    def corner_key(self):
-        """Sort key: lower-left corner first, then upper-right."""
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
 
     def __str__(self) -> str:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
@@ -201,17 +188,13 @@ class Mesh:
         return self._elements
 
     def elements(self) -> tuple[Rect, ...]:
-        """The elements' closures, sorted by ``Rect.corner_key``: built
-        from :meth:`element_boxes` on each call."""
+        """The elements' closures, sorted by lower-left corner ``(x_min,
+        y_min)``: built from :meth:`element_boxes` on each call."""
         xs, ys = self._positions[1], self._positions[2]
         return tuple(
             Rect(xs[i0], xs[i1], ys[j0], ys[j1])
             for i0, i1, j0, j1 in self.element_boxes().tolist()
         )
-
-    def cross_interval(self, direction: int) -> tuple[DyadicCoord, DyadicCoord]:
-        """Domain extent orthogonal to lines of ``direction``."""
-        return self.domain.interval(2 if direction == 1 else 1)
 
     def _canonical(self):
         return (
@@ -506,22 +489,6 @@ def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
     return [(v, len(list(run))) for v, run in groupby(vec)]
 
 
-def mesh_from_knots(xknots, yknots) -> Mesh:
-    """Tensor knot mesh of one function: its knot lines at knot multiplicity.
-
-    The bidegree is inferred from the vector lengths.  The result is in
-    general not open (the boundary carries the knot multiplicities as
-    given), which is what support testing wants.
-    """
-    xs = [dyadic(v) for v in xknots]
-    ys = [dyadic(v) for v in yknots]
-    p1, p2 = len(xs) - 2, len(ys) - 2
-    domain = Rect(xs[0], xs[-1], ys[0], ys[-1])
-    items = [Split(1, x, ys[0], ys[-1], mult) for x, mult in _knot_multiplicities(xs)]
-    items += [Split(2, y, xs[0], xs[-1], mult) for y, mult in _knot_multiplicities(ys)]
-    return _build_mesh(domain, (p1, p2), items, require_open=False)
-
-
 # -- insertion -------------------------------------------------------------
 
 
@@ -589,7 +556,7 @@ def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:
 
 def is_tensorized(mesh: Mesh, direction: int) -> bool:
     """True when every line of ``direction`` spans the full cross-extent."""
-    c_lo, c_hi = mesh.cross_interval(direction)
+    c_lo, c_hi = mesh.domain.interval(2 if direction == 1 else 1)
     for pos in mesh.positions(direction):
         runs = mesh.runs_at(direction, pos)
         if len(runs) != 1 or runs[0][0] != c_lo or runs[0][1] != c_hi:

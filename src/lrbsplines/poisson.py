@@ -40,7 +40,6 @@ from .space import (
     _gauss_rule,
     _incidence,
     _outer,
-    _windows,
     LRSpace,
     SpaceError,
     initial_space,
@@ -152,19 +151,20 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
-    keys, counts, indices, bounds = _incidence(space)
+    keys, counts, indices, bounds, _ = _incidence(space)
     overloaded = np.flatnonzero(counts != expected)
     if overloaded.size:
         e = overloaded[0]
+        i0, i1, j0, j1 = space.mesh.element_boxes()[e].tolist()
+        xs, ys = space.mesh.positions(1), space.mesh.positions(2)
         raise SpaceError(
-            f"element {space.mesh.elements()[e]} carries {counts[e]} functions, "
+            f"element {Rect(xs[i0], xs[i1], ys[j0], ys[j1])} carries {counts[e]} functions, "
             f"expected {expected}; assembly requires local linear "
             f"independence"
         )
     T = indices.reshape(len(counts), expected)
     n_elements, n_loc = T.shape
-    windows = [_windows(keys, d) for d in (1, 2)]
-    x_at, y_at = _element_pairs(space, windows, T, bounds, _gauss_rule, derivatives=True)
+    x_at, y_at = _element_pairs(space, _gauss_rule, derivatives=True)
 
     local = np.empty((n_elements, n_loc, n_loc))
     contrib = np.empty((n_elements, n_loc))
@@ -190,7 +190,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
         rule = partial(_composite_rule, resolution=load_resolution)
         for cx, cy in np.unique(cells, axis=0):
             group = np.flatnonzero((cells[:, 0] == cx) & (cells[:, 1] == cy))
-            x_at, y_at = _element_pairs(space, windows, T, bounds, rule, rows=group)
+            x_at, y_at = _element_pairs(space, rule, rows=group)
             for c in _chunks(np.arange(len(group)), n_loc * cx * cy * expected):
                 lx, lwx, lvx = x_at(c)
                 ly, lwy, lvy = y_at(c)
@@ -233,12 +233,11 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
     dirichlet: dict = {}
-    keys = space.sorted_keys()
     for direction, value, is_lower in _edge_descriptors(space):
         degree = p1 if direction == 1 else p2
         cross_top = dom.y_max if direction == 1 else dom.x_max
         edge = []
-        for key in keys:
+        for key in system.keys:
             vec = key[0] if direction == 1 else key[1]
             pinned = vec[degree] == value if is_lower else vec[1] == value
             if pinned:

@@ -26,7 +26,6 @@ from .space import Key, LRSpace, SpaceError, _refine_marked, _Refinement
 __all__ = [
     "is_nested_knotwise",
     "is_nested_meshwise",
-    "nested_map",
     "one_directional_expansion",
     "tensor_expansion",
     "central_span",
@@ -112,16 +111,6 @@ def _nested_meshwise(inner: Key, outer: Key) -> bool:
             if value == vo[end] and vi.count(value) > vo.count(value):
                 return False
     return True
-
-
-def nested_map(space: LRSpace) -> dict:
-    """Map each function with nested functions to their sorted keys.
-
-    Functions without nested functions do not appear, so a space with
-    pairwise non-nested supports maps to ``{}``.
-    """
-    by_outer = _NestedTracker(_Refinement(space)).by_outer
-    return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
 
 
 def _nested_verdicts(space: LRSpace) -> tuple[list, list]:

@@ -42,7 +42,7 @@ from .bspline import (
     univariate_values,
 )
 from .dyadic import DyadicCoord, midpoint
-from .mesh import Mesh, Rect, Split, insert_split, is_tensorized
+from .mesh import Mesh, Split, insert_split, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -50,7 +50,6 @@ __all__ = [
     "initial_space",
     "apply_split",
     "structured_refine",
-    "element_support_count",
     "element_support_table",
     "is_locally_linearly_independent",
     "partition_of_unity_defect",
@@ -184,7 +183,7 @@ def _first_fault(space: LRSpace):
         stop = next(
             i for i, (key, w) in enumerate(functions.items()) if _function_fault(key, w, mesh.bidegree)
         )
-        windows = [_windows(keys[:stop], d) for d in (1, 2)]
+        windows = [_windows(keys[:stop], d, p) for d, p in zip((1, 2), mesh.bidegree)]
     if stop:
         lacking = np.flatnonzero(_lacking_minimal_support(windows, mesh))
         if lacking.size:
@@ -556,37 +555,32 @@ def _refine_marked(state: _Refinement, marked) -> None:
 # -- diagnostics ------------------------------------------------------------
 
 
-def element_support_count(space: LRSpace, element: Rect) -> int:
-    """Number of functions whose support contains the element (a closed
-    rectangle of ``mesh.elements()``), by an exact-coordinate scan of
-    every function: O(n) per element."""
-    return sum(
-        1 for xv, yv in space.functions if Rect(xv[0], xv[-1], yv[0], yv[-1]).contains_rect(element)
-    )
-
-
 def _incidence(space: LRSpace):
     """The element--function incidence in compressed rows, built once per
     space by :func:`_build_incidence` and kept on it, read-only.
 
-    Returns ``(keys, counts, indices, bounds)``: ``keys`` is
+    Returns ``(keys, counts, indices, bounds, windows)``: ``keys`` is
     ``space.sorted_keys()`` as a tuple, and element ``e`` of
     ``mesh.elements()`` carries the functions ``indices[s:s +
     counts[e]]``, ascending, with ``s`` the sum of the earlier counts;
     ``bounds`` holds the elements' bounds ``x0, x1, y0, y1`` as a ``(4,
-    elements)`` float array.  A function is supported on an element when
-    its support contains the element's closure.
+    elements)`` float array; ``windows`` holds per direction the
+    :func:`_windows` ``(v, which)`` of ``keys``, so each distinct knot
+    vector is hashed and converted once per space.  A function is
+    supported on an element when its support contains the element's
+    closure.
 
-    Both are read from the mesh's index boxes (``Mesh.element_boxes``).
-    Elements tile the domain, so each one is named by its lower-left
-    corner, keyed by the corner's position indices ``i0 * len(ys) + j0``,
-    which the boxes' order already sorts.  A function's
-    support ``[a, b] x [c, d]`` holds the corners in ``[a, b) x [c, d)``:
-    per mesh column in ``[a, b)``, two searches of the sorted corner keys
-    find those in ``[c, d)``, and the candidates whose far corner lies
-    outside the support are dropped, so the result is the dense
-    containment test of every element against every function whether or
-    not the functions have minimal support.  O(nnz log n) time and
+    The functions' support bounds are the first and last columns of the
+    windows, and the elements' are read from the mesh's index boxes
+    (``Mesh.element_boxes``).  Elements tile the domain, so each one is
+    named by its lower-left corner, keyed by the corner's position
+    indices ``i0 * len(ys) + j0``, which the boxes' order already sorts.
+    A function's support ``[a, b] x [c, d]`` holds the corners in ``[a,
+    b) x [c, d)``: per mesh column in ``[a, b)``, two searches of the
+    sorted corner keys find those in ``[c, d)``, and the candidates whose
+    far corner lies outside the support are dropped, so the result is the
+    dense containment test of every element against every function
+    whether or not the functions have minimal support.  O(nnz log n) time and
     memory, with nnz the incidences and the few candidates dropped.
     """
     incidence = space._cached_incidence
@@ -599,12 +593,14 @@ def _build_incidence(space: LRSpace):
     """:func:`_incidence`, computed."""
     keys = tuple(space.sorted_keys())
     mesh = space.mesh
+    windows = tuple(_windows(keys, d, p) for d, p in zip((1, 2), mesh.bidegree))
     i0, i1, j0, j1 = mesh.element_boxes().T
     xpos = np.array(mesh.positions(1), dtype=float)
     ypos = np.array(mesh.positions(2), dtype=float)
     x0, x1, y0, y1 = bounds = np.stack([xpos[i0], xpos[i1], ypos[j0], ypos[j1]])
     corners = i0 * len(ypos) + j0
-    a, b, c, d = _support_bounds(keys).T
+    (vx, wx), (vy, wy) = windows
+    a, b, c, d = vx[wx, 0], vx[wx, -1], vy[wy, 0], vy[wy, -1]
     column_lo, column_hi = np.searchsorted(xpos, a), np.searchsorted(xpos, b)
     f, column = _expand_ranges(column_lo, column_hi)
     base = column * len(ypos)
@@ -618,9 +614,9 @@ def _build_incidence(space: LRSpace):
     by_element = np.argsort(e, kind="stable")
     counts = np.bincount(e, minlength=len(x0))
     indices = f[by_element]
-    for array in (counts, indices, bounds):
+    for array in (counts, indices, bounds, vx, wx, vy, wy):
         array.flags.writeable = False
-    return keys, counts, indices, bounds
+    return keys, counts, indices, bounds, windows
 
 
 def element_support_table(space: LRSpace):
@@ -630,7 +626,7 @@ def element_support_table(space: LRSpace):
     The rows are read from the element--function incidence, a range query
     over the elements' sorted lower-left corners per function: O(nnz log
     n) time and memory, with nnz the sum of the row lengths."""
-    keys, counts, indices, _ = _incidence(space)
+    keys, counts, indices, _, _ = _incidence(space)
     return list(keys), np.split(indices, np.cumsum(counts)[:-1])
 
 
@@ -656,10 +652,11 @@ def _rows(vectors, length: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(vectors), float).reshape(len(vectors), length)
 
 
-def _windows(keys, direction: int):
-    """``(v, which)``: :func:`_distinct`'s vectors as float rows."""
+def _windows(keys, direction: int, degree: int):
+    """``(v, which)``: :func:`_distinct`'s vectors, local knot vectors of
+    ``degree``, as float rows."""
     vectors, which = _distinct(keys, direction)
-    return _rows(vectors, len(vectors[0]) if vectors else 0), which
+    return _rows(vectors, degree + 2), which
 
 
 def _checked_windows(keys, direction: int, degree: int):
@@ -684,16 +681,17 @@ def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
     """One direction's B-spline values on the rectangular incidence ``T``,
     computed once per distinct (knot window, element interval) pair.
 
-    ``windows`` is :func:`_windows`'s ``(v, which)``; ``index`` and
-    ``bounds`` hold the ``(lo, hi)`` bounds of ``T``'s elements in the
-    direction, as mesh position indices (exact interval names) and as
-    floats; ``rule(lo, hi)`` gives points and weights per interval.  The
-    rule runs once per distinct interval and :func:`_stacked_values` once
-    per distinct pair, in calls of at most ``_CHUNK_ENTRIES`` entries.
-    Returns ``gather(c)``: the elements ``c``'s points and weights, and
-    their ``(len(c), slots, q)`` values (and first derivatives), gathered
-    by pair.  The kernel is elementwise, so these are bit for bit those of
-    one stacked pass over every (element, slot).
+    ``windows`` is one direction's ``(v, which)`` of :func:`_incidence`;
+    ``index`` and ``bounds`` hold the ``(lo, hi)`` bounds of ``T``'s
+    elements in the direction, as mesh position indices (exact interval
+    names) and as floats; ``rule(lo, hi)`` gives points and weights per
+    interval.  The rule runs once per distinct interval and
+    :func:`_stacked_values` once per distinct pair, in calls of at most
+    ``_CHUNK_ENTRIES`` entries.  Returns ``gather(c)``: the elements
+    ``c``'s points and weights, and their ``(len(c), slots, q)`` values
+    (and first derivatives), gathered by pair.  The kernel is
+    elementwise, so these are bit for bit those of one stacked pass over
+    every (element, slot).
     """
     v, which = windows
     lo, hi = index
@@ -719,11 +717,14 @@ def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
 _gauss_legendre = cache(leggauss)
 
 
-def _element_pairs(space: LRSpace, windows, T, bounds, rule, rows=slice(None), derivatives=False):
-    """Per direction, :func:`_pair_values` on the elements ``rows`` of
-    ``T``, with :func:`_incidence`'s ``bounds`` and :func:`_windows` per
-    direction in ``windows``, at ``rule(lo, hi, nodes=..., weights=...)``
-    for the direction's (p+1)-point Gauss--Legendre nodes and weights."""
+def _element_pairs(space: LRSpace, rule, rows=slice(None), derivatives=False):
+    """Per direction, :func:`_pair_values` on the elements ``rows`` of the
+    space's :func:`_incidence`, at ``rule(lo, hi, nodes=..., weights=...)``
+    for the direction's (p+1)-point Gauss--Legendre nodes and weights.
+    Every element must carry (p1+1)(p2+1) functions, so that the incidence
+    is the rectangular index array ``T`` of :func:`_pair_values`."""
+    _, counts, indices, bounds, windows = _incidence(space)
+    T = indices.reshape(len(counts), -1)
     index = space.mesh.element_boxes()[rows].T
     gatherers = []
     for w, k, p in zip(windows, (0, 2), space.mesh.bidegree):
@@ -741,13 +742,11 @@ def _outer(a, b):
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
-def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
+def _elementwise_full_rank(space: LRSpace) -> bool:
     """Certificate of linear independence, one element at a time.
 
-    ``keys`` is ``space.sorted_keys()``, and every element carries
-    (p1+1)(p2+1) functions: ``T`` is :func:`_incidence`'s ``indices``
-    reshaped to ``(elements, (p1+1)(p2+1))``, and ``bounds`` its element
-    bounds.  True when, on every
+    Every element must carry (p1+1)(p2+1) functions, as
+    :func:`is_locally_linearly_independent` checks.  True when, on every
     element, the matrix of those (unweighted) functions' values at the
     element's tensor Gauss--Legendre points has full numerical rank:
     singular values below ``1e-9 * sigma_max`` of that element count as
@@ -760,11 +759,12 @@ def _elementwise_full_rank(space: LRSpace, keys, T, bounds) -> bool:
     element interval) pair (:func:`_pair_values`) and gathered per chunk
     of elements; O(nnz log nnz) time for the nnz incidences.
     """
-    n_loc = T.shape[1]
-    windows = [_windows(keys, d) for d in (1, 2)]
-    x_at, y_at = _element_pairs(space, windows, T, bounds, _gauss_rule)
+    p1, p2 = space.mesh.bidegree
+    n_loc = (p1 + 1) * (p2 + 1)
+    n_elements = len(space.mesh.element_boxes())
+    x_at, y_at = _element_pairs(space, _gauss_rule)
     size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
-    for start in range(0, len(T), size):
+    for start in range(0, n_elements, size):
         c = slice(start, start + size)
         s = np.linalg.svd(_outer(x_at(c)[2], y_at(c)[2]), compute_uv=False)
         if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
@@ -782,7 +782,7 @@ def is_locally_linearly_independent(space: LRSpace) -> bool:
     memory, with nnz the sum of the counts.
     """
     p1, p2 = space.mesh.bidegree
-    _, counts, _, _ = _incidence(space)
+    counts = _incidence(space)[1]
     return bool(np.all(counts == (p1 + 1) * (p2 + 1)))
 
 
@@ -811,12 +811,13 @@ def _grid_axis(values, name: str) -> np.ndarray:
     return pts
 
 
-def _window_table(keys, direction: int, pts, top):
+def _window_table(windows, pts, top):
     """One direction's B-spline values on the grid axis ``pts``: one flat
-    table for the direction-``direction`` knot windows of ``keys``.
+    table for that direction's ``windows``, the ``(v, which)`` of
+    :func:`_incidence`.
 
-    Returns ``(table, base)``: the window of ``keys[k]`` has the value
-    ``table[base[k] + i]`` at every ``pts[i]`` of its closed support.
+    Returns ``(table, base)``: the window of the ``k``-th key has the
+    value ``table[base[k] + i]`` at every ``pts[i]`` of its closed support.
     Each distinct window is evaluated once, on its point range, in
     stacked calls of at most ``_CHUNK_ENTRIES`` entries, each on as many
     points from its first one in the support as the widest support
@@ -825,7 +826,7 @@ def _window_table(keys, direction: int, pts, top):
     window.  A value depends only on its window and point, not on the
     call it is computed in.
     """
-    v, which = _windows(keys, direction)
+    v, which = windows
     i0 = np.searchsorted(pts, v[:, 0], side="left")
     sizes = np.searchsorted(pts, v[:, -1], side="right") - i0
     width = int(sizes.max())
@@ -884,15 +885,15 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     xs = _grid_axis(xs, "xs")
     ys = _grid_axis(ys, "ys")
     outs = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
-    keys, counts, indices, bounds = _incidence(space)
+    keys, counts, indices, bounds, windows = _incidence(space)
     dom = space.mesh.domain
     ix, nx = _element_points(xs, bounds[0], bounds[1], dom.x_max)
     iy, ny = _element_points(ys, bounds[2], bounds[3], dom.y_max)
     hit = np.flatnonzero((nx > 0) & (ny > 0))
     if not hit.size:
         return outs
-    x_table, x_base = _window_table(keys, 1, xs, dom.x_max)
-    y_table, y_base = _window_table(keys, 2, ys, dom.y_max)
+    x_table, x_base = _window_table(windows[0], xs, dom.x_max)
+    y_table, y_base = _window_table(windows[1], ys, dom.y_max)
     coefficients = [
         np.fromiter(map(c.__getitem__, keys), dtype=float, count=len(keys))
         for c in coefficient_sets

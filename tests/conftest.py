@@ -10,7 +10,11 @@ The oracles are independent of the package's evaluation kernel: a scalar
 Cox--de Boor recursion, one window at a time, and the full local tensor
 space of one function with its mesh and basis.  The generation fixpoint
 has its own: one knot per split, found by a scan of every mesh position;
-so has its memoized Boehm kernel: the same integer loop, uncached.
+so has its memoized Boehm kernel: the same integer loop, uncached.  The
+element--function incidence is checked against an exact-coordinate scan
+of every function per element, the batched derivatives against a
+pointwise gradient, and pipeline results against the nested map that the
+knotwise test gives on every pair of nesting supports.
 """
 from __future__ import annotations
 
@@ -22,18 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from lrbsplines import bspline as bspline_module
 from lrbsplines import space as space_module
-from lrbsplines.bspline import _knot_windows, find_refining_split, insert_knot
+from lrbsplines.bspline import _checked, _knot_windows, find_refining_split, insert_knot
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
 from lrbsplines.quasi import _raised_vector
 from lrbsplines.space import (
+    _Refinement,
     _uncovered_gaps,
     apply_split,
     initial_space,
     structured_refine,
 )
-from lrbsplines.refine import n2s_pipeline
+from lrbsplines.refine import is_nested_knotwise, n2s_pipeline
 
 
 def build_mesh(bounds, bidegree, lines, *, require_open=True, boundary=True):
@@ -105,6 +111,31 @@ def reference_derivatives(knots, t, close_at=None):
     if den2 > 0.0:
         out = out - reference_values(v[1:], t, close_at) / den2
     return p * out
+
+
+def evaluate_gradient(key, point) -> tuple[float, float]:
+    """Unweighted gradient of the function ``key`` at one point, closed at
+    its own last knots: one kernel call per direction gives the values
+    and derivatives.  The pointwise reference of assembly's batched
+    derivatives."""
+    xv, yv = _checked(key)
+    x, y = float(point[0]), float(point[1])
+    kernel = bspline_module._stacked_values
+    vx, dx = kernel(np.array(xv, dtype=float), np.array([x]), xv[-1], derivatives=True)
+    vy, dy = kernel(np.array(yv, dtype=float), np.array([y]), yv[-1], derivatives=True)
+    return (float(dx[0]) * float(vy[0]), float(vx[0]) * float(dy[0]))
+
+
+def element_support_count(space, element: Rect) -> int:
+    """Number of functions whose support contains the element (a closed
+    rectangle of ``mesh.elements()``), by an exact-coordinate scan of
+    every function: O(n) per element."""
+    return sum(
+        1
+        for xv, yv in space.functions
+        if xv[0] <= element.x_min and element.x_max <= xv[-1]
+        and yv[0] <= element.y_min and element.y_max <= yv[-1]
+    )
 
 
 @dataclass(frozen=True)
@@ -215,6 +246,17 @@ def reference_fixpoint(mesh, functions, dirty):
             else:
                 functions[k] = old + w * alpha
     return removed, added
+
+
+def nested_map(space) -> dict:
+    """Map each function with nested functions to their sorted keys, by
+    the knotwise test on every pair of nesting supports; a space with
+    pairwise non-nested supports maps to ``{}``."""
+    by_outer: dict = {}
+    for inner, outer in _Refinement(space).nested_pairs():
+        if is_nested_knotwise(inner, outer):
+            by_outer.setdefault(outer, set()).add(inner)
+    return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
 
 
 def random_split(rng, space):

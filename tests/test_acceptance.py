@@ -36,7 +36,6 @@ from lrbsplines import (
     lr_qi,
     make_initial_mesh,
     n2s_pipeline,
-    nested_map,
     partition_of_unity_defect,
     qi_max_error,
     solve,
@@ -46,7 +45,7 @@ from lrbsplines import (
     three_peaks_spaces,
 )
 
-from conftest import random_pipeline_space
+from conftest import nested_map, random_pipeline_space
 from test_bspline import insertion_defect, random_insertion_triple
 
 # Reference values: cardinalities of the uniform tensor spaces, function

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from conftest import key_of, random_pipeline_space
+from conftest import evaluate_gradient, key_of, random_pipeline_space
 from lrbsplines.bspline import (
     KnotVectorError,
     evaluate,
-    evaluate_gradient,
     find_refining_split,
     has_minimal_support,
     has_support_on,

@@ -28,19 +28,16 @@ from lrbsplines import (
     save,
     three_peaks_spaces,
     to_json,
-    write_element_csv,
 )
 from lrbsplines import cli
 from lrbsplines import poisson as poisson_module
 from lrbsplines import refine as refine_module
 from lrbsplines.cli import main, run_mesh_demo, verify
 
-# sha256 of every file that a 4-iteration mesh-demo writes, plus the
-# per-element table of its space.  Any change to mesh topology, function
+# sha256 of every file that a 4-iteration mesh-demo writes.  Any change to mesh topology, function
 # identity, weights, the trace or the float output formatting shows here.
 GOLDEN_MESH_DEMO_4 = {
     "counts.csv": "076cdb1f41caba2f842659c9ed003f262b72a2608fe5394d56cdb496233cf2fb",
-    "elements.csv": "301e99286aa48d9be99d2f29d74a897c02a5b731346e7e147401b290320994d8",
     "mesh_0.svg": "44085c01612f67771d78f770a921c94ae87756da30d01d3210561d68d52f3901",
     "mesh_1.svg": "6aad5b0776820bf7023a8d3eceb879e58f91695365c1e0eca919d20f24a62c14",
     "mesh_2.svg": "4b4cbcd19ceea1c1dc221e45540e465a538d4ade98931f2aba035d7f70ed9506",
@@ -202,7 +199,6 @@ def test_only_verify_takes_a_seed(tmp_path, capsys, command):
 def test_mesh_demo_artifacts_match_golden_hashes(tmp_path):
     out = tmp_path / "demo"
     run_mesh_demo(out, iterations=4)
-    write_element_csv(load(out / "space.json"), out / "elements.csv")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN_MESH_DEMO_4
 

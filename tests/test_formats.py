@@ -23,7 +23,6 @@ from lrbsplines import (
     render_svg,
     save,
     to_json,
-    write_element_csv,
     write_poisson_csv,
     write_qi_csv,
     write_trace,
@@ -318,15 +317,3 @@ def test_poisson_csv_column_order(tmp_path):
     header, data = target.read_text().splitlines()
     assert header == "strategy,level,n_functions,linf,l2"
     assert data == "tensor,2,36,0.25,0.125"
-
-
-def test_element_csv_counts(tmp_path, running_example):
-    space = running_example["pipeline_1"]
-    target = tmp_path / "elements.csv"
-    write_element_csv(space, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "x_min,x_max,y_min,y_max,n_supported"
-    assert len(lines) == 1 + len(space.mesh.elements())
-    # The pipeline output is locally linearly independent: every element
-    # carries exactly nine functions.
-    assert all(line.endswith(",9") for line in lines[1:])

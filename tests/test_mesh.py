@@ -27,9 +27,13 @@ from lrbsplines.mesh import (
     insert_split,
     is_tensorized,
     make_initial_mesh,
-    mesh_from_knots,
 )
 from lrbsplines.space import apply_split, initial_space, structured_refine
+
+
+def corner_key(rect):
+    """Sort key of an element: lower-left corner first, then upper-right."""
+    return (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
 
 
 def assert_elements_match_oracle(mesh):
@@ -48,7 +52,7 @@ def assert_grid_elements_match_oracle(mesh):
     elems = mesh.elements()
     boxes = mesh._elements
     assert_elements_match_oracle(mesh)
-    keys = [e.corner_key() for e in elems]
+    keys = [corner_key(e) for e in elems]
     assert keys == sorted(keys)
     assert mesh.elements() == elems
     assert mesh._elements is boxes
@@ -63,8 +67,12 @@ def test_elements_match_flood_fill_on_tensor_meshes():
             mesh = make_initial_mesh((0, 1, 0, 2), bidegree, cells)
             assert_grid_elements_match_oracle(mesh)
             assert len(mesh.elements()) == cells[0] * cells[1]
-    # interior double knot in x, triple knot in y; boundary not open
-    knot_mesh = mesh_from_knots([0, 1, 1, 2, 3], [0, 0.25, 0.25, 0.25, 1])
+    # the knot lines of one bidegree (3, 3) function, [0, 1, 1, 2, 3] x
+    # [0, 0.25, 0.25, 0.25, 1]: interior double knot in x, triple knot in
+    # y; boundary not open
+    knot_lines = [(1, x, 0, 1, m) for x, m in ((0, 1), (1, 2), (2, 1), (3, 1))]
+    knot_lines += [(2, y, 0, 3, m) for y, m in ((0, 1), (0.25, 3), (1, 1))]
+    knot_mesh = build_mesh((0, 3, 0, 1), (3, 3), knot_lines, require_open=False, boundary=False)
     assert knot_mesh.runs_at(1, dyadic(1))[0][2] == 2
     assert_grid_elements_match_oracle(knot_mesh)
     assert len(knot_mesh.elements()) == 3 * 2
@@ -113,7 +121,7 @@ def test_tiling_accepts_exactly_the_line_sets_the_flood_fill_accepts(data):
     expected = flood_fill_tiles(xs, ys, lines + boundary)
     try:
         mesh = build_mesh((0, nx - 1, 0, ny - 1), (2, 2), lines)
-        got = {e.corner_key() for e in mesh.elements()}
+        got = {corner_key(e) for e in mesh.elements()}
     except MeshError as exc:
         assert expected is None, exc
         assert "is not a mesh vertex" in str(exc) or "do not tile the domain into rectangles near" in str(exc)
@@ -175,16 +183,6 @@ def test_initial_mesh_rejects_non_dyadic_widths():
         make_initial_mesh((0, 1, 0, 1), (2, 2), 3)
 
 
-def test_mesh_from_knots_is_the_functions_support_mesh():
-    # local vectors of one bidegree (2,2) function, repeated interior knot
-    mesh = mesh_from_knots([0, 0.5, 0.5, 1], [0, 0.25, 0.75, 1])
-    assert mesh.bidegree == (2, 2)
-    runs = mesh.runs_at(1, dyadic(0.5))
-    assert len(runs) == 1 and runs[0][2] == 2
-    assert len(mesh.elements()) == 6
-    assert_elements_match_oracle(mesh)
-
-
 def test_build_mesh_rejects_multiplicity_above_cap():
     with pytest.raises(MeshError):
         build_mesh((0, 2, 0, 2), (2, 2), [(1, 1, 0, 2, 4)])
@@ -225,7 +223,7 @@ def test_insert_into_tensor_mesh_never_read():
         assert refined.elements() == expected.elements()
         assert len(refined.elements()) == n_elements
         assert_elements_match_oracle(refined)
-        keys = [e.corner_key() for e in refined.elements()]
+        keys = [corner_key(e) for e in refined.elements()]
         assert keys == sorted(keys)
 
 
@@ -304,7 +302,7 @@ def test_refined_meshes_are_tiled_when_first_read():
         elems = mesh.elements()
         boxes = mesh._elements
         assert_elements_match_oracle(mesh)
-        keys = [e.corner_key() for e in elems]
+        keys = [corner_key(e) for e in elems]
         assert keys == sorted(keys)
         assert mesh._elements is boxes
         # a multiplicity raise after it keeps the parent's tiling

@@ -6,8 +6,10 @@ space in one array pass per direction
 and weights once per distinct vector and weight.  The oracles are the
 per-function scan ``has_minimal_support`` and the per-function loop that
 ``validate`` used to run.  ``verify`` names the first failing function
-by its document entry; ``quasi._local_collocation`` keeps its results
-across calls; tiling refuses a position grid above its cap.
+by its document entry, and builds the distinct knot vectors of each
+direction twice, once for this check and once for the space's incidence;
+``quasi._local_collocation`` keeps its results across calls; tiling
+refuses a position grid above its cap.
 """
 
 import json
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 from conftest import key_of, random_pipeline_space
 from lrbsplines import quasi
 from lrbsplines.bspline import _lacking_minimal_support, _minimal_support, has_minimal_support
-from lrbsplines.cli import main, run_mesh_demo
+from lrbsplines import space as space_module
+from lrbsplines.cli import main, run_mesh_demo, verify
 from lrbsplines.formats import load, to_json
 from lrbsplines.mesh import MAX_TILING_CELLS, Mesh, MeshError, _tile, make_initial_mesh
 from lrbsplines.quasi import lr_qi, three_peaks, three_peaks_spaces
@@ -38,7 +41,7 @@ from lrbsplines.space import (
 
 def _array_verdicts(space) -> list:
     keys = list(space.functions)
-    windows = [_windows(keys, d) for d in (1, 2)]
+    windows = [_windows(keys, d, p) for d, p in zip((1, 2), space.mesh.bidegree)]
     return _lacking_minimal_support(windows, space.mesh).tolist()
 
 
@@ -162,6 +165,24 @@ def test_validate_makes_no_covering_run_call(tmp_path, monkeypatch):
     monkeypatch.setattr(Mesh, "covering_run", lambda *args: calls.append(args))
     space.validate()
     assert calls == []
+
+
+def test_verify_builds_the_distinct_vectors_twice_per_direction(tmp_path, monkeypatch):
+    # Once in document order for the check of the loaded functions, once
+    # in sorted-key order for the incidence, whose windows serve the
+    # grid sums and the element-wise rank certificate.
+    run_mesh_demo(tmp_path, iterations=6)
+    calls = []
+    real = space_module._distinct
+
+    def counting(keys, direction):
+        calls.append(direction)
+        return real(keys, direction)
+
+    monkeypatch.setattr(space_module, "_distinct", counting)
+    report = verify(tmp_path / "space.json")
+    assert report["n_functions"] == 932 and report["passed"]
+    assert calls == [1, 2, 1, 2]
 
 
 def _write(doc, path) -> str:

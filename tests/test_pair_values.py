@@ -19,7 +19,7 @@ from lrbsplines import assemble, initial_space, layer_rhs, make_initial_mesh
 from lrbsplines import space as space_module
 from lrbsplines.bspline import _stacked_values
 from lrbsplines.poisson import _cell_counts, _composite_rule
-from lrbsplines.space import _element_pairs, _gauss_legendre, _gauss_rule, _incidence, _windows
+from lrbsplines.space import _element_pairs, _gauss_legendre, _gauss_rule, _incidence
 
 
 def same_bits(a, b):
@@ -31,7 +31,7 @@ def same_bits(a, b):
 def _per_slot(space, T, rule, rows, derivatives):
     """Per direction: ``rule``'s points and weights on every element of
     ``rows``, and one kernel pass over all its (element, slot) pairs."""
-    keys, _, _, bounds = _incidence(space)
+    keys, _, _, bounds, _ = _incidence(space)
     expected = []
     for d, p in enumerate(space.mesh.bidegree):
         knots = np.array([key[d] for key in keys], dtype=float)
@@ -53,10 +53,9 @@ def _per_slot(space, T, rule, rows, derivatives):
 )
 def test_pair_tables_equal_the_per_slot_kernel(seed, iterations, n_cells, bidegree, resolution):
     space = random_pipeline_space(seed, iterations, n_cells, bidegree)
-    keys, counts, indices, bounds = _incidence(space)
+    _, counts, indices, bounds, _ = _incidence(space)
     assert np.all(counts == counts[0])  # the pipeline's spaces are locally independent
     T = indices.reshape(len(counts), -1)
-    windows = [_windows(keys, d) for d in (1, 2)]
     every = np.arange(len(T))
     cases = [
         (_gauss_rule, every, True),  # the stiffness and unrefined load points
@@ -69,7 +68,7 @@ def test_pair_tables_equal_the_per_slot_kernel(seed, iterations, n_cells, bidegr
         group = np.flatnonzero(np.all(cells == group_cells, axis=1))
         cases.append((partial(_composite_rule, resolution=resolution), group, False))
     for rule, rows, derivatives in cases:
-        gatherers = _element_pairs(space, windows, T, bounds, rule, rows, derivatives)
+        gatherers = _element_pairs(space, rule, rows, derivatives)
         for gather, expected in zip(gatherers, _per_slot(space, T, rule, rows, derivatives)):
             for c in (np.arange(len(rows)), slice(1, None, 2)):
                 got = gather(c)

@@ -36,6 +36,7 @@ from lrbsplines import (
     solve,
 )
 from lrbsplines import poisson
+from lrbsplines import space as space_module
 from lrbsplines.poisson import _composite_rule
 from lrbsplines.space import LRSpace, element_support_table
 
@@ -373,8 +374,12 @@ def test_assembly_refuses_dependent_space(running_example):
     # its elements carries more than nine functions), which would make
     # the stiffness matrix exactly singular; assembly refuses up front.
     space = running_example["structured_2"]
-    with pytest.raises(SpaceError, match="local linear independence"):
+    with pytest.raises(SpaceError, match="local linear independence") as info:
         assemble(space, _patch_f)
+    assert str(info.value) == (
+        "element [1/2^2, 5/2^4] x [3/2^3, 7/2^4] carries 10 functions, expected 9; "
+        "assembly requires local linear independence"
+    )
 
 
 # -- error reporting -----------------------------------------------------------
@@ -449,3 +454,18 @@ def test_adaptive_solve_reads_one_incidence_per_space(monkeypatch):
     calls = count_incidence_calls(monkeypatch)
     rows = adaptive_solve(3, grid=(20, 20))
     assert len(rows) == 4 and len(calls) == len(rows)
+
+
+def test_adaptive_solve_builds_the_distinct_vectors_once_per_space(monkeypatch):
+    # The incidence builds each direction's distinct knot vectors, and
+    # assembly and the error grid read them from it.
+    calls = []
+    real = space_module._distinct
+
+    def counting(keys, direction):
+        calls.append(direction)
+        return real(keys, direction)
+
+    monkeypatch.setattr(space_module, "_distinct", counting)
+    rows = adaptive_solve(3, grid=(20, 20))
+    assert len(rows) == 4 and calls == [1, 2] * len(rows)

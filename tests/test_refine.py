@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import key_of, random_pipeline_space
+from conftest import key_of, nested_map, random_pipeline_space
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.refine import (
@@ -17,7 +17,6 @@ from lrbsplines.refine import (
     is_nested_knotwise,
     is_nested_meshwise,
     n2s_pipeline,
-    nested_map,
     one_directional_expansion,
     point_marker,
     tensor_expansion,

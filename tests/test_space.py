@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import key_of, random_pipeline_space, reference_values
+from conftest import element_support_count, key_of, random_pipeline_space, reference_values
 from lrbsplines.bspline import local_knot_vector
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
@@ -25,7 +25,6 @@ from lrbsplines.space import (
     _elementwise_full_rank,
     apply_split,
     collocation_rank,
-    element_support_count,
     element_support_table,
     evaluate_space,
     initial_space,
@@ -366,16 +365,10 @@ def test_rank_deficient_fixture_has_defect_one(rank_deficient_space):
     assert collocation_rank(space) == space.n_functions - 1
 
 
-def _certified(space, T=None):
+def _certified(space):
     """``verify``'s first two tiers: the support count, then the
-    element-wise rank, on the incidence or on ``T`` in its place."""
-    p1, p2 = space.mesh.bidegree
-    n_loc = (p1 + 1) * (p2 + 1)
-    keys, counts, indices, bounds = space_module._incidence(space)
-    if not np.all(counts == n_loc):
-        return False
-    T = indices.reshape(-1, n_loc) if T is None else T
-    return _elementwise_full_rank(space, keys, T, bounds)
+    element-wise rank."""
+    return is_locally_linearly_independent(space) and _elementwise_full_rank(space)
 
 
 def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_space):
@@ -388,14 +381,17 @@ def test_elementwise_certificate_on_fixtures(running_example, rank_deficient_spa
 
 def test_elementwise_certificate_sees_a_singular_element(monkeypatch, running_example):
     space = running_example["pipeline_2"]
-    _, _, indices, _ = space_module._incidence(space)
-    # The last element's matrix gets two equal columns.
+    keys, counts, indices, bounds, windows = space_module._incidence(space)
+    # The last element's matrix gets two equal columns, in the incidence
+    # of a copy of the space, so the fixture's stays as it is.
     T = indices.reshape(-1, 9).copy()
     T[-1, 1] = T[-1, 0]
-    assert not _certified(space, T)
+    singular = LRSpace(space.mesh, space.functions)
+    singular._cached_incidence = keys, counts, T.ravel(), bounds, windows
+    assert not _certified(singular)
     # 86 elements of 81 entries each: chunks of 12 elements
     monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
-    assert not _certified(space, T)
+    assert not _certified(singular)
     assert _certified(space)
 
 

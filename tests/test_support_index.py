@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_marked, random_split
+from conftest import nested_map, random_marked, random_split
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.formats import to_json
@@ -26,7 +26,6 @@ from lrbsplines.refine import (
     _rank,
     diagonal_marker,
     n2s_pipeline,
-    nested_map,
     one_directional_expansion,
     tensor_expansion,
 )
