@@ -40,10 +40,6 @@ class FormatError(ValueError):
 # -- JSON -------------------------------------------------------------------
 
 
-def _encode_coord(c: DyadicCoord) -> list[int]:
-    return c.pair()
-
-
 def _coord_error(where: str, index, msg: str) -> FormatError:
     path = where if index is None else f"{where}[{index}]"
     return FormatError(f"{path}: {msg}")
@@ -98,18 +94,13 @@ def to_json(obj) -> dict:
     if isinstance(obj, Mesh):
         dom = obj.domain
         return {
-            "domain": [
-                _encode_coord(dom.x_min),
-                _encode_coord(dom.x_max),
-                _encode_coord(dom.y_min),
-                _encode_coord(dom.y_max),
-            ],
+            "domain": [c.pair() for c in (dom.x_min, dom.x_max, dom.y_min, dom.y_max)],
             "bidegree": list(obj.bidegree),
             "lines": [
                 {
                     "dir": line.direction,
-                    "fixed": _encode_coord(line.fixed),
-                    "span": [_encode_coord(line.lo), _encode_coord(line.hi)],
+                    "fixed": line.fixed.pair(),
+                    "span": [line.lo.pair(), line.hi.pair()],
                     "mult": line.multiplicity,
                 }
                 for line in obj.lines()
@@ -403,8 +394,8 @@ def render_svg(mesh: Mesh, path=None) -> str:
 
 def _encode_key(key) -> dict:
     return {
-        "x": [_encode_coord(v) for v in key[0]],
-        "y": [_encode_coord(v) for v in key[1]],
+        "x": [v.pair() for v in key[0]],
+        "y": [v.pair() for v in key[1]],
     }
 
 

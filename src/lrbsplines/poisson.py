@@ -34,7 +34,7 @@ from .bspline import _greville_collocation
 from .mesh import Rect, make_initial_mesh
 from .refine import _check_expansion, central_span, n2s_pipeline
 from .space import (
-    _CHUNK_ENTRIES,
+    _chunks,
     _element_pairs,
     _evaluate_sums,
     _gauss_rule,
@@ -108,13 +108,6 @@ def _composite_rule(lo, hi, nodes, weights, resolution):
     return pts, wts
 
 
-def _chunks(indices, per_element):
-    """Consecutive pieces of ``indices`` of at most ``_CHUNK_ENTRIES``
-    entries, at ``per_element`` entries per element."""
-    size = max(1, _CHUNK_ENTRIES // per_element)
-    return [indices[i : i + size] for i in range(0, len(indices), size)]
-
-
 def _element_load(vals, weights, f, xs, ys):
     """Per element, ``vals @ (weights * f)`` on the tensor grid of the
     element's points ``xs`` x ``ys``."""
@@ -168,7 +161,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
 
     local = np.empty((n_elements, n_loc, n_loc))
     contrib = np.empty((n_elements, n_loc))
-    for c in _chunks(np.arange(n_elements), n_loc * expected):
+    for c in _chunks(n_elements, n_loc * expected):
         xs, wx, vx, dx = x_at(c)
         ys, wy, vy, dy = y_at(c)
         wq = _outer(wx, wy)
@@ -191,7 +184,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
         for cx, cy in np.unique(cells, axis=0):
             group = np.flatnonzero((cells[:, 0] == cx) & (cells[:, 1] == cy))
             x_at, y_at = _element_pairs(space, rule, rows=group)
-            for c in _chunks(np.arange(len(group)), n_loc * cx * cy * expected):
+            for c in _chunks(len(group), n_loc * cx * cy * expected):
                 lx, lwx, lvx = x_at(c)
                 ly, lwy, lvy = y_at(c)
                 contrib[group[c]] = _element_load(_outer(lvx, lvy), _outer(lwx, lwy), f, lx, ly)
@@ -208,18 +201,6 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     return GalerkinSystem(keys, stiffness, load)
 
 
-def _edge_descriptors(space: LRSpace):
-    """The four domain edges: (direction of the fixed coordinate, value,
-    is_lower_side), in a fixed processing order."""
-    dom = space.mesh.domain
-    return (
-        (1, dom.x_min, True),
-        (1, dom.x_max, False),
-        (2, dom.y_min, True),
-        (2, dom.y_max, False),
-    )
-
-
 def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> GalerkinSystem:
     """Interpolate the boundary data and pin the edge functions.
 
@@ -233,7 +214,14 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
     dirichlet: dict = {}
-    for direction, value, is_lower in _edge_descriptors(space):
+    # per edge: the direction of its fixed coordinate, that coordinate,
+    # and whether it is the domain's lower side
+    for direction, value, is_lower in (
+        (1, dom.x_min, True),
+        (1, dom.x_max, False),
+        (2, dom.y_min, True),
+        (2, dom.y_max, False),
+    ):
         degree = p1 if direction == 1 else p2
         cross_top = dom.y_max if direction == 1 else dom.x_max
         edge = []

@@ -31,7 +31,7 @@ from .bspline import _checked, _greville_collocation, _knot_windows
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
 from .refine import n2s_pipeline, point_marker
-from .space import _CHUNK_ENTRIES, LRSpace, SpaceError, evaluate_space, initial_space
+from .space import _chunks, LRSpace, SpaceError, evaluate_space, initial_space
 
 __all__ = [
     "tensor_qi_coefficient",
@@ -129,9 +129,9 @@ def lr_qi(space: LRSpace, f) -> dict:
     Each coefficient equals :func:`tensor_qi_coefficient` bit for bit.
     The local collocation of each distinct knot vector is computed once
     and kept across calls (:func:`_local_collocation`).
-    Functions of one local size ``(nx, ny)`` are stacked in chunks that
-    hold about ``_CHUNK_ENTRIES`` entries; per chunk, ``f`` is sampled
-    once and the local problems are solved by two batched calls.
+    Functions of one local size ``(nx, ny)`` are stacked in the space
+    module's bounded chunks (``space._chunks``); per chunk, ``f`` is
+    sampled once and the local problems are solved by two batched calls.
     """
     keys = space.sorted_keys()
     groups: dict = {}
@@ -142,9 +142,8 @@ def lr_qi(space: LRSpace, f) -> dict:
     for (nx, ny), members in groups.items():
         # Per function a chunk stacks two collocation matrices and, counting
         # the temporaries of ``f`` itself, about eight (nx, ny) arrays.
-        size = max(1, _CHUNK_ENTRIES // (nx * nx + ny * ny + 8 * nx * ny))
-        for start in range(0, len(members), size):
-            pos, cx, cy = zip(*members[start : start + size])
+        for c in _chunks(len(members), nx * nx + ny * ny + 8 * nx * ny):
+            pos, cx, cy = zip(*members[c])
             xs, mx, ix = (np.array(a) for a in zip(*cx))
             ys, my, iy = (np.array(a) for a in zip(*cy))
             coeffs = _solve_local(f, xs, mx, ys, my)

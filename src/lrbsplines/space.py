@@ -239,6 +239,14 @@ def initial_space(mesh: Mesh) -> LRSpace:
 _CHUNK_ENTRIES = 1 << 18
 
 
+def _chunks(n: int, per_item: int) -> list[slice]:
+    """The consecutive slices of ``range(n)`` that each hold as many
+    items as fit ``_CHUNK_ENTRIES`` entries at ``per_item`` entries an
+    item, and at least one."""
+    size = max(1, _CHUNK_ENTRIES // max(per_item, 1))
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def _support_bounds(keys) -> np.ndarray:
     """Support rectangles ``(x_min, x_max, y_min, y_max)`` of the functions
     with the given keys, one row per key, read from the knot vectors."""
@@ -331,11 +339,10 @@ class _Refinement:
         segments = np.array(segments, dtype=float).reshape(-1, 5)[:, :4]
         b = self.bounds.T
         hit = np.zeros(len(self.keys), dtype=bool)
-        step = max(1, _CHUNK_ENTRIES // max(len(self.keys), 1))
         for direction, (a0, a1, c0, c1) in ((1, b), (2, b[[2, 3, 0, 1]])):
             seg = segments[segments[:, 0] == direction]
-            for start in range(0, len(seg), step):
-                pos, lo, hi = seg[start : start + step, 1:, None].transpose(1, 0, 2)
+            for c in _chunks(len(seg), len(self.keys)):
+                pos, lo, hi = seg[c, 1:, None].transpose(1, 0, 2)
                 mask = (a0 < pos) & (pos < a1) & (c0 < hi) & (lo < c1)
                 hit |= mask.any(axis=0)
         return [self.keys[i] for i in np.flatnonzero(hit)]
@@ -349,15 +356,14 @@ class _Refinement:
         boxes = self.bounds[own]
         b = self.bounds.T
         keys = self.keys
-        step = max(1, _CHUNK_ENTRIES // max(len(keys), 1))
         inside, around = [], []
-        for start in range(0, len(boxes), step):
-            x0, x1, y0, y1 = boxes[start : start + step, :, None].transpose(1, 0, 2)
+        for c in _chunks(len(boxes), len(keys)):
+            x0, x1, y0, y1 = boxes[c, :, None].transpose(1, 0, 2)
             i, r = np.nonzero((b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1))
-            found = zip((i + start).tolist(), r.tolist())
+            found = zip((i + c.start).tolist(), r.tolist())
             inside += [(keys[j], added[a]) for a, j in found if j != own[a]]
             i, r = np.nonzero((b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1))
-            found = zip((i + start).tolist(), r.tolist())
+            found = zip((i + c.start).tolist(), r.tolist())
             around += [(added[a], keys[j]) for a, j in found if j != own[a]]
         return around + inside
 
@@ -686,10 +692,10 @@ def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
     elements in the direction, as mesh position indices (exact interval
     names) and as floats; ``rule(lo, hi)`` gives points and weights per
     interval.  The rule runs once per distinct interval and
-    :func:`_stacked_values` once per distinct pair, in calls of at most
-    ``_CHUNK_ENTRIES`` entries.  Returns ``gather(c)``: the elements
-    ``c``'s points and weights, and their ``(len(c), slots, q)`` values
-    (and first derivatives), gathered by pair.  The kernel is
+    :func:`_stacked_values` once per distinct pair, in the chunks of
+    :func:`_chunks`.  Returns ``gather(c)``: the elements ``c``'s points
+    and weights, and their ``(len(c), slots, q)`` values (and first
+    derivatives), gathered by pair.  The kernel is
     elementwise, so these are bit for bit those of one stacked pass over
     every (element, slot).
     """
@@ -701,9 +707,7 @@ def _pair_values(windows, T, index, bounds, rule, derivatives: bool = False):
     inverse = inverse.reshape(T.shape)
     w, i = np.divmod(pairs, len(first))
     tables = np.empty((1 + derivatives, len(pairs), pts.shape[1]))
-    step = max(1, _CHUNK_ENTRIES // (v.shape[1] * pts.shape[1]))
-    for s in range(0, len(pairs), step):
-        at = slice(s, s + step)
+    for at in _chunks(len(pairs), v.shape[1] * pts.shape[1]):
         tables[:, at] = _stacked_values(v[w[at]], pts[i[at]], derivatives=derivatives)
 
     def gather(c):
@@ -763,9 +767,7 @@ def _elementwise_full_rank(space: LRSpace) -> bool:
     n_loc = (p1 + 1) * (p2 + 1)
     n_elements = len(space.mesh.element_boxes())
     x_at, y_at = _element_pairs(space, _gauss_rule)
-    size = max(1, _CHUNK_ENTRIES // (n_loc * n_loc))
-    for start in range(0, n_elements, size):
-        c = slice(start, start + size)
+    for c in _chunks(n_elements, n_loc * n_loc):
         s = np.linalg.svd(_outer(x_at(c)[2], y_at(c)[2]), compute_uv=False)
         if not np.all(s[:, -1] > 1e-9 * s[:, 0]):
             return False
@@ -819,7 +821,7 @@ def _window_table(windows, pts, top):
     Returns ``(table, base)``: the window of the ``k``-th key has the
     value ``table[base[k] + i]`` at every ``pts[i]`` of its closed support.
     Each distinct window is evaluated once, on its point range, in
-    stacked calls of at most ``_CHUNK_ENTRIES`` entries, each on as many
+    stacked calls over the chunks of :func:`_chunks`, each on as many
     points from its first one in the support as the widest support
     holds, and closed at ``top``, the domain's top edge: only windows
     that end there have a knot there, so the closure touches no other
@@ -832,10 +834,8 @@ def _window_table(windows, pts, top):
     width = int(sizes.max())
     at = np.minimum(i0[:, None] + np.arange(width), pts.size - 1)
     inside = np.arange(width) < sizes[:, None]
-    step = max(1, _CHUNK_ENTRIES // max(width, 1))
     pieces = [
-        _stacked_values(v[s : s + step], pts[at[s : s + step]], close_at=top)[inside[s : s + step]]
-        for s in range(0, len(v), step)
+        _stacked_values(v[c], pts[at[c]], close_at=top)[inside[c]] for c in _chunks(len(v), width)
     ]
     base = np.cumsum(sizes) - sizes - i0
     return np.concatenate(pieces), base[which]
@@ -905,13 +905,12 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     cuts = np.flatnonzero(np.any(group[:, 1:] != group[:, :-1], axis=0)) + 1
     for first, stop in zip(np.r_[0, cuts], np.r_[cuts, hit.size]):
         n_row, n_x, n_y = group[:, first].tolist()
+        at = (np.arange(n_x)[:, None] * ys.size + np.arange(n_y)).ravel()
         # a quarter of the usual chunk: a slot's working set (values,
         # term and blocks) then fits a 2 MiB L2 cache, which made coarse
         # grids a third faster on a host with one
-        size = max(1, _CHUNK_ENTRIES // (4 * (n_row * (n_x + n_y) + n_x * n_y)))
-        at = (np.arange(n_x)[:, None] * ys.size + np.arange(n_y)).ravel()
-        for start in range(first, stop, size):
-            e = hit[start : min(start + size, stop)]
+        for c in _chunks(stop - first, 4 * (n_row * (n_x + n_y) + n_x * n_y)):
+            e = hit[first:stop][c]
             f = indices[starts[e, None] + np.arange(n_row)]
             vx = _runs(x_table, n_x)[x_base[f] + ix[e, None]]
             vy = _runs(y_table, n_y)[y_base[f] + iy[e, None]]
@@ -960,21 +959,22 @@ def collocation_points(space: LRSpace, seed: int = 0) -> np.ndarray:
     jittered interior points, topped up until the count exceeds the
     function count with margin.  Deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    elems = space.mesh.elements()
+    mesh = space.mesh
+    boxes = mesh.element_boxes()
     need = max(space.n_functions, math.ceil(1.2 * space.n_functions))
     per_element = 5
-    if per_element * len(elems) < need:
-        per_element = math.ceil(need / len(elems))
-    pts = []
-    for r in elems:
-        x0, x1, y0, y1 = r.x_min, r.x_max, r.y_min, r.y_max
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        wx, wy = x1 - x0, y1 - y0
-        pts.append((cx, cy))
-        for _ in range(per_element - 1):
-            u, v = rng.uniform(-0.4, 0.4, size=2)
-            pts.append((cx + u * wx * 0.8, cy + v * wy * 0.8))
-    return np.array(pts)
+    if per_element * len(boxes) < need:
+        per_element = math.ceil(need / len(boxes))
+    xs, ys = np.array(mesh.positions(1)), np.array(mesh.positions(2))
+    lo = np.stack([xs[boxes[:, 0]], ys[boxes[:, 2]]], axis=-1)
+    hi = np.stack([xs[boxes[:, 1]], ys[boxes[:, 3]]], axis=-1)
+    center, width = 0.5 * (lo + hi), hi - lo
+    # drawn element by element, (u, v) per point, as one call per point would
+    jitter = rng.uniform(-0.4, 0.4, size=(len(boxes), per_element - 1, 2))
+    pts = np.empty((len(boxes), per_element, 2))
+    pts[:, 0] = center
+    pts[:, 1:] = center[:, None] + jitter * width[:, None] * 0.8
+    return pts.reshape(-1, 2)
 
 
 def collocation_rank(space: LRSpace, seed: int = 0) -> int:

@@ -4,8 +4,9 @@ deleted or renamed function must leave no stale entry in an ``__all__``,
 and a function only the tests call must not stay exported.  The
 package exports exactly its modules' ``__all__``s, and no module imports
 a name it never reads.  Only the mesh module reads a mesh's internal
-fields, and only the space module a refinement state's rows; assembly
-reaches the B-spline kernel only through the space module."""
+fields, and only the space module a refinement state's rows and the
+chunk size; assembly reaches the B-spline kernel only through the space
+module."""
 import ast
 import importlib
 import pkgutil
@@ -45,6 +46,7 @@ KEPT_EXPORTS = {
     "tensor_expansion": "README API: a refinement call",
     "tensor_qi_coefficient": "test oracle: the quasi-interpolant's batched coefficients",
     "error_norms": "README API: the Poisson solver's error report",
+    "to_json": "test oracle: the documents the round-trip tests decode and compare",
 }
 
 # The modules in the order the package re-exports them.
@@ -62,17 +64,24 @@ def test_all_names_resolve_once(module):
 def test_every_export_is_referenced():
     """Each name the package exports is read by the code of the package
     or of the benchmark's workloads, as a name or an attribute (not in a
-    docstring, comment or ``__all__``), or is kept in
+    docstring, comment or ``__all__``, nor by its own top-level
+    definition, as a recursive call is), or is kept in
     :data:`KEPT_EXPORTS` with its reason, and no kept name is read: an
     export only the tests call is dead code, or belongs in the tests."""
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     read = set()
     for path in sources + [WORKLOADS]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        for definition in ast.parse(path.read_text()).body:
+            own = getattr(definition, "name", None)
+            for node in ast.walk(definition):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
     unread = {name for name in lrbsplines.__all__ if name not in read} - {"__version__"}
     assert sorted(unread - KEPT_EXPORTS.keys()) == []
     assert sorted(KEPT_EXPORTS.keys() - unread) == []
@@ -88,6 +97,19 @@ def test_only_the_mesh_module_reads_the_mesh_internals():
         if path.name != "mesh.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if internals.search(line)
+    }
+    assert readers == set()
+
+
+def test_only_the_space_module_knows_the_chunk_size():
+    """The bound on a batched loop's temporaries is one policy: every
+    other module slices its loops through ``space._chunks``."""
+    readers = {
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "space.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "_CHUNK_ENTRIES" in line
     }
     assert readers == set()
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lrbsplines.quasi as quasi
 from lrbsplines import (
     Mesh,
     SpaceError,
@@ -33,6 +32,7 @@ from lrbsplines import (
     three_peaks_marker,
     three_peaks_spaces,
 )
+from lrbsplines import space as space_module
 
 from conftest import key_of, local_tensor_space, random_pipeline_space, reference_values
 
@@ -254,7 +254,7 @@ def test_lr_qi_samples_once_per_local_size(running_example):
 def test_lr_qi_chunks_do_not_change_the_result(monkeypatch):
     space = tensor_space_for_level(2)
     expected = _bits(lr_qi(space, three_peaks))
-    monkeypatch.setattr(quasi, "_CHUNK_ENTRIES", 1000)
+    monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 1000)
     counted, calls = _counting(three_peaks)
     assert _bits(lr_qi(space, counted)) == expected
     assert len(calls) > 10

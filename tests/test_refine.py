@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import key_of, nested_map, random_pipeline_space
+from lrbsplines import space as space_module
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.refine import (
@@ -267,6 +268,48 @@ def test_pipeline_spaces_are_the_chained_one_step_runs(expansion):
     assert spaces == chained
     assert [list(s.functions) for s in spaces] == [list(s.functions) for s in chained]
     assert trace == chained_trace
+
+
+def test_refinement_queries_across_chunks_match_one_chunk(monkeypatch):
+    # A cap of 64 entries splits every refinement query of the pipeline:
+    # crossing and containment slice through ``_chunks``, and
+    # nested_pairs runs one ``_expand_ranges`` per chunk of outers.
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    spaces, trace = n2s_pipeline(space, diagonal_marker, 4)
+    monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 64)
+    pieces, split = [], Counter()
+    chunks, expand = space_module._chunks, space_module._expand_ranges
+
+    def counting_chunks(n, per_item):
+        found = chunks(n, per_item)
+        pieces[-1] = max(pieces[-1], len(found))
+        return found
+
+    def counting_expand(lo, hi):
+        pieces[-1] += 1
+        return expand(lo, hi)
+
+    def counted(name):
+        query = getattr(space_module._Refinement, name)
+
+        def run(self, *args):
+            pieces.append(0)
+            result = query(self, *args)
+            split[name] += pieces.pop() > 1
+            return result
+
+        monkeypatch.setattr(space_module._Refinement, name, run)
+
+    monkeypatch.setattr(space_module, "_chunks", counting_chunks)
+    monkeypatch.setattr(space_module, "_expand_ranges", counting_expand)
+    queries = ("crossing", "containment", "nested_pairs")
+    for name in queries:
+        counted(name)
+    chunked, chunked_trace = n2s_pipeline(space, diagonal_marker, 4)
+    assert chunked == spaces
+    assert [list(s.functions) for s in chunked] == [list(s.functions) for s in spaces]
+    assert chunked_trace == trace
+    assert all(split[name] > 0 for name in queries), split
 
 
 def test_pipeline_spaces_are_locally_independent_randomized():
