@@ -120,7 +120,9 @@ def _stacked_values(v: np.ndarray, t: np.ndarray, close_at=None, derivatives: bo
     ``close_at`` (a knot value, typically the top of the domain) also
     joins the span with ``k_i < close_at == k_{i+1}``, so it gets the
     left-limit value and a space evaluated over a closed domain sums
-    correctly on the top edges.  Each degree of the recursion is one
+    correctly on the top edges.  ``close_at`` is one number for all
+    windows, or an array broadcast against ``v``'s leading axes: one
+    value per window.  Each degree of the recursion is one
     array pass over all its spans, and a term whose denominator vanishes
     is masked out.  The degree-(p-1) values on ``v[:-1]`` and ``v[1:]``
     that the derivative needs are the recursion's own second-to-last
@@ -133,7 +135,10 @@ def _stacked_values(v: np.ndarray, t: np.ndarray, close_at=None, derivatives: bo
     if close_at is not None:
         # numpy compares a float subclass such as a coordinate through its
         # generic (several times slower) path; a plain float takes the fast one
-        c = float(close_at)
+        if isinstance(close_at, np.ndarray):
+            c = close_at.astype(float, copy=False)[..., None, None]
+        else:
+            c = float(close_at)
         spans |= (t == c) & (k[..., :-1, :] < c) & (k[..., 1:, :] == c)
     layers = lower = spans.astype(float)
     for d in range(1, p + 1):

@@ -26,11 +26,14 @@ from pathlib import Path
 from .mesh import MAX_TILING_CELLS, MeshError, is_tensorized, make_initial_mesh
 from .bspline import KnotVectorError
 from .space import (
+    GRID_POINT_BYTES,
+    MAX_GRID_POINTS,
     LRSpace,
     SpaceError,
     _elementwise_full_rank,
     _first_fault,
     _incidence,
+    _sampled,
     _unity_defects,
     collocation_rank,
     initial_space,
@@ -44,7 +47,7 @@ from .refine import (
     diagonal_marker,
     n2s_pipeline,
 )
-from .quasi import lr_qi, qi_max_error, three_peaks, three_peaks_spaces, tensor_space_for_level
+from .quasi import _max_error, lr_qi, three_peaks, three_peaks_spaces, tensor_space_for_level
 from .poisson import NumericsError, adaptive_solve
 from . import formats
 from .formats import FormatError
@@ -235,6 +238,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The ``--grid`` cap as the help states it.
+_GRID_HELP = (
+    f"; at most {MAX_GRID_POINTS} points in all, {MAX_GRID_POINTS ** 0.5:.0f} a side, "
+    f"at about {GRID_POINT_BYTES} bytes a point"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrbsplines",
@@ -255,7 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     peaks = sub.add_parser("qi-peaks", help="quasi-interpolation error table for three peaks")
     peaks.add_argument("--levels", type=int, default=7, help="finest level (default 7)")
-    peaks.add_argument("--grid", type=int, default=150, help="error-sampling grid (default 150)")
+    peaks.add_argument(
+        "--grid", type=int, default=150, help=f"error-sampling grid (default 150){_GRID_HELP}"
+    )
     peaks.add_argument("--out", default="qi_peaks.csv", help="output CSV (default qi_peaks.csv)")
     _add_common(peaks)
 
@@ -267,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="both",
         help="which refinement families to run",
     )
-    pois.add_argument("--grid", type=int, default=500, help="error-sampling grid (default 500)")
+    pois.add_argument(
+        "--grid", type=int, default=500, help=f"error-sampling grid (default 500){_GRID_HELP}"
+    )
     pois.add_argument("--out", default="poisson.csv", help="output CSV (default poisson.csv)")
     _add_common(pois)
 
@@ -300,28 +314,43 @@ def _cmd_mesh_demo(args) -> int:
     return 0
 
 
+def _check_grid(grid: int) -> None:
+    """Refuse a ``--grid`` outside 2 to 4,096 before any work: the error
+    grid of ``grid`` x ``grid`` points is sampled whole."""
+    if grid < 2:
+        raise SpaceError(f"grid must be >= 2, got {grid}")
+    if grid * grid > MAX_GRID_POINTS:
+        raise SpaceError(
+            f"--grid {grid} asks for {grid * grid} sample points, about "
+            f"{grid * grid * GRID_POINT_BYTES / 2**30:.1f} GiB at {GRID_POINT_BYTES} bytes a "
+            f"point, above the cap of {MAX_GRID_POINTS} points"
+        )
+
+
 def _cmd_qi_peaks(args) -> int:
     if args.levels < 1:
         raise SpaceError(f"levels must be >= 1, got {args.levels}")
-    if args.grid < 2:
-        raise SpaceError(f"grid must be >= 2, got {args.grid}")
+    _check_grid(args.grid)
     bidegree = tuple(args.degree)
     adaptive = three_peaks_spaces(args.levels, bidegree=bidegree, expansion=args.expansion)
+    # Every space shares the domain, so the target is sampled once.
+    sample = _sampled(adaptive[0].mesh.domain, three_peaks, args.grid)
+
+    def error(space) -> float:
+        return _max_error(space, lr_qi(space, three_peaks), sample)
+
     rows = []
-    for level in range(1, args.levels + 1):
-        tensor = tensor_space_for_level(level, bidegree=bidegree)
-        refined = adaptive[level - 1]
+    for level, refined in enumerate(adaptive, start=1):
+        # Level 1 of both families is the open 4x4 tensor space.
+        tensor = refined if level == 1 else tensor_space_for_level(level, bidegree=bidegree)
+        error_tensor = error(tensor)
         rows.append(
             {
                 "level": level,
                 "n_tensor": tensor.n_functions,
                 "n_n2s2": refined.n_functions,
-                "max_error_tensor": qi_max_error(
-                    tensor, lr_qi(tensor, three_peaks), three_peaks, grid=args.grid
-                ),
-                "max_error_n2s2": qi_max_error(
-                    refined, lr_qi(refined, three_peaks), three_peaks, grid=args.grid
-                ),
+                "max_error_tensor": error_tensor,
+                "max_error_n2s2": error_tensor if tensor is refined else error(refined),
             }
         )
         print(
@@ -336,8 +365,7 @@ def _cmd_qi_peaks(args) -> int:
 def _cmd_poisson(args) -> int:
     if args.levels < 2:
         raise SpaceError(f"levels must be >= 2, got {args.levels}")
-    if args.grid < 2:
-        raise SpaceError(f"grid must be >= 2, got {args.grid}")
+    _check_grid(args.grid)
     strategies = ("tensor", "n2s2") if args.strategy == "both" else (args.strategy,)
     rows = adaptive_solve(
         args.levels,

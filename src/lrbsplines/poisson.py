@@ -40,6 +40,7 @@ from .space import (
     _gauss_rule,
     _incidence,
     _outer,
+    _sampled,
     LRSpace,
     SpaceError,
     initial_space,
@@ -297,18 +298,6 @@ def error_norms(space: LRSpace, coefficients: dict, u_exact, grid=(500, 500)) ->
     return _grid_errors(space, coefficients, _sampled(space.mesh.domain, u_exact, grid))
 
 
-def _sampled(domain: Rect, u_exact, grid):
-    """``(xs, ys, values)``: the uniform grid of :func:`error_norms` on
-    ``domain`` and ``u_exact`` at its points, ``(len(xs), len(ys))``."""
-    nx, ny = (grid, grid) if isinstance(grid, int) else grid
-    if min(nx, ny) < 1:
-        raise SpaceError(f"grid must have at least 1 point per side, got {grid}")
-    xs = np.linspace(domain.x_min, domain.x_max, nx)
-    ys = np.linspace(domain.y_min, domain.y_max, ny)
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    return xs, ys, np.asarray(u_exact(grid_x, grid_y), dtype=float)
-
-
 def _grid_errors(space: LRSpace, coefficients: dict, sample) -> ErrorReport:
     """:func:`error_norms` against ``sample``, which :func:`_sampled`
     gives for the space's domain."""
@@ -380,8 +369,10 @@ def adaptive_solve(
     strategy's level L is the level-2 (4x4) space after iteration L - 2
     of one pipeline run with the layer marker.  The load is integrated at
     the finest level's resolution on every mesh so coarse solves are
-    honest Galerkin solutions rather than aliasing artifacts.  Tensor
-    spaces are built one at a time, and every space is dropped after its
+    honest Galerkin solutions rather than aliasing artifacts.  Level 2
+    of both strategies is one space, solved once, and the exact solution
+    is sampled once (:func:`~lrbsplines.space._sampled`).  Tensor spaces
+    are built one at a time, and every other space is dropped after its
     solve.  Rows carry strategy, level, n_functions, linf, l2.
     """
     _check_expansion(expansion)
@@ -396,13 +387,18 @@ def adaptive_solve(
         coefficients = solve(system)
         return _grid_errors(space, coefficients, exact)
 
+    # Level 2 of both strategies is the same 4x4 tensor space: it is
+    # built and solved once.
+    shared, shared_report = initial_space(make_initial_mesh(domain, bidegree, 4)), None
+
     def tensor_spaces():
-        for level in range(2, levels + 1):
+        yield shared
+        for level in range(3, levels + 1):
             yield initial_space(make_initial_mesh(domain, bidegree, 2**level))
 
     def n2s2_spaces():
-        spaces = [initial_space(make_initial_mesh(domain, bidegree, 4))]
-        spaces += n2s_pipeline(spaces[0], layer_marker, max(levels - 2, 0), expansion=expansion)[0]
+        spaces = n2s_pipeline(shared, layer_marker, max(levels - 2, 0), expansion=expansion)[0]
+        yield shared
         while spaces:
             yield spaces.pop(0)
 
@@ -411,7 +407,12 @@ def adaptive_solve(
         if strategy not in strategies:
             continue
         for level, space in zip(range(2, levels + 1), spaces()):
-            report = run(space)
+            if space is not shared:
+                report = run(space)
+            elif shared_report is None:
+                report = shared_report = run(space)
+            else:
+                report = shared_report
             rows.append(
                 {
                     "strategy": strategy,

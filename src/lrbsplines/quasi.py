@@ -23,15 +23,24 @@ holding ``f`` at each pair of entries.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 
 import numpy as np
 
-from .bspline import _checked, _greville_collocation, _knot_windows
+from .bspline import _checked, _greville_collocation, _knot_windows, _stacked_values
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
 from .refine import n2s_pipeline, point_marker
-from .space import _chunks, LRSpace, SpaceError, evaluate_space, initial_space
+from .space import (
+    _chunks,
+    _distinct,
+    _rows,
+    _sampled,
+    LRSpace,
+    SpaceError,
+    evaluate_space,
+    initial_space,
+)
 
 __all__ = [
     "tensor_qi_coefficient",
@@ -45,8 +54,8 @@ __all__ = [
 
 
 def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
-    """Global knot vector over the distinct values of ``vec`` with the
-    boundary multiplicities raised to ``degree + 1``."""
+    """Global knot vector of ``vec``'s knots with the boundary
+    multiplicities raised to ``degree + 1``; interior knots keep theirs."""
     out: list[DyadicCoord] = [vec[0]] * (degree + 1)
     for v in vec[1:]:
         if v != vec[0] and v != vec[-1]:
@@ -55,37 +64,105 @@ def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
     return out
 
 
-@lru_cache(maxsize=1 << 12)
 def _local_collocation(vec):
     """Greville nodes, collocation matrix and origin index of the local
-    univariate basis of one local knot vector.
+    univariate basis of one local knot vector, computed alone: the oracle
+    of :func:`_collocations`.
 
     The basis is the windows of ``vec`` with its boundary knots raised
     to full multiplicity; the origin index is the position of ``vec``
     itself among them.
-
-    Memoized per vector, as ``bspline._validated`` is, so successive
-    calls of :func:`lr_qi` on a space, and on the spaces of successive
-    levels, share their collocations; the cached nodes and matrix are
-    read-only.  An entry of degree 2 takes about 0.9 KiB, so the bound
-    keeps the cache under 4 MiB; ``qi-peaks --levels 7`` meets under 300
-    distinct vectors per level.
     """
     degree = len(vec) - 2
     raised = _raised_vector(vec, degree)
     windows = _knot_windows(raised, degree)
     nodes, matrix = _greville_collocation(windows, raised[-1])
-    nodes.flags.writeable = matrix.flags.writeable = False
     return nodes, matrix, windows.index(vec)
+
+
+#: The tables of :func:`_collocations` by local knot vector, least
+#: recently used first, and the most it keeps.  An entry of degree 2
+#: takes about 0.9 KiB, so the bound keeps the cache under 4 MiB;
+#: ``qi-peaks --levels 7`` meets under 300 distinct vectors per level.
+_tables: OrderedDict = OrderedDict()
+_TABLES_MAX = 1 << 12
+
+
+def _collocations(vectors) -> list:
+    """Per local knot vector of ``vectors``, its Greville nodes,
+    collocation matrix and origin index: :func:`_local_collocation`'s
+    results, bit for bit.
+
+    The tables are kept across calls, so successive calls of
+    :func:`lr_qi` on a space, and on the spaces of successive levels,
+    share them; the cache holds the :data:`_TABLES_MAX` most recently
+    used, and its nodes and matrices are read-only.  The vectors not yet
+    kept are built together, per group of one degree and one raised
+    length: the group's raised vectors are float rows, their windows and
+    Greville nodes are sliced and summed from them by the same float
+    operations as the oracle's, and one stacked Cox--de Boor call per
+    chunk (``space._chunks``) evaluates every window at its vector's
+    nodes, each vector closed at its own last knot.  The origin index is
+    ``degree + 1`` less the multiplicity of the first knot, since the
+    raised vector starts with ``degree + 1`` copies of it.
+    """
+    groups: dict = {}
+    for vec in vectors:
+        if vec not in _tables:
+            degree = len(vec) - 2
+            raised = _raised_vector(vec, degree)
+            groups.setdefault((degree, len(raised)), {})[vec] = raised
+    for (p, m), members in groups.items():
+        n = m - p - 1
+        raised = _rows(list(members.values()), m)
+        windows = raised[:, np.arange(n)[:, None] + np.arange(p + 2)]
+        nodes = windows[..., 1].copy()
+        for k in range(2, p + 1):
+            nodes += windows[..., k]
+        nodes /= p
+        values = np.empty((len(members), n, n))
+        for c in _chunks(len(members), n * n * (p + 2)):
+            values[c] = _stacked_values(windows[c], nodes[c, None, :], close_at=raised[c, -1:])
+        matrices = values.swapaxes(-1, -2)
+        for vec, x, mat in zip(members, nodes, matrices):
+            table = (x.copy(), mat.copy(), p + 1 - vec.count(vec[0]))
+            table[0].flags.writeable = table[1].flags.writeable = False
+            _tables[vec] = table
+    for vec in vectors:
+        _tables.move_to_end(vec)
+    out = [_tables[vec] for vec in vectors]
+    while len(_tables) > _TABLES_MAX:
+        _tables.popitem(last=False)
+    return out
+
+
+def _stacked_tables(tables, which):
+    """One direction's collocation tables, stacked per local size.
+
+    ``tables`` holds the :func:`_collocations` of that direction's
+    distinct vectors and ``which`` the vector of each key.  Returns
+    ``(size, row, stacks)``: per key the size ``n`` of its local basis
+    and its row in ``stacks[n]``, the stacked nodes ``(vectors, n)``,
+    matrices ``(vectors, n, n)`` and origin indices of the distinct
+    vectors of that size."""
+    sizes = np.fromiter((len(nodes) for nodes, _, _ in tables), np.intp, len(tables))
+    rows = np.empty_like(sizes)
+    stacks = {}
+    for n in set(sizes.tolist()):
+        ids = np.flatnonzero(sizes == n)
+        rows[ids] = np.arange(len(ids))
+        nodes, matrices, origins = zip(*(tables[i] for i in ids))
+        stacks[n] = (np.stack(nodes), np.stack(matrices), np.array(origins))
+    return sizes[which], rows[which], stacks
 
 
 def _solve_local(f, xs, mx, ys, my):
     """Coefficients interpolating ``f`` on the tensor grids of the nodes
     ``xs`` x ``ys``, whose univariate collocation matrices are ``mx`` and
     ``my``; all are stacked over any leading axes.  The two univariate
-    solves run back to back, x first."""
-    grid_x = np.repeat(xs[..., :, None], ys.shape[-1], axis=-1)
-    grid_y = np.repeat(ys[..., None, :], xs.shape[-1], axis=-2)
+    solves run back to back, x first.  ``f`` gets the node grids as
+    broadcast views, which copy no node."""
+    grid_x, grid_y = np.broadcast_arrays(xs[..., :, None], ys[..., None, :])
     values = np.asarray(f(grid_x, grid_y), dtype=float)
     if values.shape != grid_x.shape:
         raise SpaceError(
@@ -127,41 +204,53 @@ def lr_qi(space: LRSpace, f) -> dict:
     evaluate with ``evaluate_space(space, coefficients, ...)``.
 
     Each coefficient equals :func:`tensor_qi_coefficient` bit for bit.
-    The local collocation of each distinct knot vector is computed once
-    and kept across calls (:func:`_local_collocation`).
-    Functions of one local size ``(nx, ny)`` are stacked in the space
-    module's bounded chunks (``space._chunks``); per chunk, ``f`` is
-    sampled once and the local problems are solved by two batched calls.
+    The local collocation of each distinct knot vector is a table built
+    by a batched kernel call and kept across calls, up to
+    :data:`_TABLES_MAX` tables (:func:`_collocations`); per direction
+    the space's tables are stacked per local size, and each function
+    reads its rows by index (:func:`_stacked_tables`).  Functions of one
+    local size ``(nx, ny)`` are stacked in the space module's bounded
+    chunks (``space._chunks``); per chunk, ``f`` is sampled once and the
+    local problems are solved by two batched calls.
     """
     keys = space.sorted_keys()
-    groups: dict = {}
-    for pos, (xv, yv) in enumerate(keys):
-        cx, cy = _local_collocation(xv), _local_collocation(yv)
-        groups.setdefault((len(cx[0]), len(cy[0])), []).append((pos, cx, cy))
+    (vx, wx), (vy, wy) = _distinct(keys, 1), _distinct(keys, 2)
+    tables = _collocations(vx + vy)
+    size_x, row_x, stacks_x = _stacked_tables(tables[: len(vx)], wx)
+    size_y, row_y, stacks_y = _stacked_tables(tables[len(vx) :], wy)
     out = np.empty(len(keys))
-    for (nx, ny), members in groups.items():
+    for nx, ny in sorted(set(zip(size_x.tolist(), size_y.tolist()))):
+        members = np.flatnonzero((size_x == nx) & (size_y == ny))
+        (xs, mx, ix), (ys, my, iy) = stacks_x[nx], stacks_y[ny]
         # Per function a chunk stacks two collocation matrices and, counting
         # the temporaries of ``f`` itself, about eight (nx, ny) arrays.
         for c in _chunks(len(members), nx * nx + ny * ny + 8 * nx * ny):
-            pos, cx, cy = zip(*members[c])
-            xs, mx, ix = (np.array(a) for a in zip(*cx))
-            ys, my, iy = (np.array(a) for a in zip(*cy))
-            coeffs = _solve_local(f, xs, mx, ys, my)
-            out[list(pos)] = coeffs[np.arange(len(pos)), ix, iy]
+            pos = members[c]
+            rx, ry = row_x[pos], row_y[pos]
+            coeffs = _solve_local(f, xs[rx], mx[rx], ys[ry], my[ry])
+            out[pos] = coeffs[np.arange(len(pos)), ix[rx], iy[ry]]
     return {key: float(c) for key, c in zip(keys, out)}
 
 
 def qi_max_error(space: LRSpace, coefficients: dict, f, grid: int = 150) -> float:
     """Max pointwise error of the quasi-interpolant on a uniform ``grid``
-    x ``grid`` grid; ``grid`` is at least 1."""
-    if grid < 1:
-        raise SpaceError(f"grid must be at least 1, got {grid}")
-    dom = space.mesh.domain
-    xs = np.linspace(dom.x_min, dom.x_max, grid)
-    ys = np.linspace(dom.y_min, dom.y_max, grid)
-    u = evaluate_space(space, coefficients, xs, ys)
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    return float(np.max(np.abs(u - np.asarray(f(grid_x, grid_y), dtype=float))))
+    x ``grid`` grid; ``grid`` is at least 1, and at most
+    :data:`~lrbsplines.space.MAX_GRID_POINTS` points in all.
+
+    ``f`` is sampled on the grid by :func:`~lrbsplines.space._sampled`,
+    which hands it the two axes broadcast against each other, with no
+    meshgrid built; :func:`_max_error` is the same error against a sample
+    taken once, which is how ``qi-peaks`` shares one sample among all its
+    spaces.
+    """
+    return _max_error(space, coefficients, _sampled(space.mesh.domain, f, grid))
+
+
+def _max_error(space: LRSpace, coefficients: dict, sample) -> float:
+    """:func:`qi_max_error` against ``sample``, the ``(xs, ys, values)``
+    of :func:`~lrbsplines.space._sampled` on the space's domain."""
+    xs, ys, exact = sample
+    return float(np.max(np.abs(evaluate_space(space, coefficients, xs, ys) - exact)))
 
 
 # -- the three-peaks benchmark ----------------------------------------------

@@ -803,6 +803,39 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     return _evaluate_sums(space, [coefficients], xs, ys)[0]
 
 
+#: Largest error-sampling grid, ``nx * ny`` points, that :func:`_sampled`
+#: accepts, and the peak bytes per grid point of sampling a target and
+#: measuring a space's error against it: the peak RSS of ``qi-peaks
+#: --levels 2`` and ``poisson --levels 3`` grew by 24--25 bytes a point
+#: from 1,000 to 2,000 and 3,000 points a side.  The cap of 2**24 points,
+#: 4,096 a side, bounds one error grid near 0.4 GiB.
+MAX_GRID_POINTS = 1 << 24
+GRID_POINT_BYTES = 25
+
+
+def _sampled(domain, f, grid):
+    """``(xs, ys, values)``: the uniform ``grid`` on the rectangle
+    ``domain``, an int for a square grid or a pair ``(nx, ny)``, and
+    ``f`` at its points, ``(len(xs), len(ys))``.
+
+    ``f`` gets the two axes broadcast against each other, read-only views
+    of one shape that hold no copy of the grid, and must be vectorised
+    as :func:`lrbsplines.quasi.lr_qi` asks.  A grid with no point, or
+    with more than :data:`MAX_GRID_POINTS`, raises :class:`SpaceError`
+    before anything is allocated."""
+    nx, ny = (grid, grid) if isinstance(grid, int) else grid
+    if min(nx, ny) < 1:
+        raise SpaceError(f"grid must have at least 1 point per side, got {grid}")
+    if nx * ny > MAX_GRID_POINTS:
+        raise SpaceError(
+            f"a grid of {nx} x {ny} = {nx * ny} points exceeds the cap of "
+            f"{MAX_GRID_POINTS} points"
+        )
+    xs = np.linspace(domain.x_min, domain.x_max, nx)
+    ys = np.linspace(domain.y_min, domain.y_max, ny)
+    return xs, ys, np.asarray(f(*np.broadcast_arrays(xs[:, None], ys)), dtype=float)
+
+
 def _grid_axis(values, name: str) -> np.ndarray:
     """``values`` as a float array, checked to be a 1-D, finite,
     nondecreasing grid axis: the searches that place the grid points in

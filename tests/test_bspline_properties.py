@@ -1,7 +1,8 @@
 """Properties of the stacked Cox--de Boor kernel, the package's only
 B-spline evaluator: every row equals the scalar reference recursion of
 ``conftest`` bit for bit, signed zeros included, with and without a
-closure coordinate, and so does every Greville collocation matrix.  Also:
+closure coordinate, one for all rows or one per row, and so does every
+Greville collocation matrix.  Also:
 knot insertion's children are the keys on the augmented vector's windows,
 a parent equals its children weighted by their coefficients pointwise,
 and the coefficients are exact over the whole coordinate range, for one
@@ -120,6 +121,35 @@ def test_shared_points_broadcast_over_functions(case):
     for v, val, der in zip(knots, values[0], derivatives[0]):
         assert same_bits(val, reference_values(v, pts[0], close_at))
         assert same_bits(der, reference_derivatives(v, pts[0], close_at))
+
+
+@st.composite
+def closed_rows(draw):
+    """``(knots (m, p+2), points (m, q), close_at (m,))``: each row
+    closed at its own coordinate, drawn as :func:`closures` draws one,
+    with the row's last point on it."""
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 7))
+    rows = [draw(windows(p)) for _ in range(m)]
+    close_at = [draw(closures([row])) for row in rows]
+    close_at = [row[-1] if c is None else c for row, c in zip(rows, close_at)]
+    pts = [draw(points(row, q)) + [c] for row, c in zip(rows, close_at)]
+    return np.array(rows), np.array(pts), np.array(close_at)
+
+
+@props
+@given(closed_rows())
+def test_per_row_closures_equal_one_call_per_row(case):
+    # The collocation tables' layout: each row closed at its own knot.
+    knots, pts, close_at = case
+    values = _stacked_values(knots, pts, close_at)
+    for v, t, c, val in zip(knots, pts, close_at, values):
+        assert same_bits(val, _stacked_values(v, t, float(c)))
+        assert same_bits(val, reference_values(v, t, c))
+    # and broadcast over a leading axis, one closure per stack
+    stacked = _stacked_values(knots[:, None], pts[:, None], close_at[:, None])
+    assert same_bits(stacked[:, 0], values)
 
 
 def test_one_window_calls_keep_the_shape_of_the_points():

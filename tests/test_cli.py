@@ -8,9 +8,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import count_incidence_calls
@@ -29,10 +31,13 @@ from lrbsplines import (
     three_peaks_spaces,
     to_json,
 )
-from lrbsplines import cli
+from lrbsplines import cli, quasi
 from lrbsplines import poisson as poisson_module
 from lrbsplines import refine as refine_module
+from lrbsplines import space as space_module
 from lrbsplines.cli import main, run_mesh_demo, verify
+from lrbsplines.quasi import lr_qi, three_peaks
+from lrbsplines.space import MAX_GRID_POINTS
 
 # sha256 of every file that a 4-iteration mesh-demo writes.  Any change to mesh topology, function
 # identity, weights, the trace or the float output formatting shows here.
@@ -335,6 +340,49 @@ def test_qi_peaks_passes_expansion_on(tmp_path):
     assert counts != [36, 86, 161]  # the default run's column
 
 
+def test_qi_peaks_pays_each_fixed_cost_once(tmp_path, monkeypatch):
+    # Level 1 of both families is one space, interpolated once, and the
+    # target is sampled on the error grid once for all spaces.
+    interpolated, sampled = [], []
+    real_qi, real_peaks = cli.lr_qi, cli.three_peaks
+
+    def counting_qi(space, f):
+        interpolated.append(space.n_functions)
+        return real_qi(space, f)
+
+    def counting_peaks(x, y):
+        if np.broadcast(x, y).shape == (40, 40):
+            sampled.append(1)
+        return real_peaks(x, y)
+
+    monkeypatch.setattr(cli, "lr_qi", counting_qi)
+    monkeypatch.setattr(cli, "three_peaks", counting_peaks)
+    assert main(["qi-peaks", "--levels", "3", "--grid", "40", "--out", str(tmp_path / "qi.csv")]) == 0
+    assert interpolated == [36, 100, 86, 324, 161]
+    assert sampled == [1]
+
+
+def test_cold_qi_tables_take_one_kernel_call_per_group(monkeypatch):
+    # The distinct vectors' tables are built by one stacked kernel call
+    # per (degree, raised length), not one call per vector.
+    space = three_peaks_spaces(3)[-1]
+    keys = space.sorted_keys()
+    vectors = set(space_module._distinct(keys, 1)[0] + space_module._distinct(keys, 2)[0])
+    groups = {(len(v) - 2, len(quasi._raised_vector(v, len(v) - 2))) for v in vectors}
+    quasi._tables.clear()
+    calls = []
+    real = quasi._stacked_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quasi, "_stacked_values", counting)
+    lr_qi(space, three_peaks)
+    assert len(calls) == len(groups) < len(vectors)
+    assert sum(shape[0] for shape in calls) == len(vectors)
+
+
 def test_qi_peaks_rejects_zero_levels(tmp_path, capsys):
     code = main(["qi-peaks", "--levels", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -440,6 +488,45 @@ def test_degenerate_sizes_fail_fast(tmp_path, capsys, argv):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def _run_module(*argv):
+    """``python -m lrbsplines *argv`` on the checkout's sources, and its
+    wall time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "lrbsplines", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=120,
+    )
+    return run, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command", ["qi-peaks", "poisson"])
+def test_an_oversized_grid_is_refused_before_any_work(tmp_path, command):
+    # 10^10 points, 80 GB per float array: refused before anything is
+    # built or sampled, within a second of the interpreter's start-up,
+    # which the help run measures.
+    _, start_up = _run_module(command, "--help")
+    target = tmp_path / "out.csv"
+    run, elapsed = _run_module(command, "--grid", "100000", "--out", str(target))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: --grid 100000 asks for 10000000000 sample points")
+    assert f"above the cap of {MAX_GRID_POINTS} points" in run.stderr
+    assert elapsed - start_up < 1.0
+    assert not target.exists()
+
+
+def test_the_grid_cap_admits_every_default_grid_and_is_in_the_help(capsys):
+    assert 500 * 500 < MAX_GRID_POINTS == 4096 * 4096
+    for command in ("qi-peaks", "poisson"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"at most {MAX_GRID_POINTS} points" in " ".join(capsys.readouterr().out.split())
 
 
 # -- verify --------------------------------------------------------------------

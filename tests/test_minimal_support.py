@@ -8,7 +8,7 @@ per-function scan ``has_minimal_support`` and the per-function loop that
 ``validate`` used to run.  ``verify`` names the first failing function
 by its document entry, and builds the distinct knot vectors of each
 direction twice, once for this check and once for the space's incidence;
-``quasi._local_collocation`` keeps its results across calls; tiling
+``quasi._collocations`` keeps its tables across calls, up to a bound; tiling
 refuses a position grid above its cap.
 """
 
@@ -214,23 +214,38 @@ def test_verify_names_the_entry_of_a_wrong_degree(tmp_path, capsys):
 
 
 def test_qi_collocations_are_kept_across_calls(monkeypatch):
+    # The tables are built by stacked kernel calls; a second call on the
+    # same space finds every table kept and calls the kernel not at all.
     space = three_peaks_spaces(3)[-1]
-    quasi._local_collocation.cache_clear()
-    first = lr_qi(space, three_peaks)
+    quasi._tables.clear()
     calls = []
-    real = quasi._greville_collocation
+    real = quasi._stacked_values
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(quasi, "_greville_collocation", counting)
+    monkeypatch.setattr(quasi, "_stacked_values", counting)
+    first = lr_qi(space, three_peaks)
+    assert calls
+    calls.clear()
     assert lr_qi(space, three_peaks) == first
     assert calls == []
-    nodes, matrix, _ = quasi._local_collocation(space.sorted_keys()[0][0])
+    nodes, matrix, _ = quasi._tables[space.sorted_keys()[0][0]]
     assert not nodes.flags.writeable and not matrix.flags.writeable
     with pytest.raises(ValueError):
         matrix[0, 0] = 1.0
+
+
+def test_qi_collocations_keep_the_most_recently_used(monkeypatch):
+    space = three_peaks_spaces(2)[-1]
+    expected = lr_qi(space, three_peaks)
+    monkeypatch.setattr(quasi, "_TABLES_MAX", 5)
+    quasi._tables.clear()
+    assert lr_qi(space, three_peaks) == expected
+    assert len(quasi._tables) == 5
+    # the last five vectors read, the y vectors of the last keys
+    assert list(quasi._tables) == space_module._distinct(space.sorted_keys(), 2)[0][-5:]
 
 
 def test_the_tiling_cap_sits_above_the_scale_milestone():

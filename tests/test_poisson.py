@@ -35,6 +35,7 @@ from lrbsplines import (
     n2s_pipeline,
     solve,
 )
+from lrbsplines import poisson as poisson_module
 from lrbsplines import space as space_module
 from lrbsplines.poisson import _composite_rule
 from lrbsplines.space import LRSpace, element_support_table
@@ -449,10 +450,39 @@ def test_adaptive_solve_single_strategy():
 
 
 def test_adaptive_solve_reads_one_incidence_per_space(monkeypatch):
-    # Assembly and the error grid share the incidence of their space.
+    # Assembly and the error grid share the incidence of their space, and
+    # level 2 of both strategies is one space, solved once.
     calls = count_incidence_calls(monkeypatch)
     rows = adaptive_solve(3, grid=(20, 20))
-    assert len(rows) == 4 and len(calls) == len(rows)
+    assert len(rows) == 4 and len(calls) == len(rows) - 1
+    for strategy in ("tensor", "n2s2"):
+        calls.clear()
+        rows = adaptive_solve(3, grid=(20, 20), strategies=(strategy,))
+        assert len(rows) == 2 and len(calls) == len(rows)
+
+
+def test_adaptive_solve_builds_the_shared_level_once(monkeypatch):
+    # Level 2 of both strategies is the 4x4 tensor space: built once
+    # through the module's own initial_space, and its row written twice.
+    built = []
+    real = poisson_module.initial_space
+
+    def counting(mesh):
+        built.append(len(mesh.element_boxes()))
+        return real(mesh)
+
+    monkeypatch.setattr(poisson_module, "initial_space", counting)
+    rows = adaptive_solve(4, grid=(20, 20))
+    assert built == [16, 64, 256]
+    level2 = [{k: v for k, v in row.items() if k != "strategy"} for row in rows if row["level"] == 2]
+    assert len(level2) == 2 and level2[0] == level2[1]
+
+
+def test_error_norms_refuse_a_grid_above_the_cap():
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 2))
+    coefficients = dict.fromkeys(space.functions, 0.0)
+    with pytest.raises(SpaceError, match="exceeds the cap"):
+        error_norms(space, coefficients, layer_solution, grid=(space_module.MAX_GRID_POINTS + 1, 1))
 
 
 def test_adaptive_solve_builds_the_distinct_vectors_once_per_space(monkeypatch):
@@ -467,4 +497,4 @@ def test_adaptive_solve_builds_the_distinct_vectors_once_per_space(monkeypatch):
 
     monkeypatch.setattr(space_module, "_distinct", counting)
     rows = adaptive_solve(3, grid=(20, 20))
-    assert len(rows) == 4 and calls == [1, 2] * len(rows)
+    assert len(rows) == 4 and calls == [1, 2] * (len(rows) - 1)

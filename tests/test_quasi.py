@@ -32,6 +32,7 @@ from lrbsplines import (
     three_peaks_marker,
     three_peaks_spaces,
 )
+from lrbsplines import quasi
 from lrbsplines import space as space_module
 
 from conftest import key_of, local_tensor_space, random_pipeline_space, reference_values
@@ -225,6 +226,47 @@ def test_lr_qi_equals_the_per_function_oracle(bidegree, seed, iterations, n_cell
     space = random_pipeline_space(seed, iterations=iterations, n_cells=n_cells, bidegree=bidegree)
     for f in (_smooth, three_peaks):
         assert _bits(lr_qi(space, f)) == _bits(_one_by_one(space, f))
+
+
+def _int64(a):
+    """The stored doubles of ``a`` as integers: equal bits, signed zeros
+    told apart."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
+    seed=st.integers(0, 10**6),
+    iterations=st.integers(0, 2),
+    n_cells=st.sampled_from([2, 4]),
+)
+def test_collocation_tables_equal_the_greville_oracle(bidegree, seed, iterations, n_cells):
+    # Built cold, each distinct vector's table equals the Greville
+    # collocation of its raised windows, computed alone by the oracle.
+    space = random_pipeline_space(seed, iterations=iterations, n_cells=n_cells, bidegree=bidegree)
+    keys = space.sorted_keys()
+    vectors = space_module._distinct(keys, 1)[0] + space_module._distinct(keys, 2)[0]
+    quasi._tables.clear()
+    for vec, (nodes, matrix, origin) in zip(vectors, quasi._collocations(vectors)):
+        want_nodes, want_matrix, want_origin = quasi._local_collocation(vec)
+        assert np.array_equal(_int64(nodes), _int64(want_nodes))
+        assert np.array_equal(_int64(matrix), _int64(want_matrix))
+        assert origin == want_origin
+
+
+def test_level_one_of_both_peaks_families_is_one_space():
+    # qi-peaks computes level 1 once and writes it in both columns.
+    for bidegree in ((1, 1), (2, 2), (3, 2)):
+        assert tensor_space_for_level(1, bidegree) == three_peaks_spaces(1, bidegree)[0]
+
+
+def test_qi_max_error_refuses_a_grid_above_the_cap():
+    space = tensor_space_for_level(1)
+    coefficients = lr_qi(space, three_peaks)
+    side = math.isqrt(space_module.MAX_GRID_POINTS) + 1
+    with pytest.raises(SpaceError, match=f"exceeds the cap of {space_module.MAX_GRID_POINTS} points"):
+        qi_max_error(space, coefficients, three_peaks, grid=side)
 
 
 def _counting(f):
