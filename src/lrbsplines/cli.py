@@ -245,6 +245,15 @@ _GRID_HELP = (
 )
 
 
+def _levels_help(command: str, default: int) -> str:
+    """The ``--levels`` help, with the command's tensor-space cap."""
+    return (
+        f"finest level (default {default}); its tensor space may hold at most "
+        f"{MAX_TENSOR_FUNCTIONS[command]} functions, at about "
+        f"{TENSOR_FUNCTION_BYTES[command]} bytes a function"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrbsplines",
@@ -264,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(demo)
 
     peaks = sub.add_parser("qi-peaks", help="quasi-interpolation error table for three peaks")
-    peaks.add_argument("--levels", type=int, default=7, help="finest level (default 7)")
+    peaks.add_argument("--levels", type=int, default=7, help=_levels_help("qi-peaks", 7))
     peaks.add_argument(
         "--grid", type=int, default=150, help=f"error-sampling grid (default 150){_GRID_HELP}"
     )
@@ -272,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(peaks)
 
     pois = sub.add_parser("poisson", help="Galerkin error decay for the circular layer")
-    pois.add_argument("--levels", type=int, default=6, help="finest level (default 6)")
+    pois.add_argument("--levels", type=int, default=6, help=_levels_help("poisson", 6))
     pois.add_argument(
         "--strategy",
         choices=["tensor", "n2s2", "both"],
@@ -327,9 +336,36 @@ def _check_grid(grid: int) -> None:
         )
 
 
+#: Largest tensor space, in functions, that ``qi-peaks`` and ``poisson``
+#: build for ``--levels``, and the peak bytes a function each takes: the
+#: growth of peak RSS from level 6 to level 7 at bidegree (2, 2), 39 MiB
+#: over 49,664 more functions for ``qi-peaks`` and 97 MiB over 12,544
+#: for ``poisson --strategy tensor``.  The caps keep the finest tensor
+#: space near 1.6 and 1.0 GiB at those rates; ``poisson``'s is the lower
+#: because its rate grows with the level (5.5 KiB a function from level
+#: 5 to 6, 7.9 KiB from 6 to 7).
+MAX_TENSOR_FUNCTIONS = {"qi-peaks": 1 << 21, "poisson": 1 << 17}
+TENSOR_FUNCTION_BYTES = {"qi-peaks": 820, "poisson": 8100}
+
+
+def _check_levels(command: str, levels: int, cells: int, bidegree) -> None:
+    """Refuse a ``--levels`` whose finest tensor space, ``cells`` x
+    ``cells`` elements of ``bidegree`` with ``cells + p`` functions a
+    side, exceeds the command's cap, before any work."""
+    n = (cells + bidegree[0]) * (cells + bidegree[1])
+    if n > MAX_TENSOR_FUNCTIONS[command]:
+        size = n * TENSOR_FUNCTION_BYTES[command]
+        raise SpaceError(
+            f"--levels {levels} asks for a tensor space of {n} functions, about "
+            f"{size / 2**30:.1f} GiB at {TENSOR_FUNCTION_BYTES[command]} bytes a function, "
+            f"above the cap of {MAX_TENSOR_FUNCTIONS[command]} functions"
+        )
+
+
 def _cmd_qi_peaks(args) -> int:
     if args.levels < 1:
         raise SpaceError(f"levels must be >= 1, got {args.levels}")
+    _check_levels("qi-peaks", args.levels, 2 ** (args.levels + 1), args.degree)
     _check_grid(args.grid)
     bidegree = tuple(args.degree)
     adaptive = three_peaks_spaces(args.levels, bidegree=bidegree, expansion=args.expansion)
@@ -365,8 +401,10 @@ def _cmd_qi_peaks(args) -> int:
 def _cmd_poisson(args) -> int:
     if args.levels < 2:
         raise SpaceError(f"levels must be >= 2, got {args.levels}")
-    _check_grid(args.grid)
     strategies = ("tensor", "n2s2") if args.strategy == "both" else (args.strategy,)
+    if "tensor" in strategies:
+        _check_levels("poisson", args.levels, 2**args.levels, args.degree)
+    _check_grid(args.grid)
     rows = adaptive_solve(
         args.levels,
         bidegree=tuple(args.degree),

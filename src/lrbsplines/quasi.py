@@ -203,6 +203,13 @@ def lr_qi(space: LRSpace, f) -> dict:
     each pair of entries.  The result pairs with the *unweighted* basis:
     evaluate with ``evaluate_space(space, coefficients, ...)``.
 
+    On a locally linearly independent space the operator is a
+    projector: for a spline of the space it returns the spline's
+    coefficients.  That is measured and tested, not proven here, to
+    1e-12 relative on random pipeline spaces; on the structured
+    4-iteration ``mesh-demo`` space, independent but not locally, the
+    coefficients come back off by about half their size.
+
     Each coefficient equals :func:`tensor_qi_coefficient` bit for bit.
     The local collocation of each distinct knot vector is a table built
     by a batched kernel call and kept across calls, up to

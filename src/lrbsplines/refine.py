@@ -21,7 +21,7 @@ import heapq
 
 from .bspline import _minimal_support
 from .mesh import Split
-from .space import Key, LRSpace, SpaceError, _refine_marked, _Refinement
+from .space import Key, LRSpace, SpaceError, _incidence, _nested_supports, _refine_marked, _Refinement
 
 __all__ = [
     "is_nested_knotwise",
@@ -115,10 +115,12 @@ def _nested_meshwise(inner: Key, outer: Key) -> bool:
 
 def _nested_verdicts(space: LRSpace) -> tuple[list, list]:
     """The knotwise and the meshwise verdict on every pair of functions
-    whose supports nest, in one pair order, so either test can find a
-    pair the other misses.  The meshwise test is unchecked: every
-    function must have minimal support, as ``space.validate()`` ensures."""
-    pairs = _Refinement(space).nested_pairs()
+    whose supports nest, found from the space's incidence, in one pair
+    order, so either test can find a pair the other misses.  The meshwise
+    test is unchecked: every function must have minimal support."""
+    keys, _, _, _, ((vx, wx), (vy, wy)) = _incidence(space)
+    inner, outer = _nested_supports(space.mesh, (vx[wx, 0], vx[wx, -1], vy[wy, 0], vy[wy, -1]))
+    pairs = [(keys[i], keys[o]) for i, o in zip(inner.tolist(), outer.tolist())]
     knotwise = [is_nested_knotwise(inner, outer) for inner, outer in pairs]
     return knotwise, [_nested_meshwise(inner, outer) for inner, outer in pairs]
 

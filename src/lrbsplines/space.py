@@ -332,71 +332,63 @@ class _Refinement:
             self.bounds = bounds[live]
             self.rows = {key: i for i, key in enumerate(self.keys)}
 
+    def _meeting(self, lo, hi) -> np.ndarray:
+        """The ascending rows whose support meets ``[lo[0], hi[1]] x
+        [lo[2], hi[3]]``, the closed bounding box of boxes ``(x0, x1, y0,
+        y1)`` with least bounds ``lo`` and greatest ``hi``: the only rows
+        a query on those boxes can return.  Dead rows never meet it."""
+        b = self.bounds.T
+        return np.flatnonzero((b[0] <= hi[1]) & (lo[0] <= b[1]) & (b[2] <= hi[3]) & (lo[2] <= b[3]))
+
     def crossing(self, segments) -> list:
         """Keys of the functions whose support one of the :class:`Split`
         segments crosses: its position lies strictly inside the support
-        in its direction, and ``[lo, hi]`` meets the open cross extent."""
+        in its direction, and ``[lo, hi]`` meets the open cross extent.
+        Only the rows that meet the segments' bounding box are tested."""
         segments = np.array(segments, dtype=float).reshape(-1, 5)[:, :4]
-        b = self.bounds.T
-        hit = np.zeros(len(self.keys), dtype=bool)
+        # each segment as the box (x0, x1, y0, y1)
+        boxes = np.where(segments[:, :1] == 1, segments[:, [1, 1, 2, 3]], segments[:, [2, 3, 1, 1]])
+        near = self._meeting(boxes.min(axis=0), boxes.max(axis=0))
+        b = self.bounds[near].T
+        hit = np.zeros(len(near), dtype=bool)
         for direction, (a0, a1, c0, c1) in ((1, b), (2, b[[2, 3, 0, 1]])):
             seg = segments[segments[:, 0] == direction]
-            for c in _chunks(len(seg), len(self.keys)):
+            for c in _chunks(len(seg), len(near)):
                 pos, lo, hi = seg[c, 1:, None].transpose(1, 0, 2)
                 mask = (a0 < pos) & (pos < a1) & (c0 < hi) & (lo < c1)
                 hit |= mask.any(axis=0)
-        return [self.keys[i] for i in np.flatnonzero(hit)]
+        return [self.keys[i] for i in near[hit].tolist()]
 
     def containment(self, added) -> list:
         """Pairs ``(inner, outer)`` of distinct live keys whose supports
         nest, one of them in ``added``: first each added key inside the
-        keys around it, then the keys inside each added key."""
+        keys around it, then the keys inside each added key.  A row that
+        holds an added support or lies in one meets their bounding box,
+        so only those rows are tested, in ascending order as all would
+        be."""
         added = list(added)
         own = [self.rows[key] for key in added]
         boxes = self.bounds[own]
-        b = self.bounds.T
+        near = self._meeting(boxes.min(axis=0), boxes.max(axis=0))
+        b = self.bounds[near].T
         keys = self.keys
         inside, around = [], []
-        for c in _chunks(len(boxes), len(keys)):
+        for c in _chunks(len(boxes), len(near)):
             x0, x1, y0, y1 = boxes[c, :, None].transpose(1, 0, 2)
             i, r = np.nonzero((b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1))
-            found = zip((i + c.start).tolist(), r.tolist())
+            found = zip((i + c.start).tolist(), near[r].tolist())
             inside += [(keys[j], added[a]) for a, j in found if j != own[a]]
             i, r = np.nonzero((b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1))
-            found = zip((i + c.start).tolist(), r.tolist())
+            found = zip((i + c.start).tolist(), near[r].tolist())
             around += [(added[a], keys[j]) for a, j in found if j != own[a]]
         return around + inside
 
     def nested_pairs(self) -> list:
         """All pairs ``(inner, outer)`` of distinct live keys whose
-        supports nest.
-
-        Sorting the rows by ``x_min`` confines each row's candidates to
-        the run whose ``x_min`` lies in ``[x_min, x_max)``, so the work is
-        proportional to those runs, not to all pairs.
-        """
+        supports nest, by :func:`_nested_supports` on the live rows."""
         live = np.flatnonzero(~np.isnan(self.bounds[:, 0]))
-        b = self.bounds[live]
-        order = np.argsort(b[:, 0], kind="stable")
-        x_sorted = b[order, 0]
-        first = np.searchsorted(x_sorted, b[:, 0], side="left")
-        counts = np.searchsorted(x_sorted, b[:, 1], side="left") - first
-        ends = np.cumsum(counts)
-        inner, outer = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        start = done = 0
-        while start < len(b):
-            # outers start:stop, whose runs hold about _CHUNK_ENTRIES candidates
-            stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_ENTRIES, side="right")))
-            which, at = _expand_ranges(first[start:stop], first[start:stop] + counts[start:stop])
-            o = which + start
-            i = order[at]
-            keep = (i != o) & (b[i, 1] <= b[o, 1]) & (b[i, 2] >= b[o, 2]) & (b[i, 3] <= b[o, 3])
-            inner.append(live[i[keep]])
-            outer.append(live[o[keep]])
-            start, done = stop, ends[stop - 1]
-        keys = self.keys
-        inner, outer = np.concatenate(inner).tolist(), np.concatenate(outer).tolist()
-        return [(keys[i], keys[o]) for i, o in zip(inner, outer)]
+        inner, outer = _nested_supports(self.mesh, self.bounds[live].T)
+        return [(self.keys[i], self.keys[o]) for i, o in zip(live[inner].tolist(), live[outer].tolist())]
 
 
 # -- the generation fixpoint ------------------------------------------------
@@ -578,16 +570,10 @@ def _incidence(space: LRSpace):
 
     The functions' support bounds are the first and last columns of the
     windows, and the elements' are read from the mesh's index boxes
-    (``Mesh.element_boxes``).  Elements tile the domain, so each one is
-    named by its lower-left corner, keyed by the corner's position
-    indices ``i0 * len(ys) + j0``, which the boxes' order already sorts.
-    A function's support ``[a, b] x [c, d]`` holds the corners in ``[a,
-    b) x [c, d)``: per mesh column in ``[a, b)``, two searches of the
-    sorted corner keys find those in ``[c, d)``, and the candidates whose
-    far corner lies outside the support are dropped, so the result is the
-    dense containment test of every element against every function
-    whether or not the functions have minimal support.  O(nnz log n) time and
-    memory, with nnz the incidences and the few candidates dropped.
+    (``Mesh.element_boxes``), whose order sorts their corners.  The corner
+    search :func:`_boxes_within` finds the elements in each support: the
+    dense containment test, whether or not the functions have minimal
+    support.  O(nnz log n) time and memory for the nnz incidences.
     """
     incidence = space._cached_incidence
     if incidence is None:
@@ -604,25 +590,51 @@ def _build_incidence(space: LRSpace):
     xpos = np.array(mesh.positions(1), dtype=float)
     ypos = np.array(mesh.positions(2), dtype=float)
     x0, x1, y0, y1 = bounds = np.stack([xpos[i0], xpos[i1], ypos[j0], ypos[j1]])
-    corners = i0 * len(ypos) + j0
     (vx, wx), (vy, wy) = windows
-    a, b, c, d = vx[wx, 0], vx[wx, -1], vy[wy, 0], vy[wy, -1]
-    column_lo, column_hi = np.searchsorted(xpos, a), np.searchsorted(xpos, b)
-    f, column = _expand_ranges(column_lo, column_hi)
-    base = column * len(ypos)
-    lo = np.searchsorted(corners, base + np.searchsorted(ypos, c)[f])
-    hi = np.searchsorted(corners, base + np.searchsorted(ypos, d)[f])
-    probe, at = _expand_ranges(lo, hi)
-    f, e = f[probe], at
-    del probe  # the largest temporary: free it before the filter's
-    keep = (x1[e] <= b[f]) & (y1[e] <= d[f])
-    f, e = f[keep], e[keep]
+    supports = (vx[wx, 0], vx[wx, -1], vy[wy, 0], vy[wy, -1])
+    e, f = _boxes_within(xpos, ypos, i0 * len(ypos) + j0, (x1, y1), supports)
     by_element = np.argsort(e, kind="stable")
     counts = np.bincount(e, minlength=len(x0))
     indices = f[by_element]
     for array in (counts, indices, bounds, vx, wx, vy, wy):
         array.flags.writeable = False
     return keys, counts, indices, bounds, windows
+
+
+def _boxes_within(xpos, ypos, corners, far, outer):
+    """``(inner, outer)`` index arrays of every inner box inside a closed
+    outer box, ordered by outer, then inner.  Inner box ``k`` spans from
+    the mesh positions with the ascending key ``corners[k] = i0 *
+    len(ypos) + j0`` to the floats ``(far[0][k], far[1][k])``; ``outer``
+    holds the bounds ``(a, b, c, d)``.  Precondition, unchecked: the inner
+    corners lie on mesh positions, as elements' do and those of functions
+    with minimal support.  Per column in ``[a, b)``, two searches of
+    ``corners`` find the corners in ``[c, d)``, and candidates with the
+    far corner outside are dropped: O(m log n) time for the m pairs."""
+    x1, y1 = far
+    a, b, c, d = outer
+    o, column = _expand_ranges(np.searchsorted(xpos, a), np.searchsorted(xpos, b))
+    base = column * len(ypos)
+    lo = np.searchsorted(corners, base + np.searchsorted(ypos, c)[o])
+    hi = np.searchsorted(corners, base + np.searchsorted(ypos, d)[o])
+    probe, inner = _expand_ranges(lo, hi)
+    o = o[probe]
+    del probe  # the largest temporary: free it before the filter's
+    keep = (x1[inner] <= b[o]) & (y1[inner] <= d[o])
+    return inner[keep], o[keep]
+
+
+def _nested_supports(mesh: Mesh, supports):
+    """``(inner, outer)`` index arrays: every pair of distinct functions
+    of minimal support on ``mesh`` whose supports, the float arrays ``(a,
+    b, c, d)``, nest; :func:`_boxes_within` with the corners sorted."""
+    xpos, ypos = (np.array(mesh.positions(d), dtype=float) for d in (1, 2))
+    a, b, c, d = supports
+    corners = np.searchsorted(xpos, a) * len(ypos) + np.searchsorted(ypos, c)
+    order = np.argsort(corners, kind="stable")
+    inner, outer = _boxes_within(xpos, ypos, corners[order], (b[order], d[order]), supports)
+    inner = order[inner]
+    return inner[inner != outer], outer[inner != outer]
 
 
 def element_support_table(space: LRSpace):

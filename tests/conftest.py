@@ -13,7 +13,8 @@ has its own: one knot per split, found by a scan of every mesh position;
 so has its memoized Boehm kernel: the same integer loop, uncached.  The
 element--function incidence is checked against an exact-coordinate scan
 of every function per element, the batched derivatives against a
-pointwise gradient, and pipeline results against the nested map that the
+pointwise gradient, the quasi-interpolant against a pointwise spline
+evaluator, and pipeline results against the nested map that the
 knotwise test gives on every pair of nesting supports.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
 from lrbsplines.quasi import _raised_vector
 from lrbsplines.space import (
-    _Refinement,
+    _nested_supports,
     _uncovered_gaps,
     apply_split,
     initial_space,
@@ -124,6 +125,28 @@ def evaluate_gradient(key, point) -> tuple[float, float]:
     vx, dx = kernel(np.array(xv, dtype=float), np.array([x]), xv[-1], derivatives=True)
     vy, dy = kernel(np.array(yv, dtype=float), np.array([y]), yv[-1], derivatives=True)
     return (float(dx[0]) * float(vy[0]), float(vx[0]) * float(dy[0]))
+
+
+def evaluate_spline(space, coefficients, x, y):
+    """``sum_k c_k B_k`` of the unweighted basis at the points ``(x, y)``,
+    arrays of one shape (any shape), closed at the domain's top edges:
+    per chunk of points, one kernel call per direction evaluates every
+    function.  A pointwise spline for targets; dense in the functions,
+    so meant for spaces of at most about a thousand of them."""
+    keys = space.sorted_keys()
+    vx, vy = (np.array([key[d] for key in keys], dtype=float) for d in (0, 1))
+    c = np.array([coefficients[key] for key in keys])
+    dom = space.mesh.domain
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    px, py = x.ravel(), y.ravel()
+    out = np.empty(px.size)
+    step = max(1, (1 << 18) // len(keys))
+    kernel = bspline_module._stacked_values
+    for s in range(0, px.size, step):
+        bx = kernel(vx, px[None, s : s + step], close_at=dom.x_max)
+        by = kernel(vy, py[None, s : s + step], close_at=dom.y_max)
+        out[s : s + step] = c @ (bx * by)
+    return out.reshape(x.shape)
 
 
 def element_support_count(space, element: Rect) -> int:
@@ -251,11 +274,14 @@ def reference_fixpoint(mesh, functions, dirty):
 def nested_map(space) -> dict:
     """Map each function with nested functions to their sorted keys, by
     the knotwise test on every pair of nesting supports; a space with
-    pairwise non-nested supports maps to ``{}``."""
+    pairwise non-nested supports maps to ``{}``.  The pairs come from the
+    corner search that ``verify`` runs on the space's incidence."""
+    keys, _, _, _, ((vx, wx), (vy, wy)) = space_module._incidence(space)
+    inner, outer = _nested_supports(space.mesh, (vx[wx, 0], vx[wx, -1], vy[wy, 0], vy[wy, -1]))
     by_outer: dict = {}
-    for inner, outer in _Refinement(space).nested_pairs():
-        if is_nested_knotwise(inner, outer):
-            by_outer.setdefault(outer, set()).add(inner)
+    for i, o in zip(inner.tolist(), outer.tolist()):
+        if is_nested_knotwise(keys[i], keys[o]):
+            by_outer.setdefault(keys[o], set()).add(keys[i])
     return {key: tuple(sorted(by_outer[key])) for key in sorted(by_outer)}
 
 

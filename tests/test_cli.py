@@ -529,6 +529,58 @@ def test_the_grid_cap_admits_every_default_grid_and_is_in_the_help(capsys):
         assert f"at most {MAX_GRID_POINTS} points" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize(
+    "command, levels, functions",
+    [("qi-peaks", "12", (2**13 + 2) ** 2), ("poisson", "14", (2**14 + 2) ** 2)],
+)
+def test_oversized_levels_are_refused_before_any_work(tmp_path, command, levels, functions):
+    # 67 and 268 million tensor functions: refused from the closed-form
+    # count before any space is built, within a second of the
+    # interpreter's start-up, which the help run measures.
+    _, start_up = _run_module(command, "--help")
+    target = tmp_path / "out.csv"
+    run, elapsed = _run_module(command, "--levels", levels, "--out", str(target))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(
+        f"error: --levels {levels} asks for a tensor space of {functions} functions"
+    )
+    assert f"above the cap of {cli.MAX_TENSOR_FUNCTIONS[command]} functions" in run.stderr
+    assert elapsed - start_up < 1.0
+    assert not target.exists()
+
+
+class _Started(Exception):
+    """Raised by a stand-in for the work a command starts."""
+
+
+def _start(*args, **kwargs):
+    raise _Started
+
+
+def test_the_levels_caps_admit_the_largest_levels_below_them_and_are_in_the_help(
+    capsys, monkeypatch
+):
+    # Levels 9 and 8 (1,052,676 and 66,564 functions) start their work;
+    # poisson level 9 (264,196) is refused unless its n2s2 family runs
+    # alone, which builds no tensor space.
+    monkeypatch.setattr(cli, "three_peaks_spaces", _start)
+    monkeypatch.setattr(cli, "adaptive_solve", _start)
+    for argv in (
+        ["qi-peaks", "--levels", "9"],
+        ["poisson", "--levels", "8"],
+        ["poisson", "--levels", "9", "--strategy", "n2s2"],
+    ):
+        with pytest.raises(_Started):
+            main(argv)
+    assert main(["poisson", "--levels", "9"]) == 2
+    assert "above the cap of 131072 functions" in capsys.readouterr().err
+    for command in ("qi-peaks", "poisson"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"at most {cli.MAX_TENSOR_FUNCTIONS[command]} functions" in help_text
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -586,6 +638,24 @@ def test_verify_reads_the_element_bounds_once(tmp_path, running_example, monkeyp
     calls = count_incidence_calls(monkeypatch)
     assert verify(target)["collocation_rank"] == running_example["pipeline_2"].n_functions
     assert len(calls) == 1
+
+
+def test_verify_builds_one_incidence_and_no_refinement_state(tmp_path, request, monkeypatch):
+    # The nested pairs come from the corner search over the incidence
+    # that the support counts built; no refinement state is made.
+    target = _saved_space("mesh_demo_4_structured", tmp_path, request)
+    calls = count_incidence_calls(monkeypatch)
+    states = []
+    init = space_module._Refinement.__init__
+
+    def counted_init(self, space):
+        states.append(space)
+        init(self, space)
+
+    monkeypatch.setattr(space_module._Refinement, "__init__", counted_init)
+    assert verify(target)["nested_pairs_knotwise"] == 14
+    assert len(calls) == 1
+    assert states == []
 
 
 def _saved_space(name, tmp_path, request):

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 from lrbsplines import (
     Mesh,
     SpaceError,
+    collocation_rank,
+    diagonal_marker,
     dyadic,
     evaluate_space,
     initial_space,
     lr_qi,
     make_initial_mesh,
     qi_max_error,
+    structured_refine,
     tensor_qi_coefficient,
     is_locally_linearly_independent,
     tensor_space_for_level,
@@ -35,7 +38,13 @@ from lrbsplines import (
 from lrbsplines import quasi
 from lrbsplines import space as space_module
 
-from conftest import key_of, local_tensor_space, random_pipeline_space, reference_values
+from conftest import (
+    evaluate_spline,
+    key_of,
+    local_tensor_space,
+    random_pipeline_space,
+    reference_values,
+)
 
 
 def _greville(vec):
@@ -380,6 +389,46 @@ def test_quasi_interpolant_is_a_projection_idempotent():
 
     again = lr_qi(space, interpolant)
     assert max(abs(again[k] - coeffs[k]) for k in coeffs) <= 1e-10
+
+
+def _qi_error(space, seed) -> float:
+    """``max |lr_qi(s) - c| / max |c|`` for the spline ``s`` of the space
+    with coefficients ``c`` drawn from N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    keys = space.sorted_keys()
+    c = dict(zip(keys, rng.standard_normal(len(keys)).tolist()))
+    got = lr_qi(space, lambda x, y: evaluate_spline(space, c, x, y))
+    want = np.array([c[k] for k in keys])
+    return float(np.max(np.abs(np.array([got[k] for k in keys]) - want)) / np.max(np.abs(want)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]),
+    iterations=st.integers(1, 3),
+)
+def test_lr_qi_is_a_projector_on_locally_independent_spaces(seed, bidegree, iterations):
+    # The paper's claim: on a locally linearly independent space each
+    # local problem recovers the coefficient of every spline of the
+    # space, so the quasi-interpolant reproduces the whole space.
+    space = random_pipeline_space(seed, iterations=iterations, bidegree=bidegree)
+    assert _qi_error(space, seed) <= 1e-12
+
+
+def test_lr_qi_is_no_projector_on_a_space_that_is_only_globally_independent():
+    # The structured 4-iteration mesh-demo space: 180 linearly
+    # independent functions, not locally independent.  The local
+    # problems then miss the coefficients by about half their size
+    # (0.48 relative, 1.14 absolute at seed 0), so it is local, not
+    # global, independence that makes the scheme a projector.
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    for _ in range(4):
+        space = structured_refine(space, [k for k in space.sorted_keys() if diagonal_marker(k)])
+    assert space.n_functions == 180
+    assert not is_locally_linearly_independent(space)
+    assert collocation_rank(space) == 180
+    assert _qi_error(space, 0) > 0.4
 
 
 # -- the three-peaks benchmark -----------------------------------------------

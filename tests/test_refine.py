@@ -271,23 +271,18 @@ def test_pipeline_spaces_are_the_chained_one_step_runs(expansion):
 
 
 def test_refinement_queries_across_chunks_match_one_chunk(monkeypatch):
-    # A cap of 64 entries splits every refinement query of the pipeline:
-    # crossing and containment slice through ``_chunks``, and
-    # nested_pairs runs one ``_expand_ranges`` per chunk of outers.
+    # A cap of 64 entries splits the refinement queries that slice
+    # through ``_chunks``: crossing and containment.
     space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
     spaces, trace = n2s_pipeline(space, diagonal_marker, 4)
     monkeypatch.setattr(space_module, "_CHUNK_ENTRIES", 64)
     pieces, split = [], Counter()
-    chunks, expand = space_module._chunks, space_module._expand_ranges
+    chunks = space_module._chunks
 
     def counting_chunks(n, per_item):
         found = chunks(n, per_item)
         pieces[-1] = max(pieces[-1], len(found))
         return found
-
-    def counting_expand(lo, hi):
-        pieces[-1] += 1
-        return expand(lo, hi)
 
     def counted(name):
         query = getattr(space_module._Refinement, name)
@@ -301,8 +296,7 @@ def test_refinement_queries_across_chunks_match_one_chunk(monkeypatch):
         monkeypatch.setattr(space_module._Refinement, name, run)
 
     monkeypatch.setattr(space_module, "_chunks", counting_chunks)
-    monkeypatch.setattr(space_module, "_expand_ranges", counting_expand)
-    queries = ("crossing", "containment", "nested_pairs")
+    queries = ("crossing", "containment")
     for name in queries:
         counted(name)
     chunked, chunked_trace = n2s_pipeline(space, diagonal_marker, 4)

@@ -12,10 +12,17 @@ from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_map, random_marked, random_split
+from conftest import (
+    element_support_count,
+    nested_map,
+    random_marked,
+    random_pipeline_space,
+    random_split,
+)
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.formats import to_json
@@ -23,6 +30,7 @@ from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.quasi import tensor_space_for_level
 from lrbsplines.refine import (
     _NestedTracker,
+    _nested_verdicts,
     _rank,
     diagonal_marker,
     n2s_pipeline,
@@ -31,6 +39,7 @@ from lrbsplines.refine import (
 )
 from lrbsplines.space import (
     SpaceError,
+    _refine_marked,
     _Refinement,
     _support_bounds,
     apply_split,
@@ -65,6 +74,34 @@ def dense_nested_pairs(state) -> set:
     keys = [state.keys[i] for i in live]
     inner, outer = np.nonzero(mask)
     return {(keys[i], keys[o]) for i, o in zip(inner.tolist(), outer.tolist())}
+
+
+def dense_containment(state, added) -> list:
+    """:meth:`_Refinement.containment` by the two masks over every row,
+    dead ones included, in the query's pair order."""
+    added = list(added)
+    own = [state.rows[key] for key in added]
+    x0, x1, y0, y1 = state.bounds[own][:, :, None].transpose(1, 0, 2)
+    b = state.bounds.T
+    pairs = []
+    for mask, pair in (
+        ((b[0] <= x0) & (b[1] >= x1) & (b[2] <= y0) & (b[3] >= y1), lambda a, j: (added[a], state.keys[j])),
+        ((b[0] >= x0) & (b[1] <= x1) & (b[2] >= y0) & (b[3] <= y1), lambda a, j: (state.keys[j], added[a])),
+    ):
+        a, j = np.nonzero(mask)
+        pairs += [pair(a, j) for a, j in zip(a.tolist(), j.tolist()) if j != own[a]]
+    return pairs
+
+
+def dense_incidence_rows(space) -> list:
+    """Per element of ``mesh.elements()``, the indices into
+    ``space.sorted_keys()`` of the functions whose closed support holds
+    it, from the full elements x functions mask."""
+    boxes = np.array([(e.x_min, e.x_max, e.y_min, e.y_max) for e in space.mesh.elements()], float)
+    b = _support_bounds(space.sorted_keys()).T
+    e = boxes.T[:, :, None]
+    mask = (b[0] <= e[0]) & (e[1] <= b[1]) & (b[2] <= e[2]) & (e[3] <= b[3])
+    return [np.flatnonzero(row).tolist() for row in mask]
 
 
 def assert_rows_are_fresh(state):
@@ -119,6 +156,7 @@ def checked_refinement(built: list) -> ExitStack:
     init = _Refinement.__init__
     regenerate = _Refinement.regenerate
     crossing = _Refinement.crossing
+    containment = _Refinement.containment
     nested_pairs = _Refinement.nested_pairs
     update = _NestedTracker.update
     select = _NestedTracker.select
@@ -144,6 +182,11 @@ def checked_refinement(built: list) -> ExitStack:
             want |= overlapping_keys(self.rows, *segment[:4])
         assert len(got) == len(want) and set(got) == want
         return got
+
+    def checked_containment(self, added):
+        pairs = containment(self, added)
+        assert pairs == dense_containment(self, added)
+        return pairs
 
     def checked_nested_pairs(self):
         pairs = nested_pairs(self)
@@ -171,6 +214,7 @@ def checked_refinement(built: list) -> ExitStack:
         (_Refinement, "__init__", counted_init),
         (_Refinement, "regenerate", checked_regenerate),
         (_Refinement, "crossing", checked_crossing),
+        (_Refinement, "containment", checked_containment),
         (_Refinement, "nested_pairs", checked_nested_pairs),
         (_NestedTracker, "update", checked_update),
         (_NestedTracker, "select", checked_select),
@@ -211,6 +255,81 @@ def test_index_follows_every_refinement(bidegree, steps):
                 continue
             assert len(built) == 1
             assert space.functions is built[0].functions
+
+
+def some_space(kind, seed, bidegree, iterations):
+    """A random pipeline space, or a space of ``iterations`` structured
+    refinements of random functions, which keeps nested supports."""
+    if kind == "pipeline":
+        return random_pipeline_space(seed, iterations=iterations, bidegree=bidegree)
+    rng = random.Random(seed)
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, 2))
+    for _ in range(iterations):
+        space = structured_refine(space, random_marked(rng, space))
+    return space
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["pipeline", "structured"]),
+    seed=st.integers(0, 2**32),
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]),
+    iterations=st.integers(1, 2),
+    marks=st.integers(0, 2),
+    share=st.floats(0.01, 1.0),
+)
+def test_pre_filtered_containment_equals_the_dense_masks(
+    kind, seed, bidegree, iterations, marks, share
+):
+    # States with dead rows after a few structured steps; the added keys
+    # are a random share of the live ones.
+    rng = random.Random(seed)
+    state = _Refinement(some_space(kind, seed, bidegree, iterations))
+    for _ in range(marks):
+        try:
+            _refine_marked(state, random_marked(rng, state.space()))
+        except SpaceError:
+            break
+    live = sorted(state.rows)
+    added = rng.sample(live, max(1, int(share * len(live))))
+    assert state.containment(added) == dense_containment(state, added)
+
+
+def assert_one_search_matches_the_dense_oracles(space):
+    """The incidence rows and both callers' nested pairs, all from
+    ``space._boxes_within``, against the dense containment oracles."""
+    keys, counts, indices, _, _ = space_module._incidence(space)
+    rows = np.split(indices, np.cumsum(counts)[:-1])
+    assert [row.tolist() for row in rows] == dense_incidence_rows(space)
+    assert counts.tolist() == [element_support_count(space, e) for e in space.mesh.elements()]
+    state = _Refinement(space)
+    want = dense_nested_pairs(state)
+    from_state = state.nested_pairs()
+    assert len(from_state) == len(want) and set(from_state) == want
+    knotwise, _ = _nested_verdicts(space)
+    found = {(inner, outer) for inner, outers in nested_map(space).items() for outer in outers}
+    assert len(knotwise) == len(want)
+    assert sum(knotwise) == len(found)
+    return want
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["pipeline", "structured"]),
+    seed=st.integers(0, 2**32),
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]),
+    iterations=st.integers(1, 3),
+)
+def test_one_corner_search_equals_the_dense_oracles(kind, seed, bidegree, iterations):
+    assert_one_search_matches_the_dense_oracles(some_space(kind, seed, bidegree, iterations))
+
+
+@pytest.mark.parametrize(
+    "fixture, pairs", [("rank_deficient_space", 140), ("two_stage_dependent_space", 1740)]
+)
+def test_one_corner_search_on_the_dependent_fixtures(request, fixture, pairs):
+    space = request.getfixturevalue(fixture)
+    assert len(assert_one_search_matches_the_dense_oracles(space)) == pairs
 
 
 def refinement_calls(rng, space):
