@@ -3,9 +3,9 @@
 A bivariate function is its key ``(xknots, yknots)``: two local knot
 vectors of lengths ``p1 + 2`` and ``p2 + 2``.  Its positive rational
 weight lives beside the key, in a space's ``functions`` dict; the
-public per-function calls here and in :mod:`lrbsplines.quasi` take the
-key alone and work on the unweighted function.  Each checks its key
-once through `local_knot_vector`, a cache lookup for a valid vector.
+public per-function calls here take the key alone and work on the
+unweighted function.  Each checks its key once through
+`local_knot_vector`, a cache lookup for a valid vector.
 
 Univariate values come from one Cox--de Boor kernel, `_stacked_values`,
 over stacked windows and half-open spans ``[k_i, k_{i+1})``; an
@@ -13,18 +13,16 @@ optional closure coordinate makes the evaluation left-continuous there,
 which is how the top domain edge is handled.  `univariate_values` and
 `univariate_derivatives` are its one-window calls.
 
-The support queries (`has_support_on`, `has_minimal_support`,
-`find_refining_split`) implement the containment tests between a
+The support queries implement the containment tests between a
 function's knot mesh and an LR mesh: every knot line must be covered by
-a mesh run of at least the knot multiplicity, and minimal support
-additionally forbids any mesh line that crosses the full support at a
-higher multiplicity than the function's own knots there.  One scan,
-`_deficits`, lists a direction's such lines; `find_refining_split` is
-its first hit.  `has_minimal_support` decides both rules in one scan per
-direction, through `_minimal_support`.  `_lacking_minimal_support`
-gives the same verdicts for many functions at once, by array lookups in
-the mesh's run tables; it is how a space checks its functions, and the
-per-function scan is its oracle.
+a mesh run of at least the knot multiplicity (`has_support_on`), and
+minimal support additionally forbids any mesh line that crosses the full
+support at a higher multiplicity than the function's own knots there.
+`_minimal_support` decides both rules in one scan per direction;
+`_deficits` lists a direction's crossing lines, the knots the generation
+fixpoint inserts.  `_lacking_minimal_support` gives the verdicts of
+`_minimal_support` for many functions at once, by array lookups in the
+mesh's run tables; it is how a space checks its functions.
 
 Knot insertion has one kernel, `_boehm`: a local knot vector and the
 knots to insert give the children's coefficients as integer (numerator,
@@ -55,8 +53,6 @@ __all__ = [
     "evaluate",
     "insert_knot",
     "has_support_on",
-    "has_minimal_support",
-    "find_refining_split",
 ]
 
 
@@ -373,39 +369,15 @@ def _deficits(xknots, yknots, mesh: Mesh, direction: int, positions=None) -> lis
     return out
 
 
-def find_refining_split(key, mesh: Mesh):
-    """First mesh line that crosses the support above the knot multiplicity.
-
-    Scans direction 1 then 2, positions ascending, and returns
-    ``(direction, position, deficit)`` for the first hit of
-    :func:`_deficits`; ``None`` when the function has minimal support.
-    Assumes ``has_support_on(key, mesh)``.
-    """
-    xv, yv = _checked(key)
-    for direction in (1, 2):
-        hits = _deficits(xv, yv, mesh, direction)
-        if hits:
-            return (direction, *hits[0])
-    return None
-
-
-def has_minimal_support(key, mesh: Mesh) -> bool:
-    """Support containment with equality: no mesh line crosses the
-    support at higher multiplicity than the function's knots.
-
-    The same verdict as ``has_support_on(key, mesh) and
-    find_refining_split(key, mesh) is None``, from one scan per direction
-    over the mesh positions in the support's closed span, with one
-    covering-run lookup each: a knot needs a run of at least its
-    multiplicity, an interior position one of at most it, and every knot
-    must lie on a mesh position.
-    """
-    return _minimal_support(*_checked(key), mesh)
-
-
 def _minimal_support(xknots, yknots, mesh: Mesh) -> bool:
-    """:func:`has_minimal_support` of the function on the knot vectors
-    ``xknots``, ``yknots``, which it does not check."""
+    """Support containment with equality: no mesh line crosses the
+    support of the function on the unchecked knot vectors ``xknots``,
+    ``yknots`` at higher multiplicity than its knots there.
+
+    One scan per direction over the mesh positions in the support's
+    closed span, with one covering-run lookup each: a knot needs a run
+    of at least its multiplicity, an interior position one of at most
+    it, and every knot must lie on a mesh position."""
     covering_run = mesh.covering_run
     for direction in (1, 2):
         vec, cross = (xknots, yknots) if direction == 1 else (yknots, xknots)

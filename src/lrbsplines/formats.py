@@ -22,7 +22,6 @@ from .space import ONE, LRSpace
 
 __all__ = [
     "FormatError",
-    "to_json",
     "from_json",
     "save",
     "load",
@@ -80,33 +79,6 @@ def _decode_coord(obj, memo: dict, where: str, index=None) -> DyadicCoord:
     except ValueError as exc:
         raise _coord_error(where, index, str(exc)) from None
     return coord
-
-
-def to_json(obj) -> dict:
-    """Encode a mesh or a space as a JSON-ready dictionary."""
-    if isinstance(obj, LRSpace):
-        doc = to_json(obj.mesh)
-        doc["functions"] = [
-            {**_encode_key(key), "w": float(obj.functions[key])}
-            for key in obj.sorted_keys()
-        ]
-        return doc
-    if isinstance(obj, Mesh):
-        dom = obj.domain
-        return {
-            "domain": [c.pair() for c in (dom.x_min, dom.x_max, dom.y_min, dom.y_max)],
-            "bidegree": list(obj.bidegree),
-            "lines": [
-                {
-                    "dir": line.direction,
-                    "fixed": line.fixed.pair(),
-                    "span": [line.lo.pair(), line.hi.pair()],
-                    "mult": line.multiplicity,
-                }
-                for line in obj.lines()
-            ],
-        }
-    raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
 def _decode_mesh(doc: dict, memo: dict) -> Mesh:
@@ -261,7 +233,8 @@ def from_json(doc: dict):
 
 
 def _document_text(obj) -> str:
-    """``json.dumps(to_json(obj), indent=1)``, from per-entry templates.
+    """The document of the mesh or space ``obj``, as ``json.dumps(doc,
+    indent=1)`` writes it, from per-entry templates.
 
     ``indent`` forces ``json``'s pure-Python encoder, so the same text is
     written here directly: a list or object at nesting level L puts its
@@ -327,7 +300,7 @@ def _document_text(obj) -> str:
 
 def save(obj, path) -> None:
     """Write a mesh or space document; deterministic formatting, the
-    text of ``json.dumps(to_json(obj), indent=1)``."""
+    text ``json.dumps(doc, indent=1)`` gives (:func:`_document_text`)."""
     Path(path).write_text(_document_text(obj) + "\n")
 
 

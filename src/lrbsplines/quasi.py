@@ -15,8 +15,7 @@ combined with the unweighted basis this makes the scheme exact on
 polynomials on spaces with unit weights.
 
 :func:`lr_qi` solves all the local problems of a space as stacked
-arrays; :func:`tensor_qi_coefficient` solves one and serves as its
-oracle.  The target ``f`` must be pointwise and vectorised: called with
+arrays.  The target ``f`` must be pointwise and vectorised: called with
 two arrays of one shape, any shape, it returns an array of that shape
 holding ``f`` at each pair of entries.
 """
@@ -27,7 +26,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .bspline import _checked, _greville_collocation, _knot_windows, _stacked_values
+from .bspline import _stacked_values
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
 from .refine import n2s_pipeline, point_marker
@@ -43,7 +42,6 @@ from .space import (
 )
 
 __all__ = [
-    "tensor_qi_coefficient",
     "lr_qi",
     "qi_max_error",
     "three_peaks",
@@ -64,22 +62,6 @@ def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
     return out
 
 
-def _local_collocation(vec):
-    """Greville nodes, collocation matrix and origin index of the local
-    univariate basis of one local knot vector, computed alone: the oracle
-    of :func:`_collocations`.
-
-    The basis is the windows of ``vec`` with its boundary knots raised
-    to full multiplicity; the origin index is the position of ``vec``
-    itself among them.
-    """
-    degree = len(vec) - 2
-    raised = _raised_vector(vec, degree)
-    windows = _knot_windows(raised, degree)
-    nodes, matrix = _greville_collocation(windows, raised[-1])
-    return nodes, matrix, windows.index(vec)
-
-
 #: The tables of :func:`_collocations` by local knot vector, least
 #: recently used first, and the most it keeps.  An entry of degree 2
 #: takes about 0.9 KiB, so the bound keeps the cache under 4 MiB;
@@ -90,8 +72,9 @@ _TABLES_MAX = 1 << 12
 
 def _collocations(vectors) -> list:
     """Per local knot vector of ``vectors``, its Greville nodes,
-    collocation matrix and origin index: :func:`_local_collocation`'s
-    results, bit for bit.
+    collocation matrix and origin index: those of the windows of the
+    vector with its boundary knots raised to full multiplicity
+    (:func:`_raised_vector`), whose origin is the vector itself.
 
     The tables are kept across calls, so successive calls of
     :func:`lr_qi` on a space, and on the spaces of successive levels,
@@ -99,12 +82,11 @@ def _collocations(vectors) -> list:
     used, and its nodes and matrices are read-only.  The vectors not yet
     kept are built together, per group of one degree and one raised
     length: the group's raised vectors are float rows, their windows and
-    Greville nodes are sliced and summed from them by the same float
-    operations as the oracle's, and one stacked Cox--de Boor call per
-    chunk (``space._chunks``) evaluates every window at its vector's
-    nodes, each vector closed at its own last knot.  The origin index is
-    ``degree + 1`` less the multiplicity of the first knot, since the
-    raised vector starts with ``degree + 1`` copies of it.
+    Greville nodes are sliced and summed from them, and one stacked
+    Cox--de Boor call per chunk (``space._chunks``) evaluates every window
+    at its vector's nodes, each vector closed at its own last knot.  The
+    origin index is ``degree + 1`` less the multiplicity of the first
+    knot, since the raised vector starts with ``degree + 1`` copies of it.
     """
     groups: dict = {}
     for vec in vectors:
@@ -175,26 +157,6 @@ def _solve_local(f, xs, mx, ys, my):
         raise SpaceError(f"singular local collocation matrix: {exc}") from exc
 
 
-def tensor_qi_coefficient(key, f) -> float:
-    """Coefficient of the function ``key`` for interpolating ``f`` in its
-    local space.
-
-    The local tensor space of the function, the tensor space on its
-    support with the boundary knots raised to full multiplicity, is read
-    from its raised knot vectors alone: their consecutive windows
-    are the local basis in each direction.  Interpolates ``f`` at the
-    tensor grid of the windows' Greville points and reads off the
-    coefficient of ``key``, whose knot vectors are among the windows.
-    The collocation matrix factors into two univariate ones, solved back
-    to back.  This is the one-function form of :func:`lr_qi`, and pairs
-    with the unweighted basis as it does.
-    """
-    xv, yv = _checked(key)
-    xs, mx, ix = _local_collocation(xv)
-    ys, my, iy = _local_collocation(yv)
-    return float(_solve_local(f, xs, mx, ys, my)[ix, iy])
-
-
 def lr_qi(space: LRSpace, f) -> dict:
     """Quasi-interpolation coefficients for every function of the space.
 
@@ -210,7 +172,8 @@ def lr_qi(space: LRSpace, f) -> dict:
     4-iteration ``mesh-demo`` space, independent but not locally, the
     coefficients come back off by about half their size.
 
-    Each coefficient equals :func:`tensor_qi_coefficient` bit for bit.
+    Each coefficient equals, bit for bit, that of its function's local
+    problem solved alone.
     The local collocation of each distinct knot vector is a table built
     by a batched kernel call and kept across calls, up to
     :data:`_TABLES_MAX` tables (:func:`_collocations`); per direction

@@ -50,7 +50,6 @@ __all__ = [
     "initial_space",
     "apply_split",
     "structured_refine",
-    "element_support_table",
     "is_locally_linearly_independent",
     "partition_of_unity_defect",
     "evaluate_space",
@@ -637,17 +636,6 @@ def _nested_supports(mesh: Mesh, supports):
     return inner[inner != outer], outer[inner != outer]
 
 
-def element_support_table(space: LRSpace):
-    """Per element, the indices (into ``space.sorted_keys()``) of the
-    functions supported on it, ascending.
-
-    The rows are read from the element--function incidence, a range query
-    over the elements' sorted lower-left corners per function: O(nnz log
-    n) time and memory, with nnz the sum of the row lengths."""
-    keys, counts, indices, _, _ = _incidence(space)
-    return list(keys), np.split(indices, np.cumsum(counts)[:-1])
-
-
 def _gauss_rule(lo, hi, nodes, weights):
     """Points and weights of the Gauss--Legendre ``nodes`` and ``weights``
     on [-1, 1], moved to the intervals ``[lo, hi]``, one row each."""
@@ -815,7 +803,7 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     return _evaluate_sums(space, [coefficients], xs, ys)[0]
 
 
-#: Largest error-sampling grid, ``nx * ny`` points, that :func:`_sampled`
+#: Largest sampling grid, ``nx * ny`` points, that :func:`_grid_axes`
 #: accepts, and the peak bytes per grid point of sampling a target and
 #: measuring a space's error against it: the peak RSS of ``qi-peaks
 #: --levels 2`` and ``poisson --levels 3`` grew by 24--25 bytes a point
@@ -825,26 +813,30 @@ MAX_GRID_POINTS = 1 << 24
 GRID_POINT_BYTES = 25
 
 
-def _sampled(domain, f, grid):
-    """``(xs, ys, values)``: the uniform ``grid`` on the rectangle
-    ``domain``, an int for a square grid or a pair ``(nx, ny)``, and
-    ``f`` at its points, ``(len(xs), len(ys))``.
-
-    ``f`` gets the two axes broadcast against each other, read-only views
-    of one shape that hold no copy of the grid, and must be vectorised
-    as :func:`lrbsplines.quasi.lr_qi` asks.  A grid with no point, or
-    with more than :data:`MAX_GRID_POINTS`, raises :class:`SpaceError`
-    before anything is allocated."""
+def _grid_axes(domain, grid, name: str = "grid"):
+    """``(xs, ys)``: the axes of the uniform ``grid`` on the rectangle
+    ``domain``, an int for a square grid or a pair ``(nx, ny)``.  A grid
+    with no point, or with more than :data:`MAX_GRID_POINTS`, raises
+    :class:`SpaceError` naming the argument ``name`` before anything is
+    allocated."""
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
     if min(nx, ny) < 1:
-        raise SpaceError(f"grid must have at least 1 point per side, got {grid}")
+        raise SpaceError(f"{name} must have at least 1 point per side, got {grid}")
     if nx * ny > MAX_GRID_POINTS:
         raise SpaceError(
-            f"a grid of {nx} x {ny} = {nx * ny} points exceeds the cap of "
+            f"{name} {grid}: a grid of {nx} x {ny} = {nx * ny} points exceeds the cap of "
             f"{MAX_GRID_POINTS} points"
         )
-    xs = np.linspace(domain.x_min, domain.x_max, nx)
-    ys = np.linspace(domain.y_min, domain.y_max, ny)
+    return np.linspace(domain.x_min, domain.x_max, nx), np.linspace(domain.y_min, domain.y_max, ny)
+
+
+def _sampled(domain, f, grid):
+    """``(xs, ys, values)``: the :func:`_grid_axes` of ``grid`` and ``f``
+    at its points, ``(len(xs), len(ys))``.  ``f`` gets the two axes
+    broadcast against each other, read-only views of one shape that hold
+    no copy of the grid, and must be vectorised as
+    :func:`lrbsplines.quasi.lr_qi` asks."""
+    xs, ys = _grid_axes(domain, grid)
     return xs, ys, np.asarray(f(*np.broadcast_arrays(xs[:, None], ys)), dtype=float)
 
 
@@ -976,7 +968,8 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
 
 def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bool = True) -> float:
     """``max |1 - sum_k c_k B_k|`` on a uniform ``samples`` x ``samples``
-    grid (``samples`` at least 1), with ``c_k`` the stored weights or
+    grid (``samples`` at least 1, ``samples**2`` at most
+    :data:`MAX_GRID_POINTS`), with ``c_k`` the stored weights or
     all ones.  The sums are element-ordered (:func:`evaluate_space`)."""
     return _unity_defects(space, samples, (use_weights,))[0]
 
@@ -984,11 +977,7 @@ def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bo
 def _unity_defects(space: LRSpace, samples: int, use_weights) -> list[float]:
     """:func:`partition_of_unity_defect` for each flag of ``use_weights``,
     from one evaluation pass."""
-    if samples < 1:
-        raise SpaceError(f"samples must be at least 1, got {samples}")
-    dom = space.mesh.domain
-    xs = np.linspace(dom.x_min, dom.x_max, samples)
-    ys = np.linspace(dom.y_min, dom.y_max, samples)
+    xs, ys = _grid_axes(space.mesh.domain, samples, "samples")
     coefficient_sets = [
         {k: float(w) for k, w in space.functions.items()}
         if weighted

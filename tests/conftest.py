@@ -11,11 +11,14 @@ Cox--de Boor recursion, one window at a time, and the full local tensor
 space of one function with its mesh and basis.  The generation fixpoint
 has its own: one knot per split, found by a scan of every mesh position;
 so has its memoized Boehm kernel: the same integer loop, uncached.  The
-element--function incidence is checked against an exact-coordinate scan
-of every function per element, the batched derivatives against a
-pointwise gradient, the quasi-interpolant against a pointwise spline
-evaluator, and pipeline results against the nested map that the
-knotwise test gives on every pair of nesting supports.
+array minimal-support check is checked against a per-function scan of
+the mesh positions.  The element--function incidence is checked against
+an exact-coordinate scan of every function per element, the batched
+derivatives against a pointwise gradient, the quasi-interpolant against
+a pointwise spline evaluator and against each local problem solved
+alone, the document writer against a JSON-ready dictionary that
+``json.dumps`` encodes, and pipeline results against the nested map
+that the knotwise test gives on every pair of nesting supports.
 """
 from __future__ import annotations
 
@@ -29,11 +32,20 @@ import pytest
 
 from lrbsplines import bspline as bspline_module
 from lrbsplines import space as space_module
-from lrbsplines.bspline import _checked, _knot_windows, find_refining_split, insert_knot
+from lrbsplines.bspline import (
+    _checked,
+    _deficits,
+    _greville_collocation,
+    _knot_windows,
+    _minimal_support,
+    insert_knot,
+)
 from lrbsplines.dyadic import dyadic, midpoint
+from lrbsplines.formats import _encode_key
 from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
-from lrbsplines.quasi import _raised_vector
+from lrbsplines.quasi import _raised_vector, _solve_local
 from lrbsplines.space import (
+    LRSpace,
     _nested_supports,
     _uncovered_gaps,
     apply_split,
@@ -159,6 +171,85 @@ def element_support_count(space, element: Rect) -> int:
         if xv[0] <= element.x_min and element.x_max <= xv[-1]
         and yv[0] <= element.y_min and element.y_max <= yv[-1]
     )
+
+
+def element_support_table(space):
+    """Per element of ``mesh.elements()``, the indices (into
+    ``space.sorted_keys()``) of the functions supported on it, ascending:
+    the rows of the space's incidence."""
+    keys, counts, indices, _, _ = space_module._incidence(space)
+    return list(keys), np.split(indices, np.cumsum(counts)[:-1])
+
+
+def has_minimal_support(key, mesh) -> bool:
+    """``bspline._minimal_support`` of the function ``key``, checked:
+    the per-function scan the array check is compared with."""
+    return _minimal_support(*_checked(key), mesh)
+
+
+def find_refining_split(key, mesh):
+    """First mesh line that crosses the support of the function ``key``
+    above its knot multiplicity, scanning direction 1 then 2, positions
+    ascending: ``(direction, position, deficit)`` for the first hit of
+    ``bspline._deficits``, or ``None`` when the function has minimal
+    support.  Assumes ``has_support_on(key, mesh)``."""
+    xv, yv = _checked(key)
+    for direction in (1, 2):
+        hits = _deficits(xv, yv, mesh, direction)
+        if hits:
+            return (direction, *hits[0])
+    return None
+
+
+def local_collocation(vec):
+    """Greville nodes, collocation matrix and origin index of the local
+    univariate basis of one local knot vector, computed alone: the oracle
+    of ``quasi._collocations``.  The basis is the windows of ``vec`` with
+    its boundary knots raised to full multiplicity; the origin index is
+    the position of ``vec`` itself among them."""
+    degree = len(vec) - 2
+    raised = _raised_vector(vec, degree)
+    windows = _knot_windows(raised, degree)
+    nodes, matrix = _greville_collocation(windows, raised[-1])
+    return nodes, matrix, windows.index(vec)
+
+
+def tensor_qi_coefficient(key, f) -> float:
+    """Coefficient of the function ``key`` for interpolating ``f`` at the
+    Greville points of its local tensor space: the one-function form of
+    ``lr_qi``, which must give the same bits.  The local space is read
+    from the raised knot vectors alone; its collocation matrix factors
+    into two univariate ones, solved back to back."""
+    xv, yv = _checked(key)
+    xs, mx, ix = local_collocation(xv)
+    ys, my, iy = local_collocation(yv)
+    return float(_solve_local(f, xs, mx, ys, my)[ix, iy])
+
+
+def to_json(obj) -> dict:
+    """A mesh or a space as a JSON-ready dictionary: the document that
+    ``save`` writes as ``json.dumps(to_json(obj), indent=1)``."""
+    if isinstance(obj, LRSpace):
+        doc = to_json(obj.mesh)
+        doc["functions"] = [
+            {**_encode_key(key), "w": float(obj.functions[key])}
+            for key in obj.sorted_keys()
+        ]
+        return doc
+    dom = obj.domain
+    return {
+        "domain": [c.pair() for c in (dom.x_min, dom.x_max, dom.y_min, dom.y_max)],
+        "bidegree": list(obj.bidegree),
+        "lines": [
+            {
+                "dir": line.direction,
+                "fixed": line.fixed.pair(),
+                "span": [line.lo.pair(), line.hi.pair()],
+                "mult": line.multiplicity,
+            }
+            for line in obj.lines()
+        ],
+    }
 
 
 @dataclass(frozen=True)

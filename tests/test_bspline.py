@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from conftest import evaluate_gradient, key_of, random_pipeline_space
+from conftest import (
+    evaluate_gradient,
+    find_refining_split,
+    has_minimal_support,
+    key_of,
+    random_pipeline_space,
+    tensor_qi_coefficient,
+)
 from lrbsplines.bspline import (
     KnotVectorError,
     evaluate,
-    find_refining_split,
-    has_minimal_support,
     has_support_on,
     insert_knot,
     local_knot_vector,
@@ -22,7 +27,6 @@ from lrbsplines.bspline import (
 )
 from lrbsplines import bspline as bspline_module
 from lrbsplines.dyadic import dyadic, midpoint
-from lrbsplines.quasi import tensor_qi_coefficient
 
 
 def random_vector(rng, degree, span=8):
@@ -317,8 +321,8 @@ def gradient_is_the_product_rule(key) -> bool:
     return got == (dx * vy, vx * dy)
 
 
-#: Each public per-function call, as a verdict on one function of a space
-#: that holds for every one of its keys.
+#: Each per-function call, of the package or a test oracle, as a verdict
+#: on one function of a space that holds for every one of its keys.
 PER_FUNCTION_CALLS = {
     "evaluate": lambda key, mesh: evaluate(key, centre(key)) > 0.0,
     "evaluate_gradient": lambda key, mesh: gradient_is_the_product_rule(key),

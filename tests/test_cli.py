@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_incidence_calls
+from conftest import count_incidence_calls, to_json
 from lrbsplines import (
     EXPANSIONS,
     SpaceError,
@@ -29,7 +29,6 @@ from lrbsplines import (
     n2s_pipeline,
     save,
     three_peaks_spaces,
-    to_json,
 )
 from lrbsplines import cli, quasi
 from lrbsplines import poisson as poisson_module

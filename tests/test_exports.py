@@ -1,12 +1,12 @@
 """Every exported name resolves, none is exported twice, and each is
-read by the package or the benchmark, or kept for a stated reason: a
-deleted or renamed function must leave no stale entry in an ``__all__``,
-and a function only the tests call must not stay exported.  The
-package exports exactly its modules' ``__all__``s, and no module imports
-a name it never reads.  Only the mesh module reads a mesh's internal
-fields, and only the space module a refinement state's rows and the
-chunk size; assembly reaches the B-spline kernel only through the space
-module."""
+read by the package or the benchmark, or kept as documented README API:
+a deleted or renamed function must leave no stale entry in an
+``__all__`` or a docstring reference, and a function only the tests
+call must not stay exported.  The package exports exactly its
+modules' ``__all__``s, and no module imports a name it never reads.
+Only the mesh module reads a mesh's internal fields, and only the space
+module a refinement state's rows and the chunk size; assembly reaches
+the B-spline kernel only through the space module."""
 import ast
 import importlib
 import pkgutil
@@ -29,25 +29,26 @@ PACKAGE = Path(lrbsplines.__file__).parent
 # The benchmark's workload bodies, which call the package as a user does.
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
-# Exports that neither the package nor the benchmark reads, each kept for
-# its reason: the README documents it as API, or the tests use it as the
-# oracle of a batched or array path.
+# Exports that neither the package nor the benchmark reads, each kept
+# because the README documents it as API.  The oracles the tests check
+# batched or array paths against live in ``tests/conftest.py``.
 KEPT_EXPORTS = {
     "univariate_derivatives": "README API: a one-window call of the Cox--de Boor kernel",
     "evaluate": "README API: a per-function call on keys",
     "insert_knot": "README API: a per-function call on keys",
     "has_support_on": "README API: a per-function call on keys",
-    "has_minimal_support": "test oracle: the array minimal-support check",
-    "find_refining_split": "test oracle: the generation fixpoint's multi-knot splits",
     "apply_split": "README API: insert one line segment",
-    "element_support_table": "test oracle: the rows of the per-element reference assembly",
     "is_nested_meshwise": "README API: the mesh-oriented nestedness test verify cross-checks",
     "one_directional_expansion": "README API: a refinement call",
     "tensor_expansion": "README API: a refinement call",
-    "tensor_qi_coefficient": "test oracle: the quasi-interpolant's batched coefficients",
     "error_norms": "README API: the Poisson solver's error report",
-    "to_json": "test oracle: the documents the round-trip tests decode and compare",
 }
+
+# The README, which documents each kept export.
+README = Path(__file__).parent.parent / "README.md"
+
+# A Sphinx cross-reference in a docstring, e.g. :func:`~lrbsplines.space._sampled`.
+REFERENCE = re.compile(r":(?:func|meth|class|data):`~?([\w.]+)`")
 
 # The modules in the order the package re-exports them.
 REEXPORTED = ["dyadic", "mesh", "bspline", "space", "refine", "quasi", "poisson", "formats", "cli"]
@@ -85,6 +86,49 @@ def test_every_export_is_referenced():
     unread = {name for name in lrbsplines.__all__ if name not in read} - {"__version__"}
     assert sorted(unread - KEPT_EXPORTS.keys()) == []
     assert sorted(KEPT_EXPORTS.keys() - unread) == []
+
+
+def test_every_kept_export_is_readme_api():
+    """An export kept without a reader is kept as documented API, and the
+    README names it in backticks; test oracles live in the tests."""
+    readme = README.read_text()
+    assert sorted(n for n, why in KEPT_EXPORTS.items() if not why.startswith("README API")) == []
+    assert sorted(n for n in KEPT_EXPORTS if not re.search(rf"`{n}[`(]", readme)) == []
+
+
+def _resolves(path: str, module) -> bool:
+    """Whether the dotted ``path`` names an object: from the package root
+    when it starts with ``lrbsplines.``, else from ``module``, any module
+    of the package, or a class ``module`` defines (a method its own
+    docstrings cite by name)."""
+    parts = path.split(".")
+    if parts[0] == "lrbsplines":
+        starts, parts = [importlib.import_module(".".join(parts[:2]))], parts[2:]
+    else:
+        own = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        starts = [module] + MODULES + own
+    for obj in starts:
+        for part in parts:
+            if not hasattr(obj, part):
+                break
+            obj = getattr(obj, part)
+        else:
+            return True
+    return False
+
+
+def test_docstring_references_name_definitions():
+    """Every ``:func:``, ``:meth:``, ``:class:`` and ``:data:`` reference
+    in the package's source names something the package defines, so a
+    deleted or moved function leaves no reference behind."""
+    stale = [
+        f"{path.name}:{n}: {target}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for target in REFERENCE.findall(line)
+        if not _resolves(target, importlib.import_module(f"lrbsplines.{path.stem}"))
+    ]
+    assert stale == []
 
 
 def test_only_the_mesh_module_reads_the_mesh_internals():

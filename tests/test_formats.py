@@ -22,13 +22,12 @@ from lrbsplines import (
     n2s_pipeline,
     render_svg,
     save,
-    to_json,
     write_poisson_csv,
     write_qi_csv,
     write_trace,
 )
 
-from conftest import random_pipeline_space
+from conftest import random_pipeline_space, to_json
 from lrbsplines import formats as formats_module
 
 

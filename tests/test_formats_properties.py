@@ -12,7 +12,8 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lrbsplines import initial_space, make_initial_mesh, structured_refine, to_json
+from conftest import to_json
+from lrbsplines import initial_space, make_initial_mesh, structured_refine
 from lrbsplines.cli import main
 from lrbsplines.dyadic import DyadicCoord, dyadic
 from lrbsplines.formats import _document_text, save

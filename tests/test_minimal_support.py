@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import key_of, random_pipeline_space
+from conftest import has_minimal_support, key_of, random_pipeline_space, to_json
 from lrbsplines import quasi
-from lrbsplines.bspline import _lacking_minimal_support, _minimal_support, has_minimal_support
+from lrbsplines.bspline import _lacking_minimal_support, _minimal_support
 from lrbsplines import space as space_module
 from lrbsplines.cli import main, run_mesh_demo, verify
-from lrbsplines.formats import load, to_json
+from lrbsplines.formats import load
 from lrbsplines.mesh import MAX_TILING_CELLS, Mesh, MeshError, _tile, make_initial_mesh
 from lrbsplines.quasi import lr_qi, three_peaks, three_peaks_spaces
 from lrbsplines.space import (

@@ -18,7 +18,12 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from conftest import count_incidence_calls, reference_derivatives, reference_values
+from conftest import (
+    count_incidence_calls,
+    element_support_table,
+    reference_derivatives,
+    reference_values,
+)
 from lrbsplines import (
     SpaceError,
     adaptive_solve,
@@ -38,7 +43,7 @@ from lrbsplines import (
 from lrbsplines import poisson as poisson_module
 from lrbsplines import space as space_module
 from lrbsplines.poisson import _composite_rule
-from lrbsplines.space import LRSpace, element_support_table
+from lrbsplines.space import LRSpace
 
 
 # -- oracle: the biquadratic patch test --------------------------------------

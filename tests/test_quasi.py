@@ -28,7 +28,6 @@ from lrbsplines import (
     make_initial_mesh,
     qi_max_error,
     structured_refine,
-    tensor_qi_coefficient,
     is_locally_linearly_independent,
     tensor_space_for_level,
     three_peaks,
@@ -41,9 +40,11 @@ from lrbsplines import space as space_module
 from conftest import (
     evaluate_spline,
     key_of,
+    local_collocation,
     local_tensor_space,
     random_pipeline_space,
     reference_values,
+    tensor_qi_coefficient,
 )
 
 
@@ -258,7 +259,7 @@ def test_collocation_tables_equal_the_greville_oracle(bidegree, seed, iterations
     vectors = space_module._distinct(keys, 1)[0] + space_module._distinct(keys, 2)[0]
     quasi._tables.clear()
     for vec, (nodes, matrix, origin) in zip(vectors, quasi._collocations(vectors)):
-        want_nodes, want_matrix, want_origin = quasi._local_collocation(vec)
+        want_nodes, want_matrix, want_origin = local_collocation(vec)
         assert np.array_equal(_int64(nodes), _int64(want_nodes))
         assert np.array_equal(_int64(matrix), _int64(want_matrix))
         assert origin == want_origin

@@ -1,6 +1,7 @@
 """LR spaces: generation, order independence, partition of unity, rank."""
 import functools
 import gc
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_support_count, key_of, random_pipeline_space, reference_values
+from conftest import (
+    element_support_count,
+    element_support_table,
+    key_of,
+    random_pipeline_space,
+    reference_values,
+)
 from lrbsplines.bspline import local_knot_vector
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.dyadic import dyadic
@@ -25,7 +32,6 @@ from lrbsplines.space import (
     _elementwise_full_rank,
     apply_split,
     collocation_rank,
-    element_support_table,
     evaluate_space,
     initial_space,
     is_locally_linearly_independent,
@@ -560,3 +566,14 @@ def test_evaluate_space_rejects_a_bad_ys(ys):
 def test_partition_of_unity_defect_needs_a_sample(samples):
     with pytest.raises(SpaceError, match="samples"):
         partition_of_unity_defect(tensor_space_for_level(1), samples=samples)
+
+
+def test_partition_of_unity_defect_refuses_a_grid_above_the_cap(monkeypatch):
+    # refused before any evaluation: the sums must never run
+    def unreachable(*args):
+        raise AssertionError("evaluated a grid above the cap")
+
+    monkeypatch.setattr(space_module, "_evaluate_sums", unreachable)
+    side = math.isqrt(space_module.MAX_GRID_POINTS) + 1
+    with pytest.raises(SpaceError, match=r"samples .* exceeds the cap"):
+        partition_of_unity_defect(tensor_space_for_level(1), samples=side)

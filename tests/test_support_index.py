@@ -22,10 +22,10 @@ from conftest import (
     random_marked,
     random_pipeline_space,
     random_split,
+    to_json,
 )
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
-from lrbsplines.formats import to_json
 from lrbsplines.mesh import make_initial_mesh
 from lrbsplines.quasi import tensor_space_for_level
 from lrbsplines.refine import (
