@@ -11,7 +11,9 @@ Univariate values come from one Cox--de Boor kernel, `_stacked_values`,
 over stacked windows and half-open spans ``[k_i, k_{i+1})``; an
 optional closure coordinate makes the evaluation left-continuous there,
 which is how the top domain edge is handled.  `univariate_values` and
-`univariate_derivatives` are its one-window calls.
+`univariate_derivatives` are its one-window calls, and `_stacked_greville`
+builds from it the Greville collocations of the quasi-interpolant and
+the Dirichlet data.
 
 The support queries implement the containment tests between a
 function's knot mesh and an LR mesh: every knot line must be covered by
@@ -183,19 +185,21 @@ def univariate_derivatives(knots, t, close_at: float | None = None) -> np.ndarra
     return _stacked_values(v, t.reshape(-1), close_at, derivatives=True)[1].reshape(t.shape)
 
 
-def _greville_collocation(windows, close_at: float):
-    """Greville nodes and collocation matrix of a univariate basis.
-
-    ``windows`` lists the basis's local knot vectors, consecutive windows
-    of one global vector; the degree is the window length minus two.
-    Each window's Greville point is the mean of its interior knots;
-    these interlace the knots, so the matrix is nonsingular.  Column j
-    holds window j's values at the nodes, closed at ``close_at``.
-    """
-    degree = len(windows[0]) - 2
-    nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
-    values = _stacked_values(np.array(windows, dtype=float), nodes, close_at)
-    return nodes, values.T
+def _stacked_greville(windows: np.ndarray, close_at):
+    """Greville nodes ``(..., n)`` and collocation matrices ``(..., n, n)``
+    of the bases ``windows`` ``(..., n, p+2)``, each the ``n`` consecutive
+    windows of one global vector.  A node is the mean of its window's
+    interior knots, summed in order; nodes interlace the knots, so each
+    matrix is nonsingular.  Column ``j`` holds window ``j``'s values at
+    the nodes, closed at ``close_at``: one number, or one per basis."""
+    p = windows.shape[-1] - 2
+    nodes = windows[..., 1].copy()
+    for k in range(2, p + 1):
+        nodes += windows[..., k]
+    nodes /= p
+    close_at = np.asarray(close_at, dtype=float)[..., None]
+    values = _stacked_values(windows, nodes[..., None, :], close_at=close_at)
+    return nodes, values.swapaxes(-1, -2)
 
 
 def evaluate(key, point) -> float:

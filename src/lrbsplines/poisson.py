@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .bspline import _greville_collocation
+from .bspline import _stacked_greville
 from .mesh import Rect, make_initial_mesh
 from .refine import _check_expansion, central_span, n2s_pipeline
 from .space import (
@@ -111,9 +111,9 @@ def _composite_rule(lo, hi, nodes, weights, resolution):
 
 def _element_load(vals, weights, f, xs, ys):
     """Per element, ``vals @ (weights * f)`` on the tensor grid of the
-    element's points ``xs`` x ``ys``."""
-    grid_x = np.repeat(xs[:, :, None], ys.shape[1], axis=2)
-    grid_y = np.repeat(ys[:, None, :], xs.shape[1], axis=1)
+    element's points ``xs`` x ``ys``, which ``f`` gets as read-only
+    broadcast views."""
+    grid_x, grid_y = np.broadcast_arrays(xs[:, :, None], ys[:, None, :])
     fq = np.broadcast_to(np.asarray(f(grid_x, grid_y), dtype=float), grid_x.shape)
     return (vals @ (weights * fq.reshape(weights.shape))[..., None])[..., 0]
 
@@ -141,7 +141,7 @@ def assemble(space: LRSpace, f, *, load_resolution: float | None = None) -> Gale
     are gathered per chunk (``space._pair_values``); batched products give
     the local matrices and loads, and the loads are scattered once, in
     element order.  ``f`` is called once per chunk with ``(elements, nx,
-    ny)`` coordinate arrays.
+    ny)`` coordinate arrays, read-only broadcast views of the points.
     """
     p1, p2 = space.mesh.bidegree
     expected = (p1 + 1) * (p2 + 1)
@@ -207,10 +207,11 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
 
     Per edge, the functions with full knot multiplicity there form a
     univariate B-spline basis in the running coordinate; their
-    coefficients interpolate ``u_dirichlet`` at the Greville points.  A
-    corner function's first Greville point is the corner itself, so the
-    two edges sharing it assign the same value.  Returns a new system
-    with the ``dirichlet`` map filled.
+    coefficients interpolate ``u_dirichlet`` at its Greville points, the
+    collocation of ``bspline._stacked_greville``.  A corner function's
+    first Greville point is the corner itself, so the two edges sharing
+    it assign the same value.  Returns a new system with the
+    ``dirichlet`` map filled.
     """
     p1, p2 = space.mesh.bidegree
     dom = space.mesh.domain
@@ -223,24 +224,19 @@ def impose_dirichlet(system: GalerkinSystem, space: LRSpace, u_dirichlet) -> Gal
         (2, dom.y_min, True),
         (2, dom.y_max, False),
     ):
-        degree = p1 if direction == 1 else p2
+        at = (p1 if direction == 1 else p2) if is_lower else 1
         cross_top = dom.y_max if direction == 1 else dom.x_max
-        edge = []
-        for key in system.keys:
-            vec = key[0] if direction == 1 else key[1]
-            pinned = vec[degree] == value if is_lower else vec[1] == value
-            if pinned:
-                edge.append(key)
+        edge = sorted(
+            (key for key in system.keys if key[direction - 1][at] == value),
+            key=lambda k: k[2 - direction],
+        )
         if not edge:
             raise SpaceError(f"no functions pinned to the edge at {value}")
-        edge.sort(key=lambda k: k[1] if direction == 1 else k[0])
-        cross_vectors = [k[1] if direction == 1 else k[0] for k in edge]
-        nodes, matrix = _greville_collocation(cross_vectors, cross_top)
-        if direction == 1:
-            rhs = np.asarray(u_dirichlet(value * np.ones_like(nodes), nodes), dtype=float)
-        else:
-            rhs = np.asarray(u_dirichlet(nodes, value * np.ones_like(nodes)), dtype=float)
-        coeffs = np.linalg.solve(matrix, rhs)
+        cross = np.array([k[2 - direction] for k in edge], dtype=float)
+        nodes, matrix = _stacked_greville(cross, cross_top)
+        fixed = value * np.ones_like(nodes)
+        points = (fixed, nodes) if direction == 1 else (nodes, fixed)
+        coeffs = np.linalg.solve(matrix, np.asarray(u_dirichlet(*points), dtype=float))
         for key, c in zip(edge, coeffs):
             dirichlet[key] = float(c)
     return GalerkinSystem(system.keys, system.stiffness, system.load, dirichlet)

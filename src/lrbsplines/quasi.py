@@ -15,24 +15,22 @@ combined with the unweighted basis this makes the scheme exact on
 polynomials on spaces with unit weights.
 
 :func:`lr_qi` solves all the local problems of a space as stacked
-arrays.  The target ``f`` must be pointwise and vectorised: called with
-two arrays of one shape, any shape, it returns an array of that shape
-holding ``f`` at each pair of entries.
+arrays, from collocations built per call.  The target ``f`` must be
+pointwise and vectorised: called with two arrays of one shape, any
+shape, it returns an array of that shape holding ``f`` at each pair of
+entries.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from .bspline import _stacked_values
+from .bspline import _stacked_greville
 from .dyadic import DyadicCoord
 from .mesh import make_initial_mesh
 from .refine import n2s_pipeline, point_marker
 from .space import (
     _chunks,
-    _distinct,
     _rows,
     _sampled,
     LRSpace,
@@ -62,80 +60,40 @@ def _raised_vector(vec, degree: int) -> list[DyadicCoord]:
     return out
 
 
-#: The tables of :func:`_collocations` by local knot vector, least
-#: recently used first, and the most it keeps.  An entry of degree 2
-#: takes about 0.9 KiB, so the bound keeps the cache under 4 MiB;
-#: ``qi-peaks --levels 7`` meets under 300 distinct vectors per level.
-_tables: OrderedDict = OrderedDict()
-_TABLES_MAX = 1 << 12
+def _collocations(vectors):
+    """The local Greville collocations of local knot vectors of any
+    degrees, each distinct vector's built once.
 
-
-def _collocations(vectors) -> list:
-    """Per local knot vector of ``vectors``, its Greville nodes,
-    collocation matrix and origin index: those of the windows of the
-    vector with its boundary knots raised to full multiplicity
-    (:func:`_raised_vector`), whose origin is the vector itself.
-
-    The tables are kept across calls, so successive calls of
-    :func:`lr_qi` on a space, and on the spaces of successive levels,
-    share them; the cache holds the :data:`_TABLES_MAX` most recently
-    used, and its nodes and matrices are read-only.  The vectors not yet
-    kept are built together, per group of one degree and one raised
-    length: the group's raised vectors are float rows, their windows and
-    Greville nodes are sliced and summed from them, and one stacked
-    Cox--de Boor call per chunk (``space._chunks``) evaluates every window
-    at its vector's nodes, each vector closed at its own last knot.  The
-    origin index is ``degree + 1`` less the multiplicity of the first
-    knot, since the raised vector starts with ``degree + 1`` copies of it.
+    A vector's local basis is the windows of the vector with its boundary
+    knots raised to full multiplicity (:func:`_raised_vector`); the
+    vector is the window at its origin index, ``p + 1`` less the
+    multiplicity of its first knot.  The bases are stacked per (degree,
+    size ``n``) group and built by ``bspline._stacked_greville`` in the
+    chunks of ``space._chunks``, each closed at its own last knot.
+    Returns ``(group, row, stacks)``: ``vectors[i]`` is row ``row[i]`` of
+    ``stacks[group[i]]``, the group's nodes ``(bases, n)``, matrices
+    ``(bases, n, n)`` and origin indices.
     """
+    ids: dict = {}
+    which = np.fromiter((ids.setdefault(v, len(ids)) for v in vectors), np.intp, len(vectors))
     groups: dict = {}
-    for vec in vectors:
-        if vec not in _tables:
-            degree = len(vec) - 2
-            raised = _raised_vector(vec, degree)
-            groups.setdefault((degree, len(raised)), {})[vec] = raised
+    for i, vec in enumerate(ids):
+        p = len(vec) - 2
+        raised = _raised_vector(vec, p)
+        groups.setdefault((p, len(raised)), []).append((i, raised, p + 1 - vec.count(vec[0])))
+    group, row = np.empty((2, len(ids)), np.intp)
+    stacks = []
     for (p, m), members in groups.items():
+        at, raised, origins = zip(*members)
+        group[list(at)], row[list(at)] = len(stacks), np.arange(len(at))
         n = m - p - 1
-        raised = _rows(list(members.values()), m)
+        raised = _rows(raised, m)
         windows = raised[:, np.arange(n)[:, None] + np.arange(p + 2)]
-        nodes = windows[..., 1].copy()
-        for k in range(2, p + 1):
-            nodes += windows[..., k]
-        nodes /= p
-        values = np.empty((len(members), n, n))
-        for c in _chunks(len(members), n * n * (p + 2)):
-            values[c] = _stacked_values(windows[c], nodes[c, None, :], close_at=raised[c, -1:])
-        matrices = values.swapaxes(-1, -2)
-        for vec, x, mat in zip(members, nodes, matrices):
-            table = (x.copy(), mat.copy(), p + 1 - vec.count(vec[0]))
-            table[0].flags.writeable = table[1].flags.writeable = False
-            _tables[vec] = table
-    for vec in vectors:
-        _tables.move_to_end(vec)
-    out = [_tables[vec] for vec in vectors]
-    while len(_tables) > _TABLES_MAX:
-        _tables.popitem(last=False)
-    return out
-
-
-def _stacked_tables(tables, which):
-    """One direction's collocation tables, stacked per local size.
-
-    ``tables`` holds the :func:`_collocations` of that direction's
-    distinct vectors and ``which`` the vector of each key.  Returns
-    ``(size, row, stacks)``: per key the size ``n`` of its local basis
-    and its row in ``stacks[n]``, the stacked nodes ``(vectors, n)``,
-    matrices ``(vectors, n, n)`` and origin indices of the distinct
-    vectors of that size."""
-    sizes = np.fromiter((len(nodes) for nodes, _, _ in tables), np.intp, len(tables))
-    rows = np.empty_like(sizes)
-    stacks = {}
-    for n in set(sizes.tolist()):
-        ids = np.flatnonzero(sizes == n)
-        rows[ids] = np.arange(len(ids))
-        nodes, matrices, origins = zip(*(tables[i] for i in ids))
-        stacks[n] = (np.stack(nodes), np.stack(matrices), np.array(origins))
-    return sizes[which], rows[which], stacks
+        nodes, matrices = np.empty((len(at), n)), np.empty((len(at), n, n))
+        for c in _chunks(len(at), n * n * (p + 2)):
+            nodes[c], matrices[c] = _stacked_greville(windows[c], raised[c, -1])
+        stacks.append((nodes, matrices, np.array(origins)))
+    return group[which], row[which], stacks
 
 
 def _solve_local(f, xs, mx, ys, my):
@@ -173,32 +131,28 @@ def lr_qi(space: LRSpace, f) -> dict:
     coefficients come back off by about half their size.
 
     Each coefficient equals, bit for bit, that of its function's local
-    problem solved alone.
-    The local collocation of each distinct knot vector is a table built
-    by a batched kernel call and kept across calls, up to
-    :data:`_TABLES_MAX` tables (:func:`_collocations`); per direction
-    the space's tables are stacked per local size, and each function
-    reads its rows by index (:func:`_stacked_tables`).  Functions of one
-    local size ``(nx, ny)`` are stacked in the space module's bounded
-    chunks (``space._chunks``); per chunk, ``f`` is sampled once and the
-    local problems are solved by two batched calls.
+    problem solved alone.  The local collocations of both directions'
+    knot vectors are built fresh, by one :func:`_collocations` call, and
+    each function reads its rows of them by index.  Functions of one
+    pair of local sizes ``(nx, ny)`` are stacked in the space module's
+    bounded chunks (``space._chunks``); per chunk, ``f`` is sampled once
+    and the local problems are solved by two batched calls.
     """
     keys = space.sorted_keys()
-    (vx, wx), (vy, wy) = _distinct(keys, 1), _distinct(keys, 2)
-    tables = _collocations(vx + vy)
-    size_x, row_x, stacks_x = _stacked_tables(tables[: len(vx)], wx)
-    size_y, row_y, stacks_y = _stacked_tables(tables[len(vx) :], wy)
+    group, row, stacks = _collocations([k[0] for k in keys] + [k[1] for k in keys])
+    (gx, gy), (rx, ry) = group.reshape(2, -1), row.reshape(2, -1)
     out = np.empty(len(keys))
-    for nx, ny in sorted(set(zip(size_x.tolist(), size_y.tolist()))):
-        members = np.flatnonzero((size_x == nx) & (size_y == ny))
-        (xs, mx, ix), (ys, my, iy) = stacks_x[nx], stacks_y[ny]
+    for a, b in sorted(set(zip(gx.tolist(), gy.tolist()))):
+        members = np.flatnonzero((gx == a) & (gy == b))
+        (xs, mx, ix), (ys, my, iy) = stacks[a], stacks[b]
+        nx, ny = xs.shape[1], ys.shape[1]
         # Per function a chunk stacks two collocation matrices and, counting
         # the temporaries of ``f`` itself, about eight (nx, ny) arrays.
         for c in _chunks(len(members), nx * nx + ny * ny + 8 * nx * ny):
             pos = members[c]
-            rx, ry = row_x[pos], row_y[pos]
-            coeffs = _solve_local(f, xs[rx], mx[rx], ys[ry], my[ry])
-            out[pos] = coeffs[np.arange(len(pos)), ix[rx], iy[ry]]
+            i, j = rx[pos], ry[pos]
+            coeffs = _solve_local(f, xs[i], mx[i], ys[j], my[j])
+            out[pos] = coeffs[np.arange(len(pos)), ix[i], iy[j]]
     return {key: float(c) for key, c in zip(keys, out)}
 
 

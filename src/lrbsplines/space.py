@@ -39,7 +39,6 @@ from .bspline import (
     _lacking_minimal_support,
     _stacked_values,
     local_knot_vector,
-    univariate_values,
 )
 from .dyadic import DyadicCoord, midpoint
 from .mesh import Mesh, Split, insert_split, is_tensorized
@@ -1016,14 +1015,30 @@ def collocation_rank(space: LRSpace, seed: int = 0) -> int:
     functions at ``collocation_points(space, seed)``, at least one point
     per function; singular values below ``1e-9 * sigma_max`` count as
     zero.  Positive weights only rescale columns, so the rank matches the
-    weighted basis."""
-    points = collocation_points(space, seed=seed)
-    a = np.empty((points.shape[0], space.n_functions))
-    for j, (xv, yv) in enumerate(space.sorted_keys()):
-        vx = univariate_values(xv, points[:, 0], close_at=xv[-1])
-        vy = univariate_values(yv, points[:, 1], close_at=yv[-1])
-        a[:, j] = vx * vy
+    weighted basis.  The matrix is :func:`_collocation_matrix`'s."""
+    a = _collocation_matrix(space, collocation_points(space, seed=seed))
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > 1e-9 * s[0]))
+
+
+def _collocation_matrix(space: LRSpace, points) -> np.ndarray:
+    """The ``(len(points), functions)`` values of the unweighted
+    functions, in sorted-key order, at the ``(x, y)`` rows of ``points``,
+    each function closed at its own last knots.  Per direction, stacked
+    kernel calls in the chunks of :func:`_chunks` evaluate each distinct
+    window of the space's :func:`_incidence` at every point, and each
+    function's column is the product of its two windows' rows."""
+    _, _, _, _, windows = _incidence(space)
+    tables = []
+    for (v, _), t in zip(windows, points.T):
+        table = np.empty((len(v), len(t)))
+        for c in _chunks(len(v), v.shape[1] * len(t)):
+            table[c] = _stacked_values(v[c], t, close_at=v[c, -1])
+        tables.append(table)
+    (_, wx), (_, wy) = windows
+    out = np.empty((len(points), len(wx)))
+    for c in _chunks(len(wx), 3 * len(points)):
+        out[:, c] = (tables[0][wx[c]] * tables[1][wy[c]]).T
+    return out

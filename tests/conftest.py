@@ -16,7 +16,9 @@ the mesh positions.  The element--function incidence is checked against
 an exact-coordinate scan of every function per element, the batched
 derivatives against a pointwise gradient, the quasi-interpolant against
 a pointwise spline evaluator and against each local problem solved
-alone, the document writer against a JSON-ready dictionary that
+alone, the stacked Greville collocations against each basis built
+alone, the collocation matrix against one kernel call per function and
+direction, the document writer against a JSON-ready dictionary that
 ``json.dumps`` encodes, and pipeline results against the nested map
 that the knotwise test gives on every pair of nesting supports.
 """
@@ -35,10 +37,10 @@ from lrbsplines import space as space_module
 from lrbsplines.bspline import (
     _checked,
     _deficits,
-    _greville_collocation,
     _knot_windows,
     _minimal_support,
     insert_knot,
+    univariate_values,
 )
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.formats import _encode_key
@@ -201,6 +203,19 @@ def find_refining_split(key, mesh):
     return None
 
 
+def greville_collocation(windows, close_at):
+    """Greville nodes and collocation matrix of one univariate basis,
+    given as the list of its local knot vectors: the per-basis oracle of
+    ``bspline._stacked_greville``.  Each node is the ``sum`` of a
+    window's interior knots over the degree, and column j holds window
+    j's values at the nodes, closed at ``close_at``, from one kernel
+    call."""
+    degree = len(windows[0]) - 2
+    nodes = np.array([sum(vec[1 : degree + 1]) / degree for vec in windows])
+    values = bspline_module._stacked_values(np.array(windows, dtype=float), nodes, close_at)
+    return nodes, values.T
+
+
 def local_collocation(vec):
     """Greville nodes, collocation matrix and origin index of the local
     univariate basis of one local knot vector, computed alone: the oracle
@@ -210,8 +225,21 @@ def local_collocation(vec):
     degree = len(vec) - 2
     raised = _raised_vector(vec, degree)
     windows = _knot_windows(raised, degree)
-    nodes, matrix = _greville_collocation(windows, raised[-1])
+    nodes, matrix = greville_collocation(windows, raised[-1])
     return nodes, matrix, windows.index(vec)
+
+
+def collocation_matrix(space, points):
+    """Values of the unweighted functions, in sorted-key order, at the
+    ``(x, y)`` rows of ``points``, each closed at its own last knots: one
+    one-window ``univariate_values`` call per function and direction, the
+    oracle of ``space._collocation_matrix``."""
+    a = np.empty((points.shape[0], space.n_functions))
+    for j, (xv, yv) in enumerate(space.sorted_keys()):
+        vx = univariate_values(xv, points[:, 0], close_at=xv[-1])
+        vy = univariate_values(yv, points[:, 1], close_at=yv[-1])
+        a[:, j] = vx * vy
+    return a
 
 
 def tensor_qi_coefficient(key, f) -> float:

@@ -2,7 +2,8 @@
 B-spline evaluator: every row equals the scalar reference recursion of
 ``conftest`` bit for bit, signed zeros included, with and without a
 closure coordinate, one for all rows or one per row, and so does every
-Greville collocation matrix.  Also:
+Greville collocation matrix; stacked Greville collocations equal each
+basis built alone.  Also:
 knot insertion's children are the keys on the augmented vector's windows,
 a parent equals its children weighted by their coefficients pointwise,
 and the coefficients are exact over the whole coordinate range, for one
@@ -18,12 +19,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_boehm, reference_derivatives, reference_values
+from conftest import greville_collocation, reference_boehm, reference_derivatives, reference_values
 from lrbsplines.bspline import (
     _boehm,
     _children,
-    _greville_collocation,
     _knot_windows,
+    _stacked_greville,
     _stacked_values,
     evaluate,
     insert_knot,
@@ -178,10 +179,44 @@ def global_vectors(draw):
 def test_greville_collocation_columns_equal_the_reference(case):
     p, knots = case
     windows = _knot_windows(knots, p)
-    nodes, matrix = _greville_collocation(windows, knots[-1])
+    nodes, matrix = _stacked_greville(np.array(windows), knots[-1])
     assert matrix.shape == (len(windows), len(windows))
     for j, vec in enumerate(windows):
         assert same_bits(matrix[:, j], reference_values(vec, nodes, knots[-1]))
+
+
+@st.composite
+def greville_stacks(draw):
+    """``(degree, bases, close_at)``: open global knot vectors of one
+    degree and one length on the lattice of eighths, each with its own
+    ends, interior knots repeated up to the degree, and a closure
+    coordinate drawn from its own knots."""
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 6))
+    bases, close_at = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.integers(-8, 8))
+        hi = lo + draw(st.integers(k + 2, 24))
+        interior = draw(
+            st.lists(st.integers(lo + 1, hi - 1), min_size=k, max_size=k).filter(
+                lambda xs: all(xs.count(x) <= p for x in xs)
+            )
+        )
+        bases.append([x / 8 for x in [lo] * (p + 1) + sorted(interior) + [hi] * (p + 1)])
+        close_at.append(draw(st.sampled_from(bases[-1])))
+    return p, bases, close_at
+
+
+@props
+@given(greville_stacks())
+def test_stacked_greville_rows_equal_each_basis_built_alone(case):
+    p, bases, close_at = case
+    stacked = np.array([_knot_windows(knots, p) for knots in bases])
+    nodes, matrices = _stacked_greville(stacked, np.array(close_at))
+    assert matrices.shape == stacked.shape[:2] + stacked.shape[1:2]
+    for knots, c, x, matrix in zip(bases, close_at, nodes, matrices):
+        want_nodes, want_matrix = greville_collocation(_knot_windows(knots, p), c)
+        assert same_bits(x, want_nodes) and same_bits(matrix, want_matrix)
 
 
 @st.composite

@@ -30,7 +30,7 @@ from lrbsplines import (
     save,
     three_peaks_spaces,
 )
-from lrbsplines import cli, quasi
+from lrbsplines import bspline, cli, quasi
 from lrbsplines import poisson as poisson_module
 from lrbsplines import refine as refine_module
 from lrbsplines import space as space_module
@@ -368,15 +368,14 @@ def test_cold_qi_tables_take_one_kernel_call_per_group(monkeypatch):
     keys = space.sorted_keys()
     vectors = set(space_module._distinct(keys, 1)[0] + space_module._distinct(keys, 2)[0])
     groups = {(len(v) - 2, len(quasi._raised_vector(v, len(v) - 2))) for v in vectors}
-    quasi._tables.clear()
     calls = []
-    real = quasi._stacked_values
+    real = bspline._stacked_values
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(quasi, "_stacked_values", counting)
+    monkeypatch.setattr(bspline, "_stacked_values", counting)
     lr_qi(space, three_peaks)
     assert len(calls) == len(groups) < len(vectors)
     assert sum(shape[0] for shape in calls) == len(vectors)

@@ -213,6 +213,18 @@ def test_assembly_evaluates_b_splines_only_through_the_pair_tables():
     assert [n for n, line in enumerate(lines, 1) if kernel.search(line)] == []
 
 
+def test_qi_and_dirichlet_data_reach_the_kernel_only_through_the_greville_builder():
+    """``quasi.py`` never names the Cox--de Boor kernel, and it and
+    ``poisson.py`` both call ``bspline._stacked_greville``: the one
+    builder of Greville nodes and collocation matrices serves the
+    quasi-interpolant's local problems and the Dirichlet data."""
+    kernel = re.compile(r"\b_stacked_values\b")
+    lines = (PACKAGE / "quasi.py").read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if kernel.search(line)] == []
+    for name in ("quasi.py", "poisson.py"):
+        assert re.search(r"\b_stacked_greville\(", (PACKAGE / name).read_text()), name
+
+
 def test_only_the_space_module_reads_the_refinement_rows():
     """A refinement state's keys, rows and bounds are ``space.py``'s own
     format; its queries answer in keys."""

@@ -252,17 +252,18 @@ def _int64(a):
     n_cells=st.sampled_from([2, 4]),
 )
 def test_collocation_tables_equal_the_greville_oracle(bidegree, seed, iterations, n_cells):
-    # Built cold, each distinct vector's table equals the Greville
-    # collocation of its raised windows, computed alone by the oracle.
+    # Each distinct vector's rows equal the Greville collocation of its
+    # raised windows, computed alone by the oracle.
     space = random_pipeline_space(seed, iterations=iterations, n_cells=n_cells, bidegree=bidegree)
     keys = space.sorted_keys()
     vectors = space_module._distinct(keys, 1)[0] + space_module._distinct(keys, 2)[0]
-    quasi._tables.clear()
-    for vec, (nodes, matrix, origin) in zip(vectors, quasi._collocations(vectors)):
+    group, row, stacks = quasi._collocations(vectors)
+    for vec, g, r in zip(vectors, group, row):
+        nodes, matrices, origins = stacks[g]
         want_nodes, want_matrix, want_origin = local_collocation(vec)
-        assert np.array_equal(_int64(nodes), _int64(want_nodes))
-        assert np.array_equal(_int64(matrix), _int64(want_matrix))
-        assert origin == want_origin
+        assert np.array_equal(_int64(nodes[r]), _int64(want_nodes))
+        assert np.array_equal(_int64(matrices[r]), _int64(want_matrix))
+        assert origins[r] == want_origin
 
 
 def test_level_one_of_both_peaks_families_is_one_space():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    collocation_matrix,
     element_support_count,
     element_support_table,
     key_of,
@@ -25,12 +26,13 @@ from lrbsplines.formats import load
 from lrbsplines import space as space_module
 from lrbsplines.mesh import Split, make_initial_mesh
 from lrbsplines.quasi import tensor_space_for_level
-from lrbsplines.refine import n2s_pipeline
+from lrbsplines.refine import diagonal_marker, n2s_pipeline
 from lrbsplines.space import (
     LRSpace,
     SpaceError,
     _elementwise_full_rank,
     apply_split,
+    collocation_points,
     collocation_rank,
     evaluate_space,
     initial_space,
@@ -369,6 +371,24 @@ def test_rank_deficient_fixture_has_defect_one(rank_deficient_space):
     assert space.n_functions == 60
     assert len(space.mesh.elements()) == 39
     assert collocation_rank(space) == space.n_functions - 1
+
+
+def test_collocation_matrix_equals_one_kernel_call_per_function(
+    running_example, rank_deficient_space, two_stage_dependent_space
+):
+    # Bit for bit, on the structured diagonal spaces of 1-4 iterations,
+    # the structured running example and both dependent fixtures.
+    spaces = [running_example["structured_2"], rank_deficient_space, two_stage_dependent_space]
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    for _ in range(4):
+        space = structured_refine(space, [k for k in space.sorted_keys() if diagonal_marker(k)])
+        spaces.append(space)
+    for space in spaces:
+        for seed in (0, 5):
+            points = collocation_points(space, seed=seed)
+            got = space_module._collocation_matrix(space, points)
+            want = collocation_matrix(space, points)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _certified(space):
