@@ -5,7 +5,7 @@ vectors of lengths ``p1 + 2`` and ``p2 + 2``.  Its positive rational
 weight lives beside the key, in a space's ``functions`` dict; the
 public per-function calls here take the key alone and work on the
 unweighted function.  Each checks its key once through
-`local_knot_vector`, a cache lookup for a valid vector.
+`local_knot_vector`, a scan of each vector's few entries.
 
 Univariate values come from one Cox--de Boor kernel, `_stacked_values`,
 over stacked windows and half-open spans ``[k_i, k_{i+1})``; an
@@ -74,14 +74,9 @@ def local_knot_vector(values) -> tuple[DyadicCoord, ...]:
     return _validated(tuple(dyadic(v) for v in values))
 
 
-@lru_cache(maxsize=200_000)
 def _validated(vec: tuple[DyadicCoord, ...]) -> tuple[DyadicCoord, ...]:
-    """Validation body of ``local_knot_vector``, memoized per vector.
-
-    The same local vector recurs across every function in a row or
-    column of a tensor mesh, so caching turns the per-function check
-    into a hash lookup.  Failures raise and are therefore never cached.
-    """
+    """Validation body of ``local_knot_vector``: ``vec`` itself, once
+    its length, order and span pass; raises ``KnotVectorError``."""
     if len(vec) < 3:
         raise KnotVectorError(f"knot vector needs at least 3 entries, got {len(vec)}")
     for a, b in zip(vec, vec[1:]):

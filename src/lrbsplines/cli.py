@@ -181,15 +181,12 @@ def verify(path, *, seed: int = 0) -> dict:
     if fault is not None:
         raise FormatError(f"functions[{fault[0]}]: {fault[1]}")
     counts = _incidence(space)[1]
-    n_loc = (p1 + 1) * (p2 + 1)
     n = space.n_functions
     report["n_functions"] = n
     report["support_count_min"] = int(counts.min())
     report["support_count_max"] = int(counts.max())
-    report["support_count_expected"] = n_loc
-    report["locally_independent"] = (
-        report["support_count_min"] == report["support_count_max"] == n_loc
-    )
+    report["support_count_expected"] = (p1 + 1) * (p2 + 1)
+    report["locally_independent"] = is_locally_linearly_independent(space)
 
     knotwise, meshwise = _nested_verdicts(space)
     report["nested_pairs_knotwise"] = sum(knotwise)

@@ -22,6 +22,7 @@ always ``+0.0``.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 __all__ = ["DyadicCoord", "dyadic", "midpoint"]
@@ -125,15 +126,29 @@ def _common(a, b) -> tuple[int, int, int]:
     return na * (d // da), nb * (d // db), d.bit_length() - 1
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``: an integer other than a bool, or an
+    integral float.  Raises ``ValueError`` for a float with a fractional
+    part and ``TypeError`` for anything else, naming ``name``."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    error = ValueError if isinstance(value, float) else TypeError
+    raise error(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 def dyadic(value, exponent: int | None = None) -> DyadicCoord:
     """Coerce a value to :class:`DyadicCoord`.
 
     Accepts an existing coordinate, an integer, an exactly dyadic float,
     a ``Fraction`` with power-of-two denominator, a ``(numerator,
-    exponent)`` pair, or two arguments ``dyadic(num, exp)``.
+    exponent)`` pair, or two arguments ``dyadic(num, exp)``.  A numerator
+    or exponent must be an integer or an integral float; a bool is
+    neither a coordinate nor a numerator.
     """
     if exponent is not None:
-        return DyadicCoord(int(value), int(exponent))
+        return DyadicCoord(_integer(value, "numerator"), _integer(exponent, "exponent"))
     if isinstance(value, DyadicCoord):
         return value
     if isinstance(value, bool):
@@ -148,7 +163,7 @@ def dyadic(value, exponent: int | None = None) -> DyadicCoord:
             raise ValueError(f"{value} is not dyadic (denominator {den})")
         return DyadicCoord(value.numerator, den.bit_length() - 1)
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return DyadicCoord(int(value[0]), int(value[1]))
+        return DyadicCoord(_integer(value[0], "numerator"), _integer(value[1], "exponent"))
     raise TypeError(f"cannot interpret {value!r} as a dyadic coordinate")
 
 

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicCoord, dyadic
+from .dyadic import DyadicCoord, _integer, dyadic
 
 __all__ = [
     "MeshError",
@@ -106,7 +107,15 @@ class Split(NamedTuple):
 
     @classmethod
     def make(cls, direction, fixed, lo, hi, multiplicity=1) -> "Split":
-        return cls(int(direction), dyadic(fixed), dyadic(lo), dyadic(hi), int(multiplicity))
+        """A split from plain numbers: the coordinates by :func:`dyadic`,
+        and the direction and multiplicity as integers, which an integral
+        float also is and a bool is not."""
+        try:
+            direction = _integer(direction, "Split.direction")
+            multiplicity = _integer(multiplicity, "Split.multiplicity")
+        except (TypeError, ValueError) as exc:
+            raise MeshError(str(exc)) from None
+        return cls(direction, dyadic(fixed), dyadic(lo), dyadic(hi), multiplicity)
 
 
 # A run is a (lo, hi, mult) triple; runs at one position are kept sorted
@@ -216,11 +225,11 @@ class Mesh:
         return hash(self._canonical())
 
     def __repr__(self) -> str:
+        """The domain, bidegree and line count, and the element count once
+        the mesh is tiled: a repr never builds the tiling."""
         n_lines = sum(len(rs) for d in (1, 2) for rs in self._runs[d].values())
-        return (
-            f"<Mesh {self.domain} bidegree {self.bidegree}: "
-            f"{n_lines} lines, {len(self.element_boxes())} elements>"
-        )
+        tiled = "" if self._elements is None else f", {len(self._elements)} elements"
+        return f"<Mesh {self.domain} bidegree {self.bidegree}: {n_lines} lines{tiled}>"
 
 
 # -- construction ---------------------------------------------------------
@@ -455,15 +464,19 @@ def _build_mesh(
 def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
     """Open tensor mesh with ``n_cells`` uniform cells per direction.
 
-    ``bounds`` is a rectangle or ``(x_min, x_max, y_min, y_max)``; the
+    ``bounds`` is a rectangle or ``(x_min, x_max, y_min, y_max)``, and
+    ``n_cells`` an integer or a pair of integers, bools excluded; the
     cell widths must come out dyadic or the construction is rejected.
     """
     domain = bounds if isinstance(bounds, Rect) else Rect.from_bounds(bounds)
     p1, p2 = bidegree
     try:
-        n1, n2 = n_cells
+        cells = tuple(n_cells)
     except TypeError:
-        n1 = n2 = int(n_cells)
+        cells = (n_cells, n_cells)
+    if len(cells) != 2 or any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in cells):
+        raise MeshError(f"n_cells must be an int or a pair of ints, got {n_cells!r}")
+    n1, n2 = map(int, cells)
     if n1 < 1 or n2 < 1:
         raise MeshError(f"cell counts must be positive, got {n_cells}")
 

@@ -152,7 +152,8 @@ def one_directional_expansion(space: LRSpace, outer_key, direction: int) -> LRSp
     if outer_key not in space.functions:
         raise SpaceError(f"function {outer_key} is not in the space")
     state = _Refinement(space)
-    inner_keys = _NestedTracker(state).by_outer.get(outer_key)
+    pairs = state.containment([outer_key])
+    inner_keys = [k for k, o in pairs if o == outer_key and is_nested_knotwise(k, outer_key)]
     if not inner_keys:
         raise SpaceError("expansion requires a function with nested functions")
     pieces = _one_directional_pieces(outer_key, inner_keys, direction)

@@ -340,21 +340,20 @@ class _Refinement:
 
     def crossing(self, segments) -> list:
         """Keys of the functions whose support one of the :class:`Split`
-        segments crosses: its position lies strictly inside the support
-        in its direction, and ``[lo, hi]`` meets the open cross extent.
-        Only the rows that meet the segments' bounding box are tested."""
+        segments crosses.  A segment is the closed box ``(pos, pos, lo,
+        hi)`` in direction 1 or ``(lo, hi, pos, pos)`` in direction 2,
+        and it crosses a support when that box meets the support's open
+        box.  Only the rows that meet the segments' bounding box are
+        tested."""
         segments = np.array(segments, dtype=float).reshape(-1, 5)[:, :4]
         # each segment as the box (x0, x1, y0, y1)
         boxes = np.where(segments[:, :1] == 1, segments[:, [1, 1, 2, 3]], segments[:, [2, 3, 1, 1]])
         near = self._meeting(boxes.min(axis=0), boxes.max(axis=0))
         b = self.bounds[near].T
         hit = np.zeros(len(near), dtype=bool)
-        for direction, (a0, a1, c0, c1) in ((1, b), (2, b[[2, 3, 0, 1]])):
-            seg = segments[segments[:, 0] == direction]
-            for c in _chunks(len(seg), len(near)):
-                pos, lo, hi = seg[c, 1:, None].transpose(1, 0, 2)
-                mask = (a0 < pos) & (pos < a1) & (c0 < hi) & (lo < c1)
-                hit |= mask.any(axis=0)
+        for c in _chunks(len(boxes), len(near)):
+            x0, x1, y0, y1 = boxes[c, :, None].transpose(1, 0, 2)
+            hit |= ((b[0] < x1) & (x0 < b[1]) & (b[2] < y1) & (y0 < b[3])).any(axis=0)
         return [self.keys[i] for i in near[hit].tolist()]
 
     def containment(self, added) -> list:
@@ -423,17 +422,16 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     the shared :data:`ONE` when the pair is one.
     """
     probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
-    heap = sorted(dirty)
-    # per key in the heap: the direction whose scan it skips, or 0 to
-    # probe only the segments' positions in both directions
-    skip = dict.fromkeys(heap, 0)
+    # (key, the direction whose scan it skips, or 0 to probe only the
+    # segments' positions in both directions); a key is in the heap at
+    # most once, so the pops are in key order
+    heap = [(key, 0) for key in sorted(dirty)]
     # per key added or merged into here: its weight; its entry in
     # ``functions``, if any, is stale until the end
     weights: dict = {}
     removed: set = set()
     while heap:
-        key = heapq.heappop(heap)
-        skipped = skip.pop(key)
+        key, skipped = heapq.heappop(heap)
         xv, yv = key
         for direction in (1, 2):
             if direction != skipped:
@@ -468,8 +466,7 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
                 existing = functions.get(k)
                 if existing is None:
                     weights[k] = (num, den)
-                    heapq.heappush(heap, k)
-                    skip[k] = direction
+                    heapq.heappush(heap, (k, direction))
                     continue
                 old = existing.as_integer_ratio()
             on, od = old
@@ -978,9 +975,7 @@ def _unity_defects(space: LRSpace, samples: int, use_weights) -> list[float]:
     from one evaluation pass."""
     xs, ys = _grid_axes(space.mesh.domain, samples, "samples")
     coefficient_sets = [
-        {k: float(w) for k, w in space.functions.items()}
-        if weighted
-        else dict.fromkeys(space.functions, 1.0)
+        space.functions if weighted else dict.fromkeys(space.functions, 1.0)
         for weighted in use_weights
     ]
     totals = _evaluate_sums(space, coefficient_sets, xs, ys)

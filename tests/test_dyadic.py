@@ -30,6 +30,23 @@ def test_non_dyadic_float_rejected():
         dyadic(0.1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2.7, 1), (1, 0.5), ((1.5, 0),), ([3, 1.9],), (True, 0), (3, False), ((True, 0),), ("3", 0), (1, float("inf"))],
+)
+def test_numerator_and_exponent_must_be_integers(args):
+    # int() would truncate 2.7 to 2 and read True as 1
+    with pytest.raises((TypeError, ValueError), match=r"(numerator|exponent) must be an integer"):
+        dyadic(*args)
+
+
+def test_integral_numerators_and_exponents_convert():
+    assert dyadic(6.0, 2.0) == dyadic((6, 2)) == dyadic([6.0, 2]) == 1.5
+    assert dyadic(-0.0, 3).pair() == [0, 0]
+    with pytest.raises(TypeError, match="bool"):
+        dyadic(True)
+
+
 def test_fraction_view_matches_float():
     rng = random.Random(5)
     for _ in range(200):

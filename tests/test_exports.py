@@ -237,3 +237,27 @@ def test_only_the_space_module_reads_the_refinement_rows():
         if internals.search(line)
     }
     assert readers == set()
+
+
+
+def test_the_only_memo_tables_are_the_knot_insertion_and_gauss_rules():
+    """A process-wide memo outlives every call and is kept only where the
+    workloads reuse its entries: ``bspline._boehm``, the Boehm kernel the
+    generation fixpoint calls again and again on few distinct inputs, and
+    ``space._gauss_legendre``, the Gauss rules.  Each top-level statement
+    that reads ``functools``'s ``cache`` or ``lru_cache``, as a decorator
+    or a call, is named by what it defines or binds; those are these
+    two."""
+    memo = ("cache", "lru_cache")
+    caches = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            if any(
+                (isinstance(node, ast.Name) and node.id in memo)
+                or (isinstance(node, ast.Attribute) and node.attr in memo)
+                for node in ast.walk(statement)
+            ):
+                names = [t.id for t in getattr(statement, "targets", ()) if isinstance(t, ast.Name)]
+                names += [statement.name] if hasattr(statement, "name") else []
+                caches.update(f"{path.stem}.{name}" for name in names or [f"line {statement.lineno}"])
+    assert caches == {"bspline._boehm", "space._gauss_legendre"}

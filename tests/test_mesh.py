@@ -5,6 +5,7 @@ The tiler is checked against an independent flood-fill reconstruction
 """
 import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +414,50 @@ def test_insert_names_the_field_that_is_not_a_coordinate_or_int(split, field):
     mesh = make_initial_mesh((0, 1, 0, 1), (2, 2), 2)
     with pytest.raises(MeshError, match=rf"Split\.{field} must be"):
         insert_split(mesh, split)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((1.7, 0.5, 0, 1), "direction"),
+        ((True, 0.5, 0, 1), "direction"),
+        (("1", 0.5, 0, 1), "direction"),
+        ((1, 0.5, 0, 1, 2.9), "multiplicity"),
+        ((1, 0.5, 0, 1, False), "multiplicity"),
+    ],
+)
+def test_split_make_refuses_a_non_integral_direction_or_multiplicity(args, field):
+    # int() would truncate 1.7 to direction 1 and 2.9 to multiplicity 2
+    with pytest.raises(MeshError, match=rf"Split\.{field} must be an integer"):
+        Split.make(*args)
+
+
+def test_split_make_converts_integral_numbers():
+    split = Split.make(2.0, 0.5, 0, 1, 2.0)
+    assert split == Split(2, dyadic(1, 1), dyadic(0), dyadic(1), 2)
+    assert type(split.direction) is int and type(split.multiplicity) is int
+
+
+@pytest.mark.parametrize("n_cells", [2.5, True, (2.0, 2), (2, True), (2, 2, 2), (2,), "22", None])
+def test_make_initial_mesh_refuses_cell_counts_that_are_not_integers(n_cells):
+    with pytest.raises(MeshError, match=r"n_cells must be an int or a pair of ints"):
+        make_initial_mesh((0, 1, 0, 1), (2, 2), n_cells)
+
+
+def test_repr_of_an_untiled_mesh_leaves_it_untiled():
+    # A 6000 x 6000 tensor mesh builds because its tiling waits for the
+    # first read; that tiling is above the cap, so a repr that counted
+    # the elements would raise.
+    mesh = make_initial_mesh((0, 6000, 0, 6000), (1, 1), 6000)
+    start = time.perf_counter()
+    text = repr(mesh)
+    assert time.perf_counter() - start < 1.0
+    assert mesh._elements is None
+    assert text == "<Mesh [0, 6000] x [0, 6000] bidegree (1, 1): 12002 lines>"
+    small = make_initial_mesh((0, 1, 0, 1), (2, 2), 2)
+    assert "elements" not in repr(small)
+    small.element_boxes()
+    assert repr(small) == "<Mesh [0, 1] x [0, 1] bidegree (2, 2): 6 lines, 4 elements>"
 
 
 def test_make_initial_mesh_rejects_a_raw_float_rect():

@@ -2,12 +2,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import key_of, nested_map, random_pipeline_space
+from conftest import key_of, nested_map, random_marked, random_pipeline_space, to_json
+from lrbsplines import refine as refine_module
 from lrbsplines import space as space_module
 from lrbsplines.dyadic import dyadic
 from lrbsplines.mesh import make_initial_mesh
@@ -21,14 +23,17 @@ from lrbsplines.refine import (
     one_directional_expansion,
     point_marker,
     tensor_expansion,
+    _one_directional_pieces,
     _rank,
     _vector_nested,
 )
 from lrbsplines.space import (
     LRSpace,
     SpaceError,
+    _Refinement,
     initial_space,
     is_locally_linearly_independent,
+    structured_refine,
 )
 
 
@@ -178,6 +183,45 @@ def test_expansions_that_insert_nothing_return_their_input():
     for direction in (1, 2):
         assert one_directional_expansion(space, outer, direction) is space
     assert tensor_expansion(space, outer) is space
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32),
+    iterations=st.integers(1, 2),
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
+    direction=st.sampled_from((1, 2)),
+)
+def test_one_directional_expansion_reads_its_outer_alone(seed, iterations, bidegree, direction):
+    # The expansion finds its outer's inner functions by one containment
+    # query and builds no tracker of the whole space's nested pairs.  The
+    # oracle reads the outer's entry of the whole-space nested map.
+    rng = random.Random(seed)
+    space = random_pipeline_space(seed, iterations=iterations, bidegree=bidegree)
+    # a structured refinement leaves nested pairs for the expansion
+    space = structured_refine(space, random_marked(rng, space))
+    nested = nested_map(space)
+    outers = rng.sample(sorted(nested), min(3, len(nested))) or [rng.choice(space.sorted_keys())]
+    trackers = []
+
+    class CountedTracker(refine_module._NestedTracker):
+        def __init__(self, state):
+            trackers.append(state)
+            super().__init__(state)
+
+    for outer in outers:
+        if outer not in nested:
+            with patch.object(refine_module, "_NestedTracker", CountedTracker), pytest.raises(SpaceError):
+                one_directional_expansion(space, outer, direction)
+            continue
+        state = _Refinement(space)
+        pieces = _one_directional_pieces(outer, nested[outer], direction)
+        want = space if state.insert(pieces) is None else state.space()
+        with patch.object(refine_module, "_NestedTracker", CountedTracker):
+            got = one_directional_expansion(space, outer, direction)
+        assert (got is space) == (want is space)
+        assert to_json(got) == to_json(want) and list(got.functions) == list(want.functions)
+    assert trackers == []
 
 
 def test_tensor_expansion_covers_both_directions(expansion_fixture):
