@@ -348,19 +348,18 @@ def _deficits(xknots, yknots, mesh: Mesh, direction: int, positions=None) -> lis
 
     The candidates are the mesh's direction-``direction`` positions
     strictly inside the support, or those of the sorted ``positions``
-    when given.  A line counts only where one run covers the whole cross
-    extent of the support.  Assumes ``has_support_on`` holds.
+    when given, read in one :meth:`Mesh.covering_runs` scan.
+    A line counts only where one run covers the whole cross extent of
+    the support.  Assumes ``has_support_on`` holds.
     """
     vec, cross = (xknots, yknots) if direction == 1 else (yknots, xknots)
-    c_lo, c_hi = cross[0], cross[-1]
     if positions is None:
         positions = mesh.positions(direction)
     i0 = bisect.bisect_right(positions, vec[0])
     i1 = bisect.bisect_left(positions, vec[-1], i0)
-    covering_run = mesh.covering_run
+    scan = positions[i0:i1]
     out = []
-    for pos in positions[i0:i1]:
-        run = covering_run(direction, pos, c_lo, c_hi)
+    for pos, run in zip(scan, mesh.covering_runs(direction, scan, cross[0], cross[-1])):
         if run is not None:
             deficit = run[2] - vec.count(pos)
             if deficit > 0:

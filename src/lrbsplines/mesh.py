@@ -18,7 +18,9 @@ boundary edges carry exactly that full multiplicity.
 
 A segment, stored or inserted, is a :class:`Split`, and construction
 and insertion check it by the same rules (:func:`_check_segment`,
-:func:`_canonical_runs`).
+:func:`_canonical_runs`).  Insertion edits a working copy of the lines
+(:class:`_LineEdit`), one per batch of splits, and builds one new mesh
+from it.
 
 A mesh stores its lines.  The elements are tiled from them, on the
 first read, into one integer array of index boxes: row ``(i0, i1, j0,
@@ -123,6 +125,30 @@ class Split(NamedTuple):
 _Runs = tuple[tuple[DyadicCoord, DyadicCoord, int], ...]
 
 
+def _covering_runs(at: dict, positions, lo, hi) -> list:
+    """Per position of ``positions``: the run of ``at``, one direction's
+    dict from position to runs, that contains ``[lo, hi]``, or None.
+
+    By the constant-splits invariant a contiguous covered segment lies
+    in exactly one run, so a single containment test suffices.  The
+    runs ``(lo, hi, mult)`` at a position are sorted with finite ends,
+    so those before ``(lo, inf)`` are exactly the runs starting at or
+    below ``lo``: the search, built once per scan, compares tuples and
+    calls no key function, and a position with one run needs none.
+    """
+    key = (lo, math.inf)
+    out = []
+    for pos in positions:
+        runs = at.get(pos, ())
+        if len(runs) == 1:
+            r = runs[0]
+        else:
+            i = bisect.bisect_right(runs, key) - 1
+            r = runs[i] if i >= 0 else None
+        out.append(r if r is not None and r[0] <= lo and hi <= r[1] else None)
+    return out
+
+
 class Mesh:
     """Immutable LR mesh: domain, bidegree, canonical lines, elements.
 
@@ -154,24 +180,12 @@ class Mesh:
         return self._runs[direction].get(pos, ())
 
     def covering_run(self, direction, pos, lo, hi):
-        """The run at ``pos`` containing ``[lo, hi]``, or None.
+        """The run at ``pos`` containing ``[lo, hi]``, or None."""
+        return _covering_runs(self._runs[direction], (pos,), lo, hi)[0]
 
-        By the constant-splits invariant a contiguous covered segment
-        lies in exactly one run, so a single containment test suffices.
-        The runs ``(lo, hi, mult)`` are sorted with finite ends, so the
-        runs before ``(lo, inf)`` are exactly those starting at or below
-        ``lo``: the search compares tuples and calls no key function.
-        """
-        runs = self._runs[direction].get(pos)
-        if not runs:
-            return None
-        i = bisect.bisect_right(runs, (lo, math.inf)) - 1
-        if i < 0:
-            return None
-        r = runs[i]
-        if r[0] <= lo and hi <= r[1]:
-            return r
-        return None
+    def covering_runs(self, direction, positions, lo, hi) -> list:
+        """:meth:`covering_run` at each of ``positions`` in one scan."""
+        return _covering_runs(self._runs[direction], positions, lo, hi)
 
     def lines(self) -> tuple[Split, ...]:
         """The canonical runs as :class:`Split` segments, sorted by
@@ -461,22 +475,44 @@ def _build_mesh(
     return mesh
 
 
+def _int_pair(value, name: str, *, scalar: bool) -> tuple[int, int]:
+    """``value`` as a pair of ``int``s: a pair of integers, bools
+    excluded, or with ``scalar`` one integer for both.  Anything else
+    raises :class:`MeshError` naming ``name``."""
+    try:
+        pair = tuple(value)
+    except TypeError:
+        pair = (value, value) if scalar else ()
+    if len(pair) != 2 or any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in pair):
+        shape = "an int or a pair of ints" if scalar else "a pair of ints"
+        raise MeshError(f"{name} must be {shape}, got {value!r}")
+    return int(pair[0]), int(pair[1])
+
+
 def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
     """Open tensor mesh with ``n_cells`` uniform cells per direction.
 
-    ``bounds`` is a rectangle or ``(x_min, x_max, y_min, y_max)``, and
-    ``n_cells`` an integer or a pair of integers, bools excluded; the
-    cell widths must come out dyadic or the construction is rejected.
+    ``bounds`` is a rectangle or four coordinates ``(x_min, x_max,
+    y_min, y_max)``, each one :func:`dyadic` accepts (a bool is none),
+    ``bidegree`` a pair of integers and ``n_cells`` an integer or a pair
+    of integers, bools excluded; anything else raises :class:`MeshError`
+    naming the argument.  The cell widths must come out dyadic or the
+    construction is rejected.
     """
-    domain = bounds if isinstance(bounds, Rect) else Rect.from_bounds(bounds)
-    p1, p2 = bidegree
-    try:
-        cells = tuple(n_cells)
-    except TypeError:
-        cells = (n_cells, n_cells)
-    if len(cells) != 2 or any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in cells):
-        raise MeshError(f"n_cells must be an int or a pair of ints, got {n_cells!r}")
-    n1, n2 = map(int, cells)
+    if isinstance(bounds, Rect):
+        domain = bounds
+    else:
+        try:
+            domain = Rect.from_bounds(bounds)
+        except MeshError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise MeshError(
+                f"bounds must be four coordinates (x_min, x_max, y_min, y_max), "
+                f"got {bounds!r}: {exc}"
+            ) from None
+    p1, p2 = _int_pair(bidegree, "bidegree", scalar=False)
+    n1, n2 = _int_pair(n_cells, "n_cells", scalar=True)
     if n1 < 1 or n2 < 1:
         raise MeshError(f"cell counts must be positive, got {n_cells}")
 
@@ -506,7 +542,8 @@ def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
 
 
 def insert_split(mesh: Mesh, split: Split) -> Mesh:
-    """Insert one :class:`Split` segment, returning a new mesh.
+    """Insert one :class:`Split` segment, returning a new mesh: the edit
+    of :meth:`_LineEdit.insert_split` on a one-split working copy.
 
     Only lines are read and written.  The split must pass the rules of
     construction, :func:`_check_segment` and :func:`_canonical_runs`, and
@@ -518,50 +555,82 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
     the parent's tiling.  A span that partially overlaps the runs is
     rejected.
     """
-    d, pos, lo, hi, mult = split
-    _check_segment(mesh.domain, mesh.bidegree, d, pos, lo, hi, mult)
-    runs = mesh.runs_at(d, pos)
-    overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
-    if overlapping:
-        old = overlapping[0]
-        if len(overlapping) > 1 or old[0] != lo or old[1] != hi:
-            raise MeshError(
-                f"split span [{lo}, {hi}] partially overlaps existing meshlines "
-                f"at direction-{d} position {pos}; spans must be entirely new or "
-                f"coincide with one existing run"
-            )
-        cap = mesh.bidegree[d - 1] + 1
-        new_mult = mult + old[2]
-        if new_mult > cap:
-            raise MeshError(
-                f"multiplicity {new_mult} exceeds the cap {cap} "
-                f"at direction-{d} position {pos}"
-            )
-        new_runs = tuple((lo, hi, new_mult) if r is old else r for r in runs)
-        return _with_runs(mesh, d, pos, new_runs, mesh._elements)
-
-    # Entirely new.  No line ends inside an element, so with both ends on
-    # runs crossing pos, every element straddling pos between them is cut
-    # edge to edge.
-    other = 2 if d == 1 else 1
-    for end in (lo, hi):
-        run = mesh.covering_run(other, end, pos, pos)
-        if run is None or not run[0] < pos < run[1]:
-            raise MeshError(
-                f"split at direction-{d} position {pos} is not anchored: its "
-                f"end {end} does not lie on a meshline crossing the position"
-            )
-    return _with_runs(mesh, d, pos, _canonical_runs(d, pos, runs + ((lo, hi, mult),)), None)
+    edit = _LineEdit(mesh)
+    edit.insert_split(split)
+    return edit.mesh()
 
 
-def _with_runs(mesh: Mesh, d: int, pos, new_runs: _Runs, elems) -> Mesh:
-    # Nothing mutates a mesh's run dicts, so the other direction's is shared.
-    runs = dict(mesh._runs)
-    runs[d] = {**mesh._runs[d], pos: new_runs}
-    positions = dict(mesh._positions)
-    if pos not in mesh._runs[d]:
-        positions[d] = tuple(sorted(mesh._runs[d].keys() | {pos}))
-    return Mesh(mesh.domain, mesh.bidegree, runs, positions, elems)
+class _LineEdit:
+    """A working copy of a mesh's lines: any number of splits edit it in
+    place, by the rules of :func:`insert_split`, each against the lines
+    the earlier ones left, and :meth:`mesh` freezes it into one new
+    :class:`Mesh`.
+
+    The run dicts and position lists are copied once, when the copy is
+    made, so a batch of splits costs one copy, and the mesh it starts
+    from is never modified.  The new mesh keeps the parent's tiling when
+    every split only raised a multiplicity, which moves no line.
+    """
+
+    __slots__ = ("domain", "bidegree", "_runs", "_positions", "_elements")
+
+    def __init__(self, mesh: Mesh):
+        self.domain = mesh.domain
+        self.bidegree = mesh.bidegree
+        self._runs = {d: dict(mesh._runs[d]) for d in (1, 2)}
+        self._positions = {d: list(mesh._positions[d]) for d in (1, 2)}
+        self._elements = mesh._elements
+
+    def runs_at(self, direction: int, pos: DyadicCoord) -> _Runs:
+        return self._runs[direction].get(pos, ())
+
+    def insert_split(self, split: Split) -> None:
+        """Insert one split into the working copy, or raise
+        :class:`MeshError`, leaving the copy unchanged."""
+        d, pos, lo, hi, mult = split
+        _check_segment(self.domain, self.bidegree, d, pos, lo, hi, mult)
+        runs = self.runs_at(d, pos)
+        overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
+        if overlapping:
+            old = overlapping[0]
+            if len(overlapping) > 1 or old[0] != lo or old[1] != hi:
+                raise MeshError(
+                    f"split span [{lo}, {hi}] partially overlaps existing meshlines "
+                    f"at direction-{d} position {pos}; spans must be entirely new or "
+                    f"coincide with one existing run"
+                )
+            cap = self.bidegree[d - 1] + 1
+            new_mult = mult + old[2]
+            if new_mult > cap:
+                raise MeshError(
+                    f"multiplicity {new_mult} exceeds the cap {cap} "
+                    f"at direction-{d} position {pos}"
+                )
+            self._runs[d][pos] = tuple((lo, hi, new_mult) if r is old else r for r in runs)
+            return
+
+        # Entirely new.  No line ends inside an element, so with both ends on
+        # runs crossing pos, every element straddling pos between them is cut
+        # edge to edge.
+        other = 2 if d == 1 else 1
+        for end in (lo, hi):
+            [run] = _covering_runs(self._runs[other], (end,), pos, pos)
+            if run is None or not run[0] < pos < run[1]:
+                raise MeshError(
+                    f"split at direction-{d} position {pos} is not anchored: its "
+                    f"end {end} does not lie on a meshline crossing the position"
+                )
+        new_runs = _canonical_runs(d, pos, runs + ((lo, hi, mult),))
+        if not runs:
+            bisect.insort(self._positions[d], pos)
+        self._runs[d][pos] = new_runs
+        self._elements = None
+
+    def mesh(self) -> Mesh:
+        """The edited mesh.  It shares the copy's run dicts, so this is
+        the copy's last use."""
+        positions = {d: tuple(self._positions[d]) for d in (1, 2)}
+        return Mesh(self.domain, self.bidegree, self._runs, positions, self._elements)
 
 
 # -- module-level queries ---------------------------------------------------

@@ -20,7 +20,6 @@ generation fixpoints on that state in place, and returns one new space.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from functools import cache, partial
@@ -41,7 +40,7 @@ from .bspline import (
     local_knot_vector,
 )
 from .dyadic import DyadicCoord, midpoint
-from .mesh import Mesh, Split, insert_split, is_tensorized
+from .mesh import Mesh, Split, _LineEdit, insert_split, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -284,18 +283,12 @@ class _Refinement:
         return LRSpace(self.mesh, self.functions)
 
     def insert(self, pieces):
-        """Insert meshline pieces (gap-decomposed against the evolving
-        mesh) and regenerate.  ``pieces`` are :class:`Split` segments at
+        """Insert meshline pieces by :func:`_insert_pieces` and
+        regenerate.  ``pieces`` are :class:`Split` segments at
         multiplicity one.  Returns the fixpoint's diff as
         :meth:`regenerate` does, or None, changing nothing, when every
         piece is already covered."""
-        mesh = self.mesh
-        inserted = []
-        for direction, pos, lo, hi, _ in sorted(set(pieces)):
-            for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
-                split = Split(direction, pos, g_lo, g_hi)
-                mesh = insert_split(mesh, split)
-                inserted.append(split)
+        mesh, inserted = _insert_pieces(self.mesh, pieces)
         return self.regenerate(mesh, inserted) if inserted else None
 
     def regenerate(self, mesh: Mesh, segments):
@@ -397,13 +390,25 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     Mutates ``functions``, a dict from key to ``Fraction`` weight;
     returns the keys it removed and the keys it added, disjoint: a key
     split here that comes back as a child lacks minimal support on the
-    same mesh, so it is split again.  Coinciding children merge by adding
-    weights, so the result is independent of processing order.
+    same mesh, so it is split again.
 
-    Keys are popped in ascending order.  A popped function's deficits
-    are found one direction at a time, direction 1 first, and all of a
-    direction's deficits are inserted in one multi-knot step.  The scan
-    relies on two facts:
+    The keys wait on a plain first-in, first-out worklist, and the order
+    they are taken in cannot change the result.  The mesh is fixed for
+    the whole call, so whether a key is split, and into which children
+    with which coefficients, depends on the key alone (the scan's
+    shortcuts below find what a scan of every position would).  Each
+    weight is a sum of exact integer contributions, one per path from a
+    dirty key, and a sum does not depend on the order of its terms;
+    coinciding children merge by adding theirs.  The removed and added
+    sets are therefore the same in any order, and so are the weights.
+    First in, first out takes the children of one generation before
+    their own children, so a key reached from several parents of a
+    generation usually has all their weight merged before it is split,
+    and is split once.
+
+    A taken function's deficits are found one direction at a time,
+    direction 1 first, and all of a direction's deficits are inserted in
+    one multi-knot step.  The scan relies on two facts:
 
     - ``mesh`` is the mesh the functions had minimal support on plus the
       :class:`Split` ``segments``, so a dirty key that has
@@ -423,15 +428,19 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     """
     probes = {d: sorted({s.fixed for s in segments if s.direction == d}) for d in (1, 2)}
     # (key, the direction whose scan it skips, or 0 to probe only the
-    # segments' positions in both directions); a key is in the heap at
-    # most once, so the pops are in key order
-    heap = [(key, 0) for key in sorted(dirty)]
+    # segments' positions in both directions); a key waits at most once.
+    # Queued sorted, the dirty keys fix the order new keys enter
+    # ``functions`` by their set alone, whatever order the caller's rows
+    # list them in.
+    work = [(key, 0) for key in sorted(dirty)]
     # per key added or merged into here: its weight; its entry in
     # ``functions``, if any, is stale until the end
     weights: dict = {}
     removed: set = set()
-    while heap:
-        key, skipped = heapq.heappop(heap)
+    taken = 0
+    while taken < len(work):
+        key, skipped = work[taken]
+        taken += 1
         xv, yv = key
         for direction in (1, 2):
             if direction != skipped:
@@ -466,7 +475,7 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
                 existing = functions.get(k)
                 if existing is None:
                     weights[k] = (num, den)
-                    heapq.heappush(heap, (k, direction))
+                    work.append((k, direction))
                     continue
                 old = existing.as_integer_ratio()
             on, od = old
@@ -481,11 +490,33 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     return removed, added
 
 
-def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
-    """Subintervals of [lo, hi] not covered by runs at (direction, pos)."""
+def _insert_pieces(mesh: Mesh, pieces) -> tuple[Mesh, list]:
+    """The mesh with the uncovered gaps of the :class:`Split` ``pieces``
+    inserted at multiplicity one, and the inserted splits.
+
+    The distinct pieces are taken in ascending order and each is
+    gap-decomposed against the lines its predecessors left, so
+    overlapping pieces insert each gap once.  Every gap goes into one
+    working copy (:class:`~lrbsplines.mesh._LineEdit`) by the checks of
+    :func:`insert_split`, in the same order, so the same splits go in
+    and a bad one raises the same :class:`MeshError`; only then is one
+    new mesh built.  ``mesh`` is never modified."""
+    edit = _LineEdit(mesh)
+    inserted = []
+    for direction, pos, lo, hi, _ in sorted(set(pieces)):
+        for g_lo, g_hi in _uncovered_gaps(edit, direction, pos, lo, hi):
+            split = Split(direction, pos, g_lo, g_hi)
+            edit.insert_split(split)
+            inserted.append(split)
+    return edit.mesh(), inserted
+
+
+def _uncovered_gaps(lines, direction: int, pos, lo, hi):
+    """Subintervals of [lo, hi] not covered by runs at (direction, pos)
+    of ``lines``, a :class:`Mesh` or a working copy of one."""
     gaps = []
     current = lo
-    for r_lo, r_hi, _ in mesh.runs_at(direction, pos):
+    for r_lo, r_hi, _ in lines.runs_at(direction, pos):
         if r_hi <= current or r_lo >= hi:
             continue
         if r_lo > current:

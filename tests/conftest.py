@@ -20,7 +20,9 @@ alone, the stacked Greville collocations against each basis built
 alone, the collocation matrix against one kernel call per function and
 direction, the document writer against a JSON-ready dictionary that
 ``json.dumps`` encodes, and pipeline results against the nested map
-that the knotwise test gives on every pair of nesting supports.
+that the knotwise test gives on every pair of nesting supports.  A
+refinement's batched meshline insertion, one working copy of the lines
+per call, is checked against a fresh ``insert_split`` per split.
 """
 from __future__ import annotations
 
@@ -44,7 +46,15 @@ from lrbsplines.bspline import (
 )
 from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.formats import _encode_key
-from lrbsplines.mesh import Mesh, Rect, Split, _build_mesh, _knot_multiplicities, make_initial_mesh
+from lrbsplines.mesh import (
+    Mesh,
+    Rect,
+    Split,
+    _build_mesh,
+    _knot_multiplicities,
+    insert_split,
+    make_initial_mesh,
+)
 from lrbsplines.quasi import _raised_vector, _solve_local
 from lrbsplines.space import (
     LRSpace,
@@ -388,6 +398,20 @@ def reference_fixpoint(mesh, functions, dirty):
             else:
                 functions[k] = old + w * alpha
     return removed, added
+
+
+def insert_pieces_per_split(mesh, pieces):
+    """``space._insert_pieces`` one split at a time: each uncovered gap
+    of the distinct pieces, ascending, goes through its own
+    :func:`insert_split`, which copies the lines again.  Returns the
+    mesh and the inserted splits."""
+    inserted = []
+    for direction, pos, lo, hi, _ in sorted(set(pieces)):
+        for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
+            split = Split(direction, pos, g_lo, g_hi)
+            mesh = insert_split(mesh, split)
+            inserted.append(split)
+    return mesh, inserted
 
 
 def nested_map(space) -> dict:

@@ -6,8 +6,8 @@ a child's scan in the direction it was split in.  Each of its calls is
 replayed here by ``reference_fixpoint`` of ``conftest``, which inserts
 one knot per split and scans every mesh position: both must leave the
 same functions with the same exact weights and return the same diff.
-A work count bounds the mesh lookups and insertions of the diagonal
-demo, in place of a timing gate, and the unit weights of pipeline
+A work count bounds the mesh lookups, insertions and run-dict copies
+of the diagonal demo, in place of a timing gate, and the unit weights of pipeline
 spaces are one shared object.
 """
 import random
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_marked, random_pipeline_space, random_split, reference_fixpoint
+from lrbsplines import mesh as mesh_module
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.mesh import Mesh, make_initial_mesh
@@ -74,29 +75,53 @@ def test_fixpoint_equals_the_single_knot_reference(bidegree, steps):
 def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     # A work count in place of a timing gate.  One knot per split and a
     # scan of every mesh position per child made 42,199 covering-run
-    # lookups and 5,095 insertions at 6 iterations.  The insertions are
-    # the fixpoint's multi-knot steps, each one call of the memoized
-    # Boehm kernel, which computes only its 629 distinct inputs.
-    lookups, insertions = [], []
+    # lookups and 5,095 insertions at 6 iterations.  The lookups are now
+    # the positions the fixpoint's scans read (13,814) plus the single
+    # covering-run calls (none here).  The insertions are the fixpoint's
+    # multi-knot steps (2,187 in first-in, first-out order; 2,661 in key
+    # order and 2,801 last in, first out), each one call of the memoized
+    # Boehm kernel, which computes only its 629 distinct inputs.  The run
+    # dicts are copied once per insertion call (138), not once per split
+    # (498).
+    lookups, insertions, copies, calls = [], [], [], []
     covering_run = Mesh.covering_run
+    covering_runs = Mesh.covering_runs
+    edit = mesh_module._LineEdit.__init__
+    insert = space_module._Refinement.insert
     boehm = space_module._boehm
 
     def counting_covering_run(self, *args):
         lookups.append(1)
         return covering_run(self, *args)
 
+    def counting_covering_runs(self, direction, positions, lo, hi):
+        lookups.append(len(positions))
+        return covering_runs(self, direction, positions, lo, hi)
+
+    def counting_edit(self, mesh):
+        copies.append(1)
+        edit(self, mesh)
+
+    def counting_insert(self, pieces):
+        calls.append(1)
+        return insert(self, pieces)
+
     def counting_boehm(*args):
         insertions.append(1)
         return boehm(*args)
 
     monkeypatch.setattr(Mesh, "covering_run", counting_covering_run)
+    monkeypatch.setattr(Mesh, "covering_runs", counting_covering_runs)
+    monkeypatch.setattr(mesh_module._LineEdit, "__init__", counting_edit)
+    monkeypatch.setattr(space_module._Refinement, "insert", counting_insert)
     monkeypatch.setattr(space_module, "_boehm", counting_boehm)
     boehm.cache_clear()
     summary = run_mesh_demo(tmp_path, iterations=6)
     assert summary["n_functions"] == 932
-    assert len(lookups) <= 21_000
-    assert len(insertions) <= 5_095
+    assert sum(lookups) <= 14_000
+    assert len(insertions) <= 2_200
     assert boehm.cache_info().misses <= 629
+    assert len(copies) == len(calls) == 138
 
 
 def test_pipeline_spaces_hold_the_shared_unit_weight():

@@ -444,6 +444,22 @@ def test_make_initial_mesh_refuses_cell_counts_that_are_not_integers(n_cells):
         make_initial_mesh((0, 1, 0, 1), (2, 2), n_cells)
 
 
+@pytest.mark.parametrize(
+    "bounds, bidegree, field",
+    [
+        ((0, 1, 0, 1), (True, 2), "bidegree"),  # built a 12-function space
+        ((0, 1, 0, 1), (2.5, 2), "bidegree"),  # named Split.multiplicity
+        ((0, 1, 0, 1), 2, "bidegree"),  # a bare unpacking TypeError
+        ((0, True, 0, 1), (2, 2), "bounds"),  # a bare TypeError from dyadic
+        ((0, 1, 0), (2, 2), "bounds"),
+        ((0, 0.1, 0, 1), (2, 2), "bounds"),
+    ],
+)
+def test_make_initial_mesh_refuses_bidegrees_and_bounds_of_the_wrong_type(bounds, bidegree, field):
+    with pytest.raises(MeshError, match=rf"^{field} must be"):
+        make_initial_mesh(bounds, bidegree, 2)
+
+
 def test_repr_of_an_untiled_mesh_leaves_it_untiled():
     # A 6000 x 6000 tensor mesh builds because its tiling waits for the
     # first read; that tiling is above the cap, so a repr that counted
