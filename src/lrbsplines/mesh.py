@@ -18,7 +18,9 @@ boundary edges carry exactly that full multiplicity.
 
 A segment, stored or inserted, is a :class:`Split`, and construction
 and insertion check it by the same rules (:func:`_check_segment`,
-:func:`_canonical_runs`).  Insertion edits a working copy of the lines
+:func:`_canonical_runs`); the open tensor mesh of
+:func:`make_initial_mesh`, which passes them by construction, is
+written in closed form instead.  Insertion edits a working copy of the lines
 (:class:`_LineEdit`), one per batch of splits, and builds one new mesh
 from it.
 
@@ -37,12 +39,13 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicCoord, _integer, dyadic
+from .dyadic import _MAX_EXPONENT, _NUMERATOR_BITS, DyadicCoord, _integer, dyadic
 
 __all__ = [
     "MeshError",
@@ -496,8 +499,15 @@ def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
     y_min, y_max)``, each one :func:`dyadic` accepts (a bool is none),
     ``bidegree`` a pair of integers and ``n_cells`` an integer or a pair
     of integers, bools excluded; anything else raises :class:`MeshError`
-    naming the argument.  The cell widths must come out dyadic or the
-    construction is rejected.
+    naming the argument.  The cell widths must come out dyadic, and
+    every line position an exact coordinate, or the construction is
+    rejected, naming ``n_cells``, or ``bounds`` when a domain width is
+    no coordinate.
+
+    The lines are written in closed form (:func:`_uniform_positions`):
+    every line spans the domain, so they pass the rules of
+    :func:`_build_mesh` by construction and the tiling waits for its
+    first read.
     """
     if isinstance(bounds, Rect):
         domain = bounds
@@ -515,22 +525,63 @@ def make_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
     n1, n2 = _int_pair(n_cells, "n_cells", scalar=True)
     if n1 < 1 or n2 < 1:
         raise MeshError(f"cell counts must be positive, got {n_cells}")
-
-    def grid(lo: DyadicCoord, hi: DyadicCoord, n: int) -> list[DyadicCoord]:
-        step = (hi - lo).fraction / n
-        if step.denominator & (step.denominator - 1):
-            raise MeshError(
-                f"cell width {step} is not dyadic; choose a power-of-two-"
-                f"compatible cell count"
-            )
-        return [lo + dyadic(step * i) for i in range(1, n)]
-
     x0, x1, y0, y1 = domain.x_min, domain.x_max, domain.y_min, domain.y_max
-    items = [Split(1, x, y0, y1, p1 + 1) for x in (x0, x1)]
-    items += [Split(2, y, x0, x1, p2 + 1) for y in (y0, y1)]
-    items += [Split(1, x, y0, y1) for x in grid(x0, x1, n1)]
-    items += [Split(2, y, x0, x1) for y in grid(y0, y1, n2)]
-    return _build_mesh(domain, (p1, p2), items)
+    xs = _uniform_positions(x0, x1, n1, n_cells)
+    ys = _uniform_positions(y0, y1, n2, n_cells)
+    if p1 < 1 or p2 < 1:
+        raise MeshError(f"bidegree components must be >= 1, got {(p1, p2)}")
+    positions = {1: (x0, *xs, x1), 2: (y0, *ys, y1)}
+    runs = {}
+    for d, (lo, hi), cap in ((1, (y0, y1), p1 + 1), (2, (x0, x1), p2 + 1)):
+        runs[d] = dict.fromkeys(positions[d], ((lo, hi, 1),))
+        boundary = ((lo, hi, cap),)
+        runs[d][positions[d][0]] = runs[d][positions[d][-1]] = boundary
+    return Mesh(domain, (p1, p2), runs, positions, None)
+
+
+def _uniform_positions(lo: DyadicCoord, hi: DyadicCoord, n: int, n_cells) -> tuple:
+    """The ``n - 1`` interior positions ``lo + i * (hi - lo) / n``,
+    ``0 < i < n``, of a uniform axis: ``DyadicCoord(first + i * width,
+    e)``, in integers over one power-of-two denominator ``2**e``.
+
+    A domain width that is no coordinate, a cell width that is not
+    dyadic and positions outside the coordinate range raise
+    :class:`MeshError` before any position is built.  In lowest terms
+    ``e`` is the larger exponent of ``lo`` and of the cell width, and
+    the numerators ``first + i * width`` are monotone in ``i``, so the
+    two outermost bound them all.  The bound is exact: where an
+    outermost numerator is even, and shrinks in lowest terms, it lies
+    between a bound's numerator and an odd one.
+    """
+    try:
+        hi - lo
+    except ValueError as exc:
+        raise MeshError(f"bounds: the width of [{lo}, {hi}] is not a coordinate: {exc}") from None
+    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den = max(da, db)
+    first = a * (den // da)
+    span = b * (den // db) - first
+    two = n & -n  # n = odd * two, with two a power of two
+    odd = n // two
+    if span % odd:
+        raise MeshError(
+            f"cell width {Fraction(span, den * n)} is not dyadic; choose a "
+            f"power-of-two-compatible cell count"
+        )
+    if n == 1:
+        return ()
+    first, width, e = first * two, span // odd, (den * two).bit_length() - 1
+    low = first | width  # its lowest set bit is the common power of two
+    shift = min((low & -low).bit_length() - 1, e)
+    first, width, e = first >> shift, width >> shift, e - shift
+    outer = max(abs(first + width), abs(first + (n - 1) * width))
+    if e > _MAX_EXPONENT or outer.bit_length() > _NUMERATOR_BITS:
+        raise MeshError(
+            f"n_cells {n_cells!r}: cells of width {Fraction(width, 1 << e)} on [{lo}, {hi}] "
+            f"put line positions outside the coordinate range (numerators below "
+            f"2**{_NUMERATOR_BITS} over 2**e, e <= {_MAX_EXPONENT}); choose fewer cells"
+        )
+    return tuple(DyadicCoord(first + i * width, e) for i in range(1, n))
 
 
 def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:

@@ -35,6 +35,7 @@ from .mesh import Rect, make_initial_mesh
 from .refine import _check_expansion, central_span, n2s_pipeline
 from .space import (
     _chunks,
+    _coefficient_array,
     _element_pairs,
     _evaluate_sums,
     _gauss_rule,
@@ -298,7 +299,7 @@ def _grid_errors(space: LRSpace, coefficients: dict, sample) -> ErrorReport:
     """:func:`error_norms` against ``sample``, which :func:`_sampled`
     gives for the space's domain."""
     xs, ys, exact = sample
-    err = _evaluate_sums(space, [coefficients], xs, ys)[0] - exact
+    err = _evaluate_sums(space, [_coefficient_array(space, coefficients)], xs, ys)[0] - exact
     dom = space.mesh.domain
     area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
     return ErrorReport(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product
+from itertools import chain, count, product
 from operator import itemgetter
 
 import numpy as np
@@ -40,7 +40,7 @@ from .bspline import (
     local_knot_vector,
 )
 from .dyadic import DyadicCoord, midpoint
-from .mesh import Mesh, Split, _LineEdit, insert_split, is_tensorized
+from .mesh import Mesh, MeshError, Split, _int_pair, _LineEdit, insert_split, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -673,11 +673,15 @@ def _gauss_rule(lo, hi, nodes, weights):
 def _distinct(keys, direction: int):
     """``(vectors, which)``: the distinct direction-``direction`` knot
     vectors of ``keys``, in order of first use, and per key the index of
-    its vector; each vector is hashed once."""
+    its vector; each vector is hashed once, by one ``setdefault`` that
+    maps a new vector to the position of its first use, and the vectors'
+    ranks among those positions are their indices."""
     ids: dict = {}
     vectors = map(itemgetter(direction - 1), keys)
-    which = np.fromiter((ids.setdefault(v, len(ids)) for v in vectors), np.intp, len(keys))
-    return list(ids), which
+    first = np.fromiter(map(ids.setdefault, vectors, count()), np.intp, len(keys))
+    rank = np.empty(len(keys), np.intp)
+    rank[np.fromiter(ids.values(), np.intp, len(ids))] = np.arange(len(ids))
+    return list(ids), rank[first]
 
 
 def _rows(vectors, length: int) -> np.ndarray:
@@ -827,7 +831,15 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
     sorted-key order (:func:`_evaluate_sums`): for finite coefficients,
     bit for bit the sum over every function in that order.
     """
-    return _evaluate_sums(space, [coefficients], xs, ys)[0]
+    return _evaluate_sums(space, [_coefficient_array(space, coefficients)], xs, ys)[0]
+
+
+def _coefficient_array(space: LRSpace, coefficients: dict) -> np.ndarray:
+    """The values of ``coefficients``, a dict from every key of the
+    space, as floats in the key order of :func:`_incidence`, the order
+    :func:`_evaluate_sums` reads."""
+    keys = _incidence(space)[0]
+    return np.fromiter(map(coefficients.__getitem__, keys), dtype=float, count=len(keys))
 
 
 #: Largest sampling grid, ``nx * ny`` points, that :func:`_grid_axes`
@@ -842,11 +854,14 @@ GRID_POINT_BYTES = 25
 
 def _grid_axes(domain, grid, name: str = "grid"):
     """``(xs, ys)``: the axes of the uniform ``grid`` on the rectangle
-    ``domain``, an int for a square grid or a pair ``(nx, ny)``.  A grid
-    with no point, or with more than :data:`MAX_GRID_POINTS`, raises
-    :class:`SpaceError` naming the argument ``name`` before anything is
-    allocated."""
-    nx, ny = (grid, grid) if isinstance(grid, int) else grid
+    ``domain``, an int for a square grid or a pair of ints ``(nx, ny)``,
+    bools excluded.  Any other ``grid``, a grid with no point, or one
+    with more than :data:`MAX_GRID_POINTS`, raises :class:`SpaceError`
+    naming the argument ``name`` before anything is allocated."""
+    try:
+        nx, ny = _int_pair(grid, name, scalar=True)
+    except MeshError as exc:
+        raise SpaceError(str(exc)) from None
     if min(nx, ny) < 1:
         raise SpaceError(f"{name} must have at least 1 point per side, got {grid}")
     if nx * ny > MAX_GRID_POINTS:
@@ -925,9 +940,10 @@ def _element_points(pts, lo, hi, top):
 
 
 def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
-    """:func:`evaluate_space` for each of the coefficient dictionaries,
-    summed element by element from the element--function incidence
-    (:func:`_incidence`).
+    """:func:`evaluate_space` for each of the coefficient arrays, each
+    holding one float per function in the key order of the
+    element--function incidence (:func:`_incidence`), summed element by
+    element from that incidence.
 
     Every grid point of the domain lies in one element, and only the
     functions of that element's incidence row can be nonzero there.  The
@@ -949,7 +965,7 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
     xs = _grid_axis(xs, "xs")
     ys = _grid_axis(ys, "ys")
     outs = [np.zeros((xs.size, ys.size)) for _ in coefficient_sets]
-    keys, counts, indices, bounds, windows = _incidence(space)
+    _, counts, indices, bounds, windows = _incidence(space)
     dom = space.mesh.domain
     ix, nx = _element_points(xs, bounds[0], bounds[1], dom.x_max)
     iy, ny = _element_points(ys, bounds[2], bounds[3], dom.y_max)
@@ -958,10 +974,6 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
         return outs
     x_table, x_base = _window_table(windows[0], xs, dom.x_max)
     y_table, y_base = _window_table(windows[1], ys, dom.y_max)
-    coefficients = [
-        np.fromiter(map(c.__getitem__, keys), dtype=float, count=len(keys))
-        for c in coefficient_sets
-    ]
     starts = np.cumsum(counts) - counts
     corner = ix * ys.size + iy
     hit = hit[np.lexsort((ny[hit], nx[hit], counts[hit]))]
@@ -978,10 +990,10 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
             f = indices[starts[e, None] + np.arange(n_row)]
             vx = _runs(x_table, n_x)[x_base[f] + ix[e, None]]
             vy = _runs(y_table, n_y)[y_base[f] + iy[e, None]]
-            cs = [c[f] for c in coefficients]
+            cs = [c[f] for c in coefficient_sets]
             values = np.empty((len(e), n_x, n_y))
             term = np.empty_like(values)
-            blocks = [np.zeros_like(values) for _ in coefficients]
+            blocks = [np.zeros_like(values) for _ in coefficient_sets]
             for slot in range(n_row):
                 np.multiply(vx[:, slot, :, None], vy[:, slot, None, :], out=values)
                 for block, c in zip(blocks, cs):
@@ -995,7 +1007,7 @@ def _evaluate_sums(space: LRSpace, coefficient_sets, xs, ys) -> list:
 
 def partition_of_unity_defect(space: LRSpace, samples: int = 64, use_weights: bool = True) -> float:
     """``max |1 - sum_k c_k B_k|`` on a uniform ``samples`` x ``samples``
-    grid (``samples`` at least 1, ``samples**2`` at most
+    grid (``samples`` an int of at least 1, ``samples**2`` at most
     :data:`MAX_GRID_POINTS`), with ``c_k`` the stored weights or
     all ones.  The sums are element-ordered (:func:`evaluate_space`)."""
     return _unity_defects(space, samples, (use_weights,))[0]
@@ -1006,7 +1018,7 @@ def _unity_defects(space: LRSpace, samples: int, use_weights) -> list[float]:
     from one evaluation pass."""
     xs, ys = _grid_axes(space.mesh.domain, samples, "samples")
     coefficient_sets = [
-        space.functions if weighted else dict.fromkeys(space.functions, 1.0)
+        _coefficient_array(space, space.functions) if weighted else np.ones(space.n_functions)
         for weighted in use_weights
     ]
     totals = _evaluate_sums(space, coefficient_sets, xs, ys)

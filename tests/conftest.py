@@ -22,7 +22,9 @@ direction, the document writer against a JSON-ready dictionary that
 ``json.dumps`` encodes, and pipeline results against the nested map
 that the knotwise test gives on every pair of nesting supports.  A
 refinement's batched meshline insertion, one working copy of the lines
-per call, is checked against a fresh ``insert_split`` per split.
+per call, is checked against a fresh ``insert_split`` per split, and
+the closed-form tensor mesh against one ``Split`` per line through
+``_build_mesh``.
 """
 from __future__ import annotations
 
@@ -48,9 +50,11 @@ from lrbsplines.dyadic import dyadic, midpoint
 from lrbsplines.formats import _encode_key
 from lrbsplines.mesh import (
     Mesh,
+    MeshError,
     Rect,
     Split,
     _build_mesh,
+    _int_pair,
     _knot_multiplicities,
     insert_split,
     make_initial_mesh,
@@ -88,6 +92,46 @@ def build_mesh(bounds, bidegree, lines, *, require_open=True, boundary=True):
         items.append((2, dyadic(y0), dyadic(x0), dyadic(x1), p2 + 1))
         items.append((2, dyadic(y1), dyadic(x0), dyadic(x1), p2 + 1))
     return _build_mesh(domain, bidegree, items, require_open=require_open)
+
+
+def reference_initial_mesh(bounds, bidegree, n_cells) -> Mesh:
+    """``make_initial_mesh`` by the general path: one :class:`Split` per
+    line, each position a ``Fraction`` multiple of the cell width read
+    back by ``dyadic``, and the whole checked by ``_build_mesh``.  A
+    position outside the coordinate range raises ``dyadic``'s bare
+    ``ValueError``."""
+    if isinstance(bounds, Rect):
+        domain = bounds
+    else:
+        try:
+            domain = Rect.from_bounds(bounds)
+        except MeshError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise MeshError(
+                f"bounds must be four coordinates (x_min, x_max, y_min, y_max), "
+                f"got {bounds!r}: {exc}"
+            ) from None
+    p1, p2 = _int_pair(bidegree, "bidegree", scalar=False)
+    n1, n2 = _int_pair(n_cells, "n_cells", scalar=True)
+    if n1 < 1 or n2 < 1:
+        raise MeshError(f"cell counts must be positive, got {n_cells}")
+
+    def grid(lo, hi, n):
+        step = (hi - lo).fraction / n
+        if step.denominator & (step.denominator - 1):
+            raise MeshError(
+                f"cell width {step} is not dyadic; choose a power-of-two-"
+                f"compatible cell count"
+            )
+        return [lo + dyadic(step * i) for i in range(1, n)]
+
+    x0, x1, y0, y1 = domain.x_min, domain.x_max, domain.y_min, domain.y_max
+    items = [Split(1, x, y0, y1, p1 + 1) for x in (x0, x1)]
+    items += [Split(2, y, x0, x1, p2 + 1) for y in (y0, y1)]
+    items += [Split(1, x, y0, y1) for x in grid(x0, x1, n1)]
+    items += [Split(2, y, x0, x1) for y in grid(y0, y1, n2)]
+    return _build_mesh(domain, (p1, p2), items)
 
 
 def reference_values(knots, t, close_at=None):

@@ -25,7 +25,8 @@ from lrbsplines.dyadic import dyadic
 from lrbsplines.formats import load
 from lrbsplines import space as space_module
 from lrbsplines.mesh import Split, make_initial_mesh
-from lrbsplines.quasi import tensor_space_for_level
+from lrbsplines.poisson import error_norms
+from lrbsplines.quasi import qi_max_error, tensor_space_for_level
 from lrbsplines.refine import diagonal_marker, n2s_pipeline
 from lrbsplines.space import (
     LRSpace,
@@ -546,14 +547,15 @@ def test_element_ordered_sums_equal_the_per_function_sums(running_example, data)
     ys = data.draw(grid_points(space.mesh.positions(2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     keys = space.sorted_keys()
-    coefficient_sets = []
+    arrays, coefficient_sets = [], []
     for _ in range(2):
         values = np.where(rng.random(len(keys)) < 0.2, 0.0, rng.normal(size=len(keys)))
+        arrays.append(values)  # in sorted-key order, the incidence's
         coefficient_sets.append(dict(zip(keys, values.tolist())))
     with pytest.MonkeyPatch.context() as patch:
         # groups and windows then span several chunks
         patch.setattr(space_module, "_CHUNK_ENTRIES", data.draw(st.sampled_from([100, 1000])))
-        got = space_module._evaluate_sums(space, coefficient_sets, xs, ys)
+        got = space_module._evaluate_sums(space, arrays, xs, ys)
     for total, reference in zip(got, _per_function_sums(space, coefficient_sets, xs, ys)):
         assert np.array_equal(total.view(np.int64), reference.view(np.int64))
 
@@ -597,3 +599,32 @@ def test_partition_of_unity_defect_refuses_a_grid_above_the_cap(monkeypatch):
     side = math.isqrt(space_module.MAX_GRID_POINTS) + 1
     with pytest.raises(SpaceError, match=r"samples .* exceeds the cap"):
         partition_of_unity_defect(tensor_space_for_level(1), samples=side)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [True, (2, True), 2.5, (3.0, 3), "3", (2, 2, 2), None],
+    ids=["bool", "bool-in-pair", "float", "float-in-pair", "str", "triple", "none"],
+)
+def test_grids_that_are_not_ints_are_refused_before_sampling(monkeypatch, grid):
+    # grid=True used to sample one point and report l2=6.0 on this space
+    def unreachable(*args):
+        raise AssertionError("sampled or evaluated a refused grid")
+
+    monkeypatch.setattr(space_module, "_evaluate_sums", unreachable)
+    space = tensor_space_for_level(1)
+    ones = dict.fromkeys(space.functions, 1.0)
+    with pytest.raises(SpaceError, match=r"^grid must be an int or a pair of ints"):
+        error_norms(space, ones, unreachable, grid=grid)
+    with pytest.raises(SpaceError, match=r"^grid must be an int or a pair of ints"):
+        qi_max_error(space, ones, unreachable, grid=grid)
+    with pytest.raises(SpaceError, match=r"^samples must be an int or a pair of ints"):
+        partition_of_unity_defect(space, samples=grid)
+
+
+def test_grids_of_ints_are_still_taken():
+    space = tensor_space_for_level(1)
+    ones = dict.fromkeys(space.functions, 1.0)
+    constant = lambda x, y: np.ones_like(x)  # noqa: E731
+    assert error_norms(space, ones, constant, grid=(3, np.int64(4))).l2 == 0.0
+    assert partition_of_unity_defect(space, samples=np.int32(5), use_weights=False) <= 1e-15
