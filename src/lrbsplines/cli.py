@@ -43,6 +43,7 @@ from .space import (
 from .refine import (
     EXPANSIONS,
     _check_expansion,
+    _iteration_count,
     _nested_verdicts,
     diagonal_marker,
     n2s_pipeline,
@@ -76,8 +77,7 @@ def run_mesh_demo(
     """
     if strategy not in ("structured", "n2s2"):
         raise SpaceError(f"unknown strategy {strategy!r}")
-    if iterations < 0:
-        raise SpaceError(f"iterations must be >= 0, got {iterations}")
+    iterations = _iteration_count(iterations)
     _check_expansion(expansion)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

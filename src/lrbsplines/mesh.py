@@ -20,9 +20,9 @@ A segment, stored or inserted, is a :class:`Split`, and construction
 and insertion check it by the same rules (:func:`_check_segment`,
 :func:`_canonical_runs`); the open tensor mesh of
 :func:`make_initial_mesh`, which passes them by construction, is
-written in closed form instead.  Insertion edits a working copy of the lines
-(:class:`_LineEdit`), one per batch of splits, and builds one new mesh
-from it.
+written in closed form instead.  :func:`insert_split` returns a new
+mesh; a refinement copies its input mesh once (:meth:`Mesh._copy`) and
+edits that copy in place (:meth:`Mesh._insert`), split by split.
 
 A mesh stores its lines.  The elements are tiled from them, on the
 first read, into one integer array of index boxes: row ``(i0, i1, j0,
@@ -153,7 +153,8 @@ def _covering_runs(at: dict, positions, lo, hi) -> list:
 
 
 class Mesh:
-    """Immutable LR mesh: domain, bidegree, canonical lines, elements.
+    """LR mesh: domain, bidegree, canonical lines, elements; immutable
+    but for :meth:`_insert` on a private copy from :meth:`_copy`.
 
     The tiling is the index-box array of :meth:`element_boxes`, derived
     from the lines on its first read and cached, so a mesh read only for
@@ -172,6 +173,54 @@ class Mesh:
         # read-only (elements, 4) index-box array sorted by lower-left
         # corner, or None until the tiling is first read
         self._elements = elems
+
+    def _copy(self) -> "Mesh":
+        """An equal mesh with its own run dicts, for :meth:`_insert` to
+        edit; it shares the tuples and the read-only tiling."""
+        runs = {d: dict(self._runs[d]) for d in (1, 2)}
+        return Mesh(self.domain, self.bidegree, runs, dict(self._positions), self._elements)
+
+    def _insert(self, split: Split) -> None:
+        """Insert one split in place by the rules of :func:`insert_split`,
+        or raise :class:`MeshError`, leaving the mesh unchanged."""
+        d, pos, lo, hi, mult = split
+        _check_segment(self.domain, self.bidegree, d, pos, lo, hi, mult)
+        runs = self.runs_at(d, pos)
+        overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
+        if overlapping:
+            old = overlapping[0]
+            if len(overlapping) > 1 or old[0] != lo or old[1] != hi:
+                raise MeshError(
+                    f"split span [{lo}, {hi}] partially overlaps existing meshlines "
+                    f"at direction-{d} position {pos}; spans must be entirely new or "
+                    f"coincide with one existing run"
+                )
+            cap = self.bidegree[d - 1] + 1
+            new_mult = mult + old[2]
+            if new_mult > cap:
+                raise MeshError(
+                    f"multiplicity {new_mult} exceeds the cap {cap} "
+                    f"at direction-{d} position {pos}"
+                )
+            self._runs[d][pos] = tuple((lo, hi, new_mult) if r is old else r for r in runs)
+            return
+
+        # Entirely new.  No line ends inside an element, so with both ends on
+        # runs crossing pos, every element straddling pos between them is cut
+        # edge to edge.
+        other = 2 if d == 1 else 1
+        for end in (lo, hi):
+            [run] = _covering_runs(self._runs[other], (end,), pos, pos)
+            if run is None or not run[0] < pos < run[1]:
+                raise MeshError(
+                    f"split at direction-{d} position {pos} is not anchored: its "
+                    f"end {end} does not lie on a meshline crossing the position"
+                )
+        new_runs = _canonical_runs(d, pos, runs + ((lo, hi, mult),))
+        if not runs:
+            self._positions[d] = tuple(sorted(self._positions[d] + (pos,)))
+        self._runs[d][pos] = new_runs
+        self._elements = None
 
     # -- queries ---------------------------------------------------------
 
@@ -594,7 +643,7 @@ def _knot_multiplicities(vec) -> list[tuple[DyadicCoord, int]]:
 
 def insert_split(mesh: Mesh, split: Split) -> Mesh:
     """Insert one :class:`Split` segment, returning a new mesh: the edit
-    of :meth:`_LineEdit.insert_split` on a one-split working copy.
+    of :meth:`Mesh._insert` on a copy, so ``mesh`` is never modified.
 
     Only lines are read and written.  The split must pass the rules of
     construction, :func:`_check_segment` and :func:`_canonical_runs`, and
@@ -606,82 +655,9 @@ def insert_split(mesh: Mesh, split: Split) -> Mesh:
     the parent's tiling.  A span that partially overlaps the runs is
     rejected.
     """
-    edit = _LineEdit(mesh)
-    edit.insert_split(split)
-    return edit.mesh()
-
-
-class _LineEdit:
-    """A working copy of a mesh's lines: any number of splits edit it in
-    place, by the rules of :func:`insert_split`, each against the lines
-    the earlier ones left, and :meth:`mesh` freezes it into one new
-    :class:`Mesh`.
-
-    The run dicts and position lists are copied once, when the copy is
-    made, so a batch of splits costs one copy, and the mesh it starts
-    from is never modified.  The new mesh keeps the parent's tiling when
-    every split only raised a multiplicity, which moves no line.
-    """
-
-    __slots__ = ("domain", "bidegree", "_runs", "_positions", "_elements")
-
-    def __init__(self, mesh: Mesh):
-        self.domain = mesh.domain
-        self.bidegree = mesh.bidegree
-        self._runs = {d: dict(mesh._runs[d]) for d in (1, 2)}
-        self._positions = {d: list(mesh._positions[d]) for d in (1, 2)}
-        self._elements = mesh._elements
-
-    def runs_at(self, direction: int, pos: DyadicCoord) -> _Runs:
-        return self._runs[direction].get(pos, ())
-
-    def insert_split(self, split: Split) -> None:
-        """Insert one split into the working copy, or raise
-        :class:`MeshError`, leaving the copy unchanged."""
-        d, pos, lo, hi, mult = split
-        _check_segment(self.domain, self.bidegree, d, pos, lo, hi, mult)
-        runs = self.runs_at(d, pos)
-        overlapping = [r for r in runs if r[0] < hi and lo < r[1]]
-        if overlapping:
-            old = overlapping[0]
-            if len(overlapping) > 1 or old[0] != lo or old[1] != hi:
-                raise MeshError(
-                    f"split span [{lo}, {hi}] partially overlaps existing meshlines "
-                    f"at direction-{d} position {pos}; spans must be entirely new or "
-                    f"coincide with one existing run"
-                )
-            cap = self.bidegree[d - 1] + 1
-            new_mult = mult + old[2]
-            if new_mult > cap:
-                raise MeshError(
-                    f"multiplicity {new_mult} exceeds the cap {cap} "
-                    f"at direction-{d} position {pos}"
-                )
-            self._runs[d][pos] = tuple((lo, hi, new_mult) if r is old else r for r in runs)
-            return
-
-        # Entirely new.  No line ends inside an element, so with both ends on
-        # runs crossing pos, every element straddling pos between them is cut
-        # edge to edge.
-        other = 2 if d == 1 else 1
-        for end in (lo, hi):
-            [run] = _covering_runs(self._runs[other], (end,), pos, pos)
-            if run is None or not run[0] < pos < run[1]:
-                raise MeshError(
-                    f"split at direction-{d} position {pos} is not anchored: its "
-                    f"end {end} does not lie on a meshline crossing the position"
-                )
-        new_runs = _canonical_runs(d, pos, runs + ((lo, hi, mult),))
-        if not runs:
-            bisect.insort(self._positions[d], pos)
-        self._runs[d][pos] = new_runs
-        self._elements = None
-
-    def mesh(self) -> Mesh:
-        """The edited mesh.  It shares the copy's run dicts, so this is
-        the copy's last use."""
-        positions = {d: tuple(self._positions[d]) for d in (1, 2)}
-        return Mesh(self.domain, self.bidegree, self._runs, positions, self._elements)
+    new = mesh._copy()
+    new._insert(split)
+    return new
 
 
 # -- module-level queries ---------------------------------------------------

@@ -371,8 +371,13 @@ def adaptive_solve(
     is sampled once (:func:`~lrbsplines.space._sampled`).  Tensor spaces
     are built one at a time, and every other space is dropped after its
     solve.  Rows carry strategy, level, n_functions, linf, l2.
+    ``strategies`` other than one or both of ``"tensor"`` and ``"n2s2"``
+    raise :class:`SpaceError` before any space is built.
     """
     _check_expansion(expansion)
+    known = ("tensor", "n2s2")
+    if not strategies or any(s not in known for s in strategies):
+        raise SpaceError(f"strategies must name one or both of {known}, got {strategies!r}")
     resolution = 2.0 ** -levels
     domain = Rect.from_bounds((0, 1, 0, 1))
     # Every space shares the domain, so the exact solution is sampled once.
@@ -400,7 +405,7 @@ def adaptive_solve(
             yield spaces.pop(0)
 
     rows = []
-    for strategy, spaces in (("tensor", tensor_spaces), ("n2s2", n2s2_spaces)):
+    for strategy, spaces in zip(known, (tensor_spaces, n2s2_spaces)):
         if strategy not in strategies:
             continue
         for level, space in zip(range(2, levels + 1), spaces()):

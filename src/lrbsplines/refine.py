@@ -18,6 +18,7 @@ take function keys, the ``(xknots, yknots)`` pairs of
 from __future__ import annotations
 
 import heapq
+import numbers
 
 from .bspline import _minimal_support
 from .mesh import Split
@@ -43,6 +44,13 @@ def _check_expansion(expansion) -> None:
     """Raise :class:`SpaceError` unless ``expansion`` is in :data:`EXPANSIONS`."""
     if expansion not in EXPANSIONS:
         raise SpaceError(f"unknown expansion {expansion!r}")
+
+
+def _iteration_count(iterations) -> int:
+    """``iterations``, a nonnegative integer but no bool, as an ``int``."""
+    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 0:
+        raise SpaceError(f"iterations must be an int >= 0, got {iterations!r}")
+    return int(iterations)
 
 
 # -- nestedness -------------------------------------------------------------
@@ -341,15 +349,16 @@ def n2s_pipeline(
     continued with the same alternation as one long run.
 
     All iterations refine one working state in place, so no space is
-    built between expansions.  Returns ``(spaces, trace)``: ``spaces[j]``
-    is the space after iteration ``start_index + j``, and ``trace`` holds
-    one record per expansion, a dict of the iteration ``iter``, the
-    ``outer`` key, the direction ``dir`` and ``n_functions_after``.  A
-    tensor expansion reads no direction; under ``"full"``, ``dir`` is the
-    ``"odd-vertical"`` direction of the iteration.
+    built between expansions; each earlier iteration's space gets a copy
+    of the state's mesh and functions.  Returns ``(spaces, trace)``:
+    ``spaces[j]`` is the space after iteration ``start_index + j``, and
+    ``trace`` holds one record per expansion, a dict of the iteration
+    ``iter``, the ``outer`` key, the direction ``dir`` and
+    ``n_functions_after``.  A tensor expansion reads no direction; under
+    ``"full"``, ``dir`` is the ``"odd-vertical"`` direction of the
+    iteration.
     """
-    if iterations < 0:
-        raise SpaceError(f"iterations must be >= 0, got {iterations}")
+    iterations = _iteration_count(iterations)
     _check_expansion(expansion)
 
     state = _Refinement(space)
@@ -381,5 +390,5 @@ def n2s_pipeline(
             trace.append(
                 {"iter": i, "outer": outer_key, "dir": direction, "n_functions_after": len(functions)}
             )
-        spaces.append(state.space() if i == last else LRSpace(state.mesh, dict(functions)))
+        spaces.append(state.space() if i == last else LRSpace(state.mesh._copy(), dict(functions)))
     return spaces, trace

@@ -7,15 +7,16 @@ object is built per function.  Whenever meshlines are added, functions
 that lose minimal support are replaced by their knot-insertion children
 until the set is stable; the resulting set is independent of the order
 in which lines are added or functions are processed, and the weights
-accumulate exactly.  Each
-split inserts all of one direction's missing knots in one step, and
-only the functions the new lines cross are checked, at the new lines'
-positions, because every function of a space has minimal support.
+accumulate exactly.  Each split inserts all of one direction's missing
+knots in one step, and only the functions the new lines cross are
+checked, at the new lines' positions, because every function of a
+space has minimal support.
 
 A refinement call never modifies the space it is given.  It builds one
-private working state from it (:class:`_Refinement`: the mesh, a copy
-of the function dict and the support rows), inserts meshlines and runs
-generation fixpoints on that state in place, and returns one new space.
+private working state from it (:class:`_Refinement`: copies of the mesh
+and of the function dict, and the support rows), inserts meshlines and
+runs generation fixpoints on that state in place, and returns one new
+space.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .bspline import (
     local_knot_vector,
 )
 from .dyadic import DyadicCoord, midpoint
-from .mesh import Mesh, MeshError, Split, _int_pair, _LineEdit, insert_split, is_tensorized
+from .mesh import Mesh, MeshError, Split, _int_pair, is_tensorized
 
 __all__ = [
     "SpaceError",
@@ -252,9 +253,9 @@ def _support_bounds(keys) -> np.ndarray:
 
 
 class _Refinement:
-    """The working state of one refinement call: the current mesh, a
-    private copy of the function dict, and the functions' support rows
-    for crossing and containment queries.
+    """The working state of one refinement call: private copies of the
+    mesh and of the function dict, and the functions' support rows for
+    crossing and containment queries.
 
     Row ``i`` holds the key ``keys[i]`` and its support bounds
     ``bounds[i] = (x_min, x_max, y_min, y_max)``; ``rows`` maps every
@@ -271,15 +272,15 @@ class _Refinement:
     __slots__ = ("mesh", "functions", "keys", "bounds", "rows")
 
     def __init__(self, space: LRSpace):
-        self.mesh = space.mesh
+        self.mesh = space.mesh._copy()
         self.functions = dict(space.functions)
         self.keys = list(self.functions)
         self.bounds = _support_bounds(self.keys)
         self.rows = {key: i for i, key in enumerate(self.keys)}
 
     def space(self) -> LRSpace:
-        """The refined space.  It shares the state's function dict, so
-        this is the state's last use."""
+        """The refined space.  It shares the state's mesh and function
+        dict, so this is the state's last use."""
         return LRSpace(self.mesh, self.functions)
 
     def insert(self, pieces):
@@ -288,12 +289,12 @@ class _Refinement:
         multiplicity one.  Returns the fixpoint's diff as
         :meth:`regenerate` does, or None, changing nothing, when every
         piece is already covered."""
-        mesh, inserted = _insert_pieces(self.mesh, pieces)
-        return self.regenerate(mesh, inserted) if inserted else None
+        inserted = _insert_pieces(self.mesh, pieces)
+        return self.regenerate(inserted) if inserted else None
 
-    def regenerate(self, mesh: Mesh, segments):
-        """Move to ``mesh``, which is the current mesh plus the
-        :class:`Split` ``segments``, and restore minimal support.
+    def regenerate(self, segments):
+        """Restore minimal support once the :class:`Split` ``segments``
+        are in the state's mesh.
 
         Only the functions whose support a segment crosses can lose
         minimal support, and only at the segments' positions, so the
@@ -301,8 +302,7 @@ class _Refinement:
         for them.  Returns its diff, ``(removed, added)``.
         """
         dirty = self.crossing(segments)
-        self.mesh = mesh
-        removed, added = _fixpoint(mesh, self.functions, dirty, segments)
+        removed, added = _fixpoint(self.mesh, self.functions, dirty, segments)
         self._follow(removed, added)
         return removed, added
 
@@ -490,33 +490,30 @@ def _fixpoint(mesh: Mesh, functions: dict, dirty, segments) -> tuple[set, set]:
     return removed, added
 
 
-def _insert_pieces(mesh: Mesh, pieces) -> tuple[Mesh, list]:
-    """The mesh with the uncovered gaps of the :class:`Split` ``pieces``
-    inserted at multiplicity one, and the inserted splits.
+def _insert_pieces(mesh: Mesh, pieces) -> list:
+    """Insert the uncovered gaps of the :class:`Split` ``pieces`` into
+    ``mesh`` in place, at multiplicity one, and return the inserted
+    splits.
 
     The distinct pieces are taken in ascending order and each is
     gap-decomposed against the lines its predecessors left, so
-    overlapping pieces insert each gap once.  Every gap goes into one
-    working copy (:class:`~lrbsplines.mesh._LineEdit`) by the checks of
-    :func:`insert_split`, in the same order, so the same splits go in
-    and a bad one raises the same :class:`MeshError`; only then is one
-    new mesh built.  ``mesh`` is never modified."""
-    edit = _LineEdit(mesh)
+    overlapping pieces insert each gap once.  Every gap goes in by
+    :meth:`~lrbsplines.mesh.Mesh._insert`, in the same order as a
+    :func:`~lrbsplines.mesh.insert_split` per gap would take them."""
     inserted = []
     for direction, pos, lo, hi, _ in sorted(set(pieces)):
-        for g_lo, g_hi in _uncovered_gaps(edit, direction, pos, lo, hi):
+        for g_lo, g_hi in _uncovered_gaps(mesh, direction, pos, lo, hi):
             split = Split(direction, pos, g_lo, g_hi)
-            edit.insert_split(split)
+            mesh._insert(split)
             inserted.append(split)
-    return edit.mesh(), inserted
+    return inserted
 
 
-def _uncovered_gaps(lines, direction: int, pos, lo, hi):
-    """Subintervals of [lo, hi] not covered by runs at (direction, pos)
-    of ``lines``, a :class:`Mesh` or a working copy of one."""
+def _uncovered_gaps(mesh: Mesh, direction: int, pos, lo, hi):
+    """Subintervals of [lo, hi] not covered by runs at (direction, pos)."""
     gaps = []
     current = lo
-    for r_lo, r_hi, _ in lines.runs_at(direction, pos):
+    for r_lo, r_hi, _ in mesh.runs_at(direction, pos):
         if r_hi <= current or r_lo >= hi:
             continue
         if r_lo > current:
@@ -533,9 +530,9 @@ def _uncovered_gaps(lines, direction: int, pos, lo, hi):
 def apply_split(space: LRSpace, split: Split) -> LRSpace:
     """Insert one split and regenerate.  The split must be insertable on
     the mesh and must refine at least one function."""
-    mesh = insert_split(space.mesh, split)
     state = _Refinement(space)
-    removed, _ = state.regenerate(mesh, [split])
+    state.mesh._insert(split)
+    removed, _ = state.regenerate([split])
     if not removed:
         raise SpaceError(
             f"split at direction-{split.direction} position {split.fixed} "
@@ -837,9 +834,13 @@ def evaluate_space(space: LRSpace, coefficients: dict, xs, ys) -> np.ndarray:
 def _coefficient_array(space: LRSpace, coefficients: dict) -> np.ndarray:
     """The values of ``coefficients``, a dict from every key of the
     space, as floats in the key order of :func:`_incidence`, the order
-    :func:`_evaluate_sums` reads."""
+    :func:`_evaluate_sums` reads, or :class:`SpaceError` if it lacks any."""
     keys = _incidence(space)[0]
-    return np.fromiter(map(coefficients.__getitem__, keys), dtype=float, count=len(keys))
+    try:
+        return np.fromiter(map(coefficients.__getitem__, keys), dtype=float, count=len(keys))
+    except KeyError:
+        missing = sum(key not in coefficients for key in keys)
+        raise SpaceError(f"coefficients lack {missing} of the space's {len(keys)} functions") from None
 
 
 #: Largest sampling grid, ``nx * ny`` points, that :func:`_grid_axes`

@@ -21,8 +21,8 @@ alone, the collocation matrix against one kernel call per function and
 direction, the document writer against a JSON-ready dictionary that
 ``json.dumps`` encodes, and pipeline results against the nested map
 that the knotwise test gives on every pair of nesting supports.  A
-refinement's batched meshline insertion, one working copy of the lines
-per call, is checked against a fresh ``insert_split`` per split, and
+refinement's batched meshline insertion, in place on one copy of the
+mesh, is checked against a fresh ``insert_split`` per split, and
 the closed-form tensor mesh against one ``Split`` per line through
 ``_build_mesh``.
 """

@@ -1,16 +1,22 @@
-"""A refinement's meshline insertion edits one working copy of the lines.
+"""A refinement's meshline insertion edits one private mesh in place.
 
 ``space._insert_pieces`` gap-decomposes a call's pieces and inserts every
-gap into one ``mesh._LineEdit``, building one new mesh at the end.  On
-random pipeline states and random piece lists -- pieces that overlap
+gap into a mesh by ``Mesh._insert``; a refinement state does so on its
+own ``Mesh._copy()`` of the mesh it starts from.  On random pipeline
+states and random piece lists -- pieces that overlap
 each other, coincide with an existing run, raise a multiplicity, stop
 off the lines or leave the domain -- it must give what a fresh
 ``insert_split`` per split gives (``conftest.insert_pieces_per_split``):
 the same lines, tiling and inserted splits, or the same ``MeshError``,
 and the tiling must be the one the lines give afresh.
-The working copy fed splits directly, raises included, must agree with
-an ``insert_split`` loop the same way.  Neither may touch the mesh it
-starts from.
+A copy fed splits directly, raises included, must agree with an
+``insert_split`` loop the same way.  Neither may touch the mesh the
+copy is made from.
+
+The edits never leak: ``insert_split`` and ``apply_split`` leave their
+input mesh's run dicts, positions and tiling as they were, and each
+space ``n2s_pipeline`` returns keeps the lines it had when its
+iteration ended, while later iterations edit the state's mesh.
 """
 import random
 
@@ -18,10 +24,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import insert_pieces_per_split, random_pipeline_space
+from conftest import insert_pieces_per_split, random_pipeline_space, random_split
 from lrbsplines import space as space_module
 from lrbsplines.dyadic import dyadic, midpoint
-from lrbsplines.mesh import MeshError, Split, _build_mesh, _LineEdit, insert_split
+from lrbsplines.mesh import MeshError, Split, _build_mesh, insert_split, make_initial_mesh
+from lrbsplines.refine import EXPANSIONS, diagonal_marker, n2s_pipeline, point_marker
+from lrbsplines.space import SpaceError, apply_split, initial_space
 
 # the kinds of piece drawn; one bad piece fails a whole list, so the
 # kinds that fail are drawn less often
@@ -89,7 +97,11 @@ picks_strategy = st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32
 @given(seed=st.integers(0, 2**32), iterations=st.integers(1, 2), picks=picks_strategy)
 def test_batched_insert_equals_a_fresh_insert_split_per_split(seed, iterations, picks):
     mesh, pieces = random_state(seed, iterations, picks)
-    got = outcome(lambda m: space_module._insert_pieces(m, pieces), mesh)
+    def batched(m):
+        copy = m._copy()
+        return copy, space_module._insert_pieces(copy, pieces)
+
+    got = outcome(batched, mesh)
     assert got == outcome(lambda m: insert_pieces_per_split(m, pieces), mesh)
 
 
@@ -102,10 +114,10 @@ def test_one_working_copy_equals_an_insert_split_loop(seed, iterations, picks):
     mesh, splits = random_state(seed, iterations, picks)
 
     def batched(m):
-        edit = _LineEdit(m)
+        copy = m._copy()
         for split in splits:
-            edit.insert_split(split)
-        return edit.mesh(), splits
+            copy._insert(split)
+        return copy, splits
 
     def looped(m):
         for split in splits:
@@ -114,3 +126,79 @@ def test_one_working_copy_equals_an_insert_split_loop(seed, iterations, picks):
 
     assert outcome(batched, mesh) == outcome(looped, mesh)
 
+
+
+def internals(mesh):
+    """The mesh's run dicts, position dict and tiling, and copies of the
+    first two, to tell an edit in place from a replaced field."""
+    runs, positions = mesh._runs, mesh._positions
+    return (runs, {d: dict(runs[d]) for d in (1, 2)}), (positions, dict(positions)), mesh._elements
+
+
+def assert_untouched(mesh, before):
+    (runs, runs_copy), (positions, positions_copy), elements = before
+    assert mesh._runs is runs and all(mesh._runs[d] == runs_copy[d] for d in (1, 2))
+    assert mesh._positions is positions and mesh._positions == positions_copy
+    assert mesh._elements is elements
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32), iterations=st.integers(1, 2), tile=st.booleans(), picks=picks_strategy)
+def test_insert_split_and_apply_split_leave_their_input_mesh_alone(seed, iterations, tile, picks):
+    rng = random.Random(seed)
+    space = random_pipeline_space(seed % 40, iterations=iterations)
+    if tile:
+        space.mesh.element_boxes()
+    mesh = space.mesh
+    before = internals(mesh)
+    splits = [p for kind, s in picks for p in random_pieces(random.Random(s), space, kind)]
+    splits.append(random_split(rng, space))
+    for split in filter(None, splits):
+        for call in (lambda: insert_split(mesh, split), lambda: apply_split(space, split)):
+            try:
+                refined = call()
+            except (MeshError, SpaceError):
+                refined = None
+            assert_untouched(mesh, before)
+            if refined is not None:
+                refined = getattr(refined, "mesh", refined)
+                assert refined._runs[1] is not mesh._runs[1] and refined._runs[2] is not mesh._runs[2]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32),
+    iterations=st.integers(2, 4),
+    expansion=st.sampled_from(EXPANSIONS),
+    bidegree=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
+    n_cells=st.integers(1, 2),
+    tile=st.booleans(),
+)
+def test_pipeline_spaces_keep_their_lines_as_later_iterations_run(
+    seed, iterations, expansion, bidegree, n_cells, tile
+):
+    # Every space equals the last of a separate run that stops at its
+    # iteration: lines, positions, tiling and functions.  The diagonal
+    # keeps every iteration's marking nonempty; the points vary it.
+    rng = random.Random(seed)
+    points = point_marker([(rng.random(), rng.random()) for _ in range(rng.randint(0, 3))])
+    marker = lambda key: diagonal_marker(key) or points(key)  # noqa: E731
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), bidegree, n_cells))
+    if tile:
+        space.mesh.element_boxes()
+    before = internals(space.mesh)
+    spaces, _ = n2s_pipeline(space, marker, iterations, expansion=expansion)
+    assert_untouched(space.mesh, before)
+    tilings = [s.mesh._elements for s in spaces]
+    for j, got in enumerate(spaces, start=1):
+        want = n2s_pipeline(space, marker, j, expansion=expansion)[0][-1]
+        assert got.mesh.lines() == want.mesh.lines()
+        assert all(got.mesh.positions(d) == want.mesh.positions(d) for d in (1, 2))
+        assert got.functions == want.functions
+        fresh = _build_mesh(got.mesh.domain, got.mesh.bidegree, got.mesh.lines()).element_boxes()
+        assert np.array_equal(got.mesh.element_boxes(), fresh)
+        assert np.array_equal(got.mesh.element_boxes(), want.mesh.element_boxes())
+        assert tilings[j - 1] is None or tilings[j - 1] is got.mesh._elements
+        for other in spaces[j:]:
+            assert all(got.mesh._runs[d] is not other.mesh._runs[d] for d in (1, 2))
+            assert got.mesh._positions is not other.mesh._positions

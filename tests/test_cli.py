@@ -310,6 +310,29 @@ def test_mesh_demo_rejects_unknown_strategy(tmp_path):
         run_mesh_demo(tmp_path / "x", iterations=1, strategy="fancy")
 
 
+@pytest.mark.parametrize("iterations", [True, False, 2.0, "2", None, (2,)])
+def test_iterations_must_be_an_int(tmp_path, iterations):
+    # iterations=True used to run one iteration, and 2.0 escaped from
+    # range as a bare TypeError.
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    with pytest.raises(SpaceError, match=r"^iterations must be an int >= 0, got "):
+        n2s_pipeline(space, diagonal_marker, iterations)
+    for strategy in ("structured", "n2s2"):
+        with pytest.raises(SpaceError, match=r"^iterations must be an int >= 0, got "):
+            run_mesh_demo(tmp_path / "x", iterations=iterations, strategy=strategy)
+    assert not (tmp_path / "x").exists()
+
+
+def test_numpy_iteration_counts_are_still_taken(tmp_path):
+    space = initial_space(make_initial_mesh((0, 1, 0, 1), (2, 2), 1))
+    spaces, _ = n2s_pipeline(space, diagonal_marker, np.int64(2))
+    assert len(spaces) == 2
+    summary = run_mesh_demo(tmp_path, iterations=np.int32(2))
+    assert type(summary["iterations"]) is int and summary["iterations"] == 2
+    with pytest.raises(SpaceError, match=r"^iterations must be an int >= 0, got -1$"):
+        n2s_pipeline(space, diagonal_marker, -1)
+
+
 # -- qi-peaks ------------------------------------------------------------------
 
 

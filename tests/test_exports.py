@@ -38,6 +38,7 @@ KEPT_EXPORTS = {
     "insert_knot": "README API: a per-function call on keys",
     "has_support_on": "README API: a per-function call on keys",
     "apply_split": "README API: insert one line segment",
+    "insert_split": "README API: insert one split into a mesh, returning a new mesh",
     "is_nested_meshwise": "README API: the mesh-oriented nestedness test verify cross-checks",
     "one_directional_expansion": "README API: a refinement call",
     "tensor_expansion": "README API: a refinement call",

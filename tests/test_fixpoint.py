@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_marked, random_pipeline_space, random_split, reference_fixpoint
-from lrbsplines import mesh as mesh_module
 from lrbsplines import space as space_module
 from lrbsplines.cli import run_mesh_demo
 from lrbsplines.mesh import Mesh, make_initial_mesh
@@ -80,13 +79,13 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     # covering-run calls (none here).  The insertions are the fixpoint's
     # multi-knot steps (2,187 in first-in, first-out order; 2,661 in key
     # order and 2,801 last in, first out), each one call of the memoized
-    # Boehm kernel, which computes only its 629 distinct inputs.  The run
-    # dicts are copied once per insertion call (138), not once per split
-    # (498).
+    # Boehm kernel, which computes only its 629 distinct inputs.  The
+    # mesh is copied once for the state and once per earlier iteration's
+    # space (6), not once per insertion call (138) or per split (498).
     lookups, insertions, copies, calls = [], [], [], []
     covering_run = Mesh.covering_run
     covering_runs = Mesh.covering_runs
-    edit = mesh_module._LineEdit.__init__
+    copy = Mesh._copy
     insert = space_module._Refinement.insert
     boehm = space_module._boehm
 
@@ -98,9 +97,9 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
         lookups.append(len(positions))
         return covering_runs(self, direction, positions, lo, hi)
 
-    def counting_edit(self, mesh):
+    def counting_copy(self):
         copies.append(1)
-        edit(self, mesh)
+        return copy(self)
 
     def counting_insert(self, pieces):
         calls.append(1)
@@ -112,7 +111,7 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Mesh, "covering_run", counting_covering_run)
     monkeypatch.setattr(Mesh, "covering_runs", counting_covering_runs)
-    monkeypatch.setattr(mesh_module._LineEdit, "__init__", counting_edit)
+    monkeypatch.setattr(Mesh, "_copy", counting_copy)
     monkeypatch.setattr(space_module._Refinement, "insert", counting_insert)
     monkeypatch.setattr(space_module, "_boehm", counting_boehm)
     boehm.cache_clear()
@@ -121,7 +120,8 @@ def test_diagonal_demo_work_count(monkeypatch, tmp_path):
     assert sum(lookups) <= 14_000
     assert len(insertions) <= 2_200
     assert boehm.cache_info().misses <= 629
-    assert len(copies) == len(calls) == 138
+    assert len(copies) == 6
+    assert len(calls) == 138
 
 
 def test_pipeline_spaces_hold_the_shared_unit_weight():

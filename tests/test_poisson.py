@@ -454,6 +454,26 @@ def test_adaptive_solve_single_strategy():
     assert [r["level"] for r in rows] == [2, 3]
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [
+        (("tensor", "n2s"), r"got \('tensor', 'n2s'\)$"),
+        (["full"], r"got \['full'\]$"),
+        ((), r"got \(\)$"),
+    ],
+)
+def test_adaptive_solve_refuses_unknown_or_no_strategies(monkeypatch, strategies, message):
+    # An unknown strategy used to be dropped without a word, so
+    # ("tensor", "n2s") returned tensor rows only and () returned [].
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled or built a space for a refused selection")
+
+    for name in ("_sampled", "make_initial_mesh", "initial_space"):
+        monkeypatch.setattr(poisson_module, name, unreachable)
+    with pytest.raises(SpaceError, match=r"^strategies must name one or both of \('tensor', 'n2s2'\), " + message):
+        adaptive_solve(3, strategies=strategies, grid=20)
+
+
 def test_adaptive_solve_reads_one_incidence_per_space(monkeypatch):
     # Assembly and the error grid share the incidence of their space, and
     # level 2 of both strategies is one space, solved once.

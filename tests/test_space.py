@@ -622,6 +622,26 @@ def test_grids_that_are_not_ints_are_refused_before_sampling(monkeypatch, grid):
         partition_of_unity_defect(space, samples=grid)
 
 
+@pytest.mark.parametrize("call", ["evaluate_space", "qi_max_error", "error_norms"])
+def test_coefficients_lacking_functions_are_refused(call):
+    # A missing key used to escape as a bare KeyError carrying the whole key.
+    space = tensor_space_for_level(1)
+    keys = space.sorted_keys()
+    constant = lambda x, y: np.ones_like(x)  # noqa: E731
+    calls = {
+        "evaluate_space": lambda c: evaluate_space(space, c, np.linspace(0, 1, 3), np.linspace(0, 1, 3)),
+        "qi_max_error": lambda c: qi_max_error(space, c, constant, grid=3),
+        "error_norms": lambda c: error_norms(space, c, constant, grid=3),
+    }
+    for lacking in (1, 3, len(keys)):
+        coefficients = dict.fromkeys(keys[lacking:], 1.0)
+        expected = rf"^coefficients lack {lacking} of the space's {len(keys)} functions$"
+        with pytest.raises(SpaceError, match=expected):
+            calls[call](coefficients)
+    # a key the space lacks is ignored, as before
+    calls[call](dict.fromkeys(keys + [((0,), (0,))], 1.0))
+
+
 def test_grids_of_ints_are_still_taken():
     space = tensor_space_for_level(1)
     ones = dict.fromkeys(space.functions, 1.0)

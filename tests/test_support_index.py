@@ -166,8 +166,8 @@ def checked_refinement(built: list) -> ExitStack:
         init(self, space)
         built.append(self)
 
-    def checked_regenerate(self, mesh, segments):
-        removed, added = diff = regenerate(self, mesh, segments)
+    def checked_regenerate(self, segments):
+        removed, added = diff = regenerate(self, segments)
         gone = removed_by.setdefault(id(self), (self, set()))[1]
         assert gone.isdisjoint(added)
         gone |= removed
